@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -129,17 +130,31 @@ func TestScaleConnStateSublinear(t *testing.T) {
 	}
 }
 
-// TestScaleExactSizingPinned pins three cells against results captured
-// from the unbounded (pre-capacity-bounding) cache tier: with exact
-// slab sizing (CacheFrac 0) every document fits its home node, the
-// churn machinery never fires, and the cell must reproduce the old
-// numbers byte-for-byte — same hits, same latencies, same engine event
-// count.
+// TestScaleExactSizingPinned pins cells byte-for-byte. The first three
+// were captured from the unbounded (pre-capacity-bounding) cache tier:
+// with exact slab sizing (CacheFrac 0) every document fits its home
+// node, the churn machinery never fires, and the cell must reproduce
+// the old numbers — same hits, same latencies, same engine event count.
+// The rest pin the whole result (%+v minus Wall, Events included) of a
+// capacity-churn cell, a spill+rebalance hotspot cell, a crash-plan
+// cell and a partitioned-rebalancer cell, captured before the tier
+// moved into coopcache.Tier: every costed op must still be issued at
+// the same decision instant.
 func TestScaleExactSizingPinned(t *testing.T) {
+	mustPlan := func(spec string) *faults.Plan {
+		plan, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
 	cases := []struct {
 		name string
 		cfg  ScaleConfig
 		want ScaleResult
+		// whole, when set, is the full %+v of the result with Wall zeroed
+		// (the cell churns, so the exact-sizing checks do not apply).
+		whole string
 	}{
 		{
 			name: "rc-16",
@@ -157,12 +172,43 @@ func TestScaleExactSizingPinned(t *testing.T) {
 			cfg:  ScaleConfig{Nodes: 64, Clients: 20_000, Requests: 6400, Seed: 5},
 			want: ScaleResult{Hits: 3989, Misses: 2411, Elapsed: 9240045, P50: 17283, P99: 33314, Events: 57550},
 		},
+		{
+			name: "churn-pooled-64",
+			cfg: ScaleConfig{Nodes: 64, Clients: 100_000, Requests: 2400, Docs: 1024,
+				CacheFrac: 0.1, Seed: 2, Transport: verbs.PooledTransport()},
+			whole: "{Nodes:64 FrontEnds:16 CacheNodes:40 StoreNodes:8 Transport:pooled Requests:2400 Hits:1133 Misses:1267 Elapsed:4.908999ms P50:33.358µs P99:61.358µs ReqsPerSec:488898.04214667797 ConnBytesAvg:101120 ConnBytesMax:393216 Establishes:121 Evictions:0 UDOps:7624 CacheMisses:0 CacheFrac:0.1 ZipfAlpha:0.99 CacheSlots:82 CacheEvictions:1103 Invalidations:1171 StaleReads:51 DeadFallbacks:0 Rollbacks:20 CacheEvictPerSec:224689.39186991076 SpillEnabled:false SpillSlots:0 Spills:0 SpillHits:0 SpillDrops:0 SpillRedirectLost:0 SpillReclaims:0 SpillHitPerSec:0 RebalanceOn:false DirMaxOverMean:3.1996692848284414 DirMigrations:0 DirSplits:0 Events:25848 Wall:0s}",
+		},
+		{
+			name: "spill-rebalance-hot-64",
+			cfg: ScaleConfig{Nodes: 64, Clients: 100_000, Requests: 9600, Docs: 2048,
+				CacheFrac: 0.05, ZipfAlpha: 1.2, Spill: true, Rebalance: true, Seed: 4},
+			whole: "{Nodes:64 FrontEnds:16 CacheNodes:40 StoreNodes:8 Transport:rc Requests:9600 Hits:7286 Misses:2314 Elapsed:13.010674ms P50:17.283µs P99:39.358µs ReqsPerSec:737855.7021719244 ConnBytesAvg:1.180416e+06 ConnBytesMax:1351680 Establishes:1537 Evictions:0 UDOps:0 CacheMisses:0 CacheFrac:0.05 ZipfAlpha:1.2 CacheSlots:80 CacheEvictions:2139 Invalidations:2169 StaleReads:170 DeadFallbacks:0 Rollbacks:7 CacheEvictPerSec:164403.4736401819 SpillEnabled:true SpillSlots:120 Spills:2101 SpillHits:2608 SpillDrops:0 SpillRedirectLost:36 SpillReclaims:1991 SpillHitPerSec:200450.79909003945 RebalanceOn:true DirMaxOverMean:2.285368070281733 DirMigrations:21 DirSplits:16 Events:96643 Wall:0s}",
+		},
+		{
+			name: "spill-crash-16",
+			cfg: ScaleConfig{Nodes: 16, Clients: 5000, Requests: 2000, Docs: 512,
+				CacheFrac: 0.1, Spill: true, Seed: 3, Faults: mustPlan("crash@2ms node=3")},
+			whole: "{Nodes:16 FrontEnds:4 CacheNodes:10 StoreNodes:2 Transport:rc Requests:2000 Hits:1104 Misses:896 Elapsed:10.966498ms P50:17.283µs P99:33.633µs ReqsPerSec:182373.62556396765 ConnBytesAvg:245760 ConnBytesMax:294912 Establishes:93 Evictions:0 UDOps:0 CacheMisses:0 CacheFrac:0.1 ZipfAlpha:0.99 CacheSlots:44 CacheEvictions:627 Invalidations:565 StaleReads:8 DeadFallbacks:227 Rollbacks:0 CacheEvictPerSec:57174.13161430386 SpillEnabled:true SpillSlots:68 Spills:618 SpillHits:547 SpillDrops:5 SpillRedirectLost:4 SpillReclaims:550 SpillHitPerSec:49879.18659174515 RebalanceOn:false DirMaxOverMean:1.6111541440743609 DirMigrations:0 DirSplits:0 Events:21379 Wall:0s}",
+		},
+		{
+			name: "rebalance-partition-16",
+			cfg: ScaleConfig{Nodes: 16, Clients: 100_000, Requests: 4000, Docs: 2048,
+				CacheFrac: 0.1, ZipfAlpha: 1.2, Rebalance: true, Seed: 2, Faults: mustPlan(rebalancerPartition)},
+			whole: "{Nodes:16 FrontEnds:4 CacheNodes:10 StoreNodes:2 Transport:rc Requests:4000 Hits:2892 Misses:1108 Elapsed:24.019758ms P50:17.283µs P99:39.982µs ReqsPerSec:166529.5711971786 ConnBytesAvg:147456 ConnBytesMax:294912 Establishes:48 Evictions:0 UDOps:0 CacheMisses:0 CacheFrac:0.1 ZipfAlpha:1.2 CacheSlots:201 CacheEvictions:665 Invalidations:666 StaleReads:1 DeadFallbacks:0 Rollbacks:0 CacheEvictPerSec:27685.54121153094 SpillEnabled:false SpillSlots:0 Spills:0 SpillHits:0 SpillDrops:0 SpillRedirectLost:0 SpillReclaims:0 SpillHitPerSec:0 RebalanceOn:true DirMaxOverMean:2.0203588681849554 DirMigrations:2 DirSplits:2 Events:35382 Wall:0s}",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := RunScaleCell(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.whole != "" {
+				res.Wall = 0
+				if got := fmt.Sprintf("%+v", res); got != tc.whole {
+					t.Errorf("pinned cell diverged:\n got %s\nwant %s", got, tc.whole)
+				}
+				return
 			}
 			if res.Hits != tc.want.Hits || res.Misses != tc.want.Misses ||
 				res.Elapsed != tc.want.Elapsed || res.P50 != tc.want.P50 ||
@@ -534,18 +580,20 @@ func TestScaleSpillTargetCrash(t *testing.T) {
 	auditScaleCoherence(t, sc)
 }
 
+// rebalancerPartition cuts the rebalance tick's issuing node (node 2,
+// the first cache node under the i%8 layout) off from every other
+// cache-tier node of a 16-node cell (3-6 and 10-14) at 1ms.
+const rebalancerPartition = "partition@1ms a=2 b=3; partition@1ms a=2 b=4; partition@1ms a=2 b=5; partition@1ms a=2 b=6;" +
+	"partition@1ms a=2 b=10; partition@1ms a=2 b=11; partition@1ms a=2 b=12;" +
+	"partition@1ms a=2 b=13; partition@1ms a=2 b=14"
+
 // TestScaleShardHostPartitionMidMigration partitions the rebalance
 // tick's issuing node (the first cache node) from every other cache
 // node while the directory is actively migrating hot buckets: every
 // migration/split wire op degrades to a skipped tick, front-end traffic
 // is unaffected, and the placement metadata stays coherent.
 func TestScaleShardHostPartitionMidMigration(t *testing.T) {
-	// Node 2 is the first cache node under the i%8 layout; nodes
-	// 3-6 and 10-14 are the other cache-tier (shard host) nodes.
-	plan, err := faults.Parse(
-		"partition@1ms a=2 b=3; partition@1ms a=2 b=4; partition@1ms a=2 b=5; partition@1ms a=2 b=6;" +
-			"partition@1ms a=2 b=10; partition@1ms a=2 b=11; partition@1ms a=2 b=12;" +
-			"partition@1ms a=2 b=13; partition@1ms a=2 b=14")
+	plan, err := faults.Parse(rebalancerPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
