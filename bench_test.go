@@ -369,8 +369,8 @@ func BenchmarkSec6Integrated(b *testing.B) {
 // four benchmarks below measure WALL-CLOCK service-op throughput: how
 // many sockets messages / DDSS ops / coopcache requests / DLM lock ops
 // the simulator executes per real second. They are the service-level
-// counterparts of BenchmarkEngineThroughput and feed BENCH_ngdc.json via
-// `ngdc-bench bench`.
+// counterparts of BenchmarkEngineThroughput; the repeated, end-to-end
+// measurement of the same layers is the repository benchmark (benchmark/).
 
 // BenchmarkSocketsThroughput streams BSDP messages through the pooled
 // wire-message path (bounce-buffer chunks, credit returns, reassembly).

@@ -22,14 +22,9 @@
 // Profiling: -cpuprofile <file> and -memprofile <file> write pprof
 // profiles covering the experiment run.
 //
-// The special command "bench" runs wall-clock microbenchmarks of the
-// hot substrate paths (engine events/s — shallow and with a 100k-deep
-// pending queue — and verbs posted-ops/s) plus the
-// E18 connection-scaling probe (cluster_events_per_sec and
-// conn_bytes_per_node at 64 and 1024 nodes in both transport modes) and,
-// with -bench-json <file> (default BENCH_ngdc.json), writes the numbers
-// as a machine-readable snapshot so the performance trajectory can be
-// tracked across commits.
+// Host performance is measured elsewhere: the repository benchmark in
+// benchmark/ (repeated, fingerprinted, digest-checked) and the
+// Benchmark* functions under go test -bench.
 //
 // Experiments:
 //
@@ -53,27 +48,15 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
-	"ngdc/internal/cluster"
-	"ngdc/internal/coopcache"
-	"ngdc/internal/ddss"
-	"ngdc/internal/dlm"
 	"ngdc/internal/experiments"
-	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
-	ngdcrt "ngdc/internal/runtime"
-	"ngdc/internal/serve"
-	"ngdc/internal/sim"
-	"ngdc/internal/sockets"
 	"ngdc/internal/trace"
-	"ngdc/internal/verbs"
 )
 
 func main() {
@@ -97,8 +80,6 @@ func main() {
 		`deterministic fault plan, e.g. "crash@700ms node=2; restart@1400ms node=2" (see internal/faults)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
-	benchJSON := fs.String("bench-json", "BENCH_ngdc.json",
-		"bench: write the microbenchmark snapshot as JSON to this file (empty to skip)")
 
 	switch cmd {
 	case "-h", "--help", "help":
@@ -133,10 +114,6 @@ func main() {
 		}()
 	}
 
-	if cmd == "bench" {
-		runBench(*benchJSON)
-		return
-	}
 	opt := experiments.Options{
 		Seed:     *seed,
 		Quick:    *quick,
@@ -207,350 +184,6 @@ func writeTrace(f *os.File, r *trace.Registry) {
 	}
 }
 
-// benchSnapshot is the machine-readable perf record -bench-json emits.
-// The first two entries cover the substrate (engine, verbs); the rest are
-// service-level request loops riding the same pools.
-type benchSnapshot struct {
-	Date               string  `json:"date"`
-	GoVersion          string  `json:"go_version"`
-	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
-	// EngineDeepEventsPerSec is scheduler throughput with 100k events
-	// pending at every instant — the deep-queue regime the ladder
-	// scheduler targets (E18 at O(10^4) nodes), where queue depth rather
-	// than per-event work dominates engine time.
-	EngineDeepEventsPerSec float64 `json:"engine_events_per_sec_deep"`
-	VerbsPostedOpsSec      float64 `json:"verbs_posted_ops_per_sec"`
-	SocketsMsgsPerSec      float64 `json:"sockets_msgs_per_sec"`
-	DDSSOpsPerSec          float64 `json:"ddss_ops_per_sec"`
-	CoopCacheReqsPerSec    float64 `json:"coopcache_reqs_per_sec"`
-	DLMLockOpsPerSec       float64 `json:"dlm_lock_ops_per_sec"`
-	LiveReqsPerSec         float64 `json:"live_reqs_per_sec"`
-	// ClusterEventsPerSec is engine throughput under the E18
-	// datacenter-at-scale model (1024 nodes, pooled transport) — scheduler
-	// events per wall second with the full multi-tier request path live.
-	ClusterEventsPerSec float64 `json:"cluster_events_per_sec"`
-	// CacheEvictionsPerSec is the cache tier's virtual eviction rate in
-	// a capacity-bounded E18 cell (256 nodes, slabs at 10% of the
-	// working set) — the sustained evict/invalidate/install churn the
-	// directory protocol absorbs under capacity pressure.
-	CacheEvictionsPerSec float64 `json:"cache_evictions_per_sec"`
-	// SpillHitsPerSec is the virtual rate of requests served out of the
-	// cooperative victim tier in the same capacity-bounded cell with
-	// spill armed — the work the demotion pipeline turns from storage
-	// round-trips into one-hop remote cache reads.
-	SpillHitsPerSec float64 `json:"spill_hits_per_sec"`
-	// DirShardMaxOverMean is the hottest directory shard's load over the
-	// mean in a rebalanced α=1.2 hotspot cell — how flat the bucket
-	// migration/split machinery keeps the shard load under skew.
-	DirShardMaxOverMean float64 `json:"dir_shard_max_over_mean"`
-	// ConnBytesPerNode records average HCA connection-state memory per
-	// node at 64 and 1024 nodes in both transport modes — the
-	// connection-scaling trajectory (pooled must stay near-flat).
-	ConnBytesPerNode connBytesPerNode `json:"conn_bytes_per_node"`
-}
-
-// connBytesPerNode is the nested conn_bytes_per_node snapshot record.
-type connBytesPerNode struct {
-	RC64       float64 `json:"rc_64"`
-	RC1024     float64 `json:"rc_1024"`
-	Pooled64   float64 `json:"pooled_64"`
-	Pooled1024 float64 `json:"pooled_1024"`
-}
-
-// runBench measures the hot substrate and service paths against the wall
-// clock and writes the snapshot to jsonPath (skipped when empty).
-func runBench(jsonPath string) {
-	snap := benchSnapshot{
-		Date:                   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:              runtime.Version(),
-		EngineEventsPerSec:     benchEngine(),
-		EngineDeepEventsPerSec: benchEngineDeep(),
-		VerbsPostedOpsSec:      benchPostedOps(),
-		SocketsMsgsPerSec:      benchSockets(),
-		DDSSOpsPerSec:          benchDDSS(),
-		CoopCacheReqsPerSec:    benchCoopCache(),
-		DLMLockOpsPerSec:       benchDLM(),
-		LiveReqsPerSec:         benchLive(),
-	}
-	snap.ClusterEventsPerSec, snap.CacheEvictionsPerSec, snap.ConnBytesPerNode,
-		snap.SpillHitsPerSec, snap.DirShardMaxOverMean = benchScale()
-	fmt.Printf("engine            %14.0f events/s\n", snap.EngineEventsPerSec)
-	fmt.Printf("engine deep queue %14.0f events/s\n", snap.EngineDeepEventsPerSec)
-	fmt.Printf("verbs posted ops  %14.0f ops/s\n", snap.VerbsPostedOpsSec)
-	fmt.Printf("sockets           %14.0f msgs/s\n", snap.SocketsMsgsPerSec)
-	fmt.Printf("ddss              %14.0f ops/s\n", snap.DDSSOpsPerSec)
-	fmt.Printf("coopcache         %14.0f reqs/s\n", snap.CoopCacheReqsPerSec)
-	fmt.Printf("dlm locks         %14.0f ops/s\n", snap.DLMLockOpsPerSec)
-	fmt.Printf("live serve        %14.0f reqs/s\n", snap.LiveReqsPerSec)
-	fmt.Printf("cluster engine    %14.0f events/s\n", snap.ClusterEventsPerSec)
-	fmt.Printf("cache churn       %14.0f evictions/s\n", snap.CacheEvictionsPerSec)
-	fmt.Printf("spill service     %14.0f hits/s\n", snap.SpillHitsPerSec)
-	fmt.Printf("dir shard skew    %14.2f max/mean\n", snap.DirShardMaxOverMean)
-	fmt.Printf("conn bytes/node   rc %.0f -> %.0f KB, pooled %.0f -> %.0f KB (64 -> 1024 nodes)\n",
-		snap.ConnBytesPerNode.RC64/1024, snap.ConnBytesPerNode.RC1024/1024,
-		snap.ConnBytesPerNode.Pooled64/1024, snap.ConnBytesPerNode.Pooled1024/1024)
-	if jsonPath == "" {
-		return
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fail(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Println("wrote", jsonPath)
-}
-
-// benchEngine reruns a 16-process timer workload until enough wall time
-// has accumulated, then reports scheduler events per wall second.
-func benchEngine() float64 {
-	var events uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		env := sim.NewEnv(1)
-		for w := 0; w < 16; w++ {
-			env.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
-				for k := 0; k < 10000; k++ {
-					p.Sleep(time.Microsecond)
-				}
-			})
-		}
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		events += env.Stats().EventsProcessed
-	}
-	return float64(events) / elapsed.Seconds()
-}
-
-// benchEngineDeep measures scheduler throughput in the deep-queue
-// regime: 100k self-rescheduling timers whose firing times spread
-// pseudo-uniformly over a 100ms window, so ~100k events are pending at
-// every instant of the run. Fire times come from an inline xorshift64 so
-// the workload itself allocates nothing and the number isolates the
-// event queue.
-func benchEngineDeep() float64 {
-	const pending = 100_000
-	var events uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		env := sim.NewEnv(1)
-		rng := uint64(0x9E3779B97F4A7C15)
-		next := func() time.Duration {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return time.Duration(1 + rng%(pending*1000))
-		}
-		remaining := 400_000
-		var tick func()
-		tick = func() {
-			if remaining > 0 {
-				remaining--
-				env.After(next(), tick)
-			}
-		}
-		for i := 0; i < pending; i++ {
-			env.After(next(), tick)
-		}
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		events += env.Stats().EventsProcessed
-	}
-	return float64(events) / elapsed.Seconds()
-}
-
-// benchPostedOps drives the doorbell-batched verbs datapath — batches of
-// 64 512-byte RDMA writes posted with PostList and drained through a CQ
-// — and reports completed work requests per wall second.
-func benchPostedOps() float64 {
-	const batch = 64
-	var ops uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		env := sim.NewEnv(1)
-		nw := verbs.NewNetwork(env, fabric.DefaultParams())
-		d0 := nw.Attach(cluster.NewNode(env, 0, 4, 1<<30))
-		d1 := nw.Attach(cluster.NewNode(env, 1, 4, 1<<30))
-		mr := d1.RegisterAtSetup(make([]byte, 1<<16))
-		cq := d0.CreateCQ("bench", 256)
-		src := make([]byte, 512)
-		wrs := make([]verbs.WR, batch)
-		for i := range wrs {
-			wrs[i] = verbs.WR{ID: uint64(i), Op: verbs.OpWrite,
-				Target: mr.Addr(), Off: (i * 512) % (1 << 16), Src: src}
-		}
-		const rounds = 2000
-		env.Go("driver", func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				d0.PostList(cq, wrs)
-				for i := 0; i < batch; i++ {
-					cq.Poll(p)
-				}
-			}
-		})
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		ops += batch * rounds
-	}
-	return float64(ops) / elapsed.Seconds()
-}
-
-// benchSockets streams BSDP messages through the pooled wire path and
-// reports delivered messages per wall second.
-func benchSockets() float64 {
-	const msgs = 2000
-	var total uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		start := time.Now()
-		if _, err := sockets.Bandwidth(sockets.BSDP, 8<<10, msgs, sockets.DefaultOptions(), 1); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		total += msgs
-	}
-	return float64(total) / elapsed.Seconds()
-}
-
-// benchDDSS drives remote put/get on a Version-coherent segment and
-// reports substrate ops per wall second.
-func benchDDSS() float64 {
-	var total uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		env := sim.NewEnv(1)
-		nw := verbs.NewNetwork(env, fabric.DefaultParams())
-		nodes := []*cluster.Node{
-			cluster.NewNode(env, 0, 2, 64<<20),
-			cluster.NewNode(env, 1, 2, 64<<20),
-		}
-		ss := ddss.New(nw, nodes, ddss.Options{})
-		var ops uint64
-		env.Go("worker", func(p *sim.Proc) {
-			c := ss.Client(1)
-			h, err := c.Allocate(p, "seg", 4096, ddss.Version, 0)
-			if err != nil {
-				fail(err)
-			}
-			data := make([]byte, 1024)
-			buf := make([]byte, 1024)
-			for k := 0; k < 2000; k++ {
-				if _, err := h.Put(p, data); err != nil {
-					fail(err)
-				}
-				if _, err := h.Get(p, buf); err != nil {
-					fail(err)
-				}
-				ops += 2
-			}
-		})
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		env.Shutdown()
-		total += ops
-	}
-	return float64(total) / elapsed.Seconds()
-}
-
-// benchCoopCache runs a short CCWR deployment and reports served requests
-// per wall second.
-func benchCoopCache() float64 {
-	var total uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		cfg := coopcache.DefaultConfig(coopcache.CCWR, 2, 32<<10)
-		cfg.Warmup = 100 * time.Millisecond
-		cfg.Measure = 250 * time.Millisecond
-		start := time.Now()
-		st, err := coopcache.Run(cfg)
-		if err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		total += uint64(st.Requests)
-	}
-	return float64(total) / elapsed.Seconds()
-}
-
-// benchDLM mixes uncontended N-CoSED fast paths with a contended
-// exclusive ping-pong and reports lock ops per wall second.
-func benchDLM() float64 {
-	var total uint64
-	var elapsed time.Duration
-	for elapsed < 500*time.Millisecond {
-		env := sim.NewEnv(1)
-		nw := verbs.NewNetwork(env, fabric.DefaultParams())
-		nodes := []*cluster.Node{
-			cluster.NewNode(env, 0, 2, 1<<30),
-			cluster.NewNode(env, 1, 2, 1<<30),
-		}
-		m := dlm.New(nw, nodes, dlm.Options{Kind: dlm.NCoSED, NumLocks: 4})
-		var ops uint64
-		for n := 0; n < 2; n++ {
-			cl := m.Client(n)
-			env.Go(fmt.Sprintf("w%d", n), func(p *sim.Proc) {
-				for k := 0; k < 1000; k++ {
-					cl.Lock(p, 1, dlm.Exclusive)
-					cl.Unlock(p, 1, dlm.Exclusive)
-					cl.Lock(p, 0, dlm.Shared)
-					cl.Unlock(p, 0, dlm.Shared)
-					ops += 4
-				}
-			})
-		}
-		start := time.Now()
-		if err := env.Run(); err != nil {
-			fail(err)
-		}
-		elapsed += time.Since(start)
-		env.Shutdown()
-		total += ops
-	}
-	return float64(total) / elapsed.Seconds()
-}
-
-// benchScale runs the E18 connection-scaling probe: both transport modes
-// at 64 and 1024 nodes with a reduced client population, plus one
-// capacity-bounded churn cell. It reports engine events per wall second
-// in the 1024-node pooled cell (the datacenter-scale engine
-// throughput), the churn cell's virtual eviction rate, and the average
-// connection-state bytes per node of the four scaling cells.
-func benchScale() (float64, float64, connBytesPerNode, float64, float64) {
-	probe, err := experiments.RunScaleProbe(1, runtime.GOMAXPROCS(0))
-	if err != nil {
-		fail(err)
-	}
-	eventsPerSec := 0.0
-	if probe.Pooled1024.Wall > 0 {
-		eventsPerSec = float64(probe.Pooled1024.Events) / probe.Pooled1024.Wall.Seconds()
-	}
-	return eventsPerSec, probe.Churn.CacheEvictPerSec, connBytesPerNode{
-			RC64:       probe.RC64.ConnBytesAvg,
-			RC1024:     probe.RC1024.ConnBytesAvg,
-			Pooled64:   probe.Pooled64.ConnBytesAvg,
-			Pooled1024: probe.Pooled1024.ConnBytesAvg,
-		},
-		probe.SpillChurn.SpillHitPerSec, probe.Hotspot.DirMaxOverMean
-}
-
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "ngdc-bench:", err)
 	os.Exit(1)
@@ -564,26 +197,4 @@ experiments:`)
 		fmt.Fprintf(os.Stderr, "  %-34s %s (%s)\n", e.CommandName(), e.Figure, e.ID)
 	}
 	fmt.Fprintln(os.Stderr, "  all                                run every experiment")
-	fmt.Fprintln(os.Stderr, "  bench                              substrate microbenchmarks (-bench-json file)")
-}
-
-// benchLive measures the dual-mode serve path end to end on the wall
-// clock: a live ngdc-serve host on loopback TCP with concurrent clients
-// driving the mixed echo/put/get/lock workload. Unlike the simulated
-// benchmarks above this includes real kernel socket costs — it is the
-// throughput a live deployment of the request surface sees.
-func benchLive() float64 {
-	rt := ngdcrt.NewReal()
-	defer rt.Shutdown()
-	srv := serve.New(rt, serve.Options{})
-	ln, err := rt.Listen("127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	srv.Serve(ln)
-	stats, err := serve.RunLoad(rt, ln.Addr(), 32, 500*time.Millisecond)
-	if err != nil {
-		fail(err)
-	}
-	return stats.OpsPerSec()
 }

@@ -92,11 +92,6 @@ type Config struct {
 	ClientsPerProxy int
 	// HybridThreshold is HYBCC's duplicate-below size bound.
 	HybridThreshold int64
-	// DirShards, when positive, spreads directory homes over only the
-	// first DirShards proxies instead of all of them — the sharding hook
-	// the web-scale sweep uses to study directory concentration. 0 keeps
-	// the classic all-proxies layout.
-	DirShards int
 	// Warmup and Measure are the virtual warm-up and measurement windows.
 	Warmup, Measure time.Duration
 	Seed            int64
@@ -282,15 +277,9 @@ func (dc *DataCenter) nodeByID(id int) *cacheNode {
 	return nil
 }
 
-// dirHome returns the proxy holding a document's directory entry. With
-// Config.DirShards set, homes concentrate on the first DirShards proxies
-// (the sharding hook); the default spreads over every proxy.
+// dirHome returns the proxy holding a document's directory entry.
 func (dc *DataCenter) dirHome(doc int) *cacheNode {
-	n := len(dc.proxies)
-	if s := dc.cfg.DirShards; s > 0 && s < n {
-		n = s
-	}
-	return dc.proxies[doc%n]
+	return dc.proxies[doc%len(dc.proxies)]
 }
 
 // dirAddEntry registers holder in doc's directory entry (pure state; the

@@ -17,23 +17,21 @@ package coopcache
 // republishes because a stale word never compares equal (the slot bits
 // disambiguate re-installs of the same document at a new slab slot).
 //
-// Two addressing modes share this API:
-//
-//   - Direct (the default): document words interleave across the shards
-//     (doc % shards), fixed for the run.
-//   - Bucketed (DirConfig.BucketsPerShard > 0): documents hash into
-//     buckets and an indirection table maps each bucket to its current
-//     (shard, region position). The table is the lever hotspot-aware
-//     rebalancing pulls: a periodic tick migrates the hottest shard's
-//     buckets to the least-loaded host, or — when one bucket alone
-//     carries the skew — splits it by replicating its words read-only
-//     to extra hosts, spreading lookups across replicas. Every op
-//     captures the epoch counter before issuing; a migration bumps it,
-//     and the op re-validates afterwards (retrying once at the new home
-//     or undoing a word installed at a quarantined position), so
-//     in-flight operations stay safe without locks. Freed positions are
-//     quarantined — never reused — so a straggler CAS can corrupt
-//     nothing.
+// Addressing is bucketed: documents hash into buckets (doc % buckets)
+// and an indirection table maps each bucket to its current (shard,
+// region position). NewDirectory gives every shard one bucket and no
+// spare position, which is plain interleaving (word doc/shards on shard
+// doc % shards), fixed for the run. With several buckets and slack
+// positions per shard (the rebalancing tier) the table is the lever
+// hotspot-aware rebalancing pulls: a periodic tick migrates the hottest
+// shard's buckets to the least-loaded host, or — when one bucket alone
+// carries the skew — splits it by replicating its words read-only to
+// extra hosts, spreading lookups across replicas. Every op captures the
+// epoch counter before issuing; a migration bumps it, and the op
+// re-validates afterwards (retrying once at the new home or undoing a
+// word installed at a quarantined position), so in-flight operations
+// stay safe without locks. Freed positions are quarantined — never
+// reused — so a straggler CAS can corrupt nothing.
 //
 // Per-shard read/CAS load lives in plain counters updated as ops are
 // issued — modeling the target HCA counting operations against its own
@@ -41,7 +39,6 @@ package coopcache
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/sim"
@@ -75,7 +72,7 @@ func PackEntry(holder, slot int) Entry {
 	if s > maxSlotStamp {
 		s = maxSlotStamp
 	}
-	return Entry(s<<32 | uint64(holder)+1)
+	return Entry(s<<32 | uint64(holder) + 1)
 }
 
 // Holder returns the holder node ID.
@@ -84,30 +81,8 @@ func (e Entry) Holder() int { return int(uint32(e)) - 1 }
 // Slot returns the holder-local slab slot index.
 func (e Entry) Slot() int { return int(e >> 32) }
 
-// DirConfig selects the directory's addressing mode.
-type DirConfig struct {
-	// BucketsPerShard > 0 enables bucketed addressing with this many
-	// initial buckets homed on each shard; 0 keeps the direct mode.
-	BucketsPerShard int
-	// SlackBuckets is the number of spare bucket positions per shard
-	// region, the headroom migrations and splits move into (default:
-	// BucketsPerShard). Freed positions are quarantined, so this also
-	// bounds the total inbound migrations+splits per shard.
-	SlackBuckets int
-	// MaxReplicas caps how many extra hosts one bucket can split across
-	// (default 8).
-	MaxReplicas int
-}
-
-func (c DirConfig) withDefaults() DirConfig {
-	if c.BucketsPerShard > 0 && c.SlackBuckets <= 0 {
-		c.SlackBuckets = c.BucketsPerShard
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 8
-	}
-	return c
-}
+// maxReplicas caps how many extra hosts one bucket can split across.
+const maxReplicas = 8
 
 // Directory is a sharded document→placement map in registered memory.
 type Directory struct {
@@ -119,14 +94,12 @@ type Directory struct {
 	// over the whole run — the imbalance measurement (LoadMaxOverMean).
 	loadOps []int64
 
-	// Bucketed-mode state; nil/zero in direct mode.
-	cfg         DirConfig
 	buckets     int
 	bucketWords int
 	assign      []int32   // bucket → primary shard host
 	pos         []int32   // bucket → region position on that host
 	freePos     [][]int32 // per shard: spare positions (stack)
-	repHost     []int32   // bucket*MaxReplicas + i → replica host
+	repHost     []int32   // bucket*maxReplicas + i → replica host
 	repPos      []int32   // parallel replica positions
 	repCount    []int32   // bucket → live replica count
 	winShard    []int64   // per-shard load since the last tick
@@ -138,80 +111,65 @@ type Directory struct {
 	tickSkips   int64 // control-plane ops degraded by unreachable hosts
 }
 
-// NewDirectory registers one direct-mode directory shard on each home
-// node, sized for the given working set. Shard memory is registered at
-// setup (before the clock matters).
+// NewDirectory registers one directory shard on each home node, sized
+// for the given working set, with fixed interleaved addressing. Shard
+// memory is registered at setup (before the clock matters).
 func NewDirectory(nw *verbs.Network, homes []*cluster.Node, docs int) *Directory {
-	return NewDirectoryWith(nw, homes, docs, DirConfig{})
+	return newDirectory(nw, homes, docs, 1, 0)
 }
 
-// NewDirectoryWith is NewDirectory with an explicit addressing mode.
-func NewDirectoryWith(nw *verbs.Network, homes []*cluster.Node, docs int, cfg DirConfig) *Directory {
+// newDirectory builds a directory with perShard initial buckets homed on
+// each shard plus slack spare bucket positions per shard region, the
+// headroom migrations and splits move into. Freed positions are
+// quarantined, so slack also bounds the total inbound migrations+splits
+// per shard.
+func newDirectory(nw *verbs.Network, homes []*cluster.Node, docs, perShard, slack int) *Directory {
 	if len(homes) == 0 || docs <= 0 {
 		panic("coopcache: directory needs homes and docs")
 	}
-	cfg = cfg.withDefaults()
+	buckets := len(homes) * perShard
 	d := &Directory{
-		shards:  make([]verbs.RemoteAddr, len(homes)),
-		bufs:    make([][]byte, len(homes)),
-		docs:    docs,
-		cfg:     cfg,
-		loadOps: make([]int64, len(homes)),
+		shards:      make([]verbs.RemoteAddr, len(homes)),
+		bufs:        make([][]byte, len(homes)),
+		docs:        docs,
+		loadOps:     make([]int64, len(homes)),
+		buckets:     buckets,
+		bucketWords: (docs + buckets - 1) / buckets,
+		assign:      make([]int32, buckets),
+		pos:         make([]int32, buckets),
+		freePos:     make([][]int32, len(homes)),
+		repHost:     make([]int32, buckets*maxReplicas),
+		repPos:      make([]int32, buckets*maxReplicas),
+		repCount:    make([]int32, buckets),
+		winShard:    make([]int64, len(homes)),
+		winBucket:   make([]int64, buckets),
 	}
-	words := (docs + len(homes) - 1) / len(homes)
-	if cfg.BucketsPerShard > 0 {
-		d.buckets = len(homes) * cfg.BucketsPerShard
-		d.bucketWords = (docs + d.buckets - 1) / d.buckets
-		words = (cfg.BucketsPerShard + cfg.SlackBuckets) * d.bucketWords
-		d.assign = make([]int32, d.buckets)
-		d.pos = make([]int32, d.buckets)
-		for b := range d.assign {
-			d.assign[b] = int32(b % len(homes))
-			d.pos[b] = int32(b / len(homes))
-		}
-		d.freePos = make([][]int32, len(homes))
-		for s := range d.freePos {
-			fp := make([]int32, cfg.SlackBuckets)
-			for i := range fp {
-				fp[i] = int32(cfg.BucketsPerShard + cfg.SlackBuckets - 1 - i) // pop lowest first
-			}
-			d.freePos[s] = fp
-		}
-		d.repHost = make([]int32, d.buckets*cfg.MaxReplicas)
-		d.repPos = make([]int32, d.buckets*cfg.MaxReplicas)
-		d.repCount = make([]int32, d.buckets)
-		d.winShard = make([]int64, len(homes))
-		d.winBucket = make([]int64, d.buckets)
-		d.drain = make([]byte, d.bucketWords*8)
+	d.drain = make([]byte, d.bucketWords*8)
+	for b := range d.assign {
+		d.assign[b] = int32(b % len(homes))
+		d.pos[b] = int32(b / len(homes))
 	}
 	for i, n := range homes {
-		buf := make([]byte, words*8)
+		fp := make([]int32, slack)
+		for j := range fp {
+			fp[j] = int32(perShard + slack - 1 - j) // pop lowest first
+		}
+		d.freePos[i] = fp
+		buf := make([]byte, (perShard+slack)*d.bucketWords*8)
 		d.bufs[i] = buf
 		d.shards[i] = nw.Attach(n).RegisterAtSetup(buf).Addr()
 	}
 	return d
 }
 
-// Shards returns the shard count.
-func (d *Directory) Shards() int { return len(d.shards) }
-
-// Bucketed reports whether the rebalancing addressing mode is active.
-func (d *Directory) Bucketed() bool { return d.buckets > 0 }
-
 // HomeShard returns the shard index currently serving doc's word (the
 // node index within the homes slice the constructor was given).
 func (d *Directory) HomeShard(doc int) int {
-	if d.buckets == 0 {
-		return doc % len(d.shards)
-	}
 	return int(d.assign[doc%d.buckets])
 }
 
 // locate resolves a document to its primary shard host and byte offset.
 func (d *Directory) locate(doc int) (host, off int) {
-	if d.buckets == 0 {
-		return doc % len(d.shards), doc / len(d.shards) * 8
-	}
 	b := doc % d.buckets
 	return int(d.assign[b]), (int(d.pos[b])*d.bucketWords + doc/d.buckets) * 8
 }
@@ -221,14 +179,11 @@ func (d *Directory) locate(doc int) (host, off int) {
 // chosen by requester identity so a hot bucket's lookups spread across
 // all hosts deterministically.
 func (d *Directory) locateRead(doc, requester int) (host, off int) {
-	if d.buckets == 0 {
-		return doc % len(d.shards), doc / len(d.shards) * 8
-	}
 	b := doc % d.buckets
 	w := doc / d.buckets
 	if n := int(d.repCount[b]); n > 0 {
 		if idx := requester % (n + 1); idx > 0 {
-			ri := b*d.cfg.MaxReplicas + idx - 1
+			ri := b*maxReplicas + idx - 1
 			return int(d.repHost[ri]), (int(d.repPos[ri])*d.bucketWords + w) * 8
 		}
 	}
@@ -238,18 +193,8 @@ func (d *Directory) locateRead(doc, requester int) (host, off int) {
 // note records one datapath op landing on a shard host.
 func (d *Directory) note(host, doc int) {
 	d.loadOps[host]++
-	if d.buckets > 0 {
-		d.winShard[host]++
-		d.winBucket[doc%d.buckets]++
-	}
-}
-
-// netDegradable reports the op-failure class rebalancing and replica
-// fan-out tolerate: the far side is gone (crashed/partitioned peer) or
-// our own device is down. Anything else is a programming error.
-func netDegradable(err error) bool {
-	var oe *verbs.OpError
-	return errors.As(err, &oe) && (oe.Reason == "peer unreachable" || oe.Reason == "local device down")
+	d.winShard[host]++
+	d.winBucket[doc%d.buckets]++
 }
 
 // Lookup resolves doc's placement with a one-sided read issued from dev.
@@ -290,13 +235,10 @@ func (d *Directory) Publish(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (w
 	if old != 0 {
 		return false, nil
 	}
-	if d.buckets == 0 {
-		return true, nil
-	}
 	if d.epoch != ep {
 		if nh, noff := d.locate(doc); nh != h || noff != off {
 			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0); cerr != nil && !netDegradable(cerr) {
+			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0); cerr != nil && faultOf(cerr) == faultNone {
 				return false, cerr
 			}
 			return false, nil
@@ -319,9 +261,6 @@ func (d *Directory) Clear(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (cle
 		return false, err
 	}
 	cleared = Entry(old) == e
-	if d.buckets == 0 {
-		return cleared, nil
-	}
 	if !cleared && d.epoch != ep {
 		if nh, noff := d.locate(doc); nh != h || noff != off {
 			d.note(nh, doc)
@@ -353,9 +292,6 @@ func (d *Directory) Redirect(p *sim.Proc, dev *verbs.Device, doc int, old, new E
 		return false, 0, err
 	}
 	won = Entry(o) == old
-	if d.buckets == 0 {
-		return won, Entry(o), nil
-	}
 	if !won && d.epoch != ep {
 		if nh, noff := d.locate(doc); nh != h || noff != off {
 			d.note(nh, doc)
@@ -372,7 +308,7 @@ func (d *Directory) Redirect(p *sim.Proc, dev *verbs.Device, doc int, old, new E
 			// Moved after our CAS: the new word sits at a quarantined
 			// position no lookup will visit. Undo and report a loss.
 			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(new), 0); cerr != nil && !netDegradable(cerr) {
+			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(new), 0); cerr != nil && faultOf(cerr) == faultNone {
 				return false, 0, cerr
 			}
 			return false, Entry(o), nil
@@ -401,11 +337,11 @@ func (d *Directory) mutateReplicas(p *sim.Proc, dev *verbs.Device, doc int, from
 		cmp, swp = 0, from
 	}
 	for i := 0; i < n; i++ {
-		ri := b*d.cfg.MaxReplicas + i
+		ri := b*maxReplicas + i
 		h := int(d.repHost[ri])
 		off := (int(d.repPos[ri])*d.bucketWords + w) * 8
 		d.note(h, doc)
-		if _, err := dev.CompareSwap(p, d.shards[h], off, cmp, swp); err != nil && !netDegradable(err) {
+		if _, err := dev.CompareSwap(p, d.shards[h], off, cmp, swp); err != nil && faultOf(err) == faultNone {
 			return err
 		}
 	}
@@ -421,9 +357,6 @@ func (d *Directory) mutateReplicas(p *sim.Proc, dev *verbs.Device, doc int, from
 // every live word at the new home and clear it at the old). Unreachable
 // hosts degrade the pass to a no-op; the window resets either way.
 func (d *Directory) RebalanceTick(p *sim.Proc, dev *verbs.Device) error {
-	if d.buckets == 0 {
-		return nil
-	}
 	var total, maxLoad int64
 	src := -1
 	for s, v := range d.winShard {
@@ -459,7 +392,7 @@ func (d *Directory) RebalanceTick(p *sim.Proc, dev *verbs.Device) error {
 	// Split when even a fair share of the hot bucket would keep its
 	// hosts above the mean — a bucket migration could only shuffle
 	// around; otherwise migrate the hottest unsplit bucket away.
-	if hotLoad/int64(d.repCount[hot]+1) > mean && int(d.repCount[hot]) < d.cfg.MaxReplicas {
+	if hotLoad/int64(d.repCount[hot]+1) > mean && int(d.repCount[hot]) < maxReplicas {
 		if dst := d.pickTarget(src, hot); dst >= 0 {
 			return d.split(p, dev, hot, dst)
 		}
@@ -496,7 +429,7 @@ func (d *Directory) hostsBucket(b, s int) bool {
 		return true
 	}
 	for i := 0; i < int(d.repCount[b]); i++ {
-		if int(d.repHost[b*d.cfg.MaxReplicas+i]) == s {
+		if int(d.repHost[b*maxReplicas+i]) == s {
 			return true
 		}
 	}
@@ -549,7 +482,7 @@ func (d *Directory) migrate(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 // them (a not-yet-seeded replica word just reads as a miss).
 func (d *Directory) split(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 	np := d.popPos(dst)
-	ri := b*d.cfg.MaxReplicas + int(d.repCount[b])
+	ri := b*maxReplicas + int(d.repCount[b])
 	d.repHost[ri], d.repPos[ri] = int32(dst), np
 	d.repCount[b]++
 	d.epoch++
@@ -573,7 +506,7 @@ func (d *Directory) split(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 // degrade absorbs unreachable-host failures on the control plane — the
 // tick just gives up this round — and surfaces everything else.
 func (d *Directory) degrade(err error) error {
-	if netDegradable(err) {
+	if faultOf(err) != faultNone {
 		d.tickSkips++
 		return nil
 	}
@@ -626,13 +559,10 @@ func (d *Directory) DebugPlacements(fn func(doc int, e Entry, replica bool)) {
 		if w := binary.LittleEndian.Uint64(d.bufs[h][off:]); w != 0 {
 			fn(doc, Entry(w), false)
 		}
-		if d.buckets == 0 {
-			continue
-		}
 		b := doc % d.buckets
 		wi := doc / d.buckets
 		for i := 0; i < int(d.repCount[b]); i++ {
-			ri := b*d.cfg.MaxReplicas + i
+			ri := b*maxReplicas + i
 			roff := (int(d.repPos[ri])*d.bucketWords + wi) * 8
 			if v := binary.LittleEndian.Uint64(d.bufs[int(d.repHost[ri])][roff:]); v != 0 {
 				fn(doc, Entry(v), true)

@@ -13,11 +13,12 @@ import (
 // and returns requester devices on nodes 0 and 3.
 func dirEnv(t *testing.T, docs int) (*sim.Env, *Directory, *verbs.Device, *verbs.Device) {
 	t.Helper()
-	return dirEnvWith(t, docs, DirConfig{})
+	return dirEnvWith(t, docs, 1, 0)
 }
 
-// dirEnvWith is dirEnv with an explicit addressing mode.
-func dirEnvWith(t *testing.T, docs int, cfg DirConfig) (*sim.Env, *Directory, *verbs.Device, *verbs.Device) {
+// dirEnvWith is dirEnv with explicit buckets and slack positions per
+// shard.
+func dirEnvWith(t *testing.T, docs, perShard, slack int) (*sim.Env, *Directory, *verbs.Device, *verbs.Device) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	nw := verbs.NewNetwork(env, fabric.DefaultParams())
@@ -25,7 +26,7 @@ func dirEnvWith(t *testing.T, docs int, cfg DirConfig) (*sim.Env, *Directory, *v
 	for i := range nodes {
 		nodes[i] = cluster.NewNode(env, i, 2, 1<<24)
 	}
-	dir := NewDirectoryWith(nw, nodes[1:3], docs, cfg)
+	dir := newDirectory(nw, nodes[1:3], docs, perShard, slack)
 	return env, dir, nw.Attach(nodes[0]), nw.Attach(nodes[3])
 }
 
@@ -252,13 +253,10 @@ func TestDirectoryRedirect(t *testing.T) {
 	}
 }
 
-// Bucketed addressing without any rebalance traffic behaves exactly like
-// the direct mode for the publish/lookup/clear/redirect lifecycle.
+// Several buckets per shard without any rebalance traffic behave exactly
+// like one for the publish/lookup/clear/redirect lifecycle.
 func TestDirectoryBucketedParity(t *testing.T) {
-	env, dir, dev, _ := dirEnvWith(t, 64, DirConfig{BucketsPerShard: 4})
-	if !dir.Bucketed() {
-		t.Fatal("BucketsPerShard > 0 should enable bucketed mode")
-	}
+	env, dir, dev, _ := dirEnvWith(t, 64, 4, 4)
 	env.Go("cycle", func(p *sim.Proc) {
 		scratch := make([]byte, 8)
 		for doc := 0; doc < 64; doc += 7 {
@@ -292,7 +290,7 @@ func TestDirectoryBucketedParity(t *testing.T) {
 func TestDirectoryRebalanceMigrates(t *testing.T) {
 	// 2 shards × 2 buckets: docs 0,4,8,… → bucket 0 (shard 0), docs
 	// 2,6,10,… → bucket 2 (shard 0); odd docs land on shard 1.
-	env, dir, dev, _ := dirEnvWith(t, 64, DirConfig{BucketsPerShard: 2})
+	env, dir, dev, _ := dirEnvWith(t, 64, 2, 2)
 	e0, e2 := PackEntry(1, 10), PackEntry(1, 11)
 	env.Go("drive", func(p *sim.Proc) {
 		scratch := make([]byte, 8)
@@ -354,7 +352,7 @@ func TestDirectoryRebalanceMigrates(t *testing.T) {
 // A single dominant bucket splits instead: a replica host starts serving
 // reads for some requesters, and publishes/clears fan out to it.
 func TestDirectoryRebalanceSplits(t *testing.T) {
-	env, dir, devA, devB := dirEnvWith(t, 64, DirConfig{BucketsPerShard: 2})
+	env, dir, devA, devB := dirEnvWith(t, 64, 2, 2)
 	e := PackEntry(1, 10)
 	env.Go("drive", func(p *sim.Proc) {
 		scratch := make([]byte, 8)

@@ -20,18 +20,12 @@ package experiments
 // datagram endpoint for the long tail — wins on both latency and
 // per-node connection memory (O(pool) instead of O(N)).
 //
-// The cache tier is capacity-bounded: each cache node owns a multi-slot
-// document slab sized as a fraction (CacheFrac) of its share of the
-// working set, fronted by a byte-capacity LRU. A miss install that
-// overflows the slab evicts the node's LRU victim and invalidates its
-// directory word with a one-sided CAS of the exact observed entry
-// *before* publishing the new document — so a sweep cell under capacity
-// pressure exercises the full evict → invalidate → install → publish
-// churn loop, and the capacity axis of the sweep reads out hit ratio
-// and invalidation traffic against slab size.
+// The cache tier itself — capacity-bounded slabs, LRU eviction with CAS
+// invalidation, cooperative spill, directory rebalancing — is the
+// coopcache.Tier service; this file is the cell around it: config,
+// cluster build, request drivers, sweep and table.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -40,7 +34,6 @@ import (
 	"ngdc/internal/ddss"
 	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
-	"ngdc/internal/lru"
 	"ngdc/internal/metrics"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
@@ -56,8 +49,6 @@ import (
 type ScaleConfig struct {
 	// Nodes is the cluster size (≥ 8 so every tier is populated).
 	Nodes int
-	// RackSize groups node IDs into racks (default 32).
-	RackSize int
 	// Transport selects the verbs connection-management mode.
 	Transport verbs.TransportConfig
 	// Clients is the modeled client population (default 1e6).
@@ -70,8 +61,6 @@ type ScaleConfig struct {
 	Requests int
 	// Docs is the working-set size (default 16384).
 	Docs int
-	// DocBytes is the uniform document size (default 2048).
-	DocBytes int
 	// ZipfAlpha shapes document popularity (default 0.99).
 	ZipfAlpha float64
 	// CacheFrac sizes each cache node's document slab as a fraction of
@@ -81,25 +70,14 @@ type ScaleConfig struct {
 	// A fraction < 1 bounds the slab and turns misses into
 	// evict/invalidate churn.
 	CacheFrac float64
-	// Spill enables the cooperative victim tier: each cache node
-	// reserves a spill region past its LRU slots, and an eviction
-	// demotes the victim into a rack neighbor's region (one-sided Write
-	// + CAS directory redirect) instead of dropping it. Off by default.
+	// Spill enables the cooperative victim tier (coopcache.TierOptions):
+	// an eviction demotes the victim into a rack neighbor's reserved
+	// region instead of dropping it. Off by default.
 	Spill bool
-	// SpillFrac sizes the reserved region as a fraction of the node's
-	// main slot count (default 1.5; only meaningful with Spill). The
-	// region models the rack's idle memory, so it is deliberately larger
-	// than the hot set a node keeps under LRU.
-	SpillFrac float64
 	// Rebalance enables hotspot-aware directory rebalancing: bucketed
 	// shard addressing plus a periodic tick that migrates or splits the
 	// hottest shard's buckets. Off by default.
 	Rebalance bool
-	// RebalanceEvery is the virtual tick period (default 200µs).
-	RebalanceEvery time.Duration
-	// FrontCPU is the per-request front-end admission/parse cost
-	// (default 3µs).
-	FrontCPU time.Duration
 	// Seed drives the workload streams and the engine.
 	Seed int64
 	// Faults optionally injects a deterministic fault plan (node
@@ -109,10 +87,10 @@ type ScaleConfig struct {
 	Faults *faults.Plan
 }
 
+// frontCPU is the per-request front-end admission/parse cost.
+const frontCPU = 3 * time.Microsecond
+
 func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.RackSize <= 0 {
-		c.RackSize = 32
-	}
 	if c.Clients <= 0 {
 		c.Clients = 1_000_000
 	}
@@ -125,20 +103,8 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Docs <= 0 {
 		c.Docs = 16384
 	}
-	if c.DocBytes <= 0 {
-		c.DocBytes = 2048
-	}
 	if c.ZipfAlpha == 0 {
 		c.ZipfAlpha = 0.99
-	}
-	if c.SpillFrac <= 0 {
-		c.SpillFrac = 1.5
-	}
-	if c.RebalanceEvery <= 0 {
-		c.RebalanceEvery = 200 * time.Microsecond
-	}
-	if c.FrontCPU <= 0 {
-		c.FrontCPU = 3 * time.Microsecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -148,15 +114,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 
 // frontEnds returns the front-end count of an n-node cluster under the
 // interleaved tier layout.
-func frontEnds(n int) int {
-	count := (n / 8) * 2
-	if rem := n % 8; rem >= 2 {
-		count += 2
-	} else {
-		count += rem
-	}
-	return count
-}
+func frontEnds(n int) int { return n/8*2 + min(n%8, 2) }
 
 // ScaleResult is one cell's outcome.
 type ScaleResult struct {
@@ -176,711 +134,45 @@ type ScaleResult struct {
 	ConnBytesMax int64
 	// Transport counters summed over all devices.
 	Establishes, Evictions, UDOps, CacheMisses int64
-	// Cache-tier capacity and churn telemetry. CacheFrac is the
-	// effective slab fraction (1.0 when exact-sized), CacheSlots the
-	// total document slots across the tier. CacheEvictions counts LRU
-	// victims pushed out by capacity pressure, Invalidations the
-	// directory Clear CASes issued, StaleReads the hit reads that
-	// landed after their entry was evicted, DeadFallbacks the
-	// operations degraded to the storage path by an unreachable peer,
-	// and Rollbacks the installs undone after losing the publish CAS.
-	CacheFrac        float64
-	ZipfAlpha        float64
-	CacheSlots       int64
-	CacheEvictions   int64
-	Invalidations    int64
-	StaleReads       int64
-	DeadFallbacks    int64
-	Rollbacks        int64
-	CacheEvictPerSec float64
-	// Cooperative-spill telemetry. SpillEnabled echoes the config;
-	// SpillSlots is the reserved victim capacity across the tier.
-	// Spills counts successful demotions, SpillHits the requests served
-	// from a spill slot, SpillDrops the demotions degraded to a plain
-	// drop (dead/full neighbors, queue overflow), SpillRedirectLost the
-	// demotions undone after losing the directory redirect CAS, and
-	// SpillReclaims the oldest-resident evictions a full region made
-	// room with.
-	SpillEnabled      bool
-	SpillSlots        int64
-	Spills            int64
-	SpillHits         int64
-	SpillDrops        int64
-	SpillRedirectLost int64
-	SpillReclaims     int64
-	SpillHitPerSec    float64
-	// Directory-rebalancing telemetry. DirMaxOverMean is the hottest
-	// shard's read+CAS load over the mean (measured in every cell);
-	// migrations/splits only move with Rebalance on.
-	RebalanceOn    bool
-	DirMaxOverMean float64
-	DirMigrations  int64
-	DirSplits      int64
+	// Cache-tier telemetry: the coopcache.TierStats counters (documented
+	// there) under this table's names, ZipfAlpha/SpillEnabled/RebalanceOn
+	// echoing the config, and the *PerSec rates over Elapsed.
+	// DirMaxOverMean is measured in every cell; migrations/splits only
+	// move with Rebalance on.
+	CacheFrac, ZipfAlpha                                                            float64
+	CacheSlots, CacheEvictions, Invalidations, StaleReads, DeadFallbacks, Rollbacks int64
+	CacheEvictPerSec                                                                float64
+	SpillEnabled                                                                    bool
+	SpillSlots, Spills, SpillHits, SpillDrops, SpillRedirectLost, SpillReclaims     int64
+	SpillHitPerSec                                                                  float64
+	RebalanceOn                                                                     bool
+	DirMaxOverMean                                                                  float64
+	DirMigrations, DirSplits                                                        int64
 	// Events is the engine's processed-event count; Wall the host time
-	// of the run — together the cluster_events_per_sec bench key.
+	// of the run.
 	Events uint64
 	Wall   time.Duration
 }
 
-// scaleCache is the capacity-bounded cache tier of one cell: per-node
-// document slabs in registered memory, per-node byte-capacity LRUs, and
-// the bookkeeping that keeps slab contents, LRU metadata and directory
-// words coherent under racing installs, evictions and invalidations.
-//
-// The slotDoc/docNode/docSlot arrays are the simulation's ground truth
-// for what each slab slot holds *right now*. They are only mutated at
-// callback instants (never across a costed op), so any process
-// observing them sees a consistent placement. A front-end that read a
-// directory word and then a slab slot validates the read against
-// slotDoc afterwards — modeling self-identifying slab content (the
-// document ID embedded in the stored bytes): a read that raced an
-// eviction comes back with the wrong document and is handled as a
-// miss, after clearing the exact stale word observed.
-type scaleCache struct {
-	dir   *coopcache.Directory
-	slabs []verbs.RemoteAddr
-
-	lrus     []*lru.Cache[int32] // per cache node, byte capacity = slots×DocBytes
-	slotDoc  [][]int32           // per node: slot → resident doc, -1 free
-	freeSlot [][]int32           // per node: stack of free main-slot indices
-	docNode  []int32             // doc → cache node index holding it, -1 none
-	docSlot  []int32             // doc → slot on docNode
-	// dead marks cache nodes observed unreachable; installs skip them.
-	// The mark is sticky — a restarted node is simply not re-used as a
-	// holder, a conservative failure-detector model.
-	dead []bool
-
-	docBytes   int
-	frac       float64 // effective fraction (1.0 when exact-sized)
-	totalSlots int64
-
-	// Cooperative-spill state (nil/empty when disabled). Slots past
-	// mainSlots[i] on node i are its reserved spill region; spilled
-	// documents sit outside the LRU and are reclaimed FIFO by the
-	// region manager. Each node runs one demotion worker daemon fed by
-	// a fixed ring, so the evictor's request never waits on the spill
-	// wire ops; a full ring degrades to a plain drop.
-	env        *sim.Env
-	devs       []*verbs.Device // per cache node, the demotion issuers
-	mainSlots  []int32         // per node: first spill slot index
-	spill      *coopcache.SpillRegions
-	spillSlots int64
-	rackPeers  [][]int32 // rack → cache-node indices in it
-	rackOf     []int32   // cache-node index → rack
-	spillQ     []spillRing
-	workers    []*sim.Proc
-	workerIdle []bool
-	// fail surfaces worker errors that are not degradable faults; set
-	// by the cell runner (tests may override).
-	fail func(error)
-
-	evictions, invalidations, staleReads, deadFallbacks, rollbacks int64
-
-	spills, spillHits, spillDrops, spillRedirectLost, spillReclaims int64
-}
-
-// spillRing is one node's fixed-capacity demotion queue.
-type spillRing struct {
-	buf     []spillJob
-	head, n int
-}
-
-type spillJob struct{ doc, slot int32 }
-
-func (q *spillRing) push(j spillJob) bool {
-	if q.n == len(q.buf) {
-		return false
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = j
-	q.n++
-	return true
-}
-
-func (q *spillRing) pop() (spillJob, bool) {
-	if q.n == 0 {
-		return spillJob{}, false
-	}
-	j := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return j, true
-}
-
-// cacheScratch is one driver's reusable buffers, so the churn path
-// allocates nothing per request in steady state.
-type cacheScratch struct {
-	dirWord []byte  // 8-byte directory read target
-	ev      []int32 // LRU victim keys
-	evSlots []int32 // victims' slab slots
-}
-
-func newCacheScratch() *cacheScratch {
-	return &cacheScratch{
-		dirWord: make([]byte, 8),
-		ev:      make([]int32, 0, 4),
-		evSlots: make([]int32, 0, 4),
-	}
-}
-
-// scaleCacheConfig is the cache-tier slice of a cell's config.
-type scaleCacheConfig struct {
-	docs, docBytes int
-	frac           float64
-	spillFrac      float64 // > 0 reserves spill regions and arms the demotion workers
-	rackSize       int
-	rebalance      bool // bucketed directory + hotspot rebalancing
-}
-
-// newScaleCache registers the directory and the per-node slabs. Each
-// node's main slot count is its exact share of the working set (the
-// number of documents hashing to it) scaled by frac, floored at one
-// slot; with spill enabled the slab grows by a reserved victim region
-// of spillFrac × that.
-func newScaleCache(nw *verbs.Network, caches []*cluster.Node, cc scaleCacheConfig) *scaleCache {
-	nc := len(caches)
-	docs, docBytes := cc.docs, cc.docBytes
-	var dirCfg coopcache.DirConfig
-	if cc.rebalance {
-		dirCfg.BucketsPerShard = 8
-	}
-	sc := &scaleCache{
-		dir:       coopcache.NewDirectoryWith(nw, caches, docs, dirCfg),
-		slabs:     make([]verbs.RemoteAddr, nc),
-		lrus:      make([]*lru.Cache[int32], nc),
-		slotDoc:   make([][]int32, nc),
-		freeSlot:  make([][]int32, nc),
-		docNode:   make([]int32, docs),
-		docSlot:   make([]int32, docs),
-		dead:      make([]bool, nc),
-		mainSlots: make([]int32, nc),
-		docBytes:  docBytes,
-		frac:      1,
-		fail:      func(err error) { panic(err) },
-	}
-	if cc.frac > 0 && cc.frac < 1 {
-		sc.frac = cc.frac
-	}
-	for d := range sc.docNode {
-		sc.docNode[d] = -1
-		sc.docSlot[d] = -1
-	}
-	homeLoad := make([]int, nc)
-	for d := 0; d < docs; d++ {
-		homeLoad[sc.home(d)]++
-	}
-	spillCount := make([]int32, nc)
-	for i, n := range caches {
-		slots := homeLoad[i]
-		if cc.frac > 0 && cc.frac < 1 {
-			slots = int(cc.frac * float64(homeLoad[i]))
-		}
-		if slots < 1 {
-			slots = 1
-		}
-		sc.mainSlots[i] = int32(slots)
-		spillSlots := 0
-		if cc.spillFrac > 0 {
-			spillSlots = int(cc.spillFrac*float64(slots) + 0.5)
-			if spillSlots < 1 {
-				spillSlots = 1
-			}
-		}
-		spillCount[i] = int32(spillSlots)
-		total := slots + spillSlots
-		sc.slabs[i] = nw.Attach(n).RegisterAtSetup(make([]byte, total*docBytes)).Addr()
-		sc.lrus[i] = lru.New[int32](int64(slots) * int64(docBytes))
-		sd := make([]int32, total)
-		fs := make([]int32, slots)
-		for j := range sd {
-			sd[j] = -1
-		}
-		for j := range fs {
-			fs[j] = int32(slots - 1 - j) // pop order: slot 0 first
-		}
-		sc.slotDoc[i] = sd
-		sc.freeSlot[i] = fs
-		sc.totalSlots += int64(slots)
-		sc.spillSlots += int64(spillSlots)
-	}
-	if cc.spillFrac > 0 {
-		sc.spill = coopcache.NewSpillRegions(sc.mainSlots, spillCount)
-		sc.devs = make([]*verbs.Device, nc)
-		for i, n := range caches {
-			sc.devs[i] = nw.Attach(n)
-		}
-		rackSize := cc.rackSize
-		if rackSize <= 0 {
-			rackSize = 32
-		}
-		sc.rackOf = make([]int32, nc)
-		racks := 0
-		for i, n := range caches {
-			r := n.ID / rackSize
-			sc.rackOf[i] = int32(r)
-			if r+1 > racks {
-				racks = r + 1
-			}
-		}
-		sc.rackPeers = make([][]int32, racks)
-		for i := range caches {
-			r := sc.rackOf[i]
-			sc.rackPeers[r] = append(sc.rackPeers[r], int32(i))
-		}
-		sc.spillQ = make([]spillRing, nc)
-		for i := range sc.spillQ {
-			sc.spillQ[i].buf = make([]spillJob, 32)
-		}
-		sc.workers = make([]*sim.Proc, nc)
-		sc.workerIdle = make([]bool, nc)
-	}
-	if cc.rebalance && sc.devs == nil {
-		// The rebalance tick issues from a cache-tier device even when
-		// spill is off.
-		sc.devs = make([]*verbs.Device, nc)
-		for i, n := range caches {
-			sc.devs[i] = nw.Attach(n)
-		}
-	}
-	return sc
-}
-
-// startSpillWorkers spawns the per-node demotion daemons. A no-op when
-// spill is disabled.
-func (sc *scaleCache) startSpillWorkers(env *sim.Env) {
-	sc.env = env
-	if sc.spill == nil {
-		return
-	}
-	for n := range sc.lrus {
-		nn := n
-		sc.workers[n] = env.GoDaemon(fmt.Sprintf("spill-%d", nn), func(p *sim.Proc) {
-			sc.spillWorker(p, nn)
-		})
-	}
-}
-
-// home maps a document to its preferred holder (a cache node index).
-func (sc *scaleCache) home(doc int) int {
-	return int((uint32(doc)*2654435761)>>16) % len(sc.lrus)
-}
-
-// unreachable reports whether err is a one-sided op failing against a
-// crashed or partitioned peer — the degradable fault class.
-func unreachable(err error) bool {
-	var oe *verbs.OpError
-	return errors.As(err, &oe) && oe.Reason == "peer unreachable"
-}
-
-// degradable widens unreachable with "local device down" — the spill
-// workers issue from cache-node devices, so a crash of their own node
-// must degrade the demotion (plain drop), not fail the cell.
-func degradable(err error) bool {
-	var oe *verbs.OpError
-	return errors.As(err, &oe) && (oe.Reason == "peer unreachable" || oe.Reason == "local device down")
-}
-
-// lookup resolves doc's directory word. A lookup against a crashed
-// directory home degrades to "no entry" (the miss path serves from
-// storage) instead of failing the cell.
-func (sc *scaleCache) lookup(p *sim.Proc, dev *verbs.Device, doc int, scr *cacheScratch) (coopcache.Entry, error) {
-	e, err := sc.dir.Lookup(p, dev, doc, scr.dirWord)
-	if err != nil {
-		if unreachable(err) {
-			sc.dead[sc.dir.HomeShard(doc)] = true
-			sc.deadFallbacks++
-			return 0, nil
-		}
-		return 0, err
-	}
-	return e, nil
-}
-
-// serveHit attempts the one-sided slab read a directory hit promises.
-// It returns served=false — degrading to the miss path — when the entry
-// is stale (evicted mid-flight: the slab bytes identify the wrong
-// document) or the holder is unreachable; either way the observed word
-// is cleared so later requests don't chase it.
-func (sc *scaleCache) serveHit(p *sim.Proc, dev *verbs.Device, doc int, e coopcache.Entry, buf []byte) (served bool, err error) {
-	h, s := e.Holder(), e.Slot()
-	if h < 0 || h >= len(sc.lrus) || s < 0 || s >= len(sc.slotDoc[h]) || sc.slotDoc[h][s] != int32(doc) {
-		// Dangling word: the placement it names no longer holds doc.
-		sc.staleReads++
-		return false, sc.clearEntry(p, dev, doc, e)
-	}
-	if err := dev.Read(p, buf, sc.slabs[h], s*sc.docBytes); err != nil {
-		if !unreachable(err) {
-			return false, err
-		}
-		// Crashed holder: clear the dead entry, drop our bookkeeping
-		// for it, and let the caller re-install elsewhere.
-		sc.dead[h] = true
-		sc.deadFallbacks++
-		sc.dropIfAt(doc, h, int32(s))
-		return false, sc.clearEntry(p, dev, doc, e)
-	}
-	if sc.slotDoc[h][s] != int32(doc) {
-		// The slot turned over while the read was in flight: the bytes
-		// read belong to another document.
-		sc.staleReads++
-		return false, sc.clearEntry(p, dev, doc, e)
-	}
-	if s >= int(sc.mainSlots[h]) {
-		// Served from the holder's spill region: the victim tier paid
-		// off. Re-stamp the claim so reclaim order approximates LRU over
-		// the victim tier — without this, a hot resident is dropped just
-		// because it was demoted early.
-		sc.spillHits++
-		sc.spill.Touch(h, int32(s))
-		return true, nil
-	}
-	sc.lrus[h].Get(int32(doc)) // touch recency; metadata-only
-	return true, nil
-}
-
-// canInstall reports whether a miss for doc is worth installing: with
-// the doc's directory home dead, no lookup could ever find the copy.
-func (sc *scaleCache) canInstall(doc int) bool {
-	return !sc.dead[sc.dir.HomeShard(doc)]
-}
-
-// install places the fetched document into the cache tier: evict LRU
-// victims as needed, invalidate their directory words, write the slab
-// slot, publish the new word. All local metadata for the placement —
-// victim slots freed, the new slot claimed — is assigned at the
-// decision instant, before any costed op, so concurrent installers
-// observe a consistent placement throughout.
-func (sc *scaleCache) install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr *cacheScratch) error {
-	if n := sc.docNode[doc]; n >= 0 {
-		// A concurrent installer already claimed a slot for doc (its
-		// publish may still be in flight): refresh that copy and
-		// re-publish the same word. Losing this CAS is the common
-		// duplicate-install race — the winner published the identical
-		// word — so no rollback.
-		s := sc.docSlot[doc]
-		sc.lrus[n].Get(int32(doc))
-		if err := dev.Write(p, sc.slabs[n], int(s)*sc.docBytes, buf); err != nil {
-			if !unreachable(err) {
-				return err
-			}
-			sc.dead[n] = true
-			sc.deadFallbacks++
-			sc.dropIfAt(doc, int(n), s)
-			return nil
-		}
-		if _, err := sc.dir.Publish(p, dev, doc, coopcache.PackEntry(int(n), int(s))); err != nil {
-			if !unreachable(err) {
-				return err
-			}
-			sc.dead[sc.dir.HomeShard(doc)] = true
-			sc.deadFallbacks++
-		}
-		return nil
-	}
-
-	// Fresh install: place on the doc's home node, skipping nodes
-	// observed dead.
-	n := sc.home(doc)
-	for i := 0; i < len(sc.lrus) && sc.dead[n]; i++ {
-		n = (n + 1) % len(sc.lrus)
-	}
-	if sc.dead[n] {
-		sc.deadFallbacks++
-		return nil // entire tier unreachable: serve uncached
-	}
-
-	// Decision instant: evict, free victim slots, claim ours.
-	scr.ev = sc.lrus[n].PutInto(int32(doc), int64(sc.docBytes), scr.ev[:0])
-	scr.evSlots = scr.evSlots[:0]
-	for _, v := range scr.ev {
-		vs := sc.docSlot[v]
-		scr.evSlots = append(scr.evSlots, vs)
-		sc.slotDoc[n][vs] = -1
-		sc.freeSlot[n] = append(sc.freeSlot[n], vs)
-		sc.docNode[v] = -1
-		sc.docSlot[v] = -1
-		sc.evictions++
-	}
-	last := len(sc.freeSlot[n]) - 1
-	s := sc.freeSlot[n][last]
-	sc.freeSlot[n] = sc.freeSlot[n][:last]
-	sc.slotDoc[n][s] = int32(doc)
-	sc.docNode[doc] = int32(n)
-	sc.docSlot[doc] = s
-
-	// Deal with the victims' directory words before publishing the new
-	// document. With spill enabled the victim is handed to the node's
-	// demotion worker — its word stays up until the worker redirects it
-	// to the spill copy (a reader racing the turnover fails slab
-	// validation and degrades to a miss, exactly the stale-read path).
-	// Otherwise invalidate eagerly: a reader must never find a
-	// committed word naming a slot the tier has already handed out.
-	for i, v := range scr.ev {
-		if sc.enqueueSpill(n, v, scr.evSlots[i]) {
-			continue
-		}
-		if err := sc.clearEntry(p, dev, int(v), coopcache.PackEntry(n, int(scr.evSlots[i]))); err != nil {
-			return err
-		}
-	}
-
-	if err := dev.Write(p, sc.slabs[n], int(s)*sc.docBytes, buf); err != nil {
-		if !unreachable(err) {
-			return err
-		}
-		sc.dead[n] = true
-		sc.deadFallbacks++
-		sc.dropIfAt(doc, n, s)
-		return nil
-	}
-	e := coopcache.PackEntry(n, int(s))
-	won, err := sc.dir.Publish(p, dev, doc, e)
-	if err != nil {
-		if !unreachable(err) {
-			return err
-		}
-		sc.dead[sc.dir.HomeShard(doc)] = true
-		sc.deadFallbacks++
-		sc.dropIfAt(doc, n, s)
-		return nil
-	}
-	if !won {
-		// A racing publisher (or a not-yet-invalidated stale word)
-		// holds the directory word: roll the local install back so the
-		// slab slot isn't silently orphaned.
-		sc.rollbacks++
-		sc.dropIfAt(doc, n, s)
-		return nil
-	}
-	if sc.docNode[doc] != int32(n) || sc.docSlot[doc] != s {
-		// Our slot was evicted while the write/publish was in flight;
-		// the word we just published is already dangling — clear it.
-		return sc.clearEntry(p, dev, doc, e)
-	}
-	return nil
-}
-
-// clearEntry CASes doc's directory word from the exact observed entry
-// to empty. Losing the CAS is benign (a republish already replaced the
-// word); an unreachable directory home is tolerated.
-func (sc *scaleCache) clearEntry(p *sim.Proc, dev *verbs.Device, doc int, e coopcache.Entry) error {
-	sc.invalidations++
-	if _, err := sc.dir.Clear(p, dev, doc, e); err != nil {
-		if !unreachable(err) {
-			return err
-		}
-		sc.dead[sc.dir.HomeShard(doc)] = true
-	}
-	return nil
-}
-
-// dropIfAt undoes doc's local placement if it still is (n, s): the LRU
-// entry (or spill claim), the slot claim and the doc→node map. A no-op
-// if a concurrent evictor already recycled the slot.
-func (sc *scaleCache) dropIfAt(doc, n int, s int32) {
-	if sc.docNode[doc] != int32(n) || sc.docSlot[doc] != s {
-		return
-	}
-	if s >= sc.mainSlots[n] {
-		sc.spill.Release(n, s)
-	} else {
-		sc.lrus[n].Remove(int32(doc))
-		sc.freeSlot[n] = append(sc.freeSlot[n], s)
-	}
-	sc.slotDoc[n][s] = -1
-	sc.docNode[doc] = -1
-	sc.docSlot[doc] = -1
-}
-
-// enqueueSpill hands an evicted victim to node n's demotion worker.
-// false when spill is off or the ring is full (the caller invalidates
-// eagerly — a plain drop).
-func (sc *scaleCache) enqueueSpill(n int, doc, slot int32) bool {
-	if sc.spill == nil {
-		return false
-	}
-	if !sc.spillQ[n].push(spillJob{doc: doc, slot: slot}) {
-		sc.spillDrops++
-		return false
-	}
-	if sc.workerIdle[n] {
-		sc.workerIdle[n] = false
-		sc.env.Wake(sc.workers[n])
-	}
-	return true
-}
-
-const parkSpillIdle = "spill-idle"
-
-// spillWorker is node n's demotion daemon: it drains the ring, parking
-// when idle. The payload buffer is per-worker, so demotions allocate
-// nothing in steady state.
-func (sc *scaleCache) spillWorker(p *sim.Proc, n int) {
-	buf := make([]byte, sc.docBytes)
-	for {
-		j, ok := sc.spillQ[n].pop()
-		if !ok {
-			sc.workerIdle[n] = true
-			p.Park(parkSpillIdle)
-			continue
-		}
-		sc.runSpill(p, n, j, buf)
-	}
-}
-
-// runSpill demotes one victim: claim a spill slot on a rack neighbor
-// (reclaiming the neighbor's oldest spill resident when the region is
-// full), write the bytes, and swing the victim's directory word from
-// the evicted slot to the spill slot with one CAS. Every failure mode
-// — no viable neighbor, unreachable target, lost redirect — degrades
-// to the plain drop the tier did before spill existed.
-func (sc *scaleCache) runSpill(p *sim.Proc, n int, j spillJob, buf []byte) {
-	doc := int(j.doc)
-	dev := sc.devs[n]
-	old := coopcache.PackEntry(n, int(j.slot))
-	if sc.docNode[doc] != -1 {
-		if sc.docNode[doc] == int32(n) && sc.docSlot[doc] == j.slot {
-			// Re-installed at the very same placement while queued: the
-			// old word IS the live word — leave it alone.
-			return
-		}
-		// The doc was re-installed elsewhere while queued; our stale
-		// word is whatever the installer raced against. Just take it out.
-		if err := sc.clearEntry(p, dev, doc, old); err != nil {
-			sc.fail(err)
-		}
-		return
-	}
-	t := sc.pickSpillTarget(n)
-	if t < 0 {
-		sc.spillDrops++
-		if err := sc.clearEntry(p, dev, doc, old); err != nil {
-			sc.fail(err)
-		}
-		return
-	}
-	ss, ok := sc.spill.Claim(t)
-	odDoc := int32(-1)
-	if !ok {
-		ss, ok = sc.spill.Reclaim(t)
-		if ok {
-			if od := sc.slotDoc[t][ss]; od >= 0 {
-				// Drop the oldest spill resident to make room. Only the
-				// metadata moves at this instant; its directory word is
-				// invalidated below, after the slot is ours — issuing the
-				// CAS first would open a window where a racing installer
-				// rebinds the victim while this worker still assumes it
-				// owns the claim.
-				sc.spillReclaims++
-				sc.docNode[od] = -1
-				sc.docSlot[od] = -1
-				odDoc = od
-			}
-		}
-	}
-	if !ok {
-		sc.spillDrops++
-		if err := sc.clearEntry(p, dev, doc, old); err != nil {
-			sc.fail(err)
-		}
-		return
-	}
-	// Claim the placement at this decision instant, before any costed
-	// op, so concurrent readers validate consistently.
-	sc.slotDoc[t][ss] = j.doc
-	sc.docNode[doc] = int32(t)
-	sc.docSlot[doc] = ss
-	if odDoc >= 0 {
-		// The reclaimed resident's word still names this slot; take it
-		// out so lookups stop chasing a placement that now holds doc.
-		// (A reader that races this clear fails slab validation anyway.)
-		if err := sc.clearEntry(p, dev, int(odDoc), coopcache.PackEntry(t, int(ss))); err != nil {
-			sc.fail(err)
-			return
-		}
-	}
-	if err := dev.Write(p, sc.slabs[t], int(ss)*sc.docBytes, buf); err != nil {
-		if !degradable(err) {
-			sc.fail(err)
-			return
-		}
-		if unreachable(err) {
-			sc.dead[t] = true
-		}
-		sc.deadFallbacks++
-		sc.spillDrops++
-		sc.dropIfAt(doc, t, ss)
-		if err := sc.clearEntry(p, dev, doc, old); err != nil {
-			sc.fail(err)
-		}
-		return
-	}
-	ne := coopcache.PackEntry(t, int(ss))
-	won, prev, err := sc.dir.Redirect(p, dev, doc, old, ne)
-	if err != nil {
-		if !degradable(err) {
-			sc.fail(err)
-			return
-		}
-		if unreachable(err) {
-			sc.dead[sc.dir.HomeShard(doc)] = true
-		}
-		sc.deadFallbacks++
-		sc.spillDrops++
-		sc.dropIfAt(doc, t, ss)
-		return
-	}
-	if won || prev == ne {
-		// Won outright, or a concurrent refresher already published the
-		// identical placement — either way the spill copy is live.
-		sc.spills++
-		return
-	}
-	// The word changed under us (cleared by a racing reader, or the doc
-	// was reinstalled): undo the claim, the demotion degrades to a drop.
-	sc.spillRedirectLost++
-	sc.dropIfAt(doc, t, ss)
-}
-
-// pickSpillTarget ranks node n's live rack neighbors by spill-region
-// free slots, then LRU headroom, preferring the lowest index on ties —
-// the per-rack pressure hint. Falls back to n's own region when no
-// neighbor qualifies; -1 degrades the demotion to a drop.
-func (sc *scaleCache) pickSpillTarget(n int) int {
-	best, bestFree, bestHead := -1, -1, -1
-	for _, t32 := range sc.rackPeers[sc.rackOf[n]] {
-		t := int(t32)
-		if t == n || sc.dead[t] {
-			continue
-		}
-		free, live := sc.spill.Free(t), sc.spill.Live(t)
-		if free == 0 && live == 0 {
-			continue // no region at all
-		}
-		head := sc.lrus[t].FreeSlots(int64(sc.docBytes))
-		if free > bestFree || (free == bestFree && head > bestHead) {
-			best, bestFree, bestHead = t, free, head
-		}
-	}
-	if best < 0 && !sc.dead[n] && (sc.spill.Free(n) > 0 || sc.spill.Live(n) > 0) {
-		best = n
-	}
-	return best
-}
-
-// RunScaleCell builds and runs one datacenter-at-scale cell.
+// RunScaleCell builds and runs one datacenter-at-scale cell. The cache
+// tier's invariants are audited after every run; a violation is the
+// cell's error.
 func RunScaleCell(cfg ScaleConfig) (ScaleResult, error) {
 	res, _, err := runScaleCell(cfg)
 	return res, err
 }
 
-// runScaleCell is RunScaleCell also returning the cache tier, so tests
-// can audit directory/metadata coherence after the run.
-func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
+// runScaleCell is RunScaleCell also returning the tier's final stats
+// snapshot, for the counters ScaleResult does not carry.
+func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 8 {
-		return ScaleResult{}, nil, fmt.Errorf("scale: need ≥ 8 nodes for all tiers, got %d", cfg.Nodes)
+		return ScaleResult{}, coopcache.TierStats{}, fmt.Errorf("scale: need ≥ 8 nodes for all tiers, got %d", cfg.Nodes)
 	}
 	env := sim.NewEnv(cfg.Seed)
+	// Parked daemons (the tier's demotion workers) outlive Run; without
+	// this their goroutines pin the whole cell forever.
+	defer env.Shutdown()
 	faults.Install(env, cfg.Faults)
 	nw := verbs.NewNetworkWith(env, fabric.DefaultParams(), cfg.Transport)
 	nodes := make([]*cluster.Node, cfg.Nodes)
@@ -901,21 +193,14 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 	for i, n := range fes {
 		feDevs[i] = nw.Attach(n)
 	}
-	// Cache tier: the sharded RDMA-readable directory plus one
-	// capacity-bounded multi-slot document slab per cache node.
-	cc := scaleCacheConfig{
-		docs: cfg.Docs, docBytes: cfg.DocBytes, frac: cfg.CacheFrac,
-		rackSize: cfg.RackSize, rebalance: cfg.Rebalance,
-	}
-	if cfg.Spill {
-		cc.spillFrac = cfg.SpillFrac
-	}
-	sc := newScaleCache(nw, caches, cc)
+	tier := coopcache.NewTier(nw, caches, coopcache.TierOptions{
+		Docs: cfg.Docs, CacheFrac: cfg.CacheFrac, Spill: cfg.Spill, Rebalance: cfg.Rebalance,
+	})
 	// Storage tier: DDSS segments spread rack-aware across the storage
 	// nodes of every rack.
 	ss := ddss.New(nw, nodes, ddss.Options{})
 	ss.SetPlacement(ss.RackAware(
-		func(id int) int { return id / cfg.RackSize },
+		func(id int) int { return id / coopcache.TierRackSize },
 		func(id int) bool { return id%8 == 7 },
 	))
 	numSegs := 2 * len(stores)
@@ -924,10 +209,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 		segKeys[s] = fmt.Sprintf("seg-%04d", s)
 	}
 
-	drivers := cfg.Drivers
-	if drivers > len(fes) {
-		drivers = len(fes)
-	}
+	drivers := min(cfg.Drivers, len(fes))
 	pop := workload.NewPopulation(cfg.Clients, cfg.Docs, cfg.ZipfAlpha, cfg.Seed)
 
 	// Lazy per-(front-end, segment) DDSS handles: Zipf traffic touches a
@@ -935,41 +217,29 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 	// mostly nil.
 	handles := make([]*ddss.Handle, len(fes)*numSegs)
 	clients := make([]*ddss.Client, len(fes))
+	fetch := func(p *sim.Proc, fi, doc int, buf []byte) error {
+		si := doc % numSegs
+		hidx := fi*numSegs + si
+		if handles[hidx] == nil {
+			if clients[fi] == nil {
+				clients[fi] = ss.Client(fes[fi].ID)
+			}
+			h, err := clients[fi].Open(segKeys[si])
+			if err != nil {
+				return err
+			}
+			handles[hidx] = h
+		}
+		_, err := handles[hidx].Get(p, buf)
+		return err
+	}
 
 	var hits, misses int64
+	var lat metrics.Sample // per-request virtual latency, µs
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	lat := make([][]time.Duration, drivers)
 	var start sim.Time
 
-	// liveDrivers gates the periodic daemons: Run ends only when the
-	// event queue drains, so an unbounded Sleep loop would keep the cell
-	// alive forever — the ticker exits after the last driver finishes.
-	liveDrivers := drivers
-
-	sc.fail = fail
-	sc.startSpillWorkers(env)
-	if cfg.Rebalance {
-		// The rebalance tick issues its control-plane ops from the first
-		// cache node's device; an unreachable host just skips the pass.
-		rdev := sc.devs[0]
-		env.GoDaemon("rebalance", func(p *sim.Proc) {
-			for liveDrivers > 0 {
-				p.Sleep(cfg.RebalanceEvery)
-				if err := sc.dir.RebalanceTick(p, rdev); err != nil {
-					fail(err)
-					return
-				}
-			}
-		})
-	}
-
-	driver := func(p *sim.Proc, k int) {
-		defer func() { liveDrivers-- }()
+	driver := func(p *sim.Proc, k int) error {
 		st := pop.Stream(k, drivers)
 		nReq := cfg.Requests / drivers
 		if k < cfg.Requests%drivers {
@@ -977,26 +247,16 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 		}
 		feLo := k * len(fes) / drivers
 		feN := (k+1)*len(fes)/drivers - feLo
-		scr := newCacheScratch()
-		buf := make([]byte, cfg.DocBytes)
-		lats := make([]time.Duration, 0, nReq)
+		var scr coopcache.TierScratch
+		buf := make([]byte, coopcache.TierDocBytes)
 		for i := 0; i < nReq; i++ {
 			rq := st.Next()
 			fi := feLo + rq.Client%feN
 			t0 := env.Now()
-			fes[fi].Exec(p, cfg.FrontCPU)
-			e, err := sc.lookup(p, feDevs[fi], rq.Doc, scr)
+			fes[fi].Exec(p, frontCPU)
+			served, err := tier.Get(p, feDevs[fi], rq.Doc, buf, &scr)
 			if err != nil {
-				fail(err)
-				return
-			}
-			served := false
-			if e != 0 {
-				served, err = sc.serveHit(p, feDevs[fi], rq.Doc, e, buf)
-				if err != nil {
-					fail(err)
-					return
-				}
+				return err
 			}
 			if served {
 				hits++
@@ -1004,94 +264,74 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 				// Miss (or degraded hit): fetch from the document's
 				// DDSS segment on the storage tier, then install the
 				// copy — evicting and invalidating as capacity demands.
-				si := rq.Doc % numSegs
-				hidx := fi*numSegs + si
-				if handles[hidx] == nil {
-					if clients[fi] == nil {
-						clients[fi] = ss.Client(fes[fi].ID)
-					}
-					h, err := clients[fi].Open(segKeys[si])
-					if err != nil {
-						fail(err)
-						return
-					}
-					handles[hidx] = h
+				if err := fetch(p, fi, rq.Doc, buf); err != nil {
+					return err
 				}
-				if _, err := handles[hidx].Get(p, buf); err != nil {
-					fail(err)
-					return
-				}
-				if sc.canInstall(rq.Doc) {
-					if err := sc.install(p, feDevs[fi], rq.Doc, buf, scr); err != nil {
-						fail(err)
-						return
-					}
+				if err := tier.Install(p, feDevs[fi], rq.Doc, buf, &scr); err != nil {
+					return err
 				}
 				misses++
 			}
-			lats = append(lats, time.Duration(env.Now()-t0))
+			lat.AddDuration(time.Duration(env.Now() - t0))
 		}
-		lat[k] = lats
+		return nil
 	}
 
 	env.Go("boot", func(p *sim.Proc) {
 		boot := ss.Client(fes[0].ID)
 		for _, key := range segKeys {
-			if _, err := boot.Allocate(p, key, cfg.DocBytes, ddss.Null, ddss.NodeAuto); err != nil {
-				fail(err)
+			if _, err := boot.Allocate(p, key, coopcache.TierDocBytes, ddss.Null, ddss.NodeAuto); err != nil {
+				firstErr = err
+				tier.Stop()
 				return
 			}
 		}
 		start = env.Now()
+		// Run ends only when the event queue drains, so the tier's
+		// periodic daemon must be stopped when the last driver finishes.
+		liveDrivers := drivers
 		for k := 0; k < drivers; k++ {
 			kk := k
-			env.Go(fmt.Sprintf("driver-%d", kk), func(p *sim.Proc) { driver(p, kk) })
+			env.Go(fmt.Sprintf("driver-%d", kk), func(p *sim.Proc) {
+				if err := driver(p, kk); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				if liveDrivers--; liveDrivers == 0 {
+					tier.Stop()
+				}
+			})
 		}
 	})
 
 	wallStart := time.Now()
 	if err := env.Run(); err != nil {
-		return ScaleResult{}, nil, err
+		return ScaleResult{}, coopcache.TierStats{}, err
+	}
+	if firstErr == nil {
+		firstErr = tier.Audit()
 	}
 	if firstErr != nil {
-		return ScaleResult{}, nil, firstErr
+		return ScaleResult{}, coopcache.TierStats{}, firstErr
 	}
 
-	var sample metrics.Sample
-	for _, ls := range lat {
-		for _, d := range ls {
-			sample.AddDuration(d)
-		}
-	}
 	elapsed := time.Duration(env.Now() - start)
+	ts := tier.Stats()
 	res := ScaleResult{
 		Nodes: cfg.Nodes, FrontEnds: len(fes), CacheNodes: len(caches), StoreNodes: len(stores),
 		Transport: nw.Transport().Mode.String(),
 		Requests:  hits + misses, Hits: hits, Misses: misses,
-		Elapsed:           elapsed,
-		P50:               time.Duration(sample.Percentile(50) * float64(time.Microsecond)),
-		P99:               time.Duration(sample.Percentile(99) * float64(time.Microsecond)),
-		CacheFrac:         sc.frac,
-		ZipfAlpha:         cfg.ZipfAlpha,
-		CacheSlots:        sc.totalSlots,
-		CacheEvictions:    sc.evictions,
-		Invalidations:     sc.invalidations,
-		StaleReads:        sc.staleReads,
-		DeadFallbacks:     sc.deadFallbacks,
-		Rollbacks:         sc.rollbacks,
-		SpillEnabled:      cfg.Spill,
-		SpillSlots:        sc.spillSlots,
-		Spills:            sc.spills,
-		SpillHits:         sc.spillHits,
-		SpillDrops:        sc.spillDrops,
-		SpillRedirectLost: sc.spillRedirectLost,
-		SpillReclaims:     sc.spillReclaims,
-		RebalanceOn:       cfg.Rebalance,
-		DirMaxOverMean:    sc.dir.LoadMaxOverMean(),
-		DirMigrations:     sc.dir.Migrations(),
-		DirSplits:         sc.dir.Splits(),
-		Events:            env.Stats().EventsProcessed,
-		Wall:              time.Since(wallStart),
+		Elapsed:   elapsed,
+		P50:       time.Duration(lat.Percentile(50) * float64(time.Microsecond)),
+		P99:       time.Duration(lat.Percentile(99) * float64(time.Microsecond)),
+		CacheFrac: ts.CacheFrac, ZipfAlpha: cfg.ZipfAlpha, CacheSlots: ts.Slots,
+		CacheEvictions: ts.Evictions, Invalidations: ts.Invalidations, StaleReads: ts.StaleReads,
+		DeadFallbacks: ts.DeadFallbacks, Rollbacks: ts.Rollbacks,
+		SpillEnabled: cfg.Spill, SpillSlots: ts.SpillSlots, Spills: ts.Spills, SpillHits: ts.SpillHits,
+		SpillDrops: ts.SpillDrops, SpillRedirectLost: ts.SpillRedirectLost, SpillReclaims: ts.SpillReclaims,
+		RebalanceOn: cfg.Rebalance, DirMaxOverMean: ts.DirMaxOverMean,
+		DirMigrations: ts.DirMigrations, DirSplits: ts.DirSplits,
+		Events: env.Stats().EventsProcessed,
+		Wall:   time.Since(wallStart),
 	}
 	if elapsed > 0 {
 		res.ReqsPerSec = float64(res.Requests) / elapsed.Seconds()
@@ -1100,7 +340,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 	}
 	res.ConnBytesAvg, res.ConnBytesMax = nw.ConnBytesPerNode()
 	res.Establishes, res.Evictions, res.UDOps, res.CacheMisses = nw.ConnTotals()
-	return res, sc, nil
+	return res, ts, nil
 }
 
 // DCScale regenerates E18: the cluster-size × transport-mode sweep,
@@ -1109,22 +349,18 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, *scaleCache, error) {
 // and a cooperative-spill × rebalancing axis that toggles the two
 // mechanisms over the capacity/hotspot cells.
 func DCScale(o Options) (*metrics.Table, error) {
-	type cell struct {
-		nodes int
-		tc    verbs.TransportConfig
-		frac  float64
-		alpha float64
-		docs  int
-		spill bool
-		reb   bool
-	}
 	modes := []verbs.TransportConfig{{}, verbs.PooledTransport()}
-	var cells []cell
 	sizes := []int{64, 256, 1024, 4096, 8192}
 	clients, perFE := 1_000_000, 600
 	churnNodes := 256
 	fracs := []float64{0.25, 0.1, 0.05}
-	hotAlpha, hotFrac := 1.2, 0.1
+	hotFrac := 0.1
+	// Cooperative-spill × rebalancing axis: capacity-pressured cells on
+	// the pooled transport with each mechanism toggled. The off/off rows
+	// are the drop-on-evict baselines the spill rows are judged against.
+	spillFracs := []float64{0.1, 0.05}
+	spillAlphas := []float64{1.01, 1.2}
+	spillDocs := 0
 	if o.Quick {
 		// The CI quick-scale smoke: still an O(10^4)-node cluster, but a
 		// reduced client population and request budget; the churn cells
@@ -1135,10 +371,20 @@ func DCScale(o Options) (*metrics.Table, error) {
 		churnNodes = 64
 		fracs = []float64{0.05}
 		hotFrac = 0.05
+		spillFracs = []float64{0.05}
+		spillAlphas = []float64{1.2}
+		// The quick budget touches few distinct docs; shrink the working
+		// set so eviction churn (and thus spill re-reads) still happens.
+		spillDocs = 4096
+	}
+	var cells []ScaleConfig
+	add := func(c ScaleConfig) {
+		c.Clients, c.Requests = clients, perFE*frontEnds(c.Nodes)
+		cells = append(cells, c)
 	}
 	for _, n := range sizes {
 		for _, tc := range modes {
-			cells = append(cells, cell{nodes: n, tc: tc, frac: 1, alpha: 0.99})
+			add(ScaleConfig{Nodes: n, Transport: tc, CacheFrac: 1, ZipfAlpha: 0.99})
 		}
 	}
 	// Capacity axis: fixed cluster and working set, shrinking slabs —
@@ -1146,53 +392,27 @@ func DCScale(o Options) (*metrics.Table, error) {
 	// hit % reads monotone straight down the column.
 	for _, f := range fracs {
 		for _, tc := range modes {
-			cells = append(cells, cell{nodes: churnNodes, tc: tc, frac: f, alpha: 0.99})
+			add(ScaleConfig{Nodes: churnNodes, Transport: tc, CacheFrac: f, ZipfAlpha: 0.99})
 		}
 	}
 	// Hotspot point: hotter Zipf concentrates churn on the head.
 	for _, tc := range modes {
-		cells = append(cells, cell{nodes: churnNodes, tc: tc, frac: hotFrac, alpha: hotAlpha})
-	}
-	// Cooperative-spill × rebalancing axis: capacity-pressured cells on
-	// the pooled transport with each mechanism toggled. The off/off rows
-	// are the drop-on-evict baselines the spill rows are judged against.
-	spillFracs := []float64{0.1, 0.05}
-	spillAlphas := []float64{1.01, 1.2}
-	spillNodes, spillDocs := churnNodes, 0
-	if o.Quick {
-		spillFracs = []float64{0.05}
-		spillAlphas = []float64{1.2}
-		// The quick budget touches few distinct docs; shrink the working
-		// set so eviction churn (and thus spill re-reads) still happens.
-		spillDocs = 4096
+		add(ScaleConfig{Nodes: churnNodes, Transport: tc, CacheFrac: hotFrac, ZipfAlpha: 1.2})
 	}
 	for _, f := range spillFracs {
 		for _, a := range spillAlphas {
 			for _, m := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-				cells = append(cells, cell{
-					nodes: spillNodes, tc: verbs.PooledTransport(),
-					frac: f, alpha: a, docs: spillDocs, spill: m[0], reb: m[1],
+				add(ScaleConfig{
+					Nodes: churnNodes, Transport: verbs.PooledTransport(), Docs: spillDocs,
+					CacheFrac: f, ZipfAlpha: a, Spill: m[0], Rebalance: m[1],
 				})
 			}
 		}
 	}
 	res := make([]ScaleResult, len(cells))
-	err := runCells(o, len(cells), func(i int, o Options) error {
-		c := cells[i]
-		cfg := ScaleConfig{
-			Nodes:     c.nodes,
-			Transport: c.tc,
-			Clients:   clients,
-			Requests:  perFE * frontEnds(c.nodes),
-			Docs:      c.docs,
-			ZipfAlpha: c.alpha,
-			CacheFrac: c.frac,
-			Spill:     c.spill,
-			Rebalance: c.reb,
-			Seed:      o.seed(),
-		}
-		var err error
-		res[i], err = RunScaleCell(cfg)
+	err := runCells(o, len(cells), func(i int, o Options) (err error) {
+		cells[i].Seed = o.seed()
+		res[i], err = RunScaleCell(cells[i])
 		return err
 	})
 	if err != nil {
@@ -1224,51 +444,4 @@ func onoff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-// ScaleProbe holds the connection-scaling measurements the bench
-// snapshot publishes: both transport modes at 64 and 1024 nodes, one
-// capacity-bounded churn cell (the cache_evictions_per_sec key), the
-// same cell with cooperative spill armed (spill_hits_per_sec), and a
-// rebalanced hotspot cell (dir_shard_max_over_mean).
-type ScaleProbe struct {
-	RC64, RC1024, Pooled64, Pooled1024 ScaleResult
-	Churn                              ScaleResult
-	SpillChurn                         ScaleResult
-	Hotspot                            ScaleResult
-}
-
-// RunScaleProbe measures connection state and event throughput at 64
-// and 1024 nodes in both transport modes (the conn_bytes_per_node and
-// cluster_events_per_sec bench keys), eviction churn in a
-// capacity-bounded cell (cache_evictions_per_sec), spill service rate
-// with the victim tier armed (spill_hits_per_sec) and directory-shard
-// imbalance under a rebalanced hotspot (dir_shard_max_over_mean).
-func RunScaleProbe(seed int64, parallel int) (ScaleProbe, error) {
-	cfgs := []ScaleConfig{
-		{Nodes: 64, Transport: verbs.TransportConfig{}},
-		{Nodes: 1024, Transport: verbs.TransportConfig{}},
-		{Nodes: 64, Transport: verbs.PooledTransport()},
-		{Nodes: 1024, Transport: verbs.PooledTransport()},
-		{Nodes: 256, Transport: verbs.TransportConfig{}, Docs: 8192, CacheFrac: 0.1},
-		{Nodes: 256, Transport: verbs.TransportConfig{}, Docs: 8192, CacheFrac: 0.1, Spill: true},
-		{Nodes: 256, Transport: verbs.TransportConfig{}, Docs: 8192, CacheFrac: 0.1, ZipfAlpha: 1.2, Rebalance: true},
-	}
-	res := make([]ScaleResult, len(cfgs))
-	err := runCells(Options{Seed: seed, Parallel: parallel}, len(cfgs), func(i int, o Options) error {
-		cfg := cfgs[i]
-		cfg.Clients = 200_000
-		cfg.Requests = 400 * frontEnds(cfg.Nodes)
-		cfg.Seed = o.seed()
-		var err error
-		res[i], err = RunScaleCell(cfg)
-		return err
-	})
-	if err != nil {
-		return ScaleProbe{}, err
-	}
-	return ScaleProbe{
-		RC64: res[0], RC1024: res[1], Pooled64: res[2], Pooled1024: res[3],
-		Churn: res[4], SpillChurn: res[5], Hotspot: res[6],
-	}, nil
 }

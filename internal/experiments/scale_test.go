@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
-	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
-	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
 
@@ -330,103 +328,6 @@ func TestScaleDeadHolderFallback(t *testing.T) {
 	}
 }
 
-// TestScaleChurnSteadyStateAllocationFree drives the cache tier's full
-// evict→invalidate→install→publish loop directly — every iteration a
-// miss that overflows a slab — and checks the steady state allocates
-// nothing per operation (the scratch buffers, the LRU free list and the
-// slot free stacks absorb all churn).
-func TestScaleChurnSteadyStateAllocationFree(t *testing.T) {
-	env := sim.NewEnv(1)
-	nw := verbs.NewNetworkWith(env, fabric.DefaultParams(), verbs.TransportConfig{})
-	nodes := make([]*cluster.Node, 6)
-	for i := range nodes {
-		nodes[i] = cluster.NewNode(env, i, 4, 1<<24)
-	}
-	const docs, docBytes = 256, 512
-	sc := newScaleCache(nw, nodes[1:5], scaleCacheConfig{docs: docs, docBytes: docBytes, frac: 0.1})
-	dev := nw.Attach(nodes[0])
-	env.GoDaemon("churn", func(p *sim.Proc) {
-		scr := newCacheScratch()
-		buf := make([]byte, docBytes)
-		doc := 0
-		for {
-			e, err := sc.lookup(p, dev, doc, scr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			served := false
-			if e != 0 {
-				if served, err = sc.serveHit(p, dev, doc, e, buf); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if !served {
-				if err := sc.install(p, dev, doc, buf, scr); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			doc = (doc + 1) % docs
-		}
-	})
-	limit := sim.Time(0)
-	step := func() {
-		limit = limit.Add(time.Millisecond)
-		if err := env.RunUntil(limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // prime the LRU free lists and verbs pools
-	before := sc.evictions
-	allocs := testing.AllocsPerRun(20, step)
-	if allocs > 2 {
-		t.Errorf("churn steady state allocates %.1f/step (hundreds of ops each), want ~0", allocs)
-	}
-	if sc.evictions == before {
-		t.Fatal("harness drove no eviction churn")
-	}
-}
-
-// auditScaleCoherence checks the tier's ground-truth arrays after a
-// run: every occupied slab slot (main or spill) is bound to exactly the
-// document whose metadata names it, every placed document names an
-// occupied slot, and each node's LRU holds exactly its occupied main
-// slots. A document resident in two slots, or a slot whose resident's
-// metadata points elsewhere, is a lost/duplicated placement — the
-// corruption class the spill and rebalance races must never produce.
-func auditScaleCoherence(t *testing.T, sc *scaleCache) {
-	t.Helper()
-	for n := range sc.slotDoc {
-		occ := 0
-		for s, d := range sc.slotDoc[n] {
-			if d < 0 {
-				continue
-			}
-			if int32(s) < sc.mainSlots[n] {
-				occ++
-			}
-			if sc.docNode[d] != int32(n) || sc.docSlot[d] != int32(s) {
-				t.Fatalf("slot binding broken: slotDoc[%d][%d]=%d but docNode=%d docSlot=%d",
-					n, s, d, sc.docNode[d], sc.docSlot[d])
-			}
-		}
-		if got := sc.lrus[n].Len(); got != occ {
-			t.Fatalf("node %d: LRU holds %d members but %d main slots occupied", n, got, occ)
-		}
-	}
-	for d, n := range sc.docNode {
-		if n < 0 {
-			continue
-		}
-		s := sc.docSlot[d]
-		if s < 0 || int(s) >= len(sc.slotDoc[n]) || sc.slotDoc[n][s] != int32(d) {
-			t.Fatalf("doc %d metadata names (%d,%d) but the slot disagrees", d, n, s)
-		}
-	}
-}
-
 // TestScaleSpillHitRateGate is the headline acceptance gate of the
 // cooperative victim tier: at CacheFrac 0.05 under the churn-heavy
 // α=1.01 workload, spill+rebalance must lift the hit rate by ≥ 8pp over
@@ -445,7 +346,7 @@ func TestScaleSpillHitRateGate(t *testing.T) {
 	}
 	onCfg := base
 	onCfg.Spill, onCfg.Rebalance = true, true
-	on, sc, err := runScaleCell(onCfg)
+	on, err := RunScaleCell(onCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +364,6 @@ func TestScaleSpillHitRateGate(t *testing.T) {
 	if off.Spills != 0 || off.SpillHits != 0 || off.SpillSlots != 0 {
 		t.Errorf("baseline cell spilled: %+v", off)
 	}
-	auditScaleCoherence(t, sc)
 }
 
 // TestScaleRebalanceFlattensShardLoad is the imbalance gate: under the
@@ -554,14 +454,15 @@ func TestScaleSpillRebalanceDeterministic(t *testing.T) {
 // spill-enabled cell — the crashed node is both a demotion issuer and a
 // rack-neighbor spill target. Demotions against it must degrade to
 // plain drops, reads against its spill residents must fall back to
-// storage, the cell must complete, and the placement metadata must
-// come out coherent (no lost or duplicated entries).
+// storage, and the cell must complete — which includes the tier's
+// audit: the placement metadata comes out coherent (no lost or
+// duplicated entries).
 func TestScaleSpillTargetCrash(t *testing.T) {
 	plan, err := faults.Parse("crash@2ms node=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sc, err := runScaleCell(ScaleConfig{
+	res, err := RunScaleCell(ScaleConfig{
 		Nodes: 16, Clients: 5000, Requests: 2000, Docs: 512,
 		CacheFrac: 0.1, Spill: true, Seed: 3, Faults: plan,
 	})
@@ -577,7 +478,6 @@ func TestScaleSpillTargetCrash(t *testing.T) {
 	if res.SpillDrops+res.DeadFallbacks == 0 {
 		t.Error("crashed spill target never degraded a demotion or a read")
 	}
-	auditScaleCoherence(t, sc)
 }
 
 // rebalancerPartition cuts the rebalance tick's issuing node (node 2,
@@ -591,13 +491,14 @@ const rebalancerPartition = "partition@1ms a=2 b=3; partition@1ms a=2 b=4; parti
 // tick's issuing node (the first cache node) from every other cache
 // node while the directory is actively migrating hot buckets: every
 // migration/split wire op degrades to a skipped tick, front-end traffic
-// is unaffected, and the placement metadata stays coherent.
+// is unaffected, and the placement metadata stays coherent (the cell's
+// own audit).
 func TestScaleShardHostPartitionMidMigration(t *testing.T) {
 	plan, err := faults.Parse(rebalancerPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sc, err := runScaleCell(ScaleConfig{
+	res, ts, err := runScaleCell(ScaleConfig{
 		Nodes: 16, Clients: 100_000, Requests: 4000, Docs: 2048,
 		CacheFrac: 0.1, ZipfAlpha: 1.2, Rebalance: true, Seed: 2, Faults: plan,
 	})
@@ -607,74 +508,30 @@ func TestScaleShardHostPartitionMidMigration(t *testing.T) {
 	if res.Hits+res.Misses != res.Requests {
 		t.Fatalf("requests lost under partition: %d + %d != %d", res.Hits, res.Misses, res.Requests)
 	}
-	if sc.dir.TickSkips() == 0 {
+	if ts.TickSkips == 0 {
 		t.Error("partitioned shard hosts never degraded a rebalance op")
 	}
-	auditScaleCoherence(t, sc)
 }
 
-// TestScaleSpillChurnSteadyStateAllocationFree re-runs the steady-state
-// allocation gate with the demotion workers armed: the spill rings, the
-// region free stacks and the gen-stamped FIFO absorb all victim-tier
-// churn without allocating.
-func TestScaleSpillChurnSteadyStateAllocationFree(t *testing.T) {
-	env := sim.NewEnv(1)
-	nw := verbs.NewNetworkWith(env, fabric.DefaultParams(), verbs.TransportConfig{})
-	nodes := make([]*cluster.Node, 6)
-	for i := range nodes {
-		nodes[i] = cluster.NewNode(env, i, 4, 1<<24)
+// TestScaleCellReleasesGoroutines checks a cell shuts its environment
+// down: the demotion workers of a spill+rebalance cell stay parked when
+// the run ends, and without the shutdown one goroutine per cache node
+// (and the whole cell they reference) would outlive RunScaleCell.
+func TestScaleCellReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	if _, err := RunScaleCell(ScaleConfig{
+		Nodes: 64, Clients: 100_000, Requests: 2400, Docs: 4096,
+		CacheFrac: 0.05, ZipfAlpha: 1.2, Spill: true, Rebalance: true, Seed: 4,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	const docs, docBytes = 256, 512
-	sc := newScaleCache(nw, nodes[1:5], scaleCacheConfig{
-		docs: docs, docBytes: docBytes, frac: 0.1, spillFrac: 1,
-	})
-	sc.fail = func(err error) { t.Error(err) }
-	sc.startSpillWorkers(env)
-	dev := nw.Attach(nodes[0])
-	env.GoDaemon("churn", func(p *sim.Proc) {
-		scr := newCacheScratch()
-		buf := make([]byte, docBytes)
-		doc := 0
-		for {
-			e, err := sc.lookup(p, dev, doc, scr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			served := false
-			if e != 0 {
-				if served, err = sc.serveHit(p, dev, doc, e, buf); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if !served {
-				if err := sc.install(p, dev, doc, buf, scr); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			doc = (doc + 1) % docs
-		}
-	})
-	limit := sim.Time(0)
-	step := func() {
-		limit = limit.Add(time.Millisecond)
-		if err := env.RunUntil(limit); err != nil {
-			t.Fatal(err)
-		}
+	// Shutdown signals every process; the goroutines unwind on their own.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	step() // prime the LRU free lists, spill rings and verbs pools
-	before := sc.spills
-	allocs := testing.AllocsPerRun(20, step)
-	if allocs > 2 {
-		t.Errorf("spill steady state allocates %.1f/step (hundreds of ops each), want ~0", allocs)
-	}
-	if sc.spills == before {
-		t.Fatal("harness drove no demotions")
-	}
-	if sc.spillReclaims == 0 {
-		t.Fatal("regions never filled — reclaim path unexercised")
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines outlive the cell (baseline %d, now %d)", got-base, base, got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package runtime abstracts the execution substrate the framework's
-// services are built against: a clock, timers, concurrent tasks,
-// blocking primitives (Chan, Future) and a message-framed transport
-// (Dial/Listen). It has exactly two implementations:
+// services are built against: a clock, timers, concurrent tasks and a
+// message-framed transport (Dial/Listen). It has exactly two
+// implementations:
 //
 //   - SimRuntime — the deterministic discrete-event simulator
 //     (internal/sim). Tasks are sim processes, the clock is virtual,
