@@ -13,6 +13,12 @@
 // clients against it, prints throughput and exits nonzero on any error:
 //
 //	ngdc-serve -load -clients 100 -duration 3s
+//
+// By default every client waits for each reply before its next request.
+// With -window k it keeps k requests in flight, which lets both ends
+// put a whole window on the wire in one write:
+//
+//	ngdc-serve -load -clients 2 -window 60 -duration 3s
 package main
 
 import (
@@ -32,6 +38,7 @@ func main() {
 		locks    = flag.Int("locks", 64, "size of the lock namespace")
 		load     = flag.Bool("load", false, "run a load test against a freshly started server instead of serving")
 		clients  = flag.Int("clients", 100, "concurrent connections in load mode")
+		window   = flag.Int("window", 1, "requests each connection keeps in flight in load mode (1 = ping-pong)")
 		duration = flag.Duration("duration", 3e9, "measured window in load mode")
 	)
 	flag.Parse()
@@ -47,7 +54,7 @@ func main() {
 	srv.Serve(ln)
 
 	if *load {
-		stats, err := serve.RunLoad(rt, ln.Addr(), *clients, *duration)
+		stats, err := serve.RunLoad(rt, ln.Addr(), *clients, *window, *duration)
 		fmt.Printf("clients=%d ops=%d errors=%d elapsed=%s throughput=%.0f req/s p50=%s p99=%s\n",
 			stats.Clients, stats.Ops, stats.Errors, stats.Elapsed, stats.OpsPerSec(),
 			stats.P50, stats.P99)

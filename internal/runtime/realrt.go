@@ -3,6 +3,7 @@ package runtime
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -166,15 +167,31 @@ func (l *realListener) Addr() string {
 
 func (l *realListener) Close() error { return l.l.Close() }
 
+// ErrFrameTooLarge is wrapped by the error a receive returns when the
+// peer announces a frame beyond the receiver's limit (maxFrame for Recv,
+// the buffer's capacity for RecvInto). The length prefix has been
+// consumed and the body has not, so the connection is only good for
+// Close.
+var ErrFrameTooLarge = errors.New("runtime: frame exceeds the receive limit")
+
 // realConn frames messages over a stream socket: a 4-byte big-endian
 // length prefix per frame. Send and Recv each take their own lock, so
-// one sender and one receiver may run concurrently.
+// one sender and one receiver may run concurrently. Send only appends
+// to the write buffer; Conn's comment says when the buffer goes to the
+// kernel.
 type realConn struct {
-	c      net.Conn
+	c net.Conn
+
 	sendMu sync.Mutex
 	w      *bufio.Writer
+	shdr   [4]byte // header scratch: a local would escape through bufio
+	// parked is set while a Recv waits on the socket: nobody is left to
+	// flush on the sender's behalf, so Send flushes its own frame.
+	parked bool
+
 	recvMu sync.Mutex
 	rd     *bufio.Reader
+	rhdr   [4]byte
 }
 
 func newRealConn(c net.Conn) *realConn {
@@ -187,36 +204,90 @@ func (c *realConn) Send(_ Task, frame []byte) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(c.shdr[:], uint32(len(frame)))
+	if _, err := c.w.Write(c.shdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.w.Write(frame); err != nil {
 		return err
 	}
+	if c.parked {
+		return c.w.Flush()
+	}
+	return nil
+}
+
+// Flush puts every frame Send has buffered on the wire. An owner calls
+// it before blocking anywhere other than in Recv on this connection.
+func (c *realConn) Flush() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	return c.w.Flush()
 }
 
-func (c *realConn) Recv(Task) ([]byte, error) {
+func (c *realConn) Recv(Task) ([]byte, error) { return c.recv(nil, maxFrame) }
+
+// RecvInto is Recv into the caller's buffer: the frame is returned as
+// buf[:n] and is valid until the caller reuses buf. It never allocates;
+// a frame longer than cap(buf) fails with ErrFrameTooLarge before a byte
+// of it is read, which is how a server bounds what a peer can make it
+// hold.
+func (c *realConn) RecvInto(_ Task, buf []byte) ([]byte, error) { return c.recv(buf, cap(buf)) }
+
+// recv reads one frame of at most limit bytes, into buf when it fits.
+func (c *realConn) recv(buf []byte, limit int) ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.rd, hdr[:]); err != nil {
+	if c.rd.Buffered() < len(c.rhdr) {
+		// About to wait on the socket. Mark before flushing, both under
+		// sendMu: a racing Send either lands in this flush or sees the
+		// mark and flushes itself.
+		c.sendMu.Lock()
+		c.parked = true
+		err := c.w.Flush()
+		c.sendMu.Unlock()
+		defer c.unpark()
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := io.ReadFull(c.rd, c.rhdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = io.EOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("runtime: frame length %d exceeds limit", n)
+	n := int(binary.BigEndian.Uint32(c.rhdr[:]))
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d bytes announced, limit %d", ErrFrameTooLarge, n, limit)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(c.rd, frame); err != nil {
+	if n > cap(buf) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(c.rd, buf); err != nil {
 		return nil, err
 	}
-	return frame, nil
+	return buf, nil
 }
 
-func (c *realConn) Close() error { return c.c.Close() }
+func (c *realConn) unpark() {
+	c.sendMu.Lock()
+	c.parked = false
+	c.sendMu.Unlock()
+}
+
+// Close flushes what Send buffered, then closes the socket. It does not
+// wait for sendMu: a Send stuck in a write holds it, and closing the
+// socket is what frees that Send.
+func (c *realConn) Close() error {
+	var ferr error
+	if c.sendMu.TryLock() {
+		ferr = c.w.Flush()
+		c.sendMu.Unlock()
+	}
+	if err := c.c.Close(); err != nil {
+		return err
+	}
+	return ferr
+}

@@ -10,8 +10,8 @@
 //
 //   - RealRuntime — real goroutines over the wall clock, with the
 //     transport mapped to loopback TCP or Unix-domain sockets with
-//     length-prefixed framing. This is the substrate of the live
-//     ngdc-serve process.
+//     length-prefixed framing, flushed when its owner is about to block
+//     (see Conn). This is the substrate of the live ngdc-serve process.
 //
 // The abstraction is intentionally construction-time only on the hot
 // paths: simulated services bind their options once (ServiceOptions.Bind)
@@ -65,18 +65,40 @@ type Task interface {
 }
 
 // Conn is one endpoint of a bidirectional, message-framed connection:
-// each Send delivers one whole frame to the peer's Recv. In RealMode
-// frames travel length-prefixed over loopback TCP or a Unix socket; in
-// SimMode they travel over simulated channels at the current virtual
-// instant. Send and Recv are each safe for one concurrent caller.
+// each Send delivers one whole frame to the peer's Recv, in order. In
+// RealMode frames travel length-prefixed over loopback TCP or a Unix
+// socket; in SimMode they travel over simulated channels at the current
+// virtual instant. Send and Recv are each safe for one concurrent
+// caller, so one sender and one receiver may share a Conn.
+//
+// When a sent frame is on the wire. SimMode hands a frame to the peer
+// inside Send. RealMode batches: Send appends to the connection's
+// buffer, and the buffer is written out
+//
+//   - before a Recv on this Conn that has to wait for input — so a caller
+//     that sends, then receives, never waits on a peer that has not been
+//     sent the request, and ping-pong costs one write per frame;
+//   - by Send itself while another task is waiting in Recv on this Conn
+//     (nobody else is left to do it);
+//   - when the buffer fills, and on Close.
+//
+// A frame is therefore not guaranteed to have left after Send alone. An
+// owner that blocks anywhere else — on a lock, a channel, a sleep —
+// with frames its peer is waiting for must first call the real
+// connection's Flush (internal/serve does, before a contended lock).
+// A window of frames sent before the first Recv shares writes, which is
+// the point: on small frames the per-write cost dwarfs the framing.
 type Conn interface {
-	// Send delivers one frame to the peer.
+	// Send queues one frame for the peer. The caller may reuse frame as
+	// soon as Send returns.
 	Send(t Task, frame []byte) error
-	// Recv blocks until a frame arrives. It returns io.EOF once the
-	// peer has closed and all frames are drained.
+	// Recv blocks until a frame arrives. The frame belongs to the
+	// caller, who may keep any number of them. It returns io.EOF once
+	// the peer has closed and all frames are drained.
 	Recv(t Task) ([]byte, error)
-	// Close tears the connection down; the peer's pending and future
-	// Recvs return io.EOF.
+	// Close sends what Send still holds, then tears the connection
+	// down; the peer's pending and future Recvs return io.EOF once the
+	// frames before it are drained.
 	Close() error
 }
 

@@ -34,25 +34,25 @@ func (b *liveBackend) session(int) session { return (*liveSession)(b) }
 
 type liveSession liveBackend
 
+// Put overwrites in place when the key already holds a value of the same
+// length — readers copy out under the read lock, so nobody else holds
+// the old bytes — and stores a fresh copy otherwise.
 func (s *liveSession) Put(_ runtime.Task, key string, val []byte) error {
-	cp := make([]byte, len(val))
-	copy(cp, val)
 	s.mu.Lock()
-	s.kv[key] = cp
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if old, ok := s.kv[key]; ok && len(old) == len(val) {
+		copy(old, val)
+		return nil
+	}
+	s.kv[key] = append([]byte(nil), val...)
 	return nil
 }
 
-func (s *liveSession) Get(_ runtime.Task, key string) ([]byte, bool, error) {
+func (s *liveSession) Get(_ runtime.Task, key string, dst []byte) ([]byte, bool, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	val, ok := s.kv[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false, nil
-	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	return cp, true, nil
+	return append(dst, val...), ok, nil
 }
 
 func (s *liveSession) Lock(_ runtime.Task, lock int, excl bool) error {

@@ -21,8 +21,9 @@ type LoadStats struct {
 	Errors int64
 	// Elapsed is the wall time of the measured window.
 	Elapsed time.Duration
-	// P50 and P99 are per-request wall latencies across every operation
-	// of every client (echo, put, get, lock, unlock each count as one).
+	// P50 and P99 are wall latencies across every window of every
+	// client, first frame sent to last reply read: per request at
+	// window 1 (echo, put, get, lock, unlock each count as one).
 	P50, P99 time.Duration
 }
 
@@ -42,14 +43,14 @@ const loadLockSpan = 8
 // RunLoad drives a mixed workload — echo with payload verification,
 // put/get with read-back verification, contended shared and exclusive
 // lock/unlock cycles — against a live server at addr, with clients
-// concurrent connections for roughly dur of wall time. It returns the
-// aggregate stats and the first error any client hit (the stats still
-// count the rest). Live runtimes only: the simulated transport has no
-// cross-runtime addresses and its time is virtual.
-func RunLoad(rt *runtime.RealRuntime, addr string, clients int, dur time.Duration) (LoadStats, error) {
-	if clients <= 0 {
-		clients = 1
-	}
+// concurrent connections for roughly dur of wall time. Each connection
+// keeps window requests in flight: 1 is ping-pong, more is a Pipeline
+// per window. It returns the aggregate stats and the first error any
+// client hit (the stats still count the rest). Live runtimes only: the
+// simulated transport has no cross-runtime addresses and its time is
+// virtual.
+func RunLoad(rt *runtime.RealRuntime, addr string, clients, window int, dur time.Duration) (LoadStats, error) {
+	clients, window = max(clients, 1), max(window, 1)
 	var ops, errs atomic.Int64
 	var firstErr atomic.Value
 	fail := func(err error) {
@@ -72,15 +73,25 @@ func RunLoad(rt *runtime.RealRuntime, addr string, clients int, dur time.Duratio
 				return
 			}
 			defer cl.Close()
-			key := fmt.Sprintf("load-%d", idx)
-			payload := []byte(fmt.Sprintf("payload-%d", idx))
+			ld := loadClient{idx: idx, key: fmt.Sprintf("load-%d", idx), payload: []byte(fmt.Sprintf("payload-%d", idx))}
+			reqs := make([]Request, window)
+			var replies []Reply
 			lats := make([]time.Duration, 0, 4096)
-			for round := 0; time.Now().Before(deadline); round++ {
-				if err := loadRound(t, cl, idx, round, key, payload, &lats); err != nil {
-					fail(fmt.Errorf("client %d round %d: %w", idx, round, err))
+			for seq := 0; time.Now().Before(deadline); seq += window {
+				for j := range reqs {
+					reqs[j] = ld.request(seq + j)
+				}
+				t0 := time.Now()
+				replies, err = cl.Pipeline(t, reqs, replies[:0])
+				for j := 0; j < len(replies) && err == nil; j++ {
+					err = ld.check(seq+j, replies[j])
+				}
+				if err != nil {
+					fail(fmt.Errorf("client %d window at request %d: %w", idx, seq, err))
 					break
 				}
-				ops.Add(5) // echo, put, get, lock, unlock
+				lats = append(lats, time.Since(t0))
+				ops.Add(int64(window))
 			}
 			latMu.Lock()
 			allLats = append(allLats, lats...)
@@ -110,44 +121,56 @@ func latPercentile(lats []time.Duration, p float64) time.Duration {
 	return lats[k]
 }
 
-// loadRound is one client iteration of the mixed workload, appending one
-// wall latency per operation to lats.
-func loadRound(t runtime.Task, cl *Client, idx, round int, key string, payload []byte, lats *[]time.Duration) error {
-	t0 := time.Now()
-	got, err := cl.Echo(t, payload)
-	if err != nil {
-		return fmt.Errorf("echo: %w", err)
+// loadClient is one connection's endless request sequence — rounds of
+// echo, put, get (reading the put back), lock, unlock — as a function of
+// the request's position in it, so a window may start and end anywhere.
+// A lock is always followed directly by its unlock: no connection waits
+// for one lock while holding another.
+type loadClient struct {
+	idx     int
+	key     string
+	payload []byte
+}
+
+// loadRound names one round's operations, in order.
+var loadRound = [...]string{"echo", "put", "get", "lock", "unlock"}
+
+const loadOpsPerRound = len(loadRound)
+
+func (c loadClient) value(round int) []byte { return []byte(fmt.Sprintf("%s#%d", c.key, round)) }
+
+// request returns the seq-th request of the sequence.
+func (c loadClient) request(seq int) Request {
+	round := seq / loadOpsPerRound
+	lock := uint32((c.idx + round) % loadLockSpan)
+	excl := (c.idx+round)%3 == 0 // mostly shared, every third exclusive
+	switch seq % loadOpsPerRound {
+	case 0:
+		return Request{Op: OpEcho, Val: c.payload}
+	case 1:
+		return Request{Op: OpPut, Key: c.key, Val: c.value(round)}
+	case 2:
+		return Request{Op: OpGet, Key: c.key}
+	case 3:
+		return Request{Op: OpLock, Lock: lock, Excl: excl}
 	}
-	if !bytes.Equal(got, payload) {
-		return fmt.Errorf("echo returned %q, want %q", got, payload)
+	return Request{Op: OpUnlock, Lock: lock, Excl: excl}
+}
+
+// check verifies the reply to the seq-th request.
+func (c loadClient) check(seq int, rep Reply) error {
+	var want []byte
+	switch seq % loadOpsPerRound {
+	case 0:
+		want = c.payload
+	case 2:
+		want = c.value(seq / loadOpsPerRound)
 	}
-	t1 := time.Now()
-	*lats = append(*lats, t1.Sub(t0))
-	val := []byte(fmt.Sprintf("%s#%d", key, round))
-	if err := cl.Put(t, key, val); err != nil {
-		return fmt.Errorf("put: %w", err)
+	if err := rep.Err(); err != nil {
+		return fmt.Errorf("%s: %w", loadRound[seq%loadOpsPerRound], err)
 	}
-	t2 := time.Now()
-	*lats = append(*lats, t2.Sub(t1))
-	back, ok, err := cl.Get(t, key)
-	if err != nil {
-		return fmt.Errorf("get: %w", err)
+	if !bytes.Equal(rep.Val, want) {
+		return fmt.Errorf("%s returned %q, want %q", loadRound[seq%loadOpsPerRound], rep.Val, want)
 	}
-	if !ok || !bytes.Equal(back, val) {
-		return fmt.Errorf("get returned %q (ok=%v), want %q", back, ok, val)
-	}
-	t3 := time.Now()
-	*lats = append(*lats, t3.Sub(t2))
-	lock := (idx + round) % loadLockSpan
-	excl := (idx+round)%3 == 0 // mostly shared, every third exclusive
-	if err := cl.Lock(t, lock, excl); err != nil {
-		return fmt.Errorf("lock %d: %w", lock, err)
-	}
-	t4 := time.Now()
-	*lats = append(*lats, t4.Sub(t3))
-	if err := cl.Unlock(t, lock, excl); err != nil {
-		return fmt.Errorf("unlock %d: %w", lock, err)
-	}
-	*lats = append(*lats, time.Since(t4))
 	return nil
 }

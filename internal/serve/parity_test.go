@@ -11,9 +11,10 @@ import (
 // The parity test is the dual-mode contract check: one scripted request
 // sequence — covering success paths, not-found, busy TryLocks and every
 // server-side validation error — runs against the simulated backend over
-// the sim loopback and against the live backend over real TCP. The
-// transcripts of results (values, statuses, error strings) must be
-// identical; timings of course are not compared.
+// the sim loopback and against the live backend over real TCP, there
+// both ping-pong and pipelined. The transcripts of results (values,
+// statuses, error strings) must be identical; timings of course are not
+// compared.
 
 // step is one scripted request from one of the script's two sessions.
 type step struct {
@@ -53,10 +54,63 @@ var parityScript = []step{
 	{sess: 1, op: "get", key: "b"},
 }
 
-// runScript plays the script serially through two sessions on rt and
-// returns the transcript. Serial execution (one task, alternating
-// clients) keeps both modes on one deterministic order.
-func runScript(t *testing.T, rt runtime.Runtime, addr string) []string {
+var stepOps = map[string]Op{"echo": OpEcho, "put": OpPut, "get": OpGet, "lock": OpLock, "trylock": OpTryLock, "unlock": OpUnlock}
+
+// request is the wire form of the step.
+func (s step) request() Request {
+	return Request{Op: stepOps[s.op], Key: s.key, Val: []byte(s.val), Lock: uint32(s.lock), Excl: s.excl}
+}
+
+// play runs one step as a round trip through the Client's typed call
+// and returns its transcript line.
+func (s step) play(tk runtime.Task, cl *Client) string {
+	switch s.op {
+	case "echo":
+		got, err := cl.Echo(tk, []byte(s.val))
+		return fmt.Sprintf("echo %q err=%v", got, err)
+	case "put":
+		return fmt.Sprintf("put err=%v", cl.Put(tk, s.key, []byte(s.val)))
+	case "get":
+		v, ok, err := cl.Get(tk, s.key)
+		return fmt.Sprintf("get %q ok=%v err=%v", v, ok, err)
+	case "lock":
+		return fmt.Sprintf("lock err=%v", cl.Lock(tk, s.lock, s.excl))
+	case "trylock":
+		ok, err := cl.TryLock(tk, s.lock, s.excl)
+		return fmt.Sprintf("trylock ok=%v err=%v", ok, err)
+	case "unlock":
+		return fmt.Sprintf("unlock err=%v", cl.Unlock(tk, s.lock, s.excl))
+	}
+	return "unknown op " + s.op
+}
+
+// line is the transcript line of a step answered by rep in a pipeline.
+func (s step) line(rep Reply) string {
+	switch s.op {
+	case "echo":
+		got, err := rep.Val, rep.Err()
+		if err != nil {
+			got = nil
+		}
+		return fmt.Sprintf("echo %q err=%v", got, err)
+	case "get":
+		v, ok, err := rep.Found()
+		return fmt.Sprintf("get %q ok=%v err=%v", v, ok, err)
+	case "trylock":
+		ok, err := rep.Acquired()
+		return fmt.Sprintf("trylock ok=%v err=%v", ok, err)
+	}
+	return fmt.Sprintf("%s err=%v", s.op, rep.Err())
+}
+
+// runScript plays the script through two sessions on rt and returns the
+// transcript. One task alternating between the clients keeps every mode
+// on one deterministic order. Ping-pong, each step is a round trip;
+// pipelined, every run of consecutive steps of one session is in flight
+// at once (sent whole, then read whole) — a session's run cannot start
+// before the other session's replies are in, because the script's
+// results depend on that order.
+func runScript(t *testing.T, rt runtime.Runtime, addr string, pipelined bool) []string {
 	t.Helper()
 	var out []string
 	rt.Go("script", func(tk runtime.Task) {
@@ -70,33 +124,26 @@ func runScript(t *testing.T, rt runtime.Runtime, addr string) []string {
 			defer cl.Close()
 			cls[i] = cl
 		}
-		for i, s := range parityScript {
-			cl := cls[s.sess]
-			var line string
-			switch s.op {
-			case "echo":
-				got, err := cl.Echo(tk, []byte(s.val))
-				line = fmt.Sprintf("echo %q err=%v", got, err)
-			case "put":
-				err := cl.Put(tk, s.key, []byte(s.val))
-				line = fmt.Sprintf("put err=%v", err)
-			case "get":
-				v, ok, err := cl.Get(tk, s.key)
-				line = fmt.Sprintf("get %q ok=%v err=%v", v, ok, err)
-			case "lock":
-				err := cl.Lock(tk, s.lock, s.excl)
-				line = fmt.Sprintf("lock err=%v", err)
-			case "trylock":
-				ok, err := cl.TryLock(tk, s.lock, s.excl)
-				line = fmt.Sprintf("trylock ok=%v err=%v", ok, err)
-			case "unlock":
-				err := cl.Unlock(tk, s.lock, s.excl)
-				line = fmt.Sprintf("unlock err=%v", err)
-			default:
-				t.Errorf("step %d: unknown op %q", i, s.op)
+		for i := 0; i < len(parityScript); {
+			s := parityScript[i]
+			if !pipelined {
+				out = append(out, fmt.Sprintf("#%02d s%d %s", i, s.sess, s.play(tk, cls[s.sess])))
+				i++
+				continue
+			}
+			var reqs []Request
+			for j := i; j < len(parityScript) && parityScript[j].sess == s.sess; j++ {
+				reqs = append(reqs, parityScript[j].request())
+			}
+			replies, err := cls[s.sess].Pipeline(tk, reqs, nil)
+			if err != nil {
+				t.Errorf("steps %d-%d: %v", i, i+len(reqs)-1, err)
 				return
 			}
-			out = append(out, fmt.Sprintf("#%02d s%d %s", i, s.sess, line))
+			for _, rep := range replies {
+				out = append(out, fmt.Sprintf("#%02d s%d %s", i, s.sess, parityScript[i].line(rep)))
+				i++
+			}
 		}
 	})
 	if err := rt.Run(); err != nil {
@@ -105,8 +152,9 @@ func runScript(t *testing.T, rt runtime.Runtime, addr string) []string {
 	return out
 }
 
-// TestSimLiveParity requires the simulated and live backends to produce
-// identical transcripts for the scripted sequence.
+// TestSimLiveParity requires the simulated backend, the live backend
+// ping-pong and the live backend pipelined to produce identical
+// transcripts for the scripted sequence.
 func TestSimLiveParity(t *testing.T) {
 	opts := Options{Locks: 8, Nodes: 2}
 
@@ -119,17 +167,19 @@ func TestSimLiveParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	simSrv.Serve(simLn)
-	simOut := runScript(t, simRT, "ngdc")
+	simOut := runScript(t, simRT, "ngdc", false)
 
 	liveRT, addr := startLive(t, opts)
-	liveOut := runScript(t, liveRT, addr)
+	liveOut := runScript(t, liveRT, addr, false)
+	pipeRT, addr := startLive(t, opts)
+	pipeOut := runScript(t, pipeRT, addr, true)
 
-	if len(simOut) != len(parityScript) || len(liveOut) != len(parityScript) {
-		t.Fatalf("transcript lengths: sim=%d live=%d want %d", len(simOut), len(liveOut), len(parityScript))
+	if len(simOut) != len(parityScript) || len(liveOut) != len(parityScript) || len(pipeOut) != len(parityScript) {
+		t.Fatalf("transcript lengths: sim=%d live=%d pipelined=%d want %d", len(simOut), len(liveOut), len(pipeOut), len(parityScript))
 	}
 	for i := range simOut {
-		if simOut[i] != liveOut[i] {
-			t.Errorf("parity break at step %d:\n  sim:  %s\n  live: %s", i, simOut[i], liveOut[i])
+		if simOut[i] != liveOut[i] || simOut[i] != pipeOut[i] {
+			t.Errorf("parity break at step %d:\n  sim:       %s\n  live:      %s\n  pipelined: %s", i, simOut[i], liveOut[i], pipeOut[i])
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestLiveConcurrentClients(t *testing.T) {
 		clients, dur = 25, 200*time.Millisecond
 	}
 	rt, addr := startLive(t, Options{})
-	stats, err := RunLoad(rt, addr, clients, dur)
+	stats, err := RunLoad(rt, addr, clients, 1, dur)
 	if err != nil {
 		t.Fatalf("load: %v (after %d ops, %d errors)", err, stats.Ops, stats.Errors)
 	}

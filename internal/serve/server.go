@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,8 +39,9 @@ func (o Options) withDefaults() Options {
 type session interface {
 	// Put stores val under key.
 	Put(t runtime.Task, key string, val []byte) error
-	// Get loads key; ok is false when it does not exist.
-	Get(t runtime.Task, key string) (val []byte, ok bool, err error)
+	// Get appends key's value to dst; ok is false when it does not
+	// exist.
+	Get(t runtime.Task, key string, dst []byte) (out []byte, ok bool, err error)
 	// Lock blocks until lock is held in the requested mode.
 	Lock(t runtime.Task, lock int, excl bool) error
 	// TryLock attempts a non-blocking acquire.
@@ -101,6 +103,20 @@ func (s *Server) Serve(l runtime.Listener) {
 	})
 }
 
+// maxRequestFrame is the largest request the wire format can express
+// with a legal key and value. The server refuses a longer frame with
+// StatusErr and closes; on a buffering connection it does so from the
+// length prefix alone, so a peer cannot make it hold more than this.
+const maxRequestFrame = reqHdrSize + MaxKey + MaxValue
+
+// bufferingConn is what the live transport offers beyond runtime.Conn:
+// it batches sent frames until its owner is about to block, and it can
+// receive into a buffer the owner reuses.
+type bufferingConn interface {
+	RecvInto(t runtime.Task, buf []byte) ([]byte, error)
+	Flush() error
+}
+
 // connState tracks one connection's session and held locks. Hold
 // validation lives here — above both backends — so a misuse (unlock of
 // a lock not held, double lock) yields the identical error in both
@@ -108,6 +124,8 @@ func (s *Server) Serve(l runtime.Listener) {
 type connState struct {
 	sess session
 	held map[int]bool // lock -> exclusive?
+	// out is the connection when it buffers replies, else nil.
+	out bufferingConn
 }
 
 // handle runs one connection's request loop until EOF or a protocol
@@ -127,89 +145,122 @@ func (s *Server) handle(t runtime.Task, id int, conn runtime.Conn) {
 			st.sess.Unlock(t, lock, st.held[lock])
 		}
 	}()
+	// Every request is consumed before the next receive (DecodeRequest
+	// copies the key, Put the value, the reply the echo), so a buffering
+	// connection reads them all into one buffer.
+	recv := func() ([]byte, error) {
+		frame, err := conn.Recv(t)
+		if err == nil && len(frame) > maxRequestFrame {
+			err = runtime.ErrFrameTooLarge
+		}
+		return frame, err
+	}
+	if bc, ok := conn.(bufferingConn); ok {
+		st.out = bc
+		buf := make([]byte, maxRequestFrame)
+		recv = func() ([]byte, error) { return bc.RecvInto(t, buf) }
+	}
 	var resp []byte
 	for {
-		frame, err := conn.Recv(t)
+		frame, err := recv()
 		if err != nil {
+			if errors.Is(err, runtime.ErrFrameTooLarge) {
+				conn.Send(t, appendErr(resp[:0], "serve: request frame exceeds limit %d", maxRequestFrame))
+			}
 			return
 		}
 		req, err := DecodeRequest(frame)
 		if err != nil {
-			resp = AppendResponse(resp[:0], StatusErr, []byte(err.Error()))
-			conn.Send(t, resp)
+			conn.Send(t, appendErr(resp[:0], "%v", err))
 			return
 		}
-		status, val := s.dispatch(t, st, req)
-		resp = AppendResponse(resp[:0], status, val)
+		resp = s.dispatch(t, st, req, resp[:0])
 		if err := conn.Send(t, resp); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch executes one request against the connection's session.
-func (s *Server) dispatch(t runtime.Task, st *connState, req Request) (Status, []byte) {
+// appendErr encodes a StatusErr response carrying the formatted message.
+func appendErr(dst []byte, format string, args ...any) []byte {
+	return fmt.Appendf(append(dst, byte(StatusErr)), format, args...)
+}
+
+// dispatch executes one request against the connection's session and
+// appends the encoded response to resp.
+func (s *Server) dispatch(t runtime.Task, st *connState, req Request, resp []byte) []byte {
 	switch req.Op {
 	case OpEcho:
-		return StatusOK, req.Val
+		return AppendResponse(resp, StatusOK, req.Val)
 
 	case OpPut:
 		if len(req.Val) > MaxValue {
-			return StatusErr, []byte(fmt.Sprintf("serve: value of %d bytes exceeds limit %d", len(req.Val), MaxValue))
+			return appendErr(resp, "serve: value of %d bytes exceeds limit %d", len(req.Val), MaxValue)
 		}
 		if req.Key == "" {
-			return StatusErr, []byte("serve: empty key")
+			return appendErr(resp, "serve: empty key")
 		}
 		if err := st.sess.Put(t, req.Key, req.Val); err != nil {
-			return StatusErr, []byte(err.Error())
+			return appendErr(resp, "%v", err)
 		}
-		return StatusOK, nil
+		return AppendResponse(resp, StatusOK, nil)
 
 	case OpGet:
-		val, ok, err := st.sess.Get(t, req.Key)
+		out, ok, err := st.sess.Get(t, req.Key, append(resp, byte(StatusOK)))
 		if err != nil {
-			return StatusErr, []byte(err.Error())
+			return appendErr(resp, "%v", err)
 		}
 		if !ok {
-			return StatusNotFound, nil
+			return AppendResponse(resp, StatusNotFound, nil)
 		}
-		return StatusOK, val
+		return out
 
 	case OpLock, OpTryLock:
 		lock := int(req.Lock)
 		if lock < 0 || lock >= s.bk.numLocks() {
-			return StatusErr, []byte(fmt.Sprintf("serve: lock %d outside namespace of %d", lock, s.bk.numLocks()))
+			return appendErr(resp, "serve: lock %d outside namespace of %d", lock, s.bk.numLocks())
 		}
 		if _, ok := st.held[lock]; ok {
-			return StatusErr, []byte(fmt.Sprintf("serve: lock %d already held on this connection", lock))
+			return appendErr(resp, "serve: lock %d already held on this connection", lock)
 		}
-		if req.Op == OpTryLock {
-			ok, err := st.sess.TryLock(t, lock, req.Excl)
-			if err != nil {
-				return StatusErr, []byte(err.Error())
+		// A blocking lock on a buffering connection tries first: if it
+		// has to wait, the replies this connection was already owed go
+		// out before it parks, or a pipelined [echo, lock X] would hold
+		// the echo back for as long as X stays taken.
+		got := false
+		if req.Op == OpTryLock || st.out != nil {
+			var err error
+			if got, err = st.sess.TryLock(t, lock, req.Excl); err != nil {
+				return appendErr(resp, "%v", err)
 			}
-			if !ok {
-				return StatusBusy, nil
+		}
+		if !got {
+			if req.Op == OpTryLock {
+				return AppendResponse(resp, StatusBusy, nil)
 			}
-		} else {
+			if st.out != nil {
+				// A failed flush is sticky in the connection's writer:
+				// the Send of this request's reply reports it.
+				_ = st.out.Flush()
+			}
 			if err := st.sess.Lock(t, lock, req.Excl); err != nil {
-				return StatusErr, []byte(err.Error())
+				return appendErr(resp, "%v", err)
 			}
 		}
 		st.held[lock] = req.Excl
-		return StatusOK, nil
+		return AppendResponse(resp, StatusOK, nil)
 
 	case OpUnlock:
 		lock := int(req.Lock)
 		excl, ok := st.held[lock]
 		if !ok || excl != req.Excl {
-			return StatusErr, []byte(fmt.Sprintf("serve: lock %d not held in that mode on this connection", lock))
+			return appendErr(resp, "serve: lock %d not held in that mode on this connection", lock)
 		}
 		if err := st.sess.Unlock(t, lock, req.Excl); err != nil {
-			return StatusErr, []byte(err.Error())
+			return appendErr(resp, "%v", err)
 		}
 		delete(st.held, lock)
-		return StatusOK, nil
+		return AppendResponse(resp, StatusOK, nil)
 	}
-	return StatusErr, []byte(fmt.Sprintf("serve: unknown op %d", req.Op))
+	return appendErr(resp, "serve: unknown op %d", req.Op)
 }

@@ -89,7 +89,7 @@ func (s *simSession) Put(t runtime.Task, key string, val []byte) error {
 	return err
 }
 
-func (s *simSession) Get(t runtime.Task, key string) ([]byte, bool, error) {
+func (s *simSession) Get(t runtime.Task, key string, dst []byte) ([]byte, bool, error) {
 	h, err := s.handle(t, key, false)
 	if err != nil {
 		return nil, false, err
@@ -104,9 +104,7 @@ func (s *simSession) Get(t runtime.Task, key string) ([]byte, bool, error) {
 	if n > MaxValue {
 		return nil, false, fmt.Errorf("serve: corrupt segment %q", key)
 	}
-	out := make([]byte, n)
-	copy(out, s.slot[2:2+n])
-	return out, true, nil
+	return append(dst, s.slot[2:2+n]...), true, nil
 }
 
 func lockMode(excl bool) dlm.Mode {

@@ -565,8 +565,8 @@ func NewServer(rt Runtime, opts ServerOptions) *Server { return serve.New(rt, op
 // DialServe connects a serve client to a server listening at addr.
 func DialServe(rt Runtime, addr string) (*ServeClient, error) { return serve.Dial(rt, addr) }
 
-// RunServeLoad drives clients concurrent connections of mixed load
-// against a live server for roughly dur, returning aggregate stats.
+// RunServeLoad drives clients concurrent ping-pong connections of mixed
+// load against a live server for roughly dur, returning aggregate stats.
 func RunServeLoad(rt *RealRuntime, addr string, clients int, dur time.Duration) (LoadStats, error) {
-	return serve.RunLoad(rt, addr, clients, dur)
+	return serve.RunLoad(rt, addr, clients, 1, dur)
 }
