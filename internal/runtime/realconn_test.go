@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The flush rules are checked by counting the writes that reach the
@@ -23,23 +24,33 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// countedPair returns the two framed ends of one loopback TCP
-// connection and the sockets under them.
-func countedPair(t *testing.T) (a, b *realConn, aw, bw *countingConn) {
+// socketPair returns the two ends of one loopback TCP ("tcp") or
+// Unix-domain ("unix") connection.
+func socketPair(t *testing.T, network string) (dialed, accepted net.Conn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = t.TempDir() + "/pair.sock"
+	}
+	ln, err := net.Listen(network, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	dialed, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
+	if dialed, err = net.Dial(network, ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := ln.Accept()
-	if err != nil {
+	if accepted, err = ln.Accept(); err != nil {
 		t.Fatal(err)
 	}
+	return dialed, accepted
+}
+
+// countedPair returns the two framed ends of one loopback TCP
+// connection and the sockets under them.
+func countedPair(t *testing.T) (a, b *realConn, aw, bw *countingConn) {
+	t.Helper()
+	dialed, accepted := socketPair(t, "tcp")
 	aw, bw = &countingConn{Conn: dialed}, &countingConn{Conn: accepted}
 	a, b = newRealConn(aw), newRealConn(bw)
 	t.Cleanup(func() { a.Close(); b.Close() })
@@ -140,11 +151,7 @@ func TestRealConnSendWhileReceiverParked(t *testing.T) {
 		_, err := a.Recv(nil)
 		recvd <- err
 	}()
-	waitFor(t, func() bool {
-		a.sendMu.Lock()
-		defer a.sendMu.Unlock()
-		return a.parked
-	})
+	waitFor(t, a.waiting.Load)
 	if err := a.Send(nil, []byte("from the second task")); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +170,90 @@ func TestRealConnSendWhileReceiverParked(t *testing.T) {
 	}
 	if err := <-recvd; err != nil {
 		t.Fatalf("parked Recv: %v", err)
+	}
+	// The connection now knows two tasks drive it: its receiver will not
+	// write for the sender again, so every Send goes out by itself.
+	if err := a.Send(nil, []byte("nobody is receiving")); err != nil {
+		t.Fatal(err)
+	}
+	if w := aw.writes.Load(); w != 2 {
+		t.Errorf("%d writes after a Send with no Recv in progress, want 2", w)
+	}
+}
+
+// TestRealConnFlushesBeforeWaitingForBody: a header that arrives without
+// its body makes Recv wait just as an empty socket does, so the owner's
+// buffered reply has to go out first.
+func TestRealConnFlushesBeforeWaitingForBody(t *testing.T) {
+	a, _, aw, bw := countedPair(t)
+	peer := bw.Conn // the raw socket: this peer cuts a frame in two
+	peer.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := peer.Write([]byte{0, 0, 0, 1, 'x', 0, 0, 0, 3}); err != nil { // frame "x", then a bare header
+		t.Fatal(err)
+	}
+	if got, err := a.Recv(nil); err != nil || string(got) != "x" {
+		t.Fatalf("Recv = %q, %v", got, err)
+	}
+	if n := a.rd.Buffered(); n != 4 {
+		t.Skipf("the kernel split a 9-byte write: %d bytes buffered behind the first frame", n)
+	}
+	if err := a.Send(nil, []byte("reply")); err != nil {
+		t.Fatal(err)
+	}
+	recvd := make(chan string, 1)
+	go func() {
+		got, _ := a.Recv(nil)
+		recvd <- string(got)
+	}()
+	reply := make([]byte, 4+len("reply"))
+	if _, err := io.ReadFull(peer, reply); err != nil { // times out if the reply waits for the body
+		t.Fatalf("reply withheld while Recv waits for a frame body: %v", err)
+	}
+	if w := aw.writes.Load(); w != 1 {
+		t.Errorf("%d writes, want 1", w)
+	}
+	if _, err := peer.Write([]byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-recvd; got != "abc" {
+		t.Fatalf("Recv of the split frame = %q, want abc", got)
+	}
+}
+
+// TestRealConnCloseDoesNotWaitForAStalledPeer: with the socket full
+// towards a peer that has stopped reading, Close gives the buffered
+// frames closeFlushTimeout and then closes anyway.
+func TestRealConnCloseDoesNotWaitForAStalledPeer(t *testing.T) {
+	// A Unix socket: its buffer is a fixed size, TCP's grows as it likes.
+	sock, peer := socketPair(t, "unix")
+	defer peer.Close()
+	a := newRealConn(sock)
+	for _, size := range []int{64 << 10, 1 << 10} { // fill the socket under the framing
+		chunk := make([]byte, size)
+		for {
+			sock.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+			if _, err := sock.Write(chunk); err != nil {
+				break
+			}
+		}
+	}
+	sock.SetWriteDeadline(time.Time{})
+	if err := a.Send(nil, make([]byte, 4000)); err != nil { // stays in the 4 KiB buffer
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	start := time.Now()
+	go func() { closed <- a.Close() }()
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Error("Close reported no error for frames it could not deliver")
+		}
+		if d := time.Since(start); d < closeFlushTimeout/2 {
+			t.Errorf("Close gave up after %v, want it to try for %v", d, closeFlushTimeout)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close is still waiting for a peer that does not read")
 	}
 }
 
@@ -225,5 +316,63 @@ func TestRealConnRecvInto(t *testing.T) {
 	}
 	if _, err := b.RecvInto(nil, buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("RecvInto of a 17-byte frame into 16 bytes = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestRealConnFullDuplexPastSocketBuffers streams far more than the
+// kernel's socket buffers hold from one task while a second task drains
+// the echoes on the same Conn. The peer is a plain Recv/Send loop, so
+// once both directions fill, the only thing that keeps bytes moving is
+// the receiver draining while the sender sits in write(2): Recv must
+// never wait for, or block in place of, the sender.
+func TestRealConnFullDuplexPastSocketBuffers(t *testing.T) {
+	for _, network := range []string{"tcp", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			dialed, accepted := socketPair(t, network)
+			a, b := newRealConn(dialed), newRealConn(accepted)
+			defer a.Close()
+			defer b.Close()
+			echoed := make(chan error, 1)
+			go echoFrames(b, echoed)
+
+			const frames = 40000 // x 1 KiB: ~40 MB each way, socket buffers hold well under 1 MB
+			frame := bytes.Repeat([]byte{0xA5}, 1024)
+			sent := make(chan error, 1)
+			go func() {
+				for i := 0; i < frames; i++ {
+					if err := a.Send(nil, frame); err != nil {
+						sent <- err
+						return
+					}
+				}
+				sent <- a.Flush()
+			}()
+			drained := make(chan error, 1)
+			go func() {
+				for i := 0; i < frames; i++ {
+					got, err := a.Recv(nil)
+					if err != nil {
+						drained <- err
+						return
+					}
+					if len(got) != len(frame) {
+						drained <- errors.New("short echo")
+						return
+					}
+				}
+				drained <- nil
+			}()
+			timeout := time.After(60 * time.Second)
+			for _, ch := range []chan error{sent, drained} {
+				select {
+				case err := <-ch:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-timeout:
+					t.Fatal("full-duplex stream stalled: sender, receiver and peer are waiting on each other")
+				}
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ngdc/internal/sim"
@@ -179,19 +180,26 @@ var ErrFrameTooLarge = errors.New("runtime: frame exceeds the receive limit")
 // one sender and one receiver may run concurrently. Send only appends
 // to the write buffer; Conn's comment says when the buffer goes to the
 // kernel.
+//
+// A receiver writes only for itself. While the connection has one owner
+// that alternates Send and Recv, its Recv flushes before it waits. The
+// first Send that finds a Recv waiting proves sender and receiver are
+// different tasks (twoTasks, never cleared); from then on Send writes
+// every frame out itself and Recv never touches the socket's write side:
+// a receiver that blocked in write(2) for the sender would stop draining,
+// and with the peer's replies backed up behind it nothing would move.
 type realConn struct {
 	c net.Conn
 
 	sendMu sync.Mutex
 	w      *bufio.Writer
 	shdr   [4]byte // header scratch: a local would escape through bufio
-	// parked is set while a Recv waits on the socket: nobody is left to
-	// flush on the sender's behalf, so Send flushes its own frame.
-	parked bool
 
-	recvMu sync.Mutex
-	rd     *bufio.Reader
-	rhdr   [4]byte
+	recvMu   sync.Mutex
+	rd       *bufio.Reader
+	rhdr     [4]byte
+	waiting  atomic.Bool // a Recv has run out of buffered input and is on the socket
+	twoTasks atomic.Bool
 }
 
 func newRealConn(c net.Conn) *realConn {
@@ -203,22 +211,24 @@ func (c *realConn) Send(_ Task, frame []byte) error {
 		return fmt.Errorf("runtime: frame of %d bytes exceeds limit", len(frame))
 	}
 	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
 	binary.BigEndian.PutUint32(c.shdr[:], uint32(len(frame)))
-	if _, err := c.w.Write(c.shdr[:]); err != nil {
-		return err
+	_, err := c.w.Write(c.shdr[:])
+	if err == nil {
+		_, err = c.w.Write(frame)
 	}
-	if _, err := c.w.Write(frame); err != nil {
-		return err
+	c.sendMu.Unlock()
+	// Looked at after the unlock: a receiver that went to wait while this
+	// Send held sendMu could not flush and is counting on this.
+	if c.waiting.Load() {
+		c.twoTasks.Store(true)
 	}
-	if c.parked {
-		return c.w.Flush()
+	if err == nil && c.twoTasks.Load() {
+		err = c.Flush()
 	}
-	return nil
+	return err
 }
 
-// Flush puts every frame Send has buffered on the wire. An owner calls
-// it before blocking anywhere other than in Recv on this connection.
+// Flush writes out every frame Send has buffered.
 func (c *realConn) Flush() error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -238,18 +248,9 @@ func (c *realConn) RecvInto(_ Task, buf []byte) ([]byte, error) { return c.recv(
 func (c *realConn) recv(buf []byte, limit int) ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
+	defer c.doneWaiting()
 	if c.rd.Buffered() < len(c.rhdr) {
-		// About to wait on the socket. Mark before flushing, both under
-		// sendMu: a racing Send either lands in this flush or sees the
-		// mark and flushes itself.
-		c.sendMu.Lock()
-		c.parked = true
-		err := c.w.Flush()
-		c.sendMu.Unlock()
-		defer c.unpark()
-		if err != nil {
-			return nil, err
-		}
+		c.beforeWait()
 	}
 	if _, err := io.ReadFull(c.rd, c.rhdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -265,17 +266,41 @@ func (c *realConn) recv(buf []byte, limit int) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
+	if c.rd.Buffered() < n && !c.waiting.Load() {
+		c.beforeWait() // the header came without its body
+	}
 	if _, err := io.ReadFull(c.rd, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-func (c *realConn) unpark() {
-	c.sendMu.Lock()
-	c.parked = false
-	c.sendMu.Unlock()
+// beforeWait runs when recv is about to wait on the socket. It marks the
+// receiver waiting, then writes out the owner's buffered frames; the mark comes first, so a Send
+// from another task either lands in this flush or sees the mark. It never
+// waits for sendMu — the holder is such a Send, which looks at the mark
+// once it lets go — and it leaves a write error in the writer for the
+// next Send or Flush to report: what the peer sent before it went away
+// is still worth reading.
+func (c *realConn) beforeWait() {
+	c.waiting.Store(true)
+	if !c.twoTasks.Load() && c.sendMu.TryLock() {
+		c.w.Flush()
+		c.sendMu.Unlock()
+	}
 }
+
+// doneWaiting clears the mark as recv returns. Most frames come out of
+// the read buffer and never set it.
+func (c *realConn) doneWaiting() {
+	if c.waiting.Load() {
+		c.waiting.Store(false)
+	}
+}
+
+// closeFlushTimeout bounds the flush in Close, so a peer that has
+// stopped reading cannot hold up its owner's teardown.
+const closeFlushTimeout = time.Second
 
 // Close flushes what Send buffered, then closes the socket. It does not
 // wait for sendMu: a Send stuck in a write holds it, and closing the
@@ -283,7 +308,10 @@ func (c *realConn) unpark() {
 func (c *realConn) Close() error {
 	var ferr error
 	if c.sendMu.TryLock() {
-		ferr = c.w.Flush()
+		if c.w.Buffered() > 0 {
+			c.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+			ferr = c.w.Flush()
+		}
 		c.sendMu.Unlock()
 	}
 	if err := c.c.Close(); err != nil {

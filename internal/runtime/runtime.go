@@ -75,19 +75,26 @@ type Task interface {
 // inside Send. RealMode batches: Send appends to the connection's
 // buffer, and the buffer is written out
 //
-//   - before a Recv on this Conn that has to wait for input — so a caller
-//     that sends, then receives, never waits on a peer that has not been
-//     sent the request, and ping-pong costs one write per frame;
-//   - by Send itself while another task is waiting in Recv on this Conn
-//     (nobody else is left to do it);
-//   - when the buffer fills, and on Close.
+//   - before a Recv on this Conn waits for input, header or body — so a
+//     caller that sends, then receives, never waits on a peer that has
+//     not been sent the request, and ping-pong costs one write per frame;
+//   - when the buffer fills, on Flush and on Close.
 //
 // A frame is therefore not guaranteed to have left after Send alone. An
 // owner that blocks anywhere else — on a lock, a channel, a sleep —
-// with frames its peer is waiting for must first call the real
-// connection's Flush (internal/serve does, before a contended lock).
-// A window of frames sent before the first Recv shares writes, which is
-// the point: on small frames the per-write cost dwarfs the framing.
+// with frames its peer is waiting for calls Flush first. A window of
+// frames sent before the first Recv shares writes, which is the point:
+// on small frames the per-write cost dwarfs the framing.
+//
+// That is the rule for a Conn one task drives. Once a Send finds
+// another task waiting in Recv on the same Conn, that Send and every
+// later one writes its frame out before it returns, and Recv stops
+// flushing: a receiver that blocked in a write on the sender's behalf
+// would stop draining the peer. With a sender task and a receiver task,
+// then, a frame leaves inside Send — until the two have first met, when
+// the receiver next waits — and the receiver is never held up by the
+// sender, not even by one stuck in a write to a peer whose replies have
+// backed up.
 type Conn interface {
 	// Send queues one frame for the peer. The caller may reuse frame as
 	// soon as Send returns.
@@ -96,9 +103,13 @@ type Conn interface {
 	// caller, who may keep any number of them. It returns io.EOF once
 	// the peer has closed and all frames are drained.
 	Recv(t Task) ([]byte, error)
-	// Close sends what Send still holds, then tears the connection
-	// down; the peer's pending and future Recvs return io.EOF once the
-	// frames before it are drained.
+	// Flush writes out what Send has queued. It is the sender's call:
+	// it may block for as long as a write would.
+	Flush() error
+	// Close sends what Send still holds, giving up after a second on a
+	// peer that has stopped reading, then tears the connection down;
+	// the peer's pending and future Recvs return io.EOF once the frames
+	// before it are drained.
 	Close() error
 }
 

@@ -148,6 +148,9 @@ func (c *simConn) Recv(t Task) ([]byte, error) {
 	return f, nil
 }
 
+// Flush has nothing to do: Send already delivered.
+func (c *simConn) Flush() error { return nil }
+
 func (c *simConn) Close() error {
 	if !c.send.Closed() {
 		c.send.Close()

@@ -55,8 +55,8 @@ func (s *liveSession) Get(_ runtime.Task, key string, dst []byte) ([]byte, bool,
 	return append(dst, val...), ok, nil
 }
 
-func (s *liveSession) Lock(_ runtime.Task, lock int, excl bool) error {
-	s.locks[lock].acquire(excl)
+func (s *liveSession) Lock(_ runtime.Task, lock int, excl bool, beforeWait func()) error {
+	s.locks[lock].acquire(excl, beforeWait)
 	return nil
 }
 
@@ -108,7 +108,7 @@ func (l *liveLock) tryAcquire(excl bool) bool {
 	return true
 }
 
-func (l *liveLock) acquire(excl bool) {
+func (l *liveLock) acquire(excl bool, beforeWait func()) {
 	l.mu.Lock()
 	if l.grantableLocked(excl) {
 		if excl {
@@ -122,6 +122,7 @@ func (l *liveLock) acquire(excl bool) {
 	w := &liveWaiter{excl: excl, ready: make(chan struct{})}
 	l.waiters = append(l.waiters, w)
 	l.mu.Unlock()
+	beforeWait()
 	<-w.ready
 }
 

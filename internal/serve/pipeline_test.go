@@ -148,7 +148,7 @@ func TestLiveEchoNotHeldBehindLockWait(t *testing.T) {
 func TestLiveSteadyStateAllocations(t *testing.T) {
 	rt, addr := startLive(t, Options{})
 	conn := rawDial(t, rt, addr)
-	into := conn.(bufferingConn)
+	into := conn.(intoReceiver)
 	val := bytes.Repeat([]byte{9}, 64)
 	round := [][]byte{
 		mustRequest(t, Request{Op: OpEcho, Val: val}),

@@ -42,8 +42,9 @@ type session interface {
 	// Get appends key's value to dst; ok is false when it does not
 	// exist.
 	Get(t runtime.Task, key string, dst []byte) (out []byte, ok bool, err error)
-	// Lock blocks until lock is held in the requested mode.
-	Lock(t runtime.Task, lock int, excl bool) error
+	// Lock blocks until lock is held in the requested mode. If it has
+	// to wait it calls beforeWait first, once it has joined the queue.
+	Lock(t runtime.Task, lock int, excl bool, beforeWait func()) error
 	// TryLock attempts a non-blocking acquire.
 	TryLock(t runtime.Task, lock int, excl bool) (bool, error)
 	// Unlock releases a held lock.
@@ -109,12 +110,10 @@ func (s *Server) Serve(l runtime.Listener) {
 // length prefix alone, so a peer cannot make it hold more than this.
 const maxRequestFrame = reqHdrSize + MaxKey + MaxValue
 
-// bufferingConn is what the live transport offers beyond runtime.Conn:
-// it batches sent frames until its owner is about to block, and it can
-// receive into a buffer the owner reuses.
-type bufferingConn interface {
+// intoReceiver is the optional capability of a runtime.Conn (the live
+// transport has it) to receive into a buffer its owner reuses.
+type intoReceiver interface {
 	RecvInto(t runtime.Task, buf []byte) ([]byte, error)
-	Flush() error
 }
 
 // connState tracks one connection's session and held locks. Hold
@@ -124,14 +123,16 @@ type bufferingConn interface {
 type connState struct {
 	sess session
 	held map[int]bool // lock -> exclusive?
-	// out is the connection when it buffers replies, else nil.
-	out bufferingConn
+	// flush writes out the replies the connection still buffers. The
+	// failure it ignores stays in the connection: the next Send reports
+	// it.
+	flush func()
 }
 
 // handle runs one connection's request loop until EOF or a protocol
 // error, then releases any locks the peer still held.
 func (s *Server) handle(t runtime.Task, id int, conn runtime.Conn) {
-	st := &connState{sess: s.bk.session(id), held: map[int]bool{}}
+	st := &connState{sess: s.bk.session(id), held: map[int]bool{}, flush: func() { conn.Flush() }}
 	defer func() {
 		conn.Close()
 		// Release abandoned locks in a stable order so the simulated
@@ -146,8 +147,8 @@ func (s *Server) handle(t runtime.Task, id int, conn runtime.Conn) {
 		}
 	}()
 	// Every request is consumed before the next receive (DecodeRequest
-	// copies the key, Put the value, the reply the echo), so a buffering
-	// connection reads them all into one buffer.
+	// copies the key, Put the value, the reply the echo), so a connection
+	// that offers RecvInto gets one buffer for all of them.
 	recv := func() ([]byte, error) {
 		frame, err := conn.Recv(t)
 		if err == nil && len(frame) > maxRequestFrame {
@@ -155,10 +156,9 @@ func (s *Server) handle(t runtime.Task, id int, conn runtime.Conn) {
 		}
 		return frame, err
 	}
-	if bc, ok := conn.(bufferingConn); ok {
-		st.out = bc
+	if ir, ok := conn.(intoReceiver); ok {
 		buf := make([]byte, maxRequestFrame)
-		recv = func() ([]byte, error) { return bc.RecvInto(t, buf) }
+		recv = func() ([]byte, error) { return ir.RecvInto(t, buf) }
 	}
 	var resp []byte
 	for {
@@ -223,29 +223,20 @@ func (s *Server) dispatch(t runtime.Task, st *connState, req Request, resp []byt
 		if _, ok := st.held[lock]; ok {
 			return appendErr(resp, "serve: lock %d already held on this connection", lock)
 		}
-		// A blocking lock on a buffering connection tries first: if it
-		// has to wait, the replies this connection was already owed go
-		// out before it parks, or a pipelined [echo, lock X] would hold
-		// the echo back for as long as X stays taken.
-		got := false
-		if req.Op == OpTryLock || st.out != nil {
-			var err error
-			if got, err = st.sess.TryLock(t, lock, req.Excl); err != nil {
+		// A Lock that has to wait flushes first: the replies this
+		// connection is already owed go out, or a pipelined
+		// [echo, lock X] would hold the echo back for as long as X stays
+		// taken.
+		if req.Op == OpTryLock {
+			got, err := st.sess.TryLock(t, lock, req.Excl)
+			if err != nil {
 				return appendErr(resp, "%v", err)
 			}
-		}
-		if !got {
-			if req.Op == OpTryLock {
+			if !got {
 				return AppendResponse(resp, StatusBusy, nil)
 			}
-			if st.out != nil {
-				// A failed flush is sticky in the connection's writer:
-				// the Send of this request's reply reports it.
-				_ = st.out.Flush()
-			}
-			if err := st.sess.Lock(t, lock, req.Excl); err != nil {
-				return appendErr(resp, "%v", err)
-			}
+		} else if err := st.sess.Lock(t, lock, req.Excl, st.flush); err != nil {
+			return appendErr(resp, "%v", err)
 		}
 		st.held[lock] = req.Excl
 		return AppendResponse(resp, StatusOK, nil)

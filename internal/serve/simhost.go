@@ -114,7 +114,9 @@ func lockMode(excl bool) dlm.Mode {
 	return dlm.Shared
 }
 
-func (s *simSession) Lock(t runtime.Task, lock int, excl bool) error {
+// Lock never calls beforeWait: the sim transport delivers inside Send, so
+// a parked session holds nothing back.
+func (s *simSession) Lock(t runtime.Task, lock int, excl bool, _ func()) error {
 	s.lc.Lock(t.SimProc(), lock, lockMode(excl))
 	return nil
 }
