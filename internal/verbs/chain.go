@@ -1,10 +1,12 @@
 package verbs
 
-// Event-chain datapath: every verbs operation is a small state machine
-// whose stages run as scheduler callbacks (Env.After timers and
-// Tx-resource grant callbacks) instead of a dedicated goroutine stepping
-// through Sleeps. Synchronous callers park exactly once and are woken by
-// the final stage; posted work requests never touch a goroutine at all.
+// Event-chain datapath: every one-sided operation is one small state
+// machine (workReq) whose stages run as scheduler callbacks — Env.After
+// timers and Tx-resource grant callbacks — instead of a goroutine
+// stepping through Sleeps. There is one record and two ways to complete
+// it: a blocking call starts it inline, parks its process once and is
+// woken for the completion instant; a posted work request starts at its
+// doorbell event, never touches a goroutine and completes into a CQ.
 //
 // Byte-identity discipline: each stage schedules its successor at the
 // same virtual instant the segmented code scheduled its next wake, so
@@ -12,12 +14,16 @@ package verbs
 // every downstream interleaving — are preserved exactly. In particular
 // RDMA read samples target memory in the Tx grant callback (the instant
 // the response is serialized at the target), and the chain releases the
-// Tx engine at end-of-serialization, never later.
+// Tx engine at end-of-serialization, never later. A write queued behind
+// other transmits waits as a callback waiter in the Tx engine's FIFO:
+// one dispatch event at the grant instant, one at end-of-serialization,
+// one for the placement tail — what a process waiter costs since
+// Resource.UseWith fused its acquire, in the same order.
 //
-// All chain state lives in pooled records (syncOp for synchronous calls,
-// workReq for posted WRs, postBatch for doorbell-batched lists) whose
-// step closures are bound once when the record is first allocated, so
-// the steady-state datapath performs no allocation.
+// All chain state lives in pooled records (workReq for one-sided ops,
+// postBatch for doorbell-batched lists) whose step closures are bound
+// once when the record is first allocated, so the steady-state datapath
+// performs no allocation.
 
 import (
 	"encoding/binary"
@@ -38,11 +44,12 @@ const (
 )
 
 // Preformatted park reasons: parking must not allocate.
-const (
-	parkRead   = "verbs read"
-	parkWrite  = "verbs write"
-	parkAtomic = "verbs atomic"
-)
+var parkReason = [...]string{
+	wrRead:  "verbs read",
+	wrWrite: "verbs write",
+	wrCAS:   "verbs atomic",
+	wrFAA:   "verbs atomic",
+}
 
 // fifo is a tiny recycled FIFO used for pooled message deliveries; the
 // backing slice is reused once drained.
@@ -65,116 +72,17 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
-// syncOp drives the timeline of one synchronous Read/Write/atomic while
-// the issuing process is parked.
-type syncOp struct {
-	d   *Device
-	p   *sim.Proc
-	op  wrOp
-	mr  *MR
-	dst []byte
-	nic *fabric.NIC
-	off int
-	ser time.Duration
-	// half2 is the tail latency after the mid-chain instant: the response
-	// propagation of a read, the placement latency of a write, or the
-	// second half of an atomic round trip.
-	half2           time.Duration
-	cmp, swp, delta uint64
-	old             uint64
-	opName          string
-	err             error
-
-	midFn    func()
-	txDoneFn func()
-	grantFn  func(waited time.Duration)
-}
-
-func (d *Device) getSyncOp() *syncOp {
-	if ln := len(d.syncFree); ln > 0 {
-		o := d.syncFree[ln-1]
-		d.syncFree = d.syncFree[:ln-1]
-		return o
-	}
-	o := &syncOp{d: d}
-	o.midFn = o.midStep
-	o.txDoneFn = o.txDoneStep
-	o.grantFn = o.grantStep
-	return o
-}
-
-func (d *Device) putSyncOp(o *syncOp) {
-	o.p, o.mr, o.dst, o.nic, o.err = nil, nil, nil, nil, nil
-	d.syncFree = append(d.syncFree, o)
-}
-
-// midStep runs at the mid-chain instant: for a read, the request has
-// reached the target and the response contends for the target's Tx
-// engine; for an atomic, the target HCA executes the operation.
-func (o *syncOp) midStep() {
-	switch o.op {
-	case wrRead:
-		if o.targetLost("read") {
-			return
-		}
-		o.nic.Tx().AcquireAsync(1, o.grantFn)
-	default:
-		if o.targetLost(o.opName) {
-			return
-		}
-		buf := o.mr.buf[o.off:]
-		o.old = binary.LittleEndian.Uint64(buf)
-		binary.LittleEndian.PutUint64(buf, applyAtomic(o.op, o.old, o.cmp, o.swp, o.delta))
-		o.d.nw.Env.WakeAfter(o.p, o.half2)
-	}
-}
-
-// targetLost checks the issuer→target path at the target-side instant.
-// If the target crashed or was partitioned away while the request was in
-// flight, the op is failed and the issuer woken at the nominal
-// completion instant with an error instead of hanging.
-func (o *syncOp) targetLost(op string) bool {
-	f := o.d.nw.flt
-	if f == nil || f.Reachable(o.d.Node.ID, o.mr.dev.Node.ID) {
-		return false
-	}
-	o.err = &OpError{Op: op, Target: o.mr.Addr(), Reason: "peer unreachable"}
-	o.d.nw.Env.WakeAfter(o.p, o.half2)
-	return true
-}
-
-// grantStep runs the instant the Tx engine is granted: sample target
-// memory (the read's documented sampling point) and serialize.
-func (o *syncOp) grantStep(waited time.Duration) {
-	o.nic.GrantTx(o.ser, waited)
-	if o.op == wrRead {
-		copy(o.dst, o.mr.buf[o.off:o.off+len(o.dst)])
-	}
-	o.d.nw.Env.After(o.ser, o.txDoneFn)
-}
-
-// txDoneStep runs when the last byte is serialized: free the Tx engine
-// and schedule the issuer's wake after the tail latency.
-func (o *syncOp) txDoneStep() {
-	o.nic.Tx().Release(1)
-	o.d.nw.Env.WakeAfter(o.p, o.half2)
-}
-
-func applyAtomic(op wrOp, old, cmp, swp, delta uint64) uint64 {
-	if op == wrCAS {
-		if old == cmp {
-			return swp
-		}
-		return old
-	}
-	return old + delta
-}
-
-// workReq is one posted work request: the asynchronous counterpart of
-// syncOp, completing into a CQ (directly, or through its batch's
-// reorder buffer) instead of waking a process.
+// workReq is the one implementation of a one-sided operation: validate,
+// request half, target Tx grant, serialization, response half, complete.
+// The blocking Device calls and the posted work requests fill the same
+// record and run the same steps; they differ only in who waits for the
+// tail. A record with an issuing process (p) wakes it for the completion
+// instant and completes inline in that process; a posted one (p nil)
+// schedules finishStep there and completes into a CQ — directly, or
+// through its batch's reorder buffer.
 type workReq struct {
 	d      *Device
+	p      *sim.Proc
 	cq     *CQ
 	b      *postBatch // nil for single posts
 	slot   int
@@ -188,14 +96,18 @@ type workReq struct {
 	nic    *fabric.NIC
 	off    int
 	ser    time.Duration
-	half1  time.Duration
-	half2  time.Duration
-	cmp    uint64
-	swp    uint64
-	delta  uint64
-	old    uint64
-	err    error
-	start  sim.Time
+	// half1 is the request propagation of a read or an atomic (a write has
+	// none: it serializes at the issuer first). half2 is the tail latency
+	// after the last target-side instant: the response propagation of a
+	// read, the placement latency of a write, the return half of an atomic.
+	half1 time.Duration
+	half2 time.Duration
+	cmp   uint64
+	swp   uint64
+	delta uint64
+	old   uint64
+	err   error
+	start sim.Time
 
 	startFn  func()
 	midFn    func()
@@ -220,135 +132,100 @@ func (d *Device) getWorkReq() *workReq {
 }
 
 func (d *Device) putWorkReq(w *workReq) {
-	w.cq, w.b, w.dst, w.src, w.mr, w.nic, w.err = nil, nil, nil, nil, nil, nil, nil
+	w.p, w.cq, w.b, w.dst, w.src, w.mr, w.nic, w.err = nil, nil, nil, nil, nil, nil, nil, nil
 	w.old = 0
 	d.wrFree = append(d.wrFree, w)
 }
 
-// startStep is the doorbell: validation and the first timeline stage, at
-// the instant the old goroutine-per-WR implementation started its
-// process.
-func (w *workReq) startStep() {
-	pp := w.d.nw.Fab.P
-	env := w.d.nw.Env
-	switch w.op {
-	case wrRead:
-		mr, err := w.d.nw.lookup("read", w.r)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		if w.off < 0 || w.off+len(w.dst) > len(mr.buf) {
-			w.fail(&OpError{Op: "read", Target: w.r, Reason: "out of bounds"})
-			return
-		}
-		if err := w.d.pathError("read", w.r); err != nil {
-			w.fail(err)
-			return
-		}
-		w.mr = mr
-		w.nic = w.d.nw.devs[w.r.Node].nic
-		w.d.Reads++
-		w.start = env.Now()
-		w.ser = pp.IBTxTime(len(w.dst))
-		w.half1, w.half2 = pp.IBReadLatency/2, pp.IBReadLatency/2
-		w.half1 += w.d.connCost(w.r.Node)
-		w.addLinkDelay()
-		env.After(w.half1, w.midFn)
-	case wrWrite:
-		mr, err := w.d.nw.lookup("write", w.r)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		if w.off < 0 || w.off+len(w.src) > len(mr.buf) {
-			w.fail(&OpError{Op: "write", Target: w.r, Reason: "out of bounds"})
-			return
-		}
-		if err := w.d.pathError("write", w.r); err != nil {
-			w.fail(err)
-			return
-		}
-		w.mr = mr
-		w.nic = w.d.nic
-		w.d.Writes++
-		w.start = env.Now()
-		w.ser = pp.IBTxTime(len(w.src))
-		w.half2 = pp.IBWriteLatency + w.d.connCost(w.r.Node)
-		w.addLinkDelay()
-		w.nic.Tx().AcquireAsync(1, w.grantFn)
-	case wrCAS, wrFAA:
-		mr, err := w.d.nw.lookup(w.opName, w.r)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		if w.off < 0 || w.off+8 > len(mr.buf) || w.off%8 != 0 {
-			w.fail(&OpError{Op: w.opName, Target: w.r, Reason: "bad atomic offset"})
-			return
-		}
-		if err := w.d.pathError(w.opName, w.r); err != nil {
-			w.fail(err)
-			return
-		}
-		w.mr = mr
-		w.d.Atomics++
-		w.start = env.Now()
-		lat := pp.IBAtomicLatency
-		w.half1, w.half2 = lat/2, lat-lat/2
-		w.half1 += w.d.connCost(w.r.Node)
-		w.addLinkDelay()
-		env.After(w.half1, w.midFn)
-	}
-}
-
-// addLinkDelay folds any injected per-link delay into the chain's two
-// propagation halves (no-op on healthy runs and healthy links).
-func (w *workReq) addLinkDelay() {
-	f := w.d.nw.flt
-	if f == nil {
-		return
-	}
-	if xtra := f.LinkDelay(w.d.Node.ID, w.r.Node); xtra > 0 {
-		if w.op != wrWrite {
-			w.half1 += xtra
-		}
-		w.half2 += xtra
-		f.NoteDelay()
-	}
-}
-
-// targetLost is workReq's counterpart of syncOp.targetLost: a target
-// crashed or partitioned away mid-flight completes the WR with an error
-// status at the nominal completion instant.
-func (w *workReq) targetLost() bool {
-	f := w.d.nw.flt
-	if f == nil || f.Reachable(w.d.Node.ID, w.r.Node) {
+// begin validates the request and launches its first timeline stage at
+// the current instant. It reports false, with err set and nothing
+// scheduled, when validation fails.
+func (w *workReq) begin() bool {
+	d := w.d
+	pp := d.nw.Fab.P
+	mr, lerr := d.nw.lookup(w.opName, w.r)
+	if lerr != nil {
+		w.err = lerr
 		return false
 	}
-	w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
-	w.d.nw.Env.After(w.half2, w.finishFn)
+	atomic := w.op == wrCAS || w.op == wrFAA
+	n, reason := len(w.dst)+len(w.src), "out of bounds"
+	if atomic {
+		n, reason = 8, "bad atomic offset"
+	}
+	if w.off < 0 || w.off+n > len(mr.buf) || atomic && w.off%8 != 0 {
+		w.err = &OpError{Op: w.opName, Target: w.r, Reason: reason}
+		return false
+	}
+	if w.err = d.pathError(w.opName, w.r); w.err != nil {
+		return false
+	}
+	w.mr = mr
+	w.start = d.nw.Env.Now()
+	// Transport cost (transport.go, zero in the default small-cluster
+	// regime) rides the first propagation leg; injected link delay rides
+	// every leg.
+	lead := d.connCost(w.r.Node)
+	var xtra time.Duration
+	if f := d.nw.flt; f != nil {
+		if xtra = f.LinkDelay(d.Node.ID, w.r.Node); xtra > 0 {
+			f.NoteDelay()
+		}
+	}
+	switch w.op {
+	case wrWrite:
+		d.Writes++
+		w.nic = d.nic
+		w.ser = pp.IBTxTime(n)
+		w.half2 = pp.IBWriteLatency + lead + xtra
+		w.nic.Tx().AcquireAsync(1, w.grantFn)
+		return true
+	case wrRead:
+		d.Reads++
+		w.nic = mr.dev.nic
+		w.ser = pp.IBTxTime(n)
+		w.half1, w.half2 = pp.IBReadLatency/2, pp.IBReadLatency/2
+	default:
+		d.Atomics++
+		w.half1 = pp.IBAtomicLatency / 2
+		w.half2 = pp.IBAtomicLatency - w.half1
+	}
+	w.half1, w.half2 = w.half1+lead+xtra, w.half2+xtra
+	d.nw.Env.After(w.half1, w.midFn)
 	return true
 }
 
-func (w *workReq) midStep() {
-	switch w.op {
-	case wrRead:
-		if w.targetLost() {
-			return
-		}
-		w.nic.Tx().AcquireAsync(1, w.grantFn)
-	default:
-		if w.targetLost() {
-			return
-		}
-		buf := w.mr.buf[w.off:]
-		w.old = binary.LittleEndian.Uint64(buf)
-		binary.LittleEndian.PutUint64(buf, applyAtomic(w.op, w.old, w.cmp, w.swp, w.delta))
-		w.d.nw.Env.After(w.half2, w.finishFn)
+// startStep is the doorbell of a posted work request.
+func (w *workReq) startStep() {
+	if !w.begin() {
+		w.finishStep()
 	}
 }
 
+// midStep runs at the target-side instant of a read or an atomic. A
+// target that crashed or was partitioned away while the request was in
+// flight fails the op at its nominal completion instant instead of
+// hanging; otherwise the read's response contends for the target's Tx
+// engine, and the target HCA executes the atomic (the engine runs one
+// callback at a time and no virtual time passes between load and store).
+func (w *workReq) midStep() {
+	if f := w.d.nw.flt; f != nil && !f.Reachable(w.d.Node.ID, w.r.Node) {
+		w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
+		w.tail()
+		return
+	}
+	if w.op == wrRead {
+		w.nic.Tx().AcquireAsync(1, w.grantFn)
+		return
+	}
+	buf := w.mr.buf[w.off:]
+	w.old = binary.LittleEndian.Uint64(buf)
+	binary.LittleEndian.PutUint64(buf, applyAtomic(w.op, w.old, w.cmp, w.swp, w.delta))
+	w.tail()
+}
+
+// grantStep runs the instant the Tx engine is granted: sample target
+// memory (the read's documented sampling point) and serialize.
 func (w *workReq) grantStep(waited time.Duration) {
 	w.nic.GrantTx(w.ser, waited)
 	if w.op == wrRead {
@@ -357,65 +234,96 @@ func (w *workReq) grantStep(waited time.Duration) {
 	w.d.nw.Env.After(w.ser, w.txDoneFn)
 }
 
+// txDoneStep runs when the last byte is serialized: free the Tx engine,
+// never later.
 func (w *workReq) txDoneStep() {
 	w.nic.Tx().Release(1)
+	w.tail()
+}
+
+// tail schedules the completion instant half2 from now: the wake of the
+// issuing process, sequenced here exactly as a staged Sleep would have
+// been, or the posted request's finish event.
+func (w *workReq) tail() {
+	if w.p != nil {
+		w.d.nw.Env.WakeAfter(w.p, w.half2)
+		return
+	}
 	w.d.nw.Env.After(w.half2, w.finishFn)
 }
 
-func (w *workReq) fail(err error) {
-	w.err = err
-	w.finishStep()
+func applyAtomic(op wrOp, old, cmp, swp, delta uint64) uint64 {
+	if op == wrCAS {
+		if old == cmp {
+			return swp
+		}
+		return old
+	}
+	return old + delta
 }
 
-// finishStep runs at the completion instant: final memory effects, trace
-// recording (from scheduler context — the trace layer is callback-safe),
-// and completion delivery.
-func (w *workReq) finishStep() {
+// complete runs at the completion instant, in the woken issuer or in
+// scheduler context (the trace layer is callback-safe): a write places
+// its data now unless the path was lost after serialization, and a
+// successful op is recorded.
+func (w *workReq) complete() {
 	d := w.d
-	env := d.nw.Env
-	pp := d.nw.Fab.P
-	// A write places its data at the completion instant; a target lost
-	// after serialization fails the WR here instead of placing into dead
-	// memory.
 	if w.err == nil && w.op == wrWrite {
-		if f := d.nw.flt; f != nil && !f.Reachable(d.Node.ID, w.r.Node) {
-			w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
-		}
-	}
-	if w.err == nil {
-		switch w.op {
-		case wrRead:
-			if d.ts != nil {
-				lat := time.Duration(env.Now() - w.start)
-				d.ts.Read.Record(len(w.dst), lat)
-				d.tr.RecordOp(trace.OpRDMARead, pp.IBReadLatency+w.ser, 0)
-				d.tr.Emit("verbs", "read", d.Node.ID, len(w.dst), lat)
-			}
-		case wrWrite:
+		if w.err = d.pathError(w.opName, w.r); w.err == nil {
 			copy(w.mr.buf[w.off:w.off+len(w.src)], w.src)
-			if d.ts != nil {
-				lat := time.Duration(env.Now() - w.start)
-				d.ts.Write.Record(len(w.src), lat)
-				d.tr.RecordOp(trace.OpRDMAWrite, pp.IBWriteLatency+w.ser, 0)
-				d.tr.Emit("verbs", "write", d.Node.ID, len(w.src), lat)
-			}
-		case wrCAS, wrFAA:
-			if d.ts != nil {
-				lat := pp.IBAtomicLatency
-				d.ts.Atomic.Record(8, lat)
-				d.tr.RecordOp(trace.OpRDMAAtomic, lat, 0)
-				d.tr.Emit("verbs", w.opName, d.Node.ID, 8, lat)
-			}
 		}
 	}
+	if w.err != nil || d.ts == nil {
+		return
+	}
+	pp := d.nw.Fab.P
+	lat := time.Duration(d.nw.Env.Now() - w.start)
+	var (
+		vs    *trace.VerbStats
+		class trace.OpClass
+		n     int
+		wire  time.Duration
+	)
+	switch w.op {
+	case wrRead:
+		vs, class, n, wire = &d.ts.Read, trace.OpRDMARead, len(w.dst), pp.IBReadLatency+w.ser
+	case wrWrite:
+		vs, class, n, wire = &d.ts.Write, trace.OpRDMAWrite, len(w.src), pp.IBWriteLatency+w.ser
+	default:
+		lat = pp.IBAtomicLatency
+		vs, class, n, wire = &d.ts.Atomic, trace.OpRDMAAtomic, 8, lat
+	}
+	vs.Record(n, lat)
+	d.tr.RecordOp(class, wire, 0)
+	d.tr.Emit("verbs", w.opName, d.Node.ID, n, lat)
+}
+
+// finishStep completes a posted work request and delivers its
+// completion.
+func (w *workReq) finishStep() {
+	w.complete()
 	c := Completion{ID: w.id, Op: w.opName, Old: w.old, Err: w.err}
 	cq, b, slot := w.cq, w.b, w.slot
-	d.putWorkReq(w)
+	w.d.putWorkReq(w)
 	if b != nil {
 		b.complete(slot, c)
 		return
 	}
 	cq.ch.PostSend(c)
+}
+
+// issue runs a filled record as a blocking call: the first stage starts
+// inline at the call instant, the caller parks once, and the completion
+// routine runs in the caller when the tail wakes it.
+func (d *Device) issue(p *sim.Proc, w *workReq) (uint64, error) {
+	w.p = p
+	if w.begin() {
+		p.Park(parkReason[w.op])
+		w.complete()
+	}
+	old, err := w.old, w.err
+	d.putWorkReq(w)
+	return old, err
 }
 
 // postBatch is the reorder buffer of one PostList call: work requests

@@ -10,7 +10,8 @@ import (
 // Work requests are posted without blocking; each completes by delivering
 // a Completion into the chosen CQ, which a process drains with Poll. This
 // is how real verbs applications overlap one-sided operations — the
-// synchronous Device methods are the convenience wrappers.
+// blocking Device methods run the same record (chain.go) and park the
+// caller for its completion instead.
 
 // Completion reports one finished work request.
 type Completion struct {
@@ -74,15 +75,14 @@ type WR struct {
 	Delta         uint64
 }
 
-// post starts one work request as an event chain: no goroutine is
-// spawned; the chain's doorbell fires at the instant a posted work
-// process would previously have started.
+// post fills a pooled record for one one-sided operation. The caller
+// starts it: a posted request by scheduling its doorbell (startFn), a
+// blocking call (cq nil) through Device.issue.
 func (d *Device) post(cq *CQ, id uint64, opName string, op wrOp, r RemoteAddr, off int, dst, src []byte, cmp, swp, delta uint64) *workReq {
 	w := d.getWorkReq()
-	w.cq, w.b, w.id, w.op, w.opName = cq, nil, id, op, opName
+	w.cq, w.id, w.op, w.opName = cq, id, op, opName
 	w.r, w.off, w.dst, w.src = r, off, dst, src
 	w.cmp, w.swp, w.delta = cmp, swp, delta
-	w.err = nil
 	return w
 }
 

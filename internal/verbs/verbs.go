@@ -190,7 +190,6 @@ type Device struct {
 	// two-sided deliveries (see pool.go and chain.go). The deliver
 	// closures are bound once at Attach.
 	pool      bufPool
-	syncFree  []*syncOp
 	wrFree    []*workReq
 	batchFree []*postBatch
 	sendDelq  fifo[sendDelivery]
@@ -302,177 +301,32 @@ func (nw *Network) lookup(op string, r RemoteAddr) (*MR, *OpError) {
 // memory is sampled when the response is generated at the target, so a
 // concurrent remote write ordered before that instant is observed.
 func (d *Device) Read(p *sim.Proc, dst []byte, r RemoteAddr, off int) error {
-	mr, err := d.nw.lookup("read", r)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(dst) > len(mr.buf) {
-		return &OpError{Op: "read", Target: r, Reason: "out of bounds"}
-	}
-	if err := d.pathError("read", r); err != nil {
-		return err
-	}
-	d.Reads++
-	pp := d.nw.Fab.P
-	start := d.nw.Env.Now()
-	// Event chain: request propagation, then the target HCA contends for
-	// its Tx engine (memory is sampled in the grant callback, the instant
-	// the response is serialized), then response propagation. The issuer
-	// parks once; every stage schedules its successor at the same instant
-	// the segmented timeline did.
-	target := d.nw.devs[r.Node]
-	ser := pp.IBTxTime(len(dst))
-	half1, half2 := pp.IBReadLatency/2, pp.IBReadLatency/2
-	// Transport cost (transport.go): zero in the default small-cluster
-	// regime, so the chain's instants are unchanged there.
-	half1 += d.connCost(r.Node)
-	if f := d.nw.flt; f != nil {
-		if xtra := f.LinkDelay(d.Node.ID, r.Node); xtra > 0 {
-			half1, half2 = half1+xtra, half2+xtra
-			f.NoteDelay()
-		}
-	}
-	o := d.getSyncOp()
-	o.p, o.op, o.mr, o.dst, o.nic = p, wrRead, mr, dst, target.nic
-	o.off, o.ser, o.half2 = off, ser, half2
-	d.nw.Env.After(half1, o.midFn)
-	p.Park(parkRead)
-	opErr := o.err
-	d.putSyncOp(o)
-	if opErr != nil {
-		return opErr
-	}
-	if d.ts != nil {
-		lat := time.Duration(d.nw.Env.Now() - start)
-		d.ts.Read.Record(len(dst), lat)
-		d.tr.RecordOp(trace.OpRDMARead, pp.IBReadLatency+ser, 0)
-		d.tr.Emit("verbs", "read", d.Node.ID, len(dst), lat)
-	}
-	return nil
+	_, err := d.issue(p, d.post(nil, 0, OpRead, wrRead, r, off, dst, nil, 0, 0, 0))
+	return err
 }
 
 // Write performs a one-sided RDMA write of src into the remote region at
 // byte offset off. The remote CPU is not involved. The call blocks until
-// the data is placed in remote memory.
+// the data is placed in remote memory; a target or issuer lost while the
+// write was in flight fails the op instead of placing the data.
 func (d *Device) Write(p *sim.Proc, r RemoteAddr, off int, src []byte) error {
-	mr, err := d.nw.lookup("write", r)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(src) > len(mr.buf) {
-		return &OpError{Op: "write", Target: r, Reason: "out of bounds"}
-	}
-	if err := d.pathError("write", r); err != nil {
-		return err
-	}
-	d.Writes++
-	pp := d.nw.Fab.P
-	ser := pp.IBTxTime(len(src))
-	half2 := pp.IBWriteLatency + d.connCost(r.Node)
-	if f := d.nw.flt; f != nil {
-		if xtra := f.LinkDelay(d.Node.ID, r.Node); xtra > 0 {
-			half2 += xtra
-			f.NoteDelay()
-		}
-	}
-	start := d.nw.Env.Now()
-	if d.nic.Tx().TryAcquire(1) {
-		// Uncontended fast path: one park instead of two. The chain
-		// releases the Tx engine at end-of-serialization and wakes the
-		// issuer after the placement latency — the same instants the
-		// segmented timeline used.
-		d.nic.GrantTx(ser, 0)
-		o := d.getSyncOp()
-		o.p, o.op, o.mr, o.nic, o.half2 = p, wrWrite, mr, d.nic, half2
-		d.nw.Env.After(ser, o.txDoneFn)
-		p.Park(parkWrite)
-		d.putSyncOp(o)
-		// The placement instant is now: a target that crashed while the
-		// write was in flight fails the op instead of placing the data.
-		if err := d.pathError("write", r); err != nil {
-			return err
-		}
-	} else {
-		// Segmented fallback under contention: queue on the Tx engine as
-		// a process waiter, exactly the pre-chain timeline.
-		d.nic.AcquireTx(p, ser)
-		p.Sleep(half2)
-		if err := d.pathError("write", r); err != nil {
-			return err
-		}
-	}
-	copy(mr.buf[off:off+len(src)], src)
-	if d.ts != nil {
-		lat := time.Duration(d.nw.Env.Now() - start)
-		d.ts.Write.Record(len(src), lat)
-		d.tr.RecordOp(trace.OpRDMAWrite, pp.IBWriteLatency+ser, 0)
-		d.tr.Emit("verbs", "write", d.Node.ID, len(src), lat)
-	}
-	return nil
-}
-
-// atomic performs the shared plumbing of CAS and FAA: it blocks the caller
-// for the atomic round trip and applies the operation to the 64-bit word
-// at the remote offset at the halfway point (the instant the target HCA
-// executes it). The operation is encoded as an opcode plus operands so
-// the chain record needs no per-call closure. The old value is returned
-// to the caller.
-func (d *Device) atomic(p *sim.Proc, name string, op wrOp, r RemoteAddr, off int, cmp, swp, delta uint64) (uint64, error) {
-	mr, err := d.nw.lookup(name, r)
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 || off+8 > len(mr.buf) || off%8 != 0 {
-		return 0, &OpError{Op: name, Target: r, Reason: "bad atomic offset"}
-	}
-	if err := d.pathError(name, r); err != nil {
-		return 0, err
-	}
-	d.Atomics++
-	lat := d.nw.Fab.P.IBAtomicLatency
-	half1, half2 := lat/2, lat-lat/2
-	half1 += d.connCost(r.Node)
-	if f := d.nw.flt; f != nil {
-		if xtra := f.LinkDelay(d.Node.ID, r.Node); xtra > 0 {
-			half1, half2 = half1+xtra, half2+xtra
-			f.NoteDelay()
-		}
-	}
-	// Event chain: the mid-chain callback loads, applies and stores the
-	// word atomically (the engine runs one callback at a time and no
-	// virtual time passes between load and store), then schedules the
-	// issuer's wake for the return half of the round trip.
-	o := d.getSyncOp()
-	o.p, o.op, o.mr, o.off = p, op, mr, off
-	o.cmp, o.swp, o.delta = cmp, swp, delta
-	o.half2 = half2
-	o.opName = name
-	d.nw.Env.After(half1, o.midFn)
-	p.Park(parkAtomic)
-	old, opErr := o.old, o.err
-	d.putSyncOp(o)
-	if opErr != nil {
-		return 0, opErr
-	}
-	if d.ts != nil {
-		d.ts.Atomic.Record(8, lat)
-		d.tr.RecordOp(trace.OpRDMAAtomic, lat, 0)
-		d.tr.Emit("verbs", name, d.Node.ID, 8, lat)
-	}
-	return old, nil
+	_, err := d.issue(p, d.post(nil, 0, OpWrite, wrWrite, r, off, nil, src, 0, 0, 0))
+	return err
 }
 
 // CompareSwap atomically compares the 64-bit word at the remote offset
 // with compare and, if equal, stores swap. It returns the previous value;
-// the operation succeeded iff the return equals compare.
+// the operation succeeded iff the return equals compare. The caller
+// blocks for the atomic round trip; the target HCA applies the operation
+// at the halfway point.
 func (d *Device) CompareSwap(p *sim.Proc, r RemoteAddr, off int, compare, swap uint64) (uint64, error) {
-	return d.atomic(p, "cas", wrCAS, r, off, compare, swap, 0)
+	return d.issue(p, d.post(nil, 0, OpCAS, wrCAS, r, off, nil, nil, compare, swap, 0))
 }
 
 // FetchAdd atomically adds delta to the 64-bit word at the remote offset
 // and returns the previous value.
 func (d *Device) FetchAdd(p *sim.Proc, r RemoteAddr, off int, delta uint64) (uint64, error) {
-	return d.atomic(p, "faa", wrFAA, r, off, 0, 0, delta)
+	return d.issue(p, d.post(nil, 0, OpFAA, wrFAA, r, off, nil, nil, 0, 0, delta))
 }
 
 // queue returns (creating if needed) the named receive queue.
