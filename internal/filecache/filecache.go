@@ -104,23 +104,12 @@ type pageKey struct {
 	file, page int
 }
 
-// victim is one page parked in remote memory. gen stamps the page's
-// current fifo position: promoting or re-demoting a page bumps gen,
-// tombstoning any older fifo entries for the same key so the eviction
-// scan cannot free a buffer the page no longer parks there (or has
-// re-parked more recently).
+// victim is one page parked in remote memory, under one slot of the
+// victim tier's eviction ring.
 type victim struct {
-	key pageKey
-	buf *gma.Buf
-	gen uint64
-}
-
-// fifoEntry is one victim-eviction-order slot: the key plus the gen it
-// was enqueued under. An entry whose gen no longer matches the live
-// victim's is stale and skipped.
-type fifoEntry struct {
-	key pageKey
-	gen uint64
+	key  pageKey
+	buf  *gma.Buf
+	slot int32
 }
 
 // Cache is one node's file-system cache.
@@ -133,7 +122,11 @@ type Cache struct {
 	local  *lru.Cache[pageKey]
 	gmaCli *gma.Client
 	remote map[pageKey]*victim
-	fifo   []fifoEntry // victim eviction order, oldest first
+	// order is the victim tier's eviction order over slots
+	// 0..VictimPages-1 (oldest parked first, refreshed on every remote
+	// hit and re-demotion); parked names the page under each slot.
+	order  *lru.Ring
+	parked []*victim
 	Stats  Stats
 }
 
@@ -153,6 +146,8 @@ func New(cfg Config, nw *verbs.Network, node *cluster.Node, agg *gma.Aggregator)
 			panic("filecache: remote-memory mode needs an aggregator")
 		}
 		c.gmaCli = agg.Client(node.ID)
+		c.order = lru.NewRing(cfg.VictimPages)
+		c.parked = make([]*victim, c.order.Slots())
 	}
 	return c
 }
@@ -175,17 +170,13 @@ func (c *Cache) Read(p *sim.Proc, file, page int) (Source, error) {
 
 	if c.cfg.Mode == RemoteMemory {
 		if v, ok := c.remote[key]; ok {
-			// One-sided read from the victim tier, then promote. Bump
-			// the generation first: the page's old fifo position turns
-			// stale, so a concurrent demotion's eviction scan cannot
-			// free the buffer while this read is in flight.
-			v.gen++
+			// One-sided read from the victim tier, then promote. The page
+			// moves to the back of the eviction order first, so a
+			// demotion racing this read reclaims every other parked page
+			// before the one in flight.
+			c.order.Touch(v.slot)
 			buf := make([]byte, c.cfg.PageSize)
-			err := c.gmaCli.Read(p, buf, v.buf, 0)
-			// Re-enqueue at the fresh generation (even on a failed
-			// read, so the parked page keeps a live eviction slot).
-			c.fifo = append(c.fifo, fifoEntry{key: key, gen: v.gen})
-			if err != nil {
+			if err := c.gmaCli.Read(p, buf, v.buf, 0); err != nil {
 				return FromRemote, err
 			}
 			if err := c.insertLocal(p, key); err != nil {
@@ -218,51 +209,44 @@ func (c *Cache) insertLocal(p *sim.Proc, key pageKey) error {
 	return nil
 }
 
-// demote parks an evicted page in the remote victim tier.
+// demote parks an evicted page in the remote victim tier. The page's
+// slot is claimed before any costed operation; when the tier is full the
+// oldest live page makes room, and its buffer is freed by the slot it
+// was parked under — never by a stale queue position.
 func (c *Cache) demote(p *sim.Proc, key pageKey) error {
 	if v, ok := c.remote[key]; ok {
 		// Already parked (a promoted copy was read-only): refresh its
 		// eviction position instead of leaving the page to die at its
 		// old one — it was just the LRU's most recent victim.
-		v.gen++
-		c.fifo = append(c.fifo, fifoEntry{key: key, gen: v.gen})
+		c.order.Touch(v.slot)
 		return nil
 	}
-	if err := c.evictVictims(p); err != nil {
-		return err
+	slot, ok := c.order.Claim()
+	if !ok {
+		if slot, ok = c.order.Reclaim(); !ok {
+			return nil // no victim tier: drop the page (disk still has it)
+		}
+		old := c.parked[slot]
+		c.parked[slot] = nil
+		delete(c.remote, old.key)
+		if err := c.gmaCli.Free(p, old.buf); err != nil {
+			c.order.Release(slot)
+			return err
+		}
 	}
 	buf, err := c.gmaCli.Alloc(p, int64(c.cfg.PageSize))
 	if err != nil {
 		// Aggregate memory exhausted: drop the page (disk still has it).
+		c.order.Release(slot)
 		return nil
 	}
 	if err := c.gmaCli.Write(p, buf, 0, make([]byte, c.cfg.PageSize)); err != nil {
+		c.order.Release(slot)
 		return err
 	}
-	c.remote[key] = &victim{key: key, buf: buf}
-	c.fifo = append(c.fifo, fifoEntry{key: key})
-	return nil
-}
-
-// evictVictims frees the oldest live parked pages until the victim tier
-// is under capacity. Fifo entries whose generation no longer matches
-// the live victim's are tombstones — the page was promoted or re-parked
-// since — and are skipped without touching the (possibly reused)
-// buffer: freeing by stale position is exactly the corruption the
-// generation stamp exists to prevent.
-func (c *Cache) evictVictims(p *sim.Proc) error {
-	for len(c.remote) >= c.cfg.VictimPages && len(c.fifo) > 0 {
-		e := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		v, ok := c.remote[e.key]
-		if !ok || v.gen != e.gen {
-			continue // tombstone: superseded or already gone
-		}
-		delete(c.remote, e.key)
-		if err := c.gmaCli.Free(p, v.buf); err != nil {
-			return err
-		}
-	}
+	v := &victim{key: key, buf: buf, slot: slot}
+	c.remote[key] = v
+	c.parked[slot] = v
 	return nil
 }
 

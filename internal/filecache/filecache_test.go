@@ -232,8 +232,8 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 	}
 	env.Go("p", func(p *sim.Proc) {
 		const a, b, cc, d, e, f = 0, 1, 2, 3, 4, 5
-		read(p, a) // local {a}
-		read(p, b) // local {a,b}
+		read(p, a)  // local {a}
+		read(p, b)  // local {a,b}
 		read(p, cc) // a demoted: remote {a}
 		if src := read(p, a); src != FromRemote {
 			t.Fatalf("promote read source = %v, want remote", src)
@@ -259,5 +259,39 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Regression: the eviction order used to grow by one entry on every
+// remote hit and every re-demotion and was drained only while the victim
+// tier was at capacity, so a working set that fits the tier leaked an
+// entry per access (200 passes over 100 pages: 39 836 entries for 100
+// parked pages). The ring re-stamps in place and compacts, so it stays
+// within twice the tier size however long the cache runs.
+func TestVictimOrderStaysBounded(t *testing.T) {
+	env, c := rig(t, RemoteMemory)
+	defer env.Shutdown()
+	const pages, passes = 100, 200 // > LocalPages, < LocalPages+VictimPages
+	env.Go("p", func(p *sim.Proc) {
+		for pass := 0; pass < passes; pass++ {
+			for i := 0; i < pages; i++ {
+				if _, err := c.Read(p, 0, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if q := c.order.Queued(); q > 2*c.cfg.VictimPages {
+				t.Fatalf("pass %d: eviction order holds %d records for %d parked pages, bound %d",
+					pass, q, c.RemotePages(), 2*c.cfg.VictimPages)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.RemotePages() != pages || c.order.Live() != pages {
+		t.Fatalf("parked %d pages under %d live claims, want %d of each", c.RemotePages(), c.order.Live(), pages)
+	}
+	if c.Stats.RemoteHits == 0 {
+		t.Fatal("workload never hit the victim tier")
 	}
 }
