@@ -204,16 +204,11 @@ func (cfg *Config) docCount() int {
 	return cfg.WorkingSet
 }
 
-// Build constructs the deployment on the configured runtime (a fresh
-// simulated environment unless cfg.Runtime selects an existing one).
+// Build constructs the deployment on a fresh simulated environment
+// seeded with cfg.Seed.
 func Build(cfg Config) *DataCenter {
-	var env *sim.Env
-	if cfg.Runtime != nil {
-		env = runtime.MustSim(cfg.Runtime, "coopcache")
-	} else {
-		env = sim.NewEnv(cfg.Seed)
-	}
-	cfg.ServiceOptions.Bind(env, "coopcache")
+	env := sim.NewEnv(cfg.Seed)
+	cfg.ServiceOptions.Bind(env)
 	nw := verbs.NewNetwork(env, fabric.DefaultParams())
 	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: map[int]*sim.Future[int]{},
 		tr: trace.Of(env)}

@@ -19,7 +19,6 @@ import (
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
 	"ngdc/internal/fabric"
-	"ngdc/internal/faults"
 	"ngdc/internal/monitor"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
@@ -43,10 +42,9 @@ type Config struct {
 	NumLocks int
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Service selects the execution substrate and the cross-cutting
-	// hooks for every layer the framework wires, in one place: the
-	// runtime (nil means a fresh simulator seeded with Seed), the trace
-	// registry (nil means a fresh one) and an optional fault plan.
+	// Service carries the cross-cutting hooks for every layer the
+	// framework wires, in one place: the trace registry (nil means a
+	// fresh one) and an optional fault plan.
 	Service runtime.ServiceOptions
 }
 
@@ -75,12 +73,18 @@ type Framework struct {
 	// Locks is the distributed lock manager (layer 2).
 	Locks *dlm.Manager
 
-	rt runtime.Runtime
 	tr *trace.Registry
 }
 
-// New builds a framework from the configuration.
-func New(cfg Config) *Framework {
+// New builds a framework from the configuration on a fresh simulation
+// environment seeded with cfg.Seed.
+func New(cfg Config) *Framework { return NewOn(sim.NewEnv(cfg.Seed), cfg) }
+
+// NewOn builds a framework on an existing environment — how a served
+// simulation shares one virtual clock between the framework and the
+// runtime's own tasks. cfg.Seed is unused: the environment is already
+// seeded.
+func NewOn(env *sim.Env, cfg Config) *Framework {
 	if cfg.Nodes <= 0 {
 		panic("core: need at least one node")
 	}
@@ -96,27 +100,12 @@ func New(cfg Config) *Framework {
 	if cfg.NumLocks <= 0 {
 		cfg.NumLocks = 64
 	}
-	rt := cfg.Service.Runtime
-	var env *sim.Env
-	if rt == nil {
-		env = sim.NewEnv(cfg.Seed)
-		rt = runtime.NewSim(env)
-	} else {
-		env = runtime.MustSim(rt, "core")
-	}
-	// Attach the observability registry and install any fault plan
+	// Attach the observability registry (a fresh one unless the options
+	// or the environment already carry one) and install any fault plan
 	// before any layer is built: devices, NICs and connections cache
 	// their counter and injector pointers at construction time.
-	var tr *trace.Registry
-	if cfg.Service.Trace != nil {
-		tr = cfg.Service.Trace
-		trace.AttachRegistry(env, tr)
-	} else {
-		tr = trace.Attach(env)
-	}
-	if cfg.Service.Faults != nil {
-		faults.Install(env, cfg.Service.Faults)
-	}
+	cfg.Service.Bind(env)
+	tr := trace.Attach(env)
 	cl := cluster.New(env, cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode)
 	nw := verbs.NewNetwork(env, cfg.Params)
 	for _, n := range cl.Nodes {
@@ -128,15 +117,9 @@ func New(cfg Config) *Framework {
 		Cluster: cl,
 		Sharing: ddss.New(nw, cl.Nodes, ddss.Options{}),
 		Locks:   dlm.New(nw, cl.Nodes, dlm.Options{Kind: cfg.LockKind, NumLocks: cfg.NumLocks}),
-		rt:      rt,
 		tr:      tr,
 	}
 }
-
-// Runtime returns the execution substrate the framework runs on —
-// always a SimRuntime today; the live runtime hosts services through
-// internal/serve instead of a Framework.
-func (f *Framework) Runtime() runtime.Runtime { return f.rt }
 
 // Trace snapshots the framework's observability counters: per-device
 // verbs ops, per-NIC occupancy, fabric wire-vs-CPU time per op class,

@@ -147,7 +147,7 @@ type Options struct {
 // constructed against the runtime abstraction and devirtualizes to the
 // network's simulation environment.
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Substrate {
-	opts.Bind(nw.Env, "ddss")
+	opts.Bind(nw.Env)
 	s := &Substrate{nw: nw, nodes: nodes, segs: map[string]*segment{}}
 	for _, n := range nodes {
 		nw.Attach(n)

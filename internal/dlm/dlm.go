@@ -131,7 +131,7 @@ type Options struct {
 // in the framework's canonical (nw, nodes, opts) constructor form. Lock
 // l is homed on nodes[l % len(nodes)].
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
-	opts.Bind(nw.Env, "dlm")
+	opts.Bind(nw.Env)
 	if opts.NumLocks <= 0 {
 		opts.NumLocks = 64
 	}

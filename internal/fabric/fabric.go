@@ -180,33 +180,10 @@ type NIC struct {
 
 // AcquireTx occupies the transmit engine for the serialization time of a
 // transfer, then releases it. It returns after the last byte is on the
-// wire.
+// wire. The acquire-hold-release is fused (the process parks once) and
+// the NIC's preformatted hook records occupancy at the grant instant.
 func (n *NIC) AcquireTx(p *sim.Proc, ser time.Duration) {
-	n.AcquireTxWith(p, ser, nil)
-}
-
-// AcquireTxWith is AcquireTx with a hook run at the grant instant, after
-// the queueing delay but before the serialization sleep. RDMA read uses
-// it to sample target memory at the exact virtual moment the response
-// leaves the remote NIC, while sharing the occupancy/stall accounting of
-// every other transmit.
-func (n *NIC) AcquireTxWith(p *sim.Proc, ser time.Duration, atGrant func()) {
-	if atGrant == nil {
-		// Common case: fused acquire-hold-release, parking the process
-		// once; the NIC's preformatted hook keeps occupancy accounting
-		// identical.
-		n.tx.UseWith(p, 1, ser, n.txHook)
-		return
-	}
-	env := n.Node.Env()
-	start := env.Now()
-	n.tx.Acquire(p, 1)
-	if n.ts != nil {
-		n.ts.RecordTx(ser, time.Duration(env.Now()-start))
-	}
-	atGrant()
-	p.Sleep(ser)
-	n.tx.Release(1)
+	n.tx.UseWith(p, 1, ser, n.txHook)
 }
 
 // GrantTx records one granted transmit (occupancy ser, queueing delay
@@ -221,11 +198,6 @@ func (n *NIC) GrantTx(ser, wait time.Duration) {
 
 // Tx exposes the transmit resource for instrumentation.
 func (n *NIC) Tx() *sim.Resource { return n.tx }
-
-// Trace returns the NIC's trace counters, or nil when untraced. Callers
-// that drive the transmit resource directly (the RDMA-read response
-// path) use it to keep occupancy accounting complete.
-func (n *NIC) Trace() *trace.NICStats { return n.ts }
 
 // Fabric is the interconnect: cost parameters plus the NIC registry.
 type Fabric struct {

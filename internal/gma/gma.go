@@ -71,7 +71,7 @@ type Options struct {
 // at setup (no virtual time is charged); node memory accounting reflects
 // the contribution.
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) (*Aggregator, error) {
-	opts.Bind(nw.Env, "gma")
+	opts.Bind(nw.Env)
 	arenaPerNode := opts.ArenaPerNode
 	if arenaPerNode <= 0 {
 		arenaPerNode = 16 << 20

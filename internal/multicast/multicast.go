@@ -77,7 +77,7 @@ type Options struct {
 // and starts the relay agents, in the framework's canonical
 // (nw, nodes, opts) constructor form.
 func NewGroup(nw *verbs.Network, members []*cluster.Node, opts Options) *Group {
-	opts.Bind(nw.Env, "multicast")
+	opts.Bind(nw.Env)
 	if len(members) == 0 {
 		panic("multicast: empty group")
 	}

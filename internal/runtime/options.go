@@ -7,17 +7,13 @@ import (
 )
 
 // ServiceOptions is the shared head of every service's Options struct:
-// it selects the execution substrate and carries the cross-cutting
-// observability and fault-injection hooks, so runtime mode is chosen in
+// the cross-cutting observability and fault-injection hooks, carried in
 // one place instead of threaded per call site. Embed it (by value) in a
 // service's Options and resolve it once at construction with Bind.
+// Simulated services always run on the environment of the network they
+// are built over; the live RealRuntime hosts services through
+// internal/serve instead.
 type ServiceOptions struct {
-	// Runtime selects the execution substrate. nil means the simulated
-	// runtime of the environment the service's network runs on — the
-	// common case. Simulated services (sockets, ddss, dlm, coopcache
-	// and the rest of the catalogue) require a SimRuntime; the live
-	// RealRuntime hosts services through internal/serve instead.
-	Runtime Runtime
 	// Trace, when non-nil, is attached to the environment before the
 	// service is built, so the layers it constructs publish their
 	// counters there. nil keeps whatever registry is already attached.
@@ -31,25 +27,12 @@ type ServiceOptions struct {
 }
 
 // Bind resolves the options against env, the environment the service's
-// network runs on: it defaults Runtime to NewSim(env), verifies the
-// selected runtime is the simulator over that same environment, then
-// attaches Trace and installs Faults. service attributes panic messages.
-// It returns the concrete environment — the services' devirtualized
-// fast path — so the abstraction costs nothing after construction.
-func (o ServiceOptions) Bind(env *sim.Env, service string) *sim.Env {
-	rt := o.Runtime
-	if rt == nil {
-		rt = NewSim(env)
-	}
-	se := MustSim(rt, service)
-	if se != env {
-		panic(service + ": Options.Runtime wraps a different environment than the service's network")
-	}
+// network runs on: it attaches Trace and installs Faults.
+func (o ServiceOptions) Bind(env *sim.Env) {
 	if o.Trace != nil {
-		trace.AttachRegistry(se, o.Trace)
+		trace.AttachRegistry(env, o.Trace)
 	}
 	if o.Faults != nil {
-		faults.Install(se, o.Faults)
+		faults.Install(env, o.Faults)
 	}
-	return se
 }

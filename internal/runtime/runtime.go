@@ -160,16 +160,3 @@ type Runtime interface {
 	// Listen binds an address for Accept.
 	Listen(addr string) (Listener, error)
 }
-
-// MustSim returns the concrete simulation environment behind rt,
-// panicking with a service-attributed message when rt is the live
-// runtime. Simulated services use it to devirtualize at construction:
-// the paper-calibrated cost models only exist over the DES, so handing
-// them a RealRuntime is a wiring error — live serving goes through
-// internal/serve instead.
-func MustSim(rt Runtime, service string) *sim.Env {
-	if env := rt.SimEnv(); env != nil {
-		return env
-	}
-	panic(service + ": simulated service requires a SimRuntime; live mode is hosted by internal/serve (ngdc-serve)")
-}

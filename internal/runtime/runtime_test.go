@@ -213,29 +213,6 @@ func TestSimDialRefused(t *testing.T) {
 	}
 }
 
-// TestMustSim checks the devirtualization seam: the sim env comes back
-// unwrapped, and handing a live runtime to a simulated service panics
-// with a service-attributed message.
-func TestMustSim(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Shutdown()
-	if got := MustSim(NewSim(env), "svc"); got != env {
-		t.Fatal("MustSim returned a different env")
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MustSim(RealRuntime) did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "svc:") {
-			t.Fatalf("panic %v not attributed to the service", r)
-		}
-	}()
-	rt := NewReal()
-	defer rt.Shutdown()
-	MustSim(rt, "svc")
-}
-
 // waitFor polls cond with the test's generous deadline.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -16,8 +16,9 @@ type Options struct {
 	// Nodes is the simulated backend's cluster size (default 4);
 	// ignored by the live backend.
 	Nodes int
-	// Seed drives the simulated backend's randomness (default 1);
-	// ignored by the live backend.
+	// Seed is ignored: the simulated backend runs on the runtime's
+	// environment, which was seeded when it was created. The field stays
+	// because the repository benchmark sets it.
 	Seed int64
 }
 
@@ -27,9 +28,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Nodes <= 0 {
 		o.Nodes = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -77,7 +75,7 @@ func New(rt runtime.Runtime, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{rt: rt, opts: opts}
 	if rt.Mode() == runtime.SimMode {
-		s.bk = newSimBackend(rt, opts)
+		s.bk = newSimBackend(rt.SimEnv(), opts)
 	} else {
 		s.bk = newLiveBackend(opts)
 	}

@@ -8,6 +8,7 @@ import (
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
 	"ngdc/internal/runtime"
+	"ngdc/internal/sim"
 )
 
 // simBackend hosts the request surface on the full simulated framework:
@@ -20,13 +21,11 @@ type simBackend struct {
 	opts Options
 }
 
-func newSimBackend(rt runtime.Runtime, opts Options) *simBackend {
-	f := core.New(core.Config{
+func newSimBackend(env *sim.Env, opts Options) *simBackend {
+	f := core.NewOn(env, core.Config{
 		Nodes:    opts.Nodes,
 		LockKind: dlm.NCoSED,
 		NumLocks: opts.Locks,
-		Seed:     opts.Seed,
-		Service:  runtime.ServiceOptions{Runtime: rt},
 	})
 	return &simBackend{f: f, opts: opts}
 }

@@ -201,7 +201,7 @@ type rendezvous struct {
 // using the given scheme and options. The returned connections belong to
 // the first and second device respectively.
 func Dial(scheme Scheme, a, b *verbs.Device, opt Options) (*Conn, *Conn) {
-	opt.Bind(a.Env(), "sockets")
+	opt.Bind(a.Env())
 	ab := newHalf(scheme, a, b, opt)
 	ba := newHalf(scheme, b, a, opt)
 	a.Node.ConnOpened()

@@ -104,7 +104,7 @@ type Options struct {
 // framework's canonical (nw, nodes, opts) constructor form; nodes are
 // the data nodes holding record partitions.
 func New(nw *verbs.Network, dataNodes []*cluster.Node, opts Options) *Cluster {
-	opts.Bind(nw.Env, "storm")
+	opts.Bind(nw.Env)
 	if opts.Client == nil {
 		panic("storm: Options.Client is required")
 	}

@@ -524,7 +524,7 @@ type (
 	// Task is a unit of execution on either substrate.
 	Task = runtime.Task
 	// ServiceOptions is the shared head of every service's Options:
-	// runtime selection, trace registry and fault plan in one place.
+	// trace registry and fault plan in one place.
 	ServiceOptions = runtime.ServiceOptions
 	// SimRuntime adapts a simulation environment to the Runtime API.
 	SimRuntime = runtime.SimRuntime
