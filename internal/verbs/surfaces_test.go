@@ -1,0 +1,260 @@
+package verbs
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"ngdc/internal/cluster"
+	"ngdc/internal/fabric"
+	"ngdc/internal/faults"
+	"ngdc/internal/sim"
+	"ngdc/internal/trace"
+)
+
+// surfOp is one one-sided operation of the two-surface script, issued
+// from device 0 at instant at (nanoseconds). Ops sharing a non-zero
+// batch id are consecutive, share their issue instant and go out through
+// one PostList on the posted surface (one process each on the blocking
+// surface).
+type surfOp struct {
+	at        time.Duration
+	op        string
+	target    RemoteAddr // zero Key: filled in with the target node's region
+	off, n    int
+	fill      byte
+	cmp, swap uint64
+	batch     int
+}
+
+type surfResult struct {
+	done   sim.Time
+	old    uint64
+	reason string
+	read   []byte
+}
+
+type surfOutcome struct {
+	results                []surfResult
+	mem                    [2][]byte
+	reads, writes, atomics int64
+	trace                  string
+}
+
+// surfScript covers every validation failure, Tx contention on the
+// issuer (the write batch and the writes around it) and on a target (two
+// reads at one instant), and — under surfPlan — a target lost between
+// issue and the mid-chain instant, a target lost between a write's
+// serialization and its placement, and the issuer lost before a write's
+// placement instant. Issue instants are chosen off every in-flight
+// event's instant: a posted request starts one event later than a
+// blocking call at the same instant, which only matters on an exact tie.
+func surfScript() []surfOp {
+	t1, t2 := RemoteAddr{Node: 1}, RemoteAddr{Node: 2}
+	return []surfOp{
+		{at: 101, op: OpWrite, target: t1, off: 0, n: 4096, fill: 0x11},
+		{at: 203, op: OpWrite, target: t2, off: 4096, n: 4096, fill: 0x22},
+		{at: 307, op: OpCAS, target: t1, off: 8192, cmp: 0, swap: 7},
+		{at: 409, op: OpFAA, target: t1, off: 8192, swap: 5},
+		{at: 503, op: OpRead, target: t1, off: 0, n: 4096},
+		{at: 503, op: OpRead, target: t1, off: 2048, n: 4096},
+		// Validation failures: no time passes, nothing is counted.
+		{at: 1009, op: OpRead, target: RemoteAddr{Node: 9, Key: 1}, n: 8},
+		{at: 1013, op: OpWrite, target: RemoteAddr{Node: 1, Key: 99}, n: 8},
+		{at: 1019, op: OpWrite, target: t1, off: 8205, n: 8},
+		{at: 1021, op: OpCAS, target: t1, off: 4, cmp: 0, swap: 1},
+		{at: 1031, op: OpFAA, target: t1, off: 8208, swap: 1},
+		// A doorbell batch of writes queues on the issuer's Tx engine.
+		{at: 20011, op: OpWrite, target: t1, off: 0, n: 4096, fill: 0x31, batch: 1},
+		{at: 20011, op: OpWrite, target: t2, off: 0, n: 4096, fill: 0x32, batch: 1},
+		{at: 20011, op: OpWrite, target: t1, off: 4096, n: 2048, fill: 0x33, batch: 1},
+		{at: 21017, op: OpCAS, target: t2, off: 8192, cmp: 0, swap: 9},
+		// surfPlan crashes node 2 at 41µs: the read and the atomic are in
+		// flight to it, the write has serialized and not yet placed.
+		{at: 37007, op: OpWrite, target: t2, off: 0, n: 1024, fill: 0x41},
+		{at: 39003, op: OpRead, target: t2, off: 4096, n: 512},
+		{at: 39509, op: OpFAA, target: t2, off: 8192, swap: 1},
+		{at: 42001, op: OpWrite, target: t2, off: 0, n: 64, fill: 0x42},
+		{at: 42003, op: OpRead, target: t1, off: 4096, n: 4096},
+		// surfPlan downs the issuer at 61µs: the first write has left the
+		// wire and not yet placed, the second is still queued behind it, the
+		// read is before its mid-chain instant; then ops issued while down.
+		{at: 55001, op: OpWrite, target: t1, off: 0, n: 4096, fill: 0x51},
+		{at: 55003, op: OpWrite, target: t1, off: 4096, n: 4096, fill: 0x52},
+		{at: 59001, op: OpRead, target: t1, off: 0, n: 64},
+		{at: 62001, op: OpCAS, target: t1, off: 8192, cmp: 12, swap: 13},
+		{at: 62003, op: OpWrite, target: t1, off: 0, n: 8, fill: 0x61},
+		// After both restarts: cold target memory, working paths.
+		{at: 90001, op: OpWrite, target: t2, off: 0, n: 4096, fill: 0x71},
+		{at: 90003, op: OpRead, target: t2, off: 4096, n: 64},
+		{at: 90007, op: OpFAA, target: t1, off: 8192, swap: 100},
+	}
+}
+
+func surfPlan() *faults.Plan {
+	return &faults.Plan{Seed: 3, Events: []faults.Event{
+		{At: 41 * time.Microsecond, Kind: faults.Crash, Node: 2},
+		{At: 61 * time.Microsecond, Kind: faults.Crash, Node: 0},
+		{At: 80 * time.Microsecond, Kind: faults.Restart, Node: 2},
+		{At: 81 * time.Microsecond, Kind: faults.Restart, Node: 0},
+	}}
+}
+
+func runSurface(t *testing.T, plan *faults.Plan, posted bool) surfOutcome {
+	t.Helper()
+	env := sim.NewEnv(1)
+	reg := trace.NewRegistry()
+	trace.AttachRegistry(env, reg)
+	if plan != nil {
+		faults.Install(env, plan)
+	}
+	nw := NewNetwork(env, fabric.DefaultParams())
+	devs := make([]*Device, 3)
+	for i := range devs {
+		devs[i] = nw.Attach(cluster.NewNode(env, i, 4, 1<<30))
+	}
+	var mrs [3]*MR
+	for n := 1; n <= 2; n++ {
+		mrs[n] = devs[n].RegisterAtSetup(make([]byte, 8192+16))
+	}
+	script := surfScript()
+	res := make([]surfResult, len(script))
+	for i := 0; i < len(script); {
+		j := i + 1
+		for posted && script[i].batch != 0 && j < len(script) && script[j].batch == script[i].batch {
+			j++
+		}
+		first, group := i, script[i:j]
+		i = j
+		env.Go(fmt.Sprintf("op%d", first), func(p *sim.Proc) {
+			p.SleepUntil(sim.Time(group[0].at))
+			wrs := make([]WR, len(group))
+			for k, o := range group {
+				r := o.target
+				if r.Key == 0 {
+					r = mrs[r.Node].Addr()
+				}
+				wrs[k] = WR{ID: uint64(first + k), Op: o.op, Target: r, Off: o.off,
+					Compare: o.cmp, Swap: o.swap, Delta: o.swap}
+				switch o.op {
+				case OpRead:
+					wrs[k].Dst = make([]byte, o.n)
+					res[first+k].read = wrs[k].Dst
+				case OpWrite:
+					wrs[k].Src = bytes.Repeat([]byte{o.fill}, o.n)
+				}
+			}
+			finish := func(k int, old uint64, err error) {
+				r := &res[first+k]
+				r.done, r.old = p.Now(), old
+				if err != nil {
+					r.reason = opReason(t, err)
+				}
+			}
+			if !posted {
+				w, d := wrs[0], devs[0]
+				var old uint64
+				var err error
+				switch w.Op {
+				case OpRead:
+					err = d.Read(p, w.Dst, w.Target, w.Off)
+				case OpWrite:
+					err = d.Write(p, w.Target, w.Off, w.Src)
+				case OpCAS:
+					old, err = d.CompareSwap(p, w.Target, w.Off, w.Compare, w.Swap)
+				case OpFAA:
+					old, err = d.FetchAdd(p, w.Target, w.Off, w.Delta)
+				}
+				finish(0, old, err)
+				return
+			}
+			cq := devs[0].CreateCQ(fmt.Sprintf("cq%d", first), len(wrs))
+			switch w := wrs[0]; {
+			case len(wrs) > 1:
+				devs[0].PostList(cq, wrs)
+			case w.Op == OpRead:
+				devs[0].PostRead(cq, w.ID, w.Dst, w.Target, w.Off)
+			case w.Op == OpWrite:
+				devs[0].PostWrite(cq, w.ID, w.Target, w.Off, w.Src)
+			case w.Op == OpCAS:
+				devs[0].PostCompareSwap(cq, w.ID, w.Target, w.Off, w.Compare, w.Swap)
+			case w.Op == OpFAA:
+				devs[0].PostFetchAdd(cq, w.ID, w.Target, w.Off, w.Delta)
+			}
+			for k := range wrs {
+				c := cq.Poll(p)
+				if c.ID != wrs[k].ID || c.Op != wrs[k].Op {
+					t.Errorf("completion %d of op %d: got id=%d op=%s", k, first, c.ID, c.Op)
+				}
+				finish(k, c.Old, c.Err)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	out := surfOutcome{results: res, reads: devs[0].Reads, writes: devs[0].Writes, atomics: devs[0].Atomics}
+	for n := 1; n <= 2; n++ {
+		out.mem[n-1] = mrs[n].Bytes()
+	}
+	snap := reg.Snapshot()
+	out.trace = fmt.Sprintf("dev=%+v nics=%+v fabric=%+v", snap.Devices, snap.NICs, snap.Fabric)
+	return out
+}
+
+// TestBlockingAndPostedAreOneMachine issues one op list through the
+// blocking Device calls in one environment and through Post*/PostList in
+// another: completion instants, returned values, error reasons, target
+// memory, op counters and the device/NIC/fabric trace must all agree,
+// healthy and under a fault plan.
+func TestBlockingAndPostedAreOneMachine(t *testing.T) {
+	script := surfScript()
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+		want map[string]bool // reasons the run must produce
+	}{
+		{"healthy", nil, map[string]bool{"no such node": true, "invalid rkey": true,
+			"out of bounds": true, "bad atomic offset": true}},
+		{"faulted", surfPlan(), map[string]bool{"peer unreachable": true, "local device down": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blk, pst := runSurface(t, tc.plan, false), runSurface(t, tc.plan, true)
+			for i, b := range blk.results {
+				o, p := script[i], pst.results[i]
+				if b.done != p.done || b.old != p.old || b.reason != p.reason || !bytes.Equal(b.read, p.read) {
+					t.Errorf("op %d (%s at %v): blocking done=%d old=%d reason=%q, posted done=%d old=%d reason=%q, read equal=%v",
+						i, o.op, o.at, b.done, b.old, b.reason, p.done, p.old, p.reason, bytes.Equal(b.read, p.read))
+				}
+				delete(tc.want, b.reason)
+			}
+			for reason := range tc.want {
+				t.Errorf("script never produced %q", reason)
+			}
+			for n := range blk.mem {
+				if !bytes.Equal(blk.mem[n], pst.mem[n]) {
+					t.Errorf("target %d memory differs between the surfaces", n+1)
+				}
+			}
+			if blk.reads != pst.reads || blk.writes != pst.writes || blk.atomics != pst.atomics {
+				t.Errorf("counters: blocking %d/%d/%d, posted %d/%d/%d reads/writes/atomics",
+					blk.reads, blk.writes, blk.atomics, pst.reads, pst.writes, pst.atomics)
+			}
+			if blk.trace != pst.trace {
+				t.Errorf("trace differs:\nblocking %s\nposted   %s", blk.trace, pst.trace)
+			}
+		})
+	}
+	// The placement-instant check names the failing side on both surfaces:
+	// the first write of the 55µs pair has left the wire when the issuer
+	// dies.
+	pst := runSurface(t, surfPlan(), true)
+	for i, o := range script {
+		if o.op == OpWrite && o.at == 55001 {
+			if got := pst.results[i].reason; got != "local device down" {
+				t.Errorf("posted write losing its issuer before placement: reason %q, want %q", got, "local device down")
+			}
+		}
+	}
+}
