@@ -148,12 +148,14 @@ func (w *workReq) begin() bool {
 		w.err = lerr
 		return false
 	}
-	atomic := w.op == wrCAS || w.op == wrFAA
-	n, reason := len(w.dst)+len(w.src), "out of bounds"
-	if atomic {
-		n, reason = 8, "bad atomic offset"
+	n, align, reason := 8, 8, "bad atomic offset"
+	switch w.op {
+	case wrRead:
+		n, align, reason = len(w.dst), 1, "out of bounds"
+	case wrWrite:
+		n, align, reason = len(w.src), 1, "out of bounds"
 	}
-	if w.off < 0 || w.off+n > len(mr.buf) || atomic && w.off%8 != 0 {
+	if w.off < 0 || w.off+n > len(mr.buf) || w.off%align != 0 {
 		w.err = &OpError{Op: w.opName, Target: w.r, Reason: reason}
 		return false
 	}
