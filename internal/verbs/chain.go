@@ -43,6 +43,9 @@ const (
 	wrFAA
 )
 
+// opName is the operation's name in errors, completions and trace events.
+var opName = [...]string{wrRead: OpRead, wrWrite: OpWrite, wrCAS: OpCAS, wrFAA: OpFAA}
+
 // Preformatted park reasons: parking must not allocate.
 var parkReason = [...]string{
 	wrRead:  "verbs read",
@@ -81,39 +84,37 @@ func (f *fifo[T]) pop() T {
 // schedules finishStep there and completes into a CQ — directly, or
 // through its batch's reorder buffer.
 type workReq struct {
-	d      *Device
-	p      *sim.Proc
-	cq     *CQ
-	b      *postBatch // nil for single posts
-	slot   int
-	id     uint64
-	op     wrOp
-	opName string
-	r      RemoteAddr
-	dst    []byte
-	src    []byte
-	mr     *MR
-	nic    *fabric.NIC
-	off    int
-	ser    time.Duration
-	// half1 is the request propagation of a read or an atomic (a write has
-	// none: it serializes at the issuer first). half2 is the tail latency
-	// after the last target-side instant: the response propagation of a
-	// read, the placement latency of a write, the return half of an atomic.
-	half1 time.Duration
+	d   *Device
+	p   *sim.Proc
+	mr  *MR
+	nic *fabric.NIC
+	// buf is the destination of a read or the source of a write.
+	buf []byte
+	off int
+	ser time.Duration
+	// half2 is the tail latency after the last target-side instant: the
+	// response propagation of a read, the placement latency of a write,
+	// the return half of an atomic.
 	half2 time.Duration
-	cmp   uint64
-	swp   uint64
-	delta uint64
-	old   uint64
-	err   error
-	start sim.Time
+	// cmp is a CAS's compare value; arg its swap value, or an FAA's addend.
+	cmp, arg uint64
+	old      uint64
+	start    sim.Time
+	op       wrOp
+	r        RemoteAddr
+	err      error
 
-	startFn  func()
 	midFn    func()
-	txDoneFn func()
-	finishFn func()
 	grantFn  func(waited time.Duration)
+	txDoneFn func()
+
+	// Posted requests only.
+	finishFn func()
+	startFn  func()
+	cq       *CQ
+	b        *postBatch // nil for single posts
+	slot     int
+	id       uint64
 }
 
 func (d *Device) getWorkReq() *workReq {
@@ -132,7 +133,7 @@ func (d *Device) getWorkReq() *workReq {
 }
 
 func (d *Device) putWorkReq(w *workReq) {
-	w.p, w.cq, w.b, w.dst, w.src, w.mr, w.nic, w.err = nil, nil, nil, nil, nil, nil, nil, nil
+	w.p, w.mr, w.nic, w.buf, w.err, w.cq, w.b = nil, nil, nil, nil, nil, nil, nil
 	w.old = 0
 	d.wrFree = append(d.wrFree, w)
 }
@@ -143,23 +144,21 @@ func (d *Device) putWorkReq(w *workReq) {
 func (w *workReq) begin() bool {
 	d := w.d
 	pp := d.nw.Fab.P
-	mr, lerr := d.nw.lookup(w.opName, w.r)
+	name := opName[w.op]
+	mr, lerr := d.nw.lookup(name, w.r)
 	if lerr != nil {
 		w.err = lerr
 		return false
 	}
-	n, align, reason := 8, 8, "bad atomic offset"
-	switch w.op {
-	case wrRead:
-		n, align, reason = len(w.dst), 1, "out of bounds"
-	case wrWrite:
-		n, align, reason = len(w.src), 1, "out of bounds"
+	n, align, reason := len(w.buf), 1, "out of bounds"
+	if w.op == wrCAS || w.op == wrFAA {
+		n, align, reason = 8, 8, "bad atomic offset"
 	}
 	if w.off < 0 || w.off+n > len(mr.buf) || w.off%align != 0 {
-		w.err = &OpError{Op: w.opName, Target: w.r, Reason: reason}
+		w.err = &OpError{Op: name, Target: w.r, Reason: reason}
 		return false
 	}
-	if w.err = d.pathError(w.opName, w.r); w.err != nil {
+	if w.err = d.pathError(name, w.r); w.err != nil {
 		return false
 	}
 	w.mr = mr
@@ -174,6 +173,9 @@ func (w *workReq) begin() bool {
 			f.NoteDelay()
 		}
 	}
+	// half1 is the request propagation of a read or an atomic; a write has
+	// none, it serializes at the issuer first.
+	var half1 time.Duration
 	switch w.op {
 	case wrWrite:
 		d.Writes++
@@ -186,14 +188,14 @@ func (w *workReq) begin() bool {
 		d.Reads++
 		w.nic = mr.dev.nic
 		w.ser = pp.IBTxTime(n)
-		w.half1, w.half2 = pp.IBReadLatency/2, pp.IBReadLatency/2
+		half1, w.half2 = pp.IBReadLatency/2, pp.IBReadLatency/2
 	default:
 		d.Atomics++
-		w.half1 = pp.IBAtomicLatency / 2
-		w.half2 = pp.IBAtomicLatency - w.half1
+		half1 = pp.IBAtomicLatency / 2
+		w.half2 = pp.IBAtomicLatency - half1
 	}
-	w.half1, w.half2 = w.half1+lead+xtra, w.half2+xtra
-	d.nw.Env.After(w.half1, w.midFn)
+	w.half2 += xtra
+	d.nw.Env.After(half1+lead+xtra, w.midFn)
 	return true
 }
 
@@ -212,7 +214,7 @@ func (w *workReq) startStep() {
 // callback at a time and no virtual time passes between load and store).
 func (w *workReq) midStep() {
 	if f := w.d.nw.flt; f != nil && !f.Reachable(w.d.Node.ID, w.r.Node) {
-		w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
+		w.err = &OpError{Op: opName[w.op], Target: w.r, Reason: "peer unreachable"}
 		w.tail()
 		return
 	}
@@ -222,7 +224,7 @@ func (w *workReq) midStep() {
 	}
 	buf := w.mr.buf[w.off:]
 	w.old = binary.LittleEndian.Uint64(buf)
-	binary.LittleEndian.PutUint64(buf, applyAtomic(w.op, w.old, w.cmp, w.swp, w.delta))
+	binary.LittleEndian.PutUint64(buf, applyAtomic(w.op, w.old, w.cmp, w.arg))
 	w.tail()
 }
 
@@ -231,7 +233,7 @@ func (w *workReq) midStep() {
 func (w *workReq) grantStep(waited time.Duration) {
 	w.nic.GrantTx(w.ser, waited)
 	if w.op == wrRead {
-		copy(w.dst, w.mr.buf[w.off:w.off+len(w.dst)])
+		copy(w.buf, w.mr.buf[w.off:w.off+len(w.buf)])
 	}
 	w.d.nw.Env.After(w.ser, w.txDoneFn)
 }
@@ -254,14 +256,14 @@ func (w *workReq) tail() {
 	w.d.nw.Env.After(w.half2, w.finishFn)
 }
 
-func applyAtomic(op wrOp, old, cmp, swp, delta uint64) uint64 {
-	if op == wrCAS {
-		if old == cmp {
-			return swp
-		}
-		return old
+func applyAtomic(op wrOp, old, cmp, arg uint64) uint64 {
+	if op == wrFAA {
+		return old + arg
 	}
-	return old + delta
+	if old == cmp {
+		return arg
+	}
+	return old
 }
 
 // complete runs at the completion instant, in the woken issuer or in
@@ -271,8 +273,8 @@ func applyAtomic(op wrOp, old, cmp, swp, delta uint64) uint64 {
 func (w *workReq) complete() {
 	d := w.d
 	if w.err == nil && w.op == wrWrite {
-		if w.err = d.pathError(w.opName, w.r); w.err == nil {
-			copy(w.mr.buf[w.off:w.off+len(w.src)], w.src)
+		if w.err = d.pathError(OpWrite, w.r); w.err == nil {
+			copy(w.mr.buf[w.off:], w.buf)
 		}
 	}
 	if w.err != nil || d.ts == nil {
@@ -280,31 +282,31 @@ func (w *workReq) complete() {
 	}
 	pp := d.nw.Fab.P
 	lat := time.Duration(d.nw.Env.Now() - w.start)
+	n := len(w.buf)
 	var (
 		vs    *trace.VerbStats
 		class trace.OpClass
-		n     int
 		wire  time.Duration
 	)
 	switch w.op {
 	case wrRead:
-		vs, class, n, wire = &d.ts.Read, trace.OpRDMARead, len(w.dst), pp.IBReadLatency+w.ser
+		vs, class, wire = &d.ts.Read, trace.OpRDMARead, pp.IBReadLatency+w.ser
 	case wrWrite:
-		vs, class, n, wire = &d.ts.Write, trace.OpRDMAWrite, len(w.src), pp.IBWriteLatency+w.ser
+		vs, class, wire = &d.ts.Write, trace.OpRDMAWrite, pp.IBWriteLatency+w.ser
 	default:
-		lat = pp.IBAtomicLatency
-		vs, class, n, wire = &d.ts.Atomic, trace.OpRDMAAtomic, 8, lat
+		n, lat = 8, pp.IBAtomicLatency
+		vs, class, wire = &d.ts.Atomic, trace.OpRDMAAtomic, lat
 	}
 	vs.Record(n, lat)
 	d.tr.RecordOp(class, wire, 0)
-	d.tr.Emit("verbs", w.opName, d.Node.ID, n, lat)
+	d.tr.Emit("verbs", opName[w.op], d.Node.ID, n, lat)
 }
 
 // finishStep completes a posted work request and delivers its
 // completion.
 func (w *workReq) finishStep() {
 	w.complete()
-	c := Completion{ID: w.id, Op: w.opName, Old: w.old, Err: w.err}
+	c := Completion{ID: w.id, Op: opName[w.op], Old: w.old, Err: w.err}
 	cq, b, slot := w.cq, w.b, w.slot
 	w.d.putWorkReq(w)
 	if b != nil {

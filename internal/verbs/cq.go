@@ -78,17 +78,19 @@ type WR struct {
 // post fills a pooled record for one one-sided operation. The caller
 // starts it: a posted request by scheduling its doorbell (startFn), a
 // blocking call (cq nil) through Device.issue.
-func (d *Device) post(cq *CQ, id uint64, opName string, op wrOp, r RemoteAddr, off int, dst, src []byte, cmp, swp, delta uint64) *workReq {
+// buf is a read's destination or a write's source; arg is a CAS's swap
+// value or an FAA's addend.
+func (d *Device) post(cq *CQ, id uint64, op wrOp, r RemoteAddr, off int, buf []byte, cmp, arg uint64) *workReq {
 	w := d.getWorkReq()
-	w.cq, w.id, w.op, w.opName = cq, id, op, opName
-	w.r, w.off, w.dst, w.src = r, off, dst, src
-	w.cmp, w.swp, w.delta = cmp, swp, delta
+	w.cq, w.id, w.op = cq, id, op
+	w.r, w.off, w.buf = r, off, buf
+	w.cmp, w.arg = cmp, arg
 	return w
 }
 
 // PostRead starts an RDMA read; the caller continues immediately.
 func (d *Device) PostRead(cq *CQ, id uint64, dst []byte, r RemoteAddr, off int) {
-	w := d.post(cq, id, OpRead, wrRead, r, off, dst, nil, 0, 0, 0)
+	w := d.post(cq, id, wrRead, r, off, dst, 0, 0)
 	d.nw.Env.After(0, w.startFn)
 }
 
@@ -96,19 +98,19 @@ func (d *Device) PostRead(cq *CQ, id uint64, dst []byte, r RemoteAddr, off int) 
 // source buffer is captured as-is: it must not be reused until the
 // completion arrives (the verbs contract).
 func (d *Device) PostWrite(cq *CQ, id uint64, r RemoteAddr, off int, src []byte) {
-	w := d.post(cq, id, OpWrite, wrWrite, r, off, nil, src, 0, 0, 0)
+	w := d.post(cq, id, wrWrite, r, off, src, 0, 0)
 	d.nw.Env.After(0, w.startFn)
 }
 
 // PostCompareSwap starts an asynchronous compare-and-swap.
 func (d *Device) PostCompareSwap(cq *CQ, id uint64, r RemoteAddr, off int, compare, swap uint64) {
-	w := d.post(cq, id, OpCAS, wrCAS, r, off, nil, nil, compare, swap, 0)
+	w := d.post(cq, id, wrCAS, r, off, nil, compare, swap)
 	d.nw.Env.After(0, w.startFn)
 }
 
 // PostFetchAdd starts an asynchronous fetch-and-add.
 func (d *Device) PostFetchAdd(cq *CQ, id uint64, r RemoteAddr, off int, delta uint64) {
-	w := d.post(cq, id, OpFAA, wrFAA, r, off, nil, nil, 0, 0, delta)
+	w := d.post(cq, id, wrFAA, r, off, nil, 0, delta)
 	d.nw.Env.After(0, w.startFn)
 }
 
@@ -124,23 +126,22 @@ func (d *Device) PostList(cq *CQ, wrs []WR) {
 	}
 	b := d.getBatch(cq, len(wrs))
 	for i, wr := range wrs {
-		var op wrOp
+		var w *workReq
 		switch wr.Op {
 		case OpRead:
-			op = wrRead
+			w = d.post(cq, wr.ID, wrRead, wr.Target, wr.Off, wr.Dst, 0, 0)
 		case OpWrite:
-			op = wrWrite
+			w = d.post(cq, wr.ID, wrWrite, wr.Target, wr.Off, wr.Src, 0, 0)
 		case OpCAS:
-			op = wrCAS
+			w = d.post(cq, wr.ID, wrCAS, wr.Target, wr.Off, nil, wr.Compare, wr.Swap)
 		case OpFAA:
-			op = wrFAA
+			w = d.post(cq, wr.ID, wrFAA, wr.Target, wr.Off, nil, 0, wr.Delta)
 		default:
 			b.comps[i] = Completion{ID: wr.ID, Op: wr.Op,
 				Err: &OpError{Op: wr.Op, Target: wr.Target, Reason: "unknown op"}}
 			b.done[i] = true
 			continue
 		}
-		w := d.post(cq, wr.ID, wr.Op, op, wr.Target, wr.Off, wr.Dst, wr.Src, wr.Compare, wr.Swap, wr.Delta)
 		w.b, w.slot = b, i
 		b.wrs = append(b.wrs, w)
 	}

@@ -301,7 +301,7 @@ func (nw *Network) lookup(op string, r RemoteAddr) (*MR, *OpError) {
 // memory is sampled when the response is generated at the target, so a
 // concurrent remote write ordered before that instant is observed.
 func (d *Device) Read(p *sim.Proc, dst []byte, r RemoteAddr, off int) error {
-	_, err := d.issue(p, d.post(nil, 0, OpRead, wrRead, r, off, dst, nil, 0, 0, 0))
+	_, err := d.issue(p, d.post(nil, 0, wrRead, r, off, dst, 0, 0))
 	return err
 }
 
@@ -310,7 +310,7 @@ func (d *Device) Read(p *sim.Proc, dst []byte, r RemoteAddr, off int) error {
 // the data is placed in remote memory; a target or issuer lost while the
 // write was in flight fails the op instead of placing the data.
 func (d *Device) Write(p *sim.Proc, r RemoteAddr, off int, src []byte) error {
-	_, err := d.issue(p, d.post(nil, 0, OpWrite, wrWrite, r, off, nil, src, 0, 0, 0))
+	_, err := d.issue(p, d.post(nil, 0, wrWrite, r, off, src, 0, 0))
 	return err
 }
 
@@ -320,13 +320,13 @@ func (d *Device) Write(p *sim.Proc, r RemoteAddr, off int, src []byte) error {
 // blocks for the atomic round trip; the target HCA applies the operation
 // at the halfway point.
 func (d *Device) CompareSwap(p *sim.Proc, r RemoteAddr, off int, compare, swap uint64) (uint64, error) {
-	return d.issue(p, d.post(nil, 0, OpCAS, wrCAS, r, off, nil, nil, compare, swap, 0))
+	return d.issue(p, d.post(nil, 0, wrCAS, r, off, nil, compare, swap))
 }
 
 // FetchAdd atomically adds delta to the 64-bit word at the remote offset
 // and returns the previous value.
 func (d *Device) FetchAdd(p *sim.Proc, r RemoteAddr, off int, delta uint64) (uint64, error) {
-	return d.issue(p, d.post(nil, 0, OpFAA, wrFAA, r, off, nil, nil, 0, 0, delta))
+	return d.issue(p, d.post(nil, 0, wrFAA, r, off, nil, 0, delta))
 }
 
 // queue returns (creating if needed) the named receive queue.
