@@ -105,11 +105,17 @@ type pageKey struct {
 }
 
 // victim is one page parked in remote memory, under one slot of the
-// victim tier's eviction ring.
+// victim tier's eviction ring. A victim is registered (remote, parked)
+// before its first costed operation, so no two processes ever own one
+// slot or park one page twice; busy counts the operations in flight on
+// it — the demotion still writing it (buf is nil until that write is
+// placed) and every one-sided read of it — and a busy victim is never
+// reclaimed.
 type victim struct {
 	key  pageKey
 	buf  *gma.Buf
 	slot int32
+	busy int
 }
 
 // Cache is one node's file-system cache.
@@ -169,14 +175,17 @@ func (c *Cache) Read(p *sim.Proc, file, page int) (Source, error) {
 	}
 
 	if c.cfg.Mode == RemoteMemory {
-		if v, ok := c.remote[key]; ok {
+		if v, ok := c.remote[key]; ok && v.buf != nil {
 			// One-sided read from the victim tier, then promote. The page
-			// moves to the back of the eviction order first, so a
-			// demotion racing this read reclaims every other parked page
-			// before the one in flight.
+			// moves to the back of the eviction order and is held busy
+			// for the read, so a demotion racing it cannot free the
+			// buffer in flight.
 			c.order.Touch(v.slot)
 			buf := make([]byte, c.cfg.PageSize)
-			if err := c.gmaCli.Read(p, buf, v.buf, 0); err != nil {
+			v.busy++
+			err := c.gmaCli.Read(p, buf, v.buf, 0)
+			v.busy--
+			if err != nil {
 				return FromRemote, err
 			}
 			if err := c.insertLocal(p, key); err != nil {
@@ -209,44 +218,70 @@ func (c *Cache) insertLocal(p *sim.Proc, key pageKey) error {
 	return nil
 }
 
-// demote parks an evicted page in the remote victim tier. The page's
-// slot is claimed before any costed operation; when the tier is full the
-// oldest live page makes room, and its buffer is freed by the slot it
-// was parked under — never by a stale queue position.
+// demote parks an evicted page in the remote victim tier. The page takes
+// its slot before any costed operation; when the tier is full the oldest
+// idle page makes room, and its buffer is freed by the slot it was parked
+// under — never by a stale queue position.
 func (c *Cache) demote(p *sim.Proc, key pageKey) error {
 	if v, ok := c.remote[key]; ok {
-		// Already parked (a promoted copy was read-only): refresh its
-		// eviction position instead of leaving the page to die at its
-		// old one — it was just the LRU's most recent victim.
+		// Already parked (a promoted copy was read-only) or being parked
+		// by another process: refresh its eviction position instead of
+		// leaving the page to die at its old one — it was just the LRU's
+		// most recent victim.
 		c.order.Touch(v.slot)
 		return nil
 	}
 	slot, ok := c.order.Claim()
+	var old *victim
 	if !ok {
-		if slot, ok = c.order.Reclaim(); !ok {
-			return nil // no victim tier: drop the page (disk still has it)
+		if slot, old = c.reclaim(); old == nil {
+			return nil // nothing reclaimable: drop the page (disk still has it)
 		}
-		old := c.parked[slot]
-		c.parked[slot] = nil
 		delete(c.remote, old.key)
+	}
+	v := &victim{key: key, slot: slot, busy: 1}
+	c.remote[key], c.parked[slot] = v, v
+	err := c.park(p, v, old)
+	v.busy--
+	if v.buf == nil {
+		delete(c.remote, key)
+		c.parked[slot] = nil
+		c.order.Release(slot)
+	}
+	return err
+}
+
+// reclaim takes the slot of the oldest parked page with nothing in
+// flight on it. A busy page met on the way has already moved to the back
+// of the order (Reclaim re-stamps what it pops), which is where an
+// in-flight page belongs. old is nil when every slot is busy, or the tier
+// has none.
+func (c *Cache) reclaim() (slot int32, old *victim) {
+	for range c.order.Live() {
+		slot, _ = c.order.Reclaim()
+		if v := c.parked[slot]; v.busy == 0 {
+			return slot, v
+		}
+	}
+	return 0, nil
+}
+
+// park runs a demotion's costed half: free the reclaimed page's buffer,
+// then allocate and fill v's. v.buf is set only once the page is placed.
+func (c *Cache) park(p *sim.Proc, v, old *victim) error {
+	if old != nil {
 		if err := c.gmaCli.Free(p, old.buf); err != nil {
-			c.order.Release(slot)
 			return err
 		}
 	}
 	buf, err := c.gmaCli.Alloc(p, int64(c.cfg.PageSize))
 	if err != nil {
-		// Aggregate memory exhausted: drop the page (disk still has it).
-		c.order.Release(slot)
-		return nil
+		return nil // aggregate memory exhausted: drop the page (disk still has it)
 	}
 	if err := c.gmaCli.Write(p, buf, 0, make([]byte, c.cfg.PageSize)); err != nil {
-		c.order.Release(slot)
 		return err
 	}
-	v := &victim{key: key, buf: buf, slot: slot}
-	c.remote[key] = v
-	c.parked[slot] = v
+	v.buf = buf
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package filecache
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -293,5 +294,119 @@ func TestVictimOrderStaysBounded(t *testing.T) {
 	}
 	if c.Stats.RemoteHits == 0 {
 		t.Fatal("workload never hit the victim tier")
+	}
+}
+
+// Regression: demotions and remote hits of several processes overlap on a
+// tier far smaller than the traffic. A slot whose page is still being
+// written (or read) is in the eviction order but must not be reclaimed:
+// it used to be handed to a second demoter, which dereferenced the nil
+// page parked under it. The tier must hold its cap at every instant, no
+// read may find its page's buffer freed under it, and once every process
+// is done each parked page owns exactly one slot and one buffer.
+func TestOverlappingDemotionsShareATinyTier(t *testing.T) {
+	env := sim.NewEnv(1)
+	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	var nodes []*cluster.Node
+	for i := 0; i < 3; i++ {
+		nodes = append(nodes, cluster.NewNode(env, i, 2, 64<<20))
+	}
+	agg, err := gma.New(nw, nodes, gma.Options{ArenaPerNode: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := agg.TotalFree()
+	cfg := Config{Mode: RemoteMemory, PageSize: 4 << 10, LocalPages: 2, VictimPages: 2}
+	c := New(cfg, nw, nodes[0], agg)
+	defer env.Shutdown()
+
+	const procs, reads = 8, 200
+	for w := 0; w < procs; w++ {
+		env.Go("reader", func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < reads; i++ {
+				// Every process draws from the same six shared pages —
+				// two more than both tiers hold — so one key is demoted,
+				// hit remotely and re-demoted by several processes at
+				// once.
+				file, page := 0, rng.Intn(6)
+				if _, err := c.Read(p, file, page); err != nil {
+					t.Errorf("proc %d read %d: %v", w, i, err)
+					return
+				}
+				if c.RemotePages() > cfg.VictimPages {
+					t.Errorf("victim tier holds %d pages, cap %d", c.RemotePages(), cfg.VictimPages)
+					return
+				}
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats.RemoteHits == 0 {
+		t.Fatal("workload never hit the victim tier")
+	}
+	if c.RemotePages() != c.order.Live() {
+		t.Fatalf("%d parked pages under %d live claims", c.RemotePages(), c.order.Live())
+	}
+	if held, want := pool-agg.TotalFree(), int64(c.RemotePages()*cfg.PageSize); held != want {
+		t.Fatalf("pool holds %d bytes for %d parked pages, want %d", held, c.RemotePages(), want)
+	}
+}
+
+// Regression: a page stays parked for the whole of a one-sided read of
+// it. One process reads the only parked page while another's demotion
+// arrives mid-read on the full one-slot tier; moving the page to the back
+// of the eviction order is no protection there, so the demotion used to
+// free the buffer under the read. The page being read must hold its slot
+// and the demoted page is the one dropped.
+func TestRemoteReadHoldsItsPage(t *testing.T) {
+	env := sim.NewEnv(1)
+	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	var nodes []*cluster.Node
+	for i := 0; i < 3; i++ {
+		nodes = append(nodes, cluster.NewNode(env, i, 2, 64<<20))
+	}
+	agg, err := gma.New(nw, nodes, gma.Options{ArenaPerNode: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: RemoteMemory, PageSize: 64 << 10, LocalPages: 2, VictimPages: 1}
+	c := New(cfg, nw, nodes[0], agg)
+	defer env.Shutdown()
+
+	const x, a, b, w = 0, 1, 2, 3
+	disk := fabric.DefaultParams().BackendTime(cfg.PageSize)
+	start := sim.Time(10 * disk)
+	read := func(p *sim.Proc, page int, want Source) {
+		if src, err := c.Read(p, 0, page); err != nil || src != want {
+			t.Errorf("read page %d: %v %v, want %v", page, src, err, want)
+		}
+	}
+	env.Go("setup", func(p *sim.Proc) {
+		read(p, x, FromDisk)
+		read(p, a, FromDisk)
+		read(p, b, FromDisk) // x demoted: local {a,b}, remote {x}
+	})
+	env.Go("demoter", func(p *sim.Proc) {
+		p.SleepUntil(start)
+		read(p, w, FromDisk) // back from disk at start+disk: evicts a
+	})
+	env.Go("reader", func(p *sim.Proc) {
+		p.SleepUntil(start + sim.Time(disk-time.Microsecond))
+		read(p, x, FromRemote) // in flight when the demotion arrives
+	})
+	env.Go("observer", func(p *sim.Proc) {
+		p.SleepUntil(start + sim.Time(disk) + 1)
+		if c.remote[pageKey{page: x}] == nil {
+			t.Error("page evicted from the victim tier under a one-sided read of it")
+		}
+		if _, parked := c.remote[pageKey{page: a}]; parked {
+			t.Error("the demotion took the slot of the page being read")
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
