@@ -125,12 +125,7 @@ func (dc *DataCenter) putReq(rc *reqChain) {
 // the egress-complete instant.
 func (rc *reqChain) start() {
 	rc.px.node.ExecBegin()
-	cpu := rc.px.node.CPU()
-	if cpu.TryAcquire(1) {
-		rc.dc.env.After(RequestCPU, rc.cpuDoneFn)
-		return
-	}
-	cpu.AcquireAsync(1, rc.cpuGrantFn)
+	rc.px.node.CPU().AcquireAsync(1, rc.cpuGrantFn)
 }
 
 // cpuDone runs at the admission-burst release instant.
@@ -201,12 +196,7 @@ func (rc *reqChain) dirArrived(remote bool) {
 // fetchMid runs when the read request reaches the holder: occupy the
 // holder's transmit engine for the response serialization.
 func (rc *reqChain) fetchMid() {
-	tx := rc.holder.dev.NIC().Tx()
-	if tx.TryAcquire(1) {
-		rc.dc.env.After(rc.dc.nw.Params().IBTxTime(int(rc.size)), rc.fetchTxDoneFn)
-		return
-	}
-	tx.AcquireAsync(1, rc.fetchGrantFn)
+	rc.holder.dev.NIC().Tx().AcquireAsync(1, rc.fetchGrantFn)
 }
 
 // fetchTxDone runs when the response's last byte leaves the holder NIC.
@@ -245,12 +235,8 @@ func (rc *reqChain) missStep() {
 		fut.WaitAsync(rc.retryFn)
 		return
 	}
-	rc.fut = dc.getFetchFuture(rc.doc)
+	rc.fut = dc.getFetchFuture()
 	dc.inflight[rc.doc] = rc.fut
-	if dc.backend.TryAcquire(1) {
-		dc.env.After(dc.nw.Params().BackendTime(int(rc.size)), rc.backendDoneFn)
-		return
-	}
 	dc.backend.AcquireAsync(1, rc.backendGrantFn)
 }
 
@@ -270,15 +256,7 @@ func (rc *reqChain) backendDone() {
 func (rc *reqChain) insertStep(target *cacheNode) {
 	rc.target = target
 	if target != rc.px {
-		dc := rc.dc
-		ser := dc.nw.Params().IBTxTime(int(rc.size))
-		tx := rc.px.dev.NIC().Tx()
-		if tx.TryAcquire(1) {
-			rc.px.dev.NIC().GrantTx(ser, 0)
-			dc.env.After(ser, rc.insTxDoneFn)
-			return
-		}
-		tx.AcquireAsync(1, rc.insTxGrantFn)
+		rc.px.dev.NIC().Tx().AcquireAsync(1, rc.insTxGrantFn)
 		return
 	}
 	rc.placed()
@@ -374,12 +352,7 @@ func (rc *reqChain) egress() {
 
 // egressCPU occupies a proxy core for the TCP send processing.
 func (rc *reqChain) egressCPU() {
-	cpu := rc.px.node.CPU()
-	if cpu.TryAcquire(1) {
-		rc.dc.env.After(rc.dc.nw.Params().TCPCPUTime(int(rc.size)), rc.egCPUDoneFn)
-		return
-	}
-	cpu.AcquireAsync(1, rc.egCPUGrantFn)
+	rc.px.node.CPU().AcquireAsync(1, rc.egCPUGrantFn)
 }
 
 // egCPUDone runs at the TCP CPU release instant: occupy the proxy NIC
@@ -390,12 +363,5 @@ func (rc *reqChain) egressCPU() {
 func (rc *reqChain) egCPUDone() {
 	rc.px.node.CPU().Release(1)
 	rc.px.node.ExecDone()
-	nic := rc.px.dev.NIC()
-	ser := rc.dc.nw.Params().TCPTxTime(int(rc.size))
-	if nic.Tx().TryAcquire(1) {
-		nic.GrantTx(ser, 0)
-		rc.dc.env.WakeAfter(rc.p, ser)
-		return
-	}
-	nic.Tx().AcquireAsync(1, rc.egTxGrantFn)
+	rc.px.dev.NIC().Tx().AcquireAsync(1, rc.egTxGrantFn)
 }

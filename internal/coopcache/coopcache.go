@@ -160,7 +160,7 @@ type DataCenter struct {
 	appTier  []*cacheNode
 	backend  *sim.Resource
 	inflight map[int]*sim.Future[int] // doc -> fetch in progress (dedup)
-	futFree  []*sim.Future[int]       // recycled dedup futures (untraced runs)
+	futFree  []*sim.Future[int]       // recycled dedup futures
 	reqFree  []*reqChain              // recycled request chain records
 	reqMade  int                      // chain records ever allocated (pool size)
 
@@ -299,14 +299,10 @@ func (dc *DataCenter) dirRemoveEntry(doc int, holderID int) {
 	}
 }
 
-// getFetchFuture returns the dedup future for a backend fetch of doc. The
-// per-document name is formatted only when a tracer is attached (the name
-// surfaces in traced block reasons); untraced runs recycle pooled futures
-// under a static name and skip the Sprintf entirely.
-func (dc *DataCenter) getFetchFuture(doc int) *sim.Future[int] {
-	if dc.tr != nil {
-		return sim.NewFuture[int](dc.env, fmt.Sprintf("fetch-doc%d", doc))
-	}
+// getFetchFuture returns a pooled dedup future for a backend fetch. The
+// request chain waits on it with WaitAsync, so no process ever blocks on
+// it and its name is never shown: one static name serves every fetch.
+func (dc *DataCenter) getFetchFuture() *sim.Future[int] {
 	if n := len(dc.futFree); n > 0 {
 		f := dc.futFree[n-1]
 		dc.futFree = dc.futFree[:n-1]
@@ -316,11 +312,8 @@ func (dc *DataCenter) getFetchFuture(doc int) *sim.Future[int] {
 	return sim.NewFuture[int](dc.env, "fetch")
 }
 
-// putFetchFuture recycles a resolved dedup future (all waiters have been
-// woken by Resolve and read their values from their own waiter records,
-// so the future is free for the next fetch).
+// putFetchFuture recycles a resolved dedup future (Resolve has handed
+// every waiter its value, so the future is free for the next fetch).
 func (dc *DataCenter) putFetchFuture(f *sim.Future[int]) {
-	if dc.tr == nil {
-		dc.futFree = append(dc.futFree, f)
-	}
+	dc.futFree = append(dc.futFree, f)
 }

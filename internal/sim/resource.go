@@ -151,19 +151,6 @@ func (r *Resource) waiter() *resWaiter {
 	return &resWaiter{}
 }
 
-// TryAcquire takes n units if immediately available (and no earlier waiter
-// is queued), reporting whether it succeeded.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 || n > r.cap {
-		panic("sim: bad acquire count on " + r.name)
-	}
-	if r.q.len() == 0 && r.inUse+n <= r.cap {
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and wakes queued acquirers in FIFO order. It is
 // safe to call from timer callbacks.
 func (r *Resource) Release(n int) {

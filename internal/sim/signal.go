@@ -1,37 +1,5 @@
 package sim
 
-// Signal is a broadcast condition: processes Wait on it and a Broadcast
-// wakes all of them at the current instant. Unlike a condition variable
-// there is no associated lock (the engine's lockstep execution makes one
-// unnecessary); a Broadcast with no waiters is not remembered.
-type Signal struct {
-	env     *Env
-	name    string
-	waiters waitq[*Proc]
-	why     string
-}
-
-// NewSignal creates a signal.
-func NewSignal(e *Env, name string) *Signal {
-	return &Signal{env: e, name: name, why: "wait on " + name}
-}
-
-// Waiters returns the number of processes currently blocked in Wait.
-func (s *Signal) Waiters() int { return s.waiters.len() }
-
-// Wait blocks the process until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters.push(p)
-	p.block(s.why)
-}
-
-// Broadcast wakes every waiting process. Safe from timer callbacks.
-func (s *Signal) Broadcast() {
-	for s.waiters.len() > 0 {
-		s.env.wake(s.waiters.pop())
-	}
-}
-
 // Future is a single-assignment container that processes can block on:
 // the simulated analogue of a completion. It is the building block for
 // request/response interactions where the responder may answer from a

@@ -1,37 +1,44 @@
+//go:build go1.23
+
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine in the style of SimPy.
 //
 // A simulation consists of an Env (the scheduler: virtual clock plus a
 // priority queue of events) and a set of processes. Each process is a
-// goroutine, but the engine enforces strict lockstep: exactly one process
-// runs at any instant, and control passes between the scheduler and the
-// running process through handshake channels. Because of this property,
+// coroutine of the run loop (iter.Pull): the loop pops a wake event and
+// resumes the process, the process runs until it next blocks and yields
+// back. Exactly one of them runs at any instant, and there is one resume
+// path whether or not a tracer is installed. Because of this property,
 // simulation state (including all engine data structures and any model
 // state touched only from processes or timer callbacks) needs no locking
 // and every run with the same seed is exactly reproducible.
 //
 // Processes interact with virtual time through Proc.Sleep, and with each
 // other through Chan (a simulated message channel), Resource (a FIFO
-// counting semaphore, e.g. CPU cores or a network link) and Signal (a
-// broadcast condition). Timer callbacks (Env.At, Env.After) run inline in
-// the scheduler and may use the non-blocking primitives (Chan.PostSend,
-// Resource.ReleaseFrom-free helpers) but must never block.
+// counting semaphore, e.g. CPU cores or a network link), Future (a
+// completion) and WaitGroup. Timer callbacks (Env.At, Env.After) run
+// inline in the scheduler and may use the non-blocking primitives
+// (Chan.PostSend, Resource.AcquireAsync, Future.WaitAsync) but must never
+// block.
 //
 // The engine is built for throughput: the event queue is a two-tier
 // ladder/calendar queue of event values (amortized O(1) scheduling into
 // near-horizon time buckets with a 4-ary heap overflow for the far
 // future — no allocation, no interface dispatch per scheduling
-// operation), waiter queues recycle their storage, and when one process
-// parks while another is runnable at the head of the queue the baton
-// passes directly between the two process goroutines — the central
-// scheduler goroutine is only woken for timer callbacks, run limits and
-// termination. Steady-state scheduling (Sleep/Yield, channel ping-pong,
-// resource hand-off) is allocation free; internal/sim's benchmarks
-// assert this numerically.
+// operation), waiter queues recycle their storage, a coroutine switch
+// bypasses the Go scheduler, and a process whose own wakeup is the next
+// event keeps running without switching at all. Steady-state scheduling
+// (Sleep/Yield, channel ping-pong, resource hand-off) is allocation free;
+// internal/sim's benchmarks assert this numerically.
+//
+// The build tag raises this file's language version for iter; go.mod
+// stays at go 1.22 because benchmark/go.mod requires this module at that
+// version (see README, "Go version").
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -78,13 +85,8 @@ type event struct {
 	fn   func() // non-nil: run inline in the scheduler
 }
 
-// procSignal is the message a parked process receives when it is resumed.
-type procSignal struct {
-	kill bool
-}
-
-// killed is the sentinel panic value used to unwind a process goroutine
-// during Env.Shutdown.
+// killSentinel is the panic value that unwinds a process body during
+// Env.Shutdown.
 type killSentinel struct{}
 
 // Env is a simulation environment: the virtual clock, the event queue and
@@ -94,12 +96,10 @@ type Env struct {
 	now     Time
 	seq     uint64
 	evq     eventQueue
-	limit   Time // active run limit; only meaningful while running
-	yield   chan struct{}
+	limit   Time    // active run limit; only meaningful while running
 	procs   []*Proc // live processes, position mirrored in Proc.liveIdx
 	rng     *rand.Rand
 	err     error
-	running bool
 	stopped bool
 
 	eventsProcessed uint64
@@ -128,18 +128,14 @@ func (e *Env) Faults() any { return e.faults }
 
 // NewEnv returns a fresh environment whose PRNG is seeded with seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic PRNG. It must only be used
-// from processes or timer callbacks (i.e. while holding the scheduler
-// baton), never from outside the simulation.
+// from processes or timer callbacks, never from outside the simulation.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // schedule enqueues an event at absolute time at (clamped to now).
@@ -180,11 +176,14 @@ func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	e.procsSpawned++
-	p := &Proc{env: e, name: name, resume: make(chan procSignal), daemon: daemon}
+	p := &Proc{env: e, name: name, daemon: daemon}
 	p.liveIdx = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.schedule(e.now, p, nil)
-	go func() {
+	// The body starts on the first resume (the start event just queued)
+	// and returns to the run loop when fn does.
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); ok {
@@ -194,11 +193,9 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			}
 			e.dropLive(p)
 			p.done = true
-			e.finish()
 		}()
-		p.park() // wait for the start event
 		fn(p)
-	}()
+	})
 	return p
 }
 
@@ -215,7 +212,7 @@ func (e *Env) dropLive(p *Proc) {
 
 // DeadlockError is returned by Run when live processes remain but no
 // events are scheduled: every process is parked on a channel, resource or
-// signal that can never fire.
+// future that can never fire.
 type DeadlockError struct {
 	// Parked maps process names to a description of what each process is
 	// blocked on.
@@ -251,9 +248,7 @@ func (e *Env) run(limit Time, detectDeadlock bool) error {
 	if e.stopped {
 		return fmt.Errorf("sim: environment was shut down")
 	}
-	e.running = true
 	e.limit = limit
-	defer func() { e.running = false }()
 	for e.evq.len() > 0 {
 		if e.evq.top().at > limit {
 			// Do not advance the clock beyond the limit.
@@ -274,15 +269,14 @@ func (e *Env) run(limit Time, detectDeadlock bool) error {
 			}
 		case ev.proc != nil:
 			if ev.proc.done {
-				continue // stale wakeup for a finished process
+				// Stale wakeup for a finished process: counted, and the
+				// clock has advanced to it, like any other event.
+				continue
 			}
 			e.trace(TraceProcResumed, ev.proc.name)
-			// Hand the baton to the process. While processes keep
-			// finding runnable peers at the head of the queue they pass
-			// it among themselves (see yieldAndPark); the scheduler is
-			// only woken again for callbacks, limits or termination.
-			ev.proc.resume <- procSignal{}
-			<-e.yield
+			// The only call of a process's resume function: it returns
+			// when the process yields (yieldAndPark) or its body ends.
+			ev.proc.resume()
 			if ev.proc.done {
 				e.trace(TraceProcEnded, ev.proc.name)
 			}
@@ -316,48 +310,38 @@ func (e *Env) run(limit Time, detectDeadlock bool) error {
 	return nil
 }
 
-// nextRunnable pops the next event if it is the resumption of a live
-// process within the active run limit — the only case a parking process
-// may dispatch itself. Timer callbacks, limit crossings and an empty
-// queue return ok == false: those are handled by the central run loop.
-func (e *Env) nextRunnable() (p *Proc, ok bool) {
-	for e.evq.len() > 0 {
-		top := e.evq.top()
-		if top.proc == nil || top.at > e.limit {
-			return nil, false
-		}
-		ev := e.evq.pop()
-		if ev.proc.done {
-			continue // stale wakeup for a finished process
-		}
-		e.now = ev.at
-		e.eventsProcessed++
-		return ev.proc, true
-	}
-	return nil, false
-}
-
-// Shutdown terminates every live process goroutine so that the environment
-// can be garbage-collected without leaking goroutines. The environment is
+// Shutdown ends every live process so that the environment can be
+// garbage-collected without leaking goroutines: a parked process sees its
+// yield fail and unwinds through its deferred calls (a deferred call that
+// blocks again is unwound in turn), one that never started never runs.
+// Every process has ended when Shutdown returns. The environment is
 // unusable afterwards. It must not be called while Run is executing.
 func (e *Env) Shutdown() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
+	// Nothing is within the run limit any more, so a deferred call that
+	// blocks while unwinding yields (and fails) even if its own wakeup
+	// heads the queue.
+	e.limit = -1
 	for _, p := range e.procs {
-		p.resume <- procSignal{kill: true}
+		p.stop()
 	}
 	e.procs = nil
 	e.evq.clear()
 }
 
 // Proc is a simulated process. Its methods must only be called from the
-// goroutine running the process body.
+// process body.
 type Proc struct {
-	env       *Env
-	name      string
-	resume    chan procSignal
+	env  *Env
+	name string
+	// The coroutine handles from iter.Pull: the run loop calls resume,
+	// Shutdown calls stop, the body calls yield (false once stopped).
+	resume    func() (struct{}, bool)
+	stop      func()
+	yield     func(struct{}) bool
 	done      bool
 	daemon    bool
 	liveIdx   int    // position in env.procs (intrusive live-set slot)
@@ -373,53 +357,28 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// park hands the baton back to the scheduler and blocks until resumed.
-func (p *Proc) park() {
-	sig := <-p.resume
-	if sig.kill {
-		panic(killSentinel{})
-	}
-}
-
 // yieldAndPark is used by blocking primitives: the caller must already
 // have registered a wakeup (a scheduled event or a waiter-queue entry).
 //
 // This is the engine's hot path. If the head of the event queue resumes
-// the parking process itself (a Sleep/Yield with nothing scheduled
-// earlier), it keeps the baton and returns without any channel
-// operation. If the head resumes another process, the baton passes
-// directly to that goroutine — one channel round-trip instead of two.
-// Only when the head is a timer callback, past the run limit, or absent
-// does the central scheduler goroutine wake up. Direct hand-off is
-// disabled while a tracer is installed so that the tracer observes every
-// scheduler step from the central loop, in the exact legacy order.
+// the parking process itself within the run limit (a Sleep/Yield with
+// nothing scheduled earlier), it consumes that event as the run loop
+// would and keeps running without a switch. Otherwise it yields to the
+// run loop — the only place a process does — and returns when the loop
+// resumes it; a failed yield means Shutdown is unwinding the process.
 func (p *Proc) yieldAndPark() {
 	e := p.env
-	if e.tracer == nil && e.err == nil {
-		if next, ok := e.nextRunnable(); ok {
-			if next == p {
-				return // own wakeup is next: keep the baton
-			}
-			next.resume <- procSignal{}
-			p.park()
+	if e.err == nil && e.evq.len() > 0 {
+		if top := e.evq.top(); top.proc == p && top.at <= e.limit {
+			e.now = e.evq.pop().at
+			e.eventsProcessed++
+			e.trace(TraceProcResumed, p.name)
 			return
 		}
 	}
-	e.yield <- struct{}{}
-	p.park()
-}
-
-// finish hands the baton onward when a process goroutine ends: directly
-// to the next runnable process if possible, else to the central
-// scheduler loop.
-func (e *Env) finish() {
-	if e.tracer == nil && e.err == nil {
-		if next, ok := e.nextRunnable(); ok {
-			next.resume <- procSignal{}
-			return
-		}
+	if !p.yield(struct{}{}) {
+		panic(killSentinel{})
 	}
-	e.yield <- struct{}{}
 }
 
 // block registers the process as parked on a queue described by why and
@@ -464,8 +423,8 @@ func (e *Env) wake(p *Proc) {
 }
 
 // Sleep suspends the process for d of virtual time. Non-positive durations
-// yield the baton and resume at the same instant (after already-queued
-// same-time events).
+// yield and resume at the same instant (after already-queued same-time
+// events).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -512,7 +471,7 @@ type TraceEventKind int
 
 // The traced occurrences.
 const (
-	// TraceProcResumed fires when a process gets the scheduler baton.
+	// TraceProcResumed fires when a process is resumed.
 	TraceProcResumed TraceEventKind = iota
 	// TraceProcEnded fires when a process function returns.
 	TraceProcEnded
@@ -530,10 +489,9 @@ type TraceEvent struct {
 
 // SetTracer installs fn to observe every scheduler step — the execution
 // timeline of the simulation. A nil fn disables tracing. The tracer runs
-// inline in the scheduler: keep it cheap and never block. Installing a
-// tracer routes every resumption through the central scheduler loop
-// (direct process-to-process hand-off is suspended) so the timeline is
-// observed completely and in order.
+// inline in the scheduler: keep it cheap and never block. It only
+// observes: the events executed, their order and the engine counters are
+// the same with and without it.
 func (e *Env) SetTracer(fn func(TraceEvent)) { e.tracer = fn }
 
 func (e *Env) trace(kind TraceEventKind, proc string) {

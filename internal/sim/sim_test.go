@@ -270,45 +270,6 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, "r", 1)
-	e.Go("p", func(p *Proc) {
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire on free resource failed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire on full resource succeeded")
-		}
-		r.Release(1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	e := NewEnv(1)
-	s := NewSignal(e, "s")
-	woke := 0
-	for i := 0; i < 5; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Wait(p)
-			woke++
-		})
-	}
-	e.Go("b", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		s.Broadcast()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 5 {
-		t.Fatalf("woke %d of 5", woke)
-	}
-}
-
 func TestFutureResolveBeforeAndAfterWait(t *testing.T) {
 	e := NewEnv(1)
 	f1 := NewFuture[int](e, "f1")
@@ -861,13 +822,173 @@ func TestTracerObservesTimeline(t *testing.T) {
 	if resumed < 2 || ended != 1 || callbacks != 1 {
 		t.Fatalf("resumed=%d ended=%d callbacks=%d", resumed, ended, callbacks)
 	}
+	// The tracer only observes. The worker's second resume is its own
+	// wakeup at the head of the queue, which it consumes without yielding:
+	// that step is reported like one taken by the run loop, so the traced
+	// steps are exactly the events an untraced run of the script counts.
+	want := []TraceEvent{
+		{TraceProcResumed, 0, "worker"},
+		{TraceProcResumed, Time(time.Microsecond), "worker"},
+		{TraceProcEnded, Time(time.Microsecond), "worker"},
+		{TraceCallback, Time(2 * time.Microsecond), ""},
+	}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", events, want)
+	}
 	// Disabling works.
 	e2 := NewEnv(1)
 	e2.SetTracer(nil)
-	e2.Go("p", func(p *Proc) {})
+	e2.Go("worker", func(p *Proc) { p.Sleep(time.Microsecond) })
+	e2.After(2*time.Microsecond, func() {})
 	if err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if e2.Stats() != e.Stats() || e2.Stats().EventsProcessed != uint64(resumed+callbacks) {
+		t.Fatalf("untraced %+v, traced %+v with %d steps observed", e2.Stats(), e.Stats(), resumed+callbacks)
+	}
+}
+
+// TestStaleWakeAccountingIgnoresTracer pins the one rule for a wake event
+// whose process has already finished: it is popped, counted and advances
+// the clock like any other event, tracer or not.
+func TestStaleWakeAccountingIgnoresTracer(t *testing.T) {
+	run := func(traced bool) (EngineStats, Time) {
+		e := NewEnv(1)
+		defer e.Shutdown()
+		if traced {
+			e.SetTracer(func(TraceEvent) {})
+		}
+		p := e.Go("p", func(p *Proc) { p.Park("first wake") })
+		e.After(time.Microsecond, func() {
+			e.Wake(p)
+			e.WakeAfter(p, time.Microsecond) // p has returned by then
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats(), e.Now()
+	}
+	plain, plainNow := run(false)
+	traced, tracedNow := run(true)
+	if plain != traced || plainNow != tracedNow {
+		t.Fatalf("untraced %+v at %v, traced %+v at %v", plain, plainNow, traced, tracedNow)
+	}
+	// start, callback, wake, stale wake; the stale one sets the end instant.
+	if plain.EventsProcessed != 4 || plainNow != Time(2*time.Microsecond) {
+		t.Fatalf("%+v at %v, want 4 events ending at 2µs", plain, plainNow)
+	}
+}
+
+// TestGoStartsChildInSameInstantFIFOOrder: a child spawned from a process
+// or from a callback starts at the spawn instant, behind every event
+// already queued for that instant and ahead of anything queued later.
+func TestGoStartsChildInSameInstantFIFOOrder(t *testing.T) {
+	e := NewEnv(1)
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	e.Go("parent", func(p *Proc) {
+		e.After(0, log("queued before child"))
+		e.Go("child", func(*Proc) { log("child")() })
+		log("parent runs on")()
+		p.Yield() // queued after the child's start
+		log("parent after yield")()
+	})
+	e.After(time.Microsecond, func() {
+		e.After(0, log("queued before cb-child"))
+		e.Go("cb-child", func(*Proc) { log("cb-child")() })
+		e.After(0, log("queued after cb-child"))
+		log("callback runs on")()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"parent runs on", "queued before child", "child", "parent after yield",
+		"callback runs on", "queued before cb-child", "cb-child", "queued after cb-child",
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+}
+
+// wantGoroutines fails if more goroutines exist than at baseline. No
+// settling time: Shutdown returns only after every process has ended.
+func wantGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines left behind: baseline %d, now %d", baseline, n)
+	}
+}
+
+// TestShutdownUnwindsEveryParkSite: Shutdown ends a process wherever it
+// is — not yet started, or parked in any blocking primitive — running its
+// deferred calls, and a deferred call that blocks again is unwound too
+// instead of stranding the process.
+func TestShutdownUnwindsEveryParkSite(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEnv(1)
+	c := NewChan[int](e, "never", 0)
+	r := NewResource(e, "held", 1)
+	f := NewFuture[int](e, "unresolved")
+	unwound := map[string]bool{}
+	parkIn := func(name string, block func(p *Proc)) {
+		e.Go(name, func(p *Proc) {
+			defer func() { unwound[name] = true }()
+			block(p)
+			t.Errorf("%s: blocking call returned", name)
+		})
+	}
+	parkIn("holder", func(p *Proc) { r.Acquire(p, 1); p.Park("holding") })
+	parkIn("recv", func(p *Proc) { c.Recv(p) })
+	parkIn("acquire", func(p *Proc) { r.Acquire(p, 1) })
+	parkIn("wait", func(p *Proc) { f.Wait(p) })
+	parkIn("park", func(p *Proc) { p.Park("forever") })
+	parkIn("reblock", func(p *Proc) {
+		defer func() {
+			p.Sleep(time.Microsecond) // blocks again while unwinding
+			t.Error("reblock: Sleep returned during Shutdown")
+		}()
+		p.Park("forever")
+	})
+	// Run to the deadlock, which leaves the limit open: only Shutdown
+	// itself stops reblock's Sleep from consuming its own wakeup.
+	var d *DeadlockError
+	if err := e.Run(); !errors.As(err, &d) || len(d.Parked) != 6 {
+		t.Fatalf("err = %v, want all six parked", err)
+	}
+	e.Shutdown()
+	if len(unwound) != 6 {
+		t.Fatalf("unwound %v, want all six", unwound)
+	}
+	e2 := NewEnv(1)
+	e2.Go("never-started", func(*Proc) { t.Error("never-started: body ran") })
+	e2.Shutdown()
+	wantGoroutines(t, baseline)
+}
+
+// TestPanicLeavesEnvShutDownAble: a panicking process surfaces as Run's
+// error, named, and the processes it leaves parked can still be shut
+// down.
+func TestPanicLeavesEnvShutDownAble(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEnv(1)
+	c := NewChan[int](e, "never", 0)
+	for i := 0; i < 3; i++ {
+		e.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) { c.Recv(p) })
+	}
+	e.Go("bomb", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		panic("boom")
+	})
+	err := e.Run()
+	if err == nil || !contains(err.Error(), `"bomb"`) || !contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the panic of process bomb", err)
+	}
+	if live := e.Stats().ProcsLive; live != 3 {
+		t.Fatalf("ProcsLive = %d after the panic, want the 3 waiters", live)
+	}
+	e.Shutdown()
+	wantGoroutines(t, baseline)
 }
 
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
