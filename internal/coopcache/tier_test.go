@@ -1,12 +1,14 @@
 package coopcache
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
+	"ngdc/internal/faults"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -149,6 +151,275 @@ func TestTierAuditCatchesCorruption(t *testing.T) {
 			tc.corrupt(tier)
 			if err := tier.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("audit returned %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// getCell is the own-env harness of the Get tests: front-ends on nodes
+// 0-7, three cache nodes (8-10, one rack) holding one main slot each, so
+// any second install on a node turns its slot over.
+type getCell struct {
+	env  *sim.Env
+	tier *Tier
+	fes  []*verbs.Device
+}
+
+const (
+	getCellFEs  = 8
+	getCellDocs = 64
+	// getCPU is the admission burst every harness request pays.
+	getCPU = 3 * time.Microsecond
+)
+
+func newGetCell(t *testing.T, opts TierOptions, plan *faults.Plan) *getCell {
+	t.Helper()
+	env := sim.NewEnv(1)
+	t.Cleanup(env.Shutdown)
+	faults.Install(env, plan)
+	nw := verbs.NewNetworkWith(env, fabric.DefaultParams(), verbs.TransportConfig{})
+	nodes := make([]*cluster.Node, getCellFEs+3)
+	for i := range nodes {
+		nodes[i] = cluster.NewNode(env, i, 4, 1<<24)
+	}
+	opts.Docs, opts.CacheFrac = getCellDocs, 0.01
+	c := &getCell{env: env, tier: NewTier(nw, nodes[getCellFEs:], opts), fes: make([]*verbs.Device, getCellFEs)}
+	for i := range c.fes {
+		c.fes[i] = nw.Attach(nodes[i])
+	}
+	return c
+}
+
+// get is one front-end request's cache lookup: the admission burst, then
+// the directory and slab reads.
+func (c *getCell) get(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) (bool, error) {
+	c.fes[fe].Node.Exec(p, getCPU)
+	return c.tier.Get(p, c.fes[fe], doc, buf, scr)
+}
+
+// request is get followed, on a miss, by the install.
+func (c *getCell) request(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) error {
+	served, err := c.get(p, fe, doc, buf, scr)
+	if err == nil && !served {
+		err = c.tier.Install(p, c.fes[fe], doc, buf, scr)
+	}
+	return err
+}
+
+// word returns doc's primary directory word, read from the backing
+// memory at no simulated cost.
+func (c *getCell) word(doc int) Entry {
+	var e Entry
+	c.tier.dir.DebugPlacements(func(d int, w Entry, replica bool) {
+		if d == doc && !replica {
+			e = w
+		}
+	})
+	return e
+}
+
+// The documents the tail scripts use. With three cache nodes docHot and
+// docRival both live on cache node 0 — installing one evicts the other —
+// while their directory words are homed on cache nodes 1 and 2; docIdle
+// shares docHot's bucket under rebalanced addressing and is never
+// installed. TestTierGetTails checks these placements before relying on
+// them.
+const (
+	docHot   = 1
+	docRival = 20
+	docIdle  = 25
+)
+
+// getActor is one process of a tail script, started at instant at on its
+// own front-end: a reader (Get), an evictor (Get then Install on the
+// miss), a bare Install, or a migration of docHot's bucket to cache node
+// 2's shard.
+type getActor struct {
+	at   time.Duration
+	do   string // "get", "request", "install", "migrate"
+	doc  int
+	want getOutcome // readers only
+}
+
+// getOutcome is what a reader observed; done is the instant Get returned.
+type getOutcome struct {
+	served bool
+	err    string
+	done   sim.Time
+}
+
+// TestTierGetTails drives every way a Get ends other than a clean hit,
+// on purpose, and pins what the caller observes: served, the error, the
+// counters that moved, the directory word left behind and the instant
+// Get returned. The instants were produced by the blocking
+// implementation (Exec, Directory.Lookup, Device.Read as three parked
+// calls) and are constants: a Get that runs its steps any other way must
+// take every decision at the same instant.
+func TestTierGetTails(t *testing.T) {
+	const ns, us = time.Nanosecond, time.Microsecond
+	crash := func(at time.Duration, node int) *faults.Plan {
+		return &faults.Plan{Seed: 1, Events: []faults.Event{{At: at, Kind: faults.Crash, Node: node}}}
+	}
+	cache := func(i int) int { return getCellFEs + i } // cache node index → node ID
+	// The evictor's Get misses at 100µs sharp: that is its Install's
+	// decision instant, where docHot's slot turns over.
+	evictor := getActor{at: 90992 * ns, do: "request", doc: docRival}
+	cases := []struct {
+		name   string
+		opts   TierOptions
+		plan   *faults.Plan
+		warm   []int // installed one after another from instant 0
+		actors []getActor
+		stats  TierStats // counters moved by the actors
+		word   Entry     // docHot's directory word afterwards
+		events uint64    // engine events of the whole script
+	}{
+		{name: "empty word",
+			actors: []getActor{{at: 100 * us, do: "get", doc: docHot, want: getOutcome{done: 109008}}},
+			events: 7},
+		{name: "dangling word", warm: []int{docHot},
+			// Four lookups sample docHot's word before the evictor's clear
+			// lands (104µs) and complete after the slot turned over; the
+			// fifth samples the cleared word.
+			actors: []getActor{
+				{at: 91500 * ns, do: "get", doc: docHot, want: getOutcome{done: 108508}},
+				{at: 93000 * ns, do: "get", doc: docHot, want: getOutcome{done: 110008}},
+				{at: 94500 * ns, do: "get", doc: docHot, want: getOutcome{done: 111508}},
+				{at: 96000 * ns, do: "get", doc: docHot, want: getOutcome{done: 113008}},
+				{at: 99000 * ns, do: "get", doc: docHot, want: getOutcome{done: 108008}},
+				evictor,
+			},
+			stats: TierStats{Evictions: 1, Invalidations: 5, StaleReads: 4}, events: 59},
+		{name: "slot turned over during the slab read", warm: []int{docHot},
+			// The first reader is served before 100µs. The other four
+			// validate their lookups before it and have their slab reads —
+			// queued behind one another on the holder's Tx engine — in
+			// flight across it.
+			actors: []getActor{
+				{at: 80 * us, do: "get", doc: docHot, want: getOutcome{served: true, done: 97283}},
+				{at: 83 * us, do: "get", doc: docHot, want: getOutcome{done: 108283}},
+				{at: 85 * us, do: "get", doc: docHot, want: getOutcome{done: 110558}},
+				{at: 87 * us, do: "get", doc: docHot, want: getOutcome{done: 112833}},
+				{at: 89 * us, do: "get", doc: docHot, want: getOutcome{done: 115108}},
+				evictor,
+			},
+			stats: TierStats{Evictions: 1, Invalidations: 5, StaleReads: 4}, events: 77},
+		{name: "holder crashed before the slab read", warm: []int{docHot}, plan: crash(105*us, cache(0)),
+			actors: []getActor{{at: 100 * us, do: "get", doc: docHot, want: getOutcome{done: 117008}}},
+			stats:  TierStats{Invalidations: 1, DeadFallbacks: 1}, events: 18},
+		{name: "holder crashed during the slab read", warm: []int{docHot}, plan: crash(105*us, cache(0)),
+			actors: []getActor{{at: 94500 * ns, do: "get", doc: docHot, want: getOutcome{done: 117508}}},
+			stats:  TierStats{Invalidations: 1, DeadFallbacks: 1}, events: 20},
+		{name: "directory home crashed before the lookup", warm: []int{docHot}, plan: crash(102*us, cache(1)),
+			actors: []getActor{{at: 100 * us, do: "get", doc: docHot, want: getOutcome{done: 103000}}},
+			stats:  TierStats{DeadFallbacks: 1}, events: 13},
+		{name: "directory home crashed during the lookup", warm: []int{docHot}, plan: crash(102*us, cache(1)),
+			actors: []getActor{{at: 97 * us, do: "get", doc: docHot, want: getOutcome{done: 106000}}},
+			stats:  TierStats{DeadFallbacks: 1}, events: 15},
+		{name: "front-end crashed", warm: []int{docHot}, plan: crash(102*us, 0),
+			// Not a peer fault: the one exit that is the caller's error.
+			actors: []getActor{{at: 100 * us, do: "get", doc: docHot,
+				want: getOutcome{err: "verbs: read on node 9 key 1: local device down", done: 103000}}},
+			word: PackEntry(0, 0), events: 13},
+		{name: "bucket migrated during the lookup", opts: TierOptions{Rebalance: true},
+			// Both lookups are in flight to the old home when the bucket
+			// flips (104µs) and read an empty word there. docHot's install
+			// straddles the flip, so its publish lands at the new home
+			// (109µs) ahead of the retry's sample and the retry is served;
+			// docIdle's retry finds nothing.
+			actors: []getActor{
+				{at: 100 * us, do: "get", doc: docHot, want: getOutcome{served: true, done: 123291}},
+				{at: 100100 * ns, do: "get", doc: docIdle, want: getOutcome{done: 115116}},
+				{at: 99225 * ns, do: "install", doc: docHot},
+				{at: 104 * us, do: "migrate"},
+			},
+			stats: TierStats{DirMigrations: 1}, word: PackEntry(0, 0), events: 39},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newGetCell(t, tc.opts, tc.plan)
+			tier := c.tier
+			if tier.home(docHot) != 0 || tier.home(docRival) != 0 || tier.dir.HomeShard(docHot) != 1 ||
+				tier.dir.HomeShard(docRival) != 2 || tier.dir.HomeShard(docIdle) != 1 || tier.mainSlots[0] != 1 {
+				t.Fatal("harness: the scripts' documents are not placed where their instants assume")
+			}
+			var before TierStats
+			c.env.Go("warm", func(p *sim.Proc) {
+				var scr TierScratch
+				buf := make([]byte, TierDocBytes)
+				for _, doc := range tc.warm {
+					if err := c.request(p, getCellFEs-1, doc, buf, &scr); err != nil {
+						t.Error(err)
+					}
+				}
+				if p.Now() > sim.Time(70*us) {
+					t.Errorf("harness: warm-up ran until %v, into the script", p.Now())
+				}
+				before = tier.Stats()
+			})
+			got := make([]getOutcome, len(tc.actors))
+			finished := 0
+			for i, a := range tc.actors {
+				c.env.Go(fmt.Sprintf("actor%d", i), func(p *sim.Proc) {
+					var scr TierScratch
+					buf := make([]byte, TierDocBytes)
+					p.SleepUntil(sim.Time(a.at))
+					var err error
+					switch a.do {
+					case "get":
+						got[i].served, err = c.get(p, i, a.doc, buf, &scr)
+					case "request":
+						err = c.request(p, i, a.doc, buf, &scr)
+					case "install":
+						err = tier.Install(p, c.fes[i], a.doc, buf, &scr)
+					case "migrate":
+						err = tier.dir.migrate(p, tier.devs[0], docHot%tier.dir.buckets, 2)
+					}
+					if err != nil {
+						got[i].err = err.Error()
+					}
+					got[i].done = p.Now()
+					finished++
+				})
+			}
+			if err := c.env.RunUntil(sim.Time(time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			tier.Stop()
+			if finished != len(tc.actors) {
+				t.Fatalf("%d of %d actors finished", finished, len(tc.actors))
+			}
+			for i, a := range tc.actors {
+				if a.do != "get" {
+					if got[i].err != "" {
+						t.Errorf("actor %d (%s): %s", i, a.do, got[i].err)
+					}
+					continue
+				}
+				if got[i] != a.want {
+					t.Errorf("reader %d (doc %d at %v): got %+v, want %+v", i, a.doc, a.at, got[i], a.want)
+				}
+			}
+			st := tier.Stats()
+			moved := TierStats{
+				Evictions:     st.Evictions - before.Evictions,
+				Invalidations: st.Invalidations - before.Invalidations,
+				StaleReads:    st.StaleReads - before.StaleReads,
+				DeadFallbacks: st.DeadFallbacks - before.DeadFallbacks,
+				Rollbacks:     st.Rollbacks - before.Rollbacks,
+				DirMigrations: st.DirMigrations,
+			}
+			if moved != tc.stats {
+				t.Errorf("counters moved %+v, want %+v", moved, tc.stats)
+			}
+			if w := c.word(docHot); w != tc.word {
+				t.Errorf("doc %d's word is %#x afterwards, want %#x", docHot, uint64(w), uint64(tc.word))
+			}
+			if ev := c.env.Stats().EventsProcessed; ev != tc.events {
+				t.Errorf("the script ran %d events, want %d", ev, tc.events)
+			}
+			if err := tier.Audit(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

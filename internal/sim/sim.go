@@ -103,6 +103,7 @@ type Env struct {
 	stopped bool
 
 	eventsProcessed uint64
+	resumes         uint64
 	procsSpawned    uint64
 	maxEventQueue   int
 	tracer          func(TraceEvent)
@@ -274,6 +275,7 @@ func (e *Env) run(limit Time, detectDeadlock bool) error {
 				continue
 			}
 			e.trace(TraceProcResumed, ev.proc.name)
+			e.resumes++
 			// The only call of a process's resume function: it returns
 			// when the process yields (yieldAndPark) or its body ends.
 			ev.proc.resume()
@@ -448,6 +450,11 @@ func (p *Proc) Yield() { p.Sleep(0) }
 type EngineStats struct {
 	// EventsProcessed counts scheduler events executed so far.
 	EventsProcessed uint64
+	// Resumes counts control transfers from the run loop into a process —
+	// the host cost events alone do not show. A process that consumes its
+	// own wakeup without yielding (see yieldAndPark) is an event, not a
+	// resume.
+	Resumes uint64
 	// ProcsSpawned counts processes ever created.
 	ProcsSpawned uint64
 	// ProcsLive counts processes not yet finished.
@@ -460,6 +467,7 @@ type EngineStats struct {
 func (e *Env) Stats() EngineStats {
 	return EngineStats{
 		EventsProcessed: e.eventsProcessed,
+		Resumes:         e.resumes,
 		ProcsSpawned:    e.procsSpawned,
 		ProcsLive:       len(e.procs),
 		MaxEventQueue:   e.maxEventQueue,

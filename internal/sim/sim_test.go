@@ -791,6 +791,39 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
+// TestResumesCountControlTransfers: Resumes counts the run loop handing
+// the CPU to a process, not events. A process consuming its own wakeup
+// keeps running (an event, no resume), a timer callback is an event, and
+// a wake for a finished process is popped without a transfer.
+func TestResumesCountControlTransfers(t *testing.T) {
+	e := NewEnv(1)
+	solo := e.Go("solo", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Microsecond) // nothing else queued: no yield
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.EventsProcessed != 4 || st.Resumes != 1 {
+		t.Fatalf("solo sleeper: %+v, want 4 events and the start as the only resume", st)
+	}
+	e.After(time.Microsecond, func() {})
+	e.Wake(solo) // stale: solo has returned
+	e.Go("parker", func(p *Proc) {
+		e.After(time.Microsecond, func() { e.Wake(p) })
+		p.Park("until the callback wakes it") // yields: the callback is next
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Callback, stale wake, start, second callback, wake: the start and
+	// the wake are the resumes.
+	if st := e.Stats(); st.EventsProcessed != 9 || st.Resumes != 3 {
+		t.Fatalf("after the second run: %+v, want 9 events and 3 resumes", st)
+	}
+}
+
 func TestTracerObservesTimeline(t *testing.T) {
 	e := NewEnv(1)
 	var events []TraceEvent
