@@ -219,4 +219,28 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		}
 		env.Shutdown()
 	})
+
+	t.Run("hand-back", func(t *testing.T) {
+		env := NewEnv(1)
+		var parked *Proc
+		handBack := func() { env.Continue(parked) }
+		parked = env.GoDaemon("chained", func(p *Proc) {
+			for {
+				env.After(time.Microsecond, handBack)
+				p.Park("until handed back")
+			}
+		})
+		limit := Time(0)
+		step := func() {
+			limit = limit.Add(100 * time.Microsecond)
+			if err := env.RunUntil(limit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
+			t.Errorf("hand-back allocates %.1f allocs per 100 hand-backs, want 0", allocs)
+		}
+		env.Shutdown()
+	})
 }

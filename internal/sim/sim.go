@@ -102,6 +102,11 @@ type Env struct {
 	err     error
 	stopped bool
 
+	// inCallback is set while the run loop executes an event's callback;
+	// handBack is the process that callback asked to continue (Continue).
+	inCallback bool
+	handBack   *Proc
+
 	eventsProcessed uint64
 	resumes         uint64
 	procsSpawned    uint64
@@ -261,30 +266,37 @@ func (e *Env) run(limit Time, detectDeadlock bool) error {
 		ev := e.evq.pop()
 		e.now = ev.at
 		e.eventsProcessed++
-		switch {
-		case ev.fn != nil:
+		p := ev.proc
+		if ev.fn != nil {
 			e.trace(TraceCallback, "")
+			e.inCallback = true
 			ev.fn()
+			e.inCallback = false
 			if e.err != nil {
 				return e.err
 			}
-		case ev.proc != nil:
-			if ev.proc.done {
-				// Stale wakeup for a finished process: counted, and the
-				// clock has advanced to it, like any other event.
+			// A callback that called Continue hands the CPU to that
+			// process now, inside this event.
+			if p = e.handBack; p == nil {
 				continue
 			}
-			e.trace(TraceProcResumed, ev.proc.name)
-			e.resumes++
-			// The only call of a process's resume function: it returns
-			// when the process yields (yieldAndPark) or its body ends.
-			ev.proc.resume()
-			if ev.proc.done {
-				e.trace(TraceProcEnded, ev.proc.name)
-			}
-			if e.err != nil {
-				return e.err
-			}
+			e.handBack = nil
+		}
+		if p.done {
+			// Stale wakeup for a finished process: counted, and the clock
+			// has advanced to it, like any other event.
+			continue
+		}
+		e.trace(TraceProcResumed, p.name)
+		e.resumes++
+		// The only call of a process's resume function: it returns when
+		// the process yields (yieldAndPark) or its body ends.
+		p.resume()
+		if p.done {
+			e.trace(TraceProcEnded, p.name)
+		}
+		if e.err != nil {
+			return e.err
 		}
 	}
 	if e.now < limit && limit < maxTime {
@@ -415,6 +427,35 @@ func (e *Env) WakeAfter(p *Proc, d time.Duration) {
 	}
 	p.parkedWhy = ""
 	e.schedule(e.now.Add(d), p, nil)
+}
+
+// Continue hands the CPU back to p, parked with Park, as soon as the
+// calling callback returns: p resumes at this instant, inside the event
+// that ran the callback and therefore ahead of every event already
+// queued for the instant — exactly where a blocking call woken by this
+// event would have continued. No event is scheduled or counted. It is
+// the only way a callback gives a process the CPU without an event, for
+// event chains that end by returning to blocking code; Wake queues p
+// behind the instant's earlier events, which is a different schedule.
+//
+// Only a callback run by the scheduler as an event (a timer, a dispatched
+// grant, or anything they call) may call Continue, at most once: the run
+// loop has one CPU to hand over. Anything else is a bug and panics.
+func (e *Env) Continue(p *Proc) {
+	if !e.inCallback || e.handBack != nil {
+		e.badContinue(p)
+	}
+	p.parkedWhy = ""
+	e.handBack = p
+}
+
+// badContinue is kept out of line so Continue costs its callers two
+// loads and two stores.
+func (e *Env) badContinue(p *Proc) {
+	if e.handBack != nil {
+		panic(fmt.Sprintf("sim: Continue(%q): this callback already continued %q", p.name, e.handBack.name))
+	}
+	panic(fmt.Sprintf("sim: Continue(%q) called outside a scheduler callback", p.name))
 }
 
 // wake schedules p to resume at the current instant (FIFO among same-time

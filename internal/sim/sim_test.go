@@ -912,6 +912,119 @@ func TestStaleWakeAccountingIgnoresTracer(t *testing.T) {
 	}
 }
 
+// TestContinueResumesInsideTheCallbackEvent: a process handed back by a
+// callback runs at the callback's instant, ahead of every event already
+// queued for that instant — where a blocking call woken by that event
+// would have continued — while one woken with Wake queues behind them.
+// The hand-back is no event; tracer on or off, the counters and the
+// clock are the same, and the tracer sees it as one resume.
+func TestContinueResumesInsideTheCallbackEvent(t *testing.T) {
+	run := func(traced bool) (order []string, st EngineStats, now Time, resumed int) {
+		e := NewEnv(1)
+		if traced {
+			e.SetTracer(func(ev TraceEvent) {
+				if ev.Kind == TraceProcResumed && ev.Proc == "handed" {
+					resumed++
+				}
+			})
+		}
+		log := func(s string) func() { return func() { order = append(order, s) } }
+		handed := e.Go("handed", func(p *Proc) {
+			p.Park("until handed back")
+			order = append(order, fmt.Sprintf("handed at %v", p.Now()))
+			p.Sleep(time.Microsecond) // parks again through the usual path
+			log("handed after sleep")()
+		})
+		woken := e.Go("woken", func(p *Proc) {
+			p.Park("until woken")
+			log("woken")()
+		})
+		e.After(5*time.Microsecond, func() {
+			e.After(0, log("queued before the hand-back"))
+			e.Wake(woken)
+			e.Continue(handed)
+			log("callback runs on")()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return order, e.Stats(), e.Now(), resumed
+	}
+	order, st, now, _ := run(false)
+	want := []string{"callback runs on", "handed at 5µs", "queued before the hand-back", "woken", "handed after sleep"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+	// Two starts, the callback, the After(0), woken's wake, handed's
+	// sleep: the hand-back adds a resume and no event.
+	if st.EventsProcessed != 6 || st.Resumes != 5 {
+		t.Fatalf("%+v, want 6 events and 5 resumes", st)
+	}
+	tracedOrder, tracedSt, tracedNow, resumed := run(true)
+	if fmt.Sprint(tracedOrder) != fmt.Sprint(order) || tracedSt != st || tracedNow != now {
+		t.Fatalf("untraced %q %+v at %v, traced %q %+v at %v", order, st, now, tracedOrder, tracedSt, tracedNow)
+	}
+	// Start, hand-back, wake from the sleep.
+	if resumed != 3 {
+		t.Fatalf("tracer saw %d resumes of the handed-back process, want 3", resumed)
+	}
+}
+
+// TestContinueMisusePanics: Continue outside a scheduler callback, or a
+// second Continue in one callback, is a bug and says which process.
+func TestContinueMisusePanics(t *testing.T) {
+	panicOf := func(fn func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		return ""
+	}
+	e := NewEnv(1)
+	defer e.Shutdown()
+	a := e.Go("alpha", func(p *Proc) { p.Park("forever") })
+	b := e.Go("beta", func(p *Proc) { p.Park("forever") })
+	if msg := panicOf(func() { e.Continue(a) }); !contains(msg, `"alpha"`) || !contains(msg, "outside a scheduler callback") {
+		t.Fatalf("Continue outside Run: %q", msg)
+	}
+	var inProc, twice string
+	e.Go("caller", func(*Proc) { inProc = panicOf(func() { e.Continue(a) }) })
+	e.After(time.Microsecond, func() {
+		e.Continue(a)
+		twice = panicOf(func() { e.Continue(b) })
+	})
+	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if !contains(inProc, `"alpha"`) || !contains(inProc, "outside a scheduler callback") {
+		t.Fatalf("Continue from a process: %q", inProc)
+	}
+	if !contains(twice, `"beta"`) || !contains(twice, `already continued "alpha"`) {
+		t.Fatalf("second Continue in one callback: %q", twice)
+	}
+}
+
+// TestShutdownAfterContinue: a handed-back process that parked again is
+// an ordinary parked process to Shutdown.
+func TestShutdownAfterContinue(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEnv(1)
+	unwound := false
+	p := e.Go("handed", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park("first")
+		p.Park("second")
+		t.Error("second Park returned")
+	})
+	e.After(time.Microsecond, func() { e.Continue(p) })
+	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	if !unwound {
+		t.Fatal("the process was not unwound")
+	}
+	wantGoroutines(t, baseline)
+}
+
 // TestGoStartsChildInSameInstantFIFOOrder: a child spawned from a process
 // or from a callback starts at the spawn instant, behind every event
 // already queued for that instant and ahead of anything queued later.
