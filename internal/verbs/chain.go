@@ -3,10 +3,14 @@ package verbs
 // Event-chain datapath: every one-sided operation is one small state
 // machine (workReq) whose stages run as scheduler callbacks — Env.After
 // timers and Tx-resource grant callbacks — instead of a goroutine
-// stepping through Sleeps. There is one record and two ways to complete
+// stepping through Sleeps. There is one record and three ways to complete
 // it: a blocking call starts it inline, parks its process once and is
 // woken for the completion instant; a posted work request starts at its
-// doorbell event, never touches a goroutine and completes into a CQ.
+// doorbell event, never touches a goroutine and completes into a CQ; an
+// issued one (Device.Issue) starts inline like the blocking call and
+// completes into a CQ like the posted one — into a handler CQ, a callback
+// at the completion instant, which is how an event chain runs one-sided
+// operations on the blocking timeline without a process.
 //
 // Byte-identity discipline: each stage schedules its successor at the
 // same virtual instant the segmented code scheduled its next wake, so
@@ -77,12 +81,12 @@ func (f *fifo[T]) pop() T {
 
 // workReq is the one implementation of a one-sided operation: validate,
 // request half, target Tx grant, serialization, response half, complete.
-// The blocking Device calls and the posted work requests fill the same
-// record and run the same steps; they differ only in who waits for the
-// tail. A record with an issuing process (p) wakes it for the completion
-// instant and completes inline in that process; a posted one (p nil)
-// schedules finishStep there and completes into a CQ — directly, or
-// through its batch's reorder buffer.
+// The blocking Device calls and the posted and issued work requests fill
+// the same record and run the same steps; they differ only in who waits
+// for the tail. A record with an issuing process (p) wakes it for the
+// completion instant and completes inline in that process; one without
+// schedules finishStep there and completes into its CQ — a channel or a
+// handler, directly or through its batch's reorder buffer.
 type workReq struct {
 	d   *Device
 	p   *sim.Proc
@@ -108,7 +112,7 @@ type workReq struct {
 	grantFn  func(waited time.Duration)
 	txDoneFn func()
 
-	// Posted requests only.
+	// Posted and issued requests only.
 	finishFn func()
 	startFn  func()
 	cq       *CQ
@@ -199,7 +203,8 @@ func (w *workReq) begin() bool {
 	return true
 }
 
-// startStep is the doorbell of a posted work request.
+// startStep starts a CQ-completed work request: a posted one's doorbell
+// event, or Device.Issue inline.
 func (w *workReq) startStep() {
 	if !w.begin() {
 		w.finishStep()
@@ -302,8 +307,9 @@ func (w *workReq) complete() {
 	d.tr.Emit("verbs", opName[w.op], d.Node.ID, n, lat)
 }
 
-// finishStep completes a posted work request and delivers its
-// completion.
+// finishStep completes a posted or issued work request and delivers its
+// completion, the record already back in the pool: a handler may issue
+// its next operation from it.
 func (w *workReq) finishStep() {
 	w.complete()
 	c := Completion{ID: w.id, Op: opName[w.op], Old: w.old, Err: w.err}
@@ -313,7 +319,7 @@ func (w *workReq) finishStep() {
 		b.complete(slot, c)
 		return
 	}
-	cq.ch.PostSend(c)
+	cq.deliver(c)
 }
 
 // issue runs a filled record as a blocking call: the first stage starts

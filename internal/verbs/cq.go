@@ -11,7 +11,10 @@ import (
 // a Completion into the chosen CQ, which a process drains with Poll. This
 // is how real verbs applications overlap one-sided operations — the
 // blocking Device methods run the same record (chain.go) and park the
-// caller for its completion instead.
+// caller for its completion instead. A handler CQ (HandlerCQ) delivers
+// to a function at the completion instant: with Device.Issue it is the
+// surface event chains drive one-sided operations from, on the blocking
+// calls' timeline without a process per operation.
 
 // Completion reports one finished work request.
 type Completion struct {
@@ -27,16 +30,30 @@ type Completion struct {
 
 // CQ is a completion queue.
 type CQ struct {
-	dev *Device
-	ch  *sim.Chan[Completion]
+	ch *sim.Chan[Completion]
+	// fn, when set, receives completions instead of ch (HandlerCQ).
+	fn func(Completion)
 }
 
 // CreateCQ makes a completion queue of the given depth.
 func (d *Device) CreateCQ(name string, depth int) *CQ {
-	return &CQ{
-		dev: d,
-		ch:  sim.NewChan[Completion](d.nw.Env, fmt.Sprintf("%s/cq/%s", d.Node.Name, name), depth),
+	return &CQ{ch: sim.NewChan[Completion](d.nw.Env, fmt.Sprintf("%s/cq/%s", d.Node.Name, name), depth)}
+}
+
+// HandlerCQ makes a completion queue that queues nothing: each
+// completion is passed to fn at its completion instant, in scheduler
+// context, after the work request's record is back in its pool — so fn
+// may issue the next operation, and must not block. It serves any
+// device; Poll, TryPoll and Pending do not apply to it.
+func HandlerCQ(fn func(Completion)) *CQ { return &CQ{fn: fn} }
+
+// deliver hands a completion to the queue's consumer.
+func (cq *CQ) deliver(c Completion) {
+	if cq.fn != nil {
+		cq.fn(c)
+		return
 	}
+	cq.ch.PostSend(c)
 }
 
 // Poll blocks until the next completion.
@@ -114,6 +131,38 @@ func (d *Device) PostFetchAdd(cq *CQ, id uint64, r RemoteAddr, off int, delta ui
 	d.nw.Env.After(0, w.startFn)
 }
 
+// Issue starts one work request inline at the call instant — the blocking
+// calls' timeline, with no doorbell event — and completes it into cq. A
+// request that fails validation completes before Issue returns, so with a
+// handler CQ the handler runs inside the caller, which is how an event
+// chain's callback sees the failure in its own callback context.
+func (d *Device) Issue(cq *CQ, wr WR) {
+	if w := d.postWR(cq, wr); w != nil {
+		w.startStep()
+		return
+	}
+	cq.deliver(unknownOp(wr))
+}
+
+// postWR fills a record for wr; nil for an unknown WR.Op.
+func (d *Device) postWR(cq *CQ, wr WR) *workReq {
+	switch wr.Op {
+	case OpRead:
+		return d.post(cq, wr.ID, wrRead, wr.Target, wr.Off, wr.Dst, 0, 0)
+	case OpWrite:
+		return d.post(cq, wr.ID, wrWrite, wr.Target, wr.Off, wr.Src, 0, 0)
+	case OpCAS:
+		return d.post(cq, wr.ID, wrCAS, wr.Target, wr.Off, nil, wr.Compare, wr.Swap)
+	case OpFAA:
+		return d.post(cq, wr.ID, wrFAA, wr.Target, wr.Off, nil, 0, wr.Delta)
+	}
+	return nil
+}
+
+func unknownOp(wr WR) Completion {
+	return Completion{ID: wr.ID, Op: wr.Op, Err: &OpError{Op: wr.Op, Target: wr.Target, Reason: "unknown op"}}
+}
+
 // PostList posts a batch of work requests with a single doorbell: one
 // scheduled event starts every chain, and completions are delivered to
 // the CQ in posting order regardless of how the operations finish (a
@@ -126,20 +175,9 @@ func (d *Device) PostList(cq *CQ, wrs []WR) {
 	}
 	b := d.getBatch(cq, len(wrs))
 	for i, wr := range wrs {
-		var w *workReq
-		switch wr.Op {
-		case OpRead:
-			w = d.post(cq, wr.ID, wrRead, wr.Target, wr.Off, wr.Dst, 0, 0)
-		case OpWrite:
-			w = d.post(cq, wr.ID, wrWrite, wr.Target, wr.Off, wr.Src, 0, 0)
-		case OpCAS:
-			w = d.post(cq, wr.ID, wrCAS, wr.Target, wr.Off, nil, wr.Compare, wr.Swap)
-		case OpFAA:
-			w = d.post(cq, wr.ID, wrFAA, wr.Target, wr.Off, nil, 0, wr.Delta)
-		default:
-			b.comps[i] = Completion{ID: wr.ID, Op: wr.Op,
-				Err: &OpError{Op: wr.Op, Target: wr.Target, Reason: "unknown op"}}
-			b.done[i] = true
+		w := d.postWR(cq, wr)
+		if w == nil {
+			b.comps[i], b.done[i] = unknownOp(wr), true
 			continue
 		}
 		w.b, w.slot = b, i

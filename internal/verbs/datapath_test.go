@@ -314,6 +314,59 @@ func TestPostListInOrderMixed(t *testing.T) {
 	}
 }
 
+// TestIssueChainsFromItsHandler drives a three-op chain from a handler
+// CQ: each completion's handler issues the next operation. The record is
+// back in the pool before the handler runs, so the whole chain rides one
+// record; a malformed request completes inside Issue; and an op issued
+// into a polled CQ takes the blocking call's time, not a doorbell more.
+func TestIssueChainsFromItsHandler(t *testing.T) {
+	env, _, devs := testNet(t, 2)
+	mr := devs[1].RegisterAtSetup(make([]byte, 64))
+	mr.PutUint64At(8, 100)
+	dst := make([]byte, 8)
+	var steps []string
+	var cq *CQ
+	cq = HandlerCQ(func(c Completion) {
+		steps = append(steps, fmt.Sprintf("%s@%v old=%d err=%v", c.Op, env.Now(), c.Old, c.Err != nil))
+		switch c.ID {
+		case 1:
+			devs[0].Issue(cq, WR{ID: 2, Op: OpCAS, Target: mr.Addr(), Off: 8, Compare: 100, Swap: 7})
+		case 2:
+			devs[0].Issue(cq, WR{ID: 3, Op: "flush", Target: mr.Addr()})
+			steps = append(steps, "flush returned")
+		}
+	})
+	polled := devs[0].CreateCQ("polled", 1)
+	env.Go("driver", func(p *sim.Proc) {
+		devs[0].Issue(cq, WR{ID: 1, Op: OpRead, Target: mr.Addr(), Off: 8, Dst: dst})
+		p.Sleep(time.Millisecond)
+		start := p.Now()
+		if err := devs[0].Read(p, dst, mr.Addr(), 8); err != nil {
+			t.Error(err)
+		}
+		blocking := p.Now() - start
+		start = p.Now()
+		devs[0].Issue(polled, WR{ID: 4, Op: OpRead, Target: mr.Addr(), Off: 8, Dst: dst})
+		if c := polled.Poll(p); c.ID != 4 || c.Err != nil || p.Now()-start != blocking {
+			t.Errorf("issued into a polled CQ: %+v after %v, want the blocking read's %v", c, p.Now()-start, blocking)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"read@6.008µs old=0 err=false", "cas@14.008µs old=100 err=false",
+		"flush@14.008µs old=0 err=true", "flush returned"}
+	if fmt.Sprint(steps) != fmt.Sprint(want) {
+		t.Fatalf("chain ran %q, want %q", steps, want)
+	}
+	if got := mr.Uint64At(8); got != 7 {
+		t.Errorf("word = %d after the chain's cas, want 7", got)
+	}
+	if n := len(devs[0].wrFree); n != 1 {
+		t.Errorf("the chain left %d records in the pool, want the one it reused", n)
+	}
+}
+
 // TestSendBufPoolReuse pins the buffer-pool ownership loop: a released
 // receive buffer is the very storage the next GetBuf on that device
 // hands out.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
@@ -13,11 +14,11 @@ import (
 	"ngdc/internal/trace"
 )
 
-// surfOp is one one-sided operation of the two-surface script, issued
-// from device 0 at instant at (nanoseconds). Ops sharing a non-zero
-// batch id are consecutive, share their issue instant and go out through
-// one PostList on the posted surface (one process each on the blocking
-// surface).
+// surfOp is one one-sided operation of the surfaces script, issued from
+// device 0 at instant at (nanoseconds). Ops sharing a non-zero batch id
+// are consecutive, share their issue instant and go out through one
+// PostList on the posted surface (one process each on the blocking and
+// issued surfaces).
 type surfOp struct {
 	at        time.Duration
 	op        string
@@ -101,7 +102,14 @@ func surfPlan() *faults.Plan {
 	}}
 }
 
-func runSurface(t *testing.T, plan *faults.Plan, posted bool) surfOutcome {
+// The three ways to complete the one work-request record.
+const (
+	surfBlocking = "blocking" // Device.Read/Write/CompareSwap/FetchAdd
+	surfPosted   = "posted"   // Post*/PostList into a polled CQ
+	surfIssued   = "issued"   // Device.Issue into a handler CQ
+)
+
+func runSurface(t *testing.T, plan *faults.Plan, surface string) surfOutcome {
 	t.Helper()
 	env := sim.NewEnv(1)
 	reg := trace.NewRegistry()
@@ -122,7 +130,7 @@ func runSurface(t *testing.T, plan *faults.Plan, posted bool) surfOutcome {
 	res := make([]surfResult, len(script))
 	for i := 0; i < len(script); {
 		j := i + 1
-		for posted && script[i].batch != 0 && j < len(script) && script[j].batch == script[i].batch {
+		for surface == surfPosted && script[i].batch != 0 && j < len(script) && script[j].batch == script[i].batch {
 			j++
 		}
 		first, group := i, script[i:j]
@@ -147,12 +155,25 @@ func runSurface(t *testing.T, plan *faults.Plan, posted bool) surfOutcome {
 			}
 			finish := func(k int, old uint64, err error) {
 				r := &res[first+k]
-				r.done, r.old = p.Now(), old
+				r.done, r.old = env.Now(), old
 				if err != nil {
 					r.reason = opReason(t, err)
 				}
 			}
-			if !posted {
+			switch surface {
+			case surfIssued:
+				// The handler runs in scheduler context at the completion
+				// instant (inside Issue for a validation failure); the
+				// process has nothing left to wait for.
+				w := wrs[0]
+				devs[0].Issue(HandlerCQ(func(c Completion) {
+					if c.ID != w.ID || c.Op != w.Op {
+						t.Errorf("completion of op %d: got id=%d op=%s", first, c.ID, c.Op)
+					}
+					finish(0, c.Old, c.Err)
+				}), w)
+				return
+			case surfBlocking:
 				w, d := wrs[0], devs[0]
 				var old uint64
 				var err error
@@ -204,10 +225,11 @@ func runSurface(t *testing.T, plan *faults.Plan, posted bool) surfOutcome {
 }
 
 // TestBlockingAndPostedAreOneMachine issues one op list through the
-// blocking Device calls in one environment and through Post*/PostList in
-// another: completion instants, returned values, error reasons, target
-// memory, op counters and the device/NIC/fabric trace must all agree,
-// healthy and under a fault plan.
+// blocking Device calls, through Post*/PostList into a polled CQ and
+// through Issue into a handler CQ, each in its own environment:
+// completion instants, returned values, error reasons, target memory, op
+// counters and the device/NIC/fabric trace must all agree, healthy and
+// under a fault plan.
 func TestBlockingAndPostedAreOneMachine(t *testing.T) {
 	script := surfScript()
 	for _, tc := range []struct {
@@ -220,39 +242,52 @@ func TestBlockingAndPostedAreOneMachine(t *testing.T) {
 		{"faulted", surfPlan(), map[string]bool{"peer unreachable": true, "local device down": true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blk, pst := runSurface(t, tc.plan, false), runSurface(t, tc.plan, true)
-			for i, b := range blk.results {
-				o, p := script[i], pst.results[i]
-				if b.done != p.done || b.old != p.old || b.reason != p.reason || !bytes.Equal(b.read, p.read) {
-					t.Errorf("op %d (%s at %v): blocking done=%d old=%d reason=%q, posted done=%d old=%d reason=%q, read equal=%v",
-						i, o.op, o.at, b.done, b.old, b.reason, p.done, p.old, p.reason, bytes.Equal(b.read, p.read))
-				}
+			blk := runSurface(t, tc.plan, surfBlocking)
+			for _, b := range blk.results {
 				delete(tc.want, b.reason)
 			}
 			for reason := range tc.want {
 				t.Errorf("script never produced %q", reason)
 			}
-			for n := range blk.mem {
-				if !bytes.Equal(blk.mem[n], pst.mem[n]) {
-					t.Errorf("target %d memory differs between the surfaces", n+1)
+			for _, surface := range []string{surfPosted, surfIssued} {
+				got := runSurface(t, tc.plan, surface)
+				for i, b := range blk.results {
+					o, g := script[i], got.results[i]
+					if b.done != g.done || b.old != g.old || b.reason != g.reason || !bytes.Equal(b.read, g.read) {
+						t.Errorf("op %d (%s at %v): blocking done=%d old=%d reason=%q, %s done=%d old=%d reason=%q, read equal=%v",
+							i, o.op, o.at, b.done, b.old, b.reason, surface, g.done, g.old, g.reason, bytes.Equal(b.read, g.read))
+					}
+					// The placement-instant check names the failing side on
+					// every surface: the first write of the 55µs pair has
+					// left the wire when the issuer dies.
+					if tc.plan != nil && o.op == OpWrite && o.at == 55001 && g.reason != "local device down" {
+						t.Errorf("%s write losing its issuer before placement: reason %q, want %q",
+							surface, g.reason, "local device down")
+					}
 				}
-			}
-			if blk.reads != pst.reads || blk.writes != pst.writes || blk.atomics != pst.atomics {
-				t.Errorf("counters: blocking %d/%d/%d, posted %d/%d/%d reads/writes/atomics",
-					blk.reads, blk.writes, blk.atomics, pst.reads, pst.writes, pst.atomics)
-			}
-			if blk.trace != pst.trace {
-				t.Errorf("trace differs:\nblocking %s\nposted   %s", blk.trace, pst.trace)
-			}
-			// The placement-instant check names the failing side on both
-			// surfaces: the first write of the 55µs pair has left the wire
-			// when the issuer dies.
-			for i, o := range script {
-				if tc.plan != nil && o.op == OpWrite && o.at == 55001 && pst.results[i].reason != "local device down" {
-					t.Errorf("posted write losing its issuer before placement: reason %q, want %q",
-						pst.results[i].reason, "local device down")
+				for n := range blk.mem {
+					if !bytes.Equal(blk.mem[n], got.mem[n]) {
+						t.Errorf("target %d memory differs between blocking and %s", n+1, surface)
+					}
+				}
+				if blk.reads != got.reads || blk.writes != got.writes || blk.atomics != got.atomics {
+					t.Errorf("counters: blocking %d/%d/%d, %s %d/%d/%d reads/writes/atomics",
+						blk.reads, blk.writes, blk.atomics, surface, got.reads, got.writes, got.atomics)
+				}
+				if blk.trace != got.trace {
+					t.Errorf("trace differs:\nblocking %s\n%-8s %s", blk.trace, surface, got.trace)
 				}
 			}
 		})
+	}
+}
+
+// TestWorkReqWordBudget gates the record every one-sided operation rides
+// at 28 words. The 1024-device E18 cell keeps thousands of them warm, and
+// a 35-word record measured 6 % slower there over 8 alternating pairs (PR
+// 15); a third way to complete the record has to fit the fields it has.
+func TestWorkReqWordBudget(t *testing.T) {
+	if got := unsafe.Sizeof(workReq{}); got > 28*8 {
+		t.Fatalf("workReq is %d bytes (%d words), budget 28 words", got, got/8)
 	}
 }
