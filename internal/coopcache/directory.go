@@ -205,16 +205,32 @@ func (d *Directory) note(host, doc int) {
 func (d *Directory) Lookup(p *sim.Proc, dev *verbs.Device, doc int, scratch []byte) (Entry, error) {
 	for attempt := 0; ; attempt++ {
 		ep := d.epoch
-		h, off := d.locateRead(doc, dev.Node.ID)
-		d.note(h, doc)
-		if err := dev.Read(p, scratch[:8], d.shards[h], off); err != nil {
+		target, off := d.lookupTarget(doc, dev.Node.ID)
+		if err := dev.Read(p, scratch[:8], target, off); err != nil {
 			return 0, err
 		}
 		e := Entry(binary.LittleEndian.Uint64(scratch))
-		if e != 0 || d.epoch == ep || attempt > 0 {
+		if !d.retryLookup(e, ep, attempt) {
 			return e, nil
 		}
 	}
+}
+
+// lookupTarget resolves the word a lookup of doc from the given requester
+// reads, and accounts the read. Lookup and the tier's Get chain are built
+// from it and retryLookup, so both read the same word and retry on the
+// same condition.
+func (d *Directory) lookupTarget(doc, requester int) (verbs.RemoteAddr, int) {
+	h, off := d.locateRead(doc, requester)
+	d.note(h, doc)
+	return d.shards[h], off
+}
+
+// retryLookup reports whether a lookup that read e, issued under epoch
+// ep with attempt re-issues behind it, goes round again: an empty read
+// that raced a bucket migration, once.
+func (d *Directory) retryLookup(e Entry, ep uint32, attempt int) bool {
+	return e == 0 && d.epoch != ep && attempt == 0
 }
 
 // Publish installs e as doc's placement with a compare-and-swap against

@@ -2,8 +2,8 @@ package coopcache
 
 // Tier is the capacity-bounded cache tier of a web-scale cell (E18):
 // the sharded one-sided Directory, one multi-slot document slab per
-// cache node in registered memory, a byte-capacity LRU fronting each
-// slab, and — when armed — the cooperative victim spill and the
+// cache node in registered memory, the recency order of each slab's main
+// slots, and — when armed — the cooperative victim spill and the
 // hotspot-aware directory rebalancer.
 //
 // Each node's slab is sized as a fraction (CacheFrac) of its share of
@@ -24,6 +24,7 @@ package coopcache
 // miss, after clearing the exact stale word observed.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -100,13 +101,13 @@ type TierStats struct {
 	DirMigrations, DirSplits, TickSkips int64
 }
 
-// TierScratch is one driver process's reusable buffers, so the churn
-// path allocates nothing per request in steady state. The zero value is
-// ready to use; it must not be shared between processes.
+// TierScratch is one driver process's reusable request state — the
+// record of its Get chain, callbacks bound on first use — so a request
+// allocates nothing in steady state. The zero value is ready to use; it
+// must not be shared between processes, nor copied once used (the bound
+// callbacks hold its address).
 type TierScratch struct {
-	dirWord [8]byte // directory read target
-	ev      []int32 // LRU victim keys
-	evSlots []int32 // victims' slab slots
+	get getChain
 }
 
 // Tier is one cell's cache tier; see the file comment.
@@ -116,12 +117,14 @@ type Tier struct {
 	devs  []*verbs.Device // per cache node: slab owner, demotion/rebalance issuer
 	slabs []verbs.RemoteAddr
 
-	lrus      []*lru.Cache[int32] // per node, byte capacity = main slots × TierDocBytes
-	mainSlots []int32             // per node: main slot count = first spill slot index
-	slotDoc   [][]int32           // per node: slot → resident doc, -1 free
-	freeSlot  [][]int32           // per node: stack of free main-slot indices
-	docNode   []int32             // doc → cache node index holding it, -1 none
-	docSlot   []int32             // doc → slot on docNode
+	// main is each node's main slots 0..mainSlots-1: the free stack and
+	// the recency order of the occupied ones (a hit or a refresh re-stamps
+	// its slot; a full node evicts its least recently used).
+	main      []*lru.Ring
+	mainSlots []int32   // per node: main slot count = first spill slot index
+	slotDoc   [][]int32 // per node: slot → resident doc, -1 free
+	docNode   []int32   // doc → cache node index holding it, -1 none
+	docSlot   []int32   // doc → slot on docNode
 	// dead marks cache nodes observed unreachable; installs skip them.
 	// The mark is sticky — a restarted node is simply not re-used as a
 	// holder, a conservative failure-detector model.
@@ -129,9 +132,10 @@ type Tier struct {
 
 	// Cooperative-spill state (nil when disabled). Slots past
 	// mainSlots[i] on node i are its reserved spill region; spilled
-	// documents sit outside the LRU and are reclaimed FIFO by the region
-	// manager. Each node runs one demotion worker daemon fed by a fixed
-	// ring, so the evictor's request never waits on the spill wire ops.
+	// documents sit outside the main order and are reclaimed oldest-first
+	// by the region manager. Each node runs one demotion worker daemon fed
+	// by a fixed ring, so the evictor's request never waits on the spill
+	// wire ops.
 	spill      *SpillRegions
 	rackPeers  [][]int32 // rack → cache-node indices in it
 	rackOf     []int32   // cache-node index → rack
@@ -190,10 +194,9 @@ func NewTier(nw *verbs.Network, caches []*cluster.Node, opts TierOptions) *Tier 
 		dir:       newDirectory(nw, caches, docs, buckets, slack),
 		devs:      make([]*verbs.Device, nc),
 		slabs:     make([]verbs.RemoteAddr, nc),
-		lrus:      make([]*lru.Cache[int32], nc),
+		main:      make([]*lru.Ring, nc),
 		mainSlots: make([]int32, nc),
 		slotDoc:   make([][]int32, nc),
-		freeSlot:  make([][]int32, nc),
 		docNode:   make([]int32, docs),
 		docSlot:   make([]int32, docs),
 		dead:      make([]bool, nc),
@@ -224,14 +227,10 @@ func NewTier(nw *verbs.Network, caches []*cluster.Node, opts TierOptions) *Tier 
 		total := slots + int(spillCount[i])
 		t.devs[i] = nw.Attach(n)
 		t.slabs[i] = t.devs[i].RegisterAtSetup(make([]byte, total*TierDocBytes)).Addr()
-		t.lrus[i] = lru.New[int32](int64(slots) * TierDocBytes)
+		t.main[i] = lru.NewRing(slots)
 		t.slotDoc[i] = make([]int32, total)
 		for j := range t.slotDoc[i] {
 			t.slotDoc[i][j] = -1
-		}
-		t.freeSlot[i] = make([]int32, slots)
-		for j := range t.freeSlot[i] {
-			t.freeSlot[i][j] = int32(slots - 1 - j) // pop order: slot 0 first
 		}
 		t.stats.Slots += int64(slots)
 		t.stats.SpillSlots += int64(spillCount[i])
@@ -294,7 +293,7 @@ func (t *Tier) fail(err error) {
 
 // home maps a document to its preferred holder (a cache node index).
 func (t *Tier) home(doc int) int {
-	return int((uint32(doc)*2654435761)>>16) % len(t.lrus)
+	return int((uint32(doc)*2654435761)>>16) % len(t.main)
 }
 
 // netFault is the class of one-sided op failure the cache tier degrades
@@ -324,27 +323,43 @@ func faultOf(err error) netFault {
 	return faultNone
 }
 
-// Get resolves doc through the directory and, on a hit, reads it from
-// the holder's slab into buf with dev's one-sided ops. served=false
+// Get is a front-end request's cache lookup: the admission burst cpu on
+// dev's node, then doc resolved through the directory and, on a hit, read
+// from the holder's slab into buf with dev's one-sided ops. served=false
 // sends the caller down the miss path: no entry, a crashed directory
 // home or holder (degraded, never an error), or a stale entry — evicted
 // mid-flight, so the slab bytes identify the wrong document. A stale or
 // dead word observed is cleared so later requests don't chase it.
-func (t *Tier) Get(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr *TierScratch) (served bool, err error) {
-	e, err := t.dir.Lookup(p, dev, doc, scr.dirWord[:])
-	if err != nil {
-		return false, t.homeFault(err, doc)
+//
+// The steps every hit pays run as one event chain (getChain) while p
+// parks once; the chain hands p back at the instant of its last step —
+// the hit, or the first deviation from one — and everything from there
+// on is blocking code in p, at that instant.
+func (t *Tier) Get(p *sim.Proc, dev *verbs.Device, cpu time.Duration, doc int, buf []byte, scr *TierScratch) (served bool, err error) {
+	c := &scr.get
+	if c.t != t {
+		c.bind(t)
 	}
-	if e == 0 {
-		return false, nil
-	}
+	c.p, c.dev, c.cpu, c.doc, c.buf = p, dev, cpu, doc, buf
+	c.attempt = 0
+	dev.Node.ExecBegin()
+	dev.Node.CPU().AcquireAsync(1, c.cpuGrantFn)
+	p.Park(parkTierGet)
+
+	e, err := c.e, c.err
 	h, s := e.Holder(), e.Slot()
-	if h < 0 || h >= len(t.lrus) || s < 0 || s >= len(t.slotDoc[h]) || t.slotDoc[h][s] != int32(doc) {
-		// Dangling word: the placement it names no longer holds doc.
+	switch c.exit {
+	case getLookupFailed:
+		return false, t.homeFault(err, doc)
+	case getEmpty:
+		return false, nil
+	case getStale:
+		// Dangling word (the placement it names no longer holds doc), or
+		// the slot turned over while the read was in flight and the bytes
+		// read belong to another document.
 		t.stats.StaleReads++
 		return false, t.clearEntry(p, dev, doc, e)
-	}
-	if err := dev.Read(p, buf, t.slabs[h], s*TierDocBytes); err != nil {
+	case getReadFailed:
 		if faultOf(err) != faultPeer {
 			return false, err
 		}
@@ -355,33 +370,141 @@ func (t *Tier) Get(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr *Tie
 		t.dropIfAt(doc, h, int32(s))
 		return false, t.clearEntry(p, dev, doc, e)
 	}
-	if t.slotDoc[h][s] != int32(doc) {
-		// The slot turned over while the read was in flight: the bytes
-		// read belong to another document.
-		t.stats.StaleReads++
-		return false, t.clearEntry(p, dev, doc, e)
-	}
 	if s >= int(t.mainSlots[h]) {
 		// Served from the holder's spill region: the victim tier paid
-		// off. Re-stamp the claim so reclaim order approximates LRU over
-		// the victim tier — without this, a hot resident is dropped just
-		// because it was demoted early.
+		// off. Re-stamp the claim so the region reclaims in recency order
+		// — without this, a hot resident is dropped just because it was
+		// demoted early.
 		t.stats.SpillHits++
 		t.spill.Touch(h, int32(s))
 		return true, nil
 	}
-	t.lrus[h].Get(int32(doc)) // touch recency; metadata-only
+	t.main[h].Touch(int32(s))
 	return true, nil
 }
 
+const parkTierGet = "tier get"
+
+// getExit is where a Get's chain stopped.
+type getExit uint8
+
+const (
+	getHit          getExit = iota // slab read validated
+	getLookupFailed                // directory read failed: err
+	getEmpty                       // no entry
+	getStale                       // the word names a slot that does not, or no longer does, hold doc
+	getReadFailed                  // slab read failed: err
+)
+
+// getChain runs the steps every cache hit pays — admission CPU, directory
+// read, validation against slotDoc, slab read, validation again — as
+// completion callbacks at the exact instants the same steps ran as three
+// blocking calls (Node.Exec, Directory.Lookup, Device.Read), with the
+// driver parked once instead of three times. The chain owns nothing
+// else: at a hit, or at the first step that deviates from one, it records
+// the exit and hands the driver back inside that step's event
+// (sim.Env.Continue), and Get's blocking tail takes every decision the
+// blocking code took, at the same instant from the same state. The
+// record lives in the driver's TierScratch.
+type getChain struct {
+	t     *Tier
+	p     *sim.Proc
+	dev   *verbs.Device
+	cpu   time.Duration
+	doc   int
+	buf   []byte
+	word  [8]byte // directory read target
+	epoch uint32  // directory epoch the lookup was issued under
+	// attempt counts lookup re-issues (see Directory.retryLookup).
+	attempt int
+
+	exit getExit
+	e    Entry // the word the lookup read
+	err  error // of the read that failed
+
+	cpuGrantFn    func(time.Duration)
+	cpuDoneFn     func()
+	dirCQ, slabCQ *verbs.CQ
+}
+
+func (c *getChain) bind(t *Tier) {
+	c.t = t
+	c.cpuGrantFn = func(time.Duration) { c.t.env.After(c.cpu, c.cpuDoneFn) }
+	c.cpuDoneFn = c.cpuDone
+	c.dirCQ = verbs.HandlerCQ(c.dirDone)
+	c.slabCQ = verbs.HandlerCQ(c.slabDone)
+}
+
+// cpuDone runs at the admission burst's release instant.
+func (c *getChain) cpuDone() {
+	n := c.dev.Node
+	n.CPU().Release(1)
+	n.ExecDone()
+	c.lookup()
+}
+
+// lookup issues the directory read.
+func (c *getChain) lookup() {
+	d := c.t.dir
+	c.epoch = d.epoch
+	target, off := d.lookupTarget(c.doc, c.dev.Node.ID)
+	c.dev.Issue(c.dirCQ, verbs.WR{Op: verbs.OpRead, Target: target, Off: off, Dst: c.word[:]})
+}
+
+// dirDone runs at the directory read's completion instant (inside lookup
+// if the read failed validation).
+func (c *getChain) dirDone(comp verbs.Completion) {
+	t := c.t
+	if comp.Err != nil {
+		c.handBack(getLookupFailed, comp.Err)
+		return
+	}
+	e := Entry(binary.LittleEndian.Uint64(c.word[:]))
+	if t.dir.retryLookup(e, c.epoch, c.attempt) {
+		c.attempt++
+		c.lookup()
+		return
+	}
+	c.e = e
+	if e == 0 {
+		c.handBack(getEmpty, nil)
+		return
+	}
+	h, s := e.Holder(), e.Slot()
+	if h < 0 || h >= len(t.main) || s < 0 || s >= len(t.slotDoc[h]) || t.slotDoc[h][s] != int32(c.doc) {
+		c.handBack(getStale, nil)
+		return
+	}
+	c.dev.Issue(c.slabCQ, verbs.WR{Op: verbs.OpRead, Target: t.slabs[h], Off: s * TierDocBytes, Dst: c.buf})
+}
+
+// slabDone runs at the slab read's completion instant.
+func (c *getChain) slabDone(comp verbs.Completion) {
+	switch {
+	case comp.Err != nil:
+		c.handBack(getReadFailed, comp.Err)
+	case c.t.slotDoc[c.e.Holder()][c.e.Slot()] != int32(c.doc):
+		c.handBack(getStale, nil)
+	default:
+		c.handBack(getHit, nil)
+	}
+}
+
+// handBack ends the chain: the driver continues in Get, at this instant,
+// as soon as the running callback returns.
+func (c *getChain) handBack(exit getExit, err error) {
+	c.exit, c.err = exit, err
+	c.t.env.Continue(c.p)
+}
+
 // Install places a document fetched on the miss path into the tier:
-// evict LRU victims as needed, invalidate their directory words, write
-// the slab slot, publish the new word. All local metadata for the
+// evict the LRU victim if the node is full, invalidate its directory
+// word, write the slab slot, publish the new word. All local metadata for the
 // placement — victim slots freed, the new slot claimed — is assigned at
 // the decision instant, before any costed op, so concurrent installers
 // observe a consistent placement throughout. Unreachable peers degrade
 // the install to serving uncached.
-func (t *Tier) Install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr *TierScratch) error {
+func (t *Tier) Install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte) error {
 	if t.dead[t.dir.HomeShard(doc)] {
 		return nil // directory home dead: no lookup could ever find the copy
 	}
@@ -392,7 +515,9 @@ func (t *Tier) Install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr 
 		// duplicate-install race — the winner published the identical
 		// word — so no rollback.
 		s := t.docSlot[doc]
-		t.lrus[n].Get(int32(doc))
+		if s < t.mainSlots[n] {
+			t.main[n].Touch(s)
+		}
 		if err := dev.Write(p, t.slabs[n], int(s)*TierDocBytes, buf); err != nil {
 			return t.holderFault(err, doc, int(n), s)
 		}
@@ -405,43 +530,36 @@ func (t *Tier) Install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte, scr 
 	// Fresh install: place on the doc's home node, skipping nodes
 	// observed dead.
 	n := t.home(doc)
-	for i := 0; i < len(t.lrus) && t.dead[n]; i++ {
-		n = (n + 1) % len(t.lrus)
+	for i := 0; i < len(t.main) && t.dead[n]; i++ {
+		n = (n + 1) % len(t.main)
 	}
 	if t.dead[n] {
 		t.stats.DeadFallbacks++
 		return nil // entire tier unreachable: serve uncached
 	}
 
-	// Decision instant: evict, free victim slots, claim ours.
-	scr.ev = t.lrus[n].PutInto(int32(doc), TierDocBytes, scr.ev[:0])
-	scr.evSlots = scr.evSlots[:0]
-	for _, v := range scr.ev {
-		vs := t.docSlot[v]
-		scr.evSlots = append(scr.evSlots, vs)
-		t.slotDoc[n][vs] = -1
-		t.freeSlot[n] = append(t.freeSlot[n], vs)
-		t.docNode[v], t.docSlot[v] = -1, -1
+	// Decision instant: claim a free slot, or evict the node's least
+	// recently used document and take its slot.
+	victim := int32(-1)
+	s, ok := t.main[n].Claim()
+	if !ok {
+		s, _ = t.main[n].Reclaim() // a full node has a resident
+		victim = t.slotDoc[n][s]
+		t.docNode[victim], t.docSlot[victim] = -1, -1
 		t.stats.Evictions++
 	}
-	last := len(t.freeSlot[n]) - 1
-	s := t.freeSlot[n][last]
-	t.freeSlot[n] = t.freeSlot[n][:last]
 	t.slotDoc[n][s] = int32(doc)
 	t.docNode[doc], t.docSlot[doc] = int32(n), s
 
-	// Deal with the victims' directory words before publishing the new
+	// Deal with the victim's directory word before publishing the new
 	// document. With spill enabled the victim is handed to the node's
 	// demotion worker — its word stays up until the worker redirects it
 	// to the spill copy (a reader racing the turnover fails slab
 	// validation and degrades to a miss, exactly the stale-read path).
 	// Otherwise invalidate eagerly: a reader must never find a
 	// committed word naming a slot the tier has already handed out.
-	for i, v := range scr.ev {
-		if t.enqueueSpill(n, v, scr.evSlots[i]) {
-			continue
-		}
-		if err := t.clearEntry(p, dev, int(v), PackEntry(n, int(scr.evSlots[i]))); err != nil {
+	if victim >= 0 && !t.enqueueSpill(n, victim, s) {
+		if err := t.clearEntry(p, dev, int(victim), PackEntry(n, int(s))); err != nil {
 			return err
 		}
 	}
@@ -512,8 +630,8 @@ func (t *Tier) clearEntry(p *sim.Proc, dev *verbs.Device, doc int, e Entry) erro
 	return nil
 }
 
-// dropIfAt undoes doc's local placement if it still is (n, s): the LRU
-// entry (or spill claim), the slot claim and the doc→node map. A no-op
+// dropIfAt undoes doc's local placement if it still is (n, s): the slot
+// claim (main or spill) and the doc→node map. A no-op
 // if a concurrent evictor already recycled the slot.
 func (t *Tier) dropIfAt(doc, n int, s int32) {
 	if t.docNode[doc] != int32(n) || t.docSlot[doc] != s {
@@ -522,8 +640,7 @@ func (t *Tier) dropIfAt(doc, n int, s int32) {
 	if s >= t.mainSlots[n] {
 		t.spill.Release(n, s)
 	} else {
-		t.lrus[n].Remove(int32(doc))
-		t.freeSlot[n] = append(t.freeSlot[n], s)
+		t.main[n].Release(s)
 	}
 	t.slotDoc[n][s] = -1
 	t.docNode[doc], t.docSlot[doc] = -1, -1
@@ -669,7 +786,7 @@ func (t *Tier) runSpill(p *sim.Proc, n int, j spillJob, buf []byte) error {
 }
 
 // pickSpillTarget ranks node n's live rack neighbors by spill-region
-// free slots, then LRU headroom, preferring the lowest index on ties —
+// free slots, then free main slots, preferring the lowest index on ties —
 // the per-rack pressure hint. Falls back to n's own region when no
 // neighbor qualifies; -1 degrades the demotion to a drop.
 func (t *Tier) pickSpillTarget(n int) int {
@@ -680,7 +797,7 @@ func (t *Tier) pickSpillTarget(n int) int {
 			continue
 		}
 		free := t.spill.Free(c)
-		head := t.lrus[c].FreeSlots(TierDocBytes)
+		head := t.main[c].Free()
 		if free > bestFree || (free == bestFree && head > bestHead) {
 			best, bestFree, bestHead = c, free, head
 		}
@@ -697,7 +814,7 @@ func (t *Tier) pickSpillTarget(n int) int {
 // cost): every occupied slab slot (main or spill) is bound to exactly
 // the document whose metadata names it, every placed document names an
 // occupied slot holding it — so no slot is claimed by two documents —
-// each node's LRU holds exactly its occupied main slots, and each
+// each node's LRU order holds exactly its occupied main slots, and each
 // node's live spill claims are exactly its occupied spill slots. A
 // violation is a lost or duplicated placement, the corruption class the
 // install, spill and rebalance races must never produce.
@@ -721,7 +838,7 @@ func (t *Tier) Audit() error {
 					n, s, d, t.docNode[d], t.docSlot[d])
 			}
 		}
-		if got := t.lrus[n].Len(); got != main {
+		if got := t.main[n].Live(); got != main {
 			return fmt.Errorf("coopcache: tier audit: node %d LRU holds %d members but %d main slots are occupied", n, got, main)
 		}
 		if t.spill != nil && t.spill.Live(n) != spilled {

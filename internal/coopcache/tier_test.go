@@ -35,9 +35,9 @@ func churnTier(t *testing.T, spill bool) (tier *Tier, step func()) {
 		var scr TierScratch
 		buf := make([]byte, TierDocBytes)
 		for doc := 0; ; doc = (doc + 1) % churnDocs {
-			served, err := tier.Get(p, dev, doc, buf, &scr)
+			served, err := tier.Get(p, dev, 0, doc, buf, &scr)
 			if err == nil && !served {
-				err = tier.Install(p, dev, doc, buf, &scr)
+				err = tier.Install(p, dev, doc, buf)
 			}
 			if err != nil {
 				t.Error(err)
@@ -132,7 +132,7 @@ func TestTierAuditCatchesCorruption(t *testing.T) {
 		}, "metadata names"},
 		{"LRU disagrees with slots", func(tier *Tier) {
 			d := resident(tier, false)
-			tier.lrus[tier.docNode[d]].Remove(d)
+			tier.main[tier.docNode[d]].Release(tier.docSlot[d])
 		}, "LRU holds"},
 		{"spill claim without resident", func(tier *Tier) {
 			d := resident(tier, true)
@@ -193,15 +193,14 @@ func newGetCell(t *testing.T, opts TierOptions, plan *faults.Plan) *getCell {
 // get is one front-end request's cache lookup: the admission burst, then
 // the directory and slab reads.
 func (c *getCell) get(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) (bool, error) {
-	c.fes[fe].Node.Exec(p, getCPU)
-	return c.tier.Get(p, c.fes[fe], doc, buf, scr)
+	return c.tier.Get(p, c.fes[fe], getCPU, doc, buf, scr)
 }
 
 // request is get followed, on a miss, by the install.
 func (c *getCell) request(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) error {
 	served, err := c.get(p, fe, doc, buf, scr)
 	if err == nil && !served {
-		err = c.tier.Install(p, c.fes[fe], doc, buf, scr)
+		err = c.tier.Install(p, c.fes[fe], doc, buf)
 	}
 	return err
 }
@@ -216,6 +215,75 @@ func (c *getCell) word(doc int) Entry {
 		}
 	})
 	return e
+}
+
+// TestTierHitCostsOneResume is the hand-off budget of a hit: with one
+// driver and nothing contended, a served Get costs the host one resume of
+// the driver and seven events — the admission burst, three for the
+// directory read, three for the slab read — from a main slot and from a
+// spill slot alike. A regression to a park per step reads 2 resumes per
+// hit here (3 in a cell, where the admission burst's wake is not the next
+// event). The miss path beyond the Get is blocking code and costs what it
+// did: a miss installing into a free slot is 3 resumes and 8 events (the
+// Get's 1 and 4, then the slab write and the publish CAS at 1 and 2
+// each).
+func TestTierHitCostsOneResume(t *testing.T) {
+	const hits = 100
+	c := newGetCell(t, TierOptions{Spill: true}, nil)
+	tier := c.tier
+	finished := false
+	c.env.Go("driver", func(p *sim.Proc) {
+		var scr TierScratch
+		buf := make([]byte, TierDocBytes)
+		cost := func(what string, resumes, events uint64, fn func()) {
+			before := c.env.Stats()
+			fn()
+			after := c.env.Stats()
+			if r, e := after.Resumes-before.Resumes, after.EventsProcessed-before.EventsProcessed; r != resumes || e != events {
+				t.Errorf("%s cost %d resumes and %d events, want %d and %d", what, r, e, resumes, events)
+			}
+		}
+		serve := func() {
+			for i := 0; i < hits; i++ {
+				if served, err := c.get(p, 0, docHot, buf, &scr); !served || err != nil {
+					t.Errorf("hit %d: served=%v err=%v", i, served, err)
+				}
+			}
+		}
+		cost("a miss installing into a free slot", 3, 8, func() {
+			if err := c.request(p, 0, docHot, buf, &scr); err != nil {
+				t.Error(err)
+			}
+		})
+		cost("main-slot hits", hits, 7*hits, serve)
+		if st := tier.Stats(); st.SpillHits != 0 {
+			t.Errorf("main-slot hits counted %d spill hits", st.SpillHits)
+		}
+		// docRival takes docHot's slot; the demotion worker moves docHot
+		// into a neighbor's spill region.
+		if err := c.request(p, 0, docRival, buf, &scr); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(200 * time.Microsecond)
+		if n := tier.docNode[docHot]; n < 0 || tier.docSlot[docHot] < tier.mainSlots[n] {
+			t.Errorf("harness: doc %d was not demoted into a spill slot", docHot)
+			return
+		}
+		cost("spill-slot hits", hits, 7*hits, serve)
+		if st := tier.Stats(); st.SpillHits != hits {
+			t.Errorf("spill-slot hits counted %d spill hits, want %d", st.SpillHits, hits)
+		}
+		finished = true
+	})
+	if err := c.env.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if !finished {
+		t.Fatal("the driver did not finish")
+	}
+	if err := tier.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The documents the tail scripts use. With three cache nodes docHot and
@@ -371,7 +439,7 @@ func TestTierGetTails(t *testing.T) {
 					case "request":
 						err = c.request(p, i, a.doc, buf, &scr)
 					case "install":
-						err = tier.Install(p, c.fes[i], a.doc, buf, &scr)
+						err = tier.Install(p, c.fes[i], a.doc, buf)
 					case "migrate":
 						err = tier.dir.migrate(p, tier.devs[0], docHot%tier.dir.buckets, 2)
 					}

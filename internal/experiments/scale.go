@@ -23,7 +23,10 @@ package experiments
 // The cache tier itself — capacity-bounded slabs, LRU eviction with CAS
 // invalidation, cooperative spill, directory rebalancing — is the
 // coopcache.Tier service; this file is the cell around it: config,
-// cluster build, request drivers, sweep and table.
+// cluster build, request drivers, sweep and table. A driver is blocking
+// code around two tier calls: Get runs the front-end admission burst and
+// the hit's two one-sided reads as one event chain, parking the driver
+// once per request; a miss then fetches and installs with blocking ops.
 
 import (
 	"fmt"
@@ -253,8 +256,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 			rq := st.Next()
 			fi := feLo + rq.Client%feN
 			t0 := env.Now()
-			fes[fi].Exec(p, frontCPU)
-			served, err := tier.Get(p, feDevs[fi], rq.Doc, buf, &scr)
+			served, err := tier.Get(p, feDevs[fi], frontCPU, rq.Doc, buf, &scr)
 			if err != nil {
 				return err
 			}
@@ -267,7 +269,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 				if err := fetch(p, fi, rq.Doc, buf); err != nil {
 					return err
 				}
-				if err := tier.Install(p, feDevs[fi], rq.Doc, buf, &scr); err != nil {
+				if err := tier.Install(p, feDevs[fi], rq.Doc, buf); err != nil {
 					return err
 				}
 				misses++

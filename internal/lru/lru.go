@@ -1,10 +1,13 @@
-// Package lru provides the byte-capacity LRU cache used by the caching
-// services (cooperative caching, the remote-memory file cache, the
-// integrated evaluation, the datacenter-at-scale cache tier). Only
+// Package lru provides the recency bookkeeping of the caching services.
+// Cache is a byte-capacity LRU over arbitrary keys and entry sizes
+// (cooperative caching, the remote-memory file cache's local tier, the
+// integrated evaluation); Ring (ring.go) is the same order over a fixed
+// population of dense, uniform slots (the datacenter-at-scale cache
+// tier's main and spill slots, the file cache's victim tier). Only
 // metadata is tracked: the serving pipelines charge transfer costs by
-// size, payload bytes are synthetic. Entry nodes are recycled through a
-// free list, so a churning steady state (insert evicting an older entry
-// on every miss) allocates nothing per operation.
+// size, payload bytes are synthetic. Cache entry nodes are recycled
+// through a free list, so a churning steady state (insert evicting an
+// older entry on every miss) allocates nothing per operation.
 package lru
 
 // Cache is a byte-capacity LRU over keys of type K.
@@ -36,21 +39,6 @@ func (c *Cache[K]) Used() int64 { return c.used }
 
 // Free returns the remaining capacity.
 func (c *Cache[K]) Free() int64 { return c.cap - c.used }
-
-// FreeSlots returns how many entries of a uniform entryBytes size fit in
-// the remaining capacity — the O(1) occupancy hint spill-target selection
-// ranks neighbors by. It reads two counters, touches no recency state,
-// and returns 0 for non-positive sizes or a full cache.
-func (c *Cache[K]) FreeSlots(entryBytes int64) int {
-	if entryBytes <= 0 {
-		return 0
-	}
-	free := c.cap - c.used
-	if free <= 0 {
-		return 0
-	}
-	return int(free / entryBytes)
-}
 
 // Cap returns the configured capacity.
 func (c *Cache[K]) Cap() int64 { return c.cap }

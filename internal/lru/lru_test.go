@@ -246,41 +246,10 @@ func TestPropertyEvictionOrder(t *testing.T) {
 			if c.Used() > capacity || c.Len() != len(ref) {
 				return false
 			}
-			// Len/FreeSlots against the reference: the occupancy hint
-			// spill-target selection ranks neighbors by must agree with
-			// the map+list oracle at every step.
-			used := int64(0)
-			for _, e := range ref {
-				used += e.size
-			}
-			for _, eb := range []int64{1, 7, 64} {
-				want := (capacity - used) / eb
-				if int64(c.FreeSlots(eb)) != want {
-					return false
-				}
-			}
-			if c.FreeSlots(0) != 0 || c.FreeSlots(-3) != 0 {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFreeSlots(t *testing.T) {
-	c := New[int](100)
-	if c.FreeSlots(10) != 10 || c.FreeSlots(0) != 0 || c.FreeSlots(-1) != 0 {
-		t.Fatalf("fresh cache: FreeSlots(10)=%d", c.FreeSlots(10))
-	}
-	c.Put(1, 95)
-	if c.FreeSlots(10) != 0 || c.FreeSlots(5) != 1 {
-		t.Fatalf("nearly full: FreeSlots(10)=%d FreeSlots(5)=%d", c.FreeSlots(10), c.FreeSlots(5))
-	}
-	c.Put(2, 5)
-	if c.FreeSlots(1) != 0 {
-		t.Fatalf("full cache: FreeSlots(1)=%d", c.FreeSlots(1))
 	}
 }

@@ -1,22 +1,24 @@
 package lru
 
-// Ring is the victim-tier companion of Cache: a fixed population of
-// dense slot indices 0..n-1 with a free-slot stack and — because victim
-// pages sit outside any LRU list — the FIFO order of live claims, so a
-// full tier reclaims its oldest resident first. The FIFO is a
-// generation-stamped ring: claiming, touching and releasing a slot bump
-// its generation, so a ring record whose stamp no longer matches is a
-// tombstone skipped on pop. The ring holds twice the slot count and
-// compacts in place when full, so it never grows however often live
-// claims are re-stamped; nothing on the claim/touch/release/reclaim path
-// allocates.
+// Ring is the dense-slot companion of Cache: a fixed population of slot
+// indices 0..n-1 with a free-slot stack and the recency order of the live
+// claims, so a full population reclaims its least recently claimed or
+// touched resident first — LRU when the caller touches on use, FIFO when
+// it does not. Nothing is keyed: a caller that already knows a resident's
+// slot reaches its recency state by index, with no map probe on the way.
+// The order is a generation-stamped ring: claiming, touching and
+// releasing a slot bump its generation, so a ring record whose stamp no
+// longer matches is a tombstone skipped on pop. The ring holds twice the
+// slot count and compacts in place when full, so it never grows however
+// often live claims are re-stamped; nothing on the claim/touch/release/
+// reclaim path allocates.
 //
 // A Ring is bookkeeping only: what a slot holds, and what evicting it
 // costs, belong to the caller.
 type Ring struct {
 	free []int32  // stack of free slots
 	gen  []uint32 // per slot: bumped on every claim, touch and release
-	ring []uint64 // FIFO of packed (gen<<32 | slot) claim records
+	ring []uint64 // packed (gen<<32 | slot) claim records, oldest first
 	head int      // ring read position
 	n    int      // ring records (live + tombstones)
 	live int      // claims outstanding
@@ -49,7 +51,8 @@ func (r *Ring) Live() int { return r.live }
 // it never exceeds twice the slot count (minimum four).
 func (r *Ring) Queued() int { return r.n }
 
-// Claim takes a free slot and queues it as the newest resident. ok is
+// Claim takes a free slot — the one most recently released, else the
+// lowest never claimed — and queues it as the newest resident. ok is
 // false when none is free — the caller reclaims or gives up.
 func (r *Ring) Claim() (slot int32, ok bool) {
 	if len(r.free) == 0 {
@@ -92,9 +95,12 @@ func (r *Ring) Reclaim() (slot int32, ok bool) {
 	return 0, false
 }
 
-// Touch moves a live claim to the back of the FIFO — the "used again"
-// hint, so the reclaim order approximates LRU over the victim tier
-// instead of dropping a hot resident just because it was parked early.
+// Touch makes a live claim the most recent one. Re-stamping is exact
+// recency order, not an approximation: Reclaim always returns the live
+// slot whose last Claim or Touch is oldest. The E18 cache tier relies on
+// that for its main slots — touching on every hit, it evicts exactly the
+// victims a linked-list LRU would — and touches its spill slots the same
+// way so a hot victim is not dropped just because it was parked early.
 // slot must be a live claim; one outside the population is ignored.
 func (r *Ring) Touch(slot int32) {
 	if slot < 0 || int(slot) >= len(r.gen) {

@@ -1,6 +1,9 @@
 package lru
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Touch churn re-stamps live claims far more often than the ring has
 // room for: compaction must keep the record count within twice the slot
@@ -32,6 +35,51 @@ func TestRingTouchChurnStaysBoundedAndOrdered(t *testing.T) {
 	for want := int32(0); want < slots; want++ {
 		if got, ok := r.Reclaim(); !ok || got != want {
 			t.Fatalf("reclaim = %d,%v, want %d", got, ok, want)
+		}
+	}
+}
+
+// A Ring driven the way the E18 tier drives its main slots — touch a
+// resident on use, claim a free slot or reclaim the oldest for a
+// newcomer, release on invalidation — evicts exactly the keys a Cache of
+// the same capacity evicts, in a random schedule of all three.
+func TestRingEvictsWhatCacheEvicts(t *testing.T) {
+	const slots, keys, size = 6, 20, 2048
+	rng := rand.New(rand.NewSource(1))
+	r, c := NewRing(slots), New[int](slots*size)
+	slotOf := map[int]int32{} // resident key → its slot
+	keyAt := map[int32]int{}  // slot → resident key
+	for step := 0; step < 5000; step++ {
+		k := rng.Intn(keys)
+		s, resident := slotOf[k]
+		switch {
+		case resident && rng.Intn(4) == 0:
+			r.Release(s)
+			delete(slotOf, k)
+			delete(keyAt, s)
+			if !c.Remove(k) {
+				t.Fatalf("step %d: key %d is in the ring and not in the cache", step, k)
+			}
+		case resident:
+			r.Touch(s)
+			c.Get(k)
+		default:
+			evicted := c.Put(k, size)
+			s, ok := r.Claim()
+			if !ok {
+				s, ok = r.Reclaim()
+				victim := keyAt[s]
+				if !ok || len(evicted) != 1 || evicted[0] != victim {
+					t.Fatalf("step %d: ring reclaimed key %d (ok=%v), cache evicted %v", step, victim, ok, evicted)
+				}
+				delete(slotOf, victim)
+			} else if len(evicted) != 0 {
+				t.Fatalf("step %d: ring had a free slot, cache evicted %v", step, evicted)
+			}
+			slotOf[k], keyAt[s] = s, k
+		}
+		if r.Live() != c.Len() || r.Live()+r.Free() != slots {
+			t.Fatalf("step %d: live=%d free=%d, cache holds %d of %d", step, r.Live(), r.Free(), c.Len(), slots)
 		}
 	}
 }
