@@ -137,15 +137,15 @@ func (d *Device) PostFetchAdd(cq *CQ, id uint64, r RemoteAddr, off int, delta ui
 // handler CQ the handler runs inside the caller, which is how an event
 // chain's callback sees the failure in its own callback context.
 func (d *Device) Issue(cq *CQ, wr WR) {
-	if w := d.postWR(cq, wr); w != nil {
+	if w := d.postWR(cq, &wr); w != nil {
 		w.startStep()
 		return
 	}
-	cq.deliver(unknownOp(wr))
+	cq.deliver(unknownOp(&wr))
 }
 
 // postWR fills a record for wr; nil for an unknown WR.Op.
-func (d *Device) postWR(cq *CQ, wr WR) *workReq {
+func (d *Device) postWR(cq *CQ, wr *WR) *workReq {
 	switch wr.Op {
 	case OpRead:
 		return d.post(cq, wr.ID, wrRead, wr.Target, wr.Off, wr.Dst, 0, 0)
@@ -159,7 +159,7 @@ func (d *Device) postWR(cq *CQ, wr WR) *workReq {
 	return nil
 }
 
-func unknownOp(wr WR) Completion {
+func unknownOp(wr *WR) Completion {
 	return Completion{ID: wr.ID, Op: wr.Op, Err: &OpError{Op: wr.Op, Target: wr.Target, Reason: "unknown op"}}
 }
 
@@ -174,10 +174,10 @@ func (d *Device) PostList(cq *CQ, wrs []WR) {
 		return
 	}
 	b := d.getBatch(cq, len(wrs))
-	for i, wr := range wrs {
-		w := d.postWR(cq, wr)
+	for i := range wrs {
+		w := d.postWR(cq, &wrs[i])
 		if w == nil {
-			b.comps[i], b.done[i] = unknownOp(wr), true
+			b.comps[i], b.done[i] = unknownOp(&wrs[i]), true
 			continue
 		}
 		w.b, w.slot = b, i
