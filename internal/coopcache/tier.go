@@ -340,8 +340,7 @@ func (t *Tier) Get(p *sim.Proc, dev *verbs.Device, cpu time.Duration, doc int, b
 	if c.t != t {
 		c.bind(t)
 	}
-	c.p, c.dev, c.cpu, c.doc, c.buf = p, dev, cpu, doc, buf
-	c.attempt = 0
+	c.p, c.dev, c.cpu, c.doc, c.buf, c.attempt = p, dev, cpu, doc, buf, 0
 	dev.Node.ExecBegin()
 	dev.Node.CPU().AcquireAsync(1, c.cpuGrantFn)
 	p.Park(parkTierGet)
@@ -515,7 +514,7 @@ func (t *Tier) Install(p *sim.Proc, dev *verbs.Device, doc int, buf []byte) erro
 		// duplicate-install race — the winner published the identical
 		// word — so no rollback.
 		s := t.docSlot[doc]
-		if s < t.mainSlots[n] {
+		if s < t.mainSlots[n] { // a spill resident keeps its region's order
 			t.main[n].Touch(s)
 		}
 		if err := dev.Write(p, t.slabs[n], int(s)*TierDocBytes, buf); err != nil {

@@ -442,20 +442,14 @@ func (e *Env) WakeAfter(p *Proc, d time.Duration) {
 // grant, or anything they call) may call Continue, at most once: the run
 // loop has one CPU to hand over. Anything else is a bug and panics.
 func (e *Env) Continue(p *Proc) {
-	if !e.inCallback || e.handBack != nil {
-		e.badContinue(p)
-	}
-	p.parkedWhy = ""
-	e.handBack = p
-}
-
-// badContinue is kept out of line so Continue costs its callers two
-// loads and two stores.
-func (e *Env) badContinue(p *Proc) {
 	if e.handBack != nil {
 		panic(fmt.Sprintf("sim: Continue(%q): this callback already continued %q", p.name, e.handBack.name))
 	}
-	panic(fmt.Sprintf("sim: Continue(%q) called outside a scheduler callback", p.name))
+	if !e.inCallback {
+		panic(fmt.Sprintf("sim: Continue(%q) called outside a scheduler callback", p.name))
+	}
+	p.parkedWhy = ""
+	e.handBack = p
 }
 
 // wake schedules p to resume at the current instant (FIFO among same-time
