@@ -30,8 +30,10 @@ func renderAll(t *testing.T, parallel int) (tables, traceOut string) {
 		tb.WriteString(table.String())
 		tb.WriteByte('\n')
 	}
+	snap := reg.Snapshot()
+	checkQueueDepth(t, "quick catalogue", snap.Engine.MaxEventQueue)
 	var tr strings.Builder
-	if err := reg.Snapshot().WriteJSONL(&tr); err != nil {
+	if err := snap.WriteJSONL(&tr); err != nil {
 		t.Fatal(err)
 	}
 	return tb.String(), tr.String()

@@ -7,9 +7,10 @@ package experiments
 // to 8192 nodes in racks, serving Zipf traffic from a modeled client
 // population of ~10^6 through a sharded RDMA-readable coopcache
 // directory, with misses fetched from rack-aware-placed DDSS segments.
-// The O(10^4)-node cells are also the engine's deep-queue regime — tens
-// of thousands of pending events at every instant — which is what the
-// ladder scheduler (internal/sim) exists for.
+// A cell's pending-event population follows its driver count, not its
+// node count — 64 events at 8192 nodes, 162 with spill and rebalance on
+// (TestScaleQueueDepthFollowsDriversNotNodes) — so the big cells load the
+// engine through connection state and hand-offs, not queue depth.
 //
 // The sweep crosses cluster size with the verbs transport mode to
 // reproduce the RDMAvisor crossover: fully-connected RC-per-pair wins at
@@ -161,16 +162,17 @@ type ScaleResult struct {
 // tier's invariants are audited after every run; a violation is the
 // cell's error.
 func RunScaleCell(cfg ScaleConfig) (ScaleResult, error) {
-	res, _, err := runScaleCell(cfg)
+	res, _, _, err := runScaleCell(cfg)
 	return res, err
 }
 
 // runScaleCell is RunScaleCell also returning the tier's final stats
-// snapshot, for the counters ScaleResult does not carry.
-func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
+// snapshot and the engine's counters, for what ScaleResult does not
+// carry (the benchmark digests that struct, so it gains no fields).
+func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es sim.EngineStats, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 8 {
-		return ScaleResult{}, coopcache.TierStats{}, fmt.Errorf("scale: need ≥ 8 nodes for all tiers, got %d", cfg.Nodes)
+		return res, ts, es, fmt.Errorf("scale: need ≥ 8 nodes for all tiers, got %d", cfg.Nodes)
 	}
 	env := sim.NewEnv(cfg.Seed)
 	// Parked daemons (the tier's demotion workers) outlive Run; without
@@ -307,18 +309,18 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 
 	wallStart := time.Now()
 	if err := env.Run(); err != nil {
-		return ScaleResult{}, coopcache.TierStats{}, err
+		return res, ts, es, err
 	}
 	if firstErr == nil {
 		firstErr = tier.Audit()
 	}
 	if firstErr != nil {
-		return ScaleResult{}, coopcache.TierStats{}, firstErr
+		return res, ts, es, firstErr
 	}
 
 	elapsed := time.Duration(env.Now() - start)
-	ts := tier.Stats()
-	res := ScaleResult{
+	ts, es = tier.Stats(), env.Stats()
+	res = ScaleResult{
 		Nodes: cfg.Nodes, FrontEnds: len(fes), CacheNodes: len(caches), StoreNodes: len(stores),
 		Transport: nw.Transport().Mode.String(),
 		Requests:  hits + misses, Hits: hits, Misses: misses,
@@ -332,7 +334,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 		SpillDrops: ts.SpillDrops, SpillRedirectLost: ts.SpillRedirectLost, SpillReclaims: ts.SpillReclaims,
 		RebalanceOn: cfg.Rebalance, DirMaxOverMean: ts.DirMaxOverMean,
 		DirMigrations: ts.DirMigrations, DirSplits: ts.DirSplits,
-		Events: env.Stats().EventsProcessed,
+		Events: es.EventsProcessed,
 		Wall:   time.Since(wallStart),
 	}
 	if elapsed > 0 {
@@ -342,7 +344,7 @@ func runScaleCell(cfg ScaleConfig) (ScaleResult, coopcache.TierStats, error) {
 	}
 	res.ConnBytesAvg, res.ConnBytesMax = nw.ConnBytesPerNode()
 	res.Establishes, res.Evictions, res.UDOps, res.CacheMisses = nw.ConnTotals()
-	return res, ts, nil
+	return res, ts, es, nil
 }
 
 // DCScale regenerates E18: the cluster-size × transport-mode sweep,

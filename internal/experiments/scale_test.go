@@ -226,6 +226,62 @@ func TestScaleExactSizingPinned(t *testing.T) {
 	}
 }
 
+// maxQueueDepth is the early-warning bound on any environment's pending
+// events: six times the deepest queue measured, a tenth of the depth at
+// which DESIGN.md says a tiered queue would pay for itself.
+const maxQueueDepth = 1024
+
+// checkQueueDepth fails when an environment's event-queue high-water
+// mark leaves the regime the engine's plain heap was chosen for.
+func checkQueueDepth(t *testing.T, what string, depth int) {
+	t.Helper()
+	if depth > maxQueueDepth {
+		t.Errorf("%s: the event queue reached %d pending events, bound %d. The engine's queue is a plain 4-ary heap "+
+			"because no workload went deeper than 162; DESIGN.md \"Engine internals\" has the criterion for bringing a "+
+			"bucket tier back (a workload whose measured depth reaches 10^4) and the deep-queue numbers to re-measure "+
+			"before this bound is raised", what, depth, maxQueueDepth)
+	}
+}
+
+// TestScaleQueueDepthFollowsDriversNotNodes measures what the sweep's
+// comments used to guess: how many events a cell keeps pending. An
+// exact-sized cell never holds more than one per driver, whatever its
+// node count. With Spill on, the high-water mark is the start-up burst
+// instead — one start event per cache node's demotion worker, plus boot
+// and the rebalance tick — and the steady state stays below it. Request
+// budgets are cut from the sweep's because the depth does not move with
+// them (64 at the full 8192-node cell, 162 at e18-churn's 300 000
+// requests).
+func TestScaleQueueDepthFollowsDriversNotNodes(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   ScaleConfig
+		bound int
+		why   string
+	}{
+		{"rc-64", ScaleConfig{Nodes: 64, Clients: 100_000, Requests: 2400},
+			16, "one per driver, 64 capped at the 16 front-ends"},
+		{"pooled-1024", ScaleConfig{Nodes: 1024, Transport: verbs.PooledTransport(), Clients: 100_000, Requests: 5120},
+			64, "one per driver"},
+		{"pooled-4096", ScaleConfig{Nodes: 4096, Transport: verbs.PooledTransport(), Clients: 100_000, Requests: 10_240},
+			64, "one per driver"},
+		// e18-churn's cell at a tenth of its requests.
+		{"spill-rebalance-256", ScaleConfig{Nodes: 256, Docs: 8192, CacheFrac: 0.1, Spill: true, Rebalance: true,
+			Clients: 200_000, Requests: 30_000},
+			162, "the 160 demotion workers' start events, boot and the rebalance tick"},
+	}
+	for _, tc := range cases {
+		_, _, es, err := runScaleCell(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if es.MaxEventQueue > tc.bound {
+			t.Errorf("%s: %d events pending at once, want ≤ %d (%s)", tc.name, es.MaxEventQueue, tc.bound, tc.why)
+		}
+		checkQueueDepth(t, tc.name, es.MaxEventQueue)
+	}
+}
+
 // TestScaleCapacityChurn sweeps the capacity fraction on a fixed cell:
 // hit count must be monotone non-decreasing in capacity, capacity
 // evictions must fire exactly when the slabs are undersized, and every
@@ -498,7 +554,7 @@ func TestScaleShardHostPartitionMidMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ts, err := runScaleCell(ScaleConfig{
+	res, ts, _, err := runScaleCell(ScaleConfig{
 		Nodes: 16, Clients: 100_000, Requests: 4000, Docs: 2048,
 		CacheFrac: 0.1, ZipfAlpha: 1.2, Rebalance: true, Seed: 2, Faults: plan,
 	})

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Chan is a simulated message channel between processes. Like a Go
 // channel it may be buffered; unlike a Go channel, an unbuffered (cap 0)
 // Chan still decouples sender and receiver by one scheduling step, and
@@ -25,7 +23,6 @@ type Chan[T any] struct {
 	freeRecv []*recvWaiter[T]
 	sendWhy  string
 	recvWhy  string
-	rtoWhy   string
 }
 
 type sendWaiter[T any] struct {
@@ -34,11 +31,9 @@ type sendWaiter[T any] struct {
 }
 
 type recvWaiter[T any] struct {
-	p        *Proc
-	v        T
-	ok       bool
-	timedOut bool
-	gen      uint64 // reuse generation; guards stale RecvTimeout timers
+	p  *Proc
+	v  T
+	ok bool
 }
 
 // NewChan creates a channel with the given buffer capacity. Capacity 0
@@ -50,7 +45,6 @@ func NewChan[T any](e *Env, name string, capacity int) *Chan[T] {
 		cap:     capacity,
 		sendWhy: "send on " + name,
 		recvWhy: "recv on " + name,
-		rtoWhy:  "recv-timeout on " + name,
 	}
 }
 
@@ -88,8 +82,7 @@ func (c *Chan[T]) getRecvWaiter(p *Proc) *recvWaiter[T] {
 
 func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 	var zero T
-	w.p, w.v, w.ok, w.timedOut = nil, zero, false, false
-	w.gen++ // invalidate any still-pending timeout timer for this record
+	w.p, w.v, w.ok = nil, zero, false
 	c.freeRecv = append(c.freeRecv, w)
 }
 
@@ -196,31 +189,4 @@ func (c *Chan[T]) Close() {
 			c.env.wake(w.p)
 		}
 	}
-}
-
-// RecvTimeout is Recv with a deadline: it returns ok == false with
-// timedOut == true if no value arrives within d. A value that arrives at
-// exactly the deadline instant is delivered (events beat timers queued
-// after them).
-func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok, timedOut bool) {
-	if c.buf.len() > 0 || c.sendq.len() > 0 || c.closed {
-		v, ok = c.Recv(p)
-		return v, ok, false
-	}
-	w := c.getRecvWaiter(p)
-	gen := w.gen
-	c.recvq.push(w)
-	c.env.After(d, func() {
-		// Cancel only if this same wait is still queued: the waiter
-		// record may have been served, recycled and re-queued for a
-		// later wait, which the generation counter detects.
-		if w.gen == gen && c.recvq.remove(func(q *recvWaiter[T]) bool { return q == w }) {
-			w.timedOut = true
-			c.env.wake(p)
-		}
-	})
-	p.block(c.rtoWhy)
-	v, ok, timedOut = w.v, w.ok, w.timedOut
-	c.putRecvWaiter(w)
-	return v, ok, timedOut
 }

@@ -1,21 +1,28 @@
 package sim
 
-// eventHeap is a hand-specialized 4-ary min-heap of event values ordered
-// by (at, seq). Compared with container/heap over a slice of *event it
-// removes the interface boxing and indirect Less/Swap dispatch on every
-// sift step, halves the tree depth (4 children per node), and — because
-// events live inline in the slice — scheduling allocates nothing once
-// the backing array has grown to the simulation's high-water mark.
+// eventHeap is the engine's pending-event queue: a hand-specialized
+// 4-ary min-heap of event values ordered by (at, seq). Compared with
+// container/heap over a slice of *event it removes the interface boxing
+// and indirect Less/Swap dispatch on every sift step, halves the tree
+// depth (4 children per node), and — because events live inline in the
+// slice — scheduling allocates nothing once the backing array has grown
+// to the simulation's high-water mark.
 //
-// Since the ladder rewrite (ladder.go) the heap is one tier of the
-// engine's eventQueue: small populations run entirely on it, and at
-// scale it holds the far-future overflow beyond the bucket horizon.
+// It is the whole queue, not one tier of one: a cluster cell's pending
+// population follows its driver count, not its node count, and the
+// deepest queue any workload builds is 162 events (DESIGN.md, "Engine
+// internals", has the per-workload depths and the criterion for
+// bringing a tiered queue back).
 //
 // The engine never cancels a queued event (stale process wakeups are
 // skipped at pop time), so no per-event index bookkeeping is needed.
 type eventHeap struct {
 	ev []event
 }
+
+// heapShrinkFloor is the capacity at or below which the backing array
+// never shrinks (hysteresis against tiny churn).
+const heapShrinkFloor = 1024
 
 // before is the heap order: earlier virtual time first, FIFO by seq
 // among events at the same instant. seq strictly increases per Env, so
@@ -58,17 +65,8 @@ func (h *eventHeap) pop() event {
 	if n > 0 {
 		h.siftDownFrom(0, last)
 	}
+	h.maybeShrink()
 	return min
-}
-
-// heapify re-establishes the heap invariant over the whole backing
-// array in O(n) — used after the ladder's re-anchor compacts the
-// beyond-horizon remainder in place.
-func (h *eventHeap) heapify() {
-	n := len(h.ev)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		h.siftDownFrom(i, h.ev[i])
-	}
 }
 
 // maybeShrink halves the backing array when the population has fallen

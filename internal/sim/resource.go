@@ -28,9 +28,6 @@ type Resource struct {
 	// queue; dispatch pops them FIFO so grant order matches queue order.
 	granted  waitq[asyncGrant]
 	dispatch func()
-	// maxQueued tracks the high-water mark of waiters, useful for
-	// instrumentation (e.g. run-queue length statistics).
-	maxQueued int
 }
 
 type resWaiter struct {
@@ -92,9 +89,6 @@ func (r *Resource) InUse() int { return r.inUse }
 // Queued returns the number of waiting acquirers.
 func (r *Resource) Queued() int { return r.q.len() }
 
-// MaxQueued returns the high-water mark of Queued since creation.
-func (r *Resource) MaxQueued() int { return r.maxQueued }
-
 // Acquire blocks until n units are available and takes them. n must be in
 // [1, Cap].
 func (r *Resource) Acquire(p *Proc, n int) {
@@ -108,9 +102,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	w := r.waiter()
 	w.p, w.n = p, n
 	r.q.push(w)
-	if r.q.len() > r.maxQueued {
-		r.maxQueued = r.q.len()
-	}
 	p.block(r.why)
 	w.p = nil
 	r.free = append(r.free, w)
@@ -137,9 +128,6 @@ func (r *Resource) AcquireAsync(n int, fn func(waited time.Duration)) {
 	w := r.waiter()
 	w.n, w.fn, w.enq = n, fn, r.env.now
 	r.q.push(w)
-	if r.q.len() > r.maxQueued {
-		r.maxQueued = r.q.len()
-	}
 }
 
 func (r *Resource) waiter() *resWaiter {
@@ -216,9 +204,6 @@ func (r *Resource) UseWith(p *Proc, n int, d time.Duration, hook func(ser, waite
 	w := r.waiter()
 	w.p, w.n, w.fused, w.useD, w.hook, w.enq = p, n, true, d, hook, r.env.now
 	r.q.push(w)
-	if r.q.len() > r.maxQueued {
-		r.maxQueued = r.q.len()
-	}
 	p.block(r.why)
 	r.Release(n)
 }

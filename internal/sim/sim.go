@@ -21,10 +21,8 @@
 // (Chan.PostSend, Resource.AcquireAsync, Future.WaitAsync) but must never
 // block.
 //
-// The engine is built for throughput: the event queue is a two-tier
-// ladder/calendar queue of event values (amortized O(1) scheduling into
-// near-horizon time buckets with a 4-ary heap overflow for the far
-// future — no allocation, no interface dispatch per scheduling
+// The engine is built for throughput: the event queue is a 4-ary heap of
+// event values (no allocation, no interface dispatch per scheduling
 // operation), waiter queues recycle their storage, a coroutine switch
 // bypasses the Go scheduler, and a process whose own wakeup is the next
 // event keeps running without switching at all. Steady-state scheduling
@@ -77,7 +75,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a scheduled occurrence: either the resumption of a parked
 // process or an inline timer callback. Events are stored by value in the
-// engine's ladder queue; scheduling one allocates nothing.
+// engine's heap (heap.go); scheduling one allocates nothing.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among events at the same instant
@@ -95,7 +93,7 @@ type killSentinel struct{}
 type Env struct {
 	now     Time
 	seq     uint64
-	evq     eventQueue
+	evq     eventHeap
 	limit   Time    // active run limit; only meaningful while running
 	procs   []*Proc // live processes, position mirrored in Proc.liveIdx
 	rng     *rand.Rand
@@ -343,7 +341,7 @@ func (e *Env) Shutdown() {
 		p.stop()
 	}
 	e.procs = nil
-	e.evq.clear()
+	e.evq = eventHeap{}
 }
 
 // Proc is a simulated process. Its methods must only be called from the

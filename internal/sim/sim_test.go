@@ -694,79 +694,6 @@ func TestTimeAddSaturates(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
-	var timedOut, ok bool
-	var at Time
-	e.Go("rx", func(p *Proc) {
-		_, ok, timedOut = c.RecvTimeout(p, 5*time.Millisecond)
-		at = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok || !timedOut || at != Time(5*time.Millisecond) {
-		t.Fatalf("ok=%v timedOut=%v at=%v", ok, timedOut, at)
-	}
-}
-
-func TestRecvTimeoutDelivered(t *testing.T) {
-	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
-	var v int
-	var ok, timedOut bool
-	e.Go("rx", func(p *Proc) { v, ok, timedOut = c.RecvTimeout(p, time.Second) })
-	e.After(time.Millisecond, func() { c.PostSend(42) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok || timedOut || v != 42 {
-		t.Fatalf("v=%d ok=%v timedOut=%v", v, ok, timedOut)
-	}
-}
-
-func TestRecvTimeoutImmediateValue(t *testing.T) {
-	e := NewEnv(1)
-	c := NewChan[int](e, "c", 1)
-	e.Go("p", func(p *Proc) {
-		c.Send(p, 7)
-		v, ok, timedOut := c.RecvTimeout(p, time.Millisecond)
-		if v != 7 || !ok || timedOut {
-			t.Errorf("immediate recv wrong: %d %v %v", v, ok, timedOut)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutStaleTimerHarmless(t *testing.T) {
-	// A waiter served before its deadline must not be disturbed by the
-	// stale timer — including a later wait on the same channel.
-	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
-	results := []int{}
-	e.Go("rx", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			v, ok, timedOut := c.RecvTimeout(p, 10*time.Millisecond)
-			if !ok || timedOut {
-				t.Errorf("wait %d failed: ok=%v timedOut=%v", i, ok, timedOut)
-				return
-			}
-			results = append(results, v)
-		}
-	})
-	e.After(time.Millisecond, func() { c.PostSend(1) })
-	e.After(2*time.Millisecond, func() { c.PostSend(2) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0] != 1 || results[1] != 2 {
-		t.Fatalf("results = %v", results)
-	}
-}
-
 func TestEngineStats(t *testing.T) {
 	e := NewEnv(1)
 	for i := 0; i < 3; i++ {

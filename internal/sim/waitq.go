@@ -37,18 +37,3 @@ func (q *waitq[T]) pop() T {
 
 // peek returns the head waiter without removing it.
 func (q *waitq[T]) peek() T { return q.items[q.head] }
-
-// remove deletes the first queued waiter for which match returns true,
-// reporting whether one was found.
-func (q *waitq[T]) remove(match func(T) bool) bool {
-	for i := q.head; i < len(q.items); i++ {
-		if match(q.items[i]) {
-			copy(q.items[i:], q.items[i+1:])
-			var zero T
-			q.items[len(q.items)-1] = zero
-			q.items = q.items[:len(q.items)-1]
-			return true
-		}
-	}
-	return false
-}
