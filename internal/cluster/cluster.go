@@ -91,7 +91,7 @@ func (n *Node) Env() *sim.Env { return n.env }
 // Cores returns the number of CPU cores.
 func (n *Node) Cores() int { return n.cores }
 
-// CPU exposes the core resource for instrumentation.
+// CPU exposes the core resource to event chains (see ExecBegin).
 func (n *Node) CPU() *sim.Resource { return n.cpu }
 
 // Stats returns a copy of the current ground-truth kernel statistics.
@@ -156,10 +156,11 @@ func (n *Node) Exec(p *sim.Proc, cpuTime time.Duration) {
 }
 
 // ExecBegin and ExecDone are the run-queue bookkeeping halves of Exec,
-// exported so event-chain callers (request pipelines that acquire the
-// core from callback context) can run them at the exact instants Exec
-// would have. ExecBegin enqueues the task before the core is acquired;
-// ExecDone retires it at the instant the core is released.
+// exported so an event chain can run a burst at the instants Exec would
+// have. The pairing is Exec's: ExecBegin, then CPU().HoldAsync(1,
+// cpuTime, nil, done), and ExecDone first thing in done — the task is
+// enqueued before the core is requested and retired at the instant the
+// core is released.
 func (n *Node) ExecBegin() {
 	n.stats.RunQueue++
 	n.publish()

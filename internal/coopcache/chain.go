@@ -35,25 +35,20 @@ type reqChain struct {
 	evicted []int // held across the directory batch wire stall
 
 	// Step callbacks, bound once per record.
-	cpuGrantFn     func(time.Duration)
-	cpuDoneFn      func()
-	dirDoneFn      func()
-	fetchMidFn     func()
-	fetchGrantFn   func(time.Duration)
-	fetchTxDoneFn  func()
-	fetchEndFn     func()
-	replicaFn      func()
-	retryFn        func(int)
-	backendGrantFn func(time.Duration)
-	backendDoneFn  func()
-	insTxGrantFn   func(time.Duration)
-	insTxDoneFn    func()
-	insPlacedFn    func()
-	dirWireFn      func()
-	copyDoneFn     func()
-	egCPUGrantFn   func(time.Duration)
-	egCPUDoneFn    func()
-	egTxGrantFn    func(time.Duration)
+	cpuDoneFn     func()
+	dirDoneFn     func()
+	fetchMidFn    func()
+	fetchTxDoneFn func()
+	fetchEndFn    func()
+	replicaFn     func()
+	retryFn       func(int)
+	backendDoneFn func()
+	insTxDoneFn   func()
+	insPlacedFn   func()
+	dirWireFn     func()
+	copyDoneFn    func()
+	egCPUDoneFn   func()
+	egTxDoneFn    func()
 }
 
 // reasonServe is the client's single park reason per request.
@@ -68,13 +63,9 @@ func (dc *DataCenter) getReq() *reqChain {
 	}
 	dc.reqMade++
 	rc := &reqChain{dc: dc}
-	rc.cpuGrantFn = func(time.Duration) { rc.dc.env.After(RequestCPU, rc.cpuDoneFn) }
 	rc.cpuDoneFn = rc.cpuDone
 	rc.dirDoneFn = func() { rc.dirArrived(true) }
 	rc.fetchMidFn = rc.fetchMid
-	rc.fetchGrantFn = func(time.Duration) {
-		rc.dc.env.After(rc.dc.nw.Params().IBTxTime(int(rc.size)), rc.fetchTxDoneFn)
-	}
 	rc.fetchTxDoneFn = rc.fetchTxDone
 	rc.fetchEndFn = rc.fetchEnd
 	rc.replicaFn = func() {
@@ -85,15 +76,7 @@ func (dc *DataCenter) getReq() *reqChain {
 		rc.depth = 1
 		rc.lookupStep()
 	}
-	rc.backendGrantFn = func(time.Duration) {
-		rc.dc.env.After(rc.dc.nw.Params().BackendTime(int(rc.size)), rc.backendDoneFn)
-	}
 	rc.backendDoneFn = rc.backendDone
-	rc.insTxGrantFn = func(waited time.Duration) {
-		ser := rc.dc.nw.Params().IBTxTime(int(rc.size))
-		rc.px.dev.NIC().GrantTx(ser, waited)
-		rc.dc.env.After(ser, rc.insTxDoneFn)
-	}
 	rc.insTxDoneFn = rc.insTxDone
 	rc.insPlacedFn = rc.placed
 	rc.dirWireFn = func() {
@@ -102,15 +85,8 @@ func (dc *DataCenter) getReq() *reqChain {
 		rc.insertDone()
 	}
 	rc.copyDoneFn = rc.copyDone
-	rc.egCPUGrantFn = func(time.Duration) {
-		rc.dc.env.After(rc.dc.nw.Params().TCPCPUTime(int(rc.size)), rc.egCPUDoneFn)
-	}
 	rc.egCPUDoneFn = rc.egCPUDone
-	rc.egTxGrantFn = func(waited time.Duration) {
-		ser := rc.dc.nw.Params().TCPTxTime(int(rc.size))
-		rc.px.dev.NIC().GrantTx(ser, waited)
-		rc.dc.env.WakeAfter(rc.p, ser)
-	}
+	rc.egTxDoneFn = func() { rc.dc.env.Continue(rc.p) }
 	return rc
 }
 
@@ -125,12 +101,11 @@ func (dc *DataCenter) putReq(rc *reqChain) {
 // the egress-complete instant.
 func (rc *reqChain) start() {
 	rc.px.node.ExecBegin()
-	rc.px.node.CPU().AcquireAsync(1, rc.cpuGrantFn)
+	rc.px.node.CPU().HoldAsync(1, RequestCPU, nil, rc.cpuDoneFn)
 }
 
 // cpuDone runs at the admission-burst release instant.
 func (rc *reqChain) cpuDone() {
-	rc.px.node.CPU().Release(1)
 	rc.px.node.ExecDone()
 	rc.lookupStep()
 }
@@ -196,12 +171,11 @@ func (rc *reqChain) dirArrived(remote bool) {
 // fetchMid runs when the read request reaches the holder: occupy the
 // holder's transmit engine for the response serialization.
 func (rc *reqChain) fetchMid() {
-	rc.holder.dev.NIC().Tx().AcquireAsync(1, rc.fetchGrantFn)
+	rc.holder.dev.NIC().TransmitAsync(rc.dc.nw.Params().IBTxTime(int(rc.size)), nil, rc.fetchTxDoneFn)
 }
 
 // fetchTxDone runs when the response's last byte leaves the holder NIC.
 func (rc *reqChain) fetchTxDone() {
-	rc.holder.dev.NIC().Tx().Release(1)
 	rc.dc.env.After(rc.dc.nw.Params().IBReadLatency/2, rc.fetchEndFn)
 }
 
@@ -237,13 +211,12 @@ func (rc *reqChain) missStep() {
 	}
 	rc.fut = dc.getFetchFuture()
 	dc.inflight[rc.doc] = rc.fut
-	dc.backend.AcquireAsync(1, rc.backendGrantFn)
+	dc.backend.HoldAsync(1, dc.nw.Params().BackendTime(int(rc.size)), nil, rc.backendDoneFn)
 }
 
 // backendDone runs when the origin fetch completes: place the document.
 func (rc *reqChain) backendDone() {
 	dc := rc.dc
-	dc.backend.Release(1)
 	target := rc.px
 	if dc.cfg.Scheme == MTACC || dc.cfg.Scheme == HYBCC {
 		target = dc.placeMostFree(rc.px)
@@ -256,7 +229,7 @@ func (rc *reqChain) backendDone() {
 func (rc *reqChain) insertStep(target *cacheNode) {
 	rc.target = target
 	if target != rc.px {
-		rc.px.dev.NIC().Tx().AcquireAsync(1, rc.insTxGrantFn)
+		rc.px.dev.NIC().TransmitAsync(rc.dc.nw.Params().IBTxTime(int(rc.size)), nil, rc.insTxDoneFn)
 		return
 	}
 	rc.placed()
@@ -264,7 +237,6 @@ func (rc *reqChain) insertStep(target *cacheNode) {
 
 // insTxDone runs when the push's last byte leaves the requester NIC.
 func (rc *reqChain) insTxDone() {
-	rc.px.dev.NIC().Tx().Release(1)
 	rc.dc.env.After(rc.dc.nw.Params().IBWriteLatency, rc.insPlacedFn)
 }
 
@@ -339,29 +311,20 @@ func (rc *reqChain) copyDone() {
 	if dc.tr != nil {
 		dc.tr.RecordOp(trace.OpCopy, 0, dc.nw.Params().CopyTime(int(rc.size)))
 	}
-	rc.px.node.ExecBegin()
-	rc.egressCPU()
+	rc.egress()
 }
 
 // egress starts the response path to the client over the front-side
-// network: TCP CPU work, then the wire.
+// network: a proxy core for the TCP send processing, then the wire.
 func (rc *reqChain) egress() {
 	rc.px.node.ExecBegin()
-	rc.egressCPU()
-}
-
-// egressCPU occupies a proxy core for the TCP send processing.
-func (rc *reqChain) egressCPU() {
-	rc.px.node.CPU().AcquireAsync(1, rc.egCPUGrantFn)
+	rc.px.node.CPU().HoldAsync(1, rc.dc.nw.Params().TCPCPUTime(int(rc.size)), nil, rc.egCPUDoneFn)
 }
 
 // egCPUDone runs at the TCP CPU release instant: occupy the proxy NIC
-// for the response serialization and resume the client when the last
-// byte is on the wire. The client releases the transmit engine itself on
-// resume (serveRequest), matching the process-per-stage pipeline's
-// mutation order at the final instant.
+// for the response serialization and hand the client back (egTxDoneFn)
+// in the event that frees it, when the last byte is on the wire.
 func (rc *reqChain) egCPUDone() {
-	rc.px.node.CPU().Release(1)
 	rc.px.node.ExecDone()
-	rc.px.dev.NIC().Tx().AcquireAsync(1, rc.egTxGrantFn)
+	rc.px.dev.NIC().TransmitAsync(rc.dc.nw.Params().TCPTxTime(int(rc.size)), nil, rc.egTxDoneFn)
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"ngdc/internal/fabric"
+	"ngdc/internal/trace"
 	"ngdc/internal/workload"
 )
 
@@ -173,6 +175,36 @@ func TestRequestChainRecordsRecycle(t *testing.T) {
 	if dc.reqMade == 0 || dc.reqMade > clients {
 		t.Fatalf("%d chain records allocated for %d requests, want 1..%d (one per concurrent client at most)",
 			dc.reqMade, st.Requests, clients)
+	}
+}
+
+// TestRemoteHitCountedOnHolderNIC: the response of a remote fetch is
+// serialized by the holder's NIC and shows in the holder's traced
+// statistics. An application server has no clients, so under MTACC it
+// transmits only as a holder.
+func TestRemoteHitCountedOnHolderNIC(t *testing.T) {
+	cfg := quickCfg(MTACC, 2, 32<<10)
+	reg := trace.NewRegistry()
+	cfg.Trace = reg
+	dc := Build(cfg)
+	st, err := dc.RunLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RemoteHits == 0 {
+		t.Fatalf("no remote hits to account: %+v", st)
+	}
+	ser := fabric.DefaultParams().IBTxTime(int(cfg.FileSize))
+	var ops int64
+	for _, cn := range dc.appTier {
+		nic := reg.NIC(cn.node.ID)
+		if nic.TxBusy != time.Duration(nic.TxOps)*ser {
+			t.Errorf("app server %d: TxBusy %v for %d transmits of %v each", cn.node.ID, nic.TxBusy, nic.TxOps, ser)
+		}
+		ops += nic.TxOps
+	}
+	if ops == 0 {
+		t.Fatal("the application servers held documents and served remote hits, but their NICs record no transmit")
 	}
 }
 

@@ -22,17 +22,15 @@ const (
 // serveRequest is the proxy request pipeline: HTTP processing, cache
 // lookup under the configured scheme, and response egress to the client.
 // The whole pipeline runs as a pooled event chain (see chain.go): the
-// client parks exactly once per request, and resumes at the instant the
-// response's last byte is on the wire. It releases the transmit engine
-// and records the egress op itself, matching the final-instant mutation
-// order of the process-per-stage pipeline the chain replaced.
+// client parks exactly once per request, and continues inside the event
+// that frees the proxy's transmit engine, the instant the response's last
+// byte is on the wire; it records the egress op itself.
 func (dc *DataCenter) serveRequest(p *sim.Proc, px *cacheNode, doc int) outcome {
 	rc := dc.getReq()
 	rc.p, rc.px, rc.doc, rc.size, rc.depth = p, px, doc, dc.cfg.sizeOf(doc), 0
 	rc.start()
 	p.Park(reasonServe)
 	out, size := rc.out, rc.size
-	px.dev.NIC().Tx().Release(1)
 	if dc.tr != nil {
 		pp := dc.nw.Params()
 		dc.tr.RecordOp(trace.OpTCP, pp.TCPTxTime(int(size)), pp.TCPCPUTime(int(size)))
@@ -129,18 +127,4 @@ func Run(cfg Config) (Stats, error) {
 // experiment entry point every config type in the framework shares.
 func (cfg Config) Run() (Stats, error) {
 	return Build(cfg).RunLoad()
-}
-
-// Sweep runs Fig 6's file-size sweep for one scheme and proxy count,
-// returning TPS per file size.
-func Sweep(scheme Scheme, proxies int, fileSizes []int64) (map[int64]Stats, error) {
-	out := map[int64]Stats{}
-	for _, fs := range fileSizes {
-		st, err := Run(DefaultConfig(scheme, proxies, fs))
-		if err != nil {
-			return nil, err
-		}
-		out[fs] = st
-	}
-	return out, nil
 }

@@ -340,9 +340,9 @@ func (t *Tier) Get(p *sim.Proc, dev *verbs.Device, cpu time.Duration, doc int, b
 	if c.t != t {
 		c.bind(t)
 	}
-	c.p, c.dev, c.cpu, c.doc, c.buf, c.attempt = p, dev, cpu, doc, buf, 0
+	c.p, c.dev, c.doc, c.buf, c.attempt = p, dev, doc, buf, 0
 	dev.Node.ExecBegin()
-	dev.Node.CPU().AcquireAsync(1, c.cpuGrantFn)
+	dev.Node.CPU().HoldAsync(1, cpu, nil, c.cpuDoneFn)
 	p.Park(parkTierGet)
 
 	e, err := c.e, c.err
@@ -409,7 +409,6 @@ type getChain struct {
 	t     *Tier
 	p     *sim.Proc
 	dev   *verbs.Device
-	cpu   time.Duration
 	doc   int
 	buf   []byte
 	word  [8]byte // directory read target
@@ -421,14 +420,12 @@ type getChain struct {
 	e    Entry // the word the lookup read
 	err  error // of the read that failed
 
-	cpuGrantFn    func(time.Duration)
 	cpuDoneFn     func()
 	dirCQ, slabCQ *verbs.CQ
 }
 
 func (c *getChain) bind(t *Tier) {
 	c.t = t
-	c.cpuGrantFn = func(time.Duration) { c.t.env.After(c.cpu, c.cpuDoneFn) }
 	c.cpuDoneFn = c.cpuDone
 	c.dirCQ = verbs.HandlerCQ(c.dirDone)
 	c.slabCQ = verbs.HandlerCQ(c.slabDone)
@@ -436,9 +433,7 @@ func (c *getChain) bind(t *Tier) {
 
 // cpuDone runs at the admission burst's release instant.
 func (c *getChain) cpuDone() {
-	n := c.dev.Node
-	n.CPU().Release(1)
-	n.ExecDone()
+	c.dev.Node.ExecDone()
 	c.lookup()
 }
 

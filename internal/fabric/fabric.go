@@ -167,37 +167,27 @@ func (p Params) BackendTime(n int) time.Duration {
 }
 
 // NIC is a node's network interface; its transmit engine serializes
-// outbound transfers, providing bandwidth contention.
+// outbound transfers, providing bandwidth contention. Every transmit is a
+// hold of that engine for the transfer's serialization time, and on a
+// traced run the engine itself records each hold's occupancy and queueing
+// delay in the node's NICStats (Attach installs the recorder), so no
+// caller accounts for its own transmits.
 type NIC struct {
 	Node *cluster.Node
 	tx   *sim.Resource
-	ts   *trace.NICStats // nil unless a trace registry is attached
-	// txHook is the preformatted grant hook AcquireTx passes to the fused
-	// resource path (one closure per NIC, not per transmit); nil when
-	// untraced.
-	txHook func(ser, waited time.Duration)
 }
 
 // AcquireTx occupies the transmit engine for the serialization time of a
-// transfer, then releases it. It returns after the last byte is on the
-// wire. The acquire-hold-release is fused (the process parks once) and
-// the NIC's preformatted hook records occupancy at the grant instant.
-func (n *NIC) AcquireTx(p *sim.Proc, ser time.Duration) {
-	n.tx.UseWith(p, 1, ser, n.txHook)
-}
+// transfer. It returns after the last byte is on the wire; the process
+// parks once.
+func (n *NIC) AcquireTx(p *sim.Proc, ser time.Duration) { n.tx.Use(p, 1, ser) }
 
-// GrantTx records one granted transmit (occupancy ser, queueing delay
-// wait) against the NIC's trace counters. Event-chain callers that drive
-// the transmit resource through Tx().AcquireAsync call it from the grant
-// callback so their accounting matches AcquireTx exactly.
-func (n *NIC) GrantTx(ser, wait time.Duration) {
-	if n.ts != nil {
-		n.ts.RecordTx(ser, wait)
-	}
+// TransmitAsync is AcquireTx from callback context: granted (which may be
+// nil) runs the instant the engine is granted, done once the last byte is
+// on the wire and the engine is free again (see sim.Resource.HoldAsync).
+func (n *NIC) TransmitAsync(ser time.Duration, granted, done func()) {
+	n.tx.HoldAsync(1, ser, granted, done)
 }
-
-// Tx exposes the transmit resource for instrumentation.
-func (n *NIC) Tx() *sim.Resource { return n.tx }
 
 // Fabric is the interconnect: cost parameters plus the NIC registry.
 type Fabric struct {
@@ -235,16 +225,11 @@ func (f *Fabric) Attach(node *cluster.Node) *NIC {
 		tx:   sim.NewResource(f.Env, fmt.Sprintf("%s/nic-tx", node.Name), 1),
 	}
 	if r := trace.Of(f.Env); r != nil {
-		nic.ts = r.NIC(node.ID)
-		nic.txHook = nic.ts.RecordTx
+		nic.tx.OnHold(r.NIC(node.ID).RecordTx)
 	}
 	f.nics[node.ID] = nic
 	return nic
 }
-
-// NIC returns the NIC of the node with the given ID, or nil if the node is
-// not attached.
-func (f *Fabric) NIC(nodeID int) *NIC { return f.nics[nodeID] }
 
 // IWARPParams returns an alternate calibration modelling a 10-Gigabit
 // Ethernet iWARP adapter of the same era (RNIC offload over Ethernet):

@@ -191,9 +191,7 @@ func Run(cfg Config) (Stats, error) {
 				// One-sided refill from the sibling's cache.
 				h := proxies[holder]
 				p.Sleep(pp.IBReadLatency / 2)
-				h.dev.NIC().Tx().Acquire(p, 1)
-				p.Sleep(pp.IBTxTime(int(cfg.FileSize)))
-				h.dev.NIC().Tx().Release(1)
+				h.dev.NIC().AcquireTx(p, pp.IBTxTime(int(cfg.FileSize)))
 				p.Sleep(pp.IBReadLatency / 2)
 				if measuring {
 					stats.SiblingFills++

@@ -115,24 +115,16 @@ func BenchmarkEngineDeepQueue100k(b *testing.B) { benchmarkEngineDeep(b, 100_000
 func BenchmarkEngineDeepQueue1M(b *testing.B)   { benchmarkEngineDeep(b, 1_000_000) }
 
 // BenchmarkResourceContended measures a unit-capacity resource bouncing
-// between two processes: every Acquire after the first blocks, so each
-// iteration exercises the waiter queue, free list and FIFO wake path.
+// between two hold chains: every hold after the first queues, so each
+// iteration exercises the waiter queue, the record pool, the dispatch
+// event and the end-of-hold event.
 func BenchmarkResourceContended(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv(1)
 	res := NewResource(env, "cpu", 1)
-	iters := b.N/2 + 1
-	for w := 0; w < 2; w++ {
-		env.Go("worker", func(p *Proc) {
-			for i := 0; i < iters; i++ {
-				res.Acquire(p, 1)
-				p.Sleep(time.Microsecond)
-				res.Release(1)
-			}
-		})
-	}
+	holdChains(res, 2)
 	b.ResetTimer()
-	if err := env.Run(); err != nil {
+	if err := env.RunUntil(Time(b.N) * Time(time.Microsecond)); err != nil {
 		b.Fatal(err)
 	}
 }

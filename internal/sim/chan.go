@@ -9,14 +9,14 @@ package sim
 //
 // Blocking is allocation-free in the steady state: waiter records are
 // recycled through per-channel free lists and the waiter queues reuse
-// their backing storage (see waitq).
+// their backing storage (see Queue).
 type Chan[T any] struct {
 	env    *Env
 	name   string
 	cap    int
-	buf    waitq[T]
-	sendq  waitq[*sendWaiter[T]]
-	recvq  waitq[*recvWaiter[T]]
+	buf    Queue[T]
+	sendq  Queue[*sendWaiter[T]]
+	recvq  Queue[*recvWaiter[T]]
 	closed bool
 
 	freeSend []*sendWaiter[T]
@@ -49,7 +49,7 @@ func NewChan[T any](e *Env, name string, capacity int) *Chan[T] {
 }
 
 // Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return c.buf.len() }
+func (c *Chan[T]) Len() int { return c.buf.Len() }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
@@ -88,13 +88,13 @@ func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 
 // deliver hands v to a parked receiver if one exists, else buffers it.
 func (c *Chan[T]) deliver(v T) {
-	if c.recvq.len() > 0 {
-		w := c.recvq.pop()
+	if c.recvq.Len() > 0 {
+		w := c.recvq.Pop()
 		w.v, w.ok = v, true
 		c.env.wake(w.p)
 		return
 	}
-	c.buf.push(v)
+	c.buf.Push(v)
 }
 
 // PostSend delivers v without blocking. It is safe from timer callbacks
@@ -113,12 +113,12 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.closed {
 		panic("sim: send on closed channel " + c.name)
 	}
-	if c.recvq.len() > 0 || c.buf.len() < c.cap {
+	if c.recvq.Len() > 0 || c.buf.Len() < c.cap {
 		c.deliver(v)
 		return
 	}
 	w := c.getSendWaiter(p, v)
-	c.sendq.push(w)
+	c.sendq.Push(w)
 	p.block(c.sendWhy)
 	c.putSendWaiter(w)
 }
@@ -126,13 +126,13 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 // Recv returns the next value. It blocks until a value is available. The
 // second result is false if the channel was closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
-	if c.buf.len() > 0 {
-		v := c.buf.pop()
+	if c.buf.Len() > 0 {
+		v := c.buf.Pop()
 		c.admitSender()
 		return v, true
 	}
-	if c.sendq.len() > 0 {
-		w := c.sendq.pop()
+	if c.sendq.Len() > 0 {
+		w := c.sendq.Pop()
 		v := w.v
 		c.env.wake(w.p)
 		return v, true
@@ -142,7 +142,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		return zero, false
 	}
 	w := c.getRecvWaiter(p)
-	c.recvq.push(w)
+	c.recvq.Push(w)
 	p.block(c.recvWhy)
 	v, ok := w.v, w.ok
 	c.putRecvWaiter(w)
@@ -152,13 +152,13 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 // TryRecv returns the next value without blocking; ok is false when no
 // value is immediately available.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if c.buf.len() > 0 {
-		v = c.buf.pop()
+	if c.buf.Len() > 0 {
+		v = c.buf.Pop()
 		c.admitSender()
 		return v, true
 	}
-	if c.sendq.len() > 0 {
-		w := c.sendq.pop()
+	if c.sendq.Len() > 0 {
+		w := c.sendq.Pop()
 		v = w.v
 		c.env.wake(w.p)
 		return v, true
@@ -168,9 +168,9 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 
 // admitSender moves one blocked sender's value into freed buffer space.
 func (c *Chan[T]) admitSender() {
-	if c.sendq.len() > 0 && c.buf.len() < c.cap {
-		w := c.sendq.pop()
-		c.buf.push(w.v)
+	if c.sendq.Len() > 0 && c.buf.Len() < c.cap {
+		w := c.sendq.Pop()
+		c.buf.Push(w.v)
 		c.env.wake(w.p)
 	}
 }
@@ -182,9 +182,9 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	if c.buf.len() == 0 && c.sendq.len() == 0 {
-		for c.recvq.len() > 0 {
-			w := c.recvq.pop()
+	if c.buf.Len() == 0 && c.sendq.Len() == 0 {
+		for c.recvq.Len() > 0 {
+			w := c.recvq.Pop()
 			w.ok = false
 			c.env.wake(w.p)
 		}

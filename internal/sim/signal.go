@@ -9,13 +9,13 @@ type Future[T any] struct {
 	name    string
 	set     bool
 	val     T
-	waiters waitq[*futWaiter[T]]
+	waiters Queue[*futWaiter[T]]
 	free    []*futWaiter[T]
 	why     string
 	// granted holds async waiter callbacks awaiting dispatch through the
 	// event queue; dispatch pops them FIFO so callback waiters interleave
 	// with process wakes at the resolve instant in registration order.
-	granted  waitq[futGrant[T]]
+	granted  Queue[futGrant[T]]
 	dispatch func()
 }
 
@@ -64,12 +64,12 @@ func (f *Future[T]) Resolve(v T) {
 	}
 	f.set = true
 	f.val = v
-	for f.waiters.len() > 0 {
-		w := f.waiters.pop()
+	for f.waiters.Len() > 0 {
+		w := f.waiters.Pop()
 		if w.fn != nil {
 			// Callback waiter: hand the value through the event queue so it
 			// interleaves with same-instant process wakes in FIFO order.
-			f.granted.push(futGrant[T]{fn: w.fn, v: v})
+			f.granted.Push(futGrant[T]{fn: w.fn, v: v})
 			f.env.schedule(f.env.now, nil, f.dispatch)
 			f.putWaiter(w)
 			continue
@@ -93,13 +93,13 @@ func (f *Future[T]) WaitAsync(fn func(v T)) {
 	}
 	if f.dispatch == nil {
 		f.dispatch = func() {
-			g := f.granted.pop()
+			g := f.granted.Pop()
 			g.fn(g.v)
 		}
 	}
 	w := f.getWaiter(nil)
 	w.fn = fn
-	f.waiters.push(w)
+	f.waiters.Push(w)
 }
 
 // Wait blocks until the future resolves and returns its value.
@@ -108,7 +108,7 @@ func (f *Future[T]) Wait(p *Proc) T {
 		return f.val
 	}
 	w := f.getWaiter(p)
-	f.waiters.push(w)
+	f.waiters.Push(w)
 	p.block(f.why)
 	v := w.v
 	f.putWaiter(w)
@@ -122,7 +122,7 @@ func (f *Future[T]) Wait(p *Proc) T {
 // Resetting while a process is still parked in Wait panics: the waiter
 // would otherwise be stranded waiting on a recycled completion.
 func (f *Future[T]) Reset() {
-	if f.waiters.len() > 0 {
+	if f.waiters.Len() > 0 {
 		panic("sim: future reset with parked waiters: " + f.name)
 	}
 	f.set = false
@@ -136,7 +136,7 @@ type WaitGroup struct {
 	env     *Env
 	name    string
 	count   int
-	waiters waitq[*Proc]
+	waiters Queue[*Proc]
 	why     string
 }
 
@@ -153,8 +153,8 @@ func (w *WaitGroup) Add(delta int) {
 		panic("sim: negative waitgroup count: " + w.name)
 	}
 	if w.count == 0 {
-		for w.waiters.len() > 0 {
-			w.env.wake(w.waiters.pop())
+		for w.waiters.Len() > 0 {
+			w.env.wake(w.waiters.Pop())
 		}
 	}
 }
@@ -162,14 +162,11 @@ func (w *WaitGroup) Add(delta int) {
 // Done decrements the count by one.
 func (w *WaitGroup) Done() { w.Add(-1) }
 
-// Count returns the current count.
-func (w *WaitGroup) Count() int { return w.count }
-
 // Wait blocks until the count is zero.
 func (w *WaitGroup) Wait(p *Proc) {
 	if w.count == 0 {
 		return
 	}
-	w.waiters.push(p)
+	w.waiters.Push(p)
 	p.block(w.why)
 }

@@ -18,7 +18,7 @@
 // counting semaphore, e.g. CPU cores or a network link), Future (a
 // completion) and WaitGroup. Timer callbacks (Env.At, Env.After) run
 // inline in the scheduler and may use the non-blocking primitives
-// (Chan.PostSend, Resource.AcquireAsync, Future.WaitAsync) but must never
+// (Chan.PostSend, Resource.HoldAsync, Future.WaitAsync) but must never
 // block.
 //
 // The engine is built for throughput: the event queue is a 4-ary heap of
@@ -26,7 +26,7 @@
 // operation), waiter queues recycle their storage, a coroutine switch
 // bypasses the Go scheduler, and a process whose own wakeup is the next
 // event keeps running without switching at all. Steady-state scheduling
-// (Sleep/Yield, channel ping-pong, resource hand-off) is allocation free;
+// (Sleep, channel ping-pong, resource hand-off) is allocation free;
 // internal/sim's benchmarks assert this numerically.
 //
 // The build tag raises this file's language version for iter; go.mod
@@ -373,7 +373,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // have registered a wakeup (a scheduled event or a waiter-queue entry).
 //
 // This is the engine's hot path. If the head of the event queue resumes
-// the parking process itself within the run limit (a Sleep/Yield with
+// the parking process itself within the run limit (a Sleep with
 // nothing scheduled earlier), it consumes that event as the run loop
 // would and keeps running without a switch. Otherwise it yields to the
 // run loop — the only place a process does — and returns when the loop
@@ -474,10 +474,6 @@ func (p *Proc) SleepUntil(t Time) {
 	p.env.schedule(t, p, nil)
 	p.yieldAndPark()
 }
-
-// Yield gives other runnable processes scheduled at this instant a chance
-// to run before the caller continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // EngineStats reports the engine's activity counters.
 type EngineStats struct {

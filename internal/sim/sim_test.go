@@ -963,7 +963,7 @@ func TestGoStartsChildInSameInstantFIFOOrder(t *testing.T) {
 		e.After(0, log("queued before child"))
 		e.Go("child", func(*Proc) { log("child")() })
 		log("parent runs on")()
-		p.Yield() // queued after the child's start
+		p.Sleep(0) // queued after the child's start
 		log("parent after yield")()
 	})
 	e.After(time.Microsecond, func() {

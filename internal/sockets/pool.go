@@ -41,31 +41,6 @@ func (m *Msg) Release() {
 	}
 }
 
-// fifo is a recycled FIFO: popped slots are zeroed and the backing array
-// is rewound once drained, so steady-state push/pop performs no
-// allocations after the high-water mark (same idiom as verbs' delivery
-// queues).
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
-
-func (f *fifo[T]) pop() T {
-	v := f.buf[f.head]
-	var zero T
-	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return v
-}
-
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
-
 // getChunk copies data into a pooled buffer from the half's send-side
 // device pool (the pool every payload of this direction belongs to).
 func (h *half) getChunk(data []byte) []byte {
@@ -98,14 +73,14 @@ func (h *half) appendChunk(asm, chunk []byte) []byte {
 
 // deliverNext releases the oldest pending wire chunk to the receive
 // queue; the single callback per half replaces one closure per chunk.
-func (h *half) deliverNext() { h.q.PostSend(h.delq.pop()) }
+func (h *half) deliverNext() { h.q.PostSend(h.delq.Pop()) }
 
 // deliverFrame releases one P-SDP frame — a run of staged chunks that
 // went on the wire under one credit — in a single event, exactly as the
 // per-frame closure it replaces did.
 func (h *half) deliverFrame() {
-	for n := h.frameq.pop(); n > 0; n-- {
-		h.q.PostSend(h.delq.pop())
+	for n := h.frameq.Pop(); n > 0; n-- {
+		h.q.PostSend(h.delq.Pop())
 	}
 }
 

@@ -21,7 +21,7 @@ func (h *half) sendTCP(p *sim.Proc, data []byte) error {
 		h.tr.RecordOp(trace.OpTCP, params.TCPTxTime(len(data))+params.TCPLatency,
 			params.TCPCPUTime(len(data)))
 	}
-	h.delq.push(wireMsg{data: h.getChunk(data), last: true})
+	h.delq.Push(wireMsg{data: h.getChunk(data), last: true})
 	h.src.Env().After(params.TCPLatency, h.delFn)
 	return nil
 }
@@ -52,7 +52,7 @@ func (h *half) sendBSDP(p *sim.Proc, data []byte) error {
 		if h.tr != nil {
 			h.tr.RecordOp(trace.OpSend, params.IBMsgTxTime(len(chunk))+params.IBSendLatency, 0)
 		}
-		h.delq.push(wireMsg{data: chunk, last: last, credit: 1})
+		h.delq.Push(wireMsg{data: chunk, last: last, credit: 1})
 		env.After(params.IBSendLatency, h.delFn)
 		if last {
 			return nil
@@ -127,9 +127,9 @@ func (h *half) psdpPump(p *sim.Proc) {
 		// per chunk as the application copies each one out.
 		h.frame[len(h.frame)-1].credit = 1
 		for _, wm := range h.frame {
-			h.delq.push(wm)
+			h.delq.Push(wm)
 		}
-		h.frameq.push(len(h.frame))
+		h.frameq.Push(len(h.frame))
 		env.After(params.IBSendLatency, h.frameFn)
 	}
 }
@@ -188,7 +188,7 @@ func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
 func (h *half) startRendezvous(async bool) *rendezvous {
 	rv := h.getRendezvous()
 	rv.async = async
-	h.rtsFly.push(rv)
+	h.rtsFly.Push(rv)
 	h.src.Env().After(h.src.Params().IBSendLatency, h.rtsFn)
 	return rv
 }
@@ -197,7 +197,7 @@ func (h *half) startRendezvous(async bool) *rendezvous {
 // CTS right away (asynchronous mode, or a receive is already posted) or
 // park the rendezvous until one is.
 func (h *half) rtsArrive() {
-	rv := h.rtsFly.pop()
+	rv := h.rtsFly.Pop()
 	if rv.async || h.postedRecvs > 0 {
 		if !rv.async {
 			h.postedRecvs--
@@ -205,23 +205,23 @@ func (h *half) rtsArrive() {
 		h.grantCTS(rv)
 		return
 	}
-	h.rtsq.push(rv)
+	h.rtsq.Push(rv)
 }
 
 // grantCTS puts the CTS control message on the wire back to the sender.
 func (h *half) grantCTS(rv *rendezvous) {
-	h.ctsFly.push(rv)
+	h.ctsFly.Push(rv)
 	h.src.Env().After(h.src.Params().IBSendLatency, h.ctsFn)
 }
 
 // ctsArrive lands the oldest in-flight CTS, releasing the sender.
-func (h *half) ctsArrive() { h.ctsFly.pop().cts.Resolve(struct{}{}) }
+func (h *half) ctsArrive() { h.ctsFly.Pop().cts.Resolve(struct{}{}) }
 
 // postRecv is called by Recv on rendezvous schemes: it grants the oldest
 // waiting RTS, or records a posted receive for the next RTS to consume.
 func (h *half) postRecv() {
-	if h.rtsq.len() > 0 {
-		h.grantCTS(h.rtsq.pop())
+	if h.rtsq.Len() > 0 {
+		h.grantCTS(h.rtsq.Pop())
 		return
 	}
 	h.postedRecvs++

@@ -128,15 +128,15 @@ type half struct {
 	// callback (the return delay is the constant IBWriteLatency, so pop
 	// order matches scheduling order); replaces a captured closure per
 	// received chunk.
-	crq  fifo[creditReturn]
+	crq  sim.Queue[creditReturn]
 	crFn func()
 
 	// Wire deliveries in flight, drained FIFO by delFn (single chunks)
-	// or frameFn (a P-SDP frame of frameq.pop() chunks in one event).
+	// or frameFn (a P-SDP frame of frameq.Pop() chunks in one event).
 	// Every delivery on one half shares a single latency constant
 	// (TCPLatency or IBSendLatency), so pop order matches schedule order.
-	delq    fifo[wireMsg]
-	frameq  fifo[int]
+	delq    sim.Queue[wireMsg]
+	frameq  sim.Queue[int]
 	delFn   func()
 	frameFn func()
 
@@ -148,9 +148,9 @@ type half struct {
 	// CTS control messages in flight (constant IBSendLatency each way),
 	// RTS messages parked waiting for a posted receive, and a free list
 	// of rendezvous records recycled once their cts has been consumed.
-	rtsq        fifo[*rendezvous]
-	rtsFly      fifo[*rendezvous]
-	ctsFly      fifo[*rendezvous]
+	rtsq        sim.Queue[*rendezvous]
+	rtsFly      sim.Queue[*rendezvous]
+	ctsFly      sim.Queue[*rendezvous]
 	rvFree      []*rendezvous
 	rtsFn       func()
 	ctsFn       func()
@@ -343,7 +343,7 @@ func (h *half) copyOut(p *sim.Proc, wm wireMsg) {
 			h.tr.RecordOp(trace.OpCopy, 0, params.CopyTime(len(wm.data)))
 		}
 		if wm.credit > 0 || wm.pool > 0 {
-			h.crq.push(creditReturn{credit: wm.credit, pool: wm.pool})
+			h.crq.Push(creditReturn{credit: wm.credit, pool: wm.pool})
 			h.dst.Env().After(params.IBWriteLatency, h.crFn)
 		}
 	}
@@ -356,7 +356,7 @@ type creditReturn struct {
 // returnCredits releases the oldest pending credit return; the backing
 // FIFO is recycled once drained.
 func (h *half) returnCredits() {
-	cr := h.crq.pop()
+	cr := h.crq.Pop()
 	if cr.credit > 0 {
 		h.credits.Release(cr.credit)
 	}

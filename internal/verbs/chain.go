@@ -2,27 +2,29 @@ package verbs
 
 // Event-chain datapath: every one-sided operation is one small state
 // machine (workReq) whose stages run as scheduler callbacks — Env.After
-// timers and Tx-resource grant callbacks — instead of a goroutine
-// stepping through Sleeps. There is one record and three ways to complete
-// it: a blocking call starts it inline, parks its process once and is
-// woken for the completion instant; a posted work request starts at its
-// doorbell event, never touches a goroutine and completes into a CQ; an
-// issued one (Device.Issue) starts inline like the blocking call and
+// timers and the callbacks of a hold of a NIC's Tx engine — with no
+// process stepping through Sleeps. There is one record and three ways to
+// complete it: a blocking call starts it inline, parks its process once
+// and is woken for the completion instant; a posted work request starts
+// at its doorbell event, never touches a process and completes into a CQ;
+// an issued one (Device.Issue) starts inline like the blocking call and
 // completes into a CQ like the posted one — into a handler CQ, a callback
 // at the completion instant, which is how an event chain runs one-sided
 // operations on the blocking timeline without a process.
 //
-// Byte-identity discipline: each stage schedules its successor at the
-// same virtual instant the segmented code scheduled its next wake, so
-// event sequence numbers — and therefore same-instant FIFO ordering and
-// every downstream interleaving — are preserved exactly. In particular
-// RDMA read samples target memory in the Tx grant callback (the instant
-// the response is serialized at the target), and the chain releases the
-// Tx engine at end-of-serialization, never later. A write queued behind
-// other transmits waits as a callback waiter in the Tx engine's FIFO:
-// one dispatch event at the grant instant, one at end-of-serialization,
-// one for the placement tail — what a process waiter costs since
-// Resource.UseWith fused its acquire, in the same order.
+// Serialization is one call, fabric.NIC.TransmitAsync(ser, granted,
+// done): the engine is held for ser from the grant instant and is free
+// again when done runs. A write holds the issuer's engine and continues
+// with its placement tail; a read holds the target's for the response,
+// samples target memory in granted — the instant the response starts to
+// serialize — and continues with the response half. An operation that
+// finds the engine busy waits in its FIFO with every other transmit and
+// costs one dispatch event at the grant instant; either way there is one
+// event at end-of-serialization and one for the tail. Each stage
+// schedules its successor at the instant the blocking sequence Acquire,
+// Sleep, Release, Sleep would have scheduled its next wake, so event
+// sequence numbers — and with them same-instant order and every
+// downstream interleaving — are those of that sequence.
 //
 // All chain state lives in pooled records (workReq for one-sided ops,
 // postBatch for doorbell-batched lists) whose step closures are bound
@@ -58,29 +60,8 @@ var parkReason = [...]string{
 	wrFAA:   "verbs atomic",
 }
 
-// fifo is a tiny recycled FIFO used for pooled message deliveries; the
-// backing slice is reused once drained.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
-
-func (f *fifo[T]) pop() T {
-	v := f.buf[f.head]
-	var zero T
-	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return v
-}
-
 // workReq is the one implementation of a one-sided operation: validate,
-// request half, target Tx grant, serialization, response half, complete.
+// request half, Tx hold, response half, complete.
 // The blocking Device calls and the posted and issued work requests fill
 // the same record and run the same steps; they differ only in who waits
 // for the tail. A record with an issuing process (p) wakes it for the
@@ -88,9 +69,11 @@ func (f *fifo[T]) pop() T {
 // schedules finishStep there and completes into its CQ — a channel or a
 // handler, directly or through its batch's reorder buffer.
 type workReq struct {
-	d   *Device
-	p   *sim.Proc
-	mr  *MR
+	d  *Device
+	p  *sim.Proc
+	mr *MR
+	// nic is the read target's, looked up in begin while the target device
+	// is warm in the host's cache; half a round trip later it is not.
 	nic *fabric.NIC
 	// buf is the destination of a read or the source of a write.
 	buf []byte
@@ -109,8 +92,8 @@ type workReq struct {
 	err      error
 
 	midFn    func()
-	grantFn  func(waited time.Duration)
-	txDoneFn func()
+	sampleFn func()
+	tailFn   func()
 
 	// Posted and issued requests only.
 	finishFn func()
@@ -130,9 +113,9 @@ func (d *Device) getWorkReq() *workReq {
 	w := &workReq{d: d}
 	w.startFn = w.startStep
 	w.midFn = w.midStep
-	w.txDoneFn = w.txDoneStep
+	w.sampleFn = w.sampleStep
+	w.tailFn = w.tail
 	w.finishFn = w.finishStep
-	w.grantFn = w.grantStep
 	return w
 }
 
@@ -183,10 +166,9 @@ func (w *workReq) begin() bool {
 	switch w.op {
 	case wrWrite:
 		d.Writes++
-		w.nic = d.nic
 		w.ser = pp.IBTxTime(n)
 		w.half2 = pp.IBWriteLatency + lead + xtra
-		w.nic.Tx().AcquireAsync(1, w.grantFn)
+		d.nic.TransmitAsync(w.ser, nil, w.tailFn)
 		return true
 	case wrRead:
 		d.Reads++
@@ -224,7 +206,7 @@ func (w *workReq) midStep() {
 		return
 	}
 	if w.op == wrRead {
-		w.nic.Tx().AcquireAsync(1, w.grantFn)
+		w.nic.TransmitAsync(w.ser, w.sampleFn, w.tailFn)
 		return
 	}
 	buf := w.mr.buf[w.off:]
@@ -233,21 +215,10 @@ func (w *workReq) midStep() {
 	w.tail()
 }
 
-// grantStep runs the instant the Tx engine is granted: sample target
-// memory (the read's documented sampling point) and serialize.
-func (w *workReq) grantStep(waited time.Duration) {
-	w.nic.GrantTx(w.ser, waited)
-	if w.op == wrRead {
-		copy(w.buf, w.mr.buf[w.off:w.off+len(w.buf)])
-	}
-	w.d.nw.Env.After(w.ser, w.txDoneFn)
-}
-
-// txDoneStep runs when the last byte is serialized: free the Tx engine,
-// never later.
-func (w *workReq) txDoneStep() {
-	w.nic.Tx().Release(1)
-	w.tail()
+// sampleStep runs the instant the target's Tx engine is granted to a
+// read's response: the read's documented sampling point of target memory.
+func (w *workReq) sampleStep() {
+	copy(w.buf, w.mr.buf[w.off:w.off+len(w.buf)])
 }
 
 // tail schedules the completion instant half2 from now: the wake of the
@@ -446,7 +417,7 @@ func (d *Device) lostInFlight(from, to int) bool {
 }
 
 func (d *Device) deliverSend() {
-	dl := d.sendDelq.pop()
+	dl := d.sendDelq.Pop()
 	if d.lostInFlight(dl.from, dl.to) {
 		dl.msg.Release()
 		return
@@ -455,7 +426,7 @@ func (d *Device) deliverSend() {
 }
 
 func (d *Device) deliverTCP() {
-	dl := d.tcpDelq.pop()
+	dl := d.tcpDelq.Pop()
 	if d.lostInFlight(dl.from, dl.to) {
 		dl.msg.Release()
 		return
@@ -464,7 +435,7 @@ func (d *Device) deliverTCP() {
 }
 
 func (d *Device) deliverQP() {
-	dl := d.qpDelq.pop()
+	dl := d.qpDelq.Pop()
 	if dl.rq.Closed() {
 		d.nw.flt.NoteDrop() // only a fault flush closes a QP receive queue
 		d.pool.putBuf(dl.buf)

@@ -71,10 +71,13 @@ func TestPostSendAtMatchesSendCostModel(t *testing.T) {
 	}
 }
 
-// TestReadWriteTxAccountingUnified asserts the satellite fix: a read and
-// a write of the same size produce identical occupancy accounting on the
-// NIC that serialized them (the target's for reads, the issuer's for
-// writes), including the stall taken when the engine is busy.
+// TestReadWriteTxAccountingUnified asserts that a read and a write of
+// the same size produce identical occupancy accounting on the NIC that
+// serialized them (the target's for reads, the issuer's for writes),
+// including the stall taken when the engine is busy. The two cannot
+// drift apart: neither accounts for itself. The NIC's transmit engine
+// records every hold it grants (fabric.Attach installs NICStats.RecordTx
+// on it), and a hold is the only way to occupy it.
 func TestReadWriteTxAccountingUnified(t *testing.T) {
 	const n = 4096
 	env, nw, devs, reg := tracedNet(t, 2)
@@ -99,8 +102,7 @@ func TestReadWriteTxAccountingUnified(t *testing.T) {
 	}
 
 	// Contended reads: the second response stalls behind the first on
-	// the target's Tx engine, and the stall is recorded there just as a
-	// contended AcquireTx records it for writes.
+	// the target's Tx engine, and the stall is recorded there.
 	env2, nw2, devs2, reg2 := tracedNet(t, 3)
 	mr2 := devs2[2].RegisterAtSetup(make([]byte, n))
 	for i := 0; i < 2; i++ {

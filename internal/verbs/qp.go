@@ -111,7 +111,7 @@ func (q *QP) Send(p *sim.Proc, data []byte) error {
 		q.sendDelayed(f, buf, pp.IBSendLatency)
 		return nil
 	}
-	q.dev.qpDelq.push(qpDelivery{rq: q.remote.rq, buf: buf, from: a, to: b})
+	q.dev.qpDelq.Push(qpDelivery{rq: q.remote.rq, buf: buf, from: a, to: b})
 	q.dev.nw.Env.After(pp.IBSendLatency, q.dev.deliverQPFn)
 	return nil
 }

@@ -37,7 +37,7 @@ func (d *Device) SendTCP(p *sim.Proc, dstNode int, service string, data []byte) 
 	// TCP deliveries get their own FIFO: the constant-delay pop-in-push-
 	// order argument only holds per latency constant, and TCPLatency
 	// differs from IBSendLatency.
-	d.tcpDelq.push(sendDelivery{
+	d.tcpDelq.Push(sendDelivery{
 		q:    dst.queue("tcp:" + service),
 		msg:  Message{From: d.Node.ID, Service: service, Data: buf, pool: &d.pool},
 		from: d.Node.ID,

@@ -192,9 +192,9 @@ type Device struct {
 	pool      bufPool
 	wrFree    []*workReq
 	batchFree []*postBatch
-	sendDelq  fifo[sendDelivery]
-	tcpDelq   fifo[sendDelivery]
-	qpDelq    fifo[qpDelivery]
+	sendDelq  sim.Queue[sendDelivery]
+	tcpDelq   sim.Queue[sendDelivery]
+	qpDelq    sim.Queue[qpDelivery]
 
 	deliverSendFn func()
 	deliverTCPFn  func()
@@ -381,7 +381,7 @@ func (d *Device) SendBuf(p *sim.Proc, dstNode int, service string, buf []byte) e
 		d.deliverFaulted(f, dst.queue(service), service, buf, dstNode, pp.IBSendLatency)
 		return nil
 	}
-	d.sendDelq.push(sendDelivery{
+	d.sendDelq.Push(sendDelivery{
 		q:    dst.queue(service),
 		msg:  Message{From: d.Node.ID, Service: service, Data: buf, pool: &d.pool},
 		from: d.Node.ID,
