@@ -224,3 +224,170 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// echoServer is a frame server that echoes, hangs up on an empty frame,
+// and counts how its connections ended.
+type echoServer struct {
+	opened, closed, cleaned int
+	cleanup                 bool // give closed a cleanup to run
+}
+
+func (e *echoServer) open() (func(Task, []byte) ([]byte, bool), func() func(Task)) {
+	e.opened++
+	serve := func(tk Task, frame []byte) ([]byte, bool) {
+		tk.Sleep(time.Microsecond) // a request may block its sender
+		return frame, len(frame) > 0
+	}
+	closed := func() func(Task) {
+		e.closed++
+		if !e.cleanup {
+			return nil
+		}
+		return func(Task) { e.cleaned++ }
+	}
+	return serve, closed
+}
+
+// TestSimListenerModes: a sim listener either queues connections for
+// Accept or serves frames, and which is settled by the first of
+// ServeFrames and Dial.
+func TestSimListenerModes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		before     func(rt *SimRuntime, fs FrameServer) // runs ahead of the ServeFrames under test
+		wantServed bool                                 // ServeFrames succeeds, Accept is refused
+	}{
+		{"fresh listener", func(*SimRuntime, FrameServer) {}, true},
+		{"already dialed", func(rt *SimRuntime, _ FrameServer) { rt.Dial("svc") }, false},
+		{"already serving", func(_ *SimRuntime, fs FrameServer) { fs.ServeFrames((&echoServer{}).open) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			defer env.Shutdown()
+			rt := NewSim(env)
+			ln, err := rt.Listen("svc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := ln.(FrameServer)
+			tc.before(rt, fs)
+			srv := &echoServer{}
+			if err := fs.ServeFrames(srv.open); (err == nil) != tc.wantServed {
+				t.Fatalf("ServeFrames = %v, want success %v", err, tc.wantServed)
+			}
+			served := tc.wantServed || tc.name == "already serving"
+			var acceptErr error
+			rt.Go("client", func(tk Task) {
+				conn, err := rt.Dial("svc")
+				if err != nil {
+					t.Errorf("Dial: %v", err)
+					return
+				}
+				defer conn.Close()
+				if !served {
+					return // nobody accepts: the frame would wait for ever
+				}
+				if err := conn.Send(tk, []byte("ping")); err != nil {
+					t.Errorf("Send: %v", err)
+				}
+				if back, err := conn.Recv(tk); err != nil || string(back) != "ping" {
+					t.Errorf("Recv = %q, %v", back, err)
+				}
+			})
+			rt.Go("acceptor", func(tk Task) {
+				var conn Conn
+				if conn, acceptErr = ln.Accept(tk); acceptErr == nil {
+					conn.Close()
+				}
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if (acceptErr != nil) != served {
+				t.Errorf("Accept = %v on a listener with served = %v", acceptErr, served)
+			}
+			want := 0
+			if tc.wantServed {
+				want = 1
+			}
+			if srv.opened != want || srv.closed != want {
+				t.Errorf("frame server opened %d and closed %d connections, want %d", srv.opened, srv.closed, want)
+			}
+		})
+	}
+}
+
+// TestSimServedConn drives a served connection through its contract:
+// replies queue behind a window of Sends, a hang-up delivers its reply
+// before io.EOF and fails the next Send, the server hears of the end
+// exactly once, and cleanup — when there is any — runs on one daemon
+// started at that instant, even if the Close arrives mid-request.
+func TestSimServedConn(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	rt := NewSim(env)
+	ln, err := rt.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &echoServer{cleanup: true}
+	if err := ln.(FrameServer).ServeFrames(srv.open); err != nil {
+		t.Fatal(err)
+	}
+	spawned := func() uint64 { return env.Stats().ProcsSpawned }
+	rt.Go("client", func(tk Task) {
+		conn, _ := rt.Dial("svc")
+		frame := []byte("a")
+		for _, s := range []string{"a", "b", ""} {
+			frame = append(frame[:0], s...) // one buffer: Send must be done with it
+			if err := conn.Send(tk, frame); err != nil {
+				t.Errorf("Send(%q): %v", s, err)
+			}
+		}
+		if tk.Now() != 3*time.Microsecond {
+			t.Errorf("three requests of 1µs each returned at %s", tk.Now())
+		}
+		for _, want := range []string{"a", "b", ""} {
+			if back, err := conn.Recv(tk); err != nil || string(back) != want {
+				t.Errorf("Recv = %q, %v, want %q", back, err, want)
+			}
+		}
+		if _, err := conn.Recv(tk); err != io.EOF {
+			t.Errorf("Recv after the hang-up = %v, want io.EOF", err)
+		}
+		if err := conn.Send(tk, frame); err != io.ErrClosedPipe {
+			t.Errorf("Send after the hang-up = %v, want io.ErrClosedPipe", err)
+		}
+		before := spawned()
+		conn.Close()
+		if srv.closed != 1 || spawned() != before {
+			t.Errorf("Close after the hang-up: closed called %d times, %d processes started", srv.closed, spawned()-before)
+		}
+
+		// A second connection, closed by another task while its request
+		// is executing: the end waits for the request.
+		conn, _ = rt.Dial("svc")
+		rt.After(500*time.Nanosecond, func() {
+			conn.Close()
+			if srv.closed != 1 {
+				t.Error("Close ended the connection under a running request")
+			}
+		})
+		before = spawned()
+		if err := conn.Send(tk, []byte("c")); err != nil {
+			t.Errorf("Send closed mid-request: %v", err)
+		}
+		if srv.closed != 2 || spawned() != before+1 {
+			t.Errorf("after the request: closed called %d times, %d processes started, want 2 and 1", srv.closed, spawned()-before)
+		}
+		if _, err := conn.Recv(tk); err != io.EOF {
+			t.Errorf("Recv on the closed connection = %v, want io.EOF", err)
+		}
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.cleaned != 2 {
+		t.Errorf("%d cleanups ran, want 2", srv.cleaned)
+	}
+}

@@ -101,9 +101,10 @@ func (r Reply) Acquired() (bool, error) {
 // transport the requests share writes and so do the replies, which is
 // what a window buys over len(reqs) round trips. The server executes
 // them one after another all the same: a blocking Lock in the middle
-// holds back the replies behind it, not the ones before it. The
-// simulated transport hands a frame over only when the peer receives
-// it, so there a window of more than one request deadlocks.
+// holds back the replies behind it, not the ones before it. On the
+// simulator a request executes inside Send and its reply queues, so a
+// window costs what its round trips would, and a request that blocks —
+// a contended Lock — blocks this call in its send loop.
 func (c *Client) Pipeline(t runtime.Task, reqs []Request, dst []Reply) ([]Reply, error) {
 	for i := range reqs {
 		if err := c.send(t, reqs[i]); err != nil {

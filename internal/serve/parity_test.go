@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"ngdc/internal/runtime"
-	"ngdc/internal/sim"
 )
 
 // The parity test is the dual-mode contract check: one scripted request
 // sequence — covering success paths, not-found, busy TryLocks and every
 // server-side validation error — runs against the simulated backend over
-// the sim loopback and against the live backend over real TCP, there
+// the sim loopback and against the live backend over real TCP, on each
 // both ping-pong and pipelined. The transcripts of results (values,
 // statuses, error strings) must be identical; timings of course are not
 // compared.
@@ -152,34 +151,31 @@ func runScript(t *testing.T, rt runtime.Runtime, addr string, pipelined bool) []
 	return out
 }
 
-// TestSimLiveParity requires the simulated backend, the live backend
-// ping-pong and the live backend pipelined to produce identical
-// transcripts for the scripted sequence.
+// TestSimLiveParity requires the simulated backend and the live backend,
+// each ping-pong and pipelined, to produce identical transcripts for the
+// scripted sequence.
 func TestSimLiveParity(t *testing.T) {
 	opts := Options{Locks: 8, Nodes: 2}
-
-	env := sim.NewEnv(5)
-	defer env.Shutdown()
-	simRT := runtime.NewSim(env)
-	simSrv := New(simRT, opts)
-	simLn, err := simRT.Listen("ngdc")
-	if err != nil {
-		t.Fatal(err)
+	var outs [4][]string
+	names := [4]string{"sim", "sim pipelined", "live", "live pipelined"}
+	for i := range outs {
+		pipelined := i%2 == 1
+		if i < 2 {
+			_, rt := startSim(t, 5, opts)
+			outs[i] = runScript(t, rt, "ngdc", pipelined)
+		} else {
+			rt, addr := startLive(t, opts)
+			outs[i] = runScript(t, rt, addr, pipelined)
+		}
+		if len(outs[i]) != len(parityScript) {
+			t.Fatalf("%s transcript has %d lines, want %d", names[i], len(outs[i]), len(parityScript))
+		}
 	}
-	simSrv.Serve(simLn)
-	simOut := runScript(t, simRT, "ngdc", false)
-
-	liveRT, addr := startLive(t, opts)
-	liveOut := runScript(t, liveRT, addr, false)
-	pipeRT, addr := startLive(t, opts)
-	pipeOut := runScript(t, pipeRT, addr, true)
-
-	if len(simOut) != len(parityScript) || len(liveOut) != len(parityScript) || len(pipeOut) != len(parityScript) {
-		t.Fatalf("transcript lengths: sim=%d live=%d pipelined=%d want %d", len(simOut), len(liveOut), len(pipeOut), len(parityScript))
-	}
-	for i := range simOut {
-		if simOut[i] != liveOut[i] || simOut[i] != pipeOut[i] {
-			t.Errorf("parity break at step %d:\n  sim:       %s\n  live:      %s\n  pipelined: %s", i, simOut[i], liveOut[i], pipeOut[i])
+	for step := range parityScript {
+		for i := 1; i < len(outs); i++ {
+			if outs[i][step] != outs[0][step] {
+				t.Errorf("parity break at step %d:\n  %s: %s\n  %s: %s", step, names[0], outs[0][step], names[i], outs[i][step])
+			}
 		}
 	}
 }

@@ -82,22 +82,25 @@ func New(rt runtime.Runtime, opts Options) *Server {
 	return s
 }
 
-// Serve starts accepting connections on l. Accept loops and connection
-// handlers run as daemon tasks: they do not hold Run open, and on the
-// simulator a parked handler does not count as a deadlock.
+// Serve starts serving connections to l. A listener that can serve
+// frames (runtime.FrameServer: the simulated one) needs no task of the
+// server's: each connection's requests execute on the task that sends
+// them. Any other gets an accept loop and one handler per connection,
+// as daemon tasks: they do not hold Run open, and on the simulator a
+// parked handler does not count as a deadlock. That is also what a
+// simulated listener gets if it was dialed before Serve.
 func (s *Server) Serve(l runtime.Listener) {
+	if fs, ok := l.(runtime.FrameServer); ok && fs.ServeFrames(s.serveFrames) == nil {
+		return
+	}
 	s.rt.GoDaemon("serve-accept "+l.Addr(), func(t runtime.Task) {
 		for {
 			conn, err := l.Accept(t)
 			if err != nil {
 				return
 			}
-			s.mu.Lock()
-			id := s.nextID
-			s.nextID++
-			s.mu.Unlock()
-			name := fmt.Sprintf("serve-conn-%d", id)
-			s.rt.GoDaemon(name, func(t runtime.Task) { s.handle(t, id, conn) })
+			st := s.newConn(func() { conn.Flush() })
+			s.rt.GoDaemon(fmt.Sprintf("serve-conn-%d", st.id), func(t runtime.Task) { s.handle(t, st, conn) })
 		}
 	})
 }
@@ -119,6 +122,7 @@ type intoReceiver interface {
 // a lock not held, double lock) yields the identical error in both
 // modes.
 type connState struct {
+	id   int
 	sess session
 	held map[int]bool // lock -> exclusive?
 	// flush writes out the replies the connection still buffers. The
@@ -127,56 +131,99 @@ type connState struct {
 	flush func()
 }
 
-// handle runs one connection's request loop until EOF or a protocol
-// error, then releases any locks the peer still held.
-func (s *Server) handle(t runtime.Task, id int, conn runtime.Conn) {
-	st := &connState{sess: s.bk.session(id), held: map[int]bool{}, flush: func() { conn.Flush() }}
+// newConn numbers a new connection and opens its session.
+func (s *Server) newConn(flush func()) *connState {
+	s.mu.Lock()
+	id := s.nextID
+	s.nextID++
+	s.mu.Unlock()
+	return &connState{id: id, sess: s.bk.session(id), held: map[int]bool{}, flush: flush}
+}
+
+// release gives back the locks the peer still held when its connection
+// ended, in a stable order so the simulated backend stays deterministic.
+func (st *connState) release(t runtime.Task) {
+	ids := make([]int, 0, len(st.held))
+	for lock := range st.held {
+		ids = append(ids, lock)
+	}
+	sort.Ints(ids)
+	for _, lock := range ids {
+		st.sess.Unlock(t, lock, st.held[lock])
+	}
+}
+
+// handle drives one connection from a task of its own: receive, serve,
+// send, until EOF or a protocol error, then release.
+func (s *Server) handle(t runtime.Task, st *connState, conn runtime.Conn) {
 	defer func() {
 		conn.Close()
-		// Release abandoned locks in a stable order so the simulated
-		// backend stays deterministic.
-		ids := make([]int, 0, len(st.held))
-		for lock := range st.held {
-			ids = append(ids, lock)
-		}
-		sort.Ints(ids)
-		for _, lock := range ids {
-			st.sess.Unlock(t, lock, st.held[lock])
-		}
+		st.release(t)
 	}()
 	// Every request is consumed before the next receive (DecodeRequest
 	// copies the key, Put the value, the reply the echo), so a connection
 	// that offers RecvInto gets one buffer for all of them.
-	recv := func() ([]byte, error) {
-		frame, err := conn.Recv(t)
-		if err == nil && len(frame) > maxRequestFrame {
-			err = runtime.ErrFrameTooLarge
-		}
-		return frame, err
-	}
+	recv := func() ([]byte, error) { return conn.Recv(t) }
 	if ir, ok := conn.(intoReceiver); ok {
 		buf := make([]byte, maxRequestFrame)
 		recv = func() ([]byte, error) { return ir.RecvInto(t, buf) }
 	}
 	var resp []byte
-	for {
+	for keep := true; keep; {
 		frame, err := recv()
 		if err != nil {
+			// A buffering connection refuses an oversized frame from its
+			// length prefix, before serveFrame could see it.
 			if errors.Is(err, runtime.ErrFrameTooLarge) {
-				conn.Send(t, appendErr(resp[:0], "serve: request frame exceeds limit %d", maxRequestFrame))
+				conn.Send(t, appendTooLarge(resp[:0]))
 			}
 			return
 		}
-		req, err := DecodeRequest(frame)
-		if err != nil {
-			conn.Send(t, appendErr(resp[:0], "%v", err))
-			return
-		}
-		resp = s.dispatch(t, st, req, resp[:0])
+		resp, keep = s.serveFrame(t, st, frame, resp[:0])
 		if err := conn.Send(t, resp); err != nil {
 			return
 		}
 	}
+}
+
+// serveFrames drives one connection from its sender's task: it is the
+// open function of runtime.FrameServer. There is nothing to flush — the
+// reply to a request is queued before the next one starts — and nobody
+// to release abandoned locks unless there are some.
+func (s *Server) serveFrames() (serve func(runtime.Task, []byte) ([]byte, bool), closed func() func(runtime.Task)) {
+	st := s.newConn(func() {})
+	var resp []byte
+	serve = func(t runtime.Task, frame []byte) (_ []byte, keep bool) {
+		resp, keep = s.serveFrame(t, st, frame, resp[:0])
+		return resp, keep
+	}
+	closed = func() func(runtime.Task) {
+		if len(st.held) == 0 {
+			return nil
+		}
+		return st.release
+	}
+	return serve, closed
+}
+
+// serveFrame is the protocol body, the same under both drivers: it
+// decodes one request frame, executes it and appends the encoded reply
+// to resp. keep is false when the frame was not a request — too long or
+// malformed — and the reply is the last the connection gets.
+func (s *Server) serveFrame(t runtime.Task, st *connState, frame, resp []byte) (_ []byte, keep bool) {
+	if len(frame) > maxRequestFrame {
+		return appendTooLarge(resp), false
+	}
+	req, err := DecodeRequest(frame)
+	if err != nil {
+		return appendErr(resp, "%v", err), false
+	}
+	return s.dispatch(t, st, req, resp), true
+}
+
+// appendTooLarge encodes the refusal of a frame beyond maxRequestFrame.
+func appendTooLarge(dst []byte) []byte {
+	return appendErr(dst, "serve: request frame exceeds limit %d", maxRequestFrame)
 }
 
 // appendErr encodes a StatusErr response carrying the formatted message.

@@ -113,8 +113,9 @@ func lockMode(excl bool) dlm.Mode {
 	return dlm.Shared
 }
 
-// Lock never calls beforeWait: the sim transport delivers inside Send, so
-// a parked session holds nothing back.
+// Lock never calls beforeWait: the sim transport buffers nothing — a
+// served connection has queued every earlier reply before this request
+// started — so a parked session holds nothing back.
 func (s *simSession) Lock(t runtime.Task, lock int, excl bool, _ func()) error {
 	s.lc.Lock(t.SimProc(), lock, lockMode(excl))
 	return nil
