@@ -72,7 +72,7 @@ type Task interface {
 // caller, so one sender and one receiver may share a Conn.
 //
 // When a sent frame is on the wire. SimMode hands a frame to the peer
-// inside Send; to a listener that serves frames (FrameServer) it does
+// inside Send; to a listener that serves frames (see Listener) it does
 // more, and executes the request there: Send returns once the reply is
 // queued for Recv, so a request that blocks — a contended lock — blocks
 // its sender in Send, and a window of requests is answered one Send at
@@ -118,24 +118,21 @@ type Conn interface {
 }
 
 // Listener accepts inbound connections on an address.
-type Listener interface {
-	// Accept blocks until a connection arrives. It returns an error
-	// after Close, and on a listener that serves frames (FrameServer).
-	Accept(t Task) (Conn, error)
-	// Addr returns the bound address (useful with ":0" TCP listens).
-	Addr() string
-	// Close stops accepting.
-	Close() error
-}
-
-// FrameServer is the optional capability of a Listener — the simulated
-// one has it — to serve its connections with no task on the server's
-// side: the model has no thread there to pay for. A listener is in one
-// of two modes for good. Left alone it queues dialed connections for
-// Accept. Given a frame server it has no connections to accept: every
-// Dial calls open for that connection's two functions, and the dialed
-// Conn's Send runs serve on the sending task and queues the reply for
-// Recv.
+//
+// The simulated listener has one optional capability besides, in the
+// style of the live Conn's RecvInto: to serve its connections with no
+// task on the server's side — the model has no thread there to pay for.
+//
+//	ServeFrames(open func() (
+//		serve func(t Task, frame []byte) (resp []byte, keep bool),
+//		closed func() (cleanup func(t Task)),
+//	)) error
+//
+// A listener is in one of two modes for good. Left alone it queues
+// dialed connections for Accept. Given a frame server it has none to
+// accept: every Dial calls open for that connection's two functions,
+// and the dialed Conn's Send runs serve on the sending task and queues
+// the reply for Recv.
 //
 //   - serve answers one request frame. It may block the task. Neither
 //     frame nor resp is kept by the other side past the call (the
@@ -149,11 +146,14 @@ type Listener interface {
 //
 // ServeFrames fails if the listener is already serving frames or has
 // been dialed: connections waiting for Accept would never be served.
-type FrameServer interface {
-	ServeFrames(open func() (
-		serve func(t Task, frame []byte) (resp []byte, keep bool),
-		closed func() (cleanup func(t Task)),
-	)) error
+type Listener interface {
+	// Accept blocks until a connection arrives. It returns an error
+	// after Close, and on a listener that serves frames.
+	Accept(t Task) (Conn, error)
+	// Addr returns the bound address (useful with ":0" TCP listens).
+	Addr() string
+	// Close stops accepting.
+	Close() error
 }
 
 // Runtime is the execution substrate: clock + timers + tasks +

@@ -254,28 +254,28 @@ func (e *echoServer) open() (func(Task, []byte) ([]byte, bool), func() func(Task
 func TestSimListenerModes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		before     func(rt *SimRuntime, fs FrameServer) // runs ahead of the ServeFrames under test
-		wantServed bool                                 // ServeFrames succeeds, Accept is refused
+		before     func(rt *SimRuntime, ln *simListener) // runs ahead of the ServeFrames under test
+		wantOK     bool                                  // that ServeFrames succeeds
+		wantServed bool                                  // the listener ends up serving frames: Accept is refused
 	}{
-		{"fresh listener", func(*SimRuntime, FrameServer) {}, true},
-		{"already dialed", func(rt *SimRuntime, _ FrameServer) { rt.Dial("svc") }, false},
-		{"already serving", func(_ *SimRuntime, fs FrameServer) { fs.ServeFrames((&echoServer{}).open) }, false},
+		{"fresh listener", func(*SimRuntime, *simListener) {}, true, true},
+		{"already dialed", func(rt *SimRuntime, _ *simListener) { rt.Dial("svc") }, false, false},
+		{"already serving", func(_ *SimRuntime, ln *simListener) { ln.ServeFrames((&echoServer{}).open) }, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
 			defer env.Shutdown()
 			rt := NewSim(env)
-			ln, err := rt.Listen("svc")
+			l, err := rt.Listen("svc")
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs := ln.(FrameServer)
-			tc.before(rt, fs)
+			ln := l.(*simListener)
+			tc.before(rt, ln)
 			srv := &echoServer{}
-			if err := fs.ServeFrames(srv.open); (err == nil) != tc.wantServed {
-				t.Fatalf("ServeFrames = %v, want success %v", err, tc.wantServed)
+			if err := ln.ServeFrames(srv.open); (err == nil) != tc.wantOK {
+				t.Fatalf("ServeFrames = %v, want success %v", err, tc.wantOK)
 			}
-			served := tc.wantServed || tc.name == "already serving"
 			var acceptErr error
 			rt.Go("client", func(tk Task) {
 				conn, err := rt.Dial("svc")
@@ -284,7 +284,7 @@ func TestSimListenerModes(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if !served {
+				if !tc.wantServed {
 					return // nobody accepts: the frame would wait for ever
 				}
 				if err := conn.Send(tk, []byte("ping")); err != nil {
@@ -303,11 +303,11 @@ func TestSimListenerModes(t *testing.T) {
 			if err := rt.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if (acceptErr != nil) != served {
-				t.Errorf("Accept = %v on a listener with served = %v", acceptErr, served)
+			if (acceptErr != nil) != tc.wantServed {
+				t.Errorf("Accept = %v on a listener with served = %v", acceptErr, tc.wantServed)
 			}
 			want := 0
-			if tc.wantServed {
+			if tc.wantOK {
 				want = 1
 			}
 			if srv.opened != want || srv.closed != want {
@@ -331,7 +331,7 @@ func TestSimServedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &echoServer{cleanup: true}
-	if err := ln.(FrameServer).ServeFrames(srv.open); err != nil {
+	if err := ln.(*simListener).ServeFrames(srv.open); err != nil {
 		t.Fatal(err)
 	}
 	spawned := func() uint64 { return env.Stats().ProcsSpawned }

@@ -60,7 +60,7 @@ func (t simTask) Now() time.Duration    { return t.p.Now().Duration() }
 func (t simTask) Sleep(d time.Duration) { t.p.Sleep(d) }
 func (t simTask) SimProc() *sim.Proc    { return t.p }
 
-// The two functions of a served connection (see FrameServer).
+// The two functions of a served connection (see Listener).
 type (
 	serveFunc  = func(t Task, frame []byte) (resp []byte, keep bool)
 	closedFunc = func() (cleanup func(t Task))
@@ -106,7 +106,7 @@ func (r *SimRuntime) Dial(addr string) (Conn, error) {
 	}
 	l.dialed = true
 	if l.open != nil {
-		c := &servedConn{rt: r, addr: addr, replies: sim.NewChan[[]byte](r.env, "conn<"+addr, 0)}
+		c := &servedConn{l: l, replies: sim.NewChan[[]byte](r.env, "conn<"+addr, 0)}
 		c.serve, c.closed = l.open()
 		return c, nil
 	}
@@ -120,7 +120,8 @@ func (r *SimRuntime) Dial(addr string) (Conn, error) {
 	return client, nil
 }
 
-// ServeFrames switches the listener to serving frames (see FrameServer).
+// ServeFrames switches the listener to serving frames; Listener's
+// comment is its contract.
 func (l *simListener) ServeFrames(open func() (serveFunc, closedFunc)) error {
 	if l.open != nil {
 		return fmt.Errorf("runtime: listener %q already serves frames", l.addr)
@@ -177,8 +178,11 @@ func (c *simConn) Send(t Task, frame []byte) error {
 	return nil
 }
 
-func (c *simConn) Recv(t Task) ([]byte, error) {
-	f, ok := c.recv.Recv(t.SimProc())
+func (c *simConn) Recv(t Task) ([]byte, error) { return recvFrame(c.recv, t) }
+
+// recvFrame is Conn.Recv on a frame channel: closed and drained is EOF.
+func recvFrame(ch *sim.Chan[[]byte], t Task) ([]byte, error) {
+	f, ok := ch.Recv(t.SimProc())
 	if !ok {
 		return nil, io.EOF
 	}
@@ -200,8 +204,7 @@ func (c *simConn) Close() error {
 // sending process and queues the reply, Recv takes replies off the
 // queue.
 type servedConn struct {
-	rt      *SimRuntime
-	addr    string
+	l       *simListener
 	serve   serveFunc
 	closed  closedFunc        // nil once the connection has ended
 	replies *sim.Chan[[]byte] // closed: no more Sends
@@ -243,13 +246,7 @@ func (c *servedConn) Send(t Task, frame []byte) error {
 	return nil
 }
 
-func (c *servedConn) Recv(t Task) ([]byte, error) {
-	f, ok := c.replies.Recv(t.SimProc())
-	if !ok {
-		return nil, io.EOF
-	}
-	return f, nil
-}
+func (c *servedConn) Recv(t Task) ([]byte, error) { return recvFrame(c.replies, t) }
 
 // Flush has nothing to do: Send already executed the request.
 func (c *servedConn) Flush() error { return nil }
@@ -273,6 +270,6 @@ func (c *servedConn) end() {
 	cleanup := c.closed()
 	c.closed = nil
 	if cleanup != nil {
-		c.rt.GoDaemon("conn-cleanup "+c.addr, cleanup)
+		c.l.rt.GoDaemon("conn-cleanup "+c.l.addr, cleanup)
 	}
 }

@@ -83,14 +83,14 @@ func New(rt runtime.Runtime, opts Options) *Server {
 }
 
 // Serve starts serving connections to l. A listener that can serve
-// frames (runtime.FrameServer: the simulated one) needs no task of the
-// server's: each connection's requests execute on the task that sends
-// them. Any other gets an accept loop and one handler per connection,
-// as daemon tasks: they do not hold Run open, and on the simulator a
-// parked handler does not count as a deadlock. That is also what a
-// simulated listener gets if it was dialed before Serve.
+// frames (frameServer: the simulated one) needs no task of the server's:
+// each connection's requests execute on the task that sends them. Any
+// other gets an accept loop and one handler per connection, as daemon
+// tasks: they do not hold Run open, and on the simulator a parked
+// handler does not count as a deadlock. That is also what a simulated
+// listener gets if it was dialed before Serve.
 func (s *Server) Serve(l runtime.Listener) {
-	if fs, ok := l.(runtime.FrameServer); ok && fs.ServeFrames(s.serveFrames) == nil {
+	if fs, ok := l.(frameServer); ok && fs.ServeFrames(s.serveFrames) == nil {
 		return
 	}
 	s.rt.GoDaemon("serve-accept "+l.Addr(), func(t runtime.Task) {
@@ -115,6 +115,16 @@ const maxRequestFrame = reqHdrSize + MaxKey + MaxValue
 // transport has it) to receive into a buffer its owner reuses.
 type intoReceiver interface {
 	RecvInto(t runtime.Task, buf []byte) ([]byte, error)
+}
+
+// frameServer is the optional capability of a runtime.Listener (the
+// simulated one has it, and runtime.Listener's comment is its contract)
+// to run a connection's requests on the task that sends them.
+type frameServer interface {
+	ServeFrames(open func() (
+		serve func(t runtime.Task, frame []byte) (resp []byte, keep bool),
+		closed func() (cleanup func(t runtime.Task)),
+	)) error
 }
 
 // connState tracks one connection's session and held locks. Hold
@@ -187,7 +197,7 @@ func (s *Server) handle(t runtime.Task, st *connState, conn runtime.Conn) {
 }
 
 // serveFrames drives one connection from its sender's task: it is the
-// open function of runtime.FrameServer. There is nothing to flush — the
+// open function of a frameServer. There is nothing to flush — the
 // reply to a request is queued before the next one starts — and nobody
 // to release abandoned locks unless there are some.
 func (s *Server) serveFrames() (serve func(runtime.Task, []byte) ([]byte, bool), closed func() func(runtime.Task)) {

@@ -12,7 +12,7 @@ import (
 )
 
 // startSim hosts a server on a fresh simulation at address "ngdc". Its
-// connections are served on their senders' tasks (runtime.FrameServer).
+// connections are served on their senders' tasks (frameServer).
 func startSim(t testing.TB, seed int64, opts Options) (*sim.Env, *runtime.SimRuntime) {
 	t.Helper()
 	env := sim.NewEnv(seed)
