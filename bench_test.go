@@ -37,7 +37,7 @@ func BenchmarkFig3aDDSSPut(b *testing.B) {
 		b.Run(model.String(), func(b *testing.B) {
 			var last time.Duration
 			for i := 0; i < b.N; i++ {
-				lat, err := ddss.MeasurePutLatency(model, 1, 1)
+				lat, err := ddss.MeasurePutLatency(model, 1, 1, ngdc.ServiceOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -55,7 +55,7 @@ func BenchmarkFig3bStorm(b *testing.B) {
 		b.Run(tr.String(), func(b *testing.B) {
 			var last storm.Result
 			for i := 0; i < b.N; i++ {
-				tcp, dd, err := storm.Compare(10000, 4, storm.Selector{Modulo: 3}, 1)
+				tcp, dd, err := storm.Compare(10000, 4, storm.Selector{Modulo: 3}, 1, ngdc.ServiceOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func benchCascade(b *testing.B, mode dlm.Mode) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var last time.Duration
 			for i := 0; i < b.N; i++ {
-				r, err := dlm.Cascade(kind, mode, 16, 1)
+				r, err := dlm.Cascade(kind, mode, 16, 1, ngdc.ServiceOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,7 +288,7 @@ func BenchmarkMulticast(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last time.Duration
 			for i := 0; i < b.N; i++ {
-				lat, err := multicast.MeasureLatency(s, 32, 4096, 1)
+				lat, err := multicast.MeasureLatency(s, 32, 4096, 1, ngdc.ServiceOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

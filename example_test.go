@@ -100,14 +100,14 @@ func ExampleFramework_Trace() {
 	// environments observed: 1
 }
 
-// Example_tracedExperiment drives one Fig 6 experiment through the
-// uniform Config.Run API with a trace registry attached, then asks the
-// snapshot which transports did the work.
+// Example_tracedExperiment drives one Fig 6 experiment through its
+// package's Run function with a trace registry in the config's carrier,
+// then asks the snapshot which transports did the work.
 func Example_tracedExperiment() {
 	cfg := coopcache.DefaultConfig(coopcache.CCWR, 2, 16<<10)
 	cfg.Warmup, cfg.Measure = 50*time.Millisecond, 200*time.Millisecond
 	cfg.Trace = ngdc.NewTraceRegistry()
-	if _, err := cfg.Run(); err != nil {
+	if _, err := coopcache.Run(cfg); err != nil {
 		panic(err)
 	}
 	ts := cfg.Trace.Snapshot()

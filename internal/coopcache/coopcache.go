@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/lru"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
@@ -95,9 +94,7 @@ type Config struct {
 	// Warmup and Measure are the virtual warm-up and measurement windows.
 	Warmup, Measure time.Duration
 	Seed            int64
-	// ServiceOptions is the framework's unified options head: runtime
-	// selection, trace registry and fault plan in one place. Trace, when
-	// non-nil, collects the run's observability counters.
+	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
 
@@ -207,9 +204,8 @@ func (cfg *Config) docCount() int {
 // Build constructs the deployment on a fresh simulated environment
 // seeded with cfg.Seed.
 func Build(cfg Config) *DataCenter {
-	env := sim.NewEnv(cfg.Seed)
-	cfg.ServiceOptions.Bind(env)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	env := cfg.NewEnv(cfg.Seed)
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: map[int]*sim.Future[int]{},
 		tr: trace.Of(env)}
 	dc.backend = sim.NewResource(env, "backend", backendParallelism)

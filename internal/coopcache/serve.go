@@ -56,9 +56,10 @@ func (dc *DataCenter) placeMostFree(px *cacheNode) *cacheNode {
 const hybridHotCount = 8
 
 // RunLoad drives the configured closed-loop clients through warm-up and
-// measurement and returns the statistics. The environment is shut down
-// afterwards.
+// measurement and returns the statistics. The environment Build opened
+// is shut down afterwards.
 func (dc *DataCenter) RunLoad() (Stats, error) {
+	defer dc.env.Shutdown()
 	cfg := dc.cfg
 	for pi, px := range dc.proxies {
 		for c := 0; c < cfg.ClientsPerProxy; c++ {
@@ -91,7 +92,6 @@ func (dc *DataCenter) RunLoad() (Stats, error) {
 	dc.stats.Scheme = cfg.Scheme
 	dc.stats.TPS = float64(dc.stats.Requests) / cfg.Measure.Seconds()
 	dc.stats.DuplicateBytes = dc.duplicateBytes()
-	dc.env.Shutdown()
 	return dc.stats, nil
 }
 
@@ -120,11 +120,5 @@ func (dc *DataCenter) duplicateBytes() int64 {
 
 // Run builds and drives one experiment.
 func Run(cfg Config) (Stats, error) {
-	return Build(cfg).RunLoad()
-}
-
-// Run builds and drives the configured experiment — the uniform
-// experiment entry point every config type in the framework shares.
-func (cfg Config) Run() (Stats, error) {
 	return Build(cfg).RunLoad()
 }

@@ -18,7 +18,6 @@ import (
 	"ngdc/internal/cluster"
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
-	"ngdc/internal/fabric"
 	"ngdc/internal/monitor"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
@@ -34,17 +33,14 @@ type Config struct {
 	// CoresPerNode and MemPerNode describe each machine.
 	CoresPerNode int
 	MemPerNode   int64
-	// Params is the fabric cost model; zero value means DefaultParams.
-	Params fabric.Params
 	// LockKind selects the distributed lock manager design.
 	LockKind dlm.Kind
 	// NumLocks sizes the lock namespace.
 	NumLocks int
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Service carries the cross-cutting hooks for every layer the
-	// framework wires, in one place: the trace registry (nil means a
-	// fresh one) and an optional fault plan.
+	// Service opens the framework's run: the trace registry (nil means
+	// a fresh one), an optional fault plan and the fabric calibration.
 	Service runtime.ServiceOptions
 }
 
@@ -55,7 +51,6 @@ func DefaultConfig() Config {
 		Nodes:        8,
 		CoresPerNode: 2,
 		MemPerNode:   64 << 20,
-		Params:       fabric.DefaultParams(),
 		LockKind:     dlm.NCoSED,
 		NumLocks:     64,
 		Seed:         1,
@@ -77,13 +72,13 @@ type Framework struct {
 }
 
 // New builds a framework from the configuration on a fresh simulation
-// environment seeded with cfg.Seed.
-func New(cfg Config) *Framework { return NewOn(sim.NewEnv(cfg.Seed), cfg) }
+// environment opened with cfg.Service and seeded with cfg.Seed.
+func New(cfg Config) *Framework { return NewOn(cfg.Service.NewEnv(cfg.Seed), cfg) }
 
 // NewOn builds a framework on an existing environment — how a served
 // simulation shares one virtual clock between the framework and the
-// runtime's own tasks. cfg.Seed is unused: the environment is already
-// seeded.
+// runtime's own tasks. The environment is already open, so cfg.Seed and
+// cfg.Service's Trace and Faults are unused; only its calibration is.
 func NewOn(env *sim.Env, cfg Config) *Framework {
 	if cfg.Nodes <= 0 {
 		panic("core: need at least one node")
@@ -94,20 +89,14 @@ func NewOn(env *sim.Env, cfg Config) *Framework {
 	if cfg.MemPerNode <= 0 {
 		cfg.MemPerNode = 64 << 20
 	}
-	if cfg.Params == (fabric.Params{}) {
-		cfg.Params = fabric.DefaultParams()
-	}
 	if cfg.NumLocks <= 0 {
 		cfg.NumLocks = 64
 	}
-	// Attach the observability registry (a fresh one unless the options
-	// or the environment already carry one) and install any fault plan
-	// before any layer is built: devices, NICs and connections cache
-	// their counter and injector pointers at construction time.
-	cfg.Service.Bind(env)
+	// A framework always has a registry: a fresh one unless the
+	// environment was opened with one.
 	tr := trace.Attach(env)
 	cl := cluster.New(env, cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode)
-	nw := verbs.NewNetwork(env, cfg.Params)
+	nw := verbs.NewNetwork(env, cfg.Service.Fabric())
 	for _, n := range cl.Nodes {
 		nw.Attach(n)
 	}

@@ -38,7 +38,6 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/faults"
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -134,20 +133,13 @@ type Substrate struct {
 	Ops int64
 }
 
-// Options configures a substrate, in the framework's unified options
-// form: the shared ServiceOptions head selects the execution substrate
-// and cross-cutting hooks. The zero value builds on the network's own
-// simulated environment.
-type Options struct {
-	runtime.ServiceOptions
-}
+// Options configures a substrate. It has no fields today; the struct
+// keeps the canonical (nw, nodes, opts) constructor form.
+type Options struct{}
 
 // New builds a substrate over the given nodes, in the framework's
-// canonical (nw, nodes, opts) constructor form. The substrate is
-// constructed against the runtime abstraction and devirtualizes to the
-// network's simulation environment.
-func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Substrate {
-	opts.Bind(nw.Env)
+// canonical (nw, nodes, opts) constructor form.
+func New(nw *verbs.Network, nodes []*cluster.Node, _ Options) *Substrate {
 	s := &Substrate{nw: nw, nodes: nodes, segs: map[string]*segment{}}
 	for _, n := range nodes {
 		nw.Attach(n)

@@ -5,35 +5,28 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
 // MeasurePutLatency measures the uncontended put() latency of one
 // coherence model for a given message size — one Fig 3a data point. The
 // segment lives on a remote home node, as in the paper's measurement.
-func MeasurePutLatency(coh Coherence, msgSize int, seed int64) (time.Duration, error) {
-	return measureOp(coh, msgSize, seed, true, nil)
-}
-
-// MeasurePutLatencyTraced is MeasurePutLatency publishing the run's
-// counters into r (which may span a sweep of such runs).
-func MeasurePutLatencyTraced(coh Coherence, msgSize int, seed int64, r *trace.Registry) (time.Duration, error) {
-	return measureOp(coh, msgSize, seed, true, r)
+// The run is opened with o.
+func MeasurePutLatency(coh Coherence, msgSize int, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
+	return measureOp(coh, msgSize, seed, true, o)
 }
 
 // MeasureGetLatency is the get() counterpart of MeasurePutLatency.
-func MeasureGetLatency(coh Coherence, msgSize int, seed int64) (time.Duration, error) {
-	return measureOp(coh, msgSize, seed, false, nil)
+func MeasureGetLatency(coh Coherence, msgSize int, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
+	return measureOp(coh, msgSize, seed, false, o)
 }
 
-func measureOp(coh Coherence, msgSize int, seed int64, put bool, r *trace.Registry) (time.Duration, error) {
-	env := sim.NewEnv(seed)
+func measureOp(coh Coherence, msgSize int, seed int64, put bool, o runtime.ServiceOptions) (time.Duration, error) {
+	env := o.NewEnv(seed)
 	defer env.Shutdown()
-	trace.AttachRegistry(env, r)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, o.Fabric())
 	home := cluster.NewNode(env, 0, 2, 1<<30)
 	client := cluster.NewNode(env, 1, 2, 1<<30)
 	ss := New(nw, []*cluster.Node{home, client}, Options{})

@@ -3,11 +3,13 @@ package ddss
 import (
 	"testing"
 	"time"
+
+	"ngdc/internal/runtime"
 )
 
 func TestMeasurePutLatencyAllModels(t *testing.T) {
 	for _, m := range append(append([]Coherence{}, Models...), Temporal) {
-		lat, err := MeasurePutLatency(m, 64, 1)
+		lat, err := MeasurePutLatency(m, 64, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -19,7 +21,7 @@ func TestMeasurePutLatencyAllModels(t *testing.T) {
 
 func TestMeasureGetLatencyAllModels(t *testing.T) {
 	for _, m := range Models {
-		lat, err := MeasureGetLatency(m, 64, 1)
+		lat, err := MeasureGetLatency(m, 64, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -30,11 +32,11 @@ func TestMeasureGetLatencyAllModels(t *testing.T) {
 }
 
 func TestMeasureLatencyScalesWithSize(t *testing.T) {
-	small, err := MeasurePutLatency(Null, 1, 1)
+	small, err := MeasurePutLatency(Null, 1, 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := MeasurePutLatency(Null, 256<<10, 1)
+	big, err := MeasurePutLatency(Null, 256<<10, 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +46,8 @@ func TestMeasureLatencyScalesWithSize(t *testing.T) {
 }
 
 func TestMeasureDeterministic(t *testing.T) {
-	a, _ := MeasurePutLatency(Strict, 1024, 3)
-	b, _ := MeasurePutLatency(Strict, 1024, 3)
+	a, _ := MeasurePutLatency(Strict, 1024, 3, runtime.ServiceOptions{})
+	b, _ := MeasurePutLatency(Strict, 1024, 3, runtime.ServiceOptions{})
 	if a != b {
 		t.Fatalf("same seed gave %v and %v", a, b)
 	}

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -42,28 +41,13 @@ func (r CascadeResult) MeanGrant() time.Duration {
 // Cascade runs the Fig 5 experiment for one scheme: an exclusive holder on
 // its own node, nWaiters waiting requests of the given mode on distinct
 // nodes, all against a lock homed on yet another node. It returns the
-// grant-latency profile observed after the holder's release.
-func Cascade(kind Kind, mode Mode, nWaiters int, seed int64) (CascadeResult, error) {
-	return cascade(fabric.DefaultParams(), kind, mode, nWaiters, seed, nil)
-}
-
-// CascadeTraced is Cascade publishing the run's counters into r (which
-// may span a sweep of such runs).
-func CascadeTraced(kind Kind, mode Mode, nWaiters int, seed int64, r *trace.Registry) (CascadeResult, error) {
-	return cascade(fabric.DefaultParams(), kind, mode, nWaiters, seed, r)
-}
-
-// CascadeWith is Cascade under an explicit fabric calibration, used to
-// check that the schemes' ordering is interconnect-independent.
-func CascadeWith(params fabric.Params, kind Kind, mode Mode, nWaiters int, seed int64) (CascadeResult, error) {
-	return cascade(params, kind, mode, nWaiters, seed, nil)
-}
-
-func cascade(params fabric.Params, kind Kind, mode Mode, nWaiters int, seed int64, r *trace.Registry) (CascadeResult, error) {
-	env := sim.NewEnv(seed)
+// grant-latency profile observed after the holder's release. The run is
+// opened with o; the lock clients panic on a failed send, so o.Faults
+// must not take a participating node down.
+func Cascade(kind Kind, mode Mode, nWaiters int, seed int64, o runtime.ServiceOptions) (CascadeResult, error) {
+	env := o.NewEnv(seed)
 	defer env.Shutdown()
-	trace.AttachRegistry(env, r)
-	nw := verbs.NewNetwork(env, params)
+	nw := verbs.NewNetwork(env, o.Fabric())
 	// Node 0 homes the lock; node 1 holds it; nodes 2.. are waiters.
 	nodes := make([]*cluster.Node, nWaiters+2)
 	for i := range nodes {

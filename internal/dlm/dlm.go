@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -108,11 +107,8 @@ type Client interface {
 	NodeID() int
 }
 
-// Options configures a lock manager, in the framework's unified
-// options form: the shared ServiceOptions head selects the execution
-// substrate and cross-cutting hooks.
+// Options configures a lock manager.
 type Options struct {
-	runtime.ServiceOptions
 	// Kind selects the design (SRSL, DQNL or the default N-CoSED zero
 	// value is SRSL; set explicitly).
 	Kind Kind
@@ -131,7 +127,6 @@ type Options struct {
 // in the framework's canonical (nw, nodes, opts) constructor form. Lock
 // l is homed on nodes[l % len(nodes)].
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
-	opts.Bind(nw.Env)
 	if opts.NumLocks <= 0 {
 		opts.NumLocks = 64
 	}

@@ -8,6 +8,7 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -274,7 +275,7 @@ func TestCascadeSharedShape(t *testing.T) {
 	// cohort in a burst: its cascade must stay far below DQNL's serial
 	// chain and below SRSL at 16 waiters.
 	get := func(kind Kind) time.Duration {
-		r, err := Cascade(kind, Shared, 16, 1)
+		r, err := Cascade(kind, Shared, 16, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -293,7 +294,7 @@ func TestCascadeExclusiveShape(t *testing.T) {
 	// Fig 5b: exclusive chains serialize for everyone; N-CoSED's direct
 	// peer hand-off must be the cheapest, SRSL the most expensive.
 	get := func(kind Kind) time.Duration {
-		r, err := Cascade(kind, Exclusive, 16, 1)
+		r, err := Cascade(kind, Exclusive, 16, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -307,11 +308,11 @@ func TestCascadeExclusiveShape(t *testing.T) {
 
 func TestCascadeGrowsWithWaiters(t *testing.T) {
 	for _, kind := range allKinds {
-		small, err := Cascade(kind, Exclusive, 2, 1)
+		small, err := Cascade(kind, Exclusive, 2, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		large, err := Cascade(kind, Exclusive, 12, 1)
+		large, err := Cascade(kind, Exclusive, 12, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +485,7 @@ func TestCascadeShapeHoldsOnIWARP(t *testing.T) {
 	// §6: the designs rely on common RDMA features; rerunning Fig 5a
 	// under the 10GigE/iWARP calibration must keep the ordering.
 	get := func(kind Kind) time.Duration {
-		r, err := CascadeWith(fabric.IWARPParams(), kind, Shared, 16, 1)
+		r, err := Cascade(kind, Shared, 16, 1, runtime.ServiceOptions{Params: fabric.IWARPParams()})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

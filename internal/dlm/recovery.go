@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -26,15 +26,17 @@ type RecoveryResult struct {
 // queued behind it. The home agent detects the dead holder at the next
 // lease expiry, repairs the lock word and re-grants the queue; the
 // measured latency is the gap between the crash and the waiter holding
-// the lock, which the lease interval bounds from above.
-func MeasureRecovery(ttl time.Duration, seed int64) (RecoveryResult, error) {
+// the lock, which the lease interval bounds from above. The run is
+// opened with o, whose Faults the scenario's own one-crash plan replaces.
+func MeasureRecovery(ttl time.Duration, seed int64, o runtime.ServiceOptions) (RecoveryResult, error) {
 	const crashAt = 50 * time.Microsecond
-	env := sim.NewEnv(seed)
-	plan := &faults.Plan{Events: []faults.Event{
+	o.Faults = &faults.Plan{Events: []faults.Event{
 		{At: crashAt, Kind: faults.Crash, Node: 1},
 	}}
-	faults.Install(env, plan)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	env := o.NewEnv(seed)
+	// The parked holder and the lock daemons outlive Run.
+	defer env.Shutdown()
+	nw := verbs.NewNetwork(env, o.Fabric())
 	nodes := make([]*cluster.Node, 3)
 	for i := range nodes {
 		nodes[i] = cluster.NewNode(env, i, 2, 1<<30)

@@ -8,6 +8,7 @@ import (
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -17,7 +18,7 @@ import (
 // waiter must be re-granted the lock within one lease interval.
 func TestCrashRecoveryWithinLease(t *testing.T) {
 	for _, ttl := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond} {
-		res, err := MeasureRecovery(ttl, 1)
+		res, err := MeasureRecovery(ttl, 1, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("ttl %v: %v", ttl, err)
 		}

@@ -33,9 +33,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 	"ngdc/internal/workload"
 )
@@ -91,13 +90,9 @@ type Config struct {
 	ClientsPerProxy int
 	Warmup, Measure time.Duration
 	Seed            int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
+	// ServiceOptions opens the run: registry, fault plan, calibration.
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg Config) Run() (Stats, error) { return Run(cfg) }
 
 // DefaultConfig returns a two-tier deployment with a meaningful update
 // rate: popular documents get invalidated while cached.
@@ -188,9 +183,8 @@ func Run(cfg Config) (Stats, error) {
 }
 
 func build(cfg Config) *deployment {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	env := cfg.NewEnv(cfg.Seed)
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	d := &deployment{cfg: cfg, env: env, nw: nw}
 	id := 0
 	for i := 0; i < cfg.Proxies; i++ {

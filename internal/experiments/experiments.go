@@ -44,14 +44,26 @@ type Options struct {
 	// cells are independent simulations and the runner merges their
 	// outputs in cell-index order (see runCells).
 	Parallel int
-	// ServiceOptions is the framework's unified options head: runtime
-	// selection, trace registry and fault plan chosen in one place.
-	// Trace, when non-nil, accumulates every run's observability
-	// counters into one registry (snapshot it after the experiment);
-	// Faults, when non-nil, is a deterministic fault plan injected into
-	// the experiments that support one (currently reconfig) — replaying
-	// the same plan with the same seed reproduces the run byte-for-byte.
+	// ServiceOptions is what every cell's run is opened with. Trace,
+	// when non-nil, accumulates every run's observability counters into
+	// one registry (snapshot it after the experiment); Faults, when
+	// non-nil, is a deterministic fault plan injected into the
+	// experiments that support one (currently reconfig) — replaying the
+	// same plan with the same seed reproduces the run byte-for-byte;
+	// Params recalibrates the fabric of every cell.
 	runtime.ServiceOptions
+}
+
+// healthy is the carrier of a cell that takes no fault plan: every
+// experiment but reconfig (dlm, for one, panics on a failed send).
+func (o Options) healthy() runtime.ServiceOptions {
+	return runtime.ServiceOptions{Trace: o.Trace, Params: o.Params}
+}
+
+// untraced is the carrier of a cell that has never published counters —
+// E8's full sweep, E17 — so a trace file keeps its content.
+func (o Options) untraced() runtime.ServiceOptions {
+	return runtime.ServiceOptions{Params: o.Params}
 }
 
 func (o Options) seed() int64 {
@@ -156,7 +168,7 @@ func DDSSLatency(o Options) (*metrics.Table, error) {
 	lats := make([]time.Duration, len(sizes)*len(models))
 	err := runCells(o, len(lats), func(i int, o Options) error {
 		var err error
-		lats[i], err = ddss.MeasurePutLatencyTraced(models[i%len(models)], sizes[i/len(models)], o.seed(), o.Trace)
+		lats[i], err = ddss.MeasurePutLatency(models[i%len(models)], sizes[i/len(models)], o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -182,7 +194,7 @@ func Storm(o Options) (*metrics.Table, error) {
 	res := make([]struct{ tcp, dd storm.Result }, len(records))
 	err := runCells(o, len(records), func(i int, o Options) error {
 		var err error
-		res[i].tcp, res[i].dd, err = storm.CompareTraced(records[i], 4, storm.Selector{Modulo: 3}, o.seed(), o.Trace)
+		res[i].tcp, res[i].dd, err = storm.Compare(records[i], 4, storm.Selector{Modulo: 3}, o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -214,7 +226,7 @@ func LockCascade(o Options) (*metrics.Table, error) {
 	kinds := []dlm.Kind{dlm.SRSL, dlm.DQNL, dlm.NCoSED}
 	lasts := make([]time.Duration, len(waiters)*len(kinds))
 	err := runCells(o, len(lasts), func(i int, o Options) error {
-		r, err := dlm.CascadeTraced(kinds[i%len(kinds)], mode, waiters[i/len(kinds)], o.seed(), o.Trace)
+		r, err := dlm.Cascade(kinds[i%len(kinds)], mode, waiters[i/len(kinds)], o.seed(), o.healthy())
 		lasts[i] = r.Last
 		return err
 	})
@@ -259,14 +271,14 @@ func CoopCache(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(tps), func(i int, o Options) error {
 		cfg := coopcache.DefaultConfig(schemes[i%len(schemes)], proxies, sizes[i/len(schemes)])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
+		cfg.ServiceOptions = o.healthy()
 		if o.Measure > 0 {
 			cfg.Measure = o.Measure
 		} else if o.Quick {
 			cfg.Measure = 400 * time.Millisecond
 			cfg.Warmup = 150 * time.Millisecond
 		}
-		st, err := cfg.Run()
+		st, err := coopcache.Run(cfg)
 		tps[i] = st.TPS
 		return err
 	})
@@ -292,12 +304,12 @@ func MonitorAccuracy(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(schemes), func(i int, o Options) error {
 		cfg := monitor.DefaultAccuracyConfig(schemes[i])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
+		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Duration = 600 * time.Millisecond
 		}
 		var err error
-		res[i], err = cfg.Run()
+		res[i], err = monitor.Accuracy(cfg)
 		return err
 	})
 	if err != nil {
@@ -338,10 +350,10 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 			cfg := monitor.DefaultLBConfig(schemes[i%len(schemes)], alphas[i/len(schemes)])
 			cfg.RUBiS = o.RUBiS
 			cfg.Seed = o.seed()
-			cfg.Trace = o.Trace
+			cfg.ServiceOptions = o.healthy()
 			cfg.Measure = 500 * time.Millisecond
 			var err error
-			stats[i], err = cfg.Run()
+			stats[i], err = monitor.RunLB(cfg)
 			return err
 		})
 		for ai := range alphas {
@@ -360,7 +372,7 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 	} else {
 		err = runCells(o, len(alphas), func(i int, o Options) error {
 			var err error
-			imps[i], _, err = monitor.Improvement(alphas[i], o.RUBiS, o.seed())
+			imps[i], _, err = monitor.Improvement(alphas[i], o.RUBiS, o.seed(), o.untraced())
 			return err
 		})
 	}
@@ -394,8 +406,8 @@ func FlowControl(o Options) (*metrics.Table, error) {
 	bws := make([]float64, len(sizes)*len(schemes))
 	err := runCells(o, len(bws), func(i int, o Options) error {
 		var err error
-		bws[i], err = sockets.BandwidthTraced(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
-			sockets.DefaultOptions(), o.seed(), o.Trace)
+		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
+			sockets.DefaultOptions(), o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -426,8 +438,8 @@ func SDP(o Options) (*metrics.Table, error) {
 	bws := make([]float64, len(sizes)*len(schemes))
 	err := runCells(o, len(bws), func(i int, o Options) error {
 		var err error
-		bws[i], err = sockets.BandwidthTraced(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
-			sockets.DefaultOptions(), o.seed(), o.Trace)
+		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
+			sockets.DefaultOptions(), o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -451,13 +463,12 @@ func Reconfig(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(policies), func(i int, o Options) error {
 		cfg := reconfig.DefaultConfig(policies[i])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
-		cfg.Faults = o.Faults
+		cfg.ServiceOptions = o.ServiceOptions
 		if o.Quick {
 			cfg.Measure = time.Second
 		}
 		var err error
-		res[i], err = cfg.Run()
+		res[i], err = reconfig.Run(cfg)
 		return err
 	})
 	if err != nil {
@@ -489,12 +500,12 @@ func DynCache(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(schemes), func(i int, o Options) error {
 		cfg := dyncache.DefaultConfig(schemes[i])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
+		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = 500 * time.Millisecond
 		}
 		var err error
-		sts[i], err = cfg.Run()
+		sts[i], err = dyncache.Run(cfg)
 		return err
 	})
 	if err != nil {
@@ -520,12 +531,12 @@ func QoS(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(policies), func(i int, o Options) error {
 		cfg := qos.DefaultConfig(policies[i])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
+		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = 700 * time.Millisecond
 		}
 		var err error
-		sts[i], err = cfg.Run()
+		sts[i], err = qos.Run(cfg)
 		return err
 	})
 	if err != nil {
@@ -551,8 +562,8 @@ func Multicast(o Options) (*metrics.Table, error) {
 	lats := make([]time.Duration, len(sizes)*len(strategies))
 	err := runCells(o, len(lats), func(i int, o Options) error {
 		var err error
-		lats[i], err = multicast.MeasureLatencyTraced(strategies[i%len(strategies)], sizes[i/len(strategies)],
-			4096, o.seed(), o.Trace)
+		lats[i], err = multicast.MeasureLatency(strategies[i%len(strategies)], sizes[i/len(strategies)],
+			4096, o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -577,12 +588,12 @@ func Integrated(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(stacks), func(i int, o Options) error {
 		cfg := integrated.DefaultConfig(stacks[i])
 		cfg.Seed = o.seed()
-		cfg.Trace = o.Trace
+		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = time.Second
 		}
 		var err error
-		res[i], err = cfg.Run()
+		res[i], err = integrated.Run(cfg)
 		return err
 	})
 	if err != nil {

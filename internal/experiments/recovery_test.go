@@ -3,7 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"ngdc/internal/dlm"
 	"ngdc/internal/faults"
 	"ngdc/internal/runtime"
 )
@@ -26,6 +28,26 @@ func TestRecoveryExperimentDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "recovery latency") {
 		t.Fatalf("unexpected table:\n%s", a)
+	}
+}
+
+// TestRecoveryReleasesGoroutines checks the recovery scenario shuts its
+// environment down: the crashed holder stays parked in its critical
+// section and the lock daemons never exit, so without the shutdown every
+// call — one per E17 table cell — leaves seven goroutines behind.
+func TestRecoveryReleasesGoroutines(t *testing.T) {
+	leaked := goroutinesLeakedBy(func() {
+		for i := 0; i < 20; i++ {
+			if _, err := dlm.MeasureRecovery(100*time.Microsecond, 1, runtime.ServiceOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Recovery(Options{Seed: 1, Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if leaked > 0 {
+		t.Errorf("%d goroutines outlive 20 recovery runs and the quick E17 table", leaked)
 	}
 }
 

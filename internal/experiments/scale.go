@@ -36,9 +36,9 @@ import (
 	"ngdc/internal/cluster"
 	"ngdc/internal/coopcache"
 	"ngdc/internal/ddss"
-	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
 	"ngdc/internal/metrics"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 	"ngdc/internal/workload"
@@ -174,12 +174,15 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	if cfg.Nodes < 8 {
 		return res, ts, es, fmt.Errorf("scale: need ≥ 8 nodes for all tiers, got %d", cfg.Nodes)
 	}
-	env := sim.NewEnv(cfg.Seed)
+	// The cell's fields keep their names (the repository benchmark and
+	// the pinned-cell tests build ScaleConfig literals); the carrier is
+	// assembled here.
+	open := runtime.ServiceOptions{Faults: cfg.Faults}
+	env := open.NewEnv(cfg.Seed)
 	// Parked daemons (the tier's demotion workers) outlive Run; without
 	// this their goroutines pin the whole cell forever.
 	defer env.Shutdown()
-	faults.Install(env, cfg.Faults)
-	nw := verbs.NewNetworkWith(env, fabric.DefaultParams(), cfg.Transport)
+	nw := verbs.NewNetworkWith(env, open.Fabric(), cfg.Transport)
 	nodes := make([]*cluster.Node, cfg.Nodes)
 	var fes, caches, stores []*cluster.Node
 	for i := range nodes {

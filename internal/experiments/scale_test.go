@@ -574,21 +574,29 @@ func TestScaleShardHostPartitionMidMigration(t *testing.T) {
 // the run ends, and without the shutdown one goroutine per cache node
 // (and the whole cell they reference) would outlive RunScaleCell.
 func TestScaleCellReleasesGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	if _, err := RunScaleCell(ScaleConfig{
-		Nodes: 64, Clients: 100_000, Requests: 2400, Docs: 4096,
-		CacheFrac: 0.05, ZipfAlpha: 1.2, Spill: true, Rebalance: true, Seed: 4,
-	}); err != nil {
-		t.Fatal(err)
+	leaked := goroutinesLeakedBy(func() {
+		if _, err := RunScaleCell(ScaleConfig{
+			Nodes: 64, Clients: 100_000, Requests: 2400, Docs: 4096,
+			CacheFrac: 0.05, ZipfAlpha: 1.2, Spill: true, Rebalance: true, Seed: 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if leaked > 0 {
+		t.Errorf("%d goroutines outlive the cell", leaked)
 	}
+}
+
+// goroutinesLeakedBy runs fn and reports how many goroutines outlive it.
+func goroutinesLeakedBy(fn func()) int {
+	base := runtime.NumGoroutine()
+	fn()
 	// Shutdown signals every process; the goroutines unwind on their own.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Errorf("%d goroutines outlive the cell (baseline %d, now %d)", got-base, base, got)
-	}
+	return runtime.NumGoroutine() - base
 }
 
 // TestScaleChurnCrossoverGates re-runs the transport gates of

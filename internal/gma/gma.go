@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -57,11 +56,8 @@ type Aggregator struct {
 	order  []int          // deterministic iteration order
 }
 
-// Options configures an aggregator, in the framework's unified options
-// form: the shared ServiceOptions head selects the execution substrate
-// and cross-cutting hooks.
+// Options configures an aggregator.
 type Options struct {
-	runtime.ServiceOptions
 	// ArenaPerNode is each node's contribution in bytes (default 16 MiB).
 	ArenaPerNode int64
 }
@@ -71,7 +67,6 @@ type Options struct {
 // at setup (no virtual time is charged); node memory accounting reflects
 // the contribution.
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) (*Aggregator, error) {
-	opts.Bind(nw.Env)
 	arenaPerNode := opts.ArenaPerNode
 	if arenaPerNode <= 0 {
 		arenaPerNode = 16 << 20

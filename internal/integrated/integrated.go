@@ -23,12 +23,11 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/lru"
 	"ngdc/internal/metrics"
 	"ngdc/internal/monitor"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 	"ngdc/internal/workload"
 )
@@ -68,13 +67,9 @@ type Config struct {
 	ZipfAlpha       float64
 	Warmup, Measure time.Duration
 	Seed            int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
+	// ServiceOptions opens the run: registry, fault plan, calibration.
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg Config) Run() (Stats, error) { return Run(cfg) }
 
 // DefaultConfig returns the integrated-evaluation shape: working sets
 // that do not fit one proxy, and load that swaps between the services.
@@ -114,10 +109,9 @@ func docKey(service, doc int) int { return service*1_000_000 + doc }
 
 // Run executes one integrated experiment.
 func Run(cfg Config) (Stats, error) {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
+	env := cfg.NewEnv(cfg.Seed)
 	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	pp := nw.Params()
 
 	front := cluster.NewNode(env, 0, 4, 1<<30)

@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -26,13 +25,9 @@ type AccuracyConfig struct {
 	// socket-based daemons).
 	LoadWorkers int
 	Seed        int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
+	// ServiceOptions opens the run: registry, fault plan, calibration.
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg AccuracyConfig) Run() (AccuracyResult, error) { return Accuracy(cfg) }
 
 // DefaultAccuracyConfig mirrors the paper's setup: a heavily loaded
 // back-end and millisecond-granularity monitoring.
@@ -95,10 +90,9 @@ func (r AccuracyResult) MaxAbsDeviation() int {
 
 // Accuracy runs the Fig 8a experiment for one scheme.
 func Accuracy(cfg AccuracyConfig) (AccuracyResult, error) {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
+	env := cfg.NewEnv(cfg.Seed)
 	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 2, 1<<30)
 	back := cluster.NewNode(env, 1, 2, 1<<30)
 	st := NewStation(cfg.Scheme, nw, front, []*cluster.Node{back}, cfg.Interval)

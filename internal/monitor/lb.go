@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 	"ngdc/internal/workload"
 )
@@ -30,13 +29,9 @@ type LBConfig struct {
 	RUBiS           bool
 	Warmup, Measure time.Duration
 	Seed            int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
+	// ServiceOptions opens the run: registry, fault plan, calibration.
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg LBConfig) Run() (LBStats, error) { return RunLB(cfg) }
 
 // DefaultLBConfig mirrors the paper's two-service hosting setup.
 func DefaultLBConfig(scheme Scheme, alpha float64) LBConfig {
@@ -83,10 +78,9 @@ func docCost(doc int) time.Duration {
 
 // RunLB runs the Fig 8b experiment for one scheme.
 func RunLB(cfg LBConfig) (LBStats, error) {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
+	env := cfg.NewEnv(cfg.Seed)
 	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)
 	var servers []*cluster.Node
 	for i := 1; i <= cfg.Servers; i++ {
@@ -167,13 +161,15 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 }
 
 // Improvement runs the Fig 8b sweep: every scheme against the Socket-Async
-// baseline for one trace, returning percentage TPS improvements.
-func Improvement(alpha float64, rubis bool, seed int64) (map[Scheme]float64, map[Scheme]LBStats, error) {
+// baseline for one trace, returning percentage TPS improvements. Every
+// run is opened with o.
+func Improvement(alpha float64, rubis bool, seed int64, o runtime.ServiceOptions) (map[Scheme]float64, map[Scheme]LBStats, error) {
 	stats := map[Scheme]LBStats{}
 	for _, sc := range Schemes {
 		cfg := DefaultLBConfig(sc, alpha)
 		cfg.RUBiS = rubis
 		cfg.Seed = seed
+		cfg.ServiceOptions = o
 		s, err := RunLB(cfg)
 		if err != nil {
 			return nil, nil, err

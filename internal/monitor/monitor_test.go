@@ -6,6 +6,7 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -87,32 +88,39 @@ func TestRDMAAsyncBoundedStaleness(t *testing.T) {
 
 func TestAccuracyRDMABeatsSockets(t *testing.T) {
 	// Fig 8a: under back-end load, RDMA-based readings track the true
-	// thread count; socket-based readings deviate badly.
-	dev := map[Scheme]float64{}
-	for _, sc := range Schemes {
-		cfg := DefaultAccuracyConfig(sc)
-		cfg.Duration = 1500 * time.Millisecond
-		res, err := Accuracy(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", sc, err)
+	// thread count; socket-based readings deviate badly — on the default
+	// InfiniBand calibration and on iWARP alike.
+	for _, cal := range []struct {
+		name   string
+		params fabric.Params
+	}{{"InfiniBand", fabric.Params{}}, {"iWARP", fabric.IWARPParams()}} {
+		dev := map[Scheme]float64{}
+		for _, sc := range Schemes {
+			cfg := DefaultAccuracyConfig(sc)
+			cfg.Duration = 1500 * time.Millisecond
+			cfg.Params = cal.params
+			res, err := Accuracy(cfg)
+			if err != nil {
+				t.Fatalf("%s %v: %v", cal.name, sc, err)
+			}
+			if len(res.Samples) < 10 {
+				t.Fatalf("%s %v: only %d samples", cal.name, sc, len(res.Samples))
+			}
+			dev[sc] = res.MeanAbsDeviation()
 		}
-		if len(res.Samples) < 10 {
-			t.Fatalf("%v: only %d samples", sc, len(res.Samples))
-		}
-		dev[sc] = res.MeanAbsDeviation()
-	}
-	for _, rdma := range []Scheme{RDMASync, ERDMASync} {
-		for _, sock := range []Scheme{SocketSync, SocketAsync} {
-			if dev[rdma] >= dev[sock] {
-				t.Fatalf("%v deviation %.1f not below %v %.1f", rdma, dev[rdma], sock, dev[sock])
+		for _, rdma := range []Scheme{RDMASync, ERDMASync} {
+			for _, sock := range []Scheme{SocketSync, SocketAsync} {
+				if dev[rdma] >= dev[sock] {
+					t.Fatalf("%s: %v deviation %.1f not below %v %.1f", cal.name, rdma, dev[rdma], sock, dev[sock])
+				}
 			}
 		}
-	}
-	if dev[RDMASync] > 1.0 {
-		t.Fatalf("RDMA-Sync deviation %.2f; expected near zero", dev[RDMASync])
-	}
-	if dev[SocketAsync] < 3.0 {
-		t.Fatalf("Socket-Async deviation %.2f; load sensitivity missing", dev[SocketAsync])
+		if dev[RDMASync] > 1.0 {
+			t.Fatalf("%s: RDMA-Sync deviation %.2f; expected near zero", cal.name, dev[RDMASync])
+		}
+		if dev[SocketAsync] < 3.0 {
+			t.Fatalf("%s: Socket-Async deviation %.2f; load sensitivity missing", cal.name, dev[SocketAsync])
+		}
 	}
 }
 
@@ -169,7 +177,7 @@ func TestLBRUBiSMix(t *testing.T) {
 }
 
 func TestImprovementSweep(t *testing.T) {
-	imp, stats, err := Improvement(0.75, false, 1)
+	imp, stats, err := Improvement(0.75, false, 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

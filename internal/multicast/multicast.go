@@ -22,10 +22,8 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -62,11 +60,8 @@ type Group struct {
 // header: rank(4) | seq(4); payload follows.
 const hdrSize = 8
 
-// Options configures a multicast group, in the framework's unified
-// options form: the shared ServiceOptions head selects the execution
-// substrate and cross-cutting hooks.
+// Options configures a multicast group.
 type Options struct {
-	runtime.ServiceOptions
 	// Name labels the group's verbs service (default "group").
 	Name string
 	// Strategy selects the distribution tree (Serial or Binomial).
@@ -77,7 +72,6 @@ type Options struct {
 // and starts the relay agents, in the framework's canonical
 // (nw, nodes, opts) constructor form.
 func NewGroup(nw *verbs.Network, members []*cluster.Node, opts Options) *Group {
-	opts.Bind(nw.Env)
 	if len(members) == 0 {
 		panic("multicast: empty group")
 	}
@@ -212,20 +206,13 @@ func (g *Group) Send(p *sim.Proc, payload []byte) {
 	g.deliver(0, payload)
 }
 
-// MeasureLatency builds a fresh group on its own environment and returns
-// the time from Send until the last member delivered, for a group of n
-// nodes — the primitive's figure of merit.
-func MeasureLatency(strategy Strategy, n int, payload int, seed int64) (time.Duration, error) {
-	return MeasureLatencyTraced(strategy, n, payload, seed, nil)
-}
-
-// MeasureLatencyTraced is MeasureLatency publishing the run's counters
-// into r (which may span a sweep of such runs).
-func MeasureLatencyTraced(strategy Strategy, n int, payload int, seed int64, r *trace.Registry) (time.Duration, error) {
-	env := sim.NewEnv(seed)
+// MeasureLatency builds a fresh group on its own environment, opened
+// with o, and returns the time from Send until the last member
+// delivered, for a group of n nodes — the primitive's figure of merit.
+func MeasureLatency(strategy Strategy, n int, payload int, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
+	env := o.NewEnv(seed)
 	defer env.Shutdown()
-	trace.AttachRegistry(env, r)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, o.Fabric())
 	var nodes []*cluster.Node
 	for i := 0; i < n; i++ {
 		nodes = append(nodes, cluster.NewNode(env, i, 2, 1<<20))

@@ -22,11 +22,10 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
 	"ngdc/internal/metrics"
 	"ngdc/internal/monitor"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -78,13 +77,9 @@ type Config struct {
 	Backoff         time.Duration
 	Warmup, Measure time.Duration
 	Seed            int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
+	// ServiceOptions opens the run: registry, fault plan, calibration.
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg Config) Run() (Stats, error) { return Run(cfg) }
 
 // DefaultConfig returns a 2× overloaded two-class deployment.
 func DefaultConfig(policy Policy) Config {
@@ -121,10 +116,9 @@ type Stats struct {
 
 // Run executes one experiment.
 func Run(cfg Config) (Stats, error) {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
+	env := cfg.NewEnv(cfg.Seed)
 	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)
 	var servers []*cluster.Node
 	for i := 1; i <= cfg.Servers; i++ {

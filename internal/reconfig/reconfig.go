@@ -22,11 +22,9 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
-	"ngdc/internal/faults"
 	"ngdc/internal/monitor"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -61,19 +59,13 @@ type Config struct {
 	Agents          int
 	Warmup, Measure time.Duration
 	Seed            int64
-	// Trace, when non-nil, collects the run's observability counters.
-	Trace *trace.Registry
-	// Faults, when non-nil, is a deterministic fault plan installed into
-	// the run. It also enables the monitor-driven failure detector: an
+	// ServiceOptions opens the run: registry, fault plan, calibration. A
+	// non-nil Faults also enables the monitor-driven failure detector: an
 	// RDMA-Async station watches the back-end pool, and nodes it suspects
 	// down are failed out of their service (and re-admitted when the
 	// station sees them again after a restart).
-	Faults *faults.Plan
+	runtime.ServiceOptions
 }
-
-// Run executes the configured experiment — the uniform experiment entry
-// point every config type in the framework shares.
-func (cfg Config) Run() (Result, error) { return Run(cfg) }
 
 // DefaultConfig returns the E11 ablation shape.
 func DefaultConfig(policy Policy) Config {
@@ -120,11 +112,9 @@ const (
 
 // Run executes the experiment.
 func Run(cfg Config) (Result, error) {
-	env := sim.NewEnv(cfg.Seed)
-	trace.AttachRegistry(env, cfg.Trace)
-	faults.Install(env, cfg.Faults)
+	env := cfg.NewEnv(cfg.Seed)
 	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 2, 1<<30)
 	frontDev := nw.Attach(front)
 	lockMR := frontDev.RegisterAtSetup(make([]byte, 8))

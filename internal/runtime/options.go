@@ -1,38 +1,53 @@
 package runtime
 
 import (
+	"ngdc/internal/fabric"
 	"ngdc/internal/faults"
 	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 )
 
-// ServiceOptions is the shared head of every service's Options struct:
-// the cross-cutting observability and fault-injection hooks, carried in
-// one place instead of threaded per call site. Embed it (by value) in a
-// service's Options and resolve it once at construction with Bind.
-// Simulated services always run on the environment of the network they
-// are built over; the live RealRuntime hosts services through
-// internal/serve instead.
+// ServiceOptions carries everything that must be decided before a
+// simulated run exists: where its counters go, which faults it suffers
+// and which interconnect it is calibrated to. It is the only carrier of
+// the three — run-level configs embed it, measurement helpers take it
+// as their last argument — and NewEnv is the only way to open a run
+// with it.
+//
+// The ordering rule, enforced here and nowhere else: registry, then
+// plan, on a fresh environment, before any network, device or NIC is
+// built over it. Those layers cache their counter and injector pointers
+// at construction, so a registry or plan that arrives later is silently
+// missed (a registry attached after the network records no device and
+// no NIC) or duplicated (a second Install schedules every event again
+// while the fabric keeps the first injector). A service's own Options
+// therefore carry none of this: a service is built on an environment
+// somebody already opened.
 type ServiceOptions struct {
-	// Trace, when non-nil, is attached to the environment before the
-	// service is built, so the layers it constructs publish their
-	// counters there. nil keeps whatever registry is already attached.
+	// Trace, when non-nil, collects the run's observability counters
+	// (and may span a sweep of sequential runs).
 	Trace *trace.Registry
-	// Faults, when non-nil, is installed on the environment before the
-	// service is built. Like faults.Install, it must reach the
-	// environment before verbs devices attach (i.e. set it on the first
-	// layer built over the environment, typically the framework or the
-	// experiment runner). nil keeps any plan already installed.
+	// Faults, when non-nil, is the deterministic fault plan the run
+	// suffers; the same plan and seed replay byte-for-byte.
 	Faults *faults.Plan
+	// Params is the fabric calibration; the zero value means
+	// fabric.DefaultParams().
+	Params fabric.Params
 }
 
-// Bind resolves the options against env, the environment the service's
-// network runs on: it attaches Trace and installs Faults.
-func (o ServiceOptions) Bind(env *sim.Env) {
-	if o.Trace != nil {
-		trace.AttachRegistry(env, o.Trace)
+// NewEnv opens a run: a fresh environment seeded with seed, carrying
+// the registry and the fault plan. Defer its Shutdown next to the call.
+func (o ServiceOptions) NewEnv(seed int64) *sim.Env {
+	env := sim.NewEnv(seed)
+	trace.AttachRegistry(env, o.Trace)
+	faults.Install(env, o.Faults)
+	return env
+}
+
+// Fabric returns the calibration to build the run's network with.
+func (o ServiceOptions) Fabric() fabric.Params {
+	if o.Params == (fabric.Params{}) {
+		return fabric.DefaultParams()
 	}
-	if o.Faults != nil {
-		faults.Install(env, o.Faults)
-	}
+	return o.Params
 }

@@ -14,8 +14,8 @@
 //     (see Conn). This is the substrate of the live ngdc-serve process.
 //
 // The abstraction is intentionally construction-time only on the hot
-// paths: simulated services bind their options once (ServiceOptions.Bind)
-// and then run on the concrete *sim.Env via SimEnv() — no interface
+// paths: a simulated run is opened once (ServiceOptions.NewEnv) and its
+// services then run on the concrete *sim.Env via SimEnv() — no interface
 // dispatch is added to the per-event engine or per-request service loops,
 // so the sim's allocation-free fast paths and golden outputs are
 // unchanged. The sim remains the repeatable test harness for the live
@@ -158,7 +158,7 @@ type Listener interface {
 
 // Runtime is the execution substrate: clock + timers + tasks +
 // transport. Exactly two implementations exist, SimRuntime and
-// RealRuntime; services select one through ServiceOptions.
+// RealRuntime.
 type Runtime interface {
 	// Mode reports which substrate this is.
 	Mode() Mode

@@ -26,7 +26,6 @@ type Listener struct {
 // Listen starts accepting connections of the given scheme on a port of
 // the device's node. The port must be unused on that node.
 func Listen(dev *verbs.Device, port int, scheme Scheme, opt Options) (*Listener, error) {
-	opt.Bind(dev.Env())
 	l := &Listener{
 		dev:    dev,
 		port:   port,

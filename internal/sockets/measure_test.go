@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 )
 
 func TestBandwidthDeterministicPerSeed(t *testing.T) {
@@ -59,11 +60,11 @@ func rateDiff(a, b float64) float64 {
 }
 
 func TestOneWayLatencyOrdering(t *testing.T) {
-	tcp, err := OneWayLatency(TCP, 64, DefaultOptions(), 1)
+	tcp, err := OneWayLatency(TCP, 64, DefaultOptions(), 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsdp, err := OneWayLatency(BSDP, 64, DefaultOptions(), 1)
+	bsdp, err := OneWayLatency(BSDP, 64, DefaultOptions(), 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,12 @@ func TestOneWayLatencyOrdering(t *testing.T) {
 func TestFlowControlShapeHoldsOnIWARP(t *testing.T) {
 	// The packetized-flow-control win must survive a different RDMA
 	// interconnect calibration.
-	bsdp, err := BandwidthWith(fabric.IWARPParams(), BSDP, 64, 2000, DefaultOptions(), 1)
+	iwarp := runtime.ServiceOptions{Params: fabric.IWARPParams()}
+	bsdp, err := MeasureBandwidth(BSDP, 64, 2000, DefaultOptions(), 1, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdp, err := BandwidthWith(fabric.IWARPParams(), PSDP, 64, 2000, DefaultOptions(), 1)
+	psdp, err := MeasureBandwidth(PSDP, 64, 2000, DefaultOptions(), 1, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}

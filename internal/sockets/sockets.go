@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
@@ -70,11 +69,8 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options tunes a connection's flow control, in the framework's unified
-// options form: the shared ServiceOptions head selects the execution
-// substrate and cross-cutting hooks.
+// Options tunes a connection's flow control.
 type Options struct {
-	runtime.ServiceOptions
 	// BufSize is the size of one registered bounce buffer (BSDP/PSDP).
 	BufSize int
 	// Credits is the number of bounce buffers / frames in flight
@@ -201,7 +197,6 @@ type rendezvous struct {
 // using the given scheme and options. The returned connections belong to
 // the first and second device respectively.
 func Dial(scheme Scheme, a, b *verbs.Device, opt Options) (*Conn, *Conn) {
-	opt.Bind(a.Env())
 	ab := newHalf(scheme, a, b, opt)
 	ba := newHalf(scheme, b, a, opt)
 	a.Node.ConnOpened()

@@ -4,34 +4,27 @@ import (
 	"fmt"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
-	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
 // Compare runs the same query on fresh STORM and STORM-DDSS deployments
-// and returns both results — one Fig 3b data point.
-func Compare(records, dataNodes int, sel Selector, seed int64) (tcp, dd Result, err error) {
-	return CompareTraced(records, dataNodes, sel, seed, nil)
-}
-
-// CompareTraced is Compare publishing both runs' counters into r (which
-// may span a sweep of such runs).
-func CompareTraced(records, dataNodes int, sel Selector, seed int64, r *trace.Registry) (tcp, dd Result, err error) {
-	tcp, err = measure(OverTCP, records, dataNodes, sel, seed, r)
+// and returns both results — one Fig 3b data point. Both runs are
+// opened with o.
+func Compare(records, dataNodes int, sel Selector, seed int64, o runtime.ServiceOptions) (tcp, dd Result, err error) {
+	tcp, err = measure(OverTCP, records, dataNodes, sel, seed, o)
 	if err != nil {
 		return
 	}
-	dd, err = measure(OverDDSS, records, dataNodes, sel, seed, r)
+	dd, err = measure(OverDDSS, records, dataNodes, sel, seed, o)
 	return
 }
 
-func measure(tr Transport, records, dataNodes int, sel Selector, seed int64, r *trace.Registry) (Result, error) {
-	env := sim.NewEnv(seed)
+func measure(tr Transport, records, dataNodes int, sel Selector, seed int64, o runtime.ServiceOptions) (Result, error) {
+	env := o.NewEnv(seed)
 	defer env.Shutdown()
-	trace.AttachRegistry(env, r)
-	nw := verbs.NewNetwork(env, fabric.DefaultParams())
+	nw := verbs.NewNetwork(env, o.Fabric())
 	client := cluster.NewNode(env, 0, 2, 1<<31)
 	var dns []*cluster.Node
 	for i := 1; i <= dataNodes; i++ {

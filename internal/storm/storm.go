@@ -23,7 +23,6 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/ddss"
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/sockets"
 	"ngdc/internal/verbs"
@@ -88,11 +87,8 @@ type Cluster struct {
 	queries int
 }
 
-// Options configures a STORM deployment, in the framework's unified
-// options form: the shared ServiceOptions head selects the execution
-// substrate and cross-cutting hooks.
+// Options configures a STORM deployment.
 type Options struct {
-	runtime.ServiceOptions
 	// Transport selects how query results travel (OverTCP or OverDDSS).
 	Transport Transport
 	// Client is the query-issuing node; it must be distinct from the
@@ -104,7 +100,6 @@ type Options struct {
 // framework's canonical (nw, nodes, opts) constructor form; nodes are
 // the data nodes holding record partitions.
 func New(nw *verbs.Network, dataNodes []*cluster.Node, opts Options) *Cluster {
-	opts.Bind(nw.Env)
 	if opts.Client == nil {
 		panic("storm: Options.Client is required")
 	}

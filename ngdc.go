@@ -203,7 +203,7 @@ func NewLocks(nw *verbs.Network, nodes []*Node, opts LockOptions) *LockManager {
 
 // LockCascade runs the Fig 5 cascading experiment.
 func LockCascade(kind LockKind, mode LockMode, waiters int, seed int64) (CascadeResult, error) {
-	return dlm.Cascade(kind, mode, waiters, seed)
+	return dlm.Cascade(kind, mode, waiters, seed, ServiceOptions{})
 }
 
 // Layer 3 — cooperative caching.
@@ -432,7 +432,7 @@ func NewMulticast(nw *verbs.Network, members []*Node, opts MulticastOptions) *Mu
 
 // MulticastLatency measures dissemination latency for a group size.
 func MulticastLatency(strategy MulticastStrategy, n, payload int, seed int64) (time.Duration, error) {
-	return multicast.MeasureLatency(strategy, n, payload, seed)
+	return multicast.MeasureLatency(strategy, n, payload, seed, ServiceOptions{})
 }
 
 // §6 — remote-memory file-system cache.
@@ -523,8 +523,9 @@ type (
 	RuntimeMode = runtime.Mode
 	// Task is a unit of execution on either substrate.
 	Task = runtime.Task
-	// ServiceOptions is the shared head of every service's Options:
-	// trace registry and fault plan in one place.
+	// ServiceOptions is what a simulated run is opened with — trace
+	// registry, fault plan and fabric calibration — embedded in every
+	// experiment config and named Service in Config.
 	ServiceOptions = runtime.ServiceOptions
 	// SimRuntime adapts a simulation environment to the Runtime API.
 	SimRuntime = runtime.SimRuntime
