@@ -231,7 +231,22 @@ type Client struct {
 	// verbs op records, so the words are checked out here instead,
 	// keeping steady-state put/get allocation-free.
 	hdrFree [][]byte
+	// opFree recycles the records of blocking single-read gets.
+	opFree []*GetOp
 }
+
+func (c *Client) getOp() *GetOp {
+	if n := len(c.opFree); n > 0 {
+		g := c.opFree[n-1]
+		c.opFree = c.opFree[:n-1]
+		return g
+	}
+	g := &GetOp{}
+	g.bind()
+	return g
+}
+
+func (c *Client) putOp(g *GetOp) { c.opFree = append(c.opFree, g) }
 
 // getHdr checks an 8-byte header scratch word out of the free list.
 func (c *Client) getHdr() []byte {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ngdc/internal/sim"
+	"ngdc/internal/verbs"
 )
 
 // lockRetry is the backoff between contended segment-lock attempts.
@@ -178,20 +179,23 @@ func (h *Handle) Put(p *sim.Proc, data []byte) (uint64, error) {
 }
 
 // Get reads up to len(buf) bytes from the segment under its coherence
-// model, returning the observed version (where meaningful).
+// model, returning the observed version (where meaningful). The
+// single-read models (Null, Write) run GetAsync and park once.
 func (h *Handle) Get(p *sim.Proc, buf []byte) (uint64, error) {
-	if h.seg.freed {
-		return 0, fmt.Errorf("ddss: get %q: segment freed", h.seg.key)
+	if singleRead(h.seg.coh) {
+		g := h.c.getOp()
+		h.GetAsync(buf, g, g.waitFn)
+		g.await.Wait(p, parkGet)
+		err := g.err
+		h.c.putOp(g)
+		return 0, err
 	}
-	if len(buf) > h.seg.size {
-		return 0, fmt.Errorf("ddss: get %q: %d bytes exceed segment size %d", h.seg.key, len(buf), h.seg.size)
+	if err := h.checkGet(buf); err != nil {
+		return 0, err
 	}
 	h.c.ss.Ops++
 	p.Sleep(IPCOverhead)
 	switch h.seg.coh {
-	case Null, Write:
-		return 0, h.read(p, buf, hdrSize)
-
 	case Strict:
 		if err := h.acquireLock(p); err != nil {
 			return 0, err
@@ -258,6 +262,94 @@ func (h *Handle) Get(p *sim.Proc, buf []byte) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("ddss: unknown coherence %v", h.seg.coh)
 	}
+}
+
+func (h *Handle) checkGet(buf []byte) error {
+	if h.seg.freed {
+		return fmt.Errorf("ddss: get %q: segment freed", h.seg.key)
+	}
+	if len(buf) > h.seg.size {
+		return fmt.Errorf("ddss: get %q: %d bytes exceed segment size %d", h.seg.key, len(buf), h.seg.size)
+	}
+	return nil
+}
+
+// singleRead reports whether a get under coh is one data read with no
+// header traffic: the models GetAsync serves.
+func singleRead(coh Coherence) bool { return coh == Null || coh == Write }
+
+const parkGet = "ddss get"
+
+// GetOp is one caller's record for GetAsync, its steps bound on first
+// use, so a steady-state get allocates nothing. The zero value is ready
+// to use; it serves one get at a time and must not be copied once used.
+type GetOp struct {
+	h    *Handle
+	buf  []byte
+	done func(error)
+
+	ipcFn, copyFn func()
+	readCQ        *verbs.CQ
+
+	// The blocking Get's wait and result.
+	await  sim.Await
+	err    error
+	waitFn func(error)
+}
+
+func (g *GetOp) bind() {
+	g.ipcFn, g.copyFn = g.ipcDone, g.copied
+	g.readCQ = verbs.HandlerCQ(func(c verbs.Completion) { g.finish(c.Err) })
+	g.waitFn = func(err error) {
+		g.err = err
+		g.await.Done()
+	}
+}
+
+// GetAsync is Get of a Null or Write segment as an event chain on g: the
+// IPC charge, then the data read — one-sided, or a memory copy when the
+// segment is home — each at the instant the blocking Get runs it, with no
+// process. done gets Get's error at the instant Get would have returned;
+// a get refused before any virtual time passes (freed segment, oversized
+// buffer, a model that needs more than one read) calls done before
+// GetAsync returns.
+func (h *Handle) GetAsync(buf []byte, g *GetOp, done func(error)) {
+	if g.ipcFn == nil {
+		g.bind()
+	}
+	err := h.checkGet(buf)
+	if err == nil && !singleRead(h.seg.coh) {
+		err = fmt.Errorf("ddss: get %q: %v is not a single-read model", h.seg.key, h.seg.coh)
+	}
+	if err != nil {
+		done(err)
+		return
+	}
+	h.c.ss.Ops++
+	g.h, g.buf, g.done = h, buf, done
+	h.c.dev.Env().After(IPCOverhead, g.ipcFn)
+}
+
+// ipcDone runs when the IPC charge ends: read the data, as read does.
+func (g *GetOp) ipcDone() {
+	h := g.h
+	if h.isLocal() {
+		h.c.dev.Env().After(h.c.dev.Params().CopyTime(len(g.buf)), g.copyFn)
+		return
+	}
+	h.c.dev.Issue(g.readCQ, verbs.WR{Op: verbs.OpRead, Target: h.seg.mr.Addr(), Off: hdrSize, Dst: g.buf})
+}
+
+func (g *GetOp) copied() {
+	copy(g.buf, g.h.seg.mr.Bytes()[hdrSize:hdrSize+len(g.buf)])
+	g.finish(nil)
+}
+
+// finish ends the chain; done is its tail call.
+func (g *GetOp) finish(err error) {
+	done := g.done
+	g.h, g.buf, g.done = nil, nil, nil
+	done(err)
 }
 
 // GetDelta reads the retained version v of a Delta segment; it fails if

@@ -170,7 +170,7 @@ func TestSimSessionHandOffBudget(t *testing.T) {
 const (
 	budgetWindowRequests = 42010
 	budgetWindowEvents   = 211169 // 5.03 per request
-	budgetWindowResumes  = 65395  // 1.56 per request; 149135 (3.55) with a handler process per connection
+	budgetWindowResumes  = 58737  // 1.40 per request: the get's IPC sleep and read ride one ddss chain (65395, 1.56, with a park per step; 149135, 3.55, with a handler process per connection)
 	budgetProcsSpawned   = 305    // 322 with an accept loop and 16 handlers
 )
 

@@ -929,6 +929,46 @@ func TestContinueMisusePanics(t *testing.T) {
 	}
 }
 
+// TestAwaitContinuesOrReturnsInline: a chain that ends inside the call
+// that started it leaves Wait nothing to do — no park, no resume, no
+// Continue from the process — and one that ends in a callback hands the
+// waiter back inside that callback's event, ahead of the events queued
+// behind it for the same instant. One Await serves both, in any order.
+func TestAwaitContinuesOrReturnsInline(t *testing.T) {
+	e := NewEnv(1)
+	var a Await
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	e.Go("waiter", func(p *Proc) {
+		for round := 0; round < 2; round++ {
+			before := e.Stats()
+			a.Done() // the chain ended inline
+			a.Wait(p, "inline chain")
+			if st := e.Stats(); st != before || p.Now() != Time(round)*Time(time.Microsecond) {
+				t.Errorf("round %d: an inline chain cost %+v → %+v, at %v", round, before, st, p.Now())
+			}
+			e.After(time.Microsecond, log("queued ahead"))
+			e.After(time.Microsecond, a.Done)
+			e.After(time.Microsecond, log("queued behind"))
+			before = e.Stats()
+			a.Wait(p, "deferred chain")
+			order = append(order, fmt.Sprintf("handed back at %v", p.Now()))
+			// The chain's event and those ahead of it (in round 1 also the
+			// previous round's "queued behind"); one resume.
+			if st := e.Stats(); st.EventsProcessed-before.EventsProcessed != uint64(2+round) || st.Resumes-before.Resumes != 1 {
+				t.Errorf("round %d: a deferred chain cost %+v → %+v, want %d events and 1 resume", round, before, st, 2+round)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[queued ahead handed back at 1µs queued behind queued ahead handed back at 2µs queued behind]"
+	if fmt.Sprint(order) != want {
+		t.Fatalf("order = %q, want %s", order, want)
+	}
+}
+
 // TestShutdownAfterContinue: a handed-back process that parked again is
 // an ordinary parked process to Shutdown.
 func TestShutdownAfterContinue(t *testing.T) {
