@@ -1,5 +1,7 @@
 package lru
 
+import "fmt"
+
 // Ring is the dense-slot companion of Cache: a fixed population of slot
 // indices 0..n-1 with a free-slot stack and the recency order of the live
 // claims, so a full population reclaims its least recently claimed or
@@ -22,6 +24,7 @@ type Ring struct {
 	head int      // ring read position
 	n    int      // ring records (live + tombstones)
 	live int      // claims outstanding
+	seen []int8   // Audit's per-slot tally
 }
 
 // NewRing builds a ring over slots 0..slots-1, all free. A non-positive
@@ -47,9 +50,44 @@ func (r *Ring) Free() int { return len(r.free) }
 // Live returns the outstanding claims (reclaimable residents).
 func (r *Ring) Live() int { return r.live }
 
-// Queued returns the FIFO records currently held, tombstones included;
-// it never exceeds twice the slot count (minimum four).
-func (r *Ring) Queued() int { return r.n }
+// Audit checks the ring's invariants and names the first one broken:
+// every slot is either free or holds exactly one current-generation
+// record in the FIFO, never both and never neither; Live()+Free() ==
+// Slots(); and the FIFO holds no more records, tombstones included, than
+// its capacity of twice the slot count (minimum four). It reads the
+// bookkeeping only, O(slots + records), and allocates only on its first
+// call.
+func (r *Ring) Audit() error {
+	if r.live+len(r.free) != len(r.gen) {
+		return fmt.Errorf("lru: ring audit: %d live + %d free claims over %d slots", r.live, len(r.free), len(r.gen))
+	}
+	if r.n > len(r.ring) {
+		return fmt.Errorf("lru: ring audit: %d records in a ring of %d", r.n, len(r.ring))
+	}
+	if r.seen == nil {
+		r.seen = make([]int8, len(r.gen))
+	}
+	for s := range r.seen {
+		r.seen[s] = 0
+	}
+	for _, s := range r.free {
+		r.seen[s]++
+	}
+	for i := 0; i < r.n; i++ {
+		rec := r.ring[(r.head+i)%len(r.ring)]
+		if s := int32(uint32(rec)); uint32(rec>>32) == r.gen[s] {
+			r.seen[s]++
+		}
+	}
+	// With every slot seen exactly once, the current records number
+	// Slots()-Free() == Live().
+	for s, k := range r.seen {
+		if k != 1 {
+			return fmt.Errorf("lru: ring audit: slot %d is free or has a current record %d times, want exactly once", s, k)
+		}
+	}
+	return nil
+}
 
 // Claim takes a free slot — the one most recently released, else the
 // lowest never claimed — and queues it as the newest resident. ok is

@@ -25,8 +25,8 @@ func TestRingTouchChurnStaysBoundedAndOrdered(t *testing.T) {
 		for s := int32(1); s < slots; s++ {
 			r.Touch(s)
 		}
-		if r.Queued() > 2*slots || r.Live() != slots {
-			t.Fatalf("queued=%d live=%d, want <= %d and %d", r.Queued(), r.Live(), 2*slots, slots)
+		if err := r.Audit(); err != nil || r.Live() != slots {
+			t.Fatalf("live=%d, want %d: %v", r.Live(), slots, err)
 		}
 	})
 	if avg > 0 {
@@ -93,7 +93,7 @@ func TestRingEmpty(t *testing.T) {
 		t.Fatal("reclaim on an empty ring succeeded")
 	}
 	r.Touch(0)
-	if r.Slots() != 0 || r.Free() != 0 || r.Live() != 0 || r.Queued() != 0 {
-		t.Fatalf("empty ring reports slots=%d free=%d live=%d queued=%d", r.Slots(), r.Free(), r.Live(), r.Queued())
+	if err := r.Audit(); err != nil || r.Slots() != 0 || r.Free() != 0 || r.Live() != 0 {
+		t.Fatalf("empty ring reports slots=%d free=%d live=%d: %v", r.Slots(), r.Free(), r.Live(), err)
 	}
 }
