@@ -109,6 +109,8 @@ type Directory struct {
 	migrations  int64
 	splits      int64
 	tickSkips   int64 // control-plane ops degraded by unreachable hosts
+	// opFree recycles the records of blocking Publish/Clear/Redirect calls.
+	opFree []*dirOp
 }
 
 // NewDirectory registers one directory shard on each home node, sized
@@ -241,26 +243,10 @@ func (d *Directory) retryLookup(e Entry, ep uint32, attempt int) bool {
 // migration is undone — the word landed at a quarantined position — and
 // reported as a loss.
 func (d *Directory) Publish(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (won bool, err error) {
-	ep := d.epoch
-	h, off := d.locate(doc)
-	d.note(h, doc)
-	old, err := dev.CompareSwap(p, d.shards[h], off, 0, uint64(e))
-	if err != nil {
-		return false, err
-	}
-	if old != 0 {
-		return false, nil
-	}
-	if d.epoch != ep {
-		if nh, noff := d.locate(doc); nh != h || noff != off {
-			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0); cerr != nil && faultOf(cerr) == faultNone {
-				return false, cerr
-			}
-			return false, nil
-		}
-	}
-	return true, d.mutateReplicas(p, dev, doc, uint64(e), 0, true)
+	op := d.await(p, dirPublish, dev, doc, 0, e)
+	won, err = op.won, op.err
+	d.putOp(op)
+	return won, err
 }
 
 // Clear removes doc's entry if the word still equals e (CAS e → 0) —
@@ -269,27 +255,10 @@ func (d *Directory) Publish(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (w
 // raced a bucket migration retries once at the new home (the word may
 // have been drained there before our CAS landed).
 func (d *Directory) Clear(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (cleared bool, err error) {
-	ep := d.epoch
-	h, off := d.locate(doc)
-	d.note(h, doc)
-	old, err := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0)
-	if err != nil {
-		return false, err
-	}
-	cleared = Entry(old) == e
-	if !cleared && d.epoch != ep {
-		if nh, noff := d.locate(doc); nh != h || noff != off {
-			d.note(nh, doc)
-			old2, err2 := dev.CompareSwap(p, d.shards[nh], noff, uint64(e), 0)
-			if err2 != nil {
-				return false, err2
-			}
-			cleared = Entry(old2) == e
-		}
-	}
-	// Replica copies of e go regardless of who cleared the primary: a
-	// lingering replica word would keep serving a dead placement.
-	return cleared, d.mutateReplicas(p, dev, doc, uint64(e), 0, false)
+	op := d.await(p, dirClear, dev, doc, e, 0)
+	cleared, err = op.won, op.err
+	d.putOp(op)
+	return cleared, err
 }
 
 // Redirect swings doc's word from the exact observed entry old to new
@@ -300,68 +269,190 @@ func (d *Directory) Clear(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (cle
 // observed: a caller whose redirect lost against prev == new knows a
 // concurrent refresher published the identical placement.
 func (d *Directory) Redirect(p *sim.Proc, dev *verbs.Device, doc int, old, new Entry) (won bool, prev Entry, err error) {
-	ep := d.epoch
-	h, off := d.locate(doc)
-	d.note(h, doc)
-	o, err := dev.CompareSwap(p, d.shards[h], off, uint64(old), uint64(new))
-	if err != nil {
-		return false, 0, err
-	}
-	won = Entry(o) == old
-	if !won && d.epoch != ep {
-		if nh, noff := d.locate(doc); nh != h || noff != off {
-			d.note(nh, doc)
-			o2, err2 := dev.CompareSwap(p, d.shards[nh], noff, uint64(old), uint64(new))
-			if err2 != nil {
-				return false, 0, err2
-			}
-			won, o = Entry(o2) == old, o2
-			h, off = nh, noff
-		}
-	}
-	if won {
-		if nh, noff := d.locate(doc); nh != h || noff != off {
-			// Moved after our CAS: the new word sits at a quarantined
-			// position no lookup will visit. Undo and report a loss.
-			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(new), 0); cerr != nil && faultOf(cerr) == faultNone {
-				return false, 0, cerr
-			}
-			return false, Entry(o), nil
-		}
-		return true, Entry(o), d.mutateReplicas(p, dev, doc, uint64(old), uint64(new), false)
-	}
-	// Lost: scrub replicas still carrying the observed-stale old word
-	// rather than swinging them to a placement the caller will undo.
-	return false, Entry(o), d.mutateReplicas(p, dev, doc, uint64(old), 0, false)
+	op := d.await(p, dirRedirect, dev, doc, old, new)
+	won, prev, err = op.won, op.prev, op.err
+	d.putOp(op)
+	return won, prev, err
 }
 
-// mutateReplicas CASes from→to on every replica copy of doc's word,
-// best-effort: an unreachable replica host is skipped (its stale word
-// self-heals through slab validation on the reader side). publish
-// selects the install flavor, CAS 0→from (the publish path passes its
-// entry as from and installs it against an empty replica word).
-func (d *Directory) mutateReplicas(p *sim.Proc, dev *verbs.Device, doc int, from, to uint64, publish bool) error {
-	b := doc % d.buckets
-	n := int(d.repCount[b])
-	if n == 0 {
-		return nil
+// await runs one mutation on a pooled record with p parked once; the
+// caller reads the result and returns the record.
+func (d *Directory) await(p *sim.Proc, kind dirKind, dev *verbs.Device, doc int, old, new Entry) *dirOp {
+	var op *dirOp
+	if n := len(d.opFree); n > 0 {
+		op = d.opFree[n-1]
+		d.opFree = d.opFree[:n-1]
+	} else {
+		op = &dirOp{}
+		op.waitFn = op.await.Done
 	}
-	w := doc / d.buckets
-	cmp, swp := from, to
-	if publish {
-		cmp, swp = 0, from
+	d.mutate(op, kind, dev, doc, old, new, op.waitFn)
+	op.await.Wait(p, parkDirectory)
+	return op
+}
+
+func (d *Directory) putOp(op *dirOp) { d.opFree = append(d.opFree, op) }
+
+const parkDirectory = "directory cas"
+
+// dirKind is which directory mutation a dirOp runs.
+type dirKind uint8
+
+const (
+	dirPublish  dirKind = iota // CAS 0 → new
+	dirClear                   // CAS old → 0
+	dirRedirect                // CAS old → new
+)
+
+// dirStep is the CAS a dirOp is waiting on.
+type dirStep uint8
+
+const (
+	stepPrimary dirStep = iota // at the word's home when the op began
+	stepRetry                  // a loss that raced a migration, at the new home
+	stepUndo                   // a win that landed at a quarantined position
+	stepReplica                // replica ri of the word's bucket
+)
+
+// dirOp is one directory mutation — Publish, Clear or Redirect — run as
+// an event chain: every CAS is issued into the record's handler CQ and
+// the next step runs at its completion, at the instant, and with the
+// event sequence number, at which the blocking CAS call it replaces
+// returned. The word is CASed from old to new (Publish: 0 → e; Clear:
+// e → 0). At the end then runs, a tail call, and the result is in won
+// (Clear: cleared), prev and err, as the blocking methods return them.
+// The cache tier's chains embed one each; the blocking methods take one
+// from the directory's free list.
+type dirOp struct {
+	d        *Directory
+	dev      *verbs.Device
+	kind     dirKind
+	step     dirStep
+	doc      int
+	old, new Entry
+	ep       uint32 // epoch the op began under
+	h, off   int    // the word CASed last (primary or retry)
+	// The replica walk: CAS rcmp → rswp on replicas 0..rn-1.
+	rcmp, rswp uint64
+	ri, rn     int
+
+	won  bool
+	prev Entry
+	err  error
+	then func()
+	cq   *verbs.CQ
+
+	// The blocking methods' wait.
+	await  sim.Await
+	waitFn func()
+}
+
+// mutate starts kind on op: the primary CAS, issued now.
+func (d *Directory) mutate(op *dirOp, kind dirKind, dev *verbs.Device, doc int, old, new Entry, then func()) {
+	if op.cq == nil {
+		op.cq = verbs.HandlerCQ(op.casDone)
 	}
-	for i := 0; i < n; i++ {
-		ri := b*maxReplicas + i
-		h := int(d.repHost[ri])
-		off := (int(d.repPos[ri])*d.bucketWords + w) * 8
-		d.note(h, doc)
-		if _, err := dev.CompareSwap(p, d.shards[h], off, cmp, swp); err != nil && faultOf(err) == faultNone {
-			return err
+	op.d, op.dev, op.kind, op.doc, op.old, op.new, op.then = d, dev, kind, doc, old, new, then
+	op.won, op.prev, op.err = false, 0, nil
+	op.ep = d.epoch
+	op.h, op.off = d.locate(doc)
+	d.note(op.h, doc)
+	op.cas(stepPrimary, op.h, op.off, uint64(old), uint64(new))
+}
+
+func (op *dirOp) cas(step dirStep, h, off int, cmp, swp uint64) {
+	op.step = step
+	op.dev.Issue(op.cq, verbs.WR{Op: verbs.OpCAS, Target: op.d.shards[h], Off: off, Compare: cmp, Swap: swp})
+}
+
+// casDone runs at each CAS's completion instant (inside the issuing step
+// if the CAS failed validation).
+func (op *dirOp) casDone(c verbs.Completion) {
+	d := op.d
+	switch op.step {
+	case stepPrimary, stepRetry:
+		if c.Err != nil {
+			op.finish(false, 0, c.Err)
+			return
+		}
+		op.prev = Entry(c.Old)
+		op.won = op.prev == op.old
+		if !op.won && op.step == stepPrimary && op.kind != dirPublish && d.epoch != op.ep {
+			if nh, noff := d.locate(op.doc); nh != op.h || noff != op.off {
+				d.note(nh, op.doc)
+				op.h, op.off = nh, noff
+				op.cas(stepRetry, nh, noff, uint64(op.old), uint64(op.new))
+				return
+			}
+		}
+		op.settle()
+	case stepUndo:
+		if c.Err != nil && faultOf(c.Err) == faultNone {
+			op.finish(false, 0, c.Err)
+			return
+		}
+		op.finish(false, op.prev, nil)
+	case stepReplica:
+		if c.Err != nil && faultOf(c.Err) == faultNone {
+			op.finish(op.won, op.prev, c.Err)
+			return
+		}
+		op.ri++
+		op.nextReplica()
+	}
+}
+
+// settle runs once the word's CAS has landed. A won Publish or Redirect
+// whose bucket moved after the CAS left the new word at a quarantined
+// position no lookup will visit: undo it and report a loss. A lost
+// Publish is done. Otherwise the bucket's replicas follow, best-effort:
+// the new word where the primary now holds it; after a lost Redirect,
+// the observed-stale old word is scrubbed rather than swung to a
+// placement the caller will undo; a Clear's replica copies of e go
+// regardless of who cleared the primary, since a lingering replica word
+// would keep serving a dead placement.
+func (op *dirOp) settle() {
+	d := op.d
+	if op.won && op.kind != dirClear {
+		if nh, noff := d.locate(op.doc); nh != op.h || noff != op.off {
+			d.note(op.h, op.doc)
+			op.cas(stepUndo, op.h, op.off, uint64(op.new), 0)
+			return
 		}
 	}
-	return nil
+	if !op.won && op.kind == dirPublish {
+		op.finish(false, 0, nil)
+		return
+	}
+	op.rcmp, op.rswp = uint64(op.old), uint64(op.new)
+	if !op.won && op.kind == dirRedirect {
+		op.rswp = 0
+	}
+	op.ri, op.rn = 0, int(d.repCount[op.doc%d.buckets])
+	op.nextReplica()
+}
+
+// nextReplica CASes replica ri of doc's word; an unreachable replica host
+// is skipped (its stale word self-heals through slab validation on the
+// reader side).
+func (op *dirOp) nextReplica() {
+	if op.ri == op.rn {
+		op.finish(op.won, op.prev, nil)
+		return
+	}
+	d := op.d
+	ri := op.doc%d.buckets*maxReplicas + op.ri
+	h := int(d.repHost[ri])
+	d.note(h, op.doc)
+	op.step = stepReplica
+	op.dev.Issue(op.cq, verbs.WR{Op: verbs.OpCAS, Target: d.shards[h],
+		Off: (int(d.repPos[ri])*d.bucketWords + op.doc/d.buckets) * 8, Compare: op.rcmp, Swap: op.rswp})
+}
+
+// finish records the result and makes the chain's tail call.
+func (op *dirOp) finish(won bool, prev Entry, err error) {
+	op.won, op.prev, op.err = won, prev, err
+	op.then()
 }
 
 // RebalanceTick is one control-plane pass of hotspot-aware shard

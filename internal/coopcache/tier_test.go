@@ -74,7 +74,7 @@ func TestTierChurnSteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestTierSpillChurnSteadyStateAllocationFree re-runs the steady-state
-// allocation gate with the demotion workers armed: the spill rings, the
+// allocation gate with the demotion chains armed: the spill rings, the
 // region free stacks and the gen-stamped FIFO absorb all victim-tier
 // churn without allocating.
 func TestTierSpillChurnSteadyStateAllocationFree(t *testing.T) {
@@ -134,6 +134,11 @@ func TestTierAuditCatchesCorruption(t *testing.T) {
 			d := resident(tier, false)
 			tier.main[tier.docNode[d]].Release(tier.docSlot[d])
 		}, "LRU holds"},
+		{"ring slot freed twice", func(tier *Tier) {
+			d := resident(tier, true)
+			tier.spill.Release(int(tier.docNode[d]), tier.docSlot[d])
+			tier.spill.Release(int(tier.docNode[d]), tier.docSlot[d])
+		}, "spill region: lru: ring audit"},
 		{"spill claim without resident", func(tier *Tier) {
 			d := resident(tier, true)
 			n, s := tier.docNode[d], tier.docSlot[d]
@@ -196,12 +201,24 @@ func (c *getCell) get(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) (b
 	return c.tier.Get(p, c.fes[fe], getCPU, doc, buf, scr)
 }
 
-// request is get followed, on a miss, by the install.
+// request is get followed, on a miss, by the install, run as one chain —
+// the shape of an E18 driver's request — that p waits on once.
 func (c *getCell) request(p *sim.Proc, fe, doc int, buf []byte, scr *TierScratch) error {
-	served, err := c.get(p, fe, doc, buf, scr)
-	if err == nil && !served {
-		err = c.tier.Install(p, c.fes[fe], doc, buf)
-	}
+	var a sim.Await
+	var err error
+	dev := c.fes[fe]
+	c.tier.GetAsync(dev, getCPU, doc, buf, scr, func(served bool, gerr error) {
+		if gerr != nil || served {
+			err = gerr
+			a.Done()
+			return
+		}
+		c.tier.InstallAsync(dev, doc, buf, scr, func(ierr error) {
+			err = ierr
+			a.Done()
+		})
+	})
+	a.Wait(p, "request")
 	return err
 }
 
@@ -217,16 +234,19 @@ func (c *getCell) word(doc int) Entry {
 	return e
 }
 
-// TestTierHitCostsOneResume is the hand-off budget of a hit: with one
-// driver and nothing contended, a served Get costs the host one resume of
-// the driver and seven events — the admission burst, three for the
-// directory read, three for the slab read — from a main slot and from a
-// spill slot alike. A regression to a park per step reads 2 resumes per
-// hit here (3 in a cell, where the admission burst's wake is not the next
-// event). The miss path beyond the Get is blocking code and costs what it
-// did: a miss installing into a free slot is 3 resumes and 8 events (the
-// Get's 1 and 4, then the slab write and the publish CAS at 1 and 2
-// each).
+// TestTierHitCostsOneResume is the hand-off budget of a request: a
+// blocking caller parks once per request, whatever the request does, and
+// the demotions it causes park nobody. With one driver and nothing
+// contended, a served Get costs one resume and seven events — the
+// admission burst, three for the directory read, three for the slab read
+// — from a main slot and from a spill slot alike; a regression to a park
+// per step reads 2 resumes per hit here (3 in a cell, where the admission
+// burst's wake is not the next event). A miss installing into a free slot
+// is 1 resume and 8 events (the Get's 4, then the slab write and the
+// publish CAS at 2 each; 3 resumes with a park per op). A miss that
+// evicts with spill on is 1 resume for its caller and 0 for the
+// demotion, whose events run while the caller sleeps (a demotion worker
+// process used to pay its own).
 func TestTierHitCostsOneResume(t *testing.T) {
 	const hits = 100
 	c := newGetCell(t, TierOptions{Spill: true}, nil)
@@ -250,7 +270,7 @@ func TestTierHitCostsOneResume(t *testing.T) {
 				}
 			}
 		}
-		cost("a miss installing into a free slot", 3, 8, func() {
+		cost("a miss installing into a free slot", 1, 8, func() {
 			if err := c.request(p, 0, docHot, buf, &scr); err != nil {
 				t.Error(err)
 			}
@@ -259,12 +279,18 @@ func TestTierHitCostsOneResume(t *testing.T) {
 		if st := tier.Stats(); st.SpillHits != 0 {
 			t.Errorf("main-slot hits counted %d spill hits", st.SpillHits)
 		}
-		// docRival takes docHot's slot; the demotion worker moves docHot
-		// into a neighbor's spill region.
-		if err := c.request(p, 0, docRival, buf, &scr); err != nil {
-			t.Error(err)
-		}
-		p.Sleep(200 * time.Microsecond)
+		// docRival takes docHot's slot; the demotion moves docHot into a
+		// neighbor's spill region.
+		// The request's 8 events and the demotion's 5 — its start, the
+		// spill write's 2, the redirect CAS's 2 — split 12 | 1 between the
+		// request and the sleep after it, whose own wake is the sleep's
+		// resume and second event.
+		cost("an evicting miss", 1, 12, func() {
+			if err := c.request(p, 0, docRival, buf, &scr); err != nil {
+				t.Error(err)
+			}
+		})
+		cost("the demotion it queued, while the caller sleeps", 1, 2, func() { p.Sleep(200 * time.Microsecond) })
 		if n := tier.docNode[docHot]; n < 0 || tier.docSlot[docHot] < tier.mainSlots[n] {
 			t.Errorf("harness: doc %d was not demoted into a spill slot", docHot)
 			return
