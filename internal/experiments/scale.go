@@ -8,9 +8,9 @@ package experiments
 // population of ~10^6 through a sharded RDMA-readable coopcache
 // directory, with misses fetched from rack-aware-placed DDSS segments.
 // A cell's pending-event population follows its driver count, not its
-// node count — 64 events at 8192 nodes, 162 with spill and rebalance on
+// node count — 64 events at 8192 nodes, 98 with spill and rebalance on
 // (TestScaleQueueDepthFollowsDriversNotNodes) — so the big cells load the
-// engine through connection state and hand-offs, not queue depth.
+// engine through connection state and event count, not queue depth.
 //
 // The sweep crosses cluster size with the verbs transport mode to
 // reproduce the RDMAvisor crossover: fully-connected RC-per-pair wins at
@@ -24,10 +24,12 @@ package experiments
 // The cache tier itself — capacity-bounded slabs, LRU eviction with CAS
 // invalidation, cooperative spill, directory rebalancing — is the
 // coopcache.Tier service; this file is the cell around it: config,
-// cluster build, request drivers, sweep and table. A driver is blocking
-// code around two tier calls: Get runs the front-end admission burst and
-// the hit's two one-sided reads as one event chain, parking the driver
-// once per request; a miss then fetches and installs with blocking ops.
+// cluster build, request drivers, sweep and table. A driver is an event
+// chain, not a process: a request is the tier's GetAsync (admission
+// burst, directory read, slab read), then on a miss ddss's GetAsync (the
+// storage fetch) and the tier's InstallAsync, each step at the instant
+// the blocking calls ran it, so no request parks a process. Boot and the
+// rebalance tick are the cell's only processes.
 
 import (
 	"fmt"
@@ -57,7 +59,7 @@ type ScaleConfig struct {
 	Transport verbs.TransportConfig
 	// Clients is the modeled client population (default 1e6).
 	Clients int
-	// Drivers bounds the concurrent generator processes multiplexing the
+	// Drivers bounds the concurrent request generators multiplexing the
 	// client population (default 64, capped at the front-end count).
 	Drivers int
 	// Requests is the total request count across all drivers (default
@@ -179,8 +181,9 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	// assembled here.
 	open := runtime.ServiceOptions{Faults: cfg.Faults}
 	env := open.NewEnv(cfg.Seed)
-	// Parked daemons (the tier's demotion workers) outlive Run; without
-	// this their goroutines pin the whole cell forever.
+	// A process still parked when Run returns (only after a failure: boot
+	// and the rebalance tick end with the drivers) would pin the whole
+	// cell forever.
 	defer env.Shutdown()
 	nw := verbs.NewNetworkWith(env, open.Fabric(), cfg.Transport)
 	nodes := make([]*cluster.Node, cfg.Nodes)
@@ -219,94 +222,33 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 
 	drivers := min(cfg.Drivers, len(fes))
 	pop := workload.NewPopulation(cfg.Clients, cfg.Docs, cfg.ZipfAlpha, cfg.Seed)
-
-	// Lazy per-(front-end, segment) DDSS handles: Zipf traffic touches a
-	// small fraction of the cross product, so the flat index array stays
-	// mostly nil.
-	handles := make([]*ddss.Handle, len(fes)*numSegs)
-	clients := make([]*ddss.Client, len(fes))
-	fetch := func(p *sim.Proc, fi, doc int, buf []byte) error {
-		si := doc % numSegs
-		hidx := fi*numSegs + si
-		if handles[hidx] == nil {
-			if clients[fi] == nil {
-				clients[fi] = ss.Client(fes[fi].ID)
-			}
-			h, err := clients[fi].Open(segKeys[si])
-			if err != nil {
-				return err
-			}
-			handles[hidx] = h
-		}
-		_, err := handles[hidx].Get(p, buf)
-		return err
+	cell := &scaleCell{
+		env: env, tier: tier, fes: fes, feDevs: feDevs, ss: ss, segKeys: segKeys,
+		handles: make([]*ddss.Handle, len(fes)*numSegs),
+		clients: make([]*ddss.Client, len(fes)),
+		live:    drivers,
 	}
-
-	var hits, misses int64
-	var lat metrics.Sample // per-request virtual latency, µs
-	var firstErr error
 	var start sim.Time
-
-	driver := func(p *sim.Proc, k int) error {
-		st := pop.Stream(k, drivers)
-		nReq := cfg.Requests / drivers
-		if k < cfg.Requests%drivers {
-			nReq++
-		}
-		feLo := k * len(fes) / drivers
-		feN := (k+1)*len(fes)/drivers - feLo
-		var scr coopcache.TierScratch
-		buf := make([]byte, coopcache.TierDocBytes)
-		for i := 0; i < nReq; i++ {
-			rq := st.Next()
-			fi := feLo + rq.Client%feN
-			t0 := env.Now()
-			served, err := tier.Get(p, feDevs[fi], frontCPU, rq.Doc, buf, &scr)
-			if err != nil {
-				return err
-			}
-			if served {
-				hits++
-			} else {
-				// Miss (or degraded hit): fetch from the document's
-				// DDSS segment on the storage tier, then install the
-				// copy — evicting and invalidating as capacity demands.
-				if err := fetch(p, fi, rq.Doc, buf); err != nil {
-					return err
-				}
-				if err := tier.Install(p, feDevs[fi], rq.Doc, buf); err != nil {
-					return err
-				}
-				misses++
-			}
-			lat.AddDuration(time.Duration(env.Now() - t0))
-		}
-		return nil
-	}
-
 	env.Go("boot", func(p *sim.Proc) {
 		boot := ss.Client(fes[0].ID)
 		for _, key := range segKeys {
 			if _, err := boot.Allocate(p, key, coopcache.TierDocBytes, ddss.Null, ddss.NodeAuto); err != nil {
-				firstErr = err
+				cell.firstErr = err
 				tier.Stop()
 				return
 			}
 		}
 		start = env.Now()
-		// Run ends only when the event queue drains, so the tier's
-		// periodic daemon must be stopped when the last driver finishes.
-		liveDrivers := drivers
 		for k := 0; k < drivers; k++ {
-			kk := k
-			env.Go(fmt.Sprintf("driver-%d", kk), func(p *sim.Proc) {
-				if err := driver(p, kk); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if liveDrivers--; liveDrivers == 0 {
-					tier.Stop()
-				}
-			})
+			d := &scaleDriver{c: cell, st: pop.Stream(k, drivers), left: cfg.Requests / drivers,
+				buf: make([]byte, coopcache.TierDocBytes)}
+			if k < cfg.Requests%drivers {
+				d.left++
+			}
+			d.feLo = k * len(fes) / drivers
+			d.feN = (k+1)*len(fes)/drivers - d.feLo
+			d.nextFn, d.gotFn, d.fetchedFn, d.installedFn = d.next, d.got, d.fetched, d.installed
+			env.After(0, d.nextFn)
 		}
 	})
 
@@ -314,11 +256,14 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	if err := env.Run(); err != nil {
 		return res, ts, es, err
 	}
-	if firstErr == nil {
-		firstErr = tier.Audit()
+	if cell.firstErr == nil && cell.live > 0 {
+		cell.firstErr = fmt.Errorf("scale: %d of %d drivers never finished", cell.live, drivers)
 	}
-	if firstErr != nil {
-		return res, ts, es, firstErr
+	if cell.firstErr == nil {
+		cell.firstErr = tier.Audit()
+	}
+	if cell.firstErr != nil {
+		return res, ts, es, cell.firstErr
 	}
 
 	elapsed := time.Duration(env.Now() - start)
@@ -326,10 +271,10 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	res = ScaleResult{
 		Nodes: cfg.Nodes, FrontEnds: len(fes), CacheNodes: len(caches), StoreNodes: len(stores),
 		Transport: nw.Transport().Mode.String(),
-		Requests:  hits + misses, Hits: hits, Misses: misses,
+		Requests:  cell.hits + cell.misses, Hits: cell.hits, Misses: cell.misses,
 		Elapsed:   elapsed,
-		P50:       time.Duration(lat.Percentile(50) * float64(time.Microsecond)),
-		P99:       time.Duration(lat.Percentile(99) * float64(time.Microsecond)),
+		P50:       time.Duration(cell.lat.Percentile(50) * float64(time.Microsecond)),
+		P99:       time.Duration(cell.lat.Percentile(99) * float64(time.Microsecond)),
 		CacheFrac: ts.CacheFrac, ZipfAlpha: cfg.ZipfAlpha, CacheSlots: ts.Slots,
 		CacheEvictions: ts.Evictions, Invalidations: ts.Invalidations, StaleReads: ts.StaleReads,
 		DeadFallbacks: ts.DeadFallbacks, Rollbacks: ts.Rollbacks,
@@ -348,6 +293,134 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	res.ConnBytesAvg, res.ConnBytesMax = nw.ConnBytesPerNode()
 	res.Establishes, res.Evictions, res.UDOps, res.CacheMisses = nw.ConnTotals()
 	return res, ts, es, nil
+}
+
+// scaleCell is what a cell's request drivers share.
+type scaleCell struct {
+	env     *sim.Env
+	tier    *coopcache.Tier
+	fes     []*cluster.Node
+	feDevs  []*verbs.Device
+	ss      *ddss.Substrate
+	segKeys []string
+	// Lazy per-(front-end, segment) DDSS handles: Zipf traffic touches a
+	// small fraction of the cross product, so the flat index array stays
+	// mostly nil.
+	handles []*ddss.Handle
+	clients []*ddss.Client
+
+	hits, misses int64
+	lat          metrics.Sample // per-request virtual latency, µs
+	firstErr     error
+	live         int // drivers still issuing requests
+}
+
+// handle returns front-end fi's handle on doc's DDSS segment, opening it
+// on first use.
+func (c *scaleCell) handle(fi, doc int) (*ddss.Handle, error) {
+	si := doc % len(c.segKeys)
+	hidx := fi*len(c.segKeys) + si
+	if c.handles[hidx] == nil {
+		if c.clients[fi] == nil {
+			c.clients[fi] = c.ss.Client(c.fes[fi].ID)
+		}
+		h, err := c.clients[fi].Open(c.segKeys[si])
+		if err != nil {
+			return nil, err
+		}
+		c.handles[hidx] = h
+	}
+	return c.handles[hidx], nil
+}
+
+// scaleDriver is one closed-loop request generator, run as an event
+// chain: a request is the tier's Get chain, then on a miss the DDSS fetch
+// chain and the tier's Install chain, and the next request starts in the
+// step that ended the last one — each step at the instant, and with the
+// event sequence number, at which a driver process looping over the
+// blocking calls ran it. Every step is a tail call.
+type scaleDriver struct {
+	c         *scaleCell
+	st        *workload.Stream
+	left      int // requests still to issue
+	feLo, feN int // the front-ends this driver's clients arrive at
+	fi, doc   int // the request in flight
+	t0        sim.Time
+	buf       []byte
+	scr       coopcache.TierScratch
+	fetch     ddss.GetOp
+
+	nextFn                 func()
+	gotFn                  func(served bool, err error)
+	fetchedFn, installedFn func(error)
+}
+
+// next starts the driver's next request, or stops the driver.
+func (d *scaleDriver) next() {
+	if d.left == 0 {
+		d.stop(nil)
+		return
+	}
+	d.left--
+	c := d.c
+	rq := d.st.Next()
+	d.fi, d.doc, d.t0 = d.feLo+rq.Client%d.feN, rq.Doc, c.env.Now()
+	c.tier.GetAsync(c.feDevs[d.fi], frontCPU, rq.Doc, d.buf, &d.scr, d.gotFn)
+}
+
+func (d *scaleDriver) got(served bool, err error) {
+	switch {
+	case err != nil:
+		d.stop(err)
+	case served:
+		d.c.hits++
+		d.done()
+	default:
+		// Miss (or degraded hit): fetch from the document's DDSS segment
+		// on the storage tier, then install the copy — evicting and
+		// invalidating as capacity demands.
+		h, err := d.c.handle(d.fi, d.doc)
+		if err != nil {
+			d.stop(err)
+			return
+		}
+		h.GetAsync(d.buf, &d.fetch, d.fetchedFn)
+	}
+}
+
+func (d *scaleDriver) fetched(err error) {
+	if err != nil {
+		d.stop(err)
+		return
+	}
+	d.c.tier.InstallAsync(d.c.feDevs[d.fi], d.doc, d.buf, &d.scr, d.installedFn)
+}
+
+func (d *scaleDriver) installed(err error) {
+	if err != nil {
+		d.stop(err)
+		return
+	}
+	d.c.misses++
+	d.done()
+}
+
+// done records the finished request's latency and starts the next one.
+func (d *scaleDriver) done() {
+	d.c.lat.AddDuration(time.Duration(d.c.env.Now() - d.t0))
+	d.next()
+}
+
+// stop ends the driver. Run ends only when the event queue drains, so the
+// last driver to stop ends the tier's rebalance tick.
+func (d *scaleDriver) stop(err error) {
+	c := d.c
+	if err != nil && c.firstErr == nil {
+		c.firstErr = err
+	}
+	if c.live--; c.live == 0 {
+		c.tier.Stop()
+	}
 }
 
 // DCScale regenerates E18: the cluster-size × transport-mode sweep,
