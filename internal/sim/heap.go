@@ -10,7 +10,7 @@ package sim
 //
 // It is the whole queue, not one tier of one: a cluster cell's pending
 // population follows its driver count, not its node count, and the
-// deepest queue any workload builds is 162 events (DESIGN.md, "Engine
+// deepest queue any workload builds is 98 events (DESIGN.md, "Engine
 // internals", has the per-workload depths and the criterion for
 // bringing a tiered queue back).
 //
