@@ -241,7 +241,7 @@ func checkQueueDepth(t *testing.T, what string, depth int) {
 	t.Helper()
 	if depth > maxQueueDepth {
 		t.Errorf("%s: the event queue reached %d pending events, bound %d. The engine's queue is a plain 4-ary heap "+
-			"because no workload has gone deeper than 162; DESIGN.md \"Engine internals\" has the criterion for bringing a "+
+			"because no workload has gone deeper than 98; DESIGN.md \"Engine internals\" has the criterion for bringing a "+
 			"bucket tier back (a workload whose measured depth reaches 10^4) and the deep-queue numbers to re-measure "+
 			"before this bound is raised", what, depth, maxQueueDepth)
 	}

@@ -70,7 +70,7 @@ func BenchmarkChanPingPong(b *testing.B) {
 // times are spread pseudo-uniformly over a window of `pending`
 // microseconds, so the event queue holds ~`pending` events at every
 // instant of the run. No workload is within two orders of magnitude of
-// this regime (the deepest queue measured is 162 events; an 8192-node
+// this regime (the deepest queue measured is 98 events; an 8192-node
 // E18 cell holds 64): the synthetic drive exists so that DESIGN.md's
 // criterion for a tiered queue — a workload that does get here — has
 // numbers to be judged against. The benchmark reports an exact events/s
@@ -113,6 +113,39 @@ func benchmarkEngineDeep(b *testing.B, pending int) {
 func BenchmarkEngineDeepQueue10k(b *testing.B)  { benchmarkEngineDeep(b, 10_000) }
 func BenchmarkEngineDeepQueue100k(b *testing.B) { benchmarkEngineDeep(b, 100_000) }
 func BenchmarkEngineDeepQueue1M(b *testing.B)   { benchmarkEngineDeep(b, 1_000_000) }
+
+// BenchmarkEngineDriverQueue measures the regime every workload runs:
+// 64 closed-loop timer chains (an E18 cell's driver count), each
+// re-arming after a delay drawn from a handful of constants, so the queue
+// stays 64 events deep and which sibling is smallest changes from pop to
+// pop. BenchmarkTimerCallback's one chain and the deep drives' 10^4–10^6
+// pending events both miss it: the first is perfectly predicted, the
+// second is bound by cache misses, not by compares.
+func BenchmarkEngineDriverQueue(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv(1)
+	delays := [...]time.Duration{0, 8, 300, 1000, 1700, 2500, 3100, 12_000}
+	rng := uint64(0x9E3779B97F4A7C15)
+	scheduled := 0
+	var tick func()
+	tick = func() {
+		if scheduled < b.N {
+			scheduled++
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			env.After(delays[rng%uint64(len(delays))], tick)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		scheduled++
+		env.After(delays[i%len(delays)], tick)
+	}
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // BenchmarkResourceContended measures a unit-capacity resource bouncing
 // between two hold chains: every hold after the first queues, so each

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // eventHeap is the engine's pending-event queue: a hand-specialized
 // 4-ary min-heap of event values ordered by (at, seq). Compared with
 // container/heap over a slice of *event it removes the interface boxing
@@ -13,6 +15,19 @@ package sim
 // deepest queue any workload builds is 98 events (DESIGN.md, "Engine
 // internals", has the per-workload depths and the criterion for
 // bringing a tiered queue back).
+//
+// At those depths a pop costs compares, not cache misses, and the
+// compares that matter are the ones between siblings: which of four
+// events is smallest changes from pop to pop, so a branch on it is
+// mispredicted about every other time. A node with all four children
+// therefore picks the smallest by a tournament — (c0 vs c1), (c2 vs c3),
+// winner vs winner — in which each compare is a borrow (0 or 1) that is
+// added to an index, never branched on. A node with fewer children keeps
+// the loop. The compare against the event being sifted, and push's
+// sift-up, stay branches: a re-armed event almost always lands near the
+// bottom, so both go the same way nearly every time and cost nothing
+// when predicted. Both forms pick the same child, so the arrays, and
+// every pop, are those of the plain loop.
 //
 // The engine never cancels a queued event (stale process wakeups are
 // skipped at pop time), so no per-event index bookkeeping is needed.
@@ -32,6 +47,19 @@ func (a *event) before(b *event) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// less is before as a number, 1 or 0, for the tournament, which adds it
+// to an index instead of branching on it. (at, seq) is read as one
+// unsigned 128-bit number with at as the high word — virtual time is
+// never negative, so the conversion keeps its order — and a is below b
+// exactly when a − b borrows out of the high word. It is the same order
+// spelled twice, because before inlines into push and this form would
+// not; TestEventOrderForms pins the two equal at the edges.
+func less(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
 
 func (h *eventHeap) len() int { return len(h.ev) }
@@ -87,18 +115,25 @@ func (h *eventHeap) siftDownFrom(i int, x event) {
 	n := len(ev)
 	for {
 		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if ev[c].before(&ev[best]) {
-				best = c
+		var best int
+		if first+4 <= n {
+			// The tournament: a is 0 or 1, b is 2 or 3, and the final
+			// borrow, negated into a mask, selects between them. The
+			// masks on the indexes only drop the bounds checks.
+			c := (*[4]event)(ev[first : first+4])
+			a := less(&c[1], &c[0])
+			b := 2 + less(&c[3], &c[2])
+			w := a ^ (a^b)&-less(&c[b&3], &c[a&1])
+			best = first + int(w)
+		} else if first < n {
+			best = first
+			for c := first + 1; c < n; c++ {
+				if ev[c].before(&ev[best]) {
+					best = c
+				}
 			}
+		} else {
+			break
 		}
 		if !ev[best].before(&x) {
 			break

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -144,16 +145,29 @@ func (p *queuePair) drain() {
 	}
 }
 
+// driverDelays are re-arm delays of the shape a workload's closed-loop
+// drivers produce: a handful of constants, 0 and 8 ns among them, so
+// many events share an instant and which sibling is smallest changes
+// from pop to pop.
+var driverDelays = [...]Time{0, 8, 300, 1000, 1700, 2500, 3100, 12_000}
+
+// rearm pops the next event and schedules its successor one driver delay
+// later, the step every E18 driver takes.
+func (p *queuePair) rearm(rng *rand.Rand) {
+	p.pop()
+	p.push(p.now + driverDelays[rng.Intn(len(driverDelays))])
+}
+
 // runDifferential drives one randomized workload shaped by rng against
 // both queues. The mixture covers the regimes the engine produces and
 // some it does not: same-instant bursts (wake storms), short timers near
 // now, spread-out timers (which deepen the queue), far-future spikes
 // (events that sit at the bottom of the heap while thousands pass over
-// them), and bulk drains.
+// them), runs of driver re-arms at constant depth, and bulk drains.
 func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 	p := &queuePair{t: t}
 	for i := 0; i < ops; i++ {
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(11); {
 		case k < 4: // short timer near now
 			p.push(p.now + Time(rng.Intn(64)))
 		case k < 6: // same-instant burst
@@ -170,6 +184,11 @@ func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 				at = maxTime - Time(rng.Intn(1000))
 			}
 			p.push(at)
+		case k == 9: // driver re-arms: pop one, push its successor
+			n := 1 + rng.Intn(64)
+			for j := 0; j < n && p.q.len() > 0; j++ {
+				p.rearm(rng)
+			}
 		default: // pop a run
 			n := 1 + rng.Intn(16)
 			for j := 0; j < n && p.q.len() > 0; j++ {
@@ -214,6 +233,57 @@ func TestEventQueueDifferentialDeep(t *testing.T) {
 		}
 	}
 	p.drain()
+}
+
+// TestEventQueueDifferentialDriverShaped runs the queue at the depth and
+// delay mix the workloads run, where the pop's sibling tournament does
+// all the work: 64 pending events (one per E18 driver), each pop followed
+// by one re-arm at a driver delay. It then drains to each depth from 7
+// down to 1 and re-arms there, so every node shape with fewer than four
+// children is sifted through as well.
+func TestEventQueueDifferentialDriverShaped(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	p := &queuePair{t: t}
+	for i := 0; i < 64; i++ {
+		p.push(driverDelays[i%len(driverDelays)])
+	}
+	for i := 0; i < 200_000; i++ {
+		p.rearm(rng)
+	}
+	for depth := 7; depth >= 1; depth-- {
+		for p.q.len() > depth {
+			p.pop()
+		}
+		for i := 0; i < 2_000; i++ {
+			p.rearm(rng)
+		}
+	}
+	p.drain()
+}
+
+// TestEventOrderForms pins the tournament's arithmetic order, less, to
+// the heap order, before, where the two spellings could part: equal
+// instants, the ends of virtual time, adjacent and extreme sequence
+// numbers.
+func TestEventOrderForms(t *testing.T) {
+	cases := []struct{ a, b event }{
+		{event{at: 5, seq: 1}, event{at: 5, seq: 2}},
+		{event{at: 5, seq: 7}, event{at: 5, seq: 7}},
+		{event{at: 0, seq: 9}, event{at: maxTime, seq: 1}},
+		{event{at: 0, seq: 0}, event{at: 0, seq: 1}},
+		{event{at: maxTime, seq: 41}, event{at: maxTime, seq: 42}},
+		{event{at: 1, seq: math.MaxUint64}, event{at: 2, seq: 0}},
+		{event{at: 3, seq: 0}, event{at: 3, seq: math.MaxUint64}},
+		{event{at: maxTime - 1, seq: math.MaxUint64}, event{at: maxTime, seq: 0}},
+	}
+	for _, c := range cases {
+		for _, pair := range [][2]*event{{&c.a, &c.b}, {&c.b, &c.a}} {
+			x, y := pair[0], pair[1]
+			if got, want := less(x, y) == 1, x.before(y); got != want {
+				t.Errorf("(%d,%d) vs (%d,%d): less says %v, before says %v", x.at, x.seq, y.at, y.seq, got, want)
+			}
+		}
+	}
 }
 
 // TestEventQueueShrinksAfterBurst checks the post-burst storage policy:

@@ -14,10 +14,7 @@ package workload
 // over the same working set, so a sweep running many 10^6-client cells
 // costs one CDF, not one per cell (let alone one per driver).
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Population describes a client base issuing Zipf-distributed document
 // requests.
@@ -31,7 +28,7 @@ type Population struct {
 	// Seed roots every stream's PRNG.
 	Seed int64
 
-	cdf []float64
+	tab *zipfTable
 }
 
 // NewPopulation builds a population and its shared popularity CDF.
@@ -39,7 +36,7 @@ func NewPopulation(clients, docs int, alpha float64, seed int64) *Population {
 	if clients <= 0 || docs <= 0 {
 		panic("workload: population needs clients > 0 and docs > 0")
 	}
-	return &Population{Clients: clients, Docs: docs, Alpha: alpha, Seed: seed, cdf: zipfCDF(alpha, docs)}
+	return &Population{Clients: clients, Docs: docs, Alpha: alpha, Seed: seed, tab: zipfCDF(alpha, docs)}
 }
 
 // Request is one generated client request.
@@ -54,7 +51,7 @@ type Request struct {
 // concurrent use; each driver owns its own stream.
 type Stream struct {
 	rng      *rand.Rand
-	cdf      []float64
+	tab      *zipfTable
 	clientLo int
 	clientN  int
 }
@@ -74,7 +71,7 @@ func (pp *Population) Stream(shard, nShards int) *Stream {
 	}
 	return &Stream{
 		rng:      rand.New(rand.NewSource(streamSeed(pp.Seed, shard))),
-		cdf:      pp.cdf,
+		tab:      pp.tab,
 		clientLo: lo,
 		clientN:  hi - lo,
 	}
@@ -101,7 +98,7 @@ func (pp *Population) CoverageDocs(frac float64) int {
 	if frac >= 1 {
 		return pp.Docs
 	}
-	return sort.SearchFloat64s(pp.cdf, frac) + 1
+	return pp.tab.search(frac) + 1
 }
 
 // DocShare returns the popularity share of one document rank — the
@@ -113,16 +110,17 @@ func (pp *Population) DocShare(doc int) float64 {
 	if doc < 0 || doc >= pp.Docs {
 		return 0
 	}
+	cdf := pp.tab.cdf
 	if doc == 0 {
-		return pp.cdf[0]
+		return cdf[0]
 	}
-	return pp.cdf[doc] - pp.cdf[doc-1]
+	return cdf[doc] - cdf[doc-1]
 }
 
 // Next generates the shard's next request: a client drawn uniformly from
 // the shard and a document drawn from the shared popularity CDF.
 func (s *Stream) Next() Request {
 	c := s.clientLo + s.rng.Intn(s.clientN)
-	d := sort.SearchFloat64s(s.cdf, s.rng.Float64())
+	d := s.tab.search(s.rng.Float64())
 	return Request{Client: c, Doc: d}
 }

@@ -19,7 +19,7 @@ import (
 // on low ranks (higher temporal locality).
 type Zipf struct {
 	rng *rand.Rand
-	cdf []float64
+	tab *zipfTable
 }
 
 // NewZipf builds a sampler over n items with the given exponent.
@@ -27,21 +27,21 @@ func NewZipf(rng *rand.Rand, alpha float64, n int) *Zipf {
 	if n <= 0 {
 		panic("workload: zipf needs n > 0")
 	}
-	return &Zipf{rng: rng, cdf: zipfCDF(alpha, n)}
+	return &Zipf{rng: rng, tab: zipfCDF(alpha, n)}
 }
 
 // zipfCDF memoizes popularity CDFs by (n, alpha). The CDF is a pure
 // function of those two parameters — the sampler's rng plays no part in
 // building it — and a parameter sweep instantiates many samplers and
 // populations over the same working set (often O(10^6) entries each), so
-// one shared read-only array serves them all. Samplers never write to
-// the CDF, which is what makes sharing across concurrently-running sweep
-// cells sound; the mutex also serializes first computation of a given
-// key, so concurrent cells wait for one build instead of racing to
+// one shared read-only table serves them all. Samplers never write to
+// the table, which is what makes sharing across concurrently-running
+// sweep cells sound; the mutex also serializes first computation of a
+// given key, so concurrent cells wait for one build instead of racing to
 // duplicate it.
 var (
 	zipfCDFMu    sync.Mutex
-	zipfCDFMemo  = map[zipfKey][]float64{}
+	zipfCDFMemo  = map[zipfKey]*zipfTable{}
 	zipfCDFBuilt int // distinct CDFs actually computed (for tests)
 )
 
@@ -50,12 +50,28 @@ type zipfKey struct {
 	alpha float64
 }
 
-func zipfCDF(alpha float64, n int) []float64 {
+// guideSize is the number of equal slices of [0, 1) a zipfTable's guide
+// divides the CDF into. It is a power of two so that u·guideSize and
+// j/guideSize are exact in floating point.
+const guideSize = 1 << 12
+
+// zipfTable is a popularity CDF and its guide: guide[j] is the first
+// rank whose cumulative share reaches j/guideSize. A draw u in
+// [j/guideSize, (j+1)/guideSize) therefore lands in cdf[guide[j]:guide[j+1]]
+// (or on guide[j+1] itself), so search binary-searches a few entries
+// instead of the whole CDF and returns exactly what the full search
+// would: the document stream does not depend on the guide.
+type zipfTable struct {
+	cdf   []float64
+	guide [guideSize + 1]int32
+}
+
+func zipfCDF(alpha float64, n int) *zipfTable {
 	zipfCDFMu.Lock()
 	defer zipfCDFMu.Unlock()
 	k := zipfKey{n: n, alpha: alpha}
-	if cdf, ok := zipfCDFMemo[k]; ok {
-		return cdf
+	if t, ok := zipfCDFMemo[k]; ok {
+		return t
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -66,29 +82,41 @@ func zipfCDF(alpha float64, n int) []float64 {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	zipfCDFMemo[k] = cdf
+	t := &zipfTable{cdf: cdf}
+	for j := range t.guide {
+		t.guide[j] = int32(sort.SearchFloat64s(cdf, float64(j)/guideSize))
+	}
+	zipfCDFMemo[k] = t
 	zipfCDFBuilt++
-	return cdf
+	return t
+}
+
+// search returns the first rank whose cumulative share reaches u, for u
+// in [0, 1): sort.SearchFloat64s(t.cdf, u), run on the guide's slice.
+func (t *zipfTable) search(u float64) int {
+	j := int(u * guideSize)
+	lo, hi := t.guide[j], t.guide[j+1]
+	return int(lo) + sort.SearchFloat64s(t.cdf[lo:hi], u)
 }
 
 // N returns the number of items.
-func (z *Zipf) N() int { return len(z.cdf) }
+func (z *Zipf) N() int { return len(z.tab.cdf) }
 
 // Next samples one rank.
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+	return z.tab.search(z.rng.Float64())
 }
 
 // Prob returns the probability of rank i.
 func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
+	cdf := z.tab.cdf
+	if i < 0 || i >= len(cdf) {
 		return 0
 	}
 	if i == 0 {
-		return z.cdf[0]
+		return cdf[0]
 	}
-	return z.cdf[i] - z.cdf[i-1]
+	return cdf[i] - cdf[i-1]
 }
 
 // RequestClass is one kind of request in a service mix.

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,10 +41,10 @@ func TestZipfCDFMemoized(t *testing.T) {
 	if n := built() - before; n != 1 {
 		t.Errorf("computed %d CDFs for one (docs, alpha) key, want 1", n)
 	}
-	if &p1.cdf[0] != &p2.cdf[0] || &z.cdf[0] != &p1.cdf[0] {
+	if p1.tab != p2.tab || z.tab != p1.tab {
 		t.Error("populations/samplers over the same (docs, alpha) do not share one CDF")
 	}
-	if p3 := NewPopulation(1_000, docs, alpha+0.1, 1); &p3.cdf[0] == &p1.cdf[0] {
+	if p3 := NewPopulation(1_000, docs, alpha+0.1, 1); p3.tab == p1.tab {
 		t.Error("distinct alpha returned the same CDF array")
 	}
 	// The memoized array must hold exactly what direct computation yields.
@@ -54,7 +55,7 @@ func TestZipfCDFMemoized(t *testing.T) {
 		ref[i] = sum
 	}
 	for i := range ref {
-		if got := p1.cdf[i]; got != ref[i]/sum {
+		if got := p1.tab.cdf[i]; got != ref[i]/sum {
 			t.Fatalf("cdf[%d] = %v, want %v", i, got, ref[i]/sum)
 		}
 	}
@@ -66,6 +67,64 @@ func TestZipfCDFMemoized(t *testing.T) {
 		if a, b := s1.Next(), s2.Next(); a != b {
 			t.Fatalf("streams diverged at request %d: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// TestZipfGuideMatchesFullSearch pins the guided draw to the full binary
+// search it replaced, so the document stream cannot depend on the guide.
+// Every CDF shape the catalogue and E18 build is probed at each guide
+// boundary j/guideSize, at each CDF value, at the floating-point
+// neighbours of both, and on 10^6 random draws; a few degenerate shapes
+// (uniform, whose CDF values are themselves guide boundaries, and a
+// one-document set) ride along.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	type shape struct {
+		alpha float64
+		n     int
+	}
+	var shapes []shape
+	for _, alpha := range []float64{0.99, 1.01, 1.2} {
+		for _, n := range []int{1024, 4096, 8192, 16384} {
+			shapes = append(shapes, shape{alpha, n})
+		}
+	}
+	shapes = append(shapes, shape{0, 8}, shape{0, 4096}, shape{0.75, 50}, shape{2, 1})
+	for _, sh := range shapes {
+		tab := zipfCDF(sh.alpha, sh.n)
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return // outside Float64's range
+			}
+			if got, want := tab.search(u), sort.SearchFloat64s(tab.cdf, u); got != want {
+				t.Fatalf("alpha %v, n %d, u %v: guided search %d, full search %d", sh.alpha, sh.n, u, got, want)
+			}
+		}
+		around := func(u float64) {
+			check(math.Nextafter(u, math.Inf(-1)))
+			check(u)
+			check(math.Nextafter(u, math.Inf(1)))
+		}
+		for j := 0; j <= guideSize; j++ {
+			around(float64(j) / guideSize)
+		}
+		for _, c := range tab.cdf {
+			around(c)
+		}
+		rng := rand.New(rand.NewSource(int64(sh.n)))
+		for i := 0; i < 1_000_000; i++ {
+			check(rng.Float64())
+		}
+	}
+}
+
+// TestZipfDrawsAllocateNothing pins the steady state of a cell's request
+// generator: once the shared table exists, drawing from a stream or a
+// sampler allocates nothing.
+func TestZipfDrawsAllocateNothing(t *testing.T) {
+	s := NewPopulation(200_000, 16384, 0.99, 1).Stream(0, 64)
+	z := NewZipf(rand.New(rand.NewSource(1)), 0.99, 16384)
+	if allocs := testing.AllocsPerRun(1000, func() { s.Next(); z.Next() }); allocs != 0 {
+		t.Errorf("a draw allocates %.2f times, want 0", allocs)
 	}
 }
 
