@@ -217,8 +217,8 @@ func (inj *Injector) fire(ev Event) {
 }
 
 // OnCrash registers fn to run (in scheduler context) whenever a node
-// crashes. Layers use it to flush in-flight state: verbs transitions
-// the dead node's QPs to error and zeroes its registered memory.
+// crashes. Layers use it to flush in-flight state: verbs tears down
+// the dead node's connection records and zeroes its registered memory.
 func (inj *Injector) OnCrash(fn func(node int)) {
 	if inj == nil {
 		return

@@ -404,19 +404,16 @@ func (p *Proc) block(why string) {
 }
 
 // Park suspends the process until some other context resumes it with
-// Env.Wake or Env.WakeAfter. It is the building block for event-chain
+// Env.WakeAfter or Env.Continue. It is the building block for event-chain
 // code: a process issues an operation, hands its continuation to timer
 // or grant callbacks, and parks exactly once instead of sleeping through
 // every stage. reason describes the wait in deadlock reports; pass a
 // preformatted string so parking allocates nothing.
 func (p *Proc) Park(reason string) { p.block(reason) }
 
-// Wake resumes a process parked with Park at the current instant (FIFO
-// among same-time events). It is safe to call from timer callbacks.
-func (e *Env) Wake(p *Proc) { e.wake(p) }
-
 // WakeAfter resumes a process parked with Park d of virtual time from
-// now. The wake event is sequenced at the moment WakeAfter is called, so
+// now (d 0: at the current instant, FIFO among same-time events). It is
+// safe to call from timer callbacks. The wake event is sequenced at the moment WakeAfter is called, so
 // calling it from a mid-chain callback preserves the same-instant FIFO
 // order a staged Sleep at that point would have produced.
 func (e *Env) WakeAfter(p *Proc, d time.Duration) {
@@ -433,8 +430,9 @@ func (e *Env) WakeAfter(p *Proc, d time.Duration) {
 // queued for the instant — exactly where a blocking call woken by this
 // event would have continued. No event is scheduled or counted. It is
 // the only way a callback gives a process the CPU without an event, for
-// event chains that end by returning to blocking code; Wake queues p
-// behind the instant's earlier events, which is a different schedule.
+// event chains that end by returning to blocking code; WakeAfter(p, 0)
+// queues p behind the instant's earlier events, which is a different
+// schedule.
 //
 // Only a callback run by the scheduler as an event (a timer, a dispatched
 // grant, or anything they call) may call Continue, at most once: the run

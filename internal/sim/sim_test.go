@@ -736,9 +736,9 @@ func TestResumesCountControlTransfers(t *testing.T) {
 		t.Fatalf("solo sleeper: %+v, want 4 events and the start as the only resume", st)
 	}
 	e.After(time.Microsecond, func() {})
-	e.Wake(solo) // stale: solo has returned
+	e.WakeAfter(solo, 0) // stale: solo has returned
 	e.Go("parker", func(p *Proc) {
-		e.After(time.Microsecond, func() { e.Wake(p) })
+		e.After(time.Microsecond, func() { e.WakeAfter(p, 0) })
 		p.Park("until the callback wakes it") // yields: the callback is next
 	})
 	if err := e.Run(); err != nil {
@@ -820,7 +820,7 @@ func TestStaleWakeAccountingIgnoresTracer(t *testing.T) {
 		}
 		p := e.Go("p", func(p *Proc) { p.Park("first wake") })
 		e.After(time.Microsecond, func() {
-			e.Wake(p)
+			e.WakeAfter(p, 0)
 			e.WakeAfter(p, time.Microsecond) // p has returned by then
 		})
 		if err := e.Run(); err != nil {
@@ -842,7 +842,8 @@ func TestStaleWakeAccountingIgnoresTracer(t *testing.T) {
 // TestContinueResumesInsideTheCallbackEvent: a process handed back by a
 // callback runs at the callback's instant, ahead of every event already
 // queued for that instant — where a blocking call woken by that event
-// would have continued — while one woken with Wake queues behind them.
+// would have continued — while one woken with WakeAfter(p, 0) queues
+// behind them.
 // The hand-back is no event; tracer on or off, the counters and the
 // clock are the same, and the tracer sees it as one resume.
 func TestContinueResumesInsideTheCallbackEvent(t *testing.T) {
@@ -868,7 +869,7 @@ func TestContinueResumesInsideTheCallbackEvent(t *testing.T) {
 		})
 		e.After(5*time.Microsecond, func() {
 			e.After(0, log("queued before the hand-back"))
-			e.Wake(woken)
+			e.WakeAfter(woken, 0)
 			e.Continue(handed)
 			log("callback runs on")()
 		})

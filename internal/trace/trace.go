@@ -122,7 +122,7 @@ func (v *VerbStats) merge(o VerbStats) {
 type DeviceStats struct {
 	Node int
 	// Read/Write/Atomic are one-sided; Send covers two-sided messages
-	// (service queues and QPs).
+	// (the service queues).
 	Read, Write, Atomic, Send VerbStats
 }
 

@@ -97,9 +97,8 @@ type workReq struct {
 
 	// Posted and issued requests only.
 	finishFn func()
-	startFn  func()
 	cq       *CQ
-	b        *postBatch // nil for single posts
+	b        *postBatch // nil for issued requests
 	slot     int
 	id       uint64
 }
@@ -111,7 +110,6 @@ func (d *Device) getWorkReq() *workReq {
 		return w
 	}
 	w := &workReq{d: d}
-	w.startFn = w.startStep
 	w.midFn = w.midStep
 	w.sampleFn = w.sampleStep
 	w.tailFn = w.tail
@@ -355,7 +353,7 @@ func (d *Device) putBatch(b *postBatch) {
 // still completes.
 func (b *postBatch) doorbell() {
 	for _, w := range b.wrs {
-		w.startFn()
+		w.startStep()
 	}
 	b.flush()
 }
@@ -383,23 +381,17 @@ func (b *postBatch) flush() {
 	}
 }
 
-// sendDelivery / qpDelivery are pooled pending deliveries for the
-// two-sided paths: every in-flight send costs one FIFO slot instead of
-// one captured closure. All deliveries on a device use the same constant
-// base latency, so pop order equals scheduling order (faulted links take
-// a captured-closure path instead, since per-link delay breaks the
-// constant-latency argument). The endpoints are recorded so a crash or
-// partition that happens while the message is in flight drops it at the
-// delivery instant.
+// sendDelivery is a pooled pending delivery for the two-sided paths:
+// every in-flight send costs one FIFO slot instead of one captured
+// closure. All deliveries in one FIFO share one constant latency (IB send
+// or TCP, one FIFO each), so pop order equals scheduling order (faulted
+// links take a captured-closure path instead, since per-link delay breaks
+// the constant-latency argument). The endpoints are recorded so a crash
+// or partition that happens while the message is in flight drops it at
+// the delivery instant.
 type sendDelivery struct {
 	q        *sim.Chan[Message]
 	msg      Message
-	from, to int
-}
-
-type qpDelivery struct {
-	rq       *sim.Chan[[]byte]
-	buf      []byte
 	from, to int
 }
 
@@ -416,34 +408,13 @@ func (d *Device) lostInFlight(from, to int) bool {
 	return true
 }
 
-func (d *Device) deliverSend() {
-	dl := d.sendDelq.Pop()
+// deliver pops the oldest pending delivery of one constant-latency FIFO
+// at its delivery instant; Attach binds it once per FIFO.
+func (d *Device) deliver(q *sim.Queue[sendDelivery]) {
+	dl := q.Pop()
 	if d.lostInFlight(dl.from, dl.to) {
 		dl.msg.Release()
 		return
 	}
 	dl.q.PostSend(dl.msg)
-}
-
-func (d *Device) deliverTCP() {
-	dl := d.tcpDelq.Pop()
-	if d.lostInFlight(dl.from, dl.to) {
-		dl.msg.Release()
-		return
-	}
-	dl.q.PostSend(dl.msg)
-}
-
-func (d *Device) deliverQP() {
-	dl := d.qpDelq.Pop()
-	if dl.rq.Closed() {
-		d.nw.flt.NoteDrop() // only a fault flush closes a QP receive queue
-		d.pool.putBuf(dl.buf)
-		return
-	}
-	if d.lostInFlight(dl.from, dl.to) {
-		d.pool.putBuf(dl.buf)
-		return
-	}
-	dl.rq.PostSend(dl.buf)
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // Completion-queue support: the asynchronous half of the verbs interface.
-// Work requests are posted without blocking; each completes by delivering
-// a Completion into the chosen CQ, which a process drains with Poll. This
-// is how real verbs applications overlap one-sided operations — the
+// Work requests are posted with PostList, without blocking; each
+// completes by delivering a Completion into the chosen CQ, which a
+// process drains with Poll. This is how real verbs applications overlap
+// one-sided operations — the
 // blocking Device methods run the same record (chain.go) and park the
 // caller for its completion instead. A handler CQ (HandlerCQ) delivers
 // to a function at the completion instant: with Device.Issue it is the
@@ -93,8 +94,8 @@ type WR struct {
 }
 
 // post fills a pooled record for one one-sided operation. The caller
-// starts it: a posted request by scheduling its doorbell (startFn), a
-// blocking call (cq nil) through Device.issue.
+// starts it: a posted request from its batch's doorbell, an issued one
+// inline in Device.Issue, a blocking call (cq nil) through Device.issue.
 // buf is a read's destination or a write's source; arg is a CAS's swap
 // value or an FAA's addend.
 func (d *Device) post(cq *CQ, id uint64, op wrOp, r RemoteAddr, off int, buf []byte, cmp, arg uint64) *workReq {
@@ -103,32 +104,6 @@ func (d *Device) post(cq *CQ, id uint64, op wrOp, r RemoteAddr, off int, buf []b
 	w.r, w.off, w.buf = r, off, buf
 	w.cmp, w.arg = cmp, arg
 	return w
-}
-
-// PostRead starts an RDMA read; the caller continues immediately.
-func (d *Device) PostRead(cq *CQ, id uint64, dst []byte, r RemoteAddr, off int) {
-	w := d.post(cq, id, wrRead, r, off, dst, 0, 0)
-	d.nw.Env.After(0, w.startFn)
-}
-
-// PostWrite starts an RDMA write; the caller continues immediately. The
-// source buffer is captured as-is: it must not be reused until the
-// completion arrives (the verbs contract).
-func (d *Device) PostWrite(cq *CQ, id uint64, r RemoteAddr, off int, src []byte) {
-	w := d.post(cq, id, wrWrite, r, off, src, 0, 0)
-	d.nw.Env.After(0, w.startFn)
-}
-
-// PostCompareSwap starts an asynchronous compare-and-swap.
-func (d *Device) PostCompareSwap(cq *CQ, id uint64, r RemoteAddr, off int, compare, swap uint64) {
-	w := d.post(cq, id, wrCAS, r, off, nil, compare, swap)
-	d.nw.Env.After(0, w.startFn)
-}
-
-// PostFetchAdd starts an asynchronous fetch-and-add.
-func (d *Device) PostFetchAdd(cq *CQ, id uint64, r RemoteAddr, off int, delta uint64) {
-	w := d.post(cq, id, wrFAA, r, off, nil, 0, delta)
-	d.nw.Env.After(0, w.startFn)
 }
 
 // Issue starts one work request inline at the call instant — the blocking
@@ -168,7 +143,9 @@ func unknownOp(wr *WR) Completion {
 // the CQ in posting order regardless of how the operations finish (a
 // per-batch reorder buffer holds stragglers' successors back). An
 // unknown WR.Op completes with an error; other requests in the batch
-// still run.
+// still run. The caller continues immediately; a write's Src is captured
+// as-is and must not be reused until its completion arrives (the verbs
+// contract).
 func (d *Device) PostList(cq *CQ, wrs []WR) {
 	if len(wrs) == 0 {
 		return

@@ -195,73 +195,6 @@ func TestCQSoftDepth(t *testing.T) {
 	}
 }
 
-// TestWriteImmOrderingVsCompletion pins when the immediate becomes
-// visible: never before the write's completion instant, and at that
-// instant the written data is already in remote memory.
-func TestWriteImmOrderingVsCompletion(t *testing.T) {
-	env, nw, devs := testNet(t, 2)
-	buf := make([]byte, 64)
-	mr := devs[1].RegisterAtSetup(buf)
-	payload := []byte("ordered")
-	complete := nw.Params().IBWriteLatency + nw.Params().IBTxTime(len(payload))
-	env.Go("writer", func(p *sim.Proc) {
-		if err := devs[0].WriteImm(p, mr.Addr(), 0, payload, 42); err != nil {
-			t.Error(err)
-		}
-	})
-	env.At(sim.Time(0).Add(complete-time.Nanosecond), func() {
-		if _, _, ok := devs[1].TryRecvImm(); ok {
-			t.Error("immediate visible before the write completed")
-		}
-	})
-	env.At(sim.Time(0).Add(complete+time.Nanosecond), func() {
-		imm, from, ok := devs[1].TryRecvImm()
-		if !ok {
-			t.Fatal("immediate not visible after the write completed")
-		}
-		if imm != 42 || from != 0 {
-			t.Errorf("imm=%d from=%d, want 42 from 0", imm, from)
-		}
-		if !bytes.Equal(buf[:len(payload)], payload) {
-			t.Errorf("data %q not in remote memory when immediate arrived", buf[:len(payload)])
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQPTryRecvCounters pins that Received counts delivered messages
-// exactly once, and only on successful TryRecv.
-func TestQPTryRecvCounters(t *testing.T) {
-	env, _, devs := testNet(t, 2)
-	qa, qb := ConnectQP(devs[0], devs[1], 8)
-	env.Go("driver", func(p *sim.Proc) {
-		if _, ok := qb.TryRecv(); ok || qb.Received != 0 {
-			t.Errorf("empty TryRecv: ok=%v Received=%d, want false/0", ok, qb.Received)
-		}
-		qa.Send(p, []byte("one"))
-		p.Sleep(time.Millisecond)
-		msg, ok := qb.TryRecv()
-		if !ok || string(msg) != "one" {
-			t.Fatalf("TryRecv after delivery: ok=%v msg=%q", ok, msg)
-		}
-		qb.Release(msg)
-		if qb.Received != 1 {
-			t.Errorf("Received=%d after one delivery, want 1", qb.Received)
-		}
-		if _, ok := qb.TryRecv(); ok || qb.Received != 1 {
-			t.Errorf("drained TryRecv: ok=%v Received=%d, want false/1", ok, qb.Received)
-		}
-		if qa.Sent != 1 {
-			t.Errorf("Sent=%d, want 1", qa.Sent)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPostListInOrderMixed posts a batch whose operations complete out
 // of order in virtual time (a large write finishes after a fast atomic)
 // and asserts the reorder buffer still delivers completions in posting

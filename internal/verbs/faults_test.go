@@ -139,41 +139,6 @@ func TestPostedWRsFlushOnCrash(t *testing.T) {
 	}
 }
 
-// TestQPFlushOnPeerCrash checks RC semantics: a peer crash moves both
-// endpoints to the error state, wakes parked receivers with nil, and
-// fails subsequent sends immediately.
-func TestQPFlushOnPeerCrash(t *testing.T) {
-	env, _, devs, _ := faultNet(t, 2, &faults.Plan{Seed: 1, Events: []faults.Event{
-		{At: 50 * time.Microsecond, Kind: faults.Crash, Node: 1},
-	}})
-	qa, qb := ConnectQP(devs[0], devs[1], 8)
-	recvDone := false
-	env.Go("receiver", func(p *sim.Proc) {
-		if b := qa.Recv(p); b != nil {
-			t.Errorf("flushed Recv returned %v, want nil", b)
-		}
-		if env.Now() != sim.Time(50*time.Microsecond) {
-			t.Errorf("receiver woke at %v, want the crash instant", env.Now())
-		}
-		recvDone = true
-	})
-	env.Go("sender", func(p *sim.Proc) {
-		p.SleepUntil(sim.Time(60 * time.Microsecond))
-		if err := qa.Send(p, []byte("hello")); err == nil {
-			t.Error("send on flushed QP succeeded")
-		}
-		if qa.Err() == nil || qb.Err() == nil {
-			t.Error("both endpoints should hold the flush error")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !recvDone {
-		t.Fatal("parked receiver was never flushed")
-	}
-}
-
 // TestPartitionDropsMessagesUntilHealed sends over a service queue
 // across a partition window: messages in the window vanish (fire and
 // forget), messages after the heal arrive.

@@ -1,9 +1,9 @@
 package verbs
 
 // Message-buffer pooling: per-device free lists for two-sided payloads,
-// keyed by power-of-two size class. Send/QP.Send copy into a pooled
+// keyed by power-of-two size class. Send/SendTCP copy into a pooled
 // buffer instead of a fresh allocation; the receiver returns it with
-// Message.Release / QP.Release once it has decoded the payload. Releasing
+// Message.Release once it has decoded the payload. Releasing
 // is optional — an unreleased buffer is simply collected by the GC and
 // the pool refills on the next Release — so existing callers keep working
 // unchanged, but steady-state messaging loops that do release run
@@ -69,8 +69,8 @@ func (bp *bufPool) putBuf(b []byte) {
 
 // GetBuf returns a length-n payload buffer from the device's pool. Pass
 // it to SendBuf to transmit without a copy, or fill and hand it to any
-// API that documents taking ownership. Returning it via PutBuf (or the
-// receive-side Release methods) keeps the messaging hot path
+// API that documents taking ownership. Returning it via PutBuf (or
+// Message.Release on the receive side) keeps the messaging hot path
 // allocation-free.
 func (d *Device) GetBuf(n int) []byte { return d.pool.getBuf(n) }
 

@@ -9,7 +9,7 @@ package verbs
 // RC connection-scalability problem RDMAvisor attacks with shared and
 // pooled transports.
 //
-// This file models both regimes behind the unchanged Device/QP API:
+// This file models both regimes behind the unchanged Device API:
 //
 //   - RCPerPair (default): a connection record is established lazily on
 //     first use of a peer and kept forever. Establishment is bookkeeping
@@ -60,7 +60,7 @@ func (m TransportMode) String() string {
 type TransportConfig struct {
 	Mode TransportMode
 	// PoolSlots caps the connected transports a node holds in pooled
-	// mode (0 = default 64). Pinned QPs (ConnectQP/QPTo) don't count.
+	// mode (0 = default 64).
 	PoolSlots int
 	// PromoteAfter is the number of uses after which a peer is promoted
 	// from the shared endpoint onto a connected transport (0 = default
@@ -91,8 +91,6 @@ const (
 	connRC connKind = iota
 	// connPool is an initiator record held in the pooled-mode LRU.
 	connPool
-	// connPinned is an explicit QP endpoint; never evicted.
-	connPinned
 	// connMirror is the passive endpoint of a connection some remote
 	// initiator established to this node: it pins this node's HCA memory
 	// but is owned (and torn down) by the initiator.
@@ -101,10 +99,8 @@ const (
 
 // conn is one device's record of one established connected transport.
 type conn struct {
-	peer int
-	kind connKind
-	// qp memoizes the lazily established queue pair of QPTo.
-	qp         *QP
+	peer       int
+	kind       connKind
 	prev, next *conn // LRU list links (connPool records only)
 }
 
@@ -120,7 +116,7 @@ func hotSlot(peer int) int {
 // connCost charges the transport-layer cost of one operation from d to
 // the peer node and returns the extra latency the operation pays. It is
 // the single entry point of the connection model: every verbs datapath
-// (one-sided, atomic, two-sided, QP) calls it once per operation, after
+// (one-sided, atomic, two-sided) calls it once per operation, after
 // validation and fault checks. Loopback is free.
 func (d *Device) connCost(peer int) time.Duration {
 	if peer == d.Node.ID {
@@ -246,44 +242,6 @@ func (d *Device) resetConns() {
 	}
 }
 
-// pinConn registers (or upgrades) the connection record backing an
-// explicit queue pair. Pinned records never fall out of the LRU pool and
-// memoize the QP endpoint for QPTo.
-func (d *Device) pinConn(peer int, qp *QP) {
-	c := d.conns[peer]
-	if c == nil {
-		c = d.newConnRec()
-		c.peer = peer
-		d.conns[peer] = c
-		d.connBytes += d.nw.Fab.P.RCConnBytes
-		d.connEst++
-	} else if c.kind == connPool {
-		d.lruUnlink(c)
-		d.poolCount--
-	}
-	c.kind = connPinned
-	if c.qp == nil || c.qp.err != nil {
-		c.qp = qp
-	}
-}
-
-// QPTo returns this device's endpoint of a lazily established queue
-// pair with the peer node, creating the pair on first use (from either
-// side) and memoizing it. The pair is pinned — it never falls out of the
-// pooled-transport LRU. After a crash flushes it to the error state, the
-// next QPTo establishes a fresh pair.
-func (d *Device) QPTo(peer, depth int) (*QP, error) {
-	if c := d.conns[peer]; c != nil && c.qp != nil && c.qp.err == nil {
-		return c.qp, nil
-	}
-	t := d.nw.devs[peer]
-	if t == nil {
-		return nil, &OpError{Op: "connect", Target: RemoteAddr{Node: peer}, Reason: "no such node"}
-	}
-	qa, _ := ConnectQP(d, t, depth)
-	return qa, nil
-}
-
 func (d *Device) newConnRec() *conn {
 	if ln := len(d.connFree); ln > 0 {
 		c := d.connFree[ln-1]
@@ -294,7 +252,7 @@ func (d *Device) newConnRec() *conn {
 }
 
 func (d *Device) freeConnRec(c *conn) {
-	c.qp, c.prev, c.next = nil, nil, nil
+	c.prev, c.next = nil, nil
 	d.connFree = append(d.connFree, c)
 }
 

@@ -239,7 +239,7 @@ func TestPooledCrashHealsWithoutLeakingSlots(t *testing.T) {
 
 // TestNetworkSetupScalesLinearly is the lazy-construction satellite: a
 // network over N nodes must build in O(N) allocations — no eager
-// per-pair QP or connection state.
+// per-pair connection state.
 func TestNetworkSetupScalesLinearly(t *testing.T) {
 	setup := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -253,58 +253,6 @@ func TestNetworkSetupScalesLinearly(t *testing.T) {
 	small, large := setup(128), setup(1024)
 	if ratio := large / small; ratio > 12 {
 		t.Errorf("setup allocations grew %.1fx over an 8x node increase (%.0f → %.0f) — construction is superlinear", ratio, small, large)
-	}
-}
-
-// TestQPToLazyMemoized pins the lazy QP API: both sides get the same
-// pair, the pair is pinned (never pooled-evicted), and a crash flush
-// makes the next QPTo establish a fresh pair.
-func TestQPToLazyMemoized(t *testing.T) {
-	plan := &faults.Plan{Seed: 3, Events: []faults.Event{
-		{At: 1 * time.Millisecond, Kind: faults.Crash, Node: 1},
-		{At: 2 * time.Millisecond, Kind: faults.Restart, Node: 1},
-	}}
-	env := sim.NewEnv(1)
-	faults.Install(env, plan)
-	nw := NewNetworkWith(env, fabric.DefaultParams(), TransportConfig{Mode: Pooled, PoolSlots: 1, PromoteAfter: 1})
-	a := nw.Attach(cluster.NewNode(env, 0, 4, 1<<30))
-	b := nw.Attach(cluster.NewNode(env, 1, 4, 1<<30))
-	env.Go("driver", func(p *sim.Proc) {
-		qa, err := a.QPTo(1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q2, _ := a.QPTo(1, 0); q2 != qa {
-			t.Error("second QPTo returned a different endpoint")
-		}
-		qb, _ := b.QPTo(0, 0)
-		if qb.Peer() != 0 || qa.Peer() != 1 {
-			t.Error("QPTo endpoints disagree on peers")
-		}
-		if err := qa.Send(p, []byte("x")); err != nil {
-			t.Errorf("send on lazy QP: %v", err)
-		}
-		if msg := qb.Recv(p); string(msg) != "x" {
-			t.Errorf("recv %q", msg)
-		}
-		p.SleepUntil(sim.Time(1500 * time.Microsecond)) // node 1 down
-		if qa.Err() == nil {
-			t.Error("QP not flushed by peer crash")
-		}
-		p.SleepUntil(sim.Time(2500 * time.Microsecond)) // node 1 back
-		q3, err := a.QPTo(1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q3 == qa {
-			t.Error("QPTo returned the flushed pair after restart")
-		}
-		if err := q3.Send(p, []byte("y")); err != nil {
-			t.Errorf("send on re-established QP: %v", err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

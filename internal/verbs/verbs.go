@@ -60,9 +60,7 @@ type Network struct {
 	Env *sim.Env
 	Fab *fabric.Fabric
 
-	devs  map[int]*Device
-	qps   []*QP
-	qpSeq int
+	devs map[int]*Device
 
 	// tc is the connection-management policy (see transport.go);
 	// zero-value is the classic fully-connected RC-per-pair layout.
@@ -108,19 +106,13 @@ func (nw *Network) hookFaults() {
 
 // nodeCrashed runs in scheduler context the instant a node's crash event
 // fires: the node's registered memory is zeroed (a restart comes back
-// with cold memory) and every queue pair touching the node transitions
-// to the error state, flushing parked receivers on both endpoints.
+// with cold memory).
 func (nw *Network) nodeCrashed(node int) {
 	if d := nw.devs[node]; d != nil {
 		for _, mr := range d.mrs {
 			for i := range mr.buf {
 				mr.buf[i] = 0
 			}
-		}
-	}
-	for _, q := range nw.qps {
-		if q.err == nil && (q.dev.Node.ID == node || q.peer.Node.ID == node) {
-			q.enterError("flushed: peer down")
 		}
 	}
 	// Connection state: every survivor tears down its transport to the
@@ -158,9 +150,8 @@ func (nw *Network) Attach(node *cluster.Node) *Device {
 		d.tr = r
 		d.ts = r.Device(node.ID)
 	}
-	d.deliverSendFn = d.deliverSend
-	d.deliverTCPFn = d.deliverTCP
-	d.deliverQPFn = d.deliverQP
+	d.deliverSendFn = func() { d.deliver(&d.sendDelq) }
+	d.deliverTCPFn = func() { d.deliver(&d.tcpDelq) }
 	nw.devs[node.ID] = d
 	return d
 }
@@ -194,11 +185,9 @@ type Device struct {
 	batchFree []*postBatch
 	sendDelq  sim.Queue[sendDelivery]
 	tcpDelq   sim.Queue[sendDelivery]
-	qpDelq    sim.Queue[qpDelivery]
 
 	deliverSendFn func()
 	deliverTCPFn  func()
-	deliverQPFn   func()
 
 	// Transport-layer connection state (see transport.go): lazily
 	// established per-peer records, the pooled-mode LRU and promotion
@@ -481,57 +470,9 @@ func (d *Device) Recv(p *sim.Proc, service string) Message {
 	return msg
 }
 
-// TryRecv returns a queued message without blocking.
-func (d *Device) TryRecv(service string) (Message, bool) {
-	return d.queue(service).TryRecv()
-}
-
 // Uint64At reads the 64-bit little-endian word at off in a local region.
 func (mr *MR) Uint64At(off int) uint64 { return binary.LittleEndian.Uint64(mr.buf[off:]) }
 
 // PutUint64At stores a 64-bit little-endian word at off in a local region
 // (a local, instantaneous store — the home node updating its own word).
 func (mr *MR) PutUint64At(off int, v uint64) { binary.LittleEndian.PutUint64(mr.buf[off:], v) }
-
-// WriteImm performs an RDMA write-with-immediate: the data lands in the
-// remote region exactly like Write, and a 32-bit immediate value is
-// delivered to the target's immediate queue — the idiom real verbs
-// applications use to signal data arrival without a separate message.
-// The target consumes immediates with RecvImm.
-func (d *Device) WriteImm(p *sim.Proc, r RemoteAddr, off int, src []byte, imm uint32) error {
-	if err := d.Write(p, r, off, src); err != nil {
-		return err
-	}
-	b := d.pool.getBuf(4)
-	binary.LittleEndian.PutUint32(b, imm)
-	target := d.nw.devs[r.Node]
-	target.queue("imm").PostSend(Message{From: d.Node.ID, Service: "imm", Data: b, pool: &d.pool})
-	return nil
-}
-
-// RecvImm blocks until the next write-with-immediate lands in local
-// registered memory and returns its immediate value and source node.
-func (d *Device) RecvImm(p *sim.Proc) (imm uint32, from int) {
-	msg := d.Recv(p, "imm")
-	imm, from = decodeImm(msg.Data), msg.From
-	msg.Release()
-	return imm, from
-}
-
-// TryRecvImm returns a pending immediate without blocking.
-func (d *Device) TryRecvImm() (imm uint32, from int, ok bool) {
-	msg, ok := d.TryRecv("imm")
-	if !ok {
-		return 0, 0, false
-	}
-	imm, from = decodeImm(msg.Data), msg.From
-	msg.Release()
-	return imm, from, true
-}
-
-func decodeImm(b []byte) uint32 {
-	if len(b) < 4 {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}

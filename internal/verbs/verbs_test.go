@@ -359,8 +359,8 @@ func TestCompletionQueueOverlapsReads(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) {
 		cq := devs[0].CreateCQ("c", 8)
 		start := p.Now()
-		devs[0].PostRead(cq, 1, make([]byte, 64<<10), mr1.Addr(), 0)
-		devs[0].PostRead(cq, 2, make([]byte, 64<<10), mr2.Addr(), 0)
+		devs[0].PostList(cq, []WR{{ID: 1, Op: OpRead, Target: mr1.Addr(), Dst: make([]byte, 64<<10)}})
+		devs[0].PostList(cq, []WR{{ID: 2, Op: OpRead, Target: mr2.Addr(), Dst: make([]byte, 64<<10)}})
 		seen := map[uint64]bool{}
 		for i := 0; i < 2; i++ {
 			c := cq.Poll(p)
@@ -388,12 +388,12 @@ func TestCompletionQueueAtomics(t *testing.T) {
 	mr := devs[1].RegisterAtSetup(make([]byte, 8))
 	env.Go("client", func(p *sim.Proc) {
 		cq := devs[0].CreateCQ("c", 8)
-		devs[0].PostFetchAdd(cq, 1, mr.Addr(), 0, 5)
+		devs[0].PostList(cq, []WR{{ID: 1, Op: OpFAA, Target: mr.Addr(), Delta: 5}})
 		c := cq.Poll(p)
 		if c.Err != nil || c.Old != 0 {
 			t.Errorf("faa completion: %+v", c)
 		}
-		devs[0].PostCompareSwap(cq, 2, mr.Addr(), 0, 5, 9)
+		devs[0].PostList(cq, []WR{{ID: 2, Op: OpCAS, Target: mr.Addr(), Compare: 5, Swap: 9}})
 		c = cq.Poll(p)
 		if c.Err != nil || c.Old != 5 {
 			t.Errorf("cas completion: %+v", c)
@@ -411,7 +411,7 @@ func TestCompletionQueueErrorDelivery(t *testing.T) {
 	env, _, devs := testNet(t, 2)
 	env.Go("client", func(p *sim.Proc) {
 		cq := devs[0].CreateCQ("c", 8)
-		devs[0].PostWrite(cq, 7, RemoteAddr{Node: 1, Key: 999}, 0, []byte{1})
+		devs[0].PostList(cq, []WR{{ID: 7, Op: OpWrite, Target: RemoteAddr{Node: 1, Key: 999}, Src: []byte{1}}})
 		c := cq.Poll(p)
 		if c.Err == nil || c.ID != 7 {
 			t.Errorf("expected error completion, got %+v", c)
@@ -421,124 +421,6 @@ func TestCompletionQueueErrorDelivery(t *testing.T) {
 		}
 		if cq.Pending() != 0 {
 			t.Error("pending wrong")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQPSendRecvOrdered(t *testing.T) {
-	env, _, devs := testNet(t, 2)
-	qa, qb := ConnectQP(devs[0], devs[1], 16)
-	var got []byte
-	env.Go("rx", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			msg := qb.Recv(p)
-			got = append(got, msg[0])
-		}
-	})
-	env.Go("tx", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			qa.Send(p, []byte{byte(i)})
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range got {
-		if int(b) != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-	if qa.Sent != 5 || qb.Received != 5 {
-		t.Fatalf("counters: sent=%d received=%d", qa.Sent, qb.Received)
-	}
-	if qa.Peer() != 1 || qb.Peer() != 0 {
-		t.Fatal("peer IDs wrong")
-	}
-}
-
-func TestQPBidirectionalAndPrivate(t *testing.T) {
-	env, _, devs := testNet(t, 3)
-	qa, qb := ConnectQP(devs[0], devs[1], 16)
-	qc, qd := ConnectQP(devs[0], devs[2], 16)
-	env.Go("b", func(p *sim.Proc) {
-		msg := qb.Recv(p)
-		qb.Send(p, append(msg, '!'))
-	})
-	env.Go("c", func(p *sim.Proc) {
-		if _, ok := qd.TryRecv(); ok {
-			t.Error("message leaked across QPs")
-		}
-	})
-	env.Go("a", func(p *sim.Proc) {
-		qa.Send(p, []byte("hi"))
-		if string(qa.Recv(p)) != "hi!" {
-			t.Error("echo failed")
-		}
-		_ = qc
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQPSendCopies(t *testing.T) {
-	env, _, devs := testNet(t, 2)
-	qa, qb := ConnectQP(devs[0], devs[1], 4)
-	buf := []byte("orig")
-	var got []byte
-	env.Go("rx", func(p *sim.Proc) { got = qb.Recv(p) })
-	env.Go("tx", func(p *sim.Proc) {
-		qa.Send(p, buf)
-		copy(buf, "XXXX")
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "orig" {
-		t.Fatalf("QP aliased sender buffer: %q", got)
-	}
-}
-
-func TestWriteImmDeliversDataAndNotification(t *testing.T) {
-	env, _, devs := testNet(t, 2)
-	mr := devs[1].RegisterAtSetup(make([]byte, 64))
-	env.Go("consumer", func(p *sim.Proc) {
-		imm, from := devs[1].RecvImm(p)
-		if imm != 77 || from != 0 {
-			t.Errorf("imm=%d from=%d", imm, from)
-		}
-		// The data must already be in memory when the immediate arrives.
-		if string(mr.Bytes()[:5]) != "ready" {
-			t.Errorf("data not present at notification: %q", mr.Bytes()[:5])
-		}
-	})
-	env.Go("producer", func(p *sim.Proc) {
-		if err := devs[0].WriteImm(p, mr.Addr(), 0, []byte("ready"), 77); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTryRecvImm(t *testing.T) {
-	env, _, devs := testNet(t, 2)
-	mr := devs[1].RegisterAtSetup(make([]byte, 8))
-	env.Go("p", func(p *sim.Proc) {
-		if _, _, ok := devs[1].TryRecvImm(); ok {
-			t.Error("spurious immediate")
-		}
-		if err := devs[0].WriteImm(p, mr.Addr(), 0, []byte{1}, 5); err != nil {
-			t.Error(err)
-		}
-		p.Sleep(time.Millisecond)
-		imm, from, ok := devs[1].TryRecvImm()
-		if !ok || imm != 5 || from != 0 {
-			t.Errorf("imm=%d from=%d ok=%v", imm, from, ok)
 		}
 	})
 	if err := env.Run(); err != nil {

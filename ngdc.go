@@ -504,14 +504,6 @@ func DialConn(p *Proc, dev, peer *Device, port int) (*Conn, error) {
 // IWARPFabricParams returns the alternate 10GigE/iWARP calibration.
 func IWARPFabricParams() FabricParams { return fabric.IWARPParams() }
 
-// ConnectQP creates a connected verbs queue pair between two devices.
-func ConnectQP(a, b *Device, depth int) (*verbs.QP, *verbs.QP) {
-	return verbs.ConnectQP(a, b, depth)
-}
-
-// QP is one endpoint of a connected verbs queue pair.
-type QP = verbs.QP
-
 // Dual-mode runtime: the construction-time execution substrate every
 // service is built against. A SimRuntime wraps a deterministic
 // discrete-event environment; a RealRuntime runs tasks as goroutines on
