@@ -157,6 +157,51 @@ func TestReadersExcludeWriter(t *testing.T) {
 	}
 }
 
+// TestQueuedWriterNotOvertaken pins the FIFO rule: once a writer is
+// queued behind a shared holder, a later reader is not granted past it —
+// its TryLock fails and its Lock is granted after the writer's.
+func TestQueuedWriterNotOvertaken(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			env, m, nodes := testManager(1, kind, 4, 1)
+			defer env.Shutdown()
+			var order []string
+			env.Go("a", func(p *sim.Proc) {
+				c := m.Client(nodes[1].ID)
+				c.Lock(p, 0, Shared)
+				order = append(order, "a")
+				p.Sleep(200 * time.Microsecond)
+				c.Unlock(p, 0, Shared)
+			})
+			env.Go("w", func(p *sim.Proc) {
+				p.Sleep(50 * time.Microsecond)
+				c := m.Client(nodes[2].ID)
+				c.Lock(p, 0, Exclusive)
+				order = append(order, "w")
+				p.Sleep(50 * time.Microsecond)
+				c.Unlock(p, 0, Exclusive)
+			})
+			env.Go("b", func(p *sim.Proc) {
+				p.Sleep(100 * time.Microsecond)
+				c := m.Client(nodes[3].ID)
+				if c.TryLock(p, 0, Shared) {
+					t.Errorf("%v: shared TryLock granted past a queued writer", kind)
+					c.Unlock(p, 0, Shared)
+				}
+				c.Lock(p, 0, Shared)
+				order = append(order, "b")
+				c.Unlock(p, 0, Shared)
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(order); got != "[a w b]" {
+				t.Fatalf("%v: grant order %s, want [a w b]", kind, got)
+			}
+		})
+	}
+}
+
 func TestManyLocksIndependent(t *testing.T) {
 	// Operations on distinct locks must not serialize against each other.
 	for _, kind := range allKinds {
