@@ -20,6 +20,12 @@
 //     path; contended hand-offs use short messages, and a cohort of shared
 //     waiters is granted in one burst rather than one at a time.
 //
+// All three grant in FIFO order and never let a later request overtake a
+// queued one: a reader that arrives while a writer waits queues behind
+// it, and its TryLock fails. Queue is that discipline as a pure state
+// machine; SRSL's home server runs it, and the one-sided designs reach
+// the same order through their distributed queues.
+//
 // All three operate over the verbs layer, so their relative costs come out
 // of the same fabric model the rest of the repository uses.
 package dlm
@@ -103,8 +109,6 @@ type Client interface {
 	TryLock(p *sim.Proc, lock int, mode Mode) bool
 	// Unlock releases a held lock.
 	Unlock(p *sim.Proc, lock int, mode Mode)
-	// NodeID returns the owning node.
-	NodeID() int
 }
 
 // Options configures a lock manager.

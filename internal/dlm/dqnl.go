@@ -150,9 +150,6 @@ func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
 	}
 }
 
-// NodeID implements Client.
-func (c *dqnlClientImpl) NodeID() int { return c.dev.Node.ID }
-
 func putU64(b []byte, v uint64) {
 	_ = b[7]
 	for i := 0; i < 8; i++ {

@@ -515,6 +515,3 @@ func (c *ncosedClientImpl) sharedDec(p *sim.Proc, lock int) {
 		panic(fmt.Sprintf("dlm: ncosed: shared-count underflow on lock %d (unbalanced shared unlock would corrupt the exclusive tail)", lock))
 	}
 }
-
-// NodeID implements Client.
-func (c *ncosedClientImpl) NodeID() int { return c.dev.Node.ID }

@@ -21,17 +21,12 @@ const (
 	srslDenied = 1 << 8
 )
 
-// srslLockState is the server-side state of one lock.
-type srslLockState struct {
-	exclHolder int // node ID + 1, 0 when none
-	sharedCnt  int
-	queue      []wire // waiting requests in FIFO order
-}
-
 type srslServer struct {
 	m     *Manager
 	dev   *verbs.Device
-	locks map[int]*srslLockState
+	locks map[int]*Queue[int] // node IDs, per lock
+	// granted is the scratch slice a release's grants are collected in.
+	granted []Waiter[int]
 }
 
 type srslClientImpl struct {
@@ -43,7 +38,7 @@ type srslClientImpl struct {
 func newSRSL(m *Manager) {
 	for _, node := range m.nodes {
 		dev := m.nw.Attach(node)
-		srv := &srslServer{m: m, dev: dev, locks: map[int]*srslLockState{}}
+		srv := &srslServer{m: m, dev: dev, locks: map[int]*Queue[int]{}}
 		cl := &srslClientImpl{m: m, dev: dev, grants: newGrantTable(node.Env(), fmt.Sprintf("%s/srsl", node.Name))}
 		m.clients[node.ID] = cl
 		env := node.Env()
@@ -61,82 +56,49 @@ func (s *srslServer) serve(p *sim.Proc) {
 		s.dev.Node.Exec(p, ServerCPU)
 		w := decodeWire(msg.Data)
 		msg.Release()
-		st := s.state(w.lock)
+		q := s.queue(w.lock)
+		excl := Mode(w.arg) == Exclusive
 		switch w.op {
 		case opLockReq:
-			if s.grantable(st, Mode(w.arg)) {
-				s.apply(st, w)
-				s.sendGrant(p, w)
-			} else {
-				st.queue = append(st.queue, w)
+			if q.Acquire(w.from, excl) {
+				s.sendGrant(p, w.lock, w.from, w.arg)
 			}
 		case opTryLockReq:
 			// Non-blocking: grant or deny immediately, never queue. The
 			// verdict rides in the grant's arg (mode | denied bit).
-			verdict := w
-			verdict.op = opLockReq
-			if s.grantable(st, Mode(w.arg)) {
-				s.apply(st, verdict)
-			} else {
-				verdict.arg |= srslDenied
+			arg := w.arg
+			if !q.TryAcquire(excl) {
+				arg |= srslDenied
 			}
-			s.sendGrant(p, verdict)
+			s.sendGrant(p, w.lock, w.from, arg)
 		case opUnlockReq:
-			if Mode(w.arg) == Exclusive {
-				st.exclHolder = 0
-			} else {
-				st.sharedCnt--
+			// Each queued grant costs server CPU and a message: the
+			// cascade is serialized through this loop.
+			s.granted = q.Release(excl, s.granted[:0])
+			for _, g := range s.granted {
+				mode := Shared
+				if g.Excl {
+					mode = Exclusive
+				}
+				s.dev.Node.Exec(p, ServerCPU)
+				s.sendGrant(p, w.lock, g.Who, int(mode))
 			}
-			s.drain(p, st)
 		}
 	}
 }
 
-func (s *srslServer) state(lock int) *srslLockState {
-	st, ok := s.locks[lock]
+func (s *srslServer) queue(lock int) *Queue[int] {
+	q, ok := s.locks[lock]
 	if !ok {
-		st = &srslLockState{}
-		s.locks[lock] = st
+		q = &Queue[int]{}
+		s.locks[lock] = q
 	}
-	return st
+	return q
 }
 
-func (s *srslServer) grantable(st *srslLockState, mode Mode) bool {
-	if mode == Exclusive {
-		return st.exclHolder == 0 && st.sharedCnt == 0
-	}
-	return st.exclHolder == 0
-}
-
-func (s *srslServer) apply(st *srslLockState, w wire) {
-	if Mode(w.arg) == Exclusive {
-		st.exclHolder = w.from + 1
-	} else {
-		st.sharedCnt++
-	}
-}
-
-// drain grants queued requests in FIFO order while they remain
-// compatible: a burst of shared requests at the head is granted together;
-// an exclusive request is granted alone.
-func (s *srslServer) drain(p *sim.Proc, st *srslLockState) {
-	for len(st.queue) > 0 {
-		head := st.queue[0]
-		if !s.grantable(st, Mode(head.arg)) {
-			return
-		}
-		st.queue = st.queue[1:]
-		s.apply(st, head)
-		// Each grant costs server CPU and a message: the cascade is
-		// serialized through this loop.
-		s.dev.Node.Exec(p, ServerCPU)
-		s.sendGrant(p, head)
-	}
-}
-
-func (s *srslServer) sendGrant(p *sim.Proc, req wire) {
-	g := wire{op: opGrant, lock: req.lock, from: s.dev.Node.ID, arg: req.arg}
-	if err := sendWire(p, s.dev, req.from, srslClient, g); err != nil {
+func (s *srslServer) sendGrant(p *sim.Proc, lock, to, arg int) {
+	g := wire{op: opGrant, lock: lock, from: s.dev.Node.ID, arg: arg}
+	if err := sendWire(p, s.dev, to, srslClient, g); err != nil {
 		panic(err)
 	}
 }
@@ -184,6 +146,3 @@ func (c *srslClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
 		panic(err)
 	}
 }
-
-// NodeID implements Client.
-func (c *srslClientImpl) NodeID() int { return c.dev.Node.ID }

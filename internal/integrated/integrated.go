@@ -9,6 +9,10 @@
 //     fill from a sibling with a one-sided read), fine-grained RDMA-Sync
 //     monitoring, and history-aware reconfiguration.
 //
+// Reconfiguration is reconfig.Rule, the decision rule E11 ablates, with
+// the policy each stack names; only its load signal is the stack's own
+// monitoring station.
+//
 // The interactions the paper warns about appear naturally: a
 // reconfiguration move hands a proxy a cold cache for its new service
 // (the "cache corruption" of §6) — the traditional stack both moves more
@@ -26,6 +30,7 @@ import (
 	"ngdc/internal/lru"
 	"ngdc/internal/metrics"
 	"ngdc/internal/monitor"
+	"ngdc/internal/reconfig"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
@@ -123,7 +128,6 @@ func Run(cfg Config) (Stats, error) {
 	proxies := make([]*proxy, cfg.Proxies)
 	nodes := make([]*cluster.Node, cfg.Proxies)
 	assign := make([]int, cfg.Proxies)
-	coldUntil := make([]sim.Time, cfg.Proxies)
 	for i := range proxies {
 		n := cluster.NewNode(env, i+1, 2, 1<<30)
 		proxies[i] = &proxy{node: n, dev: nw.Attach(n), cache: lru.New[int](cfg.ProxyMem)}
@@ -260,67 +264,31 @@ func Run(cfg Config) (Stats, error) {
 		}
 	}
 
-	// Reconfiguration: move proxies toward the loaded service. Policy per
-	// stack: naive instantaneous vs EWMA + hysteresis + cooldown. A moved
+	// Reconfiguration: move proxies toward the loaded service, by the
+	// monitoring station's load readings and reconfig's rule. A moved
 	// proxy keeps its cache, but the cache holds the *other* service's
-	// documents — useless for the new one, so the move is effectively
-	// cache-cold (coldUntil is informational; the doc keyspace does the
-	// real damage).
-	ewma := 0.0
-	var lastMove sim.Time
+	// documents — useless for the new one, so the move is cache-cold.
+	rule := reconfig.Rule{Policy: reconfig.Naive}
+	if cfg.Stack == RDMAStack {
+		rule.Policy = reconfig.HistoryAware
+	}
 	env.GoDaemon("reconfig", func(p *sim.Proc) {
 		for {
-			p.Sleep(50 * time.Millisecond)
-			load := [2]float64{}
-			count := [2]int{}
+			p.Sleep(reconfig.DecideEvery)
+			var load [2]float64
+			var count [2]int
 			for i := range proxies {
 				load[assign[i]] += float64(station.Sample(p, i).RunQueue)
 				count[assign[i]]++
 			}
-			for s := 0; s < 2; s++ {
-				if count[s] > 0 {
-					load[s] /= float64(count[s])
-				}
-			}
-			imbalance := load[0] - load[1]
-			threshold := 1.0
-			if cfg.Stack == RDMAStack {
-				ewma = 0.25*imbalance + 0.75*ewma
-				imbalance = ewma
-				threshold = 2.5
-				if time.Duration(p.Now()-lastMove) < 300*time.Millisecond {
-					continue
-				}
-			}
-			var from, to int
-			switch {
-			case imbalance > threshold:
-				from, to = 1, 0
-			case imbalance < -threshold:
-				from, to = 0, 1
-			default:
+			from, to, ok := rule.Decide(p.Now(), load, count)
+			if !ok {
 				continue
 			}
-			if count[from] <= 1 {
-				continue
-			}
-			victim := -1
-			for i := range proxies {
-				if assign[i] != from {
-					continue
-				}
-				if victim == -1 || proxies[i].node.RunQueueLen() < proxies[victim].node.RunQueueLen() {
-					victim = i
-				}
-			}
-			if victim >= 0 {
+			if victim := reconfig.LeastLoaded(nodes, assign, from); victim >= 0 {
 				assign[victim] = to
-				coldUntil[victim] = p.Now().Add(500 * time.Millisecond)
 				stats.Reconfigs++
-				if cfg.Stack == RDMAStack {
-					ewma = 0
-				}
-				lastMove = p.Now()
+				rule.Moved(p.Now())
 			}
 		}
 	})

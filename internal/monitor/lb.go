@@ -121,7 +121,6 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 		return best
 	}
 
-	mixSeed := rand.New(rand.NewSource(cfg.Seed + 7))
 	for c := 0; c < cfg.Clients; c++ {
 		var nextCost func() time.Duration
 		if cfg.RUBiS {
@@ -131,7 +130,6 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 			zipf := workload.NewZipf(rand.New(rand.NewSource(cfg.Seed+int64(c))), cfg.Alpha, 2048)
 			nextCost = func() time.Duration { return docCost(zipf.Next()) }
 		}
-		_ = mixSeed
 		env.GoDaemon(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
 			for {
 				cost := nextCost()

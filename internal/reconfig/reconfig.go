@@ -96,9 +96,12 @@ type Result struct {
 	Failovers int
 }
 
+// DecideEvery is how often a reconfiguration loop samples load and asks
+// its Rule for a move.
+const DecideEvery = 50 * time.Millisecond
+
 // Decision/behaviour constants.
 const (
-	decideEvery   = 50 * time.Millisecond
 	warmupPenalty = 600 * time.Millisecond // cold-cache window after a move
 	coldFactor    = 3                      // request slowdown on a cold node
 	requestCPU    = 3 * time.Millisecond
@@ -109,6 +112,67 @@ const (
 	historyCooldown  = 300 * time.Millisecond
 	ewmaAlpha        = 0.25
 )
+
+// Rule is one reconfiguration loop's decision rule. It compares the
+// mean load of the two services' nodes against the policy's threshold
+// and never strips a service of its last node. HistoryAware smooths the
+// imbalance with an EWMA, needs a wider gap, and waits out a cooldown
+// after each move. The zero value of the other fields is a loop that has
+// not moved yet.
+type Rule struct {
+	Policy   Policy
+	ewma     float64
+	lastMove sim.Time
+}
+
+// Decide takes each service's summed load and node count at now and
+// returns the service to take a node from and the one to give it to; ok
+// is false when no move is due.
+func (r *Rule) Decide(now sim.Time, loadSums [2]float64, counts [2]int) (from, to int, ok bool) {
+	for s := range loadSums {
+		if counts[s] > 0 {
+			loadSums[s] /= float64(counts[s])
+		}
+	}
+	imbalance := loadSums[0] - loadSums[1]
+	threshold := naiveThreshold
+	if r.Policy == HistoryAware {
+		r.ewma = ewmaAlpha*imbalance + (1-ewmaAlpha)*r.ewma
+		imbalance = r.ewma
+		threshold = historyThreshold
+		if time.Duration(now-r.lastMove) < historyCooldown {
+			return 0, 0, false
+		}
+	}
+	switch {
+	case imbalance > threshold:
+		from, to = 1, 0
+	case imbalance < -threshold:
+		from, to = 0, 1
+	default:
+		return 0, 0, false
+	}
+	return from, to, counts[from] > 1
+}
+
+// Moved records a move made at now: the EWMA restarts from zero and the
+// cooldown starts.
+func (r *Rule) Moved(now sim.Time) {
+	r.ewma = 0
+	r.lastMove = now
+}
+
+// LeastLoaded returns the node assigned to service with the shortest run
+// queue, the lowest index on a tie, or -1 when the service has none.
+func LeastLoaded(nodes []*cluster.Node, assign []int, service int) int {
+	best := -1
+	for i, n := range nodes {
+		if assign[i] == service && (best == -1 || n.RunQueueLen() < nodes[best].RunQueueLen()) {
+			best = i
+		}
+	}
+	return best
+}
 
 // Run executes the experiment.
 func Run(cfg Config) (Result, error) {
@@ -166,22 +230,6 @@ func Run(cfg Config) (Result, error) {
 		return 40 * time.Millisecond // cold: long think time
 	}
 
-	// pickNode returns the least-loaded node currently assigned to the
-	// service, or -1.
-	pickNode := func(service int) int {
-		best, bestQ := -1, 0
-		for i, n := range nodes {
-			if assign[i] != service {
-				continue
-			}
-			q := n.RunQueueLen()
-			if best == -1 || q < bestQ {
-				best, bestQ = i, q
-			}
-		}
-		return best
-	}
-
 	for s := 0; s < 2; s++ {
 		for c := 0; c < cfg.ClientsPerService; c++ {
 			s, c := s, c
@@ -196,7 +244,7 @@ func Run(cfg Config) (Result, error) {
 						burst = 6
 					}
 					for b := 0; b < burst; b++ {
-						i := pickNode(s)
+						i := LeastLoaded(nodes, assign, s)
 						if i < 0 {
 							p.Sleep(time.Millisecond)
 							continue
@@ -218,16 +266,15 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// Reconfiguration agents.
+	// Reconfiguration agents, each with its own Rule.
 	for a := 0; a < cfg.Agents; a++ {
 		a := a
-		ewma := 0.0
-		var lastMove sim.Time
+		rule := Rule{Policy: cfg.Policy}
 		env.GoDaemon(fmt.Sprintf("reconfig-agent%d", a), func(p *sim.Proc) {
 			for {
-				p.Sleep(decideEvery)
-				load := [2]float64{}
-				count := [2]int{}
+				p.Sleep(DecideEvery)
+				var load [2]float64
+				var count [2]int
 				for i, n := range nodes {
 					if assign[i] < 0 {
 						continue // failed out of the pool
@@ -235,32 +282,9 @@ func Run(cfg Config) (Result, error) {
 					load[assign[i]] += float64(n.RunQueueLen())
 					count[assign[i]]++
 				}
-				for s := 0; s < 2; s++ {
-					if count[s] > 0 {
-						load[s] /= float64(count[s])
-					}
-				}
-				imbalance := load[0] - load[1]
-				threshold := naiveThreshold
-				if cfg.Policy == HistoryAware {
-					ewma = ewmaAlpha*imbalance + (1-ewmaAlpha)*ewma
-					imbalance = ewma
-					threshold = historyThreshold
-					if time.Duration(p.Now()-lastMove) < historyCooldown {
-						continue
-					}
-				}
-				var from, to int
-				switch {
-				case imbalance > threshold:
-					from, to = 1, 0
-				case imbalance < -threshold:
-					from, to = 0, 1
-				default:
+				from, to, ok := rule.Decide(p.Now(), load, count)
+				if !ok {
 					continue
-				}
-				if count[from] <= 1 {
-					continue // never strip a service of its last node
 				}
 				// Serialize the move against other agents with a
 				// one-sided CAS on the shared lock word.
@@ -272,24 +296,11 @@ func Run(cfg Config) (Result, error) {
 					res.CASConflicts++
 					continue
 				}
-				// Move the least-loaded donor node.
-				victim := -1
-				for i := range nodes {
-					if assign[i] != from {
-						continue
-					}
-					if victim == -1 || nodes[i].RunQueueLen() < nodes[victim].RunQueueLen() {
-						victim = i
-					}
-				}
-				if victim >= 0 {
+				if victim := LeastLoaded(nodes, assign, from); victim >= 0 {
 					assign[victim] = to
 					coldUntil[victim] = p.Now().Add(warmupPenalty)
 					res.Reconfigs++
-					if cfg.Policy == HistoryAware {
-						ewma = 0
-					}
-					lastMove = p.Now()
+					rule.Moved(p.Now())
 				}
 				var zero [8]byte
 				if err := frontDev.Write(p, lockMR.Addr(), 0, zero[:]); err != nil {

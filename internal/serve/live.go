@@ -3,15 +3,16 @@ package serve
 import (
 	"sync"
 
+	"ngdc/internal/dlm"
 	"ngdc/internal/runtime"
 )
 
 // liveBackend is the real-goroutine implementation of the request
 // surface: an in-memory key/value table and a table of fair
 // shared/exclusive locks. Semantics mirror the simulated framework —
-// FIFO grant order, shared cohorts granted in one burst (the N-CoSED
-// behaviour), at most one hold per (connection, lock) — but nothing
-// about its timing is deterministic.
+// each lock is a dlm.Queue: FIFO grant order, no request overtaken,
+// shared cohorts granted in one burst; at most one hold per (connection,
+// lock) — but nothing about its timing is deterministic.
 type liveBackend struct {
 	locks []liveLock
 
@@ -69,93 +70,38 @@ func (s *liveSession) Unlock(_ runtime.Task, lock int, excl bool) error {
 	return nil
 }
 
-// liveLock is a fair shared/exclusive lock: waiters queue FIFO, an
-// exclusive grant goes to one waiter, and a run of shared waiters at
-// the head is granted as one cohort.
+// liveLock is dlm.Queue under a mutex. A waiter blocks on its own
+// channel, made only when it has to wait and closed when it is granted.
 type liveLock struct {
 	mu      sync.Mutex
-	shared  int  // current shared holders
-	excl    bool // exclusively held?
-	waiters []*liveWaiter
-}
-
-type liveWaiter struct {
-	excl  bool
-	ready chan struct{}
-}
-
-func (l *liveLock) grantableLocked(excl bool) bool {
-	if len(l.waiters) > 0 {
-		return false // fairness: queued waiters go first
-	}
-	if excl {
-		return !l.excl && l.shared == 0
-	}
-	return !l.excl
+	q       dlm.Queue[chan struct{}]
+	granted []dlm.Waiter[chan struct{}] // release's scratch, under mu
 }
 
 func (l *liveLock) tryAcquire(excl bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.grantableLocked(excl) {
-		return false
-	}
-	if excl {
-		l.excl = true
-	} else {
-		l.shared++
-	}
-	return true
+	return l.q.TryAcquire(excl)
 }
 
 func (l *liveLock) acquire(excl bool, beforeWait func()) {
 	l.mu.Lock()
-	if l.grantableLocked(excl) {
-		if excl {
-			l.excl = true
-		} else {
-			l.shared++
-		}
+	if l.q.TryAcquire(excl) {
 		l.mu.Unlock()
 		return
 	}
-	w := &liveWaiter{excl: excl, ready: make(chan struct{})}
-	l.waiters = append(l.waiters, w)
+	ready := make(chan struct{})
+	l.q.Acquire(ready, excl)
 	l.mu.Unlock()
 	beforeWait()
-	<-w.ready
+	<-ready
 }
 
 func (l *liveLock) release(excl bool) {
 	l.mu.Lock()
-	if excl {
-		l.excl = false
-	} else {
-		l.shared--
+	l.granted = l.q.Release(excl, l.granted[:0])
+	for _, w := range l.granted {
+		close(w.Who)
 	}
-	l.grantHeadLocked()
 	l.mu.Unlock()
-}
-
-// grantHeadLocked hands the lock to the head of the queue: one
-// exclusive waiter, or the whole leading shared cohort in one burst.
-func (l *liveLock) grantHeadLocked() {
-	for len(l.waiters) > 0 {
-		w := l.waiters[0]
-		if w.excl {
-			if l.excl || l.shared > 0 {
-				return
-			}
-			l.excl = true
-			l.waiters = l.waiters[1:]
-			close(w.ready)
-			return
-		}
-		if l.excl {
-			return
-		}
-		l.shared++
-		l.waiters = l.waiters[1:]
-		close(w.ready)
-	}
 }

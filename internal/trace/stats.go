@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"ngdc/internal/metrics"
 )
 
 // TraceStats is a point-in-time copy of a registry's counters: a plain
@@ -51,55 +49,13 @@ func (r *Registry) Snapshot() TraceStats {
 }
 
 // Merge returns the element-wise sum of two snapshots (latency summaries
-// are merged; queue high-water marks take the max).
+// are merged; queue high-water marks take the max): both are folded into
+// a fresh Registry, whose snapshot is the result.
 func (s TraceStats) Merge(o TraceStats) TraceStats {
-	out := TraceStats{
-		Engine:  s.Engine,
-		Devices: map[int]DeviceStats{},
-		NICs:    map[int]NICStats{},
-		Fabric:  map[string]OpTimes{},
-		Schemes: map[string]SchemeStats{},
-	}
-	out.Engine.merge(o.Engine)
-	for id, d := range s.Devices {
-		out.Devices[id] = d
-	}
-	for id, d := range o.Devices {
-		m, ok := out.Devices[id]
-		if !ok {
-			m = DeviceStats{Node: d.Node}
-		}
-		m.merge(d)
-		out.Devices[id] = m
-	}
-	for id, n := range s.NICs {
-		out.NICs[id] = n
-	}
-	for id, n := range o.NICs {
-		m, ok := out.NICs[id]
-		if !ok {
-			m = NICStats{Node: n.Node}
-		}
-		m.merge(n)
-		out.NICs[id] = m
-	}
-	for c, t := range s.Fabric {
-		out.Fabric[c] = t
-	}
-	for c, t := range o.Fabric {
-		m := out.Fabric[c]
-		m.merge(t)
-		out.Fabric[c] = m
-	}
-	for n, sc := range s.Schemes {
-		out.Schemes[n] = sc
-	}
-	for n, sc := range o.Schemes {
-		m := out.Schemes[n]
-		m.merge(sc)
-		out.Schemes[n] = m
-	}
-	return out
+	r := NewRegistry()
+	r.Fold(s)
+	r.Fold(o)
+	return r.Snapshot()
 }
 
 // VerbsOps returns total verbs operations across all devices — a quick
@@ -211,57 +167,4 @@ func (s TraceStats) WriteJSONL(w io.Writer) error {
 		"{\"record\":\"engine\",\"envs\":%d,\"events\":%d,\"procs\":%d,\"max_queue\":%d}\n",
 		s.Engine.Envs, s.Engine.EventsProcessed, s.Engine.ProcsSpawned, s.Engine.MaxEventQueue)
 	return err
-}
-
-// Table renders the per-layer counters as a metrics.Table, for
-// human-readable snapshots.
-func (s TraceStats) Table() *metrics.Table {
-	tb := metrics.NewTable("trace snapshot", "layer", "key", "ops", "bytes", "time µs")
-	devs := make([]int, 0, len(s.Devices))
-	for id := range s.Devices {
-		devs = append(devs, id)
-	}
-	sort.Ints(devs)
-	for _, id := range devs {
-		d := s.Devices[id]
-		for _, v := range []struct {
-			op string
-			st VerbStats
-		}{{"read", d.Read}, {"write", d.Write}, {"atomic", d.Atomic}, {"send", d.Send}} {
-			if v.st.Ops == 0 {
-				continue
-			}
-			tb.AddRow("verbs", fmt.Sprintf("node%d/%s", id, v.op), v.st.Ops, v.st.Bytes, v.st.Lat.Sum())
-		}
-	}
-	classes := make([]string, 0, len(s.Fabric))
-	for c := range s.Fabric {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		t := s.Fabric[c]
-		tb.AddRow("fabric", c+"/wire", t.Ops, int64(0), us(t.Wire))
-		tb.AddRow("fabric", c+"/cpu", t.Ops, int64(0), us(t.HostCPU))
-	}
-	schemes := make([]string, 0, len(s.Schemes))
-	for n := range s.Schemes {
-		schemes = append(schemes, n)
-	}
-	sort.Strings(schemes)
-	for _, n := range schemes {
-		sc := s.Schemes[n]
-		tb.AddRow("sockets", n+"/zerocopy", sc.Msgs, sc.ZeroCopyBytes, 0.0)
-		tb.AddRow("sockets", n+"/bcopy", sc.Msgs, sc.BCopyBytes, 0.0)
-		var stalls int64
-		var wait time.Duration
-		for _, st := range sc.Stalls {
-			stalls += st.Count
-			wait += st.Wait
-		}
-		tb.AddRow("sockets", n+"/stalls", stalls, int64(0), us(wait))
-	}
-	tb.AddRow("sim", "events", int64(s.Engine.EventsProcessed), int64(0), 0.0)
-	tb.AddRow("sim", "max-queue", int64(s.Engine.MaxEventQueue), int64(0), 0.0)
-	return tb
 }

@@ -277,13 +277,3 @@ func TestSinkStreamsEvents(t *testing.T) {
 		}
 	}
 }
-
-func TestTableRendersAllLayers(t *testing.T) {
-	s := tracedRun(t, 1)
-	out := s.Table().String()
-	for _, want := range []string{"verbs", "fabric", "sim", "node0/read", "rdma-write/wire", "events"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
