@@ -573,13 +573,14 @@ func TestWaitVersionOnFreedSegmentFails(t *testing.T) {
 	}
 }
 
-// TestDDSSSteadyStateAllocationFree asserts that remote put/get loops —
-// including the one-sided header-word reads/writes (pooled scratch) and
-// Temporal TTL refreshes (cached copy reused in place) — allocate
-// nothing per operation once warm.
+// TestDDSSSteadyStateAllocationFree asserts that put/get loops —
+// including the one-sided header-word reads/writes (pooled scratch),
+// Temporal TTL refreshes (cached copy reused in place) and the Write
+// model's pooled put and get chains, remote and home — allocate nothing
+// per operation once warm.
 func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 	env, ss, _ := testSubstrate(1, 2)
-	var hv, ht *Handle
+	var hv, ht, hw, hl *Handle
 	env.Go("setup", func(p *sim.Proc) {
 		c := ss.Client(1)
 		var err error
@@ -587,6 +588,12 @@ func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 			t.Error(err)
 		}
 		if ht, err = c.Allocate(p, "ttl", 1024, Temporal, 0); err != nil {
+			t.Error(err)
+		}
+		if hw, err = c.Allocate(p, "write", 1024, Write, 0); err != nil {
+			t.Error(err)
+		}
+		if hl, err = c.Allocate(p, "write-home", 1024, Write, 1); err != nil {
 			t.Error(err)
 		}
 	})
@@ -612,6 +619,16 @@ func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 			if _, err := ht.Get(p, buf); err != nil {
 				t.Error(err)
 				return
+			}
+			for _, h := range []*Handle{hw, hl} {
+				if _, err := h.Put(p, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := h.Get(p, buf); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			p.Sleep(DefaultTTL) // expire the Temporal copy: next Get refreshes
 		}

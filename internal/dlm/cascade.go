@@ -42,8 +42,8 @@ func (r CascadeResult) MeanGrant() time.Duration {
 // its own node, nWaiters waiting requests of the given mode on distinct
 // nodes, all against a lock homed on yet another node. It returns the
 // grant-latency profile observed after the holder's release. The run is
-// opened with o; the lock clients panic on a failed send, so o.Faults
-// must not take a participating node down.
+// opened with o; a lock operation that fails under o.Faults ends its
+// process, and Cascade returns the first such error.
 func Cascade(kind Kind, mode Mode, nWaiters int, seed int64, o runtime.ServiceOptions) (CascadeResult, error) {
 	env := o.NewEnv(seed)
 	defer env.Shutdown()
@@ -60,13 +60,22 @@ func Cascade(kind Kind, mode Mode, nWaiters int, seed int64, o runtime.ServiceOp
 	holdUntil := 10 * time.Millisecond
 	granted := sim.NewWaitGroup(env, "grants")
 	granted.Add(nWaiters)
+	var opErr error
+	failed := func(err error) bool {
+		if err != nil && opErr == nil {
+			opErr = err
+		}
+		return err != nil
+	}
 
 	env.Go("holder", func(p *sim.Proc) {
 		c := m.Client(nodes[1].ID)
-		c.Lock(p, lock, Exclusive)
+		if failed(c.Lock(p, lock, Exclusive)) {
+			return
+		}
 		p.SleepUntil(sim.Time(holdUntil))
 		res.ReleaseAt = p.Now()
-		c.Unlock(p, lock, Exclusive)
+		failed(c.Unlock(p, lock, Exclusive))
 	})
 	for i := 0; i < nWaiters; i++ {
 		i := i
@@ -76,7 +85,9 @@ func Cascade(kind Kind, mode Mode, nWaiters int, seed int64, o runtime.ServiceOp
 			// before the holder releases.
 			p.SleepUntil(sim.Time(time.Millisecond + time.Duration(i)*20*time.Microsecond))
 			c := m.Client(node.ID)
-			c.Lock(p, lock, mode)
+			if failed(c.Lock(p, lock, mode)) {
+				return
+			}
 			res.GrantLat[i] = time.Duration(p.Now() - res.ReleaseAt)
 			granted.Done()
 			if mode == Exclusive || kind == DQNL {
@@ -85,14 +96,18 @@ func Cascade(kind Kind, mode Mode, nWaiters int, seed int64, o runtime.ServiceOp
 				// so its "shared" holders cannot coexist: each must
 				// release before the next waiter's grant — exactly the
 				// serialization Fig 5a penalizes.
-				c.Unlock(p, lock, mode)
+				failed(c.Unlock(p, lock, mode))
 			} else {
 				granted.Wait(p)
-				c.Unlock(p, lock, Shared)
+				failed(c.Unlock(p, lock, Shared))
 			}
 		})
 	}
-	if err := env.Run(); err != nil {
+	err := env.Run()
+	if opErr != nil {
+		err = opErr
+	}
+	if err != nil {
 		return res, err
 	}
 	for _, d := range res.GrantLat {

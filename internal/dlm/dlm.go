@@ -101,14 +101,24 @@ type Manager struct {
 
 // Client is a node's handle to the lock service. At most one outstanding
 // request per (client, lock) is supported, matching the paper's usage.
+//
+// A transport failure is an error, not a panic: a one-sided operation or
+// a message send that fails (the home or a peer crashed or partitioned
+// away, the local device down) ends the call with that error, at the
+// instant the operation reports it — a one-sided operation in flight no
+// later than its nominal completion. The call's protocol state is left
+// where the failure found it; with leases on, the home agent repairs a
+// lock whose holder died. Sends are datagrams: one the fabric drops after
+// it left is no error, and a request or grant lost that way leaves the
+// caller waiting. The home side drops a grant it cannot send.
 type Client interface {
 	// Lock blocks until the lock is held in the given mode.
-	Lock(p *sim.Proc, lock int, mode Mode)
+	Lock(p *sim.Proc, lock int, mode Mode) error
 	// TryLock attempts a non-blocking acquire, reporting success. A
 	// failed attempt leaves no queue state behind.
-	TryLock(p *sim.Proc, lock int, mode Mode) bool
+	TryLock(p *sim.Proc, lock int, mode Mode) (bool, error)
 	// Unlock releases a held lock.
-	Unlock(p *sim.Proc, lock int, mode Mode)
+	Unlock(p *sim.Proc, lock int, mode Mode) error
 }
 
 // Options configures a lock manager.
@@ -282,6 +292,18 @@ func (g *grantTable) arm(lock int) *sim.Future[int] {
 	}
 	g.armed[lock] = true
 	return f
+}
+
+// request arms the grant of w.lock, sends w to the service on dst and
+// parks until the grant arrives, returning its arg. A send that fails
+// disarms the grant and returns the error: the request never left.
+func (g *grantTable) request(p *sim.Proc, dev *verbs.Device, dst int, service string, w wire) (int, error) {
+	fut := g.arm(w.lock)
+	if err := sendWire(p, dev, dst, service, w); err != nil {
+		g.armed[w.lock] = false
+		return 0, err
+	}
+	return fut.Wait(p), nil
 }
 
 // grant resolves the future for a lock.

@@ -15,6 +15,15 @@ import (
 
 var allKinds = []Kind{SRSL, DQNL, NCoSED}
 
+// tryLock is TryLock on a healthy run, where any error fails the test.
+func tryLock(t *testing.T, p *sim.Proc, c Client, lock int, mode Mode) bool {
+	ok, err := c.TryLock(p, lock, mode)
+	if err != nil {
+		t.Errorf("trylock %d %v: %v", lock, mode, err)
+	}
+	return ok
+}
+
 func testManager(seed int64, kind Kind, nNodes, nLocks int) (*sim.Env, *Manager, []*cluster.Node) {
 	env := sim.NewEnv(seed)
 	nw := verbs.NewNetwork(env, fabric.DefaultParams())
@@ -184,7 +193,7 @@ func TestQueuedWriterNotOvertaken(t *testing.T) {
 			env.Go("b", func(p *sim.Proc) {
 				p.Sleep(100 * time.Microsecond)
 				c := m.Client(nodes[3].ID)
-				if c.TryLock(p, 0, Shared) {
+				if tryLock(t, p, c, 0, Shared) {
 					t.Errorf("%v: shared TryLock granted past a queued writer", kind)
 					c.Unlock(p, 0, Shared)
 				}
@@ -599,13 +608,13 @@ func TestTryLockSemantics(t *testing.T) {
 			env.Go("driver", func(p *sim.Proc) {
 				a := m.Client(nodes[1].ID)
 				b := m.Client(nodes[2].ID)
-				if !a.TryLock(p, 0, Exclusive) {
+				if !tryLock(t, p, a, 0, Exclusive) {
 					t.Error("trylock on free lock failed")
 				}
-				if b.TryLock(p, 0, Exclusive) {
+				if tryLock(t, p, b, 0, Exclusive) {
 					t.Error("trylock on held lock succeeded")
 				}
-				if kind != DQNL && b.TryLock(p, 0, Shared) {
+				if kind != DQNL && tryLock(t, p, b, 0, Shared) {
 					t.Error("shared trylock under exclusive succeeded")
 				}
 				a.Unlock(p, 0, Exclusive)
@@ -613,7 +622,7 @@ func TestTryLockSemantics(t *testing.T) {
 				// blocking acquire must work normally.
 				b.Lock(p, 0, Exclusive)
 				b.Unlock(p, 0, Exclusive)
-				if !b.TryLock(p, 0, Exclusive) {
+				if !tryLock(t, p, b, 0, Exclusive) {
 					t.Error("trylock after release failed")
 				}
 				b.Unlock(p, 0, Exclusive)
@@ -632,16 +641,16 @@ func TestTryLockSharedCoexists(t *testing.T) {
 		env.Go("driver", func(p *sim.Proc) {
 			a := m.Client(nodes[1].ID)
 			b := m.Client(nodes[2].ID)
-			if !a.TryLock(p, 0, Shared) || !b.TryLock(p, 0, Shared) {
+			if !tryLock(t, p, a, 0, Shared) || !tryLock(t, p, b, 0, Shared) {
 				t.Errorf("%v: shared trylocks did not coexist", kind)
 			}
 			c := m.Client(nodes[3].ID)
-			if c.TryLock(p, 0, Exclusive) {
+			if tryLock(t, p, c, 0, Exclusive) {
 				t.Errorf("%v: exclusive trylock under shared holders succeeded", kind)
 			}
 			a.Unlock(p, 0, Shared)
 			b.Unlock(p, 0, Shared)
-			if !c.TryLock(p, 0, Exclusive) {
+			if !tryLock(t, p, c, 0, Exclusive) {
 				t.Errorf("%v: exclusive trylock after shared drain failed", kind)
 			}
 			c.Unlock(p, 0, Exclusive)

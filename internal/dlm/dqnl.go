@@ -58,7 +58,7 @@ func (c *dqnlClientImpl) slotAddr(nodeID, lock int) verbs.RemoteAddr {
 
 // Lock implements Client. The mode is accepted for interface parity but
 // shared requests are serialized exactly like exclusive ones.
-func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
+func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
 	addr, off := c.tailAddr(lock)
@@ -70,7 +70,7 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
 	for {
 		old, err := c.dev.CompareSwap(p, addr, off, expect, me)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if old == expect {
 			prev = old
@@ -79,7 +79,7 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
 		expect = old
 	}
 	if prev == 0 {
-		return // queue was empty: lock acquired one-sided
+		return nil // queue was empty: lock acquired one-sided
 	}
 
 	// Announce ourselves to the predecessor by writing our ID into its
@@ -89,13 +89,13 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
 	putU64(idBuf[:], me)
 	predSlot := c.slotAddr(int(prev-1), lock)
 	if err := c.dev.Write(p, predSlot, dqnlSlotSize*lock+dqnlSuccOff, idBuf[:]); err != nil {
-		panic(err)
+		return err
 	}
 	grantOff := dqnlSlotSize*lock + dqnlGrantOff
 	for {
 		if c.slots.Uint64At(grantOff) != 0 {
 			c.slots.PutUint64At(grantOff, 0)
-			return
+			return nil
 		}
 		p.Sleep(PollInterval)
 	}
@@ -103,30 +103,24 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
 
 // TryLock implements Client: a single compare-and-swap; on failure no
 // queue entry is created.
-func (c *dqnlClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) bool {
+func (c *dqnlClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error) {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
 	addr, off := c.tailAddr(lock)
 	old, err := c.dev.CompareSwap(p, addr, off, 0, me)
-	if err != nil {
-		panic(err)
-	}
-	return old == 0
+	return err == nil && old == 0, err
 }
 
 // Unlock implements Client.
-func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
+func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
 	addr, off := c.tailAddr(lock)
 
 	// Fast path: if we are still the tail, free the lock with one CAS.
 	old, err := c.dev.CompareSwap(p, addr, off, me, 0)
-	if err != nil {
-		panic(err)
-	}
-	if old == me {
-		return
+	if err != nil || old == me {
+		return err
 	}
 
 	// A successor exists; it may still be writing its announcement. Poll
@@ -145,9 +139,7 @@ func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
 	var one [8]byte
 	putU64(one[:], 1)
 	succSlot := c.slotAddr(int(succ-1), lock)
-	if err := c.dev.Write(p, succSlot, dqnlSlotSize*lock+dqnlGrantOff, one[:]); err != nil {
-		panic(err)
-	}
+	return c.dev.Write(p, succSlot, dqnlSlotSize*lock+dqnlGrantOff, one[:])
 }
 
 func putU64(b []byte, v uint64) {

@@ -61,8 +61,10 @@ type ncosedClientImpl struct {
 	m   *Manager
 	dev *verbs.Device
 
-	// tails holds the home lock words for locks homed on this node.
+	// tails holds the home lock words for locks homed on this node;
+	// words[l] is lock l's word, wherever it is homed.
 	tails  *verbs.MR
+	words  []verbs.RemoteAddr
 	grants *grantTable
 
 	// Exclusive-chain state: our direct successor per lock, and an armed
@@ -83,7 +85,8 @@ type ncosedClientImpl struct {
 }
 
 func newNCoSED(m *Manager) {
-	for _, node := range m.nodes {
+	clients := make([]*ncosedClientImpl, len(m.nodes))
+	for i, node := range m.nodes {
 		dev := m.nw.Attach(node)
 		c := &ncosedClientImpl{
 			m:          m,
@@ -99,17 +102,24 @@ func newNCoSED(m *Manager) {
 			c.leases = map[int]*ncosedLease{}
 			c.inj = faults.Of(node.Env())
 		}
+		clients[i] = c
 		m.clients[node.ID] = c
 		env := node.Env()
 		env.GoDaemon(fmt.Sprintf("%s/ncosed-client", node.Name), c.clientLoop)
 		env.GoDaemon(fmt.Sprintf("%s/ncosed-agent", node.Name), c.agentLoop)
 	}
+	words := make([]verbs.RemoteAddr, m.locks)
+	for l := range words {
+		words[l] = clients[m.home(l)].tails.Addr()
+	}
+	for _, c := range clients {
+		c.words = words
+	}
 }
 
 // wordAddr returns the home word address of a lock.
 func (c *ncosedClientImpl) wordAddr(lock int) (verbs.RemoteAddr, int) {
-	home := c.m.clients[c.m.homeNodeID(lock)].(*ncosedClientImpl)
-	return home.tails.Addr(), 8 * lock
+	return c.words[lock], 8 * lock
 }
 
 // clientLoop dispatches grants and successor announcements.
@@ -246,7 +256,8 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 		delete(ls.succOf, dead)
 		g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
 		// Best-effort: the send only fails if the home itself is down,
-		// and then the grant is moot anyway.
+		// and then the grant is moot anyway. The poller drops a failed
+		// grant the same way.
 		_ = c.dev.PostSendAt(next, ncosedClientSvc, g.encode())
 		return // the successor's holder notification re-arms the lease
 	}
@@ -261,27 +272,23 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 
 // notifyHolder tells the home agent we now hold the lock exclusively
 // (lease protocol; no-op unless leases are enabled).
-func (c *ncosedClientImpl) notifyHolder(p *sim.Proc, lock int) {
+func (c *ncosedClientImpl) notifyHolder(p *sim.Proc, lock int) error {
 	if c.m.leaseTTL <= 0 {
-		return
+		return nil
 	}
 	w := wire{op: opHolderNotify, lock: lock, from: c.dev.Node.ID}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, w); err != nil {
-		panic(err)
-	}
+	return sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, w)
 }
 
 // releaseHolder tells the home agent we freed the lock with a single CAS
 // (lease protocol; no-op unless leases are enabled). Hand-offs need no
 // release: the successor's own notification supersedes us.
-func (c *ncosedClientImpl) releaseHolder(p *sim.Proc, lock int) {
+func (c *ncosedClientImpl) releaseHolder(p *sim.Proc, lock int) error {
 	if c.m.leaseTTL <= 0 {
-		return
+		return nil
 	}
 	w := wire{op: opHolderRelease, lock: lock, from: c.dev.Node.ID}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, w); err != nil {
-		panic(err)
-	}
+	return sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, w)
 }
 
 // ensurePoller starts the per-lock home poller if it is not running. The
@@ -298,15 +305,14 @@ func (c *ncosedClientImpl) ensurePoller(lock int, st *ncosedLockState) {
 	c.dev.Env().Go(st.pollName, func(p *sim.Proc) {
 		defer func() { st.polling = false }()
 		off := 8 * lock
+		// A grant whose send fails is dropped, as recoverLock's is.
+		grant := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
 		for {
 			w := c.tails.Uint64At(off)
 			if st.pendingDrain != 0 && ncCnt(w) == 0 {
 				d := st.pendingDrain - 1
 				st.pendingDrain = 0
-				g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
-				if err := sendWire(p, c.dev, d, ncosedClientSvc, g); err != nil {
-					panic(err)
-				}
+				_ = sendWire(p, c.dev, d, ncosedClientSvc, grant)
 				continue
 			}
 			if len(st.pendingShared) > 0 && ncTail(w) == 0 {
@@ -317,10 +323,7 @@ func (c *ncosedClientImpl) ensurePoller(lock int, st *ncosedLockState) {
 				st.pendingShared = nil
 				c.tails.PutUint64At(off, ncWord(0, ncCnt(w)+uint64(len(cohort))))
 				for _, nodeID := range cohort {
-					g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
-					if err := sendWire(p, c.dev, nodeID, ncosedClientSvc, g); err != nil {
-						panic(err)
-					}
+					_ = sendWire(p, c.dev, nodeID, ncosedClientSvc, grant)
 				}
 				continue
 			}
@@ -333,37 +336,32 @@ func (c *ncosedClientImpl) ensurePoller(lock int, st *ncosedLockState) {
 }
 
 // Lock implements Client.
-func (c *ncosedClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
+func (c *ncosedClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	if mode == Shared {
-		c.lockShared(p, lock)
-	} else {
-		c.lockExclusive(p, lock)
+		return c.lockShared(p, lock)
 	}
+	return c.lockExclusive(p, lock)
 }
 
-func (c *ncosedClientImpl) lockShared(p *sim.Proc, lock int) {
+func (c *ncosedClientImpl) lockShared(p *sim.Proc, lock int) error {
 	addr, off := c.wordAddr(lock)
 	old, err := c.dev.FetchAdd(p, addr, off, 1)
-	if err != nil {
-		panic(err)
-	}
-	if ncTail(old) == 0 {
-		return // no exclusive chain: we are a holder, purely one-sided
+	if err != nil || ncTail(old) == 0 {
+		return err // no exclusive chain: we are a holder, purely one-sided
 	}
 	// An exclusive chain is active: undo our increment (the count must
 	// reflect holders only, or drain detection breaks) and register with
 	// the home agent for the cohort grant.
-	c.sharedDec(p, lock)
-	fut := c.grants.arm(lock)
-	reg := wire{op: opSharedRegister, lock: lock, from: c.dev.Node.ID}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, reg); err != nil {
-		panic(err)
+	if err := c.sharedDec(p, lock); err != nil {
+		return err
 	}
-	fut.Wait(p)
+	reg := wire{op: opSharedRegister, lock: lock, from: c.dev.Node.ID}
+	_, err = c.grants.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, reg)
+	return err
 }
 
-func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) {
+func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) error {
 	me := uint64(c.dev.Node.ID + 1)
 	addr, off := c.wordAddr(lock)
 	expect := uint64(0)
@@ -372,7 +370,7 @@ func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) {
 		var err error
 		old, err = c.dev.CompareSwap(p, addr, off, expect, ncWord(me, ncCnt(expect)))
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if old == expect {
 			break
@@ -380,93 +378,76 @@ func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) {
 		expect = old
 	}
 	prevTail, cnt := ncTail(old), ncCnt(old)
+	var err error
 	switch {
 	case prevTail == 0 && cnt == 0:
 		// Free lock: acquired with a single CAS.
 	case prevTail == 0:
 		// Shared holders present: ask the home agent to grant us once the
 		// count drains to zero.
-		fut := c.grants.arm(lock)
 		req := wire{op: opWaitDrain, lock: lock, from: c.dev.Node.ID}
-		if err := sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, req); err != nil {
-			panic(err)
-		}
-		fut.Wait(p)
+		_, err = c.grants.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, req)
 	default:
 		// Queue behind the previous tail, peer-to-peer. With leases on,
 		// copy the announcement to the home agent so it can reconstruct
 		// the queue if our predecessor dies holding the lock.
-		fut := c.grants.arm(lock)
 		if c.m.leaseTTL > 0 {
 			cc := wire{op: opEnqueueCC, lock: lock, from: c.dev.Node.ID, arg: int(prevTail - 1)}
 			if err := sendWire(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, cc); err != nil {
-				panic(err)
+				return err
 			}
 		}
 		enq := wire{op: opEnqueue, lock: lock, from: c.dev.Node.ID}
-		if err := sendWire(p, c.dev, int(prevTail-1), ncosedClientSvc, enq); err != nil {
-			panic(err)
-		}
-		fut.Wait(p)
+		_, err = c.grants.request(p, c.dev, int(prevTail-1), ncosedClientSvc, enq)
 	}
-	c.notifyHolder(p, lock)
+	if err != nil {
+		return err
+	}
+	return c.notifyHolder(p, lock)
 }
 
 // TryLock implements Client. Exclusive: one CAS on the free word.
 // Shared: a fetch-and-add, undone if an exclusive chain is active —
 // exactly the fast paths, with no registration on failure.
-func (c *ncosedClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) bool {
+func (c *ncosedClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error) {
 	c.m.checkLock(lock)
 	addr, off := c.wordAddr(lock)
 	if mode == Shared {
 		old, err := c.dev.FetchAdd(p, addr, off, 1)
-		if err != nil {
-			panic(err)
+		if err != nil || ncTail(old) == 0 {
+			return err == nil, err
 		}
-		if ncTail(old) == 0 {
-			return true
-		}
-		c.sharedDec(p, lock)
-		return false
+		return false, c.sharedDec(p, lock)
 	}
 	me := uint64(c.dev.Node.ID + 1)
 	old, err := c.dev.CompareSwap(p, addr, off, 0, ncWord(me, 0))
-	if err != nil {
-		panic(err)
+	if err != nil || old != 0 {
+		return false, err
 	}
-	if old == 0 {
-		c.notifyHolder(p, lock)
-		return true
-	}
-	return false
+	return true, c.notifyHolder(p, lock)
 }
 
 // Unlock implements Client.
-func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
+func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	addr, off := c.wordAddr(lock)
 	if mode == Shared {
-		c.sharedDec(p, lock)
-		return
+		return c.sharedDec(p, lock)
 	}
 	me := uint64(c.dev.Node.ID + 1)
+	grant := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
 	for {
 		// If a successor already announced itself, hand over directly.
 		if s, ok := c.succ[lock]; ok {
 			delete(c.succ, lock)
-			g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
-			if err := sendWire(p, c.dev, s, ncosedClientSvc, g); err != nil {
-				panic(err)
-			}
-			return
+			return sendWire(p, c.dev, s, ncosedClientSvc, grant)
 		}
 		old, err := c.dev.CompareSwap(p, addr, off, ncWord(me, 0), 0)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if old == ncWord(me, 0) {
-			c.releaseHolder(p, lock)
-			return // freed with a single CAS
+			return c.releaseHolder(p, lock) // freed with a single CAS
 		}
 		if ncTail(old) == me {
 			// A shared requester's transient increment is in flight (it
@@ -487,12 +468,7 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
 			fut.Reset()
 		}
 		c.succWait[lock] = fut
-		s := fut.Wait(p)
-		g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
-		if err := sendWire(p, c.dev, s, ncosedClientSvc, g); err != nil {
-			panic(err)
-		}
-		return
+		return sendWire(p, c.dev, fut.Wait(p), ncosedClientSvc, grant)
 	}
 }
 
@@ -502,16 +478,17 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
 // zero borrows into the exclusive-tail half and silently corrupts the
 // queue. Guard it: repair the word with a compensating increment, then
 // fail loudly — an unbalanced shared unlock is a protocol bug.
-func (c *ncosedClientImpl) sharedDec(p *sim.Proc, lock int) {
+func (c *ncosedClientImpl) sharedDec(p *sim.Proc, lock int) error {
 	addr, off := c.wordAddr(lock)
 	old, err := c.dev.FetchAdd(p, addr, off, ^uint64(0))
 	if err != nil {
-		panic(err)
+		return err
 	}
 	if ncCnt(old) == 0 {
 		if _, err := c.dev.FetchAdd(p, addr, off, 1); err != nil {
-			panic(err)
+			return err
 		}
 		panic(fmt.Sprintf("dlm: ncosed: shared-count underflow on lock %d (unbalanced shared unlock would corrupt the exclusive tail)", lock))
 	}
+	return nil
 }

@@ -96,11 +96,10 @@ func (s *srslServer) queue(lock int) *Queue[int] {
 	return q
 }
 
+// sendGrant sends a grant or a TryLock verdict; one whose send fails is
+// dropped, as N-CoSED's home agent drops its grants.
 func (s *srslServer) sendGrant(p *sim.Proc, lock, to, arg int) {
-	g := wire{op: opGrant, lock: lock, from: s.dev.Node.ID, arg: arg}
-	if err := sendWire(p, s.dev, to, srslClient, g); err != nil {
-		panic(err)
-	}
+	_ = sendWire(p, s.dev, to, srslClient, wire{op: opGrant, lock: lock, from: s.dev.Node.ID, arg: arg})
 }
 
 // serve is the client-side grant dispatcher.
@@ -116,33 +115,25 @@ func (c *srslClientImpl) serve(p *sim.Proc) {
 }
 
 // Lock implements Client.
-func (c *srslClientImpl) Lock(p *sim.Proc, lock int, mode Mode) {
+func (c *srslClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
-	fut := c.grants.arm(lock)
 	req := wire{op: opLockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), srslService, req); err != nil {
-		panic(err)
-	}
-	fut.Wait(p)
+	_, err := c.grants.request(p, c.dev, c.m.homeNodeID(lock), srslService, req)
+	return err
 }
 
 // TryLock implements Client: one round trip to the server, which grants
 // or denies without queueing.
-func (c *srslClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) bool {
+func (c *srslClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error) {
 	c.m.checkLock(lock)
-	fut := c.grants.arm(lock)
 	req := wire{op: opTryLockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), srslService, req); err != nil {
-		panic(err)
-	}
-	return fut.Wait(p)&srslDenied == 0
+	verdict, err := c.grants.request(p, c.dev, c.m.homeNodeID(lock), srslService, req)
+	return err == nil && verdict&srslDenied == 0, err
 }
 
 // Unlock implements Client.
-func (c *srslClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) {
+func (c *srslClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	req := wire{op: opUnlockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	if err := sendWire(p, c.dev, c.m.homeNodeID(lock), srslService, req); err != nil {
-		panic(err)
-	}
+	return sendWire(p, c.dev, c.m.homeNodeID(lock), srslService, req)
 }

@@ -117,15 +117,13 @@ func lockMode(excl bool) dlm.Mode {
 // served connection has queued every earlier reply before this request
 // started — so a parked session holds nothing back.
 func (s *simSession) Lock(t runtime.Task, lock int, excl bool, _ func()) error {
-	s.lc.Lock(t.SimProc(), lock, lockMode(excl))
-	return nil
+	return s.lc.Lock(t.SimProc(), lock, lockMode(excl))
 }
 
 func (s *simSession) TryLock(t runtime.Task, lock int, excl bool) (bool, error) {
-	return s.lc.TryLock(t.SimProc(), lock, lockMode(excl)), nil
+	return s.lc.TryLock(t.SimProc(), lock, lockMode(excl))
 }
 
 func (s *simSession) Unlock(t runtime.Task, lock int, excl bool) error {
-	s.lc.Unlock(t.SimProc(), lock, lockMode(excl))
-	return nil
+	return s.lc.Unlock(t.SimProc(), lock, lockMode(excl))
 }

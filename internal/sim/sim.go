@@ -25,7 +25,10 @@
 // event values (no allocation, no interface dispatch per scheduling
 // operation), waiter queues recycle their storage, a coroutine switch
 // bypasses the Go scheduler, and a process whose own wakeup is the next
-// event keeps running without switching at all. Steady-state scheduling
+// event keeps running without switching at all. A Sleep whose wake would
+// head the queue does not even queue it: the process advances the clock
+// in place, counting the event and drawing its sequence number as the
+// push and pop would have (Proc.SleepUntil). Steady-state scheduling
 // (Sleep, channel ping-pong, resource hand-off) is allocation free;
 // internal/sim's benchmarks assert this numerically.
 //
@@ -462,14 +465,36 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now.Add(d), p, nil)
-	p.yieldAndPark()
+	p.SleepUntil(p.env.now.Add(d))
 }
 
 // SleepUntil suspends the process until virtual time t (or yields once if
 // t is in the past).
+//
+// A wake that would head the queue — nothing is pending, or everything
+// pending is strictly later — within the run limit is the next event
+// whoever pops it, so the process takes it in place: it draws the
+// sequence number, counts the event and the queue's high-water mark the
+// push would have, and advances the clock, without touching the heap or
+// yielding. This is the pop yieldAndPark would otherwise do right after
+// the push; the counters, the tracer's events and every later pop are
+// the same.
 func (p *Proc) SleepUntil(t Time) {
-	p.env.schedule(t, p, nil)
+	e := p.env
+	if t < e.now {
+		t = e.now
+	}
+	if e.err == nil && t <= e.limit && (e.evq.len() == 0 || t < e.evq.top().at) {
+		e.seq++
+		if e.evq.len() >= e.maxEventQueue {
+			e.maxEventQueue = e.evq.len() + 1
+		}
+		e.now = t
+		e.eventsProcessed++
+		e.trace(TraceProcResumed, p.name)
+		return
+	}
+	e.schedule(t, p, nil)
 	p.yieldAndPark()
 }
 
@@ -479,8 +504,8 @@ type EngineStats struct {
 	EventsProcessed uint64
 	// Resumes counts control transfers from the run loop into a process —
 	// the host cost events alone do not show. A process that consumes its
-	// own wakeup without yielding (see yieldAndPark) is an event, not a
-	// resume.
+	// own wakeup without yielding (see yieldAndPark and SleepUntil) is an
+	// event, not a resume.
 	Resumes uint64
 	// ProcsSpawned counts processes ever created.
 	ProcsSpawned uint64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -748,6 +749,99 @@ func TestResumesCountControlTransfers(t *testing.T) {
 	// the wake are the resumes.
 	if st := e.Stats(); st.EventsProcessed != 9 || st.Resumes != 3 {
 		t.Fatalf("after the second run: %+v, want 9 events and 3 resumes", st)
+	}
+}
+
+// TestSleepInPlace: a Sleep whose wake would head the queue advances the
+// clock in place; one that ties the top instant or loses to it queues and
+// yields. Either way the sequence number, the event count, the queue's
+// high-water mark, the pop order and the tracer's steps are those of a
+// push followed by the run loop's pop. The process schedules two
+// callbacks, at 2 µs and 5 µs, and then sleeps.
+func TestSleepInPlace(t *testing.T) {
+	us := Time(time.Microsecond)
+	for _, tc := range []struct {
+		name    string
+		sleep   time.Duration
+		resumes uint64
+		trace   string
+	}{
+		{"heads", time.Microsecond, 1, "p@0 p@1000 end@1000 cb@2000 cb@5000"},
+		{"ties", 2 * time.Microsecond, 2, "p@0 cb@2000 p@2000 end@2000 cb@5000"},
+		{"loses", 3 * time.Microsecond, 2, "p@0 cb@2000 p@3000 end@3000 cb@5000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var steps []string
+			e := NewEnv(1)
+			e.SetTracer(func(ev TraceEvent) {
+				steps = append(steps, fmt.Sprintf("%s@%d", map[TraceEventKind]string{
+					TraceProcResumed: ev.Proc, TraceProcEnded: "end", TraceCallback: "cb"}[ev.Kind], ev.At))
+			})
+			var seq uint64
+			e.Go("p", func(p *Proc) {
+				e.After(2*time.Microsecond, func() {})
+				e.After(5*time.Microsecond, func() {})
+				p.Sleep(tc.sleep)
+				seq = e.seq
+				if p.Now() != Time(tc.sleep) {
+					t.Errorf("woke at %v, want %v", p.Now(), tc.sleep)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(steps, " "); got != tc.trace {
+				t.Errorf("steps %q, want %q", got, tc.trace)
+			}
+			// Start, wake, two callbacks; the wake drew the fourth sequence
+			// number and was the third event pending at once.
+			want := EngineStats{EventsProcessed: 4, Resumes: tc.resumes, ProcsSpawned: 1, MaxEventQueue: 3}
+			if st := e.Stats(); st != want || seq != 4 || e.Now() != 5*us {
+				t.Errorf("%+v, seq %d at %v; want %+v, seq 4 at 5µs", st, seq, e.Now(), want)
+			}
+		})
+	}
+
+	// A wake past the run limit queues: the clock stops at the limit, and
+	// the next run resumes the process at its instant.
+	e := NewEnv(1)
+	var woke Time = -1
+	e.Go("p", func(p *Proc) {
+		p.Sleep(5 * time.Microsecond)
+		woke = p.Now()
+	})
+	if err := e.RunUntil(3 * us); err != nil {
+		t.Fatal(err)
+	}
+	if woke != -1 || e.Now() != 3*us {
+		t.Fatalf("first run: woke %v, clock %v; want asleep at 3µs", woke, e.Now())
+	}
+	if err := e.RunUntil(10 * us); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); woke != 5*us || st.EventsProcessed != 2 || st.Resumes != 2 {
+		t.Fatalf("second run: woke %v, %+v; want 5µs with 2 events and 2 resumes", woke, st)
+	}
+
+	// Shutdown unwinds a process whose Sleep, the queue empty and the
+	// limit open, would otherwise have gone in place.
+	e = NewEnv(1)
+	unwound, slept := false, false
+	e.GoDaemon("p", func(p *Proc) {
+		defer func() {
+			unwound = true
+			p.Sleep(time.Microsecond)
+			slept = true
+		}()
+		p.Park("forever")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	at := e.Now()
+	e.Shutdown()
+	if !unwound || slept || e.Now() != at {
+		t.Fatalf("unwound %v, slept %v, clock %v → %v; want unwound, not slept, clock unmoved", unwound, slept, at, e.Now())
 	}
 }
 
