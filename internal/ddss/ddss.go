@@ -27,6 +27,32 @@
 //   - Temporal: readers may serve from a node-local cached copy until a
 //     TTL expires; puts write data and timestamp.
 //
+// Each model is its put and get scripts, run by one event chain (ops.go)
+// after the IPC charge. A step is one one-sided operation, or a CPU
+// atomic or memory copy when the segment is home:
+//
+//	model     put                     get
+//	Null      write                   read
+//	Write     lock write unlock       read
+//	Read      write bump              ver read check
+//	Strict    lock write bump unlock  lock read ver unlock
+//	Version   write bump              ver read check
+//	Delta     bump write              ver read
+//	Temporal  write stamp             cached | read refresh
+//
+// lock is a CAS of the lock word from 0 to the caller, retried lockRetry
+// later while another client holds it; unlock writes a zero word; write
+// and read move the data at the slot of the version the script holds;
+// bump is a fetch-and-add of the version word (the put's version is the
+// old value + 1); ver reads the version word, and check rereads it and
+// restarts the script if it moved; stamp writes the step's start instant
+// into the timestamp word. A Temporal get serves a fresh local copy with
+// one memory copy, or reads and refreshes the copy. GetDelta is ver, a
+// retention check, then read at the requested slot; WaitVersion, with no
+// IPC charge, is ver repeated every poll interval until the version is
+// reached. Uncontended, a remote operation's latency is the IPC charge
+// plus the sum of its steps' verbs latencies.
+//
 // The IPC management module of the paper (virtualizing the substrate
 // across processes of one node) is modelled as a constant per-operation
 // charge (IPCOverhead).
@@ -129,8 +155,6 @@ type Substrate struct {
 	// place is the pluggable NodeAuto placement policy (SetPlacement);
 	// nil means PlaceLeastLoaded.
 	place func(key string, size int) int
-	// Ops counts substrate operations, for instrumentation.
-	Ops int64
 }
 
 // Options configures a substrate. It has no fields today; the struct
@@ -226,44 +250,9 @@ type Client struct {
 	ss    *Substrate
 	dev   *verbs.Device
 	cache map[string]*cachedCopy // Temporal-coherence local copies
-	// hdrFree recycles the 8-byte scratch words the one-sided header
-	// ops read into / write from. A stack array would escape through the
-	// verbs op records, so the words are checked out here instead,
-	// keeping steady-state put/get allocation-free.
-	hdrFree [][]byte
-	// gets and puts recycle the records of blocking Null and Write gets
-	// and puts.
-	gets freeList[GetOp]
-	puts freeList[PutOp]
+	// free recycles the records of blocking operations.
+	free []*Op
 }
-
-// freeList recycles records so steady-state operations allocate none.
-type freeList[T any] []*T
-
-// get returns a recycled record, or a new zero one.
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		x := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return x
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
-
-// getHdr checks an 8-byte header scratch word out of the free list.
-func (c *Client) getHdr() []byte {
-	if n := len(c.hdrFree); n > 0 {
-		b := c.hdrFree[n-1]
-		c.hdrFree = c.hdrFree[:n-1]
-		return b
-	}
-	return make([]byte, 8)
-}
-
-// putHdr returns a scratch word once the verbs op has consumed it.
-func (c *Client) putHdr(b []byte) { c.hdrFree = append(c.hdrFree, b) }
 
 type cachedCopy struct {
 	data    []byte
@@ -286,6 +275,9 @@ func (c *Client) Allocate(p *sim.Proc, key string, size int, coh Coherence, home
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("ddss: allocate %q: bad size %d", key, size)
+	}
+	if coh < Null || coh > Temporal {
+		return nil, fmt.Errorf("ddss: allocate %q: unknown coherence %v", key, coh)
 	}
 	if home == NodeAuto {
 		home = c.ss.placeAuto(key, size)

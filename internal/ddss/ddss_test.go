@@ -573,27 +573,57 @@ func TestWaitVersionOnFreedSegmentFails(t *testing.T) {
 	}
 }
 
-// TestDDSSSteadyStateAllocationFree asserts that put/get loops —
-// including the one-sided header-word reads/writes (pooled scratch),
-// Temporal TTL refreshes (cached copy reused in place) and the Write
-// model's pooled put and get chains, remote and home — allocate nothing
-// per operation once warm.
+// TestAllocateRejectsUnknownCoherence: the scripts are indexed by the
+// model, so Allocate refuses one that is not a Coherence constant before
+// it charges any time or memory.
+func TestAllocateRejectsUnknownCoherence(t *testing.T) {
+	env, ss, nodes := testSubstrate(1, 2)
+	defer env.Shutdown()
+	env.Go("w", func(p *sim.Proc) {
+		for _, coh := range []Coherence{Temporal + 1, -1} {
+			before, at := nodes[0].MemUsed(), p.Now()
+			_, err := ss.Client(1).Allocate(p, "seg", 64, coh, 0)
+			if want := fmt.Sprintf(`ddss: allocate "seg": unknown coherence %v`, coh); err == nil || err.Error() != want {
+				t.Errorf("%v: err = %v, want %s", coh, err, want)
+			}
+			if nodes[0].MemUsed() != before || p.Now() != at {
+				t.Errorf("%v: refused allocation took %d bytes and %v", coh, nodes[0].MemUsed()-before, p.Now()-at)
+			}
+			if _, err := ss.Client(1).Open("seg"); err == nil {
+				t.Errorf("%v: refused segment opens", coh)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDDSSSteadyStateAllocationFree asserts that once warm, every model's
+// put and get, remote and home — header words staged in the pooled
+// operation record, Temporal TTL refreshes reusing the cached copy — plus
+// GetDelta and a WaitVersion that polls, allocate nothing.
 func TestDDSSSteadyStateAllocationFree(t *testing.T) {
-	env, ss, _ := testSubstrate(1, 2)
-	var hv, ht, hw, hl *Handle
+	env, ss, _ := testSubstrate(1, 3)
+	var hs []*Handle
+	var delta, wait *Handle
 	env.Go("setup", func(p *sim.Proc) {
 		c := ss.Client(1)
+		for coh := Null; coh <= Temporal; coh++ {
+			for _, home := range []int{0, 1} {
+				h, err := c.Allocate(p, fmt.Sprintf("%v%d", coh, home), 1024, coh, home)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				hs = append(hs, h)
+				if coh == Delta && home == 0 {
+					delta = h
+				}
+			}
+		}
 		var err error
-		if hv, err = c.Allocate(p, "ver", 1024, Version, 0); err != nil {
-			t.Error(err)
-		}
-		if ht, err = c.Allocate(p, "ttl", 1024, Temporal, 0); err != nil {
-			t.Error(err)
-		}
-		if hw, err = c.Allocate(p, "write", 1024, Write, 0); err != nil {
-			t.Error(err)
-		}
-		if hl, err = c.Allocate(p, "write-home", 1024, Write, 1); err != nil {
+		if wait, err = c.Allocate(p, "wait", 64, Version, 0); err != nil {
 			t.Error(err)
 		}
 	})
@@ -602,25 +632,23 @@ func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 	}
 	data := make([]byte, 512)
 	buf := make([]byte, 512)
+	env.GoDaemon("producer", func(p *sim.Proc) {
+		h, err := ss.Client(2).Open("wait")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			p.Sleep(20 * time.Microsecond)
+			if _, err := h.Put(p, data[:8]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
 	env.GoDaemon("worker", func(p *sim.Proc) {
 		for {
-			if _, err := hv.Put(p, data); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := hv.Get(p, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := ht.Put(p, data); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := ht.Get(p, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			for _, h := range []*Handle{hw, hl} {
+			for _, h := range hs {
 				if _, err := h.Put(p, data); err != nil {
 					t.Error(err)
 					return
@@ -630,7 +658,22 @@ func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 					return
 				}
 			}
-			p.Sleep(DefaultTTL) // expire the Temporal copy: next Get refreshes
+			v, err := delta.Get(p, buf)
+			if err == nil {
+				err = delta.GetDelta(p, buf, v)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if v, err = wait.Get(p, buf[:8]); err == nil {
+				_, err = wait.WaitVersion(p, v+1, 2*time.Microsecond)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Sleep(DefaultTTL) // expire the Temporal copies: the next Gets refresh
 		}
 	})
 	limit := sim.Time(0)
@@ -640,10 +683,9 @@ func TestDDSSSteadyStateAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // warm scratch words, verbs op pools, the cached copy
-	allocs := testing.AllocsPerRun(20, step)
-	if allocs > 2 {
-		t.Errorf("steady-state ddss put/get allocates %.1f allocs per step, want ~0", allocs)
+	step() // warm the operation records, verbs op pools, the cached copies
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("steady-state ddss operations allocate %.1f allocs per step, want 0", allocs)
 	}
 	env.Shutdown()
 }

@@ -16,208 +16,88 @@ const lockRetry = 2 * time.Microsecond
 // (the data-placement module's local fast path).
 const localAtomicCost = 100 * time.Nanosecond
 
-// isLocal reports whether the segment lives on the caller's node; the
-// data-placement module then uses memory operations instead of the wire.
-func (h *Handle) isLocal() bool { return h.seg.home == h.c.dev.Node.ID }
-
-// write moves data into the segment: an RDMA write remotely, a memory
-// copy locally.
-func (h *Handle) write(p *sim.Proc, off int, data []byte) error {
-	if h.isLocal() {
-		p.Sleep(h.c.dev.Params().CopyTime(len(data)))
-		copy(h.seg.mr.Bytes()[off:off+len(data)], data)
-		return nil
-	}
-	return h.c.dev.Write(p, h.seg.mr.Addr(), off, data)
-}
-
-// read moves data out of the segment: an RDMA read remotely, a memory
-// copy locally.
-func (h *Handle) read(p *sim.Proc, buf []byte, off int) error {
-	if h.isLocal() {
-		p.Sleep(h.c.dev.Params().CopyTime(len(buf)))
-		copy(buf, h.seg.mr.Bytes()[off:off+len(buf)])
-		return nil
-	}
-	return h.c.dev.Read(p, buf, h.seg.mr.Addr(), off)
-}
-
-// fetchAdd bumps a header word, using a CPU atomic locally.
-func (h *Handle) fetchAdd(p *sim.Proc, off int, delta uint64) (uint64, error) {
-	if h.isLocal() {
-		p.Sleep(localAtomicCost)
-		old := h.seg.mr.Uint64At(off)
-		h.seg.mr.PutUint64At(off, old+delta)
-		return old, nil
-	}
-	return h.c.dev.FetchAdd(p, h.seg.mr.Addr(), off, delta)
-}
-
-// compareSwap CASes a header word, using a CPU atomic locally.
-func (h *Handle) compareSwap(p *sim.Proc, off int, compare, swap uint64) (uint64, error) {
-	if h.isLocal() {
-		p.Sleep(localAtomicCost)
-		old := h.seg.mr.Uint64At(off)
-		if old == compare {
-			h.seg.mr.PutUint64At(off, swap)
-		}
-		return old, nil
-	}
-	return h.c.dev.CompareSwap(p, h.seg.mr.Addr(), off, compare, swap)
-}
-
-// acquireLock spins on the segment lock word with one-sided CAS.
-func (h *Handle) acquireLock(p *sim.Proc) error {
-	me := uint64(h.c.dev.Node.ID + 1)
-	for {
-		old, err := h.compareSwap(p, hdrLock, 0, me)
-		if err != nil {
-			return err
-		}
-		if old == 0 {
-			return nil
-		}
-		p.Sleep(lockRetry)
-	}
-}
-
-// releaseLock clears the lock word with a one-sided write.
-func (h *Handle) releaseLock(p *sim.Proc) error {
-	return h.writeU64(p, hdrLock, 0)
-}
-
-// writeU64 writes a header word one-sidedly, staging the value in a
-// pooled scratch word (the verbs layer consumes it before returning).
-func (h *Handle) writeU64(p *sim.Proc, off int, v uint64) error {
-	b := h.c.getHdr()
-	binary.LittleEndian.PutUint64(b, v)
-	err := h.write(p, off, b)
-	h.c.putHdr(b)
-	return err
-}
-
-// readU64 reads a header word one-sidedly into a pooled scratch word.
-func (h *Handle) readU64(p *sim.Proc, off int) (uint64, error) {
-	b := h.c.getHdr()
-	if err := h.read(p, b, off); err != nil {
-		h.c.putHdr(b)
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(b)
-	h.c.putHdr(b)
-	return v, nil
-}
-
-// Put writes data into the segment under its coherence model and returns
-// the version the write produced (meaningful for Version/Delta). The
-// one-write models (Null, Write) run PutAsync and park once; the others
-// step through their operations.
-func (h *Handle) Put(p *sim.Proc, data []byte) (uint64, error) {
-	if chained(h.seg.coh) {
-		op := h.c.puts.get()
-		if op.waitFn == nil {
-			op.bind()
-		}
-		h.PutAsync(data, op, op.waitFn)
-		op.await.Wait(p, parkPut)
-		err := op.err
-		h.c.puts.put(op)
-		return 0, err
-	}
-	if err := h.checkPut(data); err != nil {
-		return 0, err
-	}
-	h.c.ss.Ops++
-	p.Sleep(IPCOverhead)
-	switch h.seg.coh {
-	case Strict:
-		// Strict also publishes a version so readers can detect in-place
-		// updates.
-		if err := h.acquireLock(p); err != nil {
-			return 0, err
-		}
-		if err := h.write(p, hdrSize, data); err != nil {
-			return 0, err
-		}
-		old, err := h.fetchAdd(p, hdrVersion, 1)
-		if err != nil {
-			return 0, err
-		}
-		return old + 1, h.releaseLock(p)
-
-	case Read, Version:
-		// Write data first, then publish the new version; readers
-		// validate the version around their read.
-		if err := h.write(p, hdrSize, data); err != nil {
-			return 0, err
-		}
-		old, err := h.fetchAdd(p, hdrVersion, 1)
-		return old + 1, err
-
-	case Delta:
-		// Claim the next version slot, then fill it.
-		old, err := h.fetchAdd(p, hdrVersion, 1)
-		if err != nil {
-			return 0, err
-		}
-		v := old + 1
-		return v, h.write(p, h.seg.dataOff(v), data)
-
-	case Temporal:
-		if err := h.write(p, hdrSize, data); err != nil {
-			return 0, err
-		}
-		return 0, h.writeU64(p, hdrTS, uint64(p.Now()))
-
-	default:
-		return 0, fmt.Errorf("ddss: unknown coherence %v", h.seg.coh)
-	}
-}
-
-func (h *Handle) checkPut(data []byte) error {
-	if h.seg.freed {
-		return fmt.Errorf("ddss: put %q: segment freed", h.seg.key)
-	}
-	if len(data) > h.seg.size {
-		return fmt.Errorf("ddss: put %q: %d bytes exceed segment size %d", h.seg.key, len(data), h.seg.size)
-	}
-	return nil
-}
-
-const parkPut = "ddss put"
-
-// putStep is a PutOp's operation in flight.
-type putStep uint8
+// step is one entry of an operation's script (see the package comment).
+type step uint8
 
 const (
-	stepLock   putStep = iota // CAS the segment lock word from 0 to the caller
-	stepData                  // write the data
-	stepUnlock                // write the lock word back to 0
+	stepLock    step = iota // CAS the lock word 0 → caller; retried lockRetry later while held
+	stepUnlock              // write a zero lock word
+	stepWrite               // write the data at seg.dataOff(ver)
+	stepRead                // read the data at seg.dataOff(ver)
+	stepBump                // FAA the version word +1: ver = old+1
+	stepVer                 // read the version word: ver
+	stepCheck               // reread it; restart the script (from its stepVer) if it moved
+	stepStamp               // write the step's start instant into the timestamp word
+	stepCached              // Temporal: serve a fresh local copy and end, or go on
+	stepRefresh             // Temporal: refresh the local copy from the data read
+	stepWindow              // GetDelta: err unless want is retained; ver = want
+	stepAlive               // WaitVersion: err if the segment was freed
+	stepUntil               // WaitVersion: end once ver ≥ want, else rerun pollEvery later
 )
 
-// PutOp is one caller's record for PutAsync, its steps bound on first
-// use, so a steady-state put allocates nothing. The zero value is ready
-// to use; it serves one put at a time and must not be copied once used.
-type PutOp struct {
-	h    *Handle
-	data []byte
+// The scripts, indexed by coherence model.
+var (
+	putScripts = [...][]step{
+		Null:     {stepWrite},
+		Write:    {stepLock, stepWrite, stepUnlock},
+		Read:     {stepWrite, stepBump},
+		Strict:   {stepLock, stepWrite, stepBump, stepUnlock},
+		Version:  {stepWrite, stepBump},
+		Delta:    {stepBump, stepWrite},
+		Temporal: {stepWrite, stepStamp},
+	}
+	getScripts = [...][]step{
+		Null:     {stepRead},
+		Write:    {stepRead},
+		Read:     {stepVer, stepRead, stepCheck},
+		Strict:   {stepLock, stepRead, stepVer, stepUnlock},
+		Version:  {stepVer, stepRead, stepCheck},
+		Delta:    {stepVer, stepRead},
+		Temporal: {stepCached, stepRead, stepRefresh},
+	}
+	deltaScript = []step{stepVer, stepWindow, stepRead}
+	waitScript  = []step{stepAlive, stepVer, stepUntil}
+)
+
+// Preformatted park reasons: parking must not allocate.
+const (
+	parkPut   = "ddss put"
+	parkGet   = "ddss get"
+	parkDelta = "ddss getdelta"
+	parkWait  = "ddss waitversion"
+)
+
+// Op is the record one operation's chain runs on: each step is a
+// one-sided operation issued into the record's handler CQ, or, when the
+// segment is home, the CPU atomic or memory copy applied once its cost has
+// elapsed, and each is scheduled where a process stepping through the
+// script with Sleeps and blocking verbs calls would have scheduled its
+// wake, so instants and sequence numbers are that process's. Its steps
+// are bound on first use, so a steady-state operation allocates nothing.
+// The zero value is ready to use; it serves one operation at a time and
+// must not be copied once used.
+type Op struct {
+	h         *Handle
+	buf       []byte // the put's data or the get's destination
+	script    []step
+	pc        int
+	ver, want uint64
+	poll      time.Duration
+	// word stages the header word a step reads or writes.
+	word [8]byte
 	done func(error)
-	step putStep
-	// unlock is the zero word the unlock write sends.
-	unlock [8]byte
 
-	ipcFn, lockFn, localFn func()
-	cq                     *verbs.CQ
+	runFn, localFn func()
+	cq             *verbs.CQ
 
-	// The blocking Put's wait and result.
+	// A blocking call's wait and result.
 	await  sim.Await
 	err    error
 	waitFn func(error)
 }
 
-func (op *PutOp) bind() {
-	op.ipcFn, op.localFn = op.ipcDone, op.local
-	op.lockFn = func() { op.run(stepLock) }
+func (op *Op) bind() {
+	op.runFn, op.localFn = op.run, op.local
 	op.cq = verbs.HandlerCQ(func(c verbs.Completion) { op.stepped(c.Old, c.Err) })
 	op.waitFn = func(err error) {
 		op.err = err
@@ -225,292 +105,253 @@ func (op *PutOp) bind() {
 	}
 }
 
-// PutAsync is Put of a Null or Write segment as an event chain on op: the
-// IPC charge; for Write, the segment-lock CAS, retried lockRetry later
-// while another client holds the lock; the data write; for Write, the
-// unlock write. Each operation is one-sided, or a CPU atomic or memory
-// copy when the segment is home, and each is scheduled where a process
-// stepping through them with Sleeps and blocking verbs would have
-// scheduled its wake, so instants and sequence numbers are that
-// process's. done gets the put's error at the instant the last operation
-// ends; a put refused before any virtual time passes (freed segment,
-// oversized data, a model other than Null and Write) calls done before
-// PutAsync returns. A failed data write leaves the lock held, as the
-// process did.
-func (h *Handle) PutAsync(data []byte, op *PutOp, done func(error)) {
-	if op.ipcFn == nil {
+// op checks a record out of the client's free list.
+func (c *Client) op() *Op {
+	if n := len(c.free); n > 0 {
+		op := c.free[n-1]
+		c.free = c.free[:n-1]
+		return op
+	}
+	op := &Op{}
+	op.bind()
+	return op
+}
+
+// result recycles op, whose chain has ended, and returns the chain's
+// result.
+func (c *Client) result(op *Op) (uint64, error) {
+	v, err := op.ver, op.err
+	op.err = nil
+	c.free = append(c.free, op)
+	return v, err
+}
+
+// begin loads script onto op; the caller starts it.
+func (op *Op) begin(h *Handle, buf []byte, script []step, done func(error)) {
+	if op.runFn == nil {
 		op.bind()
 	}
-	err := h.checkPut(data)
-	if err == nil && !chained(h.seg.coh) {
-		err = fmt.Errorf("ddss: put %q: %v is not a one-write model", h.seg.key, h.seg.coh)
-	}
-	if err != nil {
-		done(err)
-		return
-	}
-	h.c.ss.Ops++
-	op.h, op.data, op.done = h, data, done
-	h.c.dev.Env().After(IPCOverhead, op.ipcFn)
+	op.h, op.buf, op.script, op.done = h, buf, script, done
+	op.pc, op.ver = 0, 0
 }
 
-// ipcDone runs when the IPC charge ends.
-func (op *PutOp) ipcDone() {
-	if op.h.seg.coh == Write {
-		op.run(stepLock)
-		return
-	}
-	op.run(stepData)
+// start runs script on op after the IPC charge.
+func (h *Handle) start(op *Op, buf []byte, script []step, done func(error)) {
+	op.begin(h, buf, script, done)
+	h.c.dev.Env().After(IPCOverhead, op.runFn)
 }
 
-// run starts step s: one-sided into the handler CQ, or, when the segment
-// is home, after the CPU atomic's or the memory copy's cost.
-func (op *PutOp) run(s putStep) {
-	op.step = s
+// isLocal reports whether the segment lives on the caller's node; the
+// data-placement module then uses memory operations instead of the wire.
+func (h *Handle) isLocal() bool { return h.seg.home == h.c.dev.Node.ID }
+
+// run starts the current step. A step that moves bytes goes one-sided
+// into the handler CQ, or to local after its cost when the segment is
+// home; a decision step takes no time and goes on inline.
+func (op *Op) run() {
 	h := op.h
-	env, target := h.c.dev.Env(), h.seg.mr.Addr()
-	if s == stepLock {
-		if h.isLocal() {
-			env.After(localAtomicCost, op.localFn)
+	env := h.c.dev.Env()
+	s := op.script[op.pc]
+	switch s {
+	case stepUnlock:
+		op.word = [8]byte{}
+	case stepStamp:
+		binary.LittleEndian.PutUint64(op.word[:], uint64(env.Now()))
+	case stepCached:
+		if cc := h.c.cache[h.seg.key]; cc != nil && time.Duration(env.Now()-cc.fetched) < DefaultTTL {
+			env.After(h.c.dev.Params().CopyTime(len(op.buf)), op.localFn)
 			return
 		}
-		h.c.dev.Issue(op.cq, verbs.WR{Op: verbs.OpCAS, Target: target, Off: hdrLock, Swap: op.me()})
+		op.next()
 		return
-	}
-	off, src := op.write()
-	if h.isLocal() {
-		env.After(h.c.dev.Params().CopyTime(len(src)), op.localFn)
-		return
-	}
-	h.c.dev.Issue(op.cq, verbs.WR{Op: verbs.OpWrite, Target: target, Off: off, Src: src})
-}
-
-// write is where the current write step writes, and what.
-func (op *PutOp) write() (off int, src []byte) {
-	if op.step == stepUnlock {
-		return hdrLock, op.unlock[:]
-	}
-	return hdrSize, op.data
-}
-
-// me is the lock word's value while the caller's node holds it.
-func (op *PutOp) me() uint64 { return uint64(op.h.c.dev.Node.ID + 1) }
-
-// local applies a home step once its cost has elapsed.
-func (op *PutOp) local() {
-	mr := op.h.seg.mr
-	var old uint64
-	if op.step == stepLock {
-		if old = mr.Uint64At(hdrLock); old == 0 {
-			mr.PutUint64At(hdrLock, op.me())
-		}
-	} else {
-		off, src := op.write()
-		copy(mr.Bytes()[off:], src)
-	}
-	op.stepped(old, nil)
-}
-
-// stepped continues the chain when the current step ends; old is the
-// lock word a lock CAS found.
-func (op *PutOp) stepped(old uint64, err error) {
-	switch {
-	case err != nil:
-		op.finish(err)
-	case op.step == stepLock && old != 0:
-		op.h.c.dev.Env().After(lockRetry, op.lockFn)
-	case op.step == stepLock:
-		op.run(stepData)
-	case op.step == stepData && op.h.seg.coh == Write:
-		op.run(stepUnlock)
-	default:
-		op.finish(nil)
-	}
-}
-
-// finish ends the chain; done is its tail call.
-func (op *PutOp) finish(err error) {
-	done := op.done
-	op.h, op.data, op.done = nil, nil, nil
-	done(err)
-}
-
-// Get reads up to len(buf) bytes from the segment under its coherence
-// model, returning the observed version (where meaningful). The
-// single-read models (Null, Write) run GetAsync and park once.
-func (h *Handle) Get(p *sim.Proc, buf []byte) (uint64, error) {
-	if chained(h.seg.coh) {
-		g := h.c.gets.get()
-		if g.waitFn == nil {
-			g.bind()
-		}
-		h.GetAsync(buf, g, g.waitFn)
-		g.await.Wait(p, parkGet)
-		err := g.err
-		h.c.gets.put(g)
-		return 0, err
-	}
-	if err := h.checkGet(buf); err != nil {
-		return 0, err
-	}
-	h.c.ss.Ops++
-	p.Sleep(IPCOverhead)
-	switch h.seg.coh {
-	case Strict:
-		if err := h.acquireLock(p); err != nil {
-			return 0, err
-		}
-		if err := h.read(p, buf, hdrSize); err != nil {
-			return 0, err
-		}
-		v, err := h.readU64(p, hdrVersion)
-		if err != nil {
-			return 0, err
-		}
-		return v, h.releaseLock(p)
-
-	case Read, Version:
-		// Validate the version around the data read; retry torn reads.
-		for {
-			v1, err := h.readU64(p, hdrVersion)
-			if err != nil {
-				return 0, err
-			}
-			if err := h.read(p, buf, hdrSize); err != nil {
-				return 0, err
-			}
-			v2, err := h.readU64(p, hdrVersion)
-			if err != nil {
-				return 0, err
-			}
-			if v1 == v2 {
-				return v2, nil
-			}
-		}
-
-	case Delta:
-		v, err := h.readU64(p, hdrVersion)
-		if err != nil {
-			return 0, err
-		}
-		if v == 0 {
-			return 0, h.read(p, buf, h.seg.dataOff(0))
-		}
-		return v, h.read(p, buf, h.seg.dataOff(v))
-
-	case Temporal:
+	case stepRefresh:
+		// The cached copy's backing array is reused across TTL expiries,
+		// so steady-state refreshes do not allocate.
 		cc := h.c.cache[h.seg.key]
-		if cc != nil && time.Duration(p.Now()-cc.fetched) < DefaultTTL {
-			// Serve from the node-local copy: only a memory copy.
-			p.Sleep(h.c.dev.Params().CopyTime(len(buf)))
-			copy(buf, cc.data)
-			return 0, nil
-		}
-		if err := h.read(p, buf, hdrSize); err != nil {
-			return 0, err
-		}
-		// Refresh in place: the cached copy's backing array is reused
-		// across TTL expiries, so steady-state refreshes do not allocate.
 		if cc == nil {
 			cc = &cachedCopy{}
 			h.c.cache[h.seg.key] = cc
 		}
-		cc.data = append(cc.data[:0], buf...)
-		cc.fetched = p.Now()
-		return 0, nil
-
-	default:
-		return 0, fmt.Errorf("ddss: unknown coherence %v", h.seg.coh)
+		cc.data = append(cc.data[:0], op.buf...)
+		cc.fetched = env.Now()
+		op.next()
+		return
+	case stepWindow:
+		if op.want > op.ver || op.want+DeltaSlots <= op.ver {
+			op.finish(fmt.Errorf("ddss: getdelta %q: version %d not retained (current %d)", h.seg.key, op.want, op.ver))
+			return
+		}
+		op.ver = op.want
+		op.next()
+		return
+	case stepAlive:
+		if h.seg.freed {
+			op.finish(fmt.Errorf("ddss: waitversion %q: segment freed", h.seg.key))
+			return
+		}
+		op.next()
+		return
+	case stepUntil:
+		if op.ver >= op.want {
+			op.next()
+			return
+		}
+		op.pc = 0
+		env.After(op.poll, op.runFn)
+		return
 	}
+	kind, off, b := op.operand(s)
+	if h.isLocal() {
+		cost := localAtomicCost
+		if b != nil {
+			cost = h.c.dev.Params().CopyTime(len(b))
+		}
+		env.After(cost, op.localFn)
+		return
+	}
+	// The request sets every field a step may need; the verbs layer
+	// consults only kind's (Src, Dst, Swap or Delta).
+	h.c.dev.Issue(op.cq, verbs.WR{Op: kind, Target: h.seg.mr.Addr(), Off: off, Src: b, Dst: b, Swap: op.me(), Delta: 1})
 }
 
-func (h *Handle) checkGet(buf []byte) error {
+// operand is what step s does to the segment: the one-sided operation,
+// the offset, and the bytes it moves — the caller's buffer or the staged
+// header word; nil for an atomic (a lock CAS of 0 → me, or a bump of 1).
+func (op *Op) operand(s step) (kind string, off int, b []byte) {
+	switch s {
+	case stepLock:
+		return verbs.OpCAS, hdrLock, nil
+	case stepUnlock:
+		return verbs.OpWrite, hdrLock, op.word[:]
+	case stepWrite:
+		return verbs.OpWrite, op.h.seg.dataOff(op.ver), op.buf
+	case stepRead:
+		return verbs.OpRead, op.h.seg.dataOff(op.ver), op.buf
+	case stepBump:
+		return verbs.OpFAA, hdrVersion, nil
+	case stepStamp:
+		return verbs.OpWrite, hdrTS, op.word[:]
+	}
+	return verbs.OpRead, hdrVersion, op.word[:] // stepVer, stepCheck
+}
+
+// me is the lock word's value while the caller's node holds it.
+func (op *Op) me() uint64 { return uint64(op.h.c.dev.Node.ID + 1) }
+
+// local applies the current step at home once its cost has elapsed.
+func (op *Op) local() {
+	h := op.h
+	s := op.script[op.pc]
+	if s == stepCached {
+		copy(op.buf, h.c.cache[h.seg.key].data)
+		op.finish(nil)
+		return
+	}
+	kind, off, b := op.operand(s)
+	mem := h.seg.mr.Bytes()[off:]
+	var old uint64
+	switch kind {
+	case verbs.OpRead:
+		copy(b, mem)
+	case verbs.OpWrite:
+		copy(mem, b)
+	case verbs.OpCAS:
+		if old = binary.LittleEndian.Uint64(mem); old == 0 {
+			binary.LittleEndian.PutUint64(mem, op.me())
+		}
+	case verbs.OpFAA:
+		old = binary.LittleEndian.Uint64(mem)
+		binary.LittleEndian.PutUint64(mem, old+1)
+	}
+	op.stepped(old, nil)
+}
+
+// stepped continues the chain when the current step ends; old is what an
+// atomic found.
+func (op *Op) stepped(old uint64, err error) {
+	if err != nil {
+		op.finish(err)
+		return
+	}
+	switch op.script[op.pc] {
+	case stepLock:
+		if old != 0 {
+			op.h.c.dev.Env().After(lockRetry, op.runFn)
+			return
+		}
+	case stepBump:
+		op.ver = old + 1
+	case stepVer:
+		op.ver = binary.LittleEndian.Uint64(op.word[:])
+	case stepCheck:
+		if binary.LittleEndian.Uint64(op.word[:]) != op.ver {
+			op.pc = 0 // a torn read: the only script with a check starts with its stepVer
+			op.run()
+			return
+		}
+	}
+	op.next()
+}
+
+// next runs the step after the current one, or ends the chain.
+func (op *Op) next() {
+	if op.pc++; op.pc == len(op.script) {
+		op.finish(nil)
+		return
+	}
+	op.run()
+}
+
+// finish ends the chain; done is its tail call. A failed operation
+// reports version 0.
+func (op *Op) finish(err error) {
+	if err != nil {
+		op.ver = 0
+	}
+	done := op.done
+	op.h, op.buf, op.script, op.done = nil, nil, nil, nil
+	done(err)
+}
+
+// Put writes data into the segment under its coherence model and returns
+// the version the write produced (meaningful for Read, Strict, Version
+// and Delta).
+func (h *Handle) Put(p *sim.Proc, data []byte) (uint64, error) {
 	if h.seg.freed {
-		return fmt.Errorf("ddss: get %q: segment freed", h.seg.key)
+		return 0, fmt.Errorf("ddss: put %q: segment freed", h.seg.key)
+	}
+	if len(data) > h.seg.size {
+		return 0, fmt.Errorf("ddss: put %q: %d bytes exceed segment size %d", h.seg.key, len(data), h.seg.size)
+	}
+	op := h.c.op()
+	h.start(op, data, putScripts[h.seg.coh], op.waitFn)
+	op.await.Wait(p, parkPut)
+	return h.c.result(op)
+}
+
+// Get reads up to len(buf) bytes from the segment under its coherence
+// model, returning the observed version (where meaningful).
+func (h *Handle) Get(p *sim.Proc, buf []byte) (uint64, error) {
+	op := h.c.op()
+	h.GetAsync(buf, op, op.waitFn)
+	op.await.Wait(p, parkGet)
+	return h.c.result(op)
+}
+
+// GetAsync is Get as an event chain on op, with no process: done gets
+// Get's error at the instant Get would have returned. A get refused before
+// any virtual time passes (freed segment, oversized buffer) calls done
+// before GetAsync returns.
+func (h *Handle) GetAsync(buf []byte, op *Op, done func(error)) {
+	if h.seg.freed {
+		done(fmt.Errorf("ddss: get %q: segment freed", h.seg.key))
+		return
 	}
 	if len(buf) > h.seg.size {
-		return fmt.Errorf("ddss: get %q: %d bytes exceed segment size %d", h.seg.key, len(buf), h.seg.size)
-	}
-	return nil
-}
-
-// chained reports whether coh is a model whose get is one data read and
-// whose put is one data write (under the segment lock for Write): the
-// models GetAsync and PutAsync serve.
-func chained(coh Coherence) bool { return coh == Null || coh == Write }
-
-const parkGet = "ddss get"
-
-// GetOp is one caller's record for GetAsync, its steps bound on first
-// use, so a steady-state get allocates nothing. The zero value is ready
-// to use; it serves one get at a time and must not be copied once used.
-type GetOp struct {
-	h    *Handle
-	buf  []byte
-	done func(error)
-
-	ipcFn, copyFn func()
-	readCQ        *verbs.CQ
-
-	// The blocking Get's wait and result.
-	await  sim.Await
-	err    error
-	waitFn func(error)
-}
-
-func (g *GetOp) bind() {
-	g.ipcFn, g.copyFn = g.ipcDone, g.copied
-	g.readCQ = verbs.HandlerCQ(func(c verbs.Completion) { g.finish(c.Err) })
-	g.waitFn = func(err error) {
-		g.err = err
-		g.await.Done()
-	}
-}
-
-// GetAsync is Get of a Null or Write segment as an event chain on g: the
-// IPC charge, then the data read — one-sided, or a memory copy when the
-// segment is home — each at the instant the blocking Get runs it, with no
-// process. done gets Get's error at the instant Get would have returned;
-// a get refused before any virtual time passes (freed segment, oversized
-// buffer, a model that needs more than one read) calls done before
-// GetAsync returns.
-func (h *Handle) GetAsync(buf []byte, g *GetOp, done func(error)) {
-	if g.ipcFn == nil {
-		g.bind()
-	}
-	err := h.checkGet(buf)
-	if err == nil && !chained(h.seg.coh) {
-		err = fmt.Errorf("ddss: get %q: %v is not a single-read model", h.seg.key, h.seg.coh)
-	}
-	if err != nil {
-		done(err)
+		done(fmt.Errorf("ddss: get %q: %d bytes exceed segment size %d", h.seg.key, len(buf), h.seg.size))
 		return
 	}
-	h.c.ss.Ops++
-	g.h, g.buf, g.done = h, buf, done
-	h.c.dev.Env().After(IPCOverhead, g.ipcFn)
-}
-
-// ipcDone runs when the IPC charge ends: read the data, as read does.
-func (g *GetOp) ipcDone() {
-	h := g.h
-	if h.isLocal() {
-		h.c.dev.Env().After(h.c.dev.Params().CopyTime(len(g.buf)), g.copyFn)
-		return
-	}
-	h.c.dev.Issue(g.readCQ, verbs.WR{Op: verbs.OpRead, Target: h.seg.mr.Addr(), Off: hdrSize, Dst: g.buf})
-}
-
-func (g *GetOp) copied() {
-	copy(g.buf, g.h.seg.mr.Bytes()[hdrSize:hdrSize+len(g.buf)])
-	g.finish(nil)
-}
-
-// finish ends the chain; done is its tail call.
-func (g *GetOp) finish(err error) {
-	done := g.done
-	g.h, g.buf, g.done = nil, nil, nil
-	done(err)
+	h.start(op, buf, getScripts[h.seg.coh], done)
 }
 
 // GetDelta reads the retained version v of a Delta segment; it fails if
@@ -523,16 +364,12 @@ func (h *Handle) GetDelta(p *sim.Proc, buf []byte, v uint64) error {
 	if h.seg.freed {
 		return fmt.Errorf("ddss: getdelta %q: segment freed", h.seg.key)
 	}
-	h.c.ss.Ops++
-	p.Sleep(IPCOverhead)
-	cur, err := h.readU64(p, hdrVersion)
-	if err != nil {
-		return err
-	}
-	if v > cur || v+DeltaSlots <= cur {
-		return fmt.Errorf("ddss: getdelta %q: version %d not retained (current %d)", h.seg.key, v, cur)
-	}
-	return h.read(p, buf, h.seg.dataOff(v))
+	op := h.c.op()
+	op.want = v
+	h.start(op, buf, deltaScript, op.waitFn)
+	op.await.Wait(p, parkDelta)
+	_, err := h.c.result(op)
+	return err
 }
 
 // WaitVersion blocks until the segment's version reaches at least v,
@@ -544,17 +381,10 @@ func (h *Handle) WaitVersion(p *sim.Proc, v uint64, pollEvery time.Duration) (ui
 	if pollEvery <= 0 {
 		pollEvery = 50 * time.Microsecond
 	}
-	for {
-		if h.seg.freed {
-			return 0, fmt.Errorf("ddss: waitversion %q: segment freed", h.seg.key)
-		}
-		cur, err := h.readU64(p, hdrVersion)
-		if err != nil {
-			return 0, err
-		}
-		if cur >= v {
-			return cur, nil
-		}
-		p.Sleep(pollEvery)
-	}
+	op := h.c.op()
+	op.begin(h, nil, waitScript, op.waitFn)
+	op.want, op.poll = v, pollEvery
+	op.run() // no IPC charge
+	op.await.Wait(p, parkWait)
+	return h.c.result(op)
 }

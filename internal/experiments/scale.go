@@ -348,7 +348,7 @@ type scaleDriver struct {
 	t0        sim.Time
 	buf       []byte
 	scr       coopcache.TierScratch
-	fetch     ddss.GetOp
+	fetch     ddss.Op
 
 	nextFn                 func()
 	gotFn                  func(served bool, err error)
