@@ -14,8 +14,8 @@ import "ngdc/internal/sim"
 // node using the host TCP stack. The caller pays sender-side CPU and wire
 // serialization.
 func (d *Device) SendTCP(p *sim.Proc, dstNode int, service string, data []byte) error {
-	dst, ok := d.nw.devs[dstNode]
-	if !ok {
+	dst := d.nw.dev(dstNode)
+	if dst == nil {
 		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: dstNode}, Reason: "no such node"}
 	}
 	if f := d.nw.flt; f != nil && f.Down(d.Node.ID) {

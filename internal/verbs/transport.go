@@ -29,6 +29,15 @@ package verbs
 //
 // All records are pooled and recycled; the steady-state datapath stays
 // allocation-free in both modes.
+//
+// The datapath finds connection state without a hash probe. Each device
+// keeps a membership bitset over its records, one bit per peer node ID
+// (N bits a device, grown on first contact with a higher ID), set for
+// initiator and mirror records alike: an RC connection is bidirectional,
+// so a node whose peer already connected to it establishes nothing. An
+// RC-mode op reads only the bit and the resident count; a pooled-mode op
+// reads the record map only on a pool hit, to relink its LRU entry. The
+// map stays the record store for the LRU, mirrors and crash teardown.
 
 import (
 	"time"
@@ -124,21 +133,21 @@ func (d *Device) connCost(peer int) time.Duration {
 	}
 	pp := &d.nw.Fab.P
 	if d.nw.tc.Mode == RCPerPair {
-		if d.conns[peer] == nil {
+		if !d.isLinked(peer) {
 			d.addConn(peer, connRC)
 		}
 		// NIC connection-context cache: resident connections beyond the
 		// cache thrash it; the miss cost is charged amortized over the
 		// resident count so the model stays smooth and deterministic.
-		if n := len(d.conns); n > pp.ConnCacheEntries {
+		if n := d.nconns; n > pp.ConnCacheEntries {
 			d.connMiss++
 			return pp.ConnCacheMissTime * time.Duration(n-pp.ConnCacheEntries) / time.Duration(n)
 		}
 		return 0
 	}
 	// Pooled mode.
-	if c := d.conns[peer]; c != nil {
-		if c.kind == connPool && d.lruHead != c {
+	if d.isLinked(peer) {
+		if c := d.conns[peer]; c.kind == connPool && d.lruHead != c {
 			d.lruUnlink(c)
 			d.lruPushFront(c)
 		}
@@ -174,17 +183,17 @@ func (d *Device) connCost(peer int) time.Duration {
 func (d *Device) addConn(peer int, kind connKind) *conn {
 	c := d.newConnRec()
 	c.peer, c.kind = peer, kind
-	d.conns[peer] = c
+	d.link(c)
 	d.connBytes += d.nw.Fab.P.RCConnBytes
 	d.connEst++
 	if kind == connPool {
 		d.poolCount++
 		d.lruPushFront(c)
 	}
-	if t := d.nw.devs[peer]; t != nil && t.conns[d.Node.ID] == nil {
+	if t := d.nw.dev(peer); t != nil && !t.isLinked(d.Node.ID) {
 		m := t.newConnRec()
 		m.peer, m.kind = d.Node.ID, connMirror
-		t.conns[d.Node.ID] = m
+		t.link(m)
 		t.connBytes += d.nw.Fab.P.RCConnBytes
 	}
 	return c
@@ -198,11 +207,11 @@ func (d *Device) removeConn(c *conn, tearMirror bool) {
 		d.lruUnlink(c)
 		d.poolCount--
 	}
-	delete(d.conns, c.peer)
+	d.unlink(c.peer)
 	d.connBytes -= d.nw.Fab.P.RCConnBytes
 	if tearMirror {
-		if t := d.nw.devs[c.peer]; t != nil {
-			if m := t.conns[d.Node.ID]; m != nil && m.kind == connMirror {
+		if t := d.nw.dev(c.peer); t != nil && t.isLinked(d.Node.ID) {
+			if m := t.conns[d.Node.ID]; m.kind == connMirror {
 				t.removeConn(m, false)
 			}
 		}
@@ -223,8 +232,8 @@ func (d *Device) evictLRU() {
 // dropPeer tears down this device's connection record to peer, if any.
 // Called for every surviving device when peer crashes.
 func (d *Device) dropPeer(peer int) {
-	if c := d.conns[peer]; c != nil {
-		d.removeConn(c, true)
+	if d.isLinked(peer) {
+		d.removeConn(d.conns[peer], true)
 	}
 }
 
@@ -240,6 +249,30 @@ func (d *Device) resetConns() {
 	for i := range d.hot {
 		d.hot[i] = 0
 	}
+}
+
+// isLinked reports whether d holds a connection record for peer.
+func (d *Device) isLinked(peer int) bool {
+	w := uint(peer) >> 6
+	return w < uint(len(d.linked)) && d.linked[w]&(1<<(uint(peer)&63)) != 0
+}
+
+// link stores a new record for c.peer and sets its membership bit.
+func (d *Device) link(c *conn) {
+	w := c.peer >> 6
+	for len(d.linked) <= w {
+		d.linked = append(d.linked, 0)
+	}
+	d.linked[w] |= 1 << (uint(c.peer) & 63)
+	d.conns[c.peer] = c
+	d.nconns++
+}
+
+// unlink removes peer's record and clears its membership bit.
+func (d *Device) unlink(peer int) {
+	d.linked[peer>>6] &^= 1 << (uint(peer) & 63)
+	delete(d.conns, peer)
+	d.nconns--
 }
 
 func (d *Device) newConnRec() *conn {
@@ -304,7 +337,7 @@ type ConnStats struct {
 // ConnStats returns the device's transport-layer counters.
 func (d *Device) ConnStats() ConnStats {
 	return ConnStats{
-		Conns:       len(d.conns),
+		Conns:       d.nconns,
 		Pooled:      d.poolCount,
 		Bytes:       d.connBytes,
 		Establishes: d.connEst,
@@ -321,22 +354,30 @@ func (nw *Network) Transport() TransportConfig { return nw.tc }
 // ConnBytesPerNode returns the average and maximum HCA memory pinned by
 // connection state across all attached devices.
 func (nw *Network) ConnBytesPerNode() (avg float64, max int64) {
-	if len(nw.devs) == 0 {
-		return 0, 0
-	}
 	var total int64
+	attached := 0
 	for _, d := range nw.devs {
+		if d == nil {
+			continue
+		}
+		attached++
 		total += d.connBytes
 		if d.connBytes > max {
 			max = d.connBytes
 		}
 	}
-	return float64(total) / float64(len(nw.devs)), max
+	if attached == 0 {
+		return 0, 0
+	}
+	return float64(total) / float64(attached), max
 }
 
 // ConnTotals sums the transport counters across all attached devices.
 func (nw *Network) ConnTotals() (establishes, evictions, udOps, cacheMisses int64) {
 	for _, d := range nw.devs {
+		if d == nil {
+			continue
+		}
 		establishes += d.connEst
 		evictions += d.connEvict
 		udOps += d.connUD
