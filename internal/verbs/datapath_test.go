@@ -331,11 +331,18 @@ func TestSendBufPoolReuse(t *testing.T) {
 
 // TestVerbsSteadyStateAllocationFree asserts the acceptance criterion:
 // once pools are warm, the verbs hot paths — pooled two-sided messaging
-// (GetBuf/SendBuf/Recv/Release) and doorbell-batched posted work
-// requests drained through a CQ — allocate nothing per operation.
+// (GetBuf/SendBuf/Recv/Release), doorbell-batched posted work requests
+// drained through a CQ, and blocking RC reads and atomics against
+// already-established peers on non-contiguous node IDs — allocate nothing
+// per operation. The connection bitset grows on first contact only.
 func TestVerbsSteadyStateAllocationFree(t *testing.T) {
-	env, _, devs := testNet(t, 2)
+	env, nw, devs := testNet(t, 2)
 	mr := devs[1].RegisterAtSetup(make([]byte, 1<<16))
+	rcPeers := []RemoteAddr{mr.Addr()}
+	for _, id := range []int{3, 70} {
+		d := nw.Attach(cluster.NewNode(env, id, 4, 1<<30))
+		rcPeers = append(rcPeers, d.RegisterAtSetup(make([]byte, 64)).Addr())
+	}
 	cq := devs[0].CreateCQ("bench", 64)
 	wrs := make([]WR, 8)
 	src := make([]byte, 256)
@@ -367,6 +374,21 @@ func TestVerbsSteadyStateAllocationFree(t *testing.T) {
 			msg.Release()
 		}
 	})
+	env.GoDaemon("rc-reader", func(p *sim.Proc) {
+		dst := make([]byte, 8)
+		for {
+			for _, r := range rcPeers {
+				if err := devs[0].Read(p, dst, r, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := devs[0].CompareSwap(p, r, 8, 0, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	})
 	limit := sim.Time(0)
 	step := func() {
 		limit = limit.Add(time.Millisecond)
@@ -380,6 +402,9 @@ func TestVerbsSteadyStateAllocationFree(t *testing.T) {
 	// allow a little runtime noise but catch any per-op allocation.
 	if allocs > 2 {
 		t.Errorf("steady-state verbs datapath allocates %.1f allocs per 1ms step, want ~0", allocs)
+	}
+	if cs := devs[0].ConnStats(); cs.Conns != 3 || cs.Establishes != 3 {
+		t.Errorf("stats = %+v, want 3 established RC peers", cs)
 	}
 	env.Shutdown()
 }

@@ -2,7 +2,9 @@ package verbs
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"ngdc/internal/cluster"
@@ -234,6 +236,79 @@ func TestPooledCrashHealsWithoutLeakingSlots(t *testing.T) {
 		if b := devs[i].ConnStats().Bytes; b != int64(devs[i].ConnStats().Conns)*pp.RCConnBytes {
 			t.Errorf("peer %d bytes %d inconsistent with its conn count", i, b)
 		}
+	}
+	auditConns(t, nw)
+}
+
+// auditConns checks the datapath's connection membership on every
+// attached device: a peer's bit is set iff conns holds its record, and
+// the resident count equals the record count.
+func auditConns(t testing.TB, nw *Network) bool {
+	t.Helper()
+	ok := true
+	for id, d := range nw.devs {
+		if d == nil {
+			continue
+		}
+		set := 0
+		for _, w := range d.linked {
+			set += bits.OnesCount64(w)
+		}
+		if set != len(d.conns) || d.nconns != len(d.conns) {
+			t.Errorf("node %d: %d bits set, resident count %d, %d records", id, set, d.nconns, len(d.conns))
+			ok = false
+		}
+		for peer, c := range d.conns {
+			if !d.isLinked(peer) || c.peer != peer {
+				t.Errorf("node %d: record for peer %d (peer field %d) without its bit", id, peer, c.peer)
+				ok = false
+			}
+		}
+	}
+	return ok
+}
+
+// TestConnMembershipProperty runs random sequences of the operations
+// that create and destroy connection records — an op's connCost,
+// an LRU eviction, a survivor's dropPeer and a whole crash (every
+// survivor's dropPeer, then the crashed device's resetConns) — in both
+// transport modes, on node IDs that straddle bitset words, and audits
+// the membership invariant after every step.
+func TestConnMembershipProperty(t *testing.T) {
+	ids := []int{0, 2, 5, 63, 64, 130}
+	modes := []TransportConfig{{}, {Mode: Pooled, PoolSlots: 2, PromoteAfter: 2}}
+	prop := func(script []uint32) bool {
+		for _, tc := range modes {
+			pp := fabric.DefaultParams()
+			pp.ConnCacheEntries = 2
+			env := sim.NewEnv(1)
+			nw := NewNetworkWith(env, pp, tc)
+			devs := make([]*Device, len(ids))
+			for i, id := range ids {
+				devs[i] = nw.Attach(cluster.NewNode(env, id, 1, 1<<20))
+			}
+			for _, x := range script {
+				d := devs[int(x>>2)%len(devs)]
+				peer := ids[int(x>>8)%len(ids)]
+				switch x % 8 {
+				case 0, 1, 2, 3:
+					d.connCost(peer)
+				case 4, 5:
+					d.evictLRU()
+				case 6:
+					d.dropPeer(peer)
+				case 7:
+					nw.nodeCrashed(d.Node.ID)
+				}
+				if !auditConns(t, nw) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

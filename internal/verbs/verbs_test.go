@@ -294,14 +294,48 @@ func TestTCPRecvChargesRemoteCPU(t *testing.T) {
 }
 
 func TestOpErrors(t *testing.T) {
-	env, _, devs := testNet(t, 2)
+	env, nw, devs := testNet(t, 2)
 	mr := devs[1].RegisterAtSetup(make([]byte, 16))
-	env.Go("client", func(p *sim.Proc) {
-		if err := devs[0].Read(p, make([]byte, 8), RemoteAddr{Node: 99, Key: 1}, 0); err == nil {
-			t.Error("read from missing node succeeded")
+	// Node 4 leaves holes at 2 and 3; 5 is one past the last node.
+	nw.Attach(cluster.NewNode(env, 4, 4, 1<<30))
+	for _, id := range []int{-1, 3, 5, 99} {
+		if d := nw.Device(id); d != nil {
+			t.Errorf("Device(%d) = node %d, want nil", id, d.Node.ID)
 		}
-		if err := devs[0].Read(p, make([]byte, 8), RemoteAddr{Node: 1, Key: 999}, 0); err == nil {
-			t.Error("read with bad rkey succeeded")
+	}
+	env.Go("client", func(p *sim.Proc) {
+		for _, c := range []struct {
+			r      RemoteAddr
+			reason string
+		}{
+			{RemoteAddr{Node: 99, Key: 1}, "no such node"},
+			{RemoteAddr{Node: -1, Key: 1}, "no such node"},
+			{RemoteAddr{Node: 3, Key: 1}, "no such node"}, // a hole
+			{RemoteAddr{Node: 5, Key: 1}, "no such node"}, // past the last node
+			{RemoteAddr{Node: 1, Key: 999}, "invalid rkey"},
+			{RemoteAddr{Node: 1, Key: 0}, "invalid rkey"}, // never issued
+			{RemoteAddr{Node: 1, Key: 2}, "invalid rkey"}, // past the last key
+			{RemoteAddr{Node: 4, Key: 1}, "invalid rkey"}, // a device with no regions
+		} {
+			if err := devs[0].Read(p, make([]byte, 8), c.r, 0); err == nil {
+				t.Errorf("read of %+v succeeded", c.r)
+			} else if got := opReason(t, err); got != c.reason {
+				t.Errorf("read of %+v: reason %q, want %q", c.r, got, c.reason)
+			}
+			if _, err := devs[0].CompareSwap(p, c.r, 0, 0, 1); err == nil || opReason(t, err) != c.reason {
+				t.Errorf("cas on %+v: %v, want %q", c.r, err, c.reason)
+			}
+		}
+		for _, node := range []int{-1, 3, 5} {
+			if err := devs[0].SendBuf(p, node, "svc", devs[0].GetBuf(8)); err == nil || opReason(t, err) != "no such node" {
+				t.Errorf("send to node %d: %v", node, err)
+			}
+			if err := devs[0].PostSendAt(node, "svc", []byte("x")); err == nil || opReason(t, err) != "no such node" {
+				t.Errorf("posted send to node %d: %v", node, err)
+			}
+			if err := devs[0].SendTCP(p, node, "svc", []byte("x")); err == nil || opReason(t, err) != "no such node" {
+				t.Errorf("tcp send to node %d: %v", node, err)
+			}
 		}
 		if err := devs[0].Write(p, mr.Addr(), 12, make([]byte, 8)); err == nil {
 			t.Error("out-of-bounds write succeeded")
@@ -325,6 +359,18 @@ func TestDeregister(t *testing.T) {
 		mr.Deregister()
 		if err := devs[0].Read(p, make([]byte, 8), mr.Addr(), 0); err == nil {
 			t.Error("read of deregistered MR succeeded")
+		}
+		// Keys are never reused: a later registration gets a fresh key and
+		// the stale one keeps failing.
+		mr2 := devs[1].Register(p, make([]byte, 16))
+		if mr2.Addr().Key == mr.Addr().Key {
+			t.Errorf("key %d reissued", mr.Addr().Key)
+		}
+		if err := devs[0].Read(p, make([]byte, 8), mr.Addr(), 0); err == nil || opReason(t, err) != "invalid rkey" {
+			t.Errorf("stale key after a later registration: %v", err)
+		}
+		if err := devs[0].Read(p, make([]byte, 8), mr2.Addr(), 0); err != nil {
+			t.Errorf("read of the new region: %v", err)
 		}
 	})
 	if err := env.Run(); err != nil {
