@@ -500,6 +500,10 @@ func TestPropertyRandomWorkloads(t *testing.T) {
 		if err := env.Run(); err != nil {
 			return false
 		}
+		if err := auditIdle(m); err != nil {
+			t.Errorf("%v seed %d: %v", kind, seed, err)
+			return false
+		}
 		return ok && completed == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -562,12 +566,13 @@ func TestNoStarvationUnderContention(t *testing.T) {
 			env, m, nodes := testManager(1, kind, 5, 1)
 			defer env.Shutdown()
 			acquired := make([]int, 5)
+			stop := false
 			for i := 1; i < 5; i++ {
 				i := i
 				node := nodes[i]
 				env.GoDaemon(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 					c := m.Client(node.ID)
-					for {
+					for !stop {
 						c.Lock(p, 0, Exclusive)
 						acquired[i]++
 						p.Sleep(30 * time.Microsecond)
@@ -595,6 +600,15 @@ func TestNoStarvationUnderContention(t *testing.T) {
 			// Rough fairness: nobody below a third of the fair share.
 			if fair := total / 4; min < fair/3 {
 				t.Fatalf("%v: unfair distribution %v (min %d, fair %d)", kind, acquired[1:], min, fair)
+			}
+			// Let every worker finish its round, then audit the quiescent
+			// manager.
+			stop = true
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := auditIdle(m); err != nil {
+				t.Error(err)
 			}
 		})
 	}

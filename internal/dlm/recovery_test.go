@@ -129,6 +129,9 @@ func TestLeasesPreserveContendedHandoff(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("grant order %v, want [0 1 2]", order)
 	}
+	if err := auditIdle(m); err != nil {
+		t.Error(err)
+	}
 	if got := m.LeaseRecoveries(); got != 0 {
 		t.Errorf("%d recoveries on a healthy run, want 0", got)
 	}
