@@ -8,40 +8,35 @@ import "fmt"
 // DQNL slot word set and, with leases on, no lease holder.
 func auditIdle(m *Manager) error {
 	for id, cl := range m.clients {
+		var recs []lockRec
 		switch c := cl.(type) {
 		case *srslClientImpl:
-			for lock, armed := range c.grants.armed {
-				if armed {
-					return fmt.Errorf("node %d lock %d: grant armed", id, lock)
-				}
-			}
+			recs = c.recs
+		case *ncosedClientImpl:
+			recs = c.recs
 		case *dqnlClientImpl:
 			for off := 0; off < dqnlSlotSize*m.locks; off += 8 {
 				if c.slots.Uint64At(off) != 0 {
 					return fmt.Errorf("node %d lock %d: slot word %d set", id, off/dqnlSlotSize, off%dqnlSlotSize)
 				}
 			}
-		case *ncosedClientImpl:
-			for lock, armed := range c.grants.armed {
-				if armed {
-					return fmt.Errorf("node %d lock %d: grant armed", id, lock)
-				}
-			}
-			for lock := range c.succ {
-				return fmt.Errorf("node %d lock %d: successor announced", id, lock)
-			}
-			for lock := range c.succWait {
+		}
+		for lock, r := range recs {
+			switch {
+			case r.armed:
+				return fmt.Errorf("node %d lock %d: grant armed", id, lock)
+			case r.succ != 0:
+				return fmt.Errorf("node %d lock %d: successor %d announced", id, lock, r.succ-1)
+			case r.succWait:
 				return fmt.Errorf("node %d lock %d: successor awaited", id, lock)
-			}
-			for lock, st := range c.agentState {
-				if len(st.pendingShared) > 0 || st.pendingDrain != 0 || st.polling {
-					return fmt.Errorf("node %d lock %d: agent busy: %+v", id, lock, *st)
-				}
-			}
-			for lock, ls := range c.leases {
-				if ls.holder != -1 {
-					return fmt.Errorf("node %d lock %d: lease held by %d", id, lock, ls.holder)
-				}
+			case len(r.queue.waiting) > 0:
+				return fmt.Errorf("node %d lock %d: %d queued at the home", id, lock, len(r.queue.waiting))
+			case len(r.pendingShared) > 0 || r.pendingDrain != 0:
+				return fmt.Errorf("node %d lock %d: shared cohort %v or drain %d pending", id, lock, r.pendingShared, r.pendingDrain-1)
+			case r.polling:
+				return fmt.Errorf("node %d lock %d: polling", id, lock)
+			case r.lease != nil && r.lease.holder != -1:
+				return fmt.Errorf("node %d lock %d: lease held by %d", id, lock, r.lease.holder)
 			}
 		}
 	}

@@ -96,7 +96,8 @@ type Manager struct {
 	locks    int
 	leaseTTL time.Duration
 
-	clients map[int]Client
+	clients    []Client // by node ID, nil where no node is
+	recoveries int      // N-CoSED lease recoveries, summed over the home agents
 }
 
 // Client is a node's handle to the lock service. At most one outstanding
@@ -123,8 +124,8 @@ type Client interface {
 
 // Options configures a lock manager.
 type Options struct {
-	// Kind selects the design (SRSL, DQNL or the default N-CoSED zero
-	// value is SRSL; set explicitly).
+	// Kind selects the design: SRSL, DQNL or N-CoSED. The zero value
+	// is SRSL.
 	Kind Kind
 	// NumLocks bounds the lock namespace (default 64).
 	NumLocks int
@@ -145,8 +146,12 @@ func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
 		opts.NumLocks = 64
 	}
 	kind := opts.Kind
+	n := 0
+	for _, node := range nodes {
+		n = max(n, node.ID+1)
+	}
 	m := &Manager{Kind: kind, nw: nw, nodes: nodes, locks: opts.NumLocks,
-		leaseTTL: opts.LeaseTTL, clients: map[int]Client{}}
+		leaseTTL: opts.LeaseTTL, clients: make([]Client, n)}
 	switch kind {
 	case SRSL:
 		newSRSL(m)
@@ -163,11 +168,10 @@ func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
 // Client returns the handle of the given node. It panics if the node was
 // not part of the manager's construction.
 func (m *Manager) Client(nodeID int) Client {
-	c, ok := m.clients[nodeID]
-	if !ok {
+	if nodeID < 0 || nodeID >= len(m.clients) || m.clients[nodeID] == nil {
 		panic(fmt.Sprintf("dlm: node %d has no client", nodeID))
 	}
-	return c
+	return m.clients[nodeID]
 }
 
 // NumLocks returns the size of the lock namespace.
@@ -179,15 +183,7 @@ func (m *Manager) LeaseTTL() time.Duration { return m.leaseTTL }
 
 // LeaseRecoveries returns how many crashed-holder recoveries the home
 // agents have performed so far (N-CoSED with leases only).
-func (m *Manager) LeaseRecoveries() int {
-	n := 0
-	for _, cl := range m.clients {
-		if c, ok := cl.(*ncosedClientImpl); ok {
-			n += c.recoveries
-		}
-	}
-	return n
-}
+func (m *Manager) LeaseRecoveries() int { return m.recoveries }
 
 // home returns the home node index (into m.nodes) of a lock.
 func (m *Manager) home(lock int) int { return lock % len(m.nodes) }
@@ -260,57 +256,73 @@ func decodeWire(b []byte) wire {
 	}
 }
 
-// grantTable tracks per-lock grant futures for a client; one outstanding
-// request per lock. Each lock's future is created (and its name
-// formatted) once on first use, then reused for every later request via
-// Reset — the protocol's one-outstanding-request rule guarantees the
-// previous waiter has consumed the grant before the lock is re-armed.
-type grantTable struct {
-	env     *sim.Env
-	name    string
-	futures map[int]*sim.Future[int]
-	armed   map[int]bool
+// lockRec is everything one client keeps about one lock: the grant its
+// request waits on and, in N-CoSED, its place in the exclusive chain. On
+// the lock's home node the record also holds the home side: SRSL's
+// server queue, or N-CoSED's pending agent work and lease. Records are
+// allocated with the manager, one per lock, and their futures are
+// re-armed with Reset: the one-outstanding-request rule guarantees the
+// previous waiter consumed a future before its lock is re-armed.
+type lockRec struct {
+	grant *sim.Future[int] // resolved with the grant message's arg
+	armed bool             // a request waits on grant
+
+	// N-CoSED: the successor that announced itself (node ID + 1, 0 if
+	// none), and the future an Unlock waiting for one parks on.
+	succ     int
+	succWait bool
+	succFut  *sim.Future[int]
+
+	// Home side.
+	queue         Queue[int]   // SRSL: holders and waiters, by node ID
+	pendingShared []int        // N-CoSED: node IDs awaiting the chain's end
+	pendingDrain  int          // N-CoSED: node ID + 1 awaiting the shared drain, 0 if none
+	polling       bool         // N-CoSED: the home poller runs
+	pollName      string       // N-CoSED: the poller's process name
+	lease         *ncosedLease // N-CoSED with LeaseTTL > 0
 }
 
-func newGrantTable(env *sim.Env, name string) *grantTable {
-	return &grantTable{env: env, name: name,
-		futures: map[int]*sim.Future[int]{}, armed: map[int]bool{}}
+// lockTable is a client's records, indexed by lock ID; name ("<node>/
+// <design>") prefixes its grant futures' names and its panics.
+type lockTable struct {
+	name string
+	recs []lockRec
 }
 
-// arm registers a future for a lock; granting twice or double-arming
-// panics (protocol bug).
-func (g *grantTable) arm(lock int) *sim.Future[int] {
-	if g.armed[lock] {
-		panic(fmt.Sprintf("dlm: %s: double outstanding request on lock %d", g.name, lock))
+func newLockTable(env *sim.Env, name string, locks int) lockTable {
+	t := lockTable{name: name, recs: make([]lockRec, locks)}
+	for l := range t.recs {
+		t.recs[l].grant = sim.NewFuture[int](env, name+"/grant"+strconv.Itoa(l))
 	}
-	f, ok := g.futures[lock]
-	if !ok {
-		f = sim.NewFuture[int](g.env, g.name+"/grant"+strconv.Itoa(lock))
-		g.futures[lock] = f
-	} else if f.Done() {
-		f.Reset()
-	}
-	g.armed[lock] = true
-	return f
+	return t
 }
 
 // request arms the grant of w.lock, sends w to the service on dst and
 // parks until the grant arrives, returning its arg. A send that fails
-// disarms the grant and returns the error: the request never left.
-func (g *grantTable) request(p *sim.Proc, dev *verbs.Device, dst int, service string, w wire) (int, error) {
-	fut := g.arm(w.lock)
+// disarms the grant and returns the error: the request never left. A
+// second request on an armed lock panics (protocol bug).
+func (t *lockTable) request(p *sim.Proc, dev *verbs.Device, dst int, service string, w wire) (int, error) {
+	r := &t.recs[w.lock]
+	if r.armed {
+		panic(fmt.Sprintf("dlm: %s: double outstanding request on lock %d", t.name, w.lock))
+	}
+	if r.grant.Done() {
+		r.grant.Reset()
+	}
+	r.armed = true
 	if err := sendWire(p, dev, dst, service, w); err != nil {
-		g.armed[w.lock] = false
+		r.armed = false
 		return 0, err
 	}
-	return fut.Wait(p), nil
+	return r.grant.Wait(p), nil
 }
 
-// grant resolves the future for a lock.
-func (g *grantTable) grant(lock, arg int) {
-	if !g.armed[lock] {
-		panic(fmt.Sprintf("dlm: %s: grant for lock %d with no waiter", g.name, lock))
+// grant resolves the grant of a lock; one with no waiter panics.
+func (t *lockTable) grant(lock, arg int) {
+	r := &t.recs[lock]
+	if !r.armed {
+		panic(fmt.Sprintf("dlm: %s: grant for lock %d with no waiter", t.name, lock))
 	}
-	g.armed[lock] = false
-	g.futures[lock].Resolve(arg)
+	r.armed = false
+	r.grant.Resolve(arg)
 }

@@ -24,36 +24,30 @@ type dqnlClientImpl struct {
 	m   *Manager
 	dev *verbs.Device
 
-	// tails holds this node's home tail words, 8 bytes per lock; only the
-	// entries of locks homed here are used.
-	tails *verbs.MR
 	// slots holds this node's waiter slots, dqnlSlotSize bytes per lock.
 	slots *verbs.MR
+	// tails[l] is the region holding lock l's tail word, 8 bytes per lock
+	// on its home node; slotsOf[n] is node n's slots, by node ID. Both
+	// are shared by every client.
+	tails   []verbs.RemoteAddr
+	slotsOf []verbs.RemoteAddr
 }
 
 func newDQNL(m *Manager) {
-	for _, node := range m.nodes {
+	homeTails := make([]verbs.RemoteAddr, len(m.nodes))
+	tails := make([]verbs.RemoteAddr, m.locks)
+	slotsOf := make([]verbs.RemoteAddr, len(m.clients))
+	for i, node := range m.nodes {
 		dev := m.nw.Attach(node)
-		c := &dqnlClientImpl{
-			m:     m,
-			dev:   dev,
-			tails: dev.RegisterAtSetup(make([]byte, 8*m.locks)),
-			slots: dev.RegisterAtSetup(make([]byte, dqnlSlotSize*m.locks)),
-		}
+		homeTails[i] = dev.RegisterAtSetup(make([]byte, 8*m.locks)).Addr()
+		c := &dqnlClientImpl{m: m, dev: dev, slots: dev.RegisterAtSetup(make([]byte, dqnlSlotSize*m.locks)),
+			tails: tails, slotsOf: slotsOf}
+		slotsOf[node.ID] = c.slots.Addr()
 		m.clients[node.ID] = c
 	}
-}
-
-// tailAddr returns the home tail word address of a lock.
-func (c *dqnlClientImpl) tailAddr(lock int) (verbs.RemoteAddr, int) {
-	home := c.m.clients[c.m.homeNodeID(lock)].(*dqnlClientImpl)
-	return home.tails.Addr(), 8 * lock
-}
-
-// slotAddr returns the waiter-slot address of a lock on a given node.
-func (c *dqnlClientImpl) slotAddr(nodeID, lock int) verbs.RemoteAddr {
-	peer := c.m.clients[nodeID].(*dqnlClientImpl)
-	return peer.slots.Addr()
+	for l := range tails {
+		tails[l] = homeTails[m.home(l)]
+	}
 }
 
 // Lock implements Client. The mode is accepted for interface parity but
@@ -61,7 +55,7 @@ func (c *dqnlClientImpl) slotAddr(nodeID, lock int) verbs.RemoteAddr {
 func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
-	addr, off := c.tailAddr(lock)
+	addr, off := c.tails[lock], 8*lock
 
 	// Atomically swap ourselves in as the queue tail via a CAS retry
 	// loop (InfiniBand has no plain fetch-and-swap).
@@ -87,8 +81,7 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	// hands the lock over.
 	var idBuf [8]byte
 	putU64(idBuf[:], me)
-	predSlot := c.slotAddr(int(prev-1), lock)
-	if err := c.dev.Write(p, predSlot, dqnlSlotSize*lock+dqnlSuccOff, idBuf[:]); err != nil {
+	if err := c.dev.Write(p, c.slotsOf[prev-1], dqnlSlotSize*lock+dqnlSuccOff, idBuf[:]); err != nil {
 		return err
 	}
 	grantOff := dqnlSlotSize*lock + dqnlGrantOff
@@ -106,7 +99,7 @@ func (c *dqnlClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 func (c *dqnlClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error) {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
-	addr, off := c.tailAddr(lock)
+	addr, off := c.tails[lock], 8*lock
 	old, err := c.dev.CompareSwap(p, addr, off, 0, me)
 	return err == nil && old == 0, err
 }
@@ -115,7 +108,7 @@ func (c *dqnlClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error)
 func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	me := uint64(c.dev.Node.ID + 1)
-	addr, off := c.tailAddr(lock)
+	addr, off := c.tails[lock], 8*lock
 
 	// Fast path: if we are still the tail, free the lock with one CAS.
 	old, err := c.dev.CompareSwap(p, addr, off, me, 0)
@@ -138,8 +131,7 @@ func (c *dqnlClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	}
 	var one [8]byte
 	putU64(one[:], 1)
-	succSlot := c.slotAddr(int(succ-1), lock)
-	return c.dev.Write(p, succSlot, dqnlSlotSize*lock+dqnlGrantOff, one[:])
+	return c.dev.Write(p, c.slotsOf[succ-1], dqnlSlotSize*lock+dqnlGrantOff, one[:])
 }
 
 func putU64(b []byte, v uint64) {

@@ -40,21 +40,14 @@ func ncWord(tail uint64, cnt uint64) uint64 { return tail<<32 | cnt&0xffffffff }
 func ncTail(w uint64) uint64                { return w >> 32 }
 func ncCnt(w uint64) uint64                 { return w & 0xffffffff }
 
-type ncosedLockState struct {
-	pendingShared []int // node IDs awaiting the end of the exclusive chain
-	pendingDrain  int   // node ID + 1 awaiting shared-holder drain, 0 if none
-	polling       bool
-	pollName      string // poller proc name, formatted once per lock
-}
-
 // ncosedLease is the home agent's lease record for one lock (LeaseTTL >
 // 0 only): who holds it exclusively, until when the home trusts that
 // holder, and which queued successors have announced themselves.
 type ncosedLease struct {
 	holder   int // current exclusive holder's node ID, -1 when none known
 	deadline sim.Time
-	armed    bool        // a lease-expiry check is scheduled
-	succOf   map[int]int // predecessor node -> its announced queue successor
+	armed    bool  // a lease-expiry check is scheduled
+	succOf   []int // by predecessor node ID: its announced queue successor, -1 if none
 }
 
 type ncosedClientImpl struct {
@@ -63,48 +56,42 @@ type ncosedClientImpl struct {
 
 	// tails holds the home lock words for locks homed on this node;
 	// words[l] is lock l's word, wherever it is homed.
-	tails  *verbs.MR
-	words  []verbs.RemoteAddr
-	grants *grantTable
-
-	// Exclusive-chain state: our direct successor per lock, and an armed
-	// future when Unlock is waiting for the successor announcement.
-	// succFuts holds one reusable future per lock (created and named on
-	// first use, Reset on reuse) so steady-state hand-offs don't allocate.
-	succ     map[int]int
-	succWait map[int]*sim.Future[int]
-	succFuts map[int]*sim.Future[int]
-
-	// Home-agent state for locks homed here.
-	agentState map[int]*ncosedLockState
-
-	// Lease state for locks homed here (nil unless LeaseTTL > 0).
-	leases     map[int]*ncosedLease
-	inj        *faults.Injector
-	recoveries int
+	tails *verbs.MR
+	words []verbs.RemoteAddr
+	lockTable
+	inj *faults.Injector // LeaseTTL > 0 only
 }
 
 func newNCoSED(m *Manager) {
 	clients := make([]*ncosedClientImpl, len(m.nodes))
 	for i, node := range m.nodes {
 		dev := m.nw.Attach(node)
+		env := node.Env()
 		c := &ncosedClientImpl{
-			m:          m,
-			dev:        dev,
-			tails:      dev.RegisterAtSetup(make([]byte, 8*m.locks)),
-			grants:     newGrantTable(node.Env(), fmt.Sprintf("%s/ncosed", node.Name)),
-			succ:       map[int]int{},
-			succWait:   map[int]*sim.Future[int]{},
-			succFuts:   map[int]*sim.Future[int]{},
-			agentState: map[int]*ncosedLockState{},
+			m:         m,
+			dev:       dev,
+			tails:     dev.RegisterAtSetup(make([]byte, 8*m.locks)),
+			lockTable: newLockTable(env, node.Name+"/ncosed", m.locks),
+		}
+		for l := range c.recs {
+			r := &c.recs[l]
+			r.succFut = sim.NewFuture[int](env, "succ"+strconv.Itoa(l))
+			if m.home(l) != i {
+				continue
+			}
+			r.pollName = fmt.Sprintf("%s/ncosed-poll%d", node.Name, l)
+			if m.leaseTTL > 0 {
+				r.lease = &ncosedLease{holder: -1, succOf: make([]int, len(m.clients))}
+				for n := range r.lease.succOf {
+					r.lease.succOf[n] = -1
+				}
+			}
 		}
 		if m.leaseTTL > 0 {
-			c.leases = map[int]*ncosedLease{}
-			c.inj = faults.Of(node.Env())
+			c.inj = faults.Of(env)
 		}
 		clients[i] = c
 		m.clients[node.ID] = c
-		env := node.Env()
 		env.GoDaemon(fmt.Sprintf("%s/ncosed-client", node.Name), c.clientLoop)
 		env.GoDaemon(fmt.Sprintf("%s/ncosed-agent", node.Name), c.agentLoop)
 	}
@@ -130,13 +117,13 @@ func (c *ncosedClientImpl) clientLoop(p *sim.Proc) {
 		msg.Release()
 		switch w.op {
 		case opGrant:
-			c.grants.grant(w.lock, w.arg)
+			c.grant(w.lock, w.arg)
 		case opEnqueue:
-			if fut, ok := c.succWait[w.lock]; ok {
-				delete(c.succWait, w.lock)
-				fut.Resolve(w.from)
+			if r := &c.recs[w.lock]; r.succWait {
+				r.succWait = false
+				r.succFut.Resolve(w.from)
 			} else {
-				c.succ[w.lock] = w.from
+				r.succ = w.from + 1
 			}
 		}
 	}
@@ -149,56 +136,37 @@ func (c *ncosedClientImpl) agentLoop(p *sim.Proc) {
 		msg := c.dev.Recv(p, ncosedAgentSvc)
 		w := decodeWire(msg.Data)
 		msg.Release()
+		r := &c.recs[w.lock]
 		switch w.op {
 		case opSharedRegister:
-			st := c.agentLockState(w.lock)
-			st.pendingShared = append(st.pendingShared, w.from)
-			c.ensurePoller(w.lock, st)
+			r.pendingShared = append(r.pendingShared, w.from)
+			c.ensurePoller(w.lock, r)
 		case opWaitDrain:
-			st := c.agentLockState(w.lock)
-			if st.pendingDrain != 0 {
+			if r.pendingDrain != 0 {
 				panic("dlm: ncosed: two drain waiters on one lock")
 			}
-			st.pendingDrain = w.from + 1
-			c.ensurePoller(w.lock, st)
+			r.pendingDrain = w.from + 1
+			c.ensurePoller(w.lock, r)
 		case opHolderNotify:
 			c.leaseHolderNotify(w.lock, w.from)
 		case opHolderRelease:
-			if ls := c.leaseState(w.lock); ls.holder == w.from {
-				ls.holder = -1
+			if r.lease.holder == w.from {
+				r.lease.holder = -1
 			}
 		case opEnqueueCC:
-			c.leaseState(w.lock).succOf[w.arg] = w.from
+			r.lease.succOf[w.arg] = w.from
 		}
 	}
-}
-
-func (c *ncosedClientImpl) agentLockState(lock int) *ncosedLockState {
-	st, ok := c.agentState[lock]
-	if !ok {
-		st = &ncosedLockState{}
-		c.agentState[lock] = st
-	}
-	return st
-}
-
-func (c *ncosedClientImpl) leaseState(lock int) *ncosedLease {
-	ls, ok := c.leases[lock]
-	if !ok {
-		ls = &ncosedLease{holder: -1, succOf: map[int]int{}}
-		c.leases[lock] = ls
-	}
-	return ls
 }
 
 // leaseHolderNotify records a new exclusive holder and (re)arms the
 // lease-expiry check for its lock.
 func (c *ncosedClientImpl) leaseHolderNotify(lock, holder int) {
-	ls := c.leaseState(lock)
+	ls := c.recs[lock].lease
 	for pred, s := range ls.succOf {
 		if s == holder {
 			// The hand-off to this holder consumed its queue edge.
-			delete(ls.succOf, pred)
+			ls.succOf[pred] = -1
 		}
 	}
 	ls.holder = holder
@@ -214,7 +182,7 @@ func (c *ncosedClientImpl) leaseHolderNotify(lock, holder int) {
 // holder implicitly renews — the lease interval only bounds how long the
 // home can believe in a crashed holder before repairing the lock.
 func (c *ncosedClientImpl) leaseCheck(lock int) {
-	ls := c.leaseState(lock)
+	ls := c.recs[lock].lease
 	ls.armed = false
 	if ls.holder < 0 {
 		return
@@ -242,18 +210,18 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 	dead := ls.holder
 	off := 8 * lock
 	w := c.tails.Uint64At(off)
-	next, ok := ls.succOf[dead]
-	if !ok && ncTail(w) != uint64(dead+1) {
+	next := ls.succOf[dead]
+	if next < 0 && ncTail(w) != uint64(dead+1) {
 		// The word says the chain extends past the dead holder, but the
 		// successor's announcement copy is still in flight. Postpone.
 		ls.armed = true
 		c.dev.Env().After(PollInterval, func() { c.leaseCheck(lock) })
 		return
 	}
-	c.recoveries++
+	c.m.recoveries++
 	ls.holder = -1
-	if ok {
-		delete(ls.succOf, dead)
+	if next >= 0 {
+		ls.succOf[dead] = -1
 		g := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
 		// Best-effort: the send only fails if the home itself is down,
 		// and then the grant is moot anyway. The poller drops a failed
@@ -262,12 +230,10 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 		return // the successor's holder notification re-arms the lease
 	}
 	// The dead holder was the tail: reset the tail half, preserving any
-	// shared-count transients, and kick the poller in case a shared
-	// cohort is parked behind the now-gone chain.
+	// shared-count transients. A shared cohort parked behind the gone
+	// chain needs no kick: its poller runs for as long as the cohort
+	// waits, and admits it at its next poll.
 	c.tails.PutUint64At(off, ncWord(0, ncCnt(w)))
-	if st, have := c.agentState[lock]; have {
-		c.ensurePoller(lock, st)
-	}
 }
 
 // notifyHolder tells the home agent we now hold the lock exclusively
@@ -294,14 +260,11 @@ func (c *ncosedClientImpl) releaseHolder(p *sim.Proc, lock int) error {
 // ensurePoller starts the per-lock home poller if it is not running. The
 // poller watches the (local) lock word and performs the deferred grants;
 // it exits when nothing is pending.
-func (c *ncosedClientImpl) ensurePoller(lock int, st *ncosedLockState) {
+func (c *ncosedClientImpl) ensurePoller(lock int, st *lockRec) {
 	if st.polling {
 		return
 	}
 	st.polling = true
-	if st.pollName == "" {
-		st.pollName = fmt.Sprintf("%s/ncosed-poll%d", c.dev.Node.Name, lock)
-	}
 	c.dev.Env().Go(st.pollName, func(p *sim.Proc) {
 		defer func() { st.polling = false }()
 		off := 8 * lock
@@ -357,7 +320,7 @@ func (c *ncosedClientImpl) lockShared(p *sim.Proc, lock int) error {
 		return err
 	}
 	reg := wire{op: opSharedRegister, lock: lock, from: c.dev.Node.ID}
-	_, err = c.grants.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, reg)
+	_, err = c.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, reg)
 	return err
 }
 
@@ -386,7 +349,7 @@ func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) error {
 		// Shared holders present: ask the home agent to grant us once the
 		// count drains to zero.
 		req := wire{op: opWaitDrain, lock: lock, from: c.dev.Node.ID}
-		_, err = c.grants.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, req)
+		_, err = c.request(p, c.dev, c.m.homeNodeID(lock), ncosedAgentSvc, req)
 	default:
 		// Queue behind the previous tail, peer-to-peer. With leases on,
 		// copy the announcement to the home agent so it can reconstruct
@@ -398,7 +361,7 @@ func (c *ncosedClientImpl) lockExclusive(p *sim.Proc, lock int) error {
 			}
 		}
 		enq := wire{op: opEnqueue, lock: lock, from: c.dev.Node.ID}
-		_, err = c.grants.request(p, c.dev, int(prevTail-1), ncosedClientSvc, enq)
+		_, err = c.request(p, c.dev, int(prevTail-1), ncosedClientSvc, enq)
 	}
 	if err != nil {
 		return err
@@ -436,11 +399,12 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	}
 	me := uint64(c.dev.Node.ID + 1)
 	grant := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
+	r := &c.recs[lock]
 	for {
 		// If a successor already announced itself, hand over directly.
-		if s, ok := c.succ[lock]; ok {
-			delete(c.succ, lock)
-			return sendWire(p, c.dev, s, ncosedClientSvc, grant)
+		if s := r.succ; s != 0 {
+			r.succ = 0
+			return sendWire(p, c.dev, s-1, ncosedClientSvc, grant)
 		}
 		old, err := c.dev.CompareSwap(p, addr, off, ncWord(me, 0), 0)
 		if err != nil {
@@ -457,18 +421,14 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 		}
 		// The tail moved past us: a successor exists and its announcement
 		// is in flight. Wait for it, then hand over.
-		if _, ok := c.succ[lock]; ok {
+		if r.succ != 0 {
 			continue // announcement landed while we were CASing
 		}
-		fut, ok := c.succFuts[lock]
-		if !ok {
-			fut = sim.NewFuture[int](c.dev.Env(), "succ"+strconv.Itoa(lock))
-			c.succFuts[lock] = fut
-		} else if fut.Done() {
-			fut.Reset()
+		if r.succFut.Done() {
+			r.succFut.Reset()
 		}
-		c.succWait[lock] = fut
-		return sendWire(p, c.dev, fut.Wait(p), ncosedClientSvc, grant)
+		r.succWait = true
+		return sendWire(p, c.dev, r.succFut.Wait(p), ncosedClientSvc, grant)
 	}
 }
 
