@@ -55,7 +55,9 @@ type Options struct {
 }
 
 // healthy is the carrier of a cell that takes no fault plan: every
-// experiment but reconfig (dlm, for one, panics on a failed send).
+// experiment but reconfig, the only one whose table reports what a plan
+// did (its failovers column). The others reproduce figures of a healthy
+// cluster.
 func (o Options) healthy() runtime.ServiceOptions {
 	return runtime.ServiceOptions{Trace: o.Trace, Params: o.Params}
 }

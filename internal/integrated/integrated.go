@@ -143,31 +143,16 @@ func Run(cfg Config) (Stats, error) {
 	station := monitor.NewStation(monScheme, nw, front, nodes, monitor.RecommendedInterval(monScheme))
 	station.Start()
 
-	// Shared directory for cooperative caching (RDMA stack): doc -> proxy
-	// indices holding it. Lookups from a proxy cost one one-sided read.
-	directory := map[int]map[int]bool{}
-	dirAdd := func(doc, pi int) {
-		if directory[doc] == nil {
-			directory[doc] = map[int]bool{}
-		}
-		directory[doc][pi] = true
-	}
-	dirRemove := func(doc, pi int) {
-		if directory[doc] != nil {
-			delete(directory[doc], pi)
-		}
-	}
-	dirFind := func(doc, exclude int) int {
-		best := -1
-		for pi := range directory[doc] {
-			if pi == exclude || !proxies[pi].cache.Contains(doc) {
-				continue
-			}
-			if best == -1 || pi < best {
-				best = pi
+	// Cooperative caching (RDMA stack): a lookup from a proxy costs one
+	// one-sided read and finds the lowest-indexed other proxy whose cache
+	// holds the document.
+	holderOf := func(doc, exclude int) int {
+		for pi, px := range proxies {
+			if pi != exclude && px.cache.Contains(doc) {
+				return pi
 			}
 		}
-		return best
+		return -1
 	}
 
 	backend := sim.NewResource(env, "backend", 8)
@@ -185,7 +170,7 @@ func Run(cfg Config) (Stats, error) {
 			p.Sleep(pp.CopyTime(int(cfg.FileSize)))
 		case cfg.Stack == RDMAStack:
 			p.Sleep(pp.IBReadLatency) // directory lookup
-			if holder := dirFind(key, pi); holder >= 0 {
+			if holder := holderOf(key, pi); holder >= 0 {
 				// One-sided refill from the sibling's cache.
 				h := proxies[holder]
 				p.Sleep(pp.IBReadLatency / 2)
@@ -200,10 +185,7 @@ func Run(cfg Config) (Stats, error) {
 					stats.BackendFetches++
 				}
 			}
-			for _, ev := range px.cache.Put(key, cfg.FileSize) {
-				dirRemove(ev, pi)
-			}
-			dirAdd(key, pi)
+			px.cache.Put(key, cfg.FileSize)
 		default:
 			backend.Use(p, 1, pp.BackendTime(int(cfg.FileSize)))
 			if measuring {
