@@ -260,18 +260,20 @@ func decodeWire(b []byte) wire {
 // request waits on and, in N-CoSED, its place in the exclusive chain. On
 // the lock's home node the record also holds the home side: SRSL's
 // server queue, or N-CoSED's pending agent work and lease. Records are
-// allocated with the manager, one per lock, and their futures are
-// re-armed with Reset: the one-outstanding-request rule guarantees the
-// previous waiter consumed a future before its lock is re-armed.
+// allocated with the manager, one per lock.
 type lockRec struct {
-	grant *sim.Future[int] // resolved with the grant message's arg
-	armed bool             // a request waits on grant
+	// wait is what the lock's one outstanding call parks on: a request
+	// for its grant or, in N-CoSED, an exclusive Unlock for its
+	// successor's announcement (the holder has no request outstanding).
+	// It is re-armed with Reset: the one-outstanding-request rule
+	// guarantees the previous waiter consumed it.
+	wait  *sim.Future[int]
+	armed bool // a request waits for a grant
 
 	// N-CoSED: the successor that announced itself (node ID + 1, 0 if
-	// none), and the future an Unlock waiting for one parks on.
+	// none), or succWait: an Unlock waits for one.
 	succ     int
 	succWait bool
-	succFut  *sim.Future[int]
 
 	// Home side.
 	queue         Queue[int]   // SRSL: holders and waiters, by node ID
@@ -282,8 +284,8 @@ type lockRec struct {
 	lease         *ncosedLease // N-CoSED with LeaseTTL > 0
 }
 
-// lockTable is a client's records, indexed by lock ID; name ("<node>/
-// <design>") prefixes its grant futures' names and its panics.
+// lockTable is a client's records, indexed by lock ID. Its name,
+// "<node>/<design>", prefixes its futures' names and its panics.
 type lockTable struct {
 	name string
 	recs []lockRec
@@ -292,7 +294,7 @@ type lockTable struct {
 func newLockTable(env *sim.Env, name string, locks int) lockTable {
 	t := lockTable{name: name, recs: make([]lockRec, locks)}
 	for l := range t.recs {
-		t.recs[l].grant = sim.NewFuture[int](env, name+"/grant"+strconv.Itoa(l))
+		t.recs[l].wait = sim.NewFuture[int](env, name+"/lock"+strconv.Itoa(l))
 	}
 	return t
 }
@@ -306,15 +308,13 @@ func (t *lockTable) request(p *sim.Proc, dev *verbs.Device, dst int, service str
 	if r.armed {
 		panic(fmt.Sprintf("dlm: %s: double outstanding request on lock %d", t.name, w.lock))
 	}
-	if r.grant.Done() {
-		r.grant.Reset()
-	}
+	fut := r.rearm()
 	r.armed = true
 	if err := sendWire(p, dev, dst, service, w); err != nil {
 		r.armed = false
 		return 0, err
 	}
-	return r.grant.Wait(p), nil
+	return fut.Wait(p), nil
 }
 
 // grant resolves the grant of a lock; one with no waiter panics.
@@ -324,5 +324,13 @@ func (t *lockTable) grant(lock, arg int) {
 		panic(fmt.Sprintf("dlm: %s: grant for lock %d with no waiter", t.name, lock))
 	}
 	r.armed = false
-	r.grant.Resolve(arg)
+	r.wait.Resolve(arg)
+}
+
+// rearm returns the record's wait future, reset if it was resolved.
+func (r *lockRec) rearm() *sim.Future[int] {
+	if r.wait.Done() {
+		r.wait.Reset()
+	}
+	return r.wait
 }

@@ -34,19 +34,18 @@ type dqnlClientImpl struct {
 }
 
 func newDQNL(m *Manager) {
-	homeTails := make([]verbs.RemoteAddr, len(m.nodes))
 	tails := make([]verbs.RemoteAddr, m.locks)
 	slotsOf := make([]verbs.RemoteAddr, len(m.clients))
 	for i, node := range m.nodes {
 		dev := m.nw.Attach(node)
-		homeTails[i] = dev.RegisterAtSetup(make([]byte, 8*m.locks)).Addr()
+		home := dev.RegisterAtSetup(make([]byte, 8*m.locks)).Addr()
+		for l := i; l < m.locks; l += len(m.nodes) { // the locks homed here
+			tails[l] = home
+		}
 		c := &dqnlClientImpl{m: m, dev: dev, slots: dev.RegisterAtSetup(make([]byte, dqnlSlotSize*m.locks)),
 			tails: tails, slotsOf: slotsOf}
 		slotsOf[node.ID] = c.slots.Addr()
 		m.clients[node.ID] = c
-	}
-	for l := range tails {
-		tails[l] = homeTails[m.home(l)]
 	}
 }
 

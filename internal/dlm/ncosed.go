@@ -2,7 +2,6 @@ package dlm
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"ngdc/internal/faults"
@@ -73,12 +72,8 @@ func newNCoSED(m *Manager) {
 			tails:     dev.RegisterAtSetup(make([]byte, 8*m.locks)),
 			lockTable: newLockTable(env, node.Name+"/ncosed", m.locks),
 		}
-		for l := range c.recs {
+		for l := i; l < m.locks; l += len(m.nodes) { // the locks homed here
 			r := &c.recs[l]
-			r.succFut = sim.NewFuture[int](env, "succ"+strconv.Itoa(l))
-			if m.home(l) != i {
-				continue
-			}
 			r.pollName = fmt.Sprintf("%s/ncosed-poll%d", node.Name, l)
 			if m.leaseTTL > 0 {
 				r.lease = &ncosedLease{holder: -1, succOf: make([]int, len(m.clients))}
@@ -121,7 +116,7 @@ func (c *ncosedClientImpl) clientLoop(p *sim.Proc) {
 		case opEnqueue:
 			if r := &c.recs[w.lock]; r.succWait {
 				r.succWait = false
-				r.succFut.Resolve(w.from)
+				r.wait.Resolve(w.from)
 			} else {
 				r.succ = w.from + 1
 			}
@@ -231,8 +226,8 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 	}
 	// The dead holder was the tail: reset the tail half, preserving any
 	// shared-count transients. A shared cohort parked behind the gone
-	// chain needs no kick: its poller runs for as long as the cohort
-	// waits, and admits it at its next poll.
+	// chain is admitted by its poller, which runs for as long as the
+	// cohort waits.
 	c.tails.PutUint64At(off, ncWord(0, ncCnt(w)))
 }
 
@@ -260,37 +255,37 @@ func (c *ncosedClientImpl) releaseHolder(p *sim.Proc, lock int) error {
 // ensurePoller starts the per-lock home poller if it is not running. The
 // poller watches the (local) lock word and performs the deferred grants;
 // it exits when nothing is pending.
-func (c *ncosedClientImpl) ensurePoller(lock int, st *lockRec) {
-	if st.polling {
+func (c *ncosedClientImpl) ensurePoller(lock int, r *lockRec) {
+	if r.polling {
 		return
 	}
-	st.polling = true
-	c.dev.Env().Go(st.pollName, func(p *sim.Proc) {
-		defer func() { st.polling = false }()
+	r.polling = true
+	c.dev.Env().Go(r.pollName, func(p *sim.Proc) {
+		defer func() { r.polling = false }()
 		off := 8 * lock
 		// A grant whose send fails is dropped, as recoverLock's is.
 		grant := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
 		for {
 			w := c.tails.Uint64At(off)
-			if st.pendingDrain != 0 && ncCnt(w) == 0 {
-				d := st.pendingDrain - 1
-				st.pendingDrain = 0
+			if r.pendingDrain != 0 && ncCnt(w) == 0 {
+				d := r.pendingDrain - 1
+				r.pendingDrain = 0
 				_ = sendWire(p, c.dev, d, ncosedClientSvc, grant)
 				continue
 			}
-			if len(st.pendingShared) > 0 && ncTail(w) == 0 {
+			if len(r.pendingShared) > 0 && ncTail(w) == 0 {
 				// The exclusive chain has drained: admit the whole cohort
 				// as holders in one local update, then grant them
 				// back-to-back.
-				cohort := st.pendingShared
-				st.pendingShared = nil
+				cohort := r.pendingShared
+				r.pendingShared = nil
 				c.tails.PutUint64At(off, ncWord(0, ncCnt(w)+uint64(len(cohort))))
 				for _, nodeID := range cohort {
 					_ = sendWire(p, c.dev, nodeID, ncosedClientSvc, grant)
 				}
 				continue
 			}
-			if st.pendingDrain == 0 && len(st.pendingShared) == 0 {
+			if r.pendingDrain == 0 && len(r.pendingShared) == 0 {
 				return
 			}
 			p.Sleep(PollInterval)
@@ -424,11 +419,9 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 		if r.succ != 0 {
 			continue // announcement landed while we were CASing
 		}
-		if r.succFut.Done() {
-			r.succFut.Reset()
-		}
+		fut := r.rearm()
 		r.succWait = true
-		return sendWire(p, c.dev, r.succFut.Wait(p), ncosedClientSvc, grant)
+		return sendWire(p, c.dev, fut.Wait(p), ncosedClientSvc, grant)
 	}
 }
 
