@@ -1,6 +1,7 @@
 package coopcache
 
 import (
+	"math/bits"
 	"time"
 
 	"ngdc/internal/sim"
@@ -143,20 +144,17 @@ func (rc *reqChain) dirArrived(remote bool) {
 	if remote && dc.tr != nil {
 		dc.tr.RecordOp(trace.OpRDMARead, dc.nw.Params().IBReadLatency, 0)
 	}
-	// Lowest-ID holder other than the requester; the deterministic choice
-	// keeps runs reproducible (map iteration order would not be).
-	holders := dc.dirHome(rc.doc).dir[rc.doc]
-	best := -1
-	for id := range holders {
-		if cn := dc.nodeByID(id); cn == nil || cn == rc.px {
+	// Lowest-ID holder other than the requester: the lowest set bit once
+	// the requester's own bit is masked.
+	self := rc.px.node.ID
+	for w, word := range dc.dirHolders(rc.doc) {
+		if w == self/64 {
+			word &^= 1 << (self % 64)
+		}
+		if word == 0 {
 			continue
 		}
-		if best == -1 || id < best {
-			best = id
-		}
-	}
-	if best != -1 {
-		if holder := dc.nodeByID(best); holder != nil && holder.cache.Get(rc.doc) {
+		if holder := dc.nodes[w*64+bits.TrailingZeros64(word)]; holder.cache.Get(rc.doc) {
 			// Remote hit: one-sided RDMA read from the holder — request
 			// half-RTT, response serialization on the holder's NIC,
 			// response half-RTT.
@@ -164,6 +162,7 @@ func (rc *reqChain) dirArrived(remote bool) {
 			dc.env.After(dc.nw.Params().IBReadLatency/2, rc.fetchMidFn)
 			return
 		}
+		break
 	}
 	rc.missStep()
 }
@@ -205,7 +204,7 @@ func (rc *reqChain) fetchEnd() {
 // of the same document, or fetch from the origin.
 func (rc *reqChain) missStep() {
 	dc := rc.dc
-	if fut, ok := dc.inflight[rc.doc]; ok && rc.depth == 0 {
+	if fut := dc.inflight[rc.doc]; fut != nil && rc.depth == 0 {
 		fut.WaitAsync(rc.retryFn)
 		return
 	}
@@ -280,11 +279,14 @@ func (rc *reqChain) placed() {
 }
 
 // dirEntries applies the directory mutations of an insert (pure state;
-// the wire charge was issued by placed's batch).
+// the wire charge was issued by placed's batch): set the target's bit in
+// the document's entry and clear it in each evicted document's.
 func (rc *reqChain) dirEntries(evicted []int) {
-	rc.dc.dirAddEntry(rc.doc, rc.target.node.ID)
+	dc, id := rc.dc, rc.target.node.ID
+	w, bit := id/64, uint64(1)<<(id%64)
+	dc.dirHolders(rc.doc)[w] |= bit
 	for _, v := range evicted {
-		rc.dc.dirRemoveEntry(v, rc.target.node.ID)
+		dc.dirHolders(v)[w] &^= bit
 	}
 }
 
@@ -294,7 +296,7 @@ func (rc *reqChain) dirEntries(evicted []int) {
 func (rc *reqChain) insertDone() {
 	dc := rc.dc
 	if rc.fut != nil {
-		delete(dc.inflight, rc.doc)
+		dc.inflight[rc.doc] = nil
 		f := rc.fut
 		rc.fut = nil
 		f.Resolve(0)

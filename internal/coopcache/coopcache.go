@@ -153,13 +153,24 @@ type DataCenter struct {
 	env *sim.Env
 	nw  *verbs.Network
 
-	proxies  []*cacheNode
-	appTier  []*cacheNode
+	nodes    []*cacheNode // by node ID: the proxies, then the app tier
+	proxies  []*cacheNode // nodes[:Proxies]
+	appTier  []*cacheNode // nodes[Proxies:]
 	backend  *sim.Resource
-	inflight map[int]*sim.Future[int] // doc -> fetch in progress (dedup)
-	futFree  []*sim.Future[int]       // recycled dedup futures
-	reqFree  []*reqChain              // recycled request chain records
-	reqMade  int                      // chain records ever allocated (pool size)
+	inflight []*sim.Future[int] // by doc: the fetch in progress (dedup), nil if none
+	futFree  []*sim.Future[int] // recycled dedup futures
+	reqFree  []*reqChain        // recycled request chain records
+	reqMade  int                // chain records ever allocated (pool size)
+
+	// dir is the distributed directory: dirWords words per document, a
+	// bitset of the node IDs holding it. A document's words live on its
+	// home proxy (dirHome), which decides whether reading or updating
+	// them crosses the wire. A bit changes when the insert's batched
+	// directory atomics land (dirEntries), an atomic latency after the
+	// cache Put for a remote home, so the directory is its own state, not
+	// a view of the caches.
+	dir      []uint64
+	dirWords int
 
 	measuring bool
 	stats     Stats
@@ -174,12 +185,10 @@ type cacheNode struct {
 	node  *cluster.Node
 	dev   *verbs.Device
 	cache *lru.Cache[int]
-	// dir is this node's shard of the distributed directory:
-	// doc -> node IDs currently holding it (only for docs homed here).
-	dir map[int]map[int]bool
-	// freq counts this proxy's requests per document; HYBCC uses it to
-	// decide which documents are hot enough to be worth duplicating.
-	freq map[int]int
+	// freq counts this proxy's requests per document; only HYBCC
+	// allocates it, to decide which documents are hot enough to be worth
+	// duplicating.
+	freq []int32
 	// replica is HYBCC's bounded private replica area: duplicated hot
 	// documents live here so they can never crowd out single copies.
 	replica *lru.Cache[int]
@@ -206,38 +215,30 @@ func (cfg *Config) docCount() int {
 func Build(cfg Config) *DataCenter {
 	env := cfg.NewEnv(cfg.Seed)
 	nw := verbs.NewNetwork(env, cfg.Fabric())
-	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: map[int]*sim.Future[int]{},
-		tr: trace.Of(env)}
+	docs, n := cfg.docCount(), cfg.Proxies+cfg.AppServers
+	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: make([]*sim.Future[int], docs),
+		dirWords: (n + 63) / 64, tr: trace.Of(env)}
+	dc.dir = make([]uint64, docs*dc.dirWords)
 	dc.backend = sim.NewResource(env, "backend", backendParallelism)
-	id := 0
-	for i := 0; i < cfg.Proxies; i++ {
-		n := cluster.NewNode(env, id, 2, cfg.ProxyMem*4)
-		id++
-		cn := &cacheNode{
-			node: n,
-			dev:  nw.Attach(n),
-			dir:  map[int]map[int]bool{},
-			freq: map[int]int{},
+	dc.nodes = make([]*cacheNode, 0, n)
+	for id := 0; id < n; id++ {
+		mem := cfg.ProxyMem
+		if id >= cfg.Proxies {
+			mem = cfg.AppServerMem
 		}
-		if cfg.Scheme == HYBCC {
+		node := cluster.NewNode(env, id, 2, mem*4)
+		cn := &cacheNode{node: node, dev: nw.Attach(node)}
+		if id < cfg.Proxies && cfg.Scheme == HYBCC {
 			// Carve a bounded replica area out of the proxy's memory.
-			cn.cache = lru.New[int](cfg.ProxyMem - cfg.ProxyMem/8)
-			cn.replica = lru.New[int](cfg.ProxyMem / 8)
+			cn.cache = lru.New[int](mem - mem/8)
+			cn.replica = lru.New[int](mem / 8)
+			cn.freq = make([]int32, docs)
 		} else {
-			cn.cache = lru.New[int](cfg.ProxyMem)
+			cn.cache = lru.New[int](mem)
 		}
-		dc.proxies = append(dc.proxies, cn)
+		dc.nodes = append(dc.nodes, cn)
 	}
-	for i := 0; i < cfg.AppServers; i++ {
-		n := cluster.NewNode(env, id, 2, cfg.AppServerMem*4)
-		id++
-		cn := &cacheNode{
-			node:  n,
-			dev:   nw.Attach(n),
-			cache: lru.New[int](cfg.AppServerMem),
-		}
-		dc.appTier = append(dc.appTier, cn)
-	}
+	dc.proxies, dc.appTier = dc.nodes[:cfg.Proxies], dc.nodes[cfg.Proxies:]
 	return dc
 }
 
@@ -248,24 +249,9 @@ func (dc *DataCenter) Env() *sim.Env { return dc.env }
 // pool returns the cache nodes a scheme may place documents on.
 func (dc *DataCenter) pool() []*cacheNode {
 	if dc.cfg.Scheme == MTACC || dc.cfg.Scheme == HYBCC {
-		return append(append([]*cacheNode{}, dc.proxies...), dc.appTier...)
+		return dc.nodes
 	}
 	return dc.proxies
-}
-
-// nodeByID finds a cache node by cluster node ID.
-func (dc *DataCenter) nodeByID(id int) *cacheNode {
-	for _, cn := range dc.proxies {
-		if cn.node.ID == id {
-			return cn
-		}
-	}
-	for _, cn := range dc.appTier {
-		if cn.node.ID == id {
-			return cn
-		}
-	}
-	return nil
 }
 
 // dirHome returns the proxy holding a document's directory entry.
@@ -273,26 +259,10 @@ func (dc *DataCenter) dirHome(doc int) *cacheNode {
 	return dc.proxies[doc%len(dc.proxies)]
 }
 
-// dirAddEntry registers holder in doc's directory entry (pure state; the
-// wire charge is issued by the caller's batch).
-func (dc *DataCenter) dirAddEntry(doc int, holderID int) {
-	home := dc.dirHome(doc)
-	if home.dir[doc] == nil {
-		home.dir[doc] = map[int]bool{}
-	}
-	home.dir[doc][holderID] = true
-}
-
-// dirRemoveEntry unregisters holder from doc's directory entry (pure
-// state; the wire charge is issued by the caller's batch).
-func (dc *DataCenter) dirRemoveEntry(doc int, holderID int) {
-	home := dc.dirHome(doc)
-	if home.dir[doc] != nil {
-		delete(home.dir[doc], holderID)
-		if len(home.dir[doc]) == 0 {
-			delete(home.dir, doc)
-		}
-	}
+// dirHolders returns doc's directory entry: bit i of the bitset is set
+// while node i holds the document.
+func (dc *DataCenter) dirHolders(doc int) []uint64 {
+	return dc.dir[doc*dc.dirWords : (doc+1)*dc.dirWords]
 }
 
 // getFetchFuture returns a pooled dedup future for a backend fetch. The

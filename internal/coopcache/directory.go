@@ -1,8 +1,9 @@
 package coopcache
 
 // Sharded RDMA-readable directory. The classic DataCenter keeps its
-// directory as per-proxy Go maps whose wire cost is charged by the
-// request chains — fine at testbed scale, but a web-scale cluster needs
+// directory as a holder bitset per document, updated when its batched
+// atomics land, whose wire cost is charged by the request chains — fine
+// at testbed scale, but a web-scale cluster needs
 // the directory itself to be remotely operable state: document →
 // placement slots packed into registered memory regions, sharded across
 // a set of home nodes, read with RDMA read and installed with

@@ -9,8 +9,8 @@ import (
 	"ngdc/internal/workload"
 )
 
-// serveRequest processes one client request for doc at proxy px and
-// returns how it was satisfied.
+// outcome is how a request was satisfied: from the proxy's own cache,
+// from another pool node's cache, or from the origin.
 type outcome int
 
 const (
@@ -97,9 +97,8 @@ func (dc *DataCenter) RunLoad() (Stats, error) {
 
 // duplicateBytes sums cache space beyond the first copy of each document.
 func (dc *DataCenter) duplicateBytes() int64 {
-	copies := map[int]int{}
-	nodes := append(append([]*cacheNode{}, dc.proxies...), dc.appTier...)
-	for _, cn := range nodes {
+	copies := make([]int, dc.cfg.docCount())
+	for _, cn := range dc.nodes {
 		for _, doc := range cn.cache.Keys() {
 			copies[doc]++
 		}

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ngdc/internal/cluster"
@@ -156,10 +157,11 @@ type deployment struct {
 	apps    []*verbs.Device
 	// versionMR[s] is app server s's registered version table.
 	versionMR []*verbs.MR
-	// deps[d] lists document d's dependencies, grouped by server.
+	// deps[d] lists document d's distinct dependencies.
 	deps [][]dep
 
-	caches []map[int]*cachedResponse
+	// caches[pi][doc] is proxy pi's cached response for doc, nil if none.
+	caches [][]*cachedResponse
 
 	measuring bool
 	stats     Stats
@@ -191,7 +193,7 @@ func build(cfg Config) *deployment {
 		n := cluster.NewNode(env, id, 2, 1<<30)
 		id++
 		d.proxies = append(d.proxies, nw.Attach(n))
-		d.caches = append(d.caches, map[int]*cachedResponse{})
+		d.caches = append(d.caches, make([]*cachedResponse, cfg.Docs))
 	}
 	for i := 0; i < cfg.AppServers; i++ {
 		n := cluster.NewNode(env, id, 2, 1<<30)
@@ -204,11 +206,9 @@ func build(cfg Config) *deployment {
 	rng := rand.New(rand.NewSource(cfg.Seed + 99))
 	d.deps = make([][]dep, cfg.Docs)
 	for doc := 0; doc < cfg.Docs; doc++ {
-		seen := map[dep]bool{}
 		for len(d.deps[doc]) < cfg.DepsPerDoc {
 			dp := dep{server: rng.Intn(cfg.AppServers), object: rng.Intn(cfg.Objects)}
-			if !seen[dp] {
-				seen[dp] = true
+			if !slices.Contains(d.deps[doc], dp) {
 				d.deps[doc] = append(d.deps[doc], dp)
 			}
 		}
@@ -231,15 +231,10 @@ func (d *deployment) currentVersions(doc int) []uint64 {
 // server touched by the document's dependency set. It returns whether the
 // cached versions still match.
 func (d *deployment) validate(p *sim.Proc, px *verbs.Device, doc int, cached []uint64) (bool, error) {
-	// Group dependencies by server: one read per server.
-	perServer := map[int]bool{}
-	for _, dp := range d.deps[doc] {
-		perServer[dp.server] = true
-	}
-	// Deterministic iteration: scan server indices in order.
+	// One read per server the dependencies touch, in server order.
 	fresh := make([]uint64, len(d.deps[doc]))
 	for s := 0; s < d.cfg.AppServers; s++ {
-		if !perServer[s] {
+		if !slices.ContainsFunc(d.deps[doc], func(dp dep) bool { return dp.server == s }) {
 			continue
 		}
 		// Read the whole (small) version table of that server in one

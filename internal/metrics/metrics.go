@@ -141,45 +141,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// Series is an (x, y) series for figure-style output.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// MeanY returns the mean of the Y values.
-func (s *Series) MeanY() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	var t float64
-	for _, v := range s.Y {
-		t += v
-	}
-	return t / float64(len(s.Y))
-}
-
-// MaxY returns the maximum Y value.
-func (s *Series) MaxY() float64 {
-	m := math.Inf(-1)
-	for _, v := range s.Y {
-		if v > m {
-			m = v
-		}
-	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
-}
-
 // Table formats experiment results as an aligned text table, mirroring the
 // rows/columns of a paper figure.
 type Table struct {

@@ -110,19 +110,6 @@ func TestSamplePercentileAfterAdd(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 30)
-	if s.MeanY() != 20 || s.MaxY() != 30 {
-		t.Fatalf("meanY=%v maxY=%v", s.MeanY(), s.MaxY())
-	}
-	var empty Series
-	if empty.MeanY() != 0 || empty.MaxY() != 0 {
-		t.Fatal("empty series not zero")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", "size", "latency", "note")
 	tb.AddRow(1024, 55.5, "ok")

@@ -181,12 +181,6 @@ func RUBiSClasses() []RequestClass {
 	}
 }
 
-// ZipfTraceClasses builds a single-class "static document" mix whose reply
-// size matches a document population; used by the Zipf trace of Fig 8b.
-func ZipfTraceClasses(docBytes int) []RequestClass {
-	return []RequestClass{{Name: "doc", Weight: 1, CPU: 800 * time.Microsecond, ReplyBytes: docBytes}}
-}
-
 // HeavyTailSizes generates deterministic per-document sizes following a
 // bounded Pareto-like distribution: mostly small documents with a heavy
 // tail of large ones, the classic static-web-content shape. Sizes are a
