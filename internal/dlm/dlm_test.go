@@ -393,7 +393,9 @@ func TestKindAndModeStrings(t *testing.T) {
 
 func TestWireRoundTrip(t *testing.T) {
 	w := wire{op: opEnqueue, lock: 123456, from: 7, arg: 3}
-	got := decodeWire(w.encode())
+	b := make([]byte, msgSize)
+	w.encodeInto(b)
+	got := decodeWire(b)
 	if got != w {
 		t.Fatalf("round trip %+v -> %+v", w, got)
 	}
