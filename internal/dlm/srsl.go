@@ -32,6 +32,7 @@ type srslClientImpl struct {
 }
 
 func newSRSL(m *Manager) {
+	m.bind(srslService, srslClient)
 	for _, node := range m.nodes {
 		env := node.Env()
 		c := &srslClientImpl{m: m, dev: m.nw.Attach(node), lockTable: newLockTable(env, node.Name+"/srsl", m.locks)}
@@ -43,8 +44,9 @@ func newSRSL(m *Manager) {
 
 // serveHome is the home-node lock server loop.
 func (c *srslClientImpl) serveHome(p *sim.Proc) {
+	rq := c.m.homeQ[c.dev.Node.ID]
 	for {
-		msg := c.dev.Recv(p, srslService)
+		msg := rq.Recv(p)
 		// The server is an ordinary process: each request costs CPU and
 		// competes with whatever else runs on the home node.
 		c.dev.Node.Exec(p, ServerCPU)
@@ -84,13 +86,14 @@ func (c *srslClientImpl) serveHome(p *sim.Proc) {
 // sendGrant sends a grant or a TryLock verdict; one whose send fails is
 // dropped, as N-CoSED's home agent drops its grants.
 func (c *srslClientImpl) sendGrant(p *sim.Proc, lock, to, arg int) {
-	_ = sendWire(p, c.dev, to, srslClient, wire{op: opGrant, lock: lock, from: c.dev.Node.ID, arg: arg})
+	_ = sendWire(p, c.dev, c.m.grantQ[to], wire{op: opGrant, lock: lock, from: c.dev.Node.ID, arg: arg})
 }
 
 // serveGrants is the client-side grant dispatcher.
 func (c *srslClientImpl) serveGrants(p *sim.Proc) {
+	rq := c.m.grantQ[c.dev.Node.ID]
 	for {
-		msg := c.dev.Recv(p, srslClient)
+		msg := rq.Recv(p)
 		w := decodeWire(msg.Data)
 		msg.Release()
 		if w.op == opGrant {
@@ -103,7 +106,7 @@ func (c *srslClientImpl) serveGrants(p *sim.Proc) {
 func (c *srslClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	req := wire{op: opLockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	_, err := c.request(p, c.dev, c.m.homeNodeID(lock), srslService, req)
+	_, err := c.request(p, c.dev, c.m.homeQueue(lock), req)
 	return err
 }
 
@@ -112,7 +115,7 @@ func (c *srslClientImpl) Lock(p *sim.Proc, lock int, mode Mode) error {
 func (c *srslClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error) {
 	c.m.checkLock(lock)
 	req := wire{op: opTryLockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	verdict, err := c.request(p, c.dev, c.m.homeNodeID(lock), srslService, req)
+	verdict, err := c.request(p, c.dev, c.m.homeQueue(lock), req)
 	return err == nil && verdict&srslDenied == 0, err
 }
 
@@ -120,5 +123,5 @@ func (c *srslClientImpl) TryLock(p *sim.Proc, lock int, mode Mode) (bool, error)
 func (c *srslClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 	c.m.checkLock(lock)
 	req := wire{op: opUnlockReq, lock: lock, from: c.dev.Node.ID, arg: int(mode)}
-	return sendWire(p, c.dev, c.m.homeNodeID(lock), srslService, req)
+	return sendWire(p, c.dev, c.m.homeQueue(lock), req)
 }

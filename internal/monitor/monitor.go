@@ -143,17 +143,17 @@ func (s *Station) Start() {
 	case SocketSync:
 		for i, t := range s.tgts {
 			t, i := t, i
-			// Replies flow on a per-target service so concurrent pollers
+			// Replies flow on a per-target queue so concurrent pollers
 			// never consume each other's readings.
-			repSvc := fmt.Sprintf("mon-rep-%d", i)
+			reqQ, repQ := t.dev.Bind("mon-req"), s.front.Bind(fmt.Sprintf("mon-rep-%d", i))
 			// Back-end daemon answering monitoring requests.
 			s.env.GoDaemon(fmt.Sprintf("mon-daemon/%s", t.node.Name), func(p *sim.Proc) {
 				for {
-					msg := t.dev.RecvTCP(p, "mon-req")
+					reqQ.RecvTCP(p)
 					t.node.Exec(p, GatherCPU)
 					snap := make([]byte, cluster.StatsSize)
 					copy(snap, t.node.Snapshot())
-					if err := t.dev.SendTCP(p, msg.From, repSvc, snap); err != nil {
+					if err := t.dev.SendTCP(p, repQ, snap); err != nil {
 						return
 					}
 				}
@@ -165,16 +165,17 @@ func (s *Station) Start() {
 				offset := s.Interval / time.Duration(len(s.tgts)+1) * time.Duration(i)
 				for tick := 0; ; tick++ {
 					p.SleepUntil(sim.Time(offset + time.Duration(tick)*s.Interval))
-					if err := s.front.SendTCP(p, t.dev.Node.ID, "mon-req", []byte{byte(i)}); err != nil {
+					if err := s.front.SendTCP(p, reqQ, []byte{byte(i)}); err != nil {
 						return
 					}
-					rep := s.front.RecvTCP(p, repSvc)
+					rep := repQ.RecvTCP(p)
 					t.last = cluster.DecodeStats(rep.Data)
 					t.lastAt = p.Now()
 				}
 			})
 		}
 	case SocketAsync:
+		pushQ := s.front.Bind("mon-push")
 		for i, t := range s.tgts {
 			t, i := t, i
 			// Back-end daemon pushing readings on its own timer,
@@ -185,7 +186,7 @@ func (s *Station) Start() {
 					t.node.Exec(p, GatherCPU)
 					snap := make([]byte, cluster.StatsSize)
 					copy(snap, t.node.Snapshot())
-					if err := t.dev.SendTCP(p, s.front.Node.ID, "mon-push", snap); err != nil {
+					if err := t.dev.SendTCP(p, pushQ, snap); err != nil {
 						return
 					}
 					p.Sleep(s.Interval)
@@ -195,7 +196,7 @@ func (s *Station) Start() {
 		// Front-end sink.
 		s.env.GoDaemon("mon-sink", func(p *sim.Proc) {
 			for {
-				msg := s.front.RecvTCP(p, "mon-push")
+				msg := pushQ.RecvTCP(p)
 				for _, t := range s.tgts {
 					if t.dev.Node.ID == msg.From {
 						t.last = cluster.DecodeStats(msg.Data)

@@ -49,8 +49,9 @@ type Group struct {
 	name     string
 	strategy Strategy
 	env      *sim.Env
-	devs     []*verbs.Device // by rank
-	rankOf   map[int]int     // node ID -> rank
+	devs     []*verbs.Device    // by rank
+	rqs      []*verbs.RecvQueue // by rank: each member's frame queue
+	rankOf   map[int]int        // node ID -> rank
 	subs     []*sim.Chan[[]byte]
 
 	// Delivered counts total deliveries, for instrumentation.
@@ -87,6 +88,7 @@ func NewGroup(nw *verbs.Network, members []*cluster.Node, opts Options) *Group {
 	for rank, n := range members {
 		dev := nw.Attach(n)
 		g.devs = append(g.devs, dev)
+		g.rqs = append(g.rqs, dev.Bind("mcast:"+g.name))
 		g.rankOf[n.ID] = rank
 		g.subs = append(g.subs, sim.NewChan[[]byte](g.env, fmt.Sprintf("mcast/%s/%d", g.name, rank), 1024))
 	}
@@ -111,14 +113,11 @@ func (g *Group) Subscribe(nodeID int) *sim.Chan[[]byte] {
 	return g.subs[rank]
 }
 
-// service returns the verbs service name for this group.
-func (g *Group) service() string { return "mcast:" + g.name }
-
 // agent relays and delivers incoming multicast frames at one member.
 func (g *Group) agent(p *sim.Proc, rank int) {
-	dev := g.devs[rank]
+	rq := g.rqs[rank]
 	for {
-		msg := dev.Recv(p, g.service())
+		msg := rq.Recv(p)
 		if len(msg.Data) < hdrSize {
 			msg.Release()
 			continue
@@ -179,7 +178,7 @@ func (g *Group) send(p *sim.Proc, from, to int, payload []byte) {
 	frame := dev.GetBuf(hdrSize + len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(from))
 	copy(frame[hdrSize:], payload)
-	if err := dev.SendBuf(p, g.devs[to].Node.ID, g.service(), frame); err != nil {
+	if err := dev.SendBuf(p, g.rqs[to], frame); err != nil {
 		panic(err)
 	}
 }

@@ -28,6 +28,7 @@ func tracedRun(t *testing.T, seed int64) trace.TraceStats {
 	b := nw.Attach(cluster.NewNode(env, 1, 2, 1<<20))
 	mr := b.RegisterAtSetup(make([]byte, 4096))
 	addr := mr.Addr()
+	q := b.Bind("svc")
 	env.Go("client", func(p *sim.Proc) {
 		buf := make([]byte, 1024)
 		for i := 0; i < 8; i++ {
@@ -40,14 +41,14 @@ func tracedRun(t *testing.T, seed int64) trace.TraceStats {
 			if _, err := a.FetchAdd(p, addr, 0, 1); err != nil {
 				t.Errorf("fetch-add: %v", err)
 			}
-			if err := a.Send(p, 1, "svc", buf[:32]); err != nil {
+			if err := a.Send(p, q, buf[:32]); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		}
 	})
 	env.Go("server", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			b.Recv(p, "svc")
+			q.Recv(p)
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -147,21 +147,22 @@ func TestPartitionDropsMessagesUntilHealed(t *testing.T) {
 		{At: 10 * time.Microsecond, Kind: faults.Partition, A: 0, B: 1},
 		{At: 200 * time.Microsecond, Kind: faults.Heal, A: 0, B: 1},
 	}})
+	q := devs[1].Bind("svc")
 	var got []byte
 	env.GoDaemon("rx", func(p *sim.Proc) {
 		for {
-			msg := devs[1].Recv(p, "svc")
+			msg := q.Recv(p)
 			got = append(got, msg.Data[0])
 			msg.Release()
 		}
 	})
 	env.Go("tx", func(p *sim.Proc) {
 		p.SleepUntil(sim.Time(50 * time.Microsecond))
-		if err := devs[0].Send(p, 1, "svc", []byte{1}); err != nil {
+		if err := devs[0].Send(p, q, []byte{1}); err != nil {
 			t.Errorf("partitioned send errored: %v", err) // fire-and-forget: drop, not error
 		}
 		p.SleepUntil(sim.Time(250 * time.Microsecond))
-		if err := devs[0].Send(p, 1, "svc", []byte{2}); err != nil {
+		if err := devs[0].Send(p, q, []byte{2}); err != nil {
 			t.Errorf("healed send errored: %v", err)
 		}
 		p.Sleep(50 * time.Microsecond)
@@ -188,13 +189,14 @@ func TestCrashMidFlightDropsDelivery(t *testing.T) {
 	env, _, devs, inj := faultNet(t, 2, &faults.Plan{Seed: 1, Events: []faults.Event{
 		{At: 12 * time.Microsecond, Kind: faults.Crash, Node: 1},
 	}})
+	q := devs[1].Bind("svc")
 	env.Go("tx", func(p *sim.Proc) {
 		p.SleepUntil(sim.Time(10 * time.Microsecond))
-		if err := devs[0].Send(p, 1, "svc", []byte{7}); err != nil {
+		if err := devs[0].Send(p, q, []byte{7}); err != nil {
 			t.Errorf("send: %v", err)
 		}
 		p.Sleep(3 * pp.IBSendLatency)
-		if n := devs[1].queue("svc").Len(); n != 0 {
+		if n := q.ch.Len(); n != 0 {
 			t.Errorf("dead node's queue holds %d messages, want 0", n)
 		}
 	})
@@ -214,6 +216,7 @@ func TestLinkDelaySlowsOps(t *testing.T) {
 	env, _, devs, _ := faultNet(t, 3, &faults.Plan{Seed: 1, Events: []faults.Event{
 		{At: 0, Kind: faults.Delay, A: 0, B: 1, Extra: xtra},
 	}})
+	q := devs[1].Bind("svc")
 	mr1 := devs[1].RegisterAtSetup(make([]byte, 64))
 	mr2 := devs[2].RegisterAtSetup(make([]byte, 64))
 	env.Go("driver", func(p *sim.Proc) {
@@ -233,10 +236,10 @@ func TestLinkDelaySlowsOps(t *testing.T) {
 		}
 		// Two-sided delivery: one direction, one extra delay.
 		sendStart := env.Now()
-		if err := devs[0].Send(p, 1, "svc", []byte{9}); err != nil {
+		if err := devs[0].Send(p, q, []byte{9}); err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		msg := devs[1].Recv(p, "svc")
+		msg := q.Recv(p)
 		msg.Release()
 		lat := time.Duration(env.Now() - sendStart)
 		if lat < pp.IBSendLatency+xtra {
@@ -256,17 +259,18 @@ func TestLossDropsSendsDeterministically(t *testing.T) {
 		env, _, devs, _ := faultNet(t, 2, &faults.Plan{Seed: 99, Events: []faults.Event{
 			{At: 0, Kind: faults.Loss, A: 0, B: 1, Prob: 0.4},
 		}})
+		q := devs[1].Bind("svc")
 		var got []byte
 		env.GoDaemon("rx", func(p *sim.Proc) {
 			for {
-				msg := devs[1].Recv(p, "svc")
+				msg := q.Recv(p)
 				got = append(got, msg.Data[0])
 				msg.Release()
 			}
 		})
 		env.Go("tx", func(p *sim.Proc) {
 			for i := 0; i < 32; i++ {
-				if err := devs[0].Send(p, 1, "svc", []byte{byte(i)}); err != nil {
+				if err := devs[0].Send(p, q, []byte{byte(i)}); err != nil {
 					t.Fatalf("send %d: %v", i, err)
 				}
 				p.Sleep(10 * time.Microsecond)

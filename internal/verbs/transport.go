@@ -113,6 +113,28 @@ type conn struct {
 	prev, next *conn // LRU list links (connPool records only)
 }
 
+// connState is a device's transport-layer connection state: lazily
+// established per-peer records, the pooled-mode LRU and promotion
+// sketch, and memory/ops accounting. conns is the record store; linked
+// is the datapath's membership test over it — bit p is set iff conns
+// holds a record (initiator or mirror) for peer p — and nconns its
+// resident count. Only link and unlink change the three.
+type connState struct {
+	conns              map[int]*conn
+	linked             []uint64
+	nconns             int
+	connFree           []*conn
+	lruHead, lruTail   *conn
+	poolCount          int
+	connBytes          int64
+	udActive           bool
+	hot                []uint16
+	connEst, connEvict int64
+	connUD, connMiss   int64
+}
+
+func newConnState() connState { return connState{conns: map[int]*conn{}} }
+
 // hotSketchSlots sizes the pooled-mode promotion sketch: a fixed array
 // of saturating use counters indexed by a hash of the peer ID, so
 // promotion tracking costs O(1) memory regardless of cluster size.

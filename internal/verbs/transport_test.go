@@ -352,10 +352,11 @@ func TestPooledSteadyStateAllocationFree(t *testing.T) {
 			}
 		}
 	})
+	hot := devs[1].Bind("hot")
 	env.GoDaemon("sender", func(p *sim.Proc) {
 		for {
 			b := devs[0].GetBuf(64)
-			if err := devs[0].SendBuf(p, 1, "hot", b); err != nil {
+			if err := devs[0].SendBuf(p, hot, b); err != nil {
 				t.Error(err)
 				return
 			}
@@ -364,7 +365,7 @@ func TestPooledSteadyStateAllocationFree(t *testing.T) {
 	})
 	env.GoDaemon("receiver", func(p *sim.Proc) {
 		for {
-			msg := devs[1].Recv(p, "hot")
+			msg := hot.Recv(p)
 			msg.Release()
 		}
 	})
