@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"ngdc/internal/cluster"
@@ -119,10 +118,6 @@ func (f *Framework) Trace() trace.TraceStats { return f.tr.Snapshot() }
 // TraceRegistry exposes the framework's registry, e.g. to share it with
 // standalone experiment runs whose results should merge into one view.
 func (f *Framework) TraceRegistry() *trace.Registry { return f.tr }
-
-// SetTraceSink streams per-operation JSONL events to w as the
-// simulation runs; nil disables streaming.
-func (f *Framework) SetTraceSink(w io.Writer) { f.tr.SetSink(w) }
 
 // Node returns the node with the given ID.
 func (f *Framework) Node(id int) *cluster.Node { return f.Cluster.Node(id) }

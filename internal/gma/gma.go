@@ -100,15 +100,6 @@ func (a *Aggregator) TotalFree() int64 {
 	return t
 }
 
-// FreeOn returns the free bytes of one node's arena.
-func (a *Aggregator) FreeOn(nodeID int) int64 {
-	ar, ok := a.arenas[nodeID]
-	if !ok {
-		return 0
-	}
-	return ar.free
-}
-
 // Client is a node-local handle to the pool.
 type Client struct {
 	agg *Aggregator

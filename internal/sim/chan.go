@@ -11,13 +11,13 @@ package sim
 // recycled through per-channel free lists and the waiter queues reuse
 // their backing storage (see Queue).
 type Chan[T any] struct {
-	env    *Env
-	name   string
-	cap    int
-	buf    Queue[T]
-	sendq  Queue[*sendWaiter[T]]
-	recvq  Queue[*recvWaiter[T]]
-	closed bool
+	env       *Env
+	name      string
+	cap       int
+	buf       Queue[T]
+	senders   Queue[*sendWaiter[T]]
+	receivers Queue[*recvWaiter[T]]
+	closed    bool
 
 	freeSend []*sendWaiter[T]
 	freeRecv []*recvWaiter[T]
@@ -88,8 +88,8 @@ func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 
 // deliver hands v to a parked receiver if one exists, else buffers it.
 func (c *Chan[T]) deliver(v T) {
-	if c.recvq.Len() > 0 {
-		w := c.recvq.Pop()
+	if c.receivers.Len() > 0 {
+		w := c.receivers.Pop()
 		w.v, w.ok = v, true
 		c.env.wake(w.p)
 		return
@@ -113,12 +113,12 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.closed {
 		panic("sim: send on closed channel " + c.name)
 	}
-	if c.recvq.Len() > 0 || c.buf.Len() < c.cap {
+	if c.receivers.Len() > 0 || c.buf.Len() < c.cap {
 		c.deliver(v)
 		return
 	}
 	w := c.getSendWaiter(p, v)
-	c.sendq.Push(w)
+	c.senders.Push(w)
 	p.block(c.sendWhy)
 	c.putSendWaiter(w)
 }
@@ -131,8 +131,8 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		c.admitSender()
 		return v, true
 	}
-	if c.sendq.Len() > 0 {
-		w := c.sendq.Pop()
+	if c.senders.Len() > 0 {
+		w := c.senders.Pop()
 		v := w.v
 		c.env.wake(w.p)
 		return v, true
@@ -142,7 +142,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		return zero, false
 	}
 	w := c.getRecvWaiter(p)
-	c.recvq.Push(w)
+	c.receivers.Push(w)
 	p.block(c.recvWhy)
 	v, ok := w.v, w.ok
 	c.putRecvWaiter(w)
@@ -157,8 +157,8 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		c.admitSender()
 		return v, true
 	}
-	if c.sendq.Len() > 0 {
-		w := c.sendq.Pop()
+	if c.senders.Len() > 0 {
+		w := c.senders.Pop()
 		v = w.v
 		c.env.wake(w.p)
 		return v, true
@@ -168,8 +168,8 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 
 // admitSender moves one blocked sender's value into freed buffer space.
 func (c *Chan[T]) admitSender() {
-	if c.sendq.Len() > 0 && c.buf.Len() < c.cap {
-		w := c.sendq.Pop()
+	if c.senders.Len() > 0 && c.buf.Len() < c.cap {
+		w := c.senders.Pop()
 		c.buf.Push(w.v)
 		c.env.wake(w.p)
 	}
@@ -182,9 +182,9 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	if c.buf.Len() == 0 && c.sendq.Len() == 0 {
-		for c.recvq.Len() > 0 {
-			w := c.recvq.Pop()
+	if c.buf.Len() == 0 && c.senders.Len() == 0 {
+		for c.receivers.Len() > 0 {
+			w := c.receivers.Pop()
 			w.ok = false
 			c.env.wake(w.p)
 		}

@@ -87,20 +87,6 @@ func streamSeed(seed int64, shard int) int64 {
 	return int64(z & 0x7FFFFFFFFFFFFFFF)
 }
 
-// CoverageDocs returns the smallest number of hottest documents whose
-// combined popularity reaches frac of the traffic — the working-set
-// head a cache tier must hold to serve that traffic share. frac ≤ 0
-// returns 0; frac ≥ 1 returns the full working set.
-func (pp *Population) CoverageDocs(frac float64) int {
-	if frac <= 0 {
-		return 0
-	}
-	if frac >= 1 {
-		return pp.Docs
-	}
-	return pp.tab.search(frac) + 1
-}
-
 // DocShare returns the popularity share of one document rank — the
 // fraction of all requests that hit it. Hotspot-aware services use it to
 // reason about skew: under a heavy-tailed alpha the head rank alone can

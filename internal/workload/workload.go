@@ -163,9 +163,6 @@ func (m *Mix) Next() RequestClass {
 	return m.classes[sort.SearchFloat64s(m.cum, u)]
 }
 
-// Classes returns the mix's classes.
-func (m *Mix) Classes() []RequestClass { return m.classes }
-
 // RUBiSClasses is a RUBiS-like auction-site mix: mostly cheap browsing
 // with occasional expensive search/bid/sell interactions — the divergent
 // per-request resource usage Fig 8 relies on.
