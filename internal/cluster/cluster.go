@@ -21,7 +21,8 @@ import (
 )
 
 // StatsSize is the size in bytes of the serialized kernel statistics
-// snapshot (the RDMA-registered region).
+// snapshot (the RDMA-registered region). Bytes 48–63 are unused; the
+// region stays 64 B because that is what a monitor's one-sided read moves.
 const StatsSize = 64
 
 // Byte offsets of each field within the snapshot buffer.
@@ -32,7 +33,6 @@ const (
 	offConnections = 24
 	offCompleted   = 32
 	offUpdatedAt   = 40
-	offLoadPermil  = 48
 )
 
 // KernelStats is the ground-truth resource usage of a node.
@@ -112,11 +112,6 @@ func (n *Node) publish() {
 	le.PutUint64(n.snapshot[offConnections:], uint64(n.stats.Connections))
 	le.PutUint64(n.snapshot[offCompleted:], uint64(n.stats.Completed))
 	le.PutUint64(n.snapshot[offUpdatedAt:], uint64(n.stats.UpdatedAt))
-	load := int64(0)
-	if n.cores > 0 {
-		load = int64(1000 * (n.cpu.InUse() + n.cpu.Queued()) / n.cores)
-	}
-	le.PutUint64(n.snapshot[offLoadPermil:], uint64(load))
 }
 
 // DecodeStats parses a serialized snapshot (e.g. one fetched with an RDMA
@@ -134,15 +129,6 @@ func DecodeStats(buf []byte) KernelStats {
 		Completed:   int64(le.Uint64(buf[offCompleted:])),
 		UpdatedAt:   sim.Time(le.Uint64(buf[offUpdatedAt:])),
 	}
-}
-
-// LoadPermil extracts the run-queue load (per mille of cores) from a
-// serialized snapshot.
-func LoadPermil(buf []byte) int64 {
-	if len(buf) < StatsSize {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(buf[offLoadPermil:]))
 }
 
 // Exec occupies one core for cpuTime of virtual time, modelling a CPU
@@ -196,12 +182,6 @@ func (n *Node) ThreadStarted() {
 	n.publish()
 }
 
-// ThreadFinished records an application thread exit.
-func (n *Node) ThreadFinished() {
-	n.stats.Threads--
-	n.publish()
-}
-
 // SetThreads force-sets the application thread count (used by oscillating
 // workload drivers).
 func (n *Node) SetThreads(v int) {
@@ -220,9 +200,6 @@ func (n *Node) ConnClosed() {
 	n.stats.Connections--
 	n.publish()
 }
-
-// MemCap returns the memory capacity in bytes.
-func (n *Node) MemCap() int64 { return n.memCap }
 
 // MemUsed returns the bytes currently allocated.
 func (n *Node) MemUsed() int64 { return n.memUsed }

@@ -89,7 +89,7 @@ func TestSnapshotMatchesStats(t *testing.T) {
 		if got.Threads != 2 || got.Connections != 1 || got.MemUsed != 4096 {
 			t.Errorf("snapshot = %+v", got)
 		}
-		n.ThreadFinished()
+		n.SetThreads(1)
 		if DecodeStats(n.Snapshot()).Threads != 1 {
 			t.Error("snapshot not updated eagerly")
 		}
@@ -102,9 +102,6 @@ func TestSnapshotMatchesStats(t *testing.T) {
 func TestDecodeStatsShortBuffer(t *testing.T) {
 	if got := DecodeStats(make([]byte, 10)); got != (KernelStats{}) {
 		t.Fatalf("short buffer decoded to %+v", got)
-	}
-	if LoadPermil(make([]byte, 10)) != 0 {
-		t.Fatal("short buffer load != 0")
 	}
 }
 

@@ -242,10 +242,6 @@ func Build(cfg Config) *DataCenter {
 	return dc
 }
 
-// Env exposes the simulation environment (for embedding in larger
-// scenarios).
-func (dc *DataCenter) Env() *sim.Env { return dc.env }
-
 // pool returns the cache nodes a scheme may place documents on.
 func (dc *DataCenter) pool() []*cacheNode {
 	if dc.cfg.Scheme == MTACC || dc.cfg.Scheme == HYBCC {

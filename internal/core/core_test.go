@@ -27,7 +27,7 @@ func TestDefaultConfigBuilds(t *testing.T) {
 func TestZeroValueConfigDefaults(t *testing.T) {
 	f := New(Config{Nodes: 2})
 	defer f.Shutdown()
-	if f.Node(0).Cores() != 2 || f.Node(0).MemCap() != 64<<20 {
+	if f.Node(0).Cores() != 2 || f.Node(0).MemFree() != 64<<20 {
 		t.Fatal("defaults not applied")
 	}
 }

@@ -330,14 +330,5 @@ func (h *Handle) Free(p *sim.Proc) error {
 	return nil
 }
 
-// Key returns the segment name.
-func (h *Handle) Key() string { return h.seg.key }
-
-// Size returns the segment's data capacity in bytes.
-func (h *Handle) Size() int { return h.seg.size }
-
-// Model returns the segment's coherence model.
-func (h *Handle) Model() Coherence { return h.seg.coh }
-
 // HomeNode returns the node ID holding the segment.
 func (h *Handle) HomeNode() int { return h.seg.home }

@@ -15,15 +15,6 @@ import (
 // segment lives on a remote home node, as in the paper's measurement.
 // The run is opened with o.
 func MeasurePutLatency(coh Coherence, msgSize int, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
-	return measureOp(coh, msgSize, seed, true, o)
-}
-
-// MeasureGetLatency is the get() counterpart of MeasurePutLatency.
-func MeasureGetLatency(coh Coherence, msgSize int, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
-	return measureOp(coh, msgSize, seed, false, o)
-}
-
-func measureOp(coh Coherence, msgSize int, seed int64, put bool, o runtime.ServiceOptions) (time.Duration, error) {
 	env := o.NewEnv(seed)
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, o.Fabric())
@@ -40,17 +31,13 @@ func measureOp(coh Coherence, msgSize int, seed int64, put bool, o runtime.Servi
 			return
 		}
 		buf := make([]byte, msgSize)
-		// Seed the segment so gets read real data.
+		// The first put seeds the segment; the second is measured.
 		if _, err := h.Put(p, buf); err != nil {
 			opErr = err
 			return
 		}
 		start := p.Now()
-		if put {
-			_, opErr = h.Put(p, buf)
-		} else {
-			_, opErr = h.Get(p, buf)
-		}
+		_, opErr = h.Put(p, buf)
 		lat = time.Duration(p.Now() - start)
 	})
 	if err := env.Run(); err != nil {

@@ -19,18 +19,6 @@ func TestMeasurePutLatencyAllModels(t *testing.T) {
 	}
 }
 
-func TestMeasureGetLatencyAllModels(t *testing.T) {
-	for _, m := range Models {
-		lat, err := MeasureGetLatency(m, 64, 1, runtime.ServiceOptions{})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if lat <= 0 || lat > time.Millisecond {
-			t.Fatalf("%v: implausible get latency %v", m, lat)
-		}
-	}
-}
-
 func TestMeasureLatencyScalesWithSize(t *testing.T) {
 	small, err := MeasurePutLatency(Null, 1, 1, runtime.ServiceOptions{})
 	if err != nil {

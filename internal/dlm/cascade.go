@@ -26,18 +26,6 @@ type CascadeResult struct {
 	Last time.Duration
 }
 
-// MeanGrant returns the average per-waiter grant latency.
-func (r CascadeResult) MeanGrant() time.Duration {
-	if len(r.GrantLat) == 0 {
-		return 0
-	}
-	var t time.Duration
-	for _, d := range r.GrantLat {
-		t += d
-	}
-	return t / time.Duration(len(r.GrantLat))
-}
-
 // Cascade runs the Fig 5 experiment for one scheme: an exclusive holder on
 // its own node, nWaiters waiting requests of the given mode on distinct
 // nodes, all against a lock homed on yet another node. It returns the

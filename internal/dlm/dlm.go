@@ -182,10 +182,6 @@ func (m *Manager) Client(nodeID int) Client {
 // NumLocks returns the size of the lock namespace.
 func (m *Manager) NumLocks() int { return m.locks }
 
-// LeaseTTL returns the configured exclusive-lock lease interval (zero
-// when leases are disabled).
-func (m *Manager) LeaseTTL() time.Duration { return m.leaseTTL }
-
 // LeaseRecoveries returns how many crashed-holder recoveries the home
 // agents have performed so far (N-CoSED with leases only).
 func (m *Manager) LeaseRecoveries() int { return m.recoveries }

@@ -373,8 +373,8 @@ func TestCascadeGrowsWithWaiters(t *testing.T) {
 		if large.Last <= small.Last {
 			t.Fatalf("%v: cascade not growing: %v (2) vs %v (12)", kind, small.Last, large.Last)
 		}
-		if large.MeanGrant() <= 0 {
-			t.Fatalf("%v: bad mean grant", kind)
+		if len(large.GrantLat) != 12 || large.GrantLat[0] <= 0 {
+			t.Fatalf("%v: grant latencies %v, want 12 positive", kind, large.GrantLat)
 		}
 	}
 }

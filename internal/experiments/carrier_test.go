@@ -52,10 +52,6 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			_, err := ddss.MeasurePutLatency(ddss.Version, 64, 1, o)
 			return err
 		}, "rdma-write", false},
-		{"ddss.MeasureGetLatency", func(o runtime.ServiceOptions) error {
-			_, err := ddss.MeasureGetLatency(ddss.Version, 64, 1, o)
-			return err
-		}, "rdma-read", false},
 		{"storm.Compare", func(o runtime.ServiceOptions) error {
 			_, _, err := storm.Compare(1000, 4, storm.Selector{Modulo: 3}, 1, o)
 			return err
@@ -68,10 +64,6 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			_, err := sockets.MeasureBandwidth(sockets.BSDP, 64, 100, sockets.DefaultOptions(), 1, o)
 			return err
 		}, "BSDP", true},
-		{"sockets.OneWayLatency", func(o runtime.ServiceOptions) error {
-			_, err := sockets.OneWayLatency(sockets.PSDP, 64, sockets.DefaultOptions(), 1, o)
-			return err
-		}, "P-SDP", true},
 		{"monitor.Improvement", func(o runtime.ServiceOptions) error {
 			_, _, err := monitor.Improvement(0.9, false, 1, o)
 			return err

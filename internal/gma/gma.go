@@ -43,9 +43,6 @@ type Buf struct {
 	freed bool
 }
 
-// Size returns the buffer's length in bytes.
-func (b *Buf) Size() int64 { return b.size }
-
 // NodeID returns the node holding the buffer.
 func (b *Buf) NodeID() int { return b.arena.node.ID }
 

@@ -265,15 +265,3 @@ func (s *Station) Staleness(i int) time.Duration {
 // async poller, within one interval), and a later succeeding read clears
 // the suspicion. The socket schemes simply stop hearing from the node.
 func (s *Station) Down(i int) bool { return s.tgts[i].down }
-
-// DownNodes returns the node IDs of every target the station currently
-// suspects down, in target order.
-func (s *Station) DownNodes() []int {
-	var ids []int
-	for _, t := range s.tgts {
-		if t.down {
-			ids = append(ids, t.dev.Node.ID)
-		}
-	}
-	return ids
-}

@@ -31,7 +31,6 @@ type RealRuntime struct {
 	tasks sync.WaitGroup // non-daemon tasks; Run waits on these
 
 	mu        sync.Mutex
-	timers    []*time.Timer
 	listeners []net.Listener
 	closed    bool
 }
@@ -47,16 +46,6 @@ func (r *RealRuntime) SimEnv() *sim.Env { return nil }
 
 // Now returns the wall time elapsed since NewReal.
 func (r *RealRuntime) Now() time.Duration { return time.Since(r.start) }
-
-// After runs fn once, d of wall time from now, on its own goroutine.
-func (r *RealRuntime) After(d time.Duration, fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.timers = append(r.timers, time.AfterFunc(d, fn))
-}
 
 // Go starts a goroutine task; Run waits for it.
 func (r *RealRuntime) Go(name string, fn func(t Task)) {
@@ -80,18 +69,14 @@ func (r *RealRuntime) Run() error {
 	return nil
 }
 
-// Shutdown stops pending timers and closes all listeners, unblocking
-// daemon accept loops. Established connections are owned by their
+// Shutdown closes all listeners, unblocking daemon accept loops. Established connections are owned by their
 // tasks and close with them.
 func (r *RealRuntime) Shutdown() {
 	r.mu.Lock()
-	timers, listeners := r.timers, r.listeners
-	r.timers, r.listeners = nil, nil
+	listeners := r.listeners
+	r.listeners = nil
 	r.closed = true
 	r.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 	for _, l := range listeners {
 		l.Close()
 	}

@@ -1,5 +1,5 @@
 // Package runtime abstracts the execution substrate the framework's
-// services are built against: a clock, timers, concurrent tasks and a
+// services are built against: concurrent tasks, each with a clock, and a
 // message-framed transport (Dial/Listen). It has exactly two
 // implementations:
 //
@@ -156,9 +156,8 @@ type Listener interface {
 	Close() error
 }
 
-// Runtime is the execution substrate: clock + timers + tasks +
-// transport. Exactly two implementations exist, SimRuntime and
-// RealRuntime.
+// Runtime is the execution substrate: tasks + transport. Exactly two
+// implementations exist, SimRuntime and RealRuntime.
 type Runtime interface {
 	// Mode reports which substrate this is.
 	Mode() Mode
@@ -166,12 +165,6 @@ type Runtime interface {
 	// and nil in RealMode. Simulated services call it once at
 	// construction and run on the concrete environment afterwards.
 	SimEnv() *sim.Env
-	// Now returns the elapsed time since the runtime started.
-	Now() time.Duration
-	// After schedules fn to run once, d from now. The callback must not
-	// block in SimMode (it runs inline in the scheduler); in RealMode it
-	// runs on its own goroutine.
-	After(d time.Duration, fn func())
 	// Go starts a task. Run waits for tasks started with Go.
 	Go(name string, fn func(t Task))
 	// GoDaemon starts a background task that Run does not wait for
@@ -180,10 +173,6 @@ type Runtime interface {
 	// Run drives the runtime until all non-daemon tasks finish (in
 	// SimMode: until the event queue drains; a deadlock is an error).
 	Run() error
-	// Shutdown releases the runtime: listeners close, timers stop and
-	// (in SimMode) process goroutines unwind. The runtime is unusable
-	// afterwards.
-	Shutdown()
 	// Dial opens a connection to a listener. Addresses starting with
 	// "unix:" name a Unix-domain socket path in RealMode; anything else
 	// is a TCP host:port. SimMode treats the address as an opaque name

@@ -30,12 +30,6 @@ func (r *SimRuntime) Mode() Mode { return SimMode }
 // SimEnv returns the wrapped environment — the devirtualization seam.
 func (r *SimRuntime) SimEnv() *sim.Env { return r.env }
 
-// Now returns the current virtual time as elapsed duration.
-func (r *SimRuntime) Now() time.Duration { return r.env.Now().Duration() }
-
-// After schedules fn to run inline in the scheduler d from now.
-func (r *SimRuntime) After(d time.Duration, fn func()) { r.env.After(d, fn) }
-
 // Go spawns a simulated process running fn.
 func (r *SimRuntime) Go(name string, fn func(t Task)) {
 	r.env.Go(name, func(p *sim.Proc) { fn(simTask{p}) })
@@ -48,9 +42,6 @@ func (r *SimRuntime) GoDaemon(name string, fn func(t Task)) {
 
 // Run drives the simulation until the event queue drains.
 func (r *SimRuntime) Run() error { return r.env.Run() }
-
-// Shutdown unwinds all process goroutines.
-func (r *SimRuntime) Shutdown() { r.env.Shutdown() }
 
 // simTask adapts a sim process to the Task interface.
 type simTask struct{ p *sim.Proc }

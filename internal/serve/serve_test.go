@@ -218,7 +218,7 @@ func TestSimServerDeterminism(t *testing.T) {
 		if err := rt.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return out, rt.Now()
+		return out, env.Now().Duration()
 	}
 	o1, t1 := run()
 	o2, t2 := run()

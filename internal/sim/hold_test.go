@@ -35,8 +35,8 @@ func TestHoldQueuesInArrivalOrderWithProcesses(t *testing.T) {
 	e.Go("hold", func(*Proc) {
 		e.After(us, func() {
 			r.HoldAsync(1, 2*us, func() { note("granted") }, func() { note("done") })
-			if r.Queued() != 2 {
-				t.Errorf("Queued = %d when the hold joined, want 2 (a and the hold)", r.Queued())
+			if r.q.Len() != 2 {
+				t.Errorf("Queued = %d when the hold joined, want 2 (a and the hold)", r.q.Len())
 			}
 		})
 	})
@@ -140,8 +140,8 @@ func TestHoldBadCountPanics(t *testing.T) {
 			r.HoldAsync(n, us, nil, func() {})
 		}()
 	}
-	if r.InUse() != 0 || r.Queued() != 0 {
-		t.Fatalf("a refused hold left InUse %d Queued %d", r.InUse(), r.Queued())
+	if r.InUse() != 0 || r.q.Len() != 0 {
+		t.Fatalf("a refused hold left InUse %d Queued %d", r.InUse(), r.q.Len())
 	}
 }
 
@@ -158,8 +158,8 @@ func TestHoldPendingAtShutdown(t *testing.T) {
 	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if r.InUse() != 1 || r.Queued() != 2 {
-		t.Fatalf("InUse %d Queued %d before Shutdown, want 1 and 2", r.InUse(), r.Queued())
+	if r.InUse() != 1 || r.q.Len() != 2 {
+		t.Fatalf("InUse %d Queued %d before Shutdown, want 1 and 2", r.InUse(), r.q.Len())
 	}
 	e.Shutdown()
 	wantGoroutines(t, baseline)
@@ -193,7 +193,7 @@ func TestHoldContendedCycleAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Fatalf("%.1f allocations per 100 contended holds, want 0", allocs)
 	}
-	if r.Queued() != 2 {
-		t.Fatalf("Queued = %d, want 2 of the 3 chains waiting", r.Queued())
+	if r.q.Len() != 2 {
+		t.Fatalf("Queued = %d, want 2 of the 3 chains waiting", r.q.Len())
 	}
 }

@@ -82,9 +82,6 @@ func (r *Resource) OnHold(fn func(d, waited time.Duration)) { r.onHold = fn }
 // InUse returns the units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Queued returns the number of waiting acquirers.
-func (r *Resource) Queued() int { return r.q.Len() }
-
 // take grants n units inline when they are free and nobody is queued.
 func (r *Resource) take(n int) bool {
 	if n <= 0 || n > r.cap {

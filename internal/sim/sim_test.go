@@ -628,7 +628,7 @@ func TestPropertyResourceAccounting(t *testing.T) {
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return ok && r.InUse() == 0 && r.Queued() == 0
+		return ok && r.InUse() == 0 && r.q.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -55,41 +55,3 @@ func MeasureBandwidth(scheme Scheme, msgSize, msgs int, opt Options, seed int64,
 func Bandwidth(scheme Scheme, msgSize, msgs int, opt Options, seed int64) (float64, error) {
 	return MeasureBandwidth(scheme, msgSize, msgs, opt, seed, runtime.ServiceOptions{})
 }
-
-// MessageRate measures small-message throughput in messages per second.
-func MessageRate(scheme Scheme, msgSize, msgs int, opt Options, seed int64) (float64, error) {
-	bw, err := Bandwidth(scheme, msgSize, msgs, opt, seed)
-	if err != nil {
-		return 0, err
-	}
-	if msgSize == 0 {
-		return 0, nil
-	}
-	return bw / float64(msgSize), nil
-}
-
-// OneWayLatency measures the one-way latency of a single message on a
-// run opened with o.
-func OneWayLatency(scheme Scheme, msgSize int, opt Options, seed int64, o runtime.ServiceOptions) (time.Duration, error) {
-	env := o.NewEnv(seed)
-	defer env.Shutdown()
-	nw := verbs.NewNetwork(env, o.Fabric())
-	a := nw.Attach(cluster.NewNode(env, 0, 4, 1<<30))
-	b := nw.Attach(cluster.NewNode(env, 1, 4, 1<<30))
-	ca, cb := Dial(scheme, a, b, opt)
-	var lat time.Duration
-	env.Go("rx", func(p *sim.Proc) {
-		if _, err := cb.Recv(p); err == nil {
-			lat = time.Duration(p.Now())
-		}
-	})
-	env.Go("tx", func(p *sim.Proc) {
-		if err := ca.Send(p, make([]byte, msgSize)); err != nil {
-			return
-		}
-	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}

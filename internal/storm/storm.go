@@ -332,9 +332,3 @@ func byteSum(b []byte) uint64 {
 	}
 	return s
 }
-
-// TotalRecords returns the loaded record count.
-func (c *Cluster) TotalRecords() int { return c.totalRecs }
-
-// Transport returns the deployment's configuration.
-func (c *Cluster) Transport() Transport { return c.transport }

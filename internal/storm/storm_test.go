@@ -142,9 +142,6 @@ func TestRepeatedQueries(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalRecords() != 900 || c.Transport() != OverDDSS {
-		t.Fatal("accessors wrong")
-	}
 }
 
 func TestTransportString(t *testing.T) {

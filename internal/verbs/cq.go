@@ -45,7 +45,7 @@ func (d *Device) CreateCQ(name string, depth int) *CQ {
 // completion is passed to fn at its completion instant, in scheduler
 // context, after the work request's record is back in its pool — so fn
 // may issue the next operation, and must not block. It serves any
-// device; Poll, TryPoll and Pending do not apply to it.
+// device; Poll and Pending do not apply to it.
 func HandlerCQ(fn func(Completion)) *CQ { return &CQ{fn: fn} }
 
 // deliver hands a completion to the queue's consumer.
@@ -61,11 +61,6 @@ func (cq *CQ) deliver(c Completion) {
 func (cq *CQ) Poll(p *sim.Proc) Completion {
 	c, _ := cq.ch.Recv(p)
 	return c
-}
-
-// TryPoll returns a completion if one is ready.
-func (cq *CQ) TryPoll() (Completion, bool) {
-	return cq.ch.TryRecv()
 }
 
 // Pending returns the number of undelivered completions.

@@ -251,9 +251,6 @@ func (mr *MR) Deregister() { mr.dev.mrs[mr.key] = nil }
 // Bytes returns the underlying buffer (local access).
 func (mr *MR) Bytes() []byte { return mr.buf }
 
-// Len returns the region length.
-func (mr *MR) Len() int { return len(mr.buf) }
-
 // Addr returns the remote address other nodes use to reach this region.
 func (mr *MR) Addr() RemoteAddr { return RemoteAddr{Node: mr.dev.Node.ID, Key: mr.key} }
 
