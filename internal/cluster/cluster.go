@@ -201,9 +201,6 @@ func (n *Node) ConnClosed() {
 	n.publish()
 }
 
-// MemUsed returns the bytes currently allocated.
-func (n *Node) MemUsed() int64 { return n.memUsed }
-
 // MemFree returns the bytes available.
 func (n *Node) MemFree() int64 { return n.memCap - n.memUsed }
 
@@ -269,6 +266,3 @@ func (c *Cluster) Node(id int) *Node {
 	}
 	return c.Nodes[id]
 }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.Nodes) }

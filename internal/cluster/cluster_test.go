@@ -118,8 +118,8 @@ func TestMemAccounting(t *testing.T) {
 		t.Fatalf("free = %d", n.MemFree())
 	}
 	n.Free(600)
-	if n.MemUsed() != 0 {
-		t.Fatalf("used = %d", n.MemUsed())
+	if n.memUsed != 0 {
+		t.Fatalf("used = %d", n.memUsed)
 	}
 	if n.Alloc(-1) {
 		t.Fatal("negative alloc allowed")
@@ -171,8 +171,8 @@ func TestSpawnLoadDrivesRunQueue(t *testing.T) {
 func TestClusterConstruction(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, 5, 2, 1<<20)
-	if c.Size() != 5 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.Nodes) != 5 {
+		t.Fatalf("size = %d", len(c.Nodes))
 	}
 	if c.Node(3) == nil || c.Node(3).ID != 3 {
 		t.Fatal("node lookup failed")

@@ -45,9 +45,6 @@ func NewSpillRegions(bases, counts []int32) *SpillRegions {
 	return sr
 }
 
-// Slots returns the size of node n's region.
-func (sr *SpillRegions) Slots(n int) int { return sr.regs[n].ring.Slots() }
-
 // Free returns node n's free spill slots — the pressure hint target
 // selection ranks neighbors by.
 func (sr *SpillRegions) Free(n int) int { return sr.regs[n].ring.Free() }

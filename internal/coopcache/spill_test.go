@@ -10,11 +10,11 @@ func spillRegions4() *SpillRegions {
 
 func TestSpillClaimReleaseAccounting(t *testing.T) {
 	sr := spillRegions4()
-	if sr.Slots(0) != 4 || sr.Free(0) != 4 || sr.Live(0) != 0 {
-		t.Fatalf("fresh region: slots=%d free=%d live=%d", sr.Slots(0), sr.Free(0), sr.Live(0))
+	if sr.regs[0].ring.Slots() != 4 || sr.Free(0) != 4 || sr.Live(0) != 0 {
+		t.Fatalf("fresh region: slots=%d free=%d live=%d", sr.regs[0].ring.Slots(), sr.Free(0), sr.Live(0))
 	}
-	if sr.Slots(1) != 0 || sr.Free(1) != 0 {
-		t.Fatalf("absent region reports slots=%d free=%d", sr.Slots(1), sr.Free(1))
+	if sr.regs[1].ring.Slots() != 0 || sr.Free(1) != 0 {
+		t.Fatalf("absent region reports slots=%d free=%d", sr.regs[1].ring.Slots(), sr.Free(1))
 	}
 	if _, ok := sr.Claim(1); ok {
 		t.Fatal("claim on a region-less node succeeded")

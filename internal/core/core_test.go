@@ -16,7 +16,7 @@ import (
 func TestDefaultConfigBuilds(t *testing.T) {
 	f := New(DefaultConfig())
 	defer f.Shutdown()
-	if f.Cluster.Size() != 8 || f.Node(0) == nil || f.Device(7) == nil {
+	if len(f.Cluster.Nodes) != 8 || f.Node(0) == nil || f.Device(7) == nil {
 		t.Fatal("cluster mis-built")
 	}
 	if f.Node(99) != nil {
@@ -143,7 +143,7 @@ func TestMoneyConservation(t *testing.T) {
 		c := f.Sharing.Client(0)
 		buf := make([]byte, 8)
 		for a := 0; a < accounts; a++ {
-			h, err := c.Allocate(p, acctKey(a), 8, ddss.Strict, a%f.Cluster.Size())
+			h, err := c.Allocate(p, acctKey(a), 8, ddss.Strict, a%len(f.Cluster.Nodes))
 			if err != nil {
 				t.Error(err)
 				return
@@ -156,9 +156,9 @@ func TestMoneyConservation(t *testing.T) {
 		}
 		for w := 0; w < workers; w++ {
 			w := w
-			node := f.Node(1 + w%(f.Cluster.Size()-1))
-			p.Env().Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
-				rng := p.Env().Rand()
+			node := f.Node(1 + w%(len(f.Cluster.Nodes)-1))
+			f.Env.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
+				rng := f.Env.Rand()
 				sh := f.Sharing.Client(node.ID)
 				lk := f.Locks.Client(node.ID)
 				for i := 0; i < 15; i++ {

@@ -98,19 +98,19 @@ func TestFreeReleasesMemoryAndInvalidates(t *testing.T) {
 	defer env.Shutdown()
 	env.Go("w", func(p *sim.Proc) {
 		c := ss.Client(0)
-		before := nodes[0].MemUsed()
+		before := nodes[0].MemFree()
 		h, err := c.Allocate(p, "a", 1<<20, Strict, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nodes[0].MemUsed() <= before {
+		if nodes[0].MemFree() >= before {
 			t.Error("allocation not accounted")
 		}
 		if err := h.Free(p); err != nil {
 			t.Error(err)
 		}
-		if nodes[0].MemUsed() != before {
-			t.Errorf("memory leak: %d != %d", nodes[0].MemUsed(), before)
+		if nodes[0].MemFree() != before {
+			t.Errorf("memory leak: %d free, was %d", nodes[0].MemFree(), before)
 		}
 		if _, err := h.Put(p, []byte{1}); err == nil {
 			t.Error("put after free succeeded")
@@ -181,7 +181,7 @@ func TestStrictMutualExclusionOfWriters(t *testing.T) {
 		}
 		for i := 1; i < 4; i++ {
 			i := i
-			p.Env().Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
+			env.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 				h, err := ss.Client(i).Open("seg")
 				if err != nil {
 					t.Error(err)
@@ -472,7 +472,6 @@ func TestPropertyNoTornReads(t *testing.T) {
 				ok = false
 				return
 			}
-			env := p.Env()
 			env.Go("writer", func(p *sim.Proc) {
 				for i := 1; i <= n; i++ {
 					wh.Put(p, bytes.Repeat([]byte{byte(i)}, 256))
@@ -518,7 +517,6 @@ func TestWaitVersionBlocksUntilPut(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		env := p.Env()
 		env.Go("consumer", func(p *sim.Proc) {
 			h, _ := ss.Client(1).Open("seg")
 			v, err := h.WaitVersion(p, 2, 0)
@@ -557,7 +555,6 @@ func TestWaitVersionOnFreedSegmentFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := p.Env()
 		env.Go("waiter", func(p *sim.Proc) {
 			if _, err := h.WaitVersion(p, 5, time.Millisecond); err == nil {
 				t.Error("waitversion on freed segment succeeded")
@@ -581,13 +578,13 @@ func TestAllocateRejectsUnknownCoherence(t *testing.T) {
 	defer env.Shutdown()
 	env.Go("w", func(p *sim.Proc) {
 		for _, coh := range []Coherence{Temporal + 1, -1} {
-			before, at := nodes[0].MemUsed(), p.Now()
+			before, at := nodes[0].MemFree(), p.Now()
 			_, err := ss.Client(1).Allocate(p, "seg", 64, coh, 0)
 			if want := fmt.Sprintf(`ddss: allocate "seg": unknown coherence %v`, coh); err == nil || err.Error() != want {
 				t.Errorf("%v: err = %v, want %s", coh, err, want)
 			}
-			if nodes[0].MemUsed() != before || p.Now() != at {
-				t.Errorf("%v: refused allocation took %d bytes and %v", coh, nodes[0].MemUsed()-before, p.Now()-at)
+			if nodes[0].MemFree() != before || p.Now() != at {
+				t.Errorf("%v: refused allocation took %d bytes and %v", coh, before-nodes[0].MemFree(), p.Now()-at)
 			}
 			if _, err := ss.Client(1).Open("seg"); err == nil {
 				t.Errorf("%v: refused segment opens", coh)

@@ -179,9 +179,6 @@ func (m *Manager) Client(nodeID int) Client {
 	return m.clients[nodeID]
 }
 
-// NumLocks returns the size of the lock namespace.
-func (m *Manager) NumLocks() int { return m.locks }
-
 // LeaseRecoveries returns how many crashed-holder recoveries the home
 // agents have performed so far (N-CoSED with leases only).
 func (m *Manager) LeaseRecoveries() int { return m.recoveries }

@@ -419,8 +419,8 @@ func TestClientPanicsOnBadLock(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLocks() != 1 {
-		t.Fatal("NumLocks wrong")
+	if m.locks != 1 {
+		t.Fatal("lock namespace wrong")
 	}
 }
 

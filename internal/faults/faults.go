@@ -131,8 +131,7 @@ type Injector struct {
 	loss  map[link]float64
 	stats Stats
 
-	onCrash   []func(node int)
-	onRestart []func(node int)
+	onCrash []func(node int)
 }
 
 // Install schedules plan on env and binds the resulting Injector to the
@@ -194,9 +193,6 @@ func (inj *Injector) fire(ev Event) {
 		}
 		delete(inj.down, ev.Node)
 		inj.stats.Restarts++
-		for _, fn := range inj.onRestart {
-			fn(ev.Node)
-		}
 	case Partition:
 		inj.cut[mklink(ev.A, ev.B)] = true
 	case Heal:
@@ -224,14 +220,6 @@ func (inj *Injector) OnCrash(fn func(node int)) {
 		return
 	}
 	inj.onCrash = append(inj.onCrash, fn)
-}
-
-// OnRestart registers fn to run when a node restarts.
-func (inj *Injector) OnRestart(fn func(node int)) {
-	if inj == nil {
-		return
-	}
-	inj.onRestart = append(inj.onRestart, fn)
 }
 
 // Down reports whether node is currently crashed.

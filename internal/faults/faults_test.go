@@ -23,8 +23,7 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 	if inj.Stats() != (Stats{}) {
 		t.Fatal("nil injector reported stats")
 	}
-	inj.OnCrash(func(int) {})   // must not panic
-	inj.OnRestart(func(int) {}) // must not panic
+	inj.OnCrash(func(int) {}) // must not panic
 	inj.NoteDrop()
 	inj.NoteDelay()
 }
@@ -56,9 +55,8 @@ func TestPlanFiresAtInstants(t *testing.T) {
 	if inj == nil || Of(env) != inj {
 		t.Fatal("Install did not bind the injector")
 	}
-	var crashed, restarted []int
+	var crashed []int
 	inj.OnCrash(func(n int) { crashed = append(crashed, n) })
-	inj.OnRestart(func(n int) { restarted = append(restarted, n) })
 
 	type probe struct {
 		at      time.Duration
@@ -93,9 +91,6 @@ func TestPlanFiresAtInstants(t *testing.T) {
 	}
 	if len(crashed) != 1 || crashed[0] != 1 {
 		t.Fatalf("OnCrash saw %v, want [1]", crashed)
-	}
-	if len(restarted) != 1 || restarted[0] != 1 {
-		t.Fatalf("OnRestart saw %v, want [1]", restarted)
 	}
 	st := inj.Stats()
 	if st.Crashes != 1 || st.Restarts != 1 {

@@ -43,9 +43,6 @@ type Buf struct {
 	freed bool
 }
 
-// NodeID returns the node holding the buffer.
-func (b *Buf) NodeID() int { return b.arena.node.ID }
-
 // Aggregator is the cluster-wide memory pool.
 type Aggregator struct {
 	nw     *verbs.Network

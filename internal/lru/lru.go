@@ -34,14 +34,8 @@ func New[K comparable](capacity int64) *Cache[K] {
 // Len returns the number of cached entries.
 func (c *Cache[K]) Len() int { return len(c.items) }
 
-// Used returns the bytes occupied.
-func (c *Cache[K]) Used() int64 { return c.used }
-
 // Free returns the remaining capacity.
 func (c *Cache[K]) Free() int64 { return c.cap - c.used }
-
-// Cap returns the configured capacity.
-func (c *Cache[K]) Cap() int64 { return c.cap }
 
 // Contains reports presence without touching recency.
 func (c *Cache[K]) Contains(key K) bool {

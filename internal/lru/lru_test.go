@@ -18,8 +18,8 @@ func TestBasics(t *testing.T) {
 	if len(ev) != 1 || ev[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", ev)
 	}
-	if c.Used() != 80 || c.Len() != 2 || c.Free() != 20 || c.Cap() != 100 {
-		t.Fatalf("accounting: used=%d len=%d", c.Used(), c.Len())
+	if c.used != 80 || c.Len() != 2 || c.Free() != 20 || c.cap != 100 {
+		t.Fatalf("accounting: used=%d len=%d", c.used, c.Len())
 	}
 }
 
@@ -39,8 +39,8 @@ func TestResizeInPlace(t *testing.T) {
 	c.Put(1, 30)
 	c.Put(2, 30)
 	c.Put(1, 80)
-	if c.Contains(2) || c.Used() != 80 {
-		t.Fatalf("resize handling wrong: used=%d", c.Used())
+	if c.Contains(2) || c.used != 80 {
+		t.Fatalf("resize handling wrong: used=%d", c.used)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestRemoveAndClear(t *testing.T) {
 		t.Fatal("remove semantics wrong")
 	}
 	c.Clear()
-	if c.Len() != 0 || c.Used() != 0 || c.Contains(2) {
+	if c.Len() != 0 || c.used != 0 || c.Contains(2) {
 		t.Fatal("clear incomplete")
 	}
 	// Usable after clear.
@@ -111,7 +111,7 @@ func TestPropertyInvariants(t *testing.T) {
 			for _, s := range shadow {
 				want += s
 			}
-			if c.Used() != want || c.Used() > 1000 || c.Len() != len(shadow) {
+			if c.used != want || c.used > 1000 || c.Len() != len(shadow) {
 				return false
 			}
 		}
@@ -136,8 +136,8 @@ func TestOversizedResizeEvicts(t *testing.T) {
 	if c.Contains("a") {
 		t.Fatal("entry resized beyond capacity stayed resident")
 	}
-	if !c.Contains("b") || c.Used() != 30 || c.Len() != 1 {
-		t.Fatalf("collateral damage: len=%d used=%d", c.Len(), c.Used())
+	if !c.Contains("b") || c.used != 30 || c.Len() != 1 {
+		t.Fatalf("collateral damage: len=%d used=%d", c.Len(), c.used)
 	}
 	// A fresh oversized insert is still a silent no-op.
 	if ev := c.Put("big", 200); ev != nil {
@@ -243,7 +243,7 @@ func TestPropertyEvictionOrder(t *testing.T) {
 					ref = append(ref, e)
 				}
 			}
-			if c.Used() > capacity || c.Len() != len(ref) {
+			if c.used > capacity || c.Len() != len(ref) {
 				return false
 			}
 		}

@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// Summary accumulates scalar observations and reports the usual moments.
-// The zero value is an empty summary ready for use.
+// Summary accumulates scalar observations and reports their count, mean
+// and maximum. The zero value is an empty summary ready for use.
 type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
+	n        int
+	sum      float64
+	min, max float64
 }
 
 // Add records one observation.
@@ -29,7 +29,6 @@ func (s *Summary) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 }
 
 // AddDuration records a duration observation in microseconds.
@@ -46,27 +45,8 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest observation, or 0 for an empty summary.
 func (s *Summary) Max() float64 { return s.max }
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Sum returns the sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Merge folds another summary into s, as if every observation of o had
 // been Added to s directly.
@@ -82,7 +62,6 @@ func (s *Summary) Merge(o Summary) {
 	}
 	s.n += o.n
 	s.sum += o.sum
-	s.sumSq += o.sumSq
 }
 
 // Sample retains every observation, enabling percentiles.
@@ -99,9 +78,6 @@ func (s *Sample) Add(v float64) {
 
 // AddDuration records a duration in microseconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Microsecond)) }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.vals) }
 
 // Mean returns the arithmetic mean.
 func (s *Sample) Mean() float64 {
@@ -137,9 +113,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	return s.vals[rank]
 }
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // Table formats experiment results as an aligned text table, mirroring the
 // rows/columns of a paper figure.

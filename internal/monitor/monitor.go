@@ -133,9 +133,6 @@ func NewStation(scheme Scheme, nw *verbs.Network, front *cluster.Node, targets [
 	return st
 }
 
-// Targets returns the number of observed back-ends.
-func (s *Station) Targets() int { return len(s.tgts) }
-
 // Start launches the scheme's background machinery: socket daemons on the
 // targets, push/poll loops, etc.
 func (s *Station) Start() {

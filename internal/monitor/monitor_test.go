@@ -54,7 +54,7 @@ func TestRDMASyncSamplesAreCurrent(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Targets() != 1 {
+	if len(st.tgts) != 1 {
 		t.Fatal("targets wrong")
 	}
 }

@@ -101,9 +101,6 @@ func NewGroup(nw *verbs.Network, members []*cluster.Node, opts Options) *Group {
 	return g
 }
 
-// Size returns the member count.
-func (g *Group) Size() int { return len(g.devs) }
-
 // Subscribe returns the delivery channel of a member node.
 func (g *Group) Subscribe(nodeID int) *sim.Chan[[]byte] {
 	rank, ok := g.rankOf[nodeID]

@@ -141,8 +141,8 @@ func TestSubscribeUnknownNodePanics(t *testing.T) {
 func TestGroupSize(t *testing.T) {
 	env, g, _ := group(t, Serial, 7)
 	defer env.Shutdown()
-	if g.Size() != 7 {
-		t.Fatalf("size = %d", g.Size())
+	if len(g.devs) != 7 {
+		t.Fatalf("size = %d", len(g.devs))
 	}
 	if Serial.String() != "serial" || Binomial.String() != "binomial" {
 		t.Fatal("strategy names wrong")

@@ -366,9 +366,6 @@ type Proc struct {
 // Name returns the process name given to Env.Go.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 

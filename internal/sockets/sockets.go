@@ -248,9 +248,6 @@ func newHalf(scheme Scheme, src, dst *verbs.Device, opt Options) *half {
 	return h
 }
 
-// Scheme returns the connection's protocol.
-func (c *Conn) Scheme() Scheme { return c.scheme }
-
 // Send transmits one application message. The call returns as soon as the
 // caller's buffer is reusable under the scheme's semantics (which for
 // every scheme here means: immediately on return).
@@ -372,9 +369,3 @@ func (c *Conn) Close() {
 	c.send.src.Node.ConnClosed()
 	c.recv.src.Node.ConnClosed()
 }
-
-// BytesSent reports the payload bytes sent from this endpoint.
-func (c *Conn) BytesSent() int64 { return c.send.BytesSent }
-
-// MsgsSent reports the messages sent from this endpoint.
-func (c *Conn) MsgsSent() int64 { return c.send.MsgsSent }

@@ -266,8 +266,8 @@ func TestConnCounters(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ca.BytesSent() != 500 || ca.MsgsSent() != 1 {
-		t.Fatalf("counters: bytes=%d msgs=%d", ca.BytesSent(), ca.MsgsSent())
+	if ca.send.BytesSent != 500 || ca.send.MsgsSent != 1 {
+		t.Fatalf("counters: bytes=%d msgs=%d", ca.send.BytesSent, ca.send.MsgsSent)
 	}
 	if a.Node.Stats().Connections != 1 || b.Node.Stats().Connections != 1 {
 		t.Fatalf("connection stat not tracked")
@@ -404,7 +404,7 @@ func TestDialDistinctEndpoints(t *testing.T) {
 	if ca == cb || ca.send != cb.recv || ca.recv != cb.send {
 		t.Fatal("endpoints mis-wired")
 	}
-	if ca.Scheme() != TCP {
+	if ca.scheme != TCP {
 		t.Fatal("scheme not recorded")
 	}
 }
@@ -448,8 +448,8 @@ func TestListenAcceptDial(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if conn.Scheme() != AZSDP {
-			t.Errorf("scheme = %v", conn.Scheme())
+		if conn.scheme != AZSDP {
+			t.Errorf("scheme = %v", conn.scheme)
 		}
 		if err := conn.Send(p, []byte("hey")); err != nil {
 			t.Error(err)

@@ -45,7 +45,7 @@ func (d *Device) CreateCQ(name string, depth int) *CQ {
 // completion is passed to fn at its completion instant, in scheduler
 // context, after the work request's record is back in its pool — so fn
 // may issue the next operation, and must not block. It serves any
-// device; Poll and Pending do not apply to it.
+// device; Poll does not apply to it.
 func HandlerCQ(fn func(Completion)) *CQ { return &CQ{fn: fn} }
 
 // deliver hands a completion to the queue's consumer.
@@ -62,9 +62,6 @@ func (cq *CQ) Poll(p *sim.Proc) Completion {
 	c, _ := cq.ch.Recv(p)
 	return c
 }
-
-// Pending returns the number of undelivered completions.
-func (cq *CQ) Pending() int { return cq.ch.Len() }
 
 // Work-request op names, used in WR.Op and echoed in Completion.Op.
 const (

@@ -215,8 +215,8 @@ func TestCQSoftDepth(t *testing.T) {
 		devs[0].PostList(cq, wrs)
 		// Drain only after every completion has been generated.
 		p.Sleep(time.Second)
-		if cq.Pending() != posts {
-			t.Errorf("pending = %d, want %d (no completion may be dropped at depth 4)", cq.Pending(), posts)
+		if cq.ch.Len() != posts {
+			t.Errorf("pending = %d, want %d (no completion may be dropped at depth 4)", cq.ch.Len(), posts)
 		}
 		for i := 0; i < posts; i++ {
 			c := cq.Poll(p)

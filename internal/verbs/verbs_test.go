@@ -454,7 +454,7 @@ func TestCompletionQueueErrorDelivery(t *testing.T) {
 		if c.Err == nil || c.ID != 7 {
 			t.Errorf("expected error completion, got %+v", c)
 		}
-		if cq.Pending() != 0 {
+		if cq.ch.Len() != 0 {
 			t.Error("spurious completion")
 		}
 	})

