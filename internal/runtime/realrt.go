@@ -52,7 +52,7 @@ func (r *RealRuntime) Go(name string, fn func(t Task)) {
 	r.tasks.Add(1)
 	go func() {
 		defer r.tasks.Done()
-		fn(realTask{rt: r, name: name})
+		fn(realTask{r})
 	}()
 }
 
@@ -60,7 +60,7 @@ func (r *RealRuntime) Go(name string, fn func(t Task)) {
 // blocked in Accept/Recv exit when Shutdown closes their listener or
 // their peer closes the connection.
 func (r *RealRuntime) GoDaemon(name string, fn func(t Task)) {
-	go fn(realTask{rt: r, name: name})
+	go fn(realTask{r})
 }
 
 // Run blocks until every task started with Go has returned.
@@ -121,12 +121,8 @@ func (r *RealRuntime) Listen(addr string) (Listener, error) {
 }
 
 // realTask adapts a goroutine to the Task interface.
-type realTask struct {
-	rt   *RealRuntime
-	name string
-}
+type realTask struct{ rt *RealRuntime }
 
-func (t realTask) Name() string          { return t.name }
 func (t realTask) Now() time.Duration    { return t.rt.Now() }
 func (t realTask) Sleep(d time.Duration) { time.Sleep(d) }
 func (t realTask) SimProc() *sim.Proc    { return nil }

@@ -51,8 +51,6 @@ func (m Mode) String() string {
 // goroutine in RealMode. Blocking primitives take the Task so the sim
 // backend can park the right process.
 type Task interface {
-	// Name returns the task name given to Go/GoDaemon.
-	Name() string
 	// Now returns the elapsed time since the runtime started (virtual
 	// in SimMode, wall in RealMode).
 	Now() time.Duration
@@ -165,7 +163,8 @@ type Runtime interface {
 	// and nil in RealMode. Simulated services call it once at
 	// construction and run on the concrete environment afterwards.
 	SimEnv() *sim.Env
-	// Go starts a task. Run waits for tasks started with Go.
+	// Go starts a task. Run waits for tasks started with Go. The name
+	// labels the simulated process; RealMode does not keep it.
 	Go(name string, fn func(t Task))
 	// GoDaemon starts a background task that Run does not wait for
 	// (accept loops, protocol pumps).

@@ -30,9 +30,6 @@ func TestRealRuntimeTasks(t *testing.T) {
 	rt.GoDaemon("lingering-daemon", func(tk Task) { <-daemonGate })
 	for i := 0; i < 8; i++ {
 		rt.Go("worker", func(tk Task) {
-			if tk.Name() != "worker" {
-				t.Errorf("task name %q, want worker", tk.Name())
-			}
 			before := tk.Now()
 			tk.Sleep(2 * time.Millisecond)
 			if tk.Now() <= before {

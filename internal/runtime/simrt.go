@@ -46,7 +46,6 @@ func (r *SimRuntime) Run() error { return r.env.Run() }
 // simTask adapts a sim process to the Task interface.
 type simTask struct{ p *sim.Proc }
 
-func (t simTask) Name() string          { return t.p.Name() }
 func (t simTask) Now() time.Duration    { return t.p.Now().Duration() }
 func (t simTask) Sleep(d time.Duration) { t.p.Sleep(d) }
 func (t simTask) SimProc() *sim.Proc    { return t.p }

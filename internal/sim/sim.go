@@ -363,9 +363,6 @@ type Proc struct {
 	parkedWhy string // what the process is blocked on; "" when runnable
 }
 
-// Name returns the process name given to Env.Go.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
