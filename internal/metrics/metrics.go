@@ -15,15 +15,11 @@ import (
 // and maximum. The zero value is an empty summary ready for use.
 type Summary struct {
 	n        int
-	sum      float64
-	min, max float64
+	sum, max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
 	if s.n == 0 || v > s.max {
 		s.max = v
 	}
@@ -53,9 +49,6 @@ func (s *Summary) Max() float64 { return s.max }
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
 	}
 	if s.n == 0 || o.max > s.max {
 		s.max = o.max

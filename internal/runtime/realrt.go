@@ -69,8 +69,8 @@ func (r *RealRuntime) Run() error {
 	return nil
 }
 
-// Shutdown closes all listeners, unblocking daemon accept loops. Established connections are owned by their
-// tasks and close with them.
+// Shutdown closes all listeners, unblocking daemon accept loops.
+// Established connections are owned by their tasks and close with them.
 func (r *RealRuntime) Shutdown() {
 	r.mu.Lock()
 	listeners := r.listeners

@@ -163,10 +163,6 @@ type half struct {
 	ringSet    []bool
 	reorder    map[int64]wireMsg
 
-	// Counters.
-	BytesSent int64
-	MsgsSent  int64
-
 	// tr/ts publish into the env's trace registry; nil when untraced.
 	tr *trace.Registry
 	ts *trace.SchemeStats
@@ -256,8 +252,6 @@ func (c *Conn) Send(p *sim.Proc, data []byte) error {
 		return fmt.Errorf("sockets: send on closed %s connection", c.scheme)
 	}
 	h := c.send
-	h.BytesSent += int64(len(data))
-	h.MsgsSent++
 	if h.ts != nil {
 		h.ts.Msgs++
 		// ZSDP/AZ-SDP move the payload with one-sided RDMA writes and no

@@ -266,9 +266,6 @@ func TestConnCounters(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ca.send.BytesSent != 500 || ca.send.MsgsSent != 1 {
-		t.Fatalf("counters: bytes=%d msgs=%d", ca.send.BytesSent, ca.send.MsgsSent)
-	}
 	if a.Node.Stats().Connections != 1 || b.Node.Stats().Connections != 1 {
 		t.Fatalf("connection stat not tracked")
 	}
