@@ -141,11 +141,10 @@ func (nw *Network) Attach(node *cluster.Node) *Device {
 	}
 	nw.hookFaults()
 	d := &Device{
-		nw:        nw,
-		Node:      node,
-		nic:       nw.Fab.Attach(node),
-		mrs:       []*MR{nil}, // rkey 0 is never issued
-		connState: newConnState(),
+		nw:   nw,
+		Node: node,
+		nic:  nw.Fab.Attach(node),
+		mrs:  []*MR{nil}, // rkey 0 is never issued
 	}
 	if r := trace.Of(nw.Env); r != nil {
 		d.tr = r
