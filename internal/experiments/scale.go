@@ -228,6 +228,9 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 		clients: make([]*ddss.Client, len(fes)),
 		live:    drivers,
 	}
+	// One latency per request, sized once: append's regrowth would leave
+	// several times the final array resident.
+	cell.lat.Grow(cfg.Requests)
 	var start sim.Time
 	env.Go("boot", func(p *sim.Proc) {
 		boot := ss.Client(fes[0].ID)

@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -68,6 +69,10 @@ func (s *Sample) Add(v float64) {
 	s.vals = append(s.vals, v)
 	s.sorted = false
 }
+
+// Grow reserves room for n more observations, so the next n Adds do
+// not reallocate.
+func (s *Sample) Grow(n int) { s.vals = slices.Grow(s.vals, n) }
 
 // AddDuration records a duration in microseconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Microsecond)) }
