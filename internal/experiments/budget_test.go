@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"testing"
 )
 
@@ -55,3 +56,35 @@ const churnBudgetModel = "{Nodes:64 FrontEnds:16 CacheNodes:40 StoreNodes:8 Tran
 	"SpillSlots:294 Spills:2616 SpillHits:2012 SpillDrops:0 SpillRedirectLost:26 SpillReclaims:2322 " +
 	"SpillHitPerSec:144118.80661605604 RebalanceOn:true DirMaxOverMean:1.6662973631730555 DirMigrations:24 DirSplits:10 " +
 	"Events:0 Wall:0s}"
+
+// TestScaleAllocationPerRequest bounds what an E18 request allocates on
+// the host: the churn cell run at R and at 2R requests may allocate at
+// most the latency sample's 8 B per extra request, plus
+// allocSlackPerRequest for what grows with the run but not per request
+// (lazily opened DDSS handles, connections, cache-tier records).
+func TestScaleAllocationPerRequest(t *testing.T) {
+	alloc := func(requests int) uint64 {
+		cfg := churnBudgetCell
+		cfg.Requests = requests
+		var before, after goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		if _, err := RunScaleCell(cfg); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	r := churnBudgetCell.Requests
+	alloc(r) // warm lazily built package state
+	small, large := alloc(r), alloc(2*r)
+	perReq := (float64(large) - float64(small)) / float64(r)
+	t.Logf("%d requests: %d B; %d requests: %d B; %.1f B per extra request", r, small, 2*r, large, perReq)
+	if perReq > 8+allocSlackPerRequest {
+		t.Errorf("%.1f B allocated per extra request, want at most 8 (the latency sample) + %d", perReq, allocSlackPerRequest)
+	}
+}
+
+// allocSlackPerRequest is the margin TestScaleAllocationPerRequest
+// allows above the latency sample.
+const allocSlackPerRequest = 8
