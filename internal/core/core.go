@@ -158,8 +158,5 @@ func (f *Framework) GoDaemon(name string, fn func(p *sim.Proc)) { f.Env.GoDaemon
 // Run drives the simulation to completion.
 func (f *Framework) Run() error { return f.Env.Run() }
 
-// RunFor drives the simulation for d of virtual time.
-func (f *Framework) RunFor(d time.Duration) error { return f.Env.RunUntil(f.Env.Now().Add(d)) }
-
 // Shutdown releases all process goroutines.
 func (f *Framework) Shutdown() { f.Env.Shutdown() }

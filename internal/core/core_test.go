@@ -97,24 +97,6 @@ func TestAllThreeLayersInteroperate(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	f := New(Config{Nodes: 1})
-	defer f.Shutdown()
-	ticks := 0
-	f.GoDaemon("ticker", func(p *sim.Proc) {
-		for {
-			p.Sleep(10 * time.Millisecond)
-			ticks++
-		}
-	})
-	if err := f.RunFor(105 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
-	}
-}
-
 func TestBadConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

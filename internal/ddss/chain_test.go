@@ -240,16 +240,8 @@ func TestGetChainFailsWhereTheBlockingGetDid(t *testing.T) {
 			env, ss, _ := testSubstrate(1, 2)
 			defer env.Shutdown()
 			env.Go("w", func(p *sim.Proc) {
-				c := ss.Client(1)
-				alloc := func(key string) *Handle {
-					h, err := c.Allocate(p, key, 64, coh, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return h
-				}
-				freed, unreg := alloc("freed"), alloc("unreg")
-				if err := freed.Free(p); err != nil {
+				unreg, err := ss.Client(1).Allocate(p, "unreg", 64, coh, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
 				unreg.seg.mr.Deregister()
@@ -260,7 +252,6 @@ func TestGetChainFailsWhereTheBlockingGetDid(t *testing.T) {
 					want  string
 					after sim.Time // virtual time the Get takes
 				}{
-					{"freed segment", freed, 8, `ddss: get "freed": segment freed`, 0},
 					{"oversized buffer", unreg, 65, `ddss: get "unreg": 65 bytes exceed segment size 64`, 0},
 					{"unknown rkey", unreg, 8, fmt.Sprintf("verbs: read on node 0 key %d: invalid rkey", unreg.seg.mr.Addr().Key),
 						sim.Time(IPCOverhead)},
@@ -339,16 +330,8 @@ func TestPutChainFailsWhereTheBlockingPutDid(t *testing.T) {
 			env, ss, _ := testSubstrate(1, 2)
 			defer env.Shutdown()
 			env.Go("w", func(p *sim.Proc) {
-				c := ss.Client(1)
-				alloc := func(key string) *Handle {
-					h, err := c.Allocate(p, key, 64, coh, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return h
-				}
-				freed, unreg := alloc("freed"), alloc("unreg")
-				if err := freed.Free(p); err != nil {
+				unreg, err := ss.Client(1).Allocate(p, "unreg", 64, coh, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
 				unreg.seg.mr.Deregister()
@@ -360,7 +343,6 @@ func TestPutChainFailsWhereTheBlockingPutDid(t *testing.T) {
 					want  string
 					after sim.Time // virtual time the Put takes
 				}{
-					{"freed segment", freed, 8, `ddss: put "freed": segment freed`, 0},
 					{"oversized data", unreg, 65, `ddss: put "unreg": 65 bytes exceed segment size 64`, 0},
 					{"unknown rkey", unreg, 8, fmt.Sprintf("verbs: %s on node 0 key %d: invalid rkey", op, unreg.seg.mr.Addr().Key),
 						sim.Time(IPCOverhead)},

@@ -1,7 +1,8 @@
 // Package ddss implements the paper's Distributed Data Sharing Substrate
 // (§4.1, [Vaidyanathan et al., HiPC'06]): a soft shared state built from
-// one-sided RDMA operations, offering allocate/free/get/put over named
-// segments with a choice of coherence models.
+// one-sided RDMA operations, offering allocate/get/put over named
+// segments with a choice of coherence models. The paper's free() is not
+// modeled: nothing in the repository releases a segment.
 //
 // A segment lives in registered memory on a home node, laid out as
 //
@@ -130,12 +131,11 @@ const DefaultTTL = 5 * time.Millisecond
 
 // segment is the substrate-wide metadata of one named allocation.
 type segment struct {
-	key   string
-	size  int
-	coh   Coherence
-	home  int // node ID
-	mr    *verbs.MR
-	freed bool
+	key  string
+	size int
+	coh  Coherence
+	home int // node ID
+	mr   *verbs.MR
 }
 
 // dataOff returns the byte offset of version v's data slot.
@@ -210,7 +210,7 @@ func (s *Substrate) PlaceLeastLoaded() int {
 // offers no live migration.
 func (s *Substrate) Rehome(p *sim.Proc, key string, newHome int) (int, error) {
 	seg, ok := s.segs[key]
-	if !ok || seg.freed {
+	if !ok {
 		return 0, fmt.Errorf("ddss: rehome %q: no such segment", key)
 	}
 	flt := faults.Of(s.nw.Env)
@@ -306,28 +306,10 @@ const NodeAuto = -1
 // Open returns a handle to an existing segment.
 func (c *Client) Open(key string) (*Handle, error) {
 	seg, ok := c.ss.segs[key]
-	if !ok || seg.freed {
+	if !ok {
 		return nil, fmt.Errorf("ddss: open %q: no such segment", key)
 	}
 	return &Handle{c: c, seg: seg}, nil
-}
-
-// Free releases the segment's memory and unregisters it.
-func (h *Handle) Free(p *sim.Proc) error {
-	if h.seg.freed {
-		return fmt.Errorf("ddss: free %q: already freed", h.seg.key)
-	}
-	p.Sleep(IPCOverhead)
-	h.seg.freed = true
-	h.seg.mr.Deregister()
-	home := h.c.ss.nw.Device(h.seg.home).Node
-	bytes := hdrSize + h.seg.size
-	if h.seg.coh == Delta {
-		bytes = hdrSize + DeltaSlots*h.seg.size
-	}
-	home.Free(int64(bytes))
-	delete(h.c.ss.segs, h.seg.key)
-	return nil
 }
 
 // HomeNode returns the node ID holding the segment.

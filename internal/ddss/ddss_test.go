@@ -93,44 +93,6 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
-func TestFreeReleasesMemoryAndInvalidates(t *testing.T) {
-	env, ss, nodes := testSubstrate(1, 2)
-	defer env.Shutdown()
-	env.Go("w", func(p *sim.Proc) {
-		c := ss.Client(0)
-		before := nodes[0].MemFree()
-		h, err := c.Allocate(p, "a", 1<<20, Strict, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nodes[0].MemFree() >= before {
-			t.Error("allocation not accounted")
-		}
-		if err := h.Free(p); err != nil {
-			t.Error(err)
-		}
-		if nodes[0].MemFree() != before {
-			t.Errorf("memory leak: %d free, was %d", nodes[0].MemFree(), before)
-		}
-		if _, err := h.Put(p, []byte{1}); err == nil {
-			t.Error("put after free succeeded")
-		}
-		if _, err := h.Get(p, make([]byte, 1)); err == nil {
-			t.Error("get after free succeeded")
-		}
-		if err := h.Free(p); err == nil {
-			t.Error("double free succeeded")
-		}
-		// The name is reusable after free.
-		if _, err := c.Allocate(p, "a", 100, Null, 0); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPutLatencyOrdering(t *testing.T) {
 	// Fig 3a's shape: Null is the cheapest put; Strict the most
 	// expensive; everything is microseconds, far below a TCP round trip.
@@ -543,30 +505,6 @@ func TestWaitVersionBlocksUntilPut(t *testing.T) {
 	}
 	if wokeAt < sim.Time(10*time.Millisecond) {
 		t.Fatalf("woke too early: %v", wokeAt)
-	}
-}
-
-func TestWaitVersionOnFreedSegmentFails(t *testing.T) {
-	env, ss, _ := testSubstrate(1, 2)
-	defer env.Shutdown()
-	env.Go("p", func(p *sim.Proc) {
-		c := ss.Client(0)
-		h, err := c.Allocate(p, "seg", 8, Version, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Go("waiter", func(p *sim.Proc) {
-			if _, err := h.WaitVersion(p, 5, time.Millisecond); err == nil {
-				t.Error("waitversion on freed segment succeeded")
-			}
-		})
-		p.Sleep(3 * time.Millisecond)
-		if err := h.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -53,63 +53,6 @@ func faultSubstrate(t *testing.T, n int, plan *faults.Plan) (*sim.Env, *Substrat
 	return env, New(nw, nodes, Options{})
 }
 
-// TestHandleErrorPaths exercises the freed-segment error paths end to
-// end: double free, put/get/waitversion/getdelta through a remote node's
-// still-open handle, and re-opening after the free.
-func TestHandleErrorPaths(t *testing.T) {
-	env, ss, _ := testSubstrate(1, 3)
-	defer env.Shutdown()
-	env.Go("driver", func(p *sim.Proc) {
-		owner := ss.Client(1)
-		h, err := owner.Allocate(p, "seg", 1024, Version, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// A second node opens the segment before it is freed; its handle
-		// must go stale, not dangle.
-		remote, err := ss.Client(2).Open("seg")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := h.Free(p); err != nil {
-			t.Errorf("first free: %v", err)
-		}
-		if err := h.Free(p); err == nil || !strings.Contains(err.Error(), "already freed") {
-			t.Errorf("double free: got %v, want already-freed error", err)
-		}
-		buf := make([]byte, 16)
-		if _, err := remote.Put(p, buf); err == nil || !strings.Contains(err.Error(), "freed") {
-			t.Errorf("put on freed segment: got %v", err)
-		}
-		if _, err := remote.Get(p, buf); err == nil || !strings.Contains(err.Error(), "freed") {
-			t.Errorf("get on freed segment: got %v", err)
-		}
-		if _, err := remote.WaitVersion(p, 1, time.Microsecond); err == nil || !strings.Contains(err.Error(), "freed") {
-			t.Errorf("waitversion on freed segment: got %v", err)
-		}
-		if _, err := ss.Client(2).Open("seg"); err == nil {
-			t.Error("open after free succeeded")
-		}
-		// Freed Delta segments are refused too.
-		hd, err := owner.Allocate(p, "delta", 1024, Delta, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := hd.Free(p); err != nil {
-			t.Error(err)
-		}
-		if err := hd.GetDelta(p, buf, 1); err == nil || !strings.Contains(err.Error(), "freed") {
-			t.Errorf("getdelta on freed segment: got %v", err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHomeCrashPropagatesErrors checks that one-sided substrate ops
 // against a crashed home node surface verbs errors instead of hanging,
 // and that Rehome brings the segment back on a live node.

@@ -87,22 +87,6 @@ func streamSeed(seed int64, shard int) int64 {
 	return int64(z & 0x7FFFFFFFFFFFFFFF)
 }
 
-// DocShare returns the popularity share of one document rank — the
-// fraction of all requests that hit it. Hotspot-aware services use it to
-// reason about skew: under a heavy-tailed alpha the head rank alone can
-// carry a double-digit share, concentrating directory traffic on that
-// rank's home shard. Out-of-range ranks return 0.
-func (pp *Population) DocShare(doc int) float64 {
-	if doc < 0 || doc >= pp.Docs {
-		return 0
-	}
-	cdf := pp.tab.cdf
-	if doc == 0 {
-		return cdf[0]
-	}
-	return cdf[doc] - cdf[doc-1]
-}
-
 // Next generates the shard's next request: a client drawn uniformly from
 // the shard and a document drawn from the shared popularity CDF.
 func (s *Stream) Next() Request {
