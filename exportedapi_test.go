@@ -1,8 +1,9 @@
-// The exported-API gate: every exported identifier in internal/ has a
-// non-test caller in this module or in benchmark/, or a line in
-// testdata/exportedapi.allow saying what needs it. The allowlist only
-// shrinks: a line whose identifier gained a caller or no longer exists
-// fails the gate too.
+// The dead-API gate: every exported identifier in internal/ and in the
+// root facade, every unexported package-level function and every
+// unexported struct field there has a non-test caller or reader in this
+// module or in benchmark/, or a line in testdata/exportedapi.allow saying
+// what needs it. The allowlist only shrinks: a line whose identifier
+// gained a caller or no longer exists fails the gate too.
 //
 //	go test -run TestExportedAPI -count=1 -v .
 //
@@ -38,7 +39,7 @@ func TestExportedAPIHasCallers(t *testing.T) {
 	}
 	missing, stale := diffAPIAllowlist(unused, allow)
 	for _, id := range missing {
-		t.Errorf("%s has no non-test caller: call it, delete it, or list it in %s with what needs it", id, exportedAPIAllowlist)
+		t.Errorf("%s has no non-test caller or reader: use it, delete it, or list it in %s with what needs it", id, exportedAPIAllowlist)
 	}
 	for _, id := range stale {
 		t.Errorf("%s: stale line in %s (the identifier has a caller now or no longer exists); delete it", id, exportedAPIAllowlist)
@@ -49,17 +50,22 @@ func TestExportedAPIHasCallers(t *testing.T) {
 				t.Logf("%-40s # %s", id, r)
 			}
 		}
-		t.Logf("%d exported identifiers in internal/ have no non-test caller", len(unused))
+		t.Logf("%d identifiers have no non-test caller or reader", len(unused))
 	}
 }
 
 // TestExportedAPIGateFixture runs the gate on a module written for it.
 // It must list an export only a test calls, one nothing calls, an
-// interface method called through no interface, and a type referenced
-// only inside its own declaration; and must not list a String reached
-// through fmt, a method called on a generic instance, or a method
-// reached through an interface its type satisfies. The allowlist check
-// must report the unlisted identifier and both kinds of stale line.
+// interface method called through no interface, a type referenced only
+// inside its own declaration, a facade export nothing calls, a facade
+// enum none of whose members is called, an unexported function nothing
+// calls, a field that is written and never read and a field only a test
+// reads. It must not list a String reached through fmt, a method called
+// on a generic instance, a method reached through an interface its type
+// satisfies, the siblings of a called enum constant, the fields of a
+// struct used as a map key, or an embedded field reached through
+// promotion. The allowlist check must report the unlisted identifier and
+// both kinds of stale line.
 func TestExportedAPIGateFixture(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -88,27 +94,90 @@ func TestOnly() int { return 1 }
 
 func Unused() {}
 
-type Orphan struct{ next *Orphan }
+type Orphan struct{ Next *Orphan }
 
 func (o *Orphan) Self() *Orphan { return o.Self() }
+
+type Shade int
+
+const (
+	Light Shade = iota
+	Dark
+)
+
+type Size int
+
+const (
+	Small Size = iota
+	Large
+)
+
+func unusedHelper() int { return unusedHelper() }
+
+type key struct{ a, b int }
+
+type table struct{ rows map[key]int }
+
+type Counter struct {
+	table
+	hits int
+	seen bool
+}
+
+func NewCounter() *Counter { return &Counter{table: table{rows: map[key]int{}}} }
+
+func (c *Counter) Add(a, b int) int {
+	c.hits++
+	c.seen = true
+	c.rows[key{a, b}]++
+	return len(c.rows)
+}
 `,
 		"internal/p/p_test.go": `package p
 
 import "testing"
 
-func TestP(t *testing.T) { _ = TestOnly() + Square{}.Perimeter() }
+func TestP(t *testing.T) {
+	_ = TestOnly() + Square{}.Perimeter()
+	if c := NewCounter(); c.Add(1, 2) != 1 || !c.seen {
+		t.Fatal()
+	}
+}
 `,
-		"main.go": `package main
+		"fix.go": `package fix
+
+import "fix/internal/p"
+
+type (
+	Shade = p.Shade
+	Size  = p.Size
+)
+
+const (
+	Light = p.Light
+	Dark  = p.Dark
+	Small = p.Small
+	Large = p.Large
+)
+
+func NewCounter() *p.Counter { return p.NewCounter() }
+
+func Lonely() int { return Tally(1) }
+
+func Tally(n int) int { return n + 1 }
+`,
+		"cmd/app/main.go": `package main
 
 import (
 	"fmt"
 
+	"fix"
 	"fix/internal/p"
 )
 
 func main() {
 	var s p.Shape = p.Square{N: 2}
-	fmt.Println(s.Area(), p.Square{N: 3})
+	fmt.Println(s.Area(), p.Square{N: 3}, fix.Light, fix.NewCounter().Add(1, 2))
 	var b p.Box[int]
 	b.Put(1)
 }
@@ -127,7 +196,11 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p.Box.Get", "p.Orphan", "p.Orphan.Self", "p.Shape.Perimeter", "p.Square.Perimeter", "p.TestOnly", "p.Unused"}
+	want := []string{
+		"fix.Large", "fix.Lonely", "fix.Size", "fix.Small",
+		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Orphan", "p.Orphan.Self",
+		"p.Shape.Perimeter", "p.Square.Perimeter", "p.TestOnly", "p.Unused", "p.unusedHelper",
+	}
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %v, want %v", unused, want)
 	}
@@ -152,23 +225,34 @@ func main() {
 type apiModule struct{ path, dir string }
 
 // scanExportedAPI type-checks every non-test package of mods and returns,
-// sorted, the exported identifiers declared under mods[0]'s internal/
-// that no non-test file references, each as pkg.Name or pkg.Recv.Name
-// with pkg relative to internal/.
+// sorted, the identifiers declared in mods[0]'s root package or under its
+// internal/ that no non-test file references, each as pkg.Name,
+// pkg.Recv.Name or pkg.Type.field, with pkg the package's name for the
+// root and its path relative to internal/ otherwise.
 //
-// Listed are package-level funcs, types, vars and consts, and the methods
-// of every named type (interface methods included); struct fields are
-// not. A reference inside the identifier's own declaration (a method's
-// receiver, a recursive call) does not count. A method reached through
-// an interface counts as used when that interface's method is used, and
-// fmt.Stringer's String and error's Error always are. A method of a
-// generic type counts as used when any instance's is.
+// Listed are the exported package-level funcs, types, vars and consts,
+// the exported methods of every named type (interface methods included),
+// the unexported package-level funcs, and the unexported fields of every
+// package-level struct type that no non-test file reads. Exported fields
+// are not listed: fmt and encoding/json read them by reflection. A
+// reference inside the identifier's own declaration (a method's
+// receiver, a recursive call, an enum constant's type) does not count. A
+// method reached through an interface counts as used when that
+// interface's method is used, and fmt.Stringer's String and error's Error
+// always are. A method of a generic type counts as used when any
+// instance's is. The named types, aliases and constants of one enum type
+// declared in one package are one unit, listed only when none of them is
+// used. A field is read by any selector that is not the whole left side
+// of an assignment or increment; an embedded field by every selector
+// promoted through it; and every field of a struct used as a map key or
+// compared with == by that use.
 func scanExportedAPI(mods []apiModule) ([]string, error) {
 	s := &apiScan{
 		fset: token.NewFileSet(),
 		mods: mods,
 		pkgs: map[string]*types.Package{},
 		used: map[types.Object]bool{},
+		read: map[*types.Var]bool{},
 		own:  map[types.Object][][2]token.Pos{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
@@ -203,11 +287,12 @@ type apiScan struct {
 	std  types.ImporterFrom
 	pkgs map[string]*types.Package // checked module packages by path
 	used map[types.Object]bool
+	read map[*types.Var]bool             // fields read by non-test code
 	own  map[types.Object][][2]token.Pos // spans of each object's own declaration
 	// ifaceUses holds each interface type whose methods a module file
 	// calls, with the names called.
 	ifaceUses []ifaceUse
-	listed    []*types.Package // the packages under mods[0]'s internal/
+	listed    []*types.Package // mods[0]'s root package and the packages under its internal/
 }
 
 type ifaceUse struct {
@@ -257,14 +342,19 @@ func (s *apiScan) load(path, dir string) (*types.Package, error) {
 		s.pkgs[path] = nil
 		return nil, nil
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: s}
 	pkg, err := conf.Check(path, s.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	s.pkgs[path] = pkg
-	if strings.HasPrefix(path, s.mods[0].path+"/internal/") {
+	if path == s.mods[0].path || strings.HasPrefix(path, s.mods[0].path+"/internal/") {
 		s.listed = append(s.listed, pkg)
 	}
 	s.record(files, info)
@@ -286,13 +376,22 @@ func (s *apiScan) record(files []*ast.File, info *types.Info) {
 				}
 			case *ast.GenDecl:
 				for _, sp := range d.Specs {
-					if ts, ok := sp.(*ast.TypeSpec); ok {
-						tn := info.Defs[ts.Name]
-						s.own[tn] = append(s.own[tn], [2]token.Pos{ts.Pos(), ts.End()})
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						tn := info.Defs[sp.Name]
+						s.own[tn] = append(s.own[tn], [2]token.Pos{sp.Pos(), sp.End()})
+					case *ast.ValueSpec:
+						// An enum constant's type names its unit, not a use.
+						if id, ok := sp.Type.(*ast.Ident); ok && d.Tok == token.CONST {
+							if tn, ok := info.Uses[id].(*types.TypeName); ok {
+								s.own[tn] = append(s.own[tn], [2]token.Pos{sp.Pos(), sp.End()})
+							}
+						}
 					}
 				}
 			}
 		}
+		s.recordReads(f, info)
 	}
 	for id, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -306,6 +405,70 @@ func (s *apiScan) record(files []*ast.File, info *types.Info) {
 		}
 		s.used[obj] = true
 	}
+}
+
+// recordReads marks the struct fields f reads.
+func (s *apiScan) recordReads(f *ast.File, info *types.Info) {
+	written := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				written[l] = true
+			}
+		case *ast.IncDecStmt:
+			written[n.X] = true
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				break
+			}
+			path := sel.Index()
+			if sel.Kind() == types.FieldVal && !written[n] {
+				s.read[sel.Obj().(*types.Var).Origin()] = true
+			}
+			// Every embedded field the selector is promoted through.
+			t := sel.Recv()
+			for _, i := range path[:len(path)-1] {
+				st, ok := deref(t).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				s.read[st.Field(i).Origin()] = true
+				t = st.Field(i).Type()
+			}
+		case *ast.MapType:
+			s.readAllFields(info.Types[n.Key].Type)
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				s.readAllFields(info.Types[n.X].Type)
+			}
+		}
+		return true
+	})
+}
+
+// readAllFields marks every field of t, a struct or a named struct, read:
+// hashing or comparing a struct reads each field.
+func (s *apiScan) readAllFields(t types.Type) {
+	if t == nil {
+		return
+	}
+	if n, ok := types.Unalias(t).(*types.Named); ok {
+		t = n.Origin()
+	}
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			s.read[st.Field(i).Origin()] = true
+		}
+	}
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 func (s *apiScan) ownUse(obj types.Object, pos token.Pos) bool {
@@ -347,12 +510,23 @@ func (s *apiScan) unused() []string {
 
 	var out []string
 	for _, pkg := range s.listed {
-		prefix := strings.TrimPrefix(pkg.Path(), s.mods[0].path+"/internal/") + "."
+		prefix := pkg.Name() + "."
+		if pkg.Path() != s.mods[0].path {
+			prefix = strings.TrimPrefix(pkg.Path(), s.mods[0].path+"/internal/") + "."
+		}
 		scope := pkg.Scope()
+		enumUsed := s.enumUnits(scope)
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !s.used[obj] {
-				out = append(out, prefix+name)
+			switch {
+			case obj.Exported():
+				if !s.used[obj] && !enumUsed[enumOf(obj)] {
+					out = append(out, prefix+name)
+				}
+			case isFunc(obj) && name != "init" && name != "main":
+				if !s.used[obj] {
+					out = append(out, prefix+name)
+				}
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -365,10 +539,47 @@ func (s *apiScan) unused() []string {
 					out = append(out, prefix+name+"."+m.Name())
 				}
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); !f.Exported() && !s.read[f] {
+						out = append(out, prefix+name+"."+f.Name())
+					}
+				}
+			}
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// enumOf returns the named type whose enum unit obj belongs to: the type
+// a type name denotes or a constant has. It is nil for anything else.
+func enumOf(obj types.Object) *types.TypeName {
+	switch obj.(type) {
+	case *types.TypeName, *types.Const:
+		if n, ok := types.Unalias(obj.Type()).(*types.Named); ok {
+			return n.Origin().Obj()
+		}
+	}
+	return nil
+}
+
+// enumUnits returns the enum units of scope with a used member.
+func (s *apiScan) enumUnits(scope *types.Scope) map[*types.TypeName]bool {
+	used := map[*types.TypeName]bool{}
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if e := enumOf(obj); e != nil && s.used[obj] {
+			used[e] = true
+		}
+	}
+	delete(used, nil)
+	return used
+}
+
+func isFunc(obj types.Object) bool {
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
 // useThroughIfaces marks the methods of named (or *named) that implement

@@ -501,9 +501,6 @@ func DialConn(p *Proc, dev, peer *Device, port int) (*Conn, error) {
 	return sockets.DialTo(p, dev, peer, port)
 }
 
-// IWARPFabricParams returns the alternate 10GigE/iWARP calibration.
-func IWARPFabricParams() FabricParams { return fabric.IWARPParams() }
-
 // Dual-mode runtime: the construction-time execution substrate every
 // service is built against. A SimRuntime wraps a deterministic
 // discrete-event environment; a RealRuntime runs tasks as goroutines on
