@@ -6,6 +6,7 @@ import (
 
 	"ngdc"
 	"ngdc/internal/coopcache"
+	"ngdc/internal/trace"
 )
 
 // ExampleNew wires a framework and runs a process that uses the shared
@@ -106,7 +107,7 @@ func ExampleFramework_Trace() {
 func Example_tracedExperiment() {
 	cfg := coopcache.DefaultConfig(coopcache.CCWR, 2, 16<<10)
 	cfg.Warmup, cfg.Measure = 50*time.Millisecond, 200*time.Millisecond
-	cfg.Trace = ngdc.NewTraceRegistry()
+	cfg.Trace = trace.NewRegistry()
 	if _, err := coopcache.Run(cfg); err != nil {
 		panic(err)
 	}

@@ -189,15 +189,9 @@ func (n *Node) SetThreads(v int) {
 	n.publish()
 }
 
-// ConnOpened and ConnClosed track transport connections.
+// ConnOpened records an opened transport connection.
 func (n *Node) ConnOpened() {
 	n.stats.Connections++
-	n.publish()
-}
-
-// ConnClosed records a closed transport connection.
-func (n *Node) ConnClosed() {
-	n.stats.Connections--
 	n.publish()
 }
 

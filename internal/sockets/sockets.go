@@ -98,7 +98,6 @@ type Conn struct {
 	scheme Scheme
 	send   *half // local -> peer
 	recv   *half // peer -> local
-	closed bool
 }
 
 // wireMsg is one unit delivered to the receive queue.
@@ -248,9 +247,6 @@ func newHalf(scheme Scheme, src, dst *verbs.Device, opt Options) *half {
 // caller's buffer is reusable under the scheme's semantics (which for
 // every scheme here means: immediately on return).
 func (c *Conn) Send(p *sim.Proc, data []byte) error {
-	if c.closed {
-		return fmt.Errorf("sockets: send on closed %s connection", c.scheme)
-	}
 	h := c.send
 	if h.ts != nil {
 		h.ts.Msgs++
@@ -349,17 +345,4 @@ func (h *half) returnCredits() {
 	if cr.pool > 0 {
 		h.pool.Release(cr.pool)
 	}
-}
-
-// Close shuts the connection down in both directions. Parked receivers on
-// either end are woken with an error.
-func (c *Conn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.send.q.Close()
-	c.recv.q.Close()
-	c.send.src.Node.ConnClosed()
-	c.recv.src.Node.ConnClosed()
 }

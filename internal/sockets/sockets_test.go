@@ -240,24 +240,6 @@ func TestTCPThroughputDropsUnderReceiverLoad(t *testing.T) {
 	}
 }
 
-func TestCloseSemantics(t *testing.T) {
-	env, a, b := pair(1)
-	ca, cb := Dial(BSDP, a, b, DefaultOptions())
-	env.Go("p", func(p *sim.Proc) {
-		ca.Close()
-		if err := ca.Send(p, []byte("x")); err == nil {
-			t.Error("send on closed conn succeeded")
-		}
-		if _, err := cb.Recv(p); err == nil {
-			t.Error("recv on closed conn succeeded")
-		}
-		ca.Close() // double close is a no-op
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConnCounters(t *testing.T) {
 	env, a, b := pair(1)
 	ca, cb := Dial(ZSDP, a, b, DefaultOptions())
@@ -409,120 +391,6 @@ func TestDialDistinctEndpoints(t *testing.T) {
 func ExampleScheme_String() {
 	fmt.Println(AZSDP)
 	// Output: AZ-SDP
-}
-
-func TestListenAcceptDial(t *testing.T) {
-	env, a, b := pair(1)
-	l, err := Listen(b, 80, AZSDP, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, port := l.Addr(); n != 1 || port != 80 {
-		t.Fatalf("addr = %d:%d", n, port)
-	}
-	env.GoDaemon("server", func(p *sim.Proc) {
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-			env.GoDaemon("handler", func(p *sim.Proc) {
-				for {
-					msg, err := conn.Recv(p)
-					if err != nil {
-						return
-					}
-					if err := conn.Send(p, msg); err != nil {
-						return
-					}
-				}
-			})
-		}
-	})
-	env.Go("client", func(p *sim.Proc) {
-		conn, err := DialTo(p, a, b, 80)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if conn.scheme != AZSDP {
-			t.Errorf("scheme = %v", conn.scheme)
-		}
-		if err := conn.Send(p, []byte("hey")); err != nil {
-			t.Error(err)
-			return
-		}
-		got, err := conn.Recv(p)
-		if err != nil || string(got) != "hey" {
-			t.Errorf("echo: %q %v", got, err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	env.Shutdown()
-}
-
-func TestListenPortConflictAndRefusal(t *testing.T) {
-	env, a, b := pair(1)
-	defer env.Shutdown()
-	l, err := Listen(b, 8080, TCP, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Listen(b, 8080, TCP, DefaultOptions()); err == nil {
-		t.Fatal("duplicate port allowed")
-	}
-	env.Go("client", func(p *sim.Proc) {
-		if _, err := DialTo(p, a, b, 9999); err == nil {
-			t.Error("dial to unused port succeeded")
-		}
-		l.Close()
-		l.Close() // idempotent
-		if _, err := DialTo(p, a, b, 8080); err == nil {
-			t.Error("dial to closed listener succeeded")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultipleClientsOneListener(t *testing.T) {
-	env, a, b := pair(1)
-	defer env.Shutdown()
-	l, err := Listen(b, 443, BSDP, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := 0
-	env.GoDaemon("server", func(p *sim.Proc) {
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-			if _, err := conn.Recv(p); err == nil {
-				served++
-			}
-		}
-	})
-	for i := 0; i < 3; i++ {
-		env.Go(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
-			conn, err := DialTo(p, a, b, 443)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			conn.Send(p, []byte("x"))
-		})
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if served != 3 {
-		t.Fatalf("served %d of 3", served)
-	}
 }
 
 // TestSocketsSteadyStateAllocationFree asserts the service-layer

@@ -1,6 +1,6 @@
-// Tests of the public API surface: everything a downstream user imports
-// from package ngdc must be usable without reaching into internal
-// packages.
+// Tests of the public API surface: what package ngdc re-exports must
+// work together. A layer the facade does not re-export is called from its
+// package, as examples/ does.
 package ngdc_test
 
 import (
@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"ngdc"
+	"ngdc/internal/ddss"
+	"ngdc/internal/gma"
+	"ngdc/internal/storm"
 )
 
 func TestPublicFrameworkEndToEnd(t *testing.T) {
@@ -32,7 +35,7 @@ func TestPublicFrameworkEndToEnd(t *testing.T) {
 	ok := false
 	f.Go("app", func(p *ngdc.Proc) {
 		sh := f.Sharing.Client(1)
-		h, err := sh.Allocate(p, "kv", 64, ngdc.VersionCoherence, ngdc.NodeAuto)
+		h, err := sh.Allocate(p, "kv", 64, ngdc.VersionCoherence, ddss.NodeAuto)
 		if err != nil {
 			t.Error(err)
 			return
@@ -64,7 +67,7 @@ func TestPublicFrameworkEndToEnd(t *testing.T) {
 }
 
 func TestPublicExperimentEntryPoints(t *testing.T) {
-	// Every experiment entry point must run from the public API.
+	// Every experiment entry point the facade exports must run from it.
 	if _, err := ngdc.LockCascade(ngdc.NCoSED, ngdc.SharedLock, 4, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -85,39 +88,24 @@ func TestPublicExperimentEntryPoints(t *testing.T) {
 	if _, err := ngdc.RunLoadBalancer(lb); err != nil {
 		t.Fatal(err)
 	}
-	rc := ngdc.DefaultReconfigConfig(ngdc.HistoryAwareReconfig)
-	rc.Measure = 500 * time.Millisecond
-	if _, err := ngdc.RunReconfig(rc); err != nil {
-		t.Fatal(err)
-	}
-	dc := ngdc.DefaultDynCacheConfig(ngdc.DynRDMACheck)
-	dc.Measure = 300 * time.Millisecond
-	if _, err := ngdc.RunDynCache(dc); err != nil {
-		t.Fatal(err)
-	}
-	qc := ngdc.DefaultQoSConfig(ngdc.PriorityAdmission)
-	qc.Measure = 300 * time.Millisecond
-	if _, err := ngdc.RunQoS(qc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ngdc.MulticastLatency(ngdc.BinomialMulticast, 8, 256, 1); err != nil {
-		t.Fatal(err)
-	}
 }
 
+// TestPublicStormAndPool builds STORM and the memory pool from their
+// packages, as examples/memorypool does, on a facade framework, and
+// backs a facade file cache with the pool.
 func TestPublicStormAndPool(t *testing.T) {
 	f := ngdc.New(ngdc.Config{Nodes: 5, Seed: 1})
 	defer f.Shutdown()
-	st := ngdc.NewStormCluster(f.Network, []*ngdc.Node{f.Node(1), f.Node(2)},
-		ngdc.StormOptions{Transport: ngdc.StormOverDDSS, Client: f.Node(0)})
-	var res ngdc.StormResult
+	st := storm.New(f.Network, []*ngdc.Node{f.Node(1), f.Node(2)},
+		storm.Options{Transport: storm.OverDDSS, Client: f.Node(0)})
+	var res storm.Result
 	f.Go("driver", func(p *ngdc.Proc) {
 		if err := st.Load(p, 600); err != nil {
 			t.Error(err)
 			return
 		}
 		var err error
-		res, err = st.Query(p, ngdc.StormSelector{Modulo: 2})
+		res, err = st.Query(p, storm.Selector{Modulo: 2})
 		if err != nil {
 			t.Error(err)
 		}
@@ -129,8 +117,8 @@ func TestPublicStormAndPool(t *testing.T) {
 		t.Fatalf("query returned %d records", res.Records)
 	}
 
-	pool, err := ngdc.NewPool(f.Network, []*ngdc.Node{f.Node(3), f.Node(4)},
-		ngdc.PoolOptions{ArenaPerNode: 1 << 20})
+	pool, err := gma.New(f.Network, []*ngdc.Node{f.Node(3), f.Node(4)},
+		gma.Options{ArenaPerNode: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +159,5 @@ func TestPublicConstantsDistinct(t *testing.T) {
 			t.Fatalf("duplicate coherence value %v", c)
 		}
 		seenC[c] = true
-	}
-}
-
-func TestDefaultFabricParams(t *testing.T) {
-	p := ngdc.DefaultFabricParams()
-	if p.IBBandwidth <= p.TCPBandwidth || p.TCPCPUPerMsg == 0 {
-		t.Fatal("default params implausible")
 	}
 }
