@@ -155,7 +155,6 @@ type DataCenter struct {
 
 	nodes    []*cacheNode // by node ID: the proxies, then the app tier
 	proxies  []*cacheNode // nodes[:Proxies]
-	appTier  []*cacheNode // nodes[Proxies:]
 	backend  *sim.Resource
 	inflight []*sim.Future[int] // by doc: the fetch in progress (dedup), nil if none
 	futFree  []*sim.Future[int] // recycled dedup futures
@@ -238,7 +237,7 @@ func Build(cfg Config) *DataCenter {
 		}
 		dc.nodes = append(dc.nodes, cn)
 	}
-	dc.proxies, dc.appTier = dc.nodes[:cfg.Proxies], dc.nodes[cfg.Proxies:]
+	dc.proxies = dc.nodes[:cfg.Proxies]
 	return dc
 }
 

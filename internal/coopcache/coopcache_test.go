@@ -197,7 +197,7 @@ func TestRemoteHitCountedOnHolderNIC(t *testing.T) {
 	}
 	ser := fabric.DefaultParams().IBTxTime(int(cfg.FileSize))
 	var ops int64
-	for _, cn := range dc.appTier {
+	for _, cn := range dc.nodes[cfg.Proxies:] {
 		nic := reg.NIC(cn.node.ID)
 		if nic.TxBusy != time.Duration(nic.TxOps)*ser {
 			t.Errorf("app server %d: TxBusy %v for %d transmits of %v each", cn.node.ID, nic.TxBusy, nic.TxOps, ser)

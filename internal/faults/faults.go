@@ -122,9 +122,7 @@ func mklink(a, b int) link {
 // healthy cluster — so transport code can hold one pointer and consult
 // it unconditionally.
 type Injector struct {
-	env   *sim.Env
 	rng   *rand.Rand
-	plan  *Plan
 	down  map[int]bool
 	cut   map[link]bool
 	delay map[link]time.Duration
@@ -143,9 +141,7 @@ func Install(env *sim.Env, plan *Plan) *Injector {
 		return nil
 	}
 	inj := &Injector{
-		env:   env,
 		rng:   rand.New(rand.NewSource(plan.Seed)),
-		plan:  plan,
 		down:  map[int]bool{},
 		cut:   map[link]bool{},
 		delay: map[link]time.Duration{},

@@ -120,9 +120,8 @@ type victim struct {
 
 // Cache is one node's file-system cache.
 type Cache struct {
-	cfg  Config
-	node *cluster.Node
-	dev  *verbs.Device
+	cfg Config
+	dev *verbs.Device
 
 	// local is the LRU of resident pages (each page counts one unit).
 	local  *lru.Cache[pageKey]
@@ -142,7 +141,6 @@ type Cache struct {
 func New(cfg Config, nw *verbs.Network, node *cluster.Node, agg *gma.Aggregator) *Cache {
 	c := &Cache{
 		cfg:    cfg,
-		node:   node,
 		dev:    nw.Attach(node),
 		local:  lru.New[pageKey](int64(cfg.LocalPages)),
 		remote: map[pageKey]*victim{},

@@ -21,10 +21,8 @@ import (
 
 // arena is one node's contribution to the pool.
 type arena struct {
-	node *cluster.Node
 	dev  *verbs.Device
 	mr   *verbs.MR
-	size int64
 	free int64
 	// holes is the free list, sorted by offset, coalesced.
 	holes []hole
@@ -36,7 +34,6 @@ type hole struct {
 
 // Buf is an allocated region of aggregate memory.
 type Buf struct {
-	agg   *Aggregator
 	arena *arena
 	off   int64
 	size  int64
@@ -45,7 +42,6 @@ type Buf struct {
 
 // Aggregator is the cluster-wide memory pool.
 type Aggregator struct {
-	nw     *verbs.Network
 	arenas map[int]*arena // by node ID
 	order  []int          // deterministic iteration order
 }
@@ -65,17 +61,15 @@ func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) (*Aggregator, e
 	if arenaPerNode <= 0 {
 		arenaPerNode = 16 << 20
 	}
-	a := &Aggregator{nw: nw, arenas: map[int]*arena{}}
+	a := &Aggregator{arenas: map[int]*arena{}}
 	for _, n := range nodes {
 		dev := nw.Attach(n)
 		if !n.Alloc(arenaPerNode) {
 			return nil, fmt.Errorf("gma: node %d cannot contribute %d bytes", n.ID, arenaPerNode)
 		}
 		ar := &arena{
-			node:  n,
 			dev:   dev,
 			mr:    dev.RegisterAtSetup(make([]byte, arenaPerNode)),
-			size:  arenaPerNode,
 			free:  arenaPerNode,
 			holes: []hole{{off: 0, size: arenaPerNode}},
 		}
@@ -181,7 +175,7 @@ func (c *Client) Alloc(p *sim.Proc, size int64) (*Buf, error) {
 		if ar != local {
 			p.Sleep(c.dev.Params().IBAtomicLatency)
 		}
-		return &Buf{agg: c.agg, arena: ar, off: off, size: size}, nil
+		return &Buf{arena: ar, off: off, size: size}, nil
 	}
 	return nil, fmt.Errorf("gma: out of aggregate memory (%d requested, %d free)", size, c.agg.TotalFree())
 }

@@ -76,7 +76,7 @@ func TestSpillsToRemoteWhenLocalFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("alloc %d: %v", i, err)
 			}
-			if b.arena.node.ID != 0 {
+			if b.arena.dev.Node.ID != 0 {
 				remote++
 			}
 			bufs = append(bufs, b)
@@ -138,15 +138,15 @@ func TestLocalOpsFasterThanRemote(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if local.arena.node.ID != 0 {
-			t.Fatalf("tie did not favour local arena (got node %d)", local.arena.node.ID)
+		if local.arena.dev.Node.ID != 0 {
+			t.Fatalf("tie did not favour local arena (got node %d)", local.arena.dev.Node.ID)
 		}
 		// Force a remote allocation.
 		remote, err := c.Alloc(p, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if remote.arena.node.ID == 0 {
+		if remote.arena.dev.Node.ID == 0 {
 			// Second alloc goes remote because node 1 now has more free.
 			t.Fatalf("expected remote arena, got local")
 		}
@@ -276,7 +276,7 @@ func TestAllocTimeChargedForRemote(t *testing.T) {
 		}
 		t1 := p.Now()
 		b, _ := c.Alloc(p, 1<<18) // remote (node 1 freer)
-		if b.arena.node.ID == 0 {
+		if b.arena.dev.Node.ID == 0 {
 			t.Fatal("expected remote")
 		}
 		if time.Duration(p.Now()-t1) != pp.IBAtomicLatency {

@@ -94,7 +94,6 @@ type Station struct {
 	Interval time.Duration
 
 	env   *sim.Env
-	nw    *verbs.Network
 	front *verbs.Device
 	tgts  []*target
 }
@@ -119,7 +118,6 @@ func NewStation(scheme Scheme, nw *verbs.Network, front *cluster.Node, targets [
 		Scheme:   scheme,
 		Interval: interval,
 		env:      front.Env(),
-		nw:       nw,
 		front:    nw.Attach(front),
 	}
 	for _, tn := range targets {

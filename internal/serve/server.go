@@ -61,9 +61,8 @@ type backend interface {
 // simulator; for the live runtime the accept loops are daemons and the
 // caller decides when to Shutdown).
 type Server struct {
-	rt   runtime.Runtime
-	opts Options
-	bk   backend
+	rt runtime.Runtime
+	bk backend
 
 	mu     sync.Mutex
 	nextID int
@@ -73,7 +72,7 @@ type Server struct {
 // backend on a SimRuntime, a live concurrent backend on a RealRuntime.
 func New(rt runtime.Runtime, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{rt: rt, opts: opts}
+	s := &Server{rt: rt}
 	if rt.Mode() == runtime.SimMode {
 		s.bk = newSimBackend(rt.SimEnv(), opts)
 	} else {

@@ -88,7 +88,6 @@ type Cluster struct {
 	results map[int]*ddss.Handle
 	queryQ  []*verbs.RecvQueue
 	doneQ   *verbs.RecvQueue
-	queries int
 }
 
 // Options configures a STORM deployment.
@@ -271,7 +270,6 @@ func (c *Cluster) Query(p *sim.Proc, sel Selector) (Result, error) {
 	if c.totalRecs == 0 {
 		return Result{}, fmt.Errorf("storm: not loaded")
 	}
-	c.queries++
 	start := p.Now()
 	var res Result
 	req := encodeSelector(sel)
