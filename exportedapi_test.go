@@ -58,11 +58,13 @@ func TestExportedAPIHasCallers(t *testing.T) {
 // It must list an export only a test calls, one nothing calls, an
 // interface method called through no interface, a type referenced only
 // inside its own declaration, a facade export nothing calls, a facade
-// enum none of whose members is called, an unexported function nothing
-// calls, a field that is written and never read and a field only a test
-// reads. It must not list a String reached through fmt, a method called
-// on a generic instance, a method reached through an interface its type
-// satisfies, the siblings of a called enum constant, the fields of a
+// enum and an internal one none of whose members is called (the internal
+// type named only by its constants), an unexported function nothing
+// calls, a field that is written and never read, a field only a test
+// reads and an unused constant whose type the package neither declares
+// nor aliases. It must not list a String reached through fmt, a method
+// called on a generic instance, a method reached through an interface its
+// type satisfies, the siblings of a called enum constant, the fields of a
 // struct used as a map key, or an embedded field reached through
 // promotion. The allowlist check must report the unlisted identifier and
 // both kinds of stale line.
@@ -72,7 +74,10 @@ func TestExportedAPIGateFixture(t *testing.T) {
 		"go.mod": "module fix\n",
 		"internal/p/p.go": `package p
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 type Shape interface {
 	Area() int
@@ -110,6 +115,18 @@ type Size int
 const (
 	Small Size = iota
 	Large
+)
+
+type Mode int
+
+const (
+	Fast Mode = iota
+	Slow
+)
+
+const (
+	Tick time.Duration = 1
+	Tock time.Duration = 2
 )
 
 func unusedHelper() int { return unusedHelper() }
@@ -177,7 +194,7 @@ import (
 
 func main() {
 	var s p.Shape = p.Square{N: 2}
-	fmt.Println(s.Area(), p.Square{N: 3}, fix.Light, fix.NewCounter().Add(1, 2))
+	fmt.Println(s.Area(), p.Square{N: 3}, fix.Light, fix.NewCounter().Add(1, 2), p.Tick)
 	var b p.Box[int]
 	b.Put(1)
 }
@@ -198,8 +215,8 @@ func main() {
 	}
 	want := []string{
 		"fix.Large", "fix.Lonely", "fix.Size", "fix.Small",
-		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Orphan", "p.Orphan.Self",
-		"p.Shape.Perimeter", "p.Square.Perimeter", "p.TestOnly", "p.Unused", "p.unusedHelper",
+		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Fast", "p.Mode", "p.Orphan", "p.Orphan.Self",
+		"p.Shape.Perimeter", "p.Slow", "p.Square.Perimeter", "p.TestOnly", "p.Tock", "p.Unused", "p.unusedHelper",
 	}
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %v, want %v", unused, want)
@@ -240,12 +257,12 @@ type apiModule struct{ path, dir string }
 // method reached through an interface counts as used when that
 // interface's method is used, and fmt.Stringer's String and error's Error
 // always are. A method of a generic type counts as used when any
-// instance's is. The named types, aliases and constants of one enum type
-// declared in one package are one unit, listed only when none of them is
-// used. A field is read by any selector that is not the whole left side
-// of an assignment or increment; an embedded field by every selector
-// promoted through it; and every field of a struct used as a map key or
-// compared with == by that use.
+// instance's is. A type a package declares or aliases and the package's
+// constants of that type are one enum unit, listed only when none of
+// them is used. A field is read by any selector that is not the whole
+// left side of an assignment or increment; an embedded field by every
+// selector promoted through it; and every field of a struct used as a map
+// key or compared with == by that use.
 func scanExportedAPI(mods []apiModule) ([]string, error) {
 	s := &apiScan{
 		fset: token.NewFileSet(),
@@ -564,16 +581,24 @@ func enumOf(obj types.Object) *types.TypeName {
 	return nil
 }
 
-// enumUnits returns the enum units of scope with a used member.
+// enumUnits returns, for each type scope declares or aliases, whether a
+// member of its enum unit is used. Constants of a type declared and
+// aliased elsewhere (time.Duration) are no unit.
 func (s *apiScan) enumUnits(scope *types.Scope) map[*types.TypeName]bool {
 	used := map[*types.TypeName]bool{}
 	for _, name := range scope.Names() {
-		obj := scope.Lookup(name)
-		if e := enumOf(obj); e != nil && s.used[obj] {
-			used[e] = true
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if e := enumOf(tn); e != nil {
+				used[e] = used[e] || s.used[tn]
+			}
 		}
 	}
-	delete(used, nil)
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if _, ok := used[enumOf(obj)]; ok && s.used[obj] {
+			used[enumOf(obj)] = true
+		}
+	}
 	return used
 }
 
