@@ -535,12 +535,13 @@ func (s *apiScan) unused() []string {
 		enumUsed := s.enumUnits(scope)
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
+			_, isFunc := obj.(*types.Func)
 			switch {
 			case obj.Exported():
 				if !s.used[obj] && !enumUsed[enumOf(obj)] {
 					out = append(out, prefix+name)
 				}
-			case isFunc(obj) && name != "init" && name != "main":
+			case isFunc && name != "init" && name != "main":
 				if !s.used[obj] {
 					out = append(out, prefix+name)
 				}
@@ -600,11 +601,6 @@ func (s *apiScan) enumUnits(scope *types.Scope) map[*types.TypeName]bool {
 		}
 	}
 	return used
-}
-
-func isFunc(obj types.Object) bool {
-	_, ok := obj.(*types.Func)
-	return ok
 }
 
 // useThroughIfaces marks the methods of named (or *named) that implement
