@@ -471,9 +471,6 @@ func (s *apiScan) readAllFields(t types.Type) {
 	if t == nil {
 		return
 	}
-	if n, ok := types.Unalias(t).(*types.Named); ok {
-		t = n.Origin()
-	}
 	if st, ok := t.Underlying().(*types.Struct); ok {
 		for i := 0; i < st.NumFields(); i++ {
 			s.read[st.Field(i).Origin()] = true
