@@ -1,13 +1,14 @@
 // The dead-API gate: every exported identifier in internal/ and in the
 // root facade, every unexported package-level function and every
 // unexported struct field there has a non-test caller or reader in this
-// module or in benchmark/, or a line in testdata/exportedapi.allow saying
-// what needs it. The allowlist only shrinks: a line whose identifier
+// module or in benchmark/, and every field of an internal/ options struct
+// a non-test setter, or a line in testdata/exportedapi.allow saying what
+// needs it. The allowlist only shrinks: a line whose identifier
 // gained a caller or no longer exists fails the gate too.
 //
 //	go test -run TestExportedAPI -count=1 -v .
 //
-// prints the remaining allowlist.
+// prints the remaining allowlist and counts the option fields.
 package ngdc_test
 
 import (
@@ -29,7 +30,7 @@ import (
 const exportedAPIAllowlist = "testdata/exportedapi.allow"
 
 func TestExportedAPIHasCallers(t *testing.T) {
-	unused, err := scanExportedAPI([]apiModule{{"ngdc", "."}, {"ngdc/benchmark", "benchmark"}})
+	unused, options, err := scanExportedAPI([]apiModule{{"ngdc", "."}, {"ngdc/benchmark", "benchmark"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,14 @@ func TestExportedAPIHasCallers(t *testing.T) {
 				t.Logf("%-40s # %s", id, r)
 			}
 		}
-		t.Logf("%d identifiers have no non-test caller or reader", len(unused))
+		t.Logf("%d identifiers have no non-test caller, reader or setter", len(unused))
+		fields, unset := 0, 0
+		for _, o := range options {
+			t.Logf("%-28s %2d option fields, %2d set by no non-test code", o.name, o.fields, o.unset)
+			fields += o.fields
+			unset += o.unset
+		}
+		t.Logf("%d option fields in %d structs, %d set by no non-test code", fields, len(options), unset)
 	}
 }
 
@@ -61,13 +69,17 @@ func TestExportedAPIHasCallers(t *testing.T) {
 // enum and an internal one none of whose members is called (the internal
 // type named only by its constants), an unexported function nothing
 // calls, a field that is written and never read, a field only a test
-// reads and an unused constant whose type the package neither declares
-// nor aliases. It must not list a String reached through fmt, a method
+// reads, an unused constant whose type the package neither declares
+// nor aliases, and three option fields: one only its package's Default*
+// func sets, to a literal, one only a zero-fill if sets and one only a
+// test sets. It must not list a String reached through fmt, a method
 // called on a generic instance, a method reached through an interface its
 // type satisfies, the siblings of a called enum constant, the fields of a
-// struct used as a map key, or an embedded field reached through
-// promotion. The allowlist check must report the unlisted identifier and
-// both kinds of stale line.
+// struct used as a map key, an embedded field reached through promotion,
+// an option field Default* sets from its parameter, one another package
+// sets, one set by assigning its whole embedded struct, or a field of a
+// type named Params. The allowlist check must report the unlisted
+// identifier and both kinds of stale line.
 func TestExportedAPIGateFixture(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -149,13 +161,37 @@ func (c *Counter) Add(a, b int) int {
 	c.rows[key{a, b}]++
 	return len(c.rows)
 }
+
+type Options struct{ Lit, Zero, Tested, Arg, Other int }
+
+func DefaultOptions(arg int) Options { return Options{Lit: 1, Arg: arg} }
+
+func Run(o Options) int {
+	if o.Zero == 0 {
+		o.Zero = 2
+	}
+	return o.Lit + o.Zero + o.Tested + o.Arg + o.Other
+}
+
+type BaseOptions struct{ Seed int64 }
+
+type RunConfig struct{ BaseOptions }
+
+func NewRunConfig(b BaseOptions) (c RunConfig) {
+	c.BaseOptions = b
+	return c
+}
+
+type Params struct{ Lat int }
+
+func DefaultParams() Params { return Params{Lat: 5} }
 `,
 		"internal/p/p_test.go": `package p
 
 import "testing"
 
 func TestP(t *testing.T) {
-	_ = TestOnly() + Square{}.Perimeter()
+	_ = TestOnly() + Square{}.Perimeter() + Run(Options{Tested: 1})
 	if c := NewCounter(); c.Add(1, 2) != 1 || !c.seen {
 		t.Fatal()
 	}
@@ -197,6 +233,9 @@ func main() {
 	fmt.Println(s.Area(), p.Square{N: 3}, fix.Light, fix.NewCounter().Add(1, 2), p.Tick)
 	var b p.Box[int]
 	b.Put(1)
+	o := p.DefaultOptions(3)
+	o.Other = 4
+	fmt.Println(p.Run(o), p.NewRunConfig(p.BaseOptions{}).Seed, p.DefaultParams())
 }
 `,
 	}
@@ -209,17 +248,21 @@ func main() {
 			t.Fatal(err)
 		}
 	}
-	unused, err := scanExportedAPI([]apiModule{{"fix", dir}})
+	unused, options, err := scanExportedAPI([]apiModule{{"fix", dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
 		"fix.Large", "fix.Lonely", "fix.Size", "fix.Small",
-		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Fast", "p.Mode", "p.Orphan", "p.Orphan.Self",
+		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Fast", "p.Mode",
+		"p.Options.Lit", "p.Options.Tested", "p.Options.Zero", "p.Orphan", "p.Orphan.Self",
 		"p.Shape.Perimeter", "p.Slow", "p.Square.Perimeter", "p.TestOnly", "p.Tock", "p.Unused", "p.unusedHelper",
 	}
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %v, want %v", unused, want)
+	}
+	if got := fmt.Sprint(options); got != "[{p.BaseOptions 1 0} {p.Options 5 3} {p.RunConfig 0 0}]" {
+		t.Fatalf("options = %s, want [{p.BaseOptions 1 0} {p.Options 5 3} {p.RunConfig 0 0}]", got)
 	}
 
 	allow := map[string]string{}
@@ -245,7 +288,8 @@ type apiModule struct{ path, dir string }
 // sorted, the identifiers declared in mods[0]'s root package or under its
 // internal/ that no non-test file references, each as pkg.Name,
 // pkg.Recv.Name or pkg.Type.field, with pkg the package's name for the
-// root and its path relative to internal/ otherwise.
+// root and its path relative to internal/ otherwise, and the options
+// structs it checked.
 //
 // Listed are the exported package-level funcs, types, vars and consts,
 // the exported methods of every named type (interface methods included),
@@ -263,13 +307,20 @@ type apiModule struct{ path, dir string }
 // left side of an assignment or increment; an embedded field by every
 // selector promoted through it; and every field of a struct used as a map
 // key or compared with == by that use.
-func scanExportedAPI(mods []apiModule) ([]string, error) {
+//
+// An options struct is an exported struct type under internal/ whose name
+// is or ends in Options or Config. Its fields, embedded ones aside, are
+// listed when no non-test file sets them away from their default (see
+// recordSets). fabric.Params is a calibration, swept field by field, and
+// is no options struct.
+func scanExportedAPI(mods []apiModule) ([]string, []optionType, error) {
 	s := &apiScan{
 		fset: token.NewFileSet(),
 		mods: mods,
 		pkgs: map[string]*types.Package{},
 		used: map[types.Object]bool{},
 		read: map[*types.Var]bool{},
+		set:  map[*types.Var]bool{},
 		own:  map[types.Object][][2]token.Pos{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
@@ -292,10 +343,10 @@ func scanExportedAPI(mods []apiModule) ([]string, error) {
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return s.unused(), nil
+	return s.unused(), s.options, nil
 }
 
 type apiScan struct {
@@ -305,11 +356,20 @@ type apiScan struct {
 	pkgs map[string]*types.Package // checked module packages by path
 	used map[types.Object]bool
 	read map[*types.Var]bool             // fields read by non-test code
+	set  map[*types.Var]bool             // fields non-test code sets (recordSets)
 	own  map[types.Object][][2]token.Pos // spans of each object's own declaration
 	// ifaceUses holds each interface type whose methods a module file
 	// calls, with the names called.
 	ifaceUses []ifaceUse
 	listed    []*types.Package // mods[0]'s root package and the packages under its internal/
+	options   []optionType
+}
+
+// optionType is an options struct the gate checks: its fields and how
+// many of them no non-test code sets.
+type optionType struct {
+	name          string
+	fields, unset int
 }
 
 type ifaceUse struct {
@@ -375,6 +435,9 @@ func (s *apiScan) load(path, dir string) (*types.Package, error) {
 		s.listed = append(s.listed, pkg)
 	}
 	s.record(files, info)
+	for _, f := range files {
+		s.recordSets(f, info, pkg)
+	}
 	return pkg, nil
 }
 
@@ -478,6 +541,179 @@ func (s *apiScan) readAllFields(t types.Type) {
 	}
 }
 
+// recordSets marks the struct fields f sets. A set is a composite-literal
+// key (every field, for a literal without keys), or a selector that an
+// assignment, op-assignment, ++/-- or & targets; it sets every field the
+// selector goes through, embedded ones included. A struct value set as a
+// whole sets each of its fields. A write in the field's own package that
+// only fills in a default does not count: in a Default* func or a
+// withDefaults method, or under an if that tests the field for zero,
+// with a value that uses no parameter of the enclosing func.
+func (s *apiScan) recordSets(f *ast.File, info *types.Info, pkg *types.Package) {
+	for _, d := range f.Decls {
+		fn, _ := d.(*ast.FuncDecl)
+		params := map[types.Object]bool{}
+		if fn != nil {
+			lists := []*ast.FieldList{fn.Recv, fn.Type.Params}
+			for _, l := range lists {
+				if l == nil {
+					continue
+				}
+				for _, fld := range l.List {
+					for _, id := range fld.Names {
+						params[info.Defs[id]] = true
+					}
+				}
+			}
+		}
+		// fills reports whether writing value to field at the top of
+		// stack only fills in the field's default.
+		var stack []ast.Node
+		fills := func(field *types.Var, value ast.Expr) bool {
+			if fn == nil || value == nil || field.Pkg() != pkg || usesAny(value, info, params) {
+				return false
+			}
+			if name := fn.Name.Name; fn.Recv == nil && strings.HasPrefix(name, "Default") || fn.Recv != nil && name == "withDefaults" {
+				return true
+			}
+			for i := len(stack) - 2; i >= 0; i-- {
+				if ifs, ok := stack[i].(*ast.IfStmt); ok && stack[i+1] == ifs.Body && testsZero(ifs.Cond, field, info) {
+					return true
+				}
+			}
+			return false
+		}
+		mark := func(field *types.Var, value ast.Expr) {
+			if !fills(field, value) {
+				s.setField(field, value)
+			}
+		}
+		// target marks the fields selector chain e goes through.
+		var target func(e ast.Expr, value ast.Expr)
+		target = func(e ast.Expr, value ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.StarExpr:
+					e = x.X
+					continue
+				}
+				break
+			}
+			se, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			sel := info.Selections[se]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			t := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				st, ok := deref(t).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				s.setField(st.Field(i).Origin(), nil)
+				t = st.Field(i).Type()
+			}
+			mark(sel.Obj().(*types.Var).Origin(), value)
+			target(se.X, nil)
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					var value ast.Expr
+					if len(n.Lhs) == len(n.Rhs) {
+						value = n.Rhs[i]
+					}
+					target(l, value)
+				}
+			case *ast.IncDecStmt:
+				target(n.X, nil)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X, nil)
+				}
+			case *ast.CompositeLit:
+				st, ok := deref(info.Types[n].Type).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if field, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(field.Origin(), kv.Value)
+						}
+					} else {
+						mark(st.Field(i).Origin(), el)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// setField marks field set. An embedded struct set to a value that is
+// not a literal is set as a whole: so is each of its own fields.
+func (s *apiScan) setField(field *types.Var, value ast.Expr) {
+	s.set[field] = true
+	if _, lit := value.(*ast.CompositeLit); lit || !field.Embedded() {
+		return
+	}
+	if st, ok := field.Type().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			s.setField(st.Field(i).Origin(), nil)
+		}
+	}
+}
+
+// usesAny reports whether e refers to one of objs.
+func usesAny(e ast.Expr, info *types.Info, objs map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// testsZero reports whether cond compares field with == or <= to a zero
+// constant or nil.
+func testsZero(cond ast.Expr, field *types.Var, info *types.Info) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || b.Op != token.EQL && b.Op != token.LEQ {
+			return !found
+		}
+		isField := func(e ast.Expr) bool {
+			se, ok := e.(*ast.SelectorExpr)
+			return ok && info.Selections[se] != nil && info.Selections[se].Obj() == types.Object(field)
+		}
+		isZero := func(e ast.Expr) bool {
+			tv := info.Types[e]
+			return tv.IsNil() || tv.Value != nil && (tv.Value.ExactString() == "0" || tv.Value.ExactString() == `""`)
+		}
+		if isField(b.X) && isZero(b.Y) || isField(b.Y) && isZero(b.X) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 func deref(t types.Type) types.Type {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		return p.Elem()
@@ -554,16 +790,34 @@ func (s *apiScan) unused() []string {
 					out = append(out, prefix+name+"."+m.Name())
 				}
 			}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); !f.Exported() && !s.read[f] {
-						out = append(out, prefix+name+"."+f.Name())
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			opt := optionType{name: prefix + name}
+			inScope := pkg.Path() != s.mods[0].path && obj.Exported() && (strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config"))
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				switch {
+				case !f.Exported() && !s.read[f]:
+					out = append(out, prefix+name+"."+f.Name())
+				case inScope && !f.Embedded() && !s.set[f]:
+					out = append(out, prefix+name+"."+f.Name())
+				}
+				if inScope && !f.Embedded() {
+					opt.fields++
+					if !s.set[f] {
+						opt.unset++
 					}
 				}
+			}
+			if inScope {
+				s.options = append(s.options, opt)
 			}
 		}
 	}
 	sort.Strings(out)
+	sort.Slice(s.options, func(i, j int) bool { return s.options[i].name < s.options[j].name })
 	return out
 }
 
