@@ -66,31 +66,39 @@ func (s Scheme) String() string {
 // Schemes lists the compared designs.
 var Schemes = []Scheme{NoCache, TTLCache, RDMACheck}
 
+// The testbed: two proxies with closed-loop clients in front of two
+// application servers.
+const (
+	proxies    = 2
+	appServers = 2
+	// objects is the number of mutable back-end objects per app server.
+	objects = 256
+	// docs is the number of dynamic documents.
+	docs = 512
+	// depsPerDoc is how many objects each document depends on.
+	depsPerDoc = 3
+	// renderCPU is the application-server cost of rendering a document.
+	renderCPU = 2 * time.Millisecond
+	// responseBytes is the rendered response size.
+	responseBytes = 16 << 10
+	// zipfAlpha shapes document popularity.
+	zipfAlpha = 0.9
+	// clientsPerProxy is the closed-loop client count per proxy.
+	clientsPerProxy = 8
+	// ttl is the timeout for TTLCache.
+	ttl = 100 * time.Millisecond
+	// warmup is the virtual warm-up before measuring.
+	warmup = 300 * time.Millisecond
+)
+
 // Config describes one experiment.
 type Config struct {
-	Scheme     Scheme
-	Proxies    int
-	AppServers int
-	// Objects is the number of mutable back-end objects per app server.
-	Objects int
-	// Docs is the number of dynamic documents.
-	Docs int
-	// DepsPerDoc is how many objects each document depends on.
-	DepsPerDoc int
+	Scheme Scheme
 	// UpdatesPerSec is the aggregate object-update rate.
 	UpdatesPerSec float64
-	// RenderCPU is the application-server cost of rendering a document.
-	RenderCPU time.Duration
-	// ResponseBytes is the rendered response size.
-	ResponseBytes int
-	// TTL is the timeout for TTLCache.
-	TTL time.Duration
-	// ZipfAlpha shapes document popularity.
-	ZipfAlpha float64
-	// ClientsPerProxy is the closed-loop client count per proxy.
-	ClientsPerProxy int
-	Warmup, Measure time.Duration
-	Seed            int64
+	// Measure is the virtual measurement window.
+	Measure time.Duration
+	Seed    int64
 	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
@@ -99,21 +107,10 @@ type Config struct {
 // rate: popular documents get invalidated while cached.
 func DefaultConfig(scheme Scheme) Config {
 	return Config{
-		Scheme:          scheme,
-		Proxies:         2,
-		AppServers:      2,
-		Objects:         256,
-		Docs:            512,
-		DepsPerDoc:      3,
-		UpdatesPerSec:   200,
-		RenderCPU:       2 * time.Millisecond,
-		ResponseBytes:   16 << 10,
-		TTL:             100 * time.Millisecond,
-		ZipfAlpha:       0.9,
-		ClientsPerProxy: 8,
-		Warmup:          300 * time.Millisecond,
-		Measure:         2 * time.Second,
-		Seed:            1,
+		Scheme:        scheme,
+		UpdatesPerSec: 200,
+		Measure:       2 * time.Second,
+		Seed:          1,
 	}
 }
 
@@ -173,7 +170,7 @@ func Run(cfg Config) (Stats, error) {
 	d := build(cfg)
 	defer d.env.Shutdown()
 	d.start()
-	if err := d.env.RunUntil(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
+	if err := d.env.RunUntil(sim.Time(warmup + cfg.Measure)); err != nil {
 		return d.stats, err
 	}
 	d.stats.Scheme = cfg.Scheme
@@ -189,25 +186,25 @@ func build(cfg Config) *deployment {
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	d := &deployment{cfg: cfg, env: env, nw: nw}
 	id := 0
-	for i := 0; i < cfg.Proxies; i++ {
+	for i := 0; i < proxies; i++ {
 		n := cluster.NewNode(env, id, 2, 1<<30)
 		id++
 		d.proxies = append(d.proxies, nw.Attach(n))
-		d.caches = append(d.caches, make([]*cachedResponse, cfg.Docs))
+		d.caches = append(d.caches, make([]*cachedResponse, docs))
 	}
-	for i := 0; i < cfg.AppServers; i++ {
+	for i := 0; i < appServers; i++ {
 		n := cluster.NewNode(env, id, 2, 1<<30)
 		id++
 		dev := nw.Attach(n)
 		d.apps = append(d.apps, dev)
-		d.versionMR = append(d.versionMR, dev.RegisterAtSetup(make([]byte, 8*cfg.Objects)))
+		d.versionMR = append(d.versionMR, dev.RegisterAtSetup(make([]byte, 8*objects)))
 	}
 	// Assign dependencies deterministically.
 	rng := rand.New(rand.NewSource(cfg.Seed + 99))
-	d.deps = make([][]dep, cfg.Docs)
-	for doc := 0; doc < cfg.Docs; doc++ {
-		for len(d.deps[doc]) < cfg.DepsPerDoc {
-			dp := dep{server: rng.Intn(cfg.AppServers), object: rng.Intn(cfg.Objects)}
+	d.deps = make([][]dep, docs)
+	for doc := 0; doc < docs; doc++ {
+		for len(d.deps[doc]) < depsPerDoc {
+			dp := dep{server: rng.Intn(appServers), object: rng.Intn(objects)}
 			if !slices.Contains(d.deps[doc], dp) {
 				d.deps[doc] = append(d.deps[doc], dp)
 			}
@@ -242,12 +239,12 @@ func (d *deployment) validate(p *sim.Proc, px *verbs.Device, doc int, cached []u
 	// the dependencies. The buffer comes from the proxy's pool; a read
 	// samples target memory before the process wakes, so each concurrent
 	// validation holds its own.
-	buf := px.GetBuf(8 * d.cfg.Objects)
+	buf := px.GetBuf(8 * objects)
 	defer px.PutBuf(buf)
 	// One read per server the dependencies touch, in server order; a
 	// mismatch does not skip the reads after it.
 	match := true
-	for s := 0; s < d.cfg.AppServers; s++ {
+	for s := 0; s < appServers; s++ {
 		if !slices.ContainsFunc(d.deps[doc], func(dp dep) bool { return dp.server == s }) {
 			continue
 		}
@@ -273,12 +270,12 @@ func (d *deployment) render(p *sim.Proc, px *verbs.Device, doc int) []uint64 {
 	// paper's multi-tier setup).
 	app.Node.Exec(p, pp.TCPCPUTime(128))
 	p.Sleep(pp.TCPLatency)
-	app.Node.Exec(p, d.cfg.RenderCPU)
+	app.Node.Exec(p, renderCPU)
 	versions := d.currentVersions(doc)
-	app.Node.Exec(p, pp.TCPCPUTime(d.cfg.ResponseBytes))
-	app.NIC().AcquireTx(p, pp.TCPTxTime(d.cfg.ResponseBytes))
+	app.Node.Exec(p, pp.TCPCPUTime(responseBytes))
+	app.NIC().AcquireTx(p, pp.TCPTxTime(responseBytes))
 	p.Sleep(pp.TCPLatency)
-	px.Node.Exec(p, pp.TCPCPUTime(d.cfg.ResponseBytes))
+	px.Node.Exec(p, pp.TCPCPUTime(responseBytes))
 	return versions
 }
 
@@ -295,7 +292,7 @@ func (d *deployment) serve(p *sim.Proc, pi, doc int) error {
 	case NoCache:
 		// never cached
 	case TTLCache:
-		if entry != nil && time.Duration(p.Now()-entry.storedAt) < d.cfg.TTL {
+		if entry != nil && time.Duration(p.Now()-entry.storedAt) < ttl {
 			serveCached = true
 		}
 	case RDMACheck:
@@ -316,7 +313,7 @@ func (d *deployment) serve(p *sim.Proc, pi, doc int) error {
 				stale = true
 			}
 		}
-		p.Sleep(pp.CopyTime(d.cfg.ResponseBytes))
+		p.Sleep(pp.CopyTime(responseBytes))
 	} else {
 		versions := d.render(p, px, doc)
 		if d.cfg.Scheme != NoCache {
@@ -325,7 +322,7 @@ func (d *deployment) serve(p *sim.Proc, pi, doc int) error {
 	}
 
 	// Egress to the client.
-	px.NIC().AcquireTx(p, pp.TCPTxTime(d.cfg.ResponseBytes))
+	px.NIC().AcquireTx(p, pp.TCPTxTime(responseBytes))
 	if d.measuring {
 		d.stats.Requests++
 		d.latSum += time.Duration(p.Now() - start)
@@ -351,8 +348,8 @@ func (d *deployment) start() {
 		d.env.GoDaemon("updater", func(p *sim.Proc) {
 			for {
 				p.Sleep(interval/2 + time.Duration(rng.Int63n(int64(interval))))
-				s := rng.Intn(cfg.AppServers)
-				o := rng.Intn(cfg.Objects)
+				s := rng.Intn(appServers)
+				o := rng.Intn(objects)
 				mr := d.versionMR[s]
 				// The app server updates its own registered memory; a
 				// small CPU charge models the write transaction.
@@ -361,11 +358,11 @@ func (d *deployment) start() {
 			}
 		})
 	}
-	for pi := 0; pi < cfg.Proxies; pi++ {
-		for c := 0; c < cfg.ClientsPerProxy; c++ {
+	for pi := 0; pi < proxies; pi++ {
+		for c := 0; c < clientsPerProxy; c++ {
 			pi, c := pi, c
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(pi*100+c)))
-			zipf := workload.NewZipf(rng, cfg.ZipfAlpha, cfg.Docs)
+			zipf := workload.NewZipf(rng, zipfAlpha, docs)
 			d.env.GoDaemon(fmt.Sprintf("client-%d-%d", pi, c), func(p *sim.Proc) {
 				for {
 					if err := d.serve(p, pi, zipf.Next()); err != nil {
@@ -375,5 +372,5 @@ func (d *deployment) start() {
 			})
 		}
 	}
-	d.env.At(sim.Time(cfg.Warmup), func() { d.measuring = true })
+	d.env.At(sim.Time(warmup), func() { d.measuring = true })
 }

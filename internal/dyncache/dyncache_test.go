@@ -61,7 +61,6 @@ func TestTTLServesStaleUnderUpdates(t *testing.T) {
 	// caching serves stale data.
 	cfg := quickCfg(TTLCache)
 	cfg.UpdatesPerSec = 500
-	cfg.TTL = 250 * time.Millisecond
 	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 		}, "rdma-read", false},
 		{"dyncache.Run", func(o runtime.ServiceOptions) error {
 			cfg := dyncache.DefaultConfig(dyncache.RDMACheck)
-			cfg.Warmup, cfg.Measure = warmup, measure
+			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := dyncache.Run(cfg)
 			return err
@@ -91,21 +91,21 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 		}, "rdma-read", false},
 		{"monitor.RunLB", func(o runtime.ServiceOptions) error {
 			cfg := monitor.DefaultLBConfig(monitor.RDMASync, 0.9)
-			cfg.Warmup, cfg.Measure = warmup, measure
+			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := monitor.RunLB(cfg)
 			return err
 		}, "rdma-read", false},
 		{"qos.Run", func(o runtime.ServiceOptions) error {
 			cfg := qos.DefaultConfig(qos.PriorityAdmission)
-			cfg.Warmup, cfg.Measure = warmup, measure
+			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := qos.Run(cfg)
 			return err
 		}, "rdma-read", false},
 		{"integrated.Run", func(o runtime.ServiceOptions) error {
 			cfg := integrated.DefaultConfig(integrated.RDMAStack)
-			cfg.Warmup, cfg.Measure = warmup, measure
+			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := integrated.Run(cfg)
 			return err
