@@ -61,22 +61,30 @@ func (p Policy) String() string {
 	return "priority-admission"
 }
 
+// The testbed: a front end admitting two client classes to four back-end
+// servers, loaded 2× past their capacity.
+const (
+	nServers = 4
+	// premiumClients and basicClients are closed-loop client counts;
+	// their sum is sized to exceed cluster capacity.
+	premiumClients, basicClients = 16, 48
+	// requestCPU is the per-request server cost.
+	requestCPU = 4 * time.Millisecond
+	// admitThreshold is the cluster load factor (run-queue per core)
+	// above which basic requests are rejected.
+	admitThreshold = 1.5
+	// backoff is how long a rejected basic client waits before retrying.
+	backoff = 20 * time.Millisecond
+	// warmup is the virtual warm-up before measuring.
+	warmup = 500 * time.Millisecond
+)
+
 // Config describes one overload experiment.
 type Config struct {
-	Policy  Policy
-	Servers int
-	// PremiumClients and BasicClients are closed-loop client counts;
-	// their sum is sized to exceed cluster capacity.
-	PremiumClients, BasicClients int
-	// RequestCPU is the per-request server cost.
-	RequestCPU time.Duration
-	// AdmitThreshold is the cluster load factor (run-queue per core)
-	// above which basic requests are rejected.
-	AdmitThreshold float64
-	// Backoff is how long a rejected basic client waits before retrying.
-	Backoff         time.Duration
-	Warmup, Measure time.Duration
-	Seed            int64
+	Policy Policy
+	// Measure is the virtual measurement window.
+	Measure time.Duration
+	Seed    int64
 	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
@@ -84,16 +92,9 @@ type Config struct {
 // DefaultConfig returns a 2× overloaded two-class deployment.
 func DefaultConfig(policy Policy) Config {
 	return Config{
-		Policy:         policy,
-		Servers:        4,
-		PremiumClients: 16,
-		BasicClients:   48,
-		RequestCPU:     4 * time.Millisecond,
-		AdmitThreshold: 1.5,
-		Backoff:        20 * time.Millisecond,
-		Warmup:         500 * time.Millisecond,
-		Measure:        2 * time.Second,
-		Seed:           1,
+		Policy:  policy,
+		Measure: 2 * time.Second,
+		Seed:    1,
 	}
 }
 
@@ -121,7 +122,7 @@ func Run(cfg Config) (Stats, error) {
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)
 	var servers []*cluster.Node
-	for i := 1; i <= cfg.Servers; i++ {
+	for i := 1; i <= nServers; i++ {
 		servers = append(servers, cluster.NewNode(env, i, 2, 1<<30))
 	}
 	// Load readings come from the paper's RDMA-Sync monitoring — accurate
@@ -164,17 +165,17 @@ func Run(cfg Config) (Stats, error) {
 			for {
 				start := p.Now()
 				if cfg.Policy == PriorityAdmission && class == Basic {
-					if clusterLoad(p) > cfg.AdmitThreshold {
+					if clusterLoad(p) > admitThreshold {
 						if measuring {
 							cs.Rejected++
 						}
-						p.Sleep(cfg.Backoff + time.Duration(rng.Intn(int(cfg.Backoff))))
+						p.Sleep(backoff + time.Duration(rng.Intn(int(backoff))))
 						continue
 					}
 				}
 				i := leastLoaded(p)
 				p.Sleep(60 * time.Microsecond) // dispatch hop
-				servers[i].ExecSliced(p, cfg.RequestCPU, time.Millisecond)
+				servers[i].ExecSliced(p, requestCPU, time.Millisecond)
 				p.Sleep(60 * time.Microsecond)
 				if measuring {
 					cs.Requests++
@@ -184,15 +185,15 @@ func Run(cfg Config) (Stats, error) {
 			}
 		})
 	}
-	for i := 0; i < cfg.PremiumClients; i++ {
+	for i := 0; i < premiumClients; i++ {
 		spawn(Premium, i)
 	}
-	for i := 0; i < cfg.BasicClients; i++ {
+	for i := 0; i < basicClients; i++ {
 		spawn(Basic, i)
 	}
 
-	env.At(sim.Time(cfg.Warmup), func() { measuring = true })
-	if err := env.RunUntil(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
+	env.At(sim.Time(warmup), func() { measuring = true })
+	if err := env.RunUntil(sim.Time(warmup + cfg.Measure)); err != nil {
 		return stats, err
 	}
 	for _, cs := range classOf {
