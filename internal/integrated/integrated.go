@@ -53,45 +53,43 @@ func (s Stack) String() string {
 	return "rdma-framework"
 }
 
+// The testbed: working sets that do not fit one proxy, and load that
+// swaps between the services.
+const (
+	nProxies = 6
+	// clientsPerService is the closed-loop client count per website.
+	clientsPerService = 12
+	// phase is how long each load direction lasts before services swap.
+	phase = time.Second
+	// docsPerService and fileSize shape the working sets.
+	docsPerService = 1024
+	fileSize       = 16 << 10
+	// proxyMem is each proxy's cache capacity.
+	proxyMem = 8 << 20
+	// requestCPU is the per-request page-generation cost on the proxy:
+	// the signal the load readings and reconfiguration react to.
+	requestCPU = 1500 * time.Microsecond
+	zipfAlpha  = 0.9
+	// warmup is the virtual warm-up before measuring.
+	warmup = 500 * time.Millisecond
+)
+
 // Config describes one integrated run.
 type Config struct {
-	Stack   Stack
-	Proxies int
-	// ClientsPerService is the closed-loop client count per website.
-	ClientsPerService int
-	// Phase is how long each load direction lasts before services swap.
-	Phase time.Duration
-	// DocsPerService and FileSize shape the working sets.
-	DocsPerService int
-	FileSize       int64
-	// ProxyMem is each proxy's cache capacity.
-	ProxyMem int64
-	// RequestCPU is the per-request page-generation cost on the proxy:
-	// the signal the load readings and reconfiguration react to.
-	RequestCPU      time.Duration
-	ZipfAlpha       float64
-	Warmup, Measure time.Duration
-	Seed            int64
+	Stack Stack
+	// Measure is the virtual measurement window.
+	Measure time.Duration
+	Seed    int64
 	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
 
-// DefaultConfig returns the integrated-evaluation shape: working sets
-// that do not fit one proxy, and load that swaps between the services.
+// DefaultConfig returns the integrated-evaluation shape.
 func DefaultConfig(stack Stack) Config {
 	return Config{
-		Stack:             stack,
-		Proxies:           6,
-		ClientsPerService: 12,
-		Phase:             time.Second,
-		DocsPerService:    1024,
-		FileSize:          16 << 10,
-		ProxyMem:          8 << 20,
-		RequestCPU:        1500 * time.Microsecond,
-		ZipfAlpha:         0.9,
-		Warmup:            500 * time.Millisecond,
-		Measure:           3 * time.Second,
-		Seed:              1,
+		Stack:   stack,
+		Measure: 3 * time.Second,
+		Seed:    1,
 	}
 }
 
@@ -125,12 +123,12 @@ func Run(cfg Config) (Stats, error) {
 		dev   *verbs.Device
 		cache *lru.Cache[int]
 	}
-	proxies := make([]*proxy, cfg.Proxies)
-	nodes := make([]*cluster.Node, cfg.Proxies)
-	assign := make([]int, cfg.Proxies)
+	proxies := make([]*proxy, nProxies)
+	nodes := make([]*cluster.Node, nProxies)
+	assign := make([]int, nProxies)
 	for i := range proxies {
 		n := cluster.NewNode(env, i+1, 2, 1<<30)
-		proxies[i] = &proxy{node: n, dev: nw.Attach(n), cache: lru.New[int](cfg.ProxyMem)}
+		proxies[i] = &proxy{node: n, dev: nw.Attach(n), cache: lru.New[int](proxyMem)}
 		nodes[i] = n
 		assign[i] = i % 2
 	}
@@ -164,37 +162,37 @@ func Run(cfg Config) (Stats, error) {
 	serve := func(p *sim.Proc, pi, service, doc int) {
 		px := proxies[pi]
 		key := docKey(service, doc)
-		px.node.ExecSliced(p, cfg.RequestCPU, time.Millisecond)
+		px.node.ExecSliced(p, requestCPU, time.Millisecond)
 		switch {
 		case px.cache.Get(key):
-			p.Sleep(pp.CopyTime(int(cfg.FileSize)))
+			p.Sleep(pp.CopyTime(fileSize))
 		case cfg.Stack == RDMAStack:
 			p.Sleep(pp.IBReadLatency) // directory lookup
 			if holder := holderOf(key, pi); holder >= 0 {
 				// One-sided refill from the sibling's cache.
 				h := proxies[holder]
 				p.Sleep(pp.IBReadLatency / 2)
-				h.dev.NIC().AcquireTx(p, pp.IBTxTime(int(cfg.FileSize)))
+				h.dev.NIC().AcquireTx(p, pp.IBTxTime(fileSize))
 				p.Sleep(pp.IBReadLatency / 2)
 				if measuring {
 					stats.SiblingFills++
 				}
 			} else {
-				backend.Use(p, 1, pp.BackendTime(int(cfg.FileSize)))
+				backend.Use(p, 1, pp.BackendTime(fileSize))
 				if measuring {
 					stats.BackendFetches++
 				}
 			}
-			px.cache.Put(key, cfg.FileSize)
+			px.cache.Put(key, fileSize)
 		default:
-			backend.Use(p, 1, pp.BackendTime(int(cfg.FileSize)))
+			backend.Use(p, 1, pp.BackendTime(fileSize))
 			if measuring {
 				stats.BackendFetches++
 			}
-			px.cache.Put(key, cfg.FileSize)
+			px.cache.Put(key, fileSize)
 		}
-		px.node.Exec(p, pp.TCPCPUTime(int(cfg.FileSize)))
-		px.dev.NIC().AcquireTx(p, pp.TCPTxTime(int(cfg.FileSize)))
+		px.node.Exec(p, pp.TCPCPUTime(fileSize))
+		px.dev.NIC().AcquireTx(p, pp.TCPTxTime(fileSize))
 	}
 
 	// pickProxy routes to the least-loaded proxy assigned to the service,
@@ -214,17 +212,17 @@ func Run(cfg Config) (Stats, error) {
 	}
 
 	phaseThink := func(now sim.Time, service int) time.Duration {
-		if int(now/sim.Time(cfg.Phase))%2 == service {
+		if int(now/sim.Time(phase))%2 == service {
 			return 500 * time.Microsecond
 		}
 		return 30 * time.Millisecond
 	}
 
 	for s := 0; s < 2; s++ {
-		for c := 0; c < cfg.ClientsPerService; c++ {
+		for c := 0; c < clientsPerService; c++ {
 			s, c := s, c
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(s*1000+c)))
-			zipf := workload.NewZipf(rng, cfg.ZipfAlpha, cfg.DocsPerService)
+			zipf := workload.NewZipf(rng, zipfAlpha, docsPerService)
 			env.GoDaemon(fmt.Sprintf("svc%d-client%d", s, c), func(p *sim.Proc) {
 				for {
 					doc := zipf.Next()
@@ -275,8 +273,8 @@ func Run(cfg Config) (Stats, error) {
 		}
 	})
 
-	env.At(sim.Time(cfg.Warmup), func() { measuring = true })
-	if err := env.RunUntil(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
+	env.At(sim.Time(warmup), func() { measuring = true })
+	if err := env.RunUntil(sim.Time(warmup + cfg.Measure)); err != nil {
 		return stats, err
 	}
 	stats.TPS = float64(stats.Requests) / cfg.Measure.Seconds()
