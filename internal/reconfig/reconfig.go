@@ -44,21 +44,28 @@ func (p Policy) String() string {
 	return "history-aware"
 }
 
-// Config describes one reconfiguration experiment: two hosted services
-// whose offered load alternates in phases.
+// The E11 testbed: two hosted services whose offered load alternates in
+// phases.
+const (
+	// nNodes is the back-end pool size (split between the two services).
+	nNodes = 6
+	// clientsPerService is the closed-loop client count per service.
+	clientsPerService = 16
+	// phaseLen is how long each load direction lasts.
+	phaseLen = 1200 * time.Millisecond
+	// agents is the number of concurrent reconfiguration agents
+	// (exercises the CAS-based concurrency control).
+	agents = 2
+	// warmup is the virtual warm-up before measuring.
+	warmup = 300 * time.Millisecond
+)
+
+// Config describes one reconfiguration experiment.
 type Config struct {
 	Policy Policy
-	// Nodes is the back-end pool size (split between the two services).
-	Nodes int
-	// ClientsPerService is the closed-loop client count per service.
-	ClientsPerService int
-	// Phase is how long each load direction lasts.
-	Phase time.Duration
-	// Agents is the number of concurrent reconfiguration agents
-	// (exercises the CAS-based concurrency control).
-	Agents          int
-	Warmup, Measure time.Duration
-	Seed            int64
+	// Measure is the virtual measurement window.
+	Measure time.Duration
+	Seed    int64
 	// ServiceOptions opens the run: registry, fault plan, calibration. A
 	// non-nil Faults also enables the monitor-driven failure detector: an
 	// RDMA-Async station watches the back-end pool, and nodes it suspects
@@ -70,14 +77,9 @@ type Config struct {
 // DefaultConfig returns the E11 ablation shape.
 func DefaultConfig(policy Policy) Config {
 	return Config{
-		Policy:            policy,
-		Nodes:             6,
-		ClientsPerService: 16,
-		Phase:             1200 * time.Millisecond,
-		Agents:            2,
-		Warmup:            300 * time.Millisecond,
-		Measure:           3 * time.Second,
-		Seed:              1,
+		Policy:  policy,
+		Measure: 3 * time.Second,
+		Seed:    1,
 	}
 }
 
@@ -183,9 +185,9 @@ func Run(cfg Config) (Result, error) {
 	frontDev := nw.Attach(front)
 	lockMR := frontDev.RegisterAtSetup(make([]byte, 8))
 
-	nodes := make([]*cluster.Node, cfg.Nodes)
-	assign := make([]int, cfg.Nodes) // node -> service (0 or 1)
-	coldUntil := make([]sim.Time, cfg.Nodes)
+	nodes := make([]*cluster.Node, nNodes)
+	assign := make([]int, nNodes) // node -> service (0 or 1)
+	coldUntil := make([]sim.Time, nNodes)
 	for i := range nodes {
 		nodes[i] = cluster.NewNode(env, i+1, 2, 1<<30)
 		nw.Attach(nodes[i])
@@ -221,9 +223,9 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// phaseBias returns how strongly service s is loaded right now: the
-	// offered load alternates between the services each cfg.Phase.
+	// offered load alternates between the services each phaseLen.
 	phaseBias := func(now sim.Time, service int) time.Duration {
-		phase := int(now/sim.Time(cfg.Phase)) % 2
+		phase := int(now/sim.Time(phaseLen)) % 2
 		if phase == service {
 			return 2 * time.Millisecond // hot: short think time
 		}
@@ -231,7 +233,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	for s := 0; s < 2; s++ {
-		for c := 0; c < cfg.ClientsPerService; c++ {
+		for c := 0; c < clientsPerService; c++ {
 			s, c := s, c
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(s*1000+c)))
 			env.GoDaemon(fmt.Sprintf("svc%d-client%d", s, c), func(p *sim.Proc) {
@@ -267,7 +269,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Reconfiguration agents, each with its own Rule.
-	for a := 0; a < cfg.Agents; a++ {
+	for a := 0; a < agents; a++ {
 		a := a
 		rule := Rule{Policy: cfg.Policy}
 		env.GoDaemon(fmt.Sprintf("reconfig-agent%d", a), func(p *sim.Proc) {
@@ -310,8 +312,8 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 
-	env.At(sim.Time(cfg.Warmup), func() { measuring = true })
-	if err := env.RunUntil(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
+	env.At(sim.Time(warmup), func() { measuring = true })
+	if err := env.RunUntil(sim.Time(warmup + cfg.Measure)); err != nil {
 		return res, err
 	}
 	res.TPS = float64(res.Requests) / cfg.Measure.Seconds()
