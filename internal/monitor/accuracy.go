@@ -9,38 +9,37 @@ import (
 	"ngdc/internal/verbs"
 )
 
+// The Fig 8a testbed mirrors the paper's setup: a heavily loaded back-end
+// and millisecond-granularity monitoring.
+const (
+	// accuracyInterval is the monitoring period.
+	accuracyInterval = 20 * time.Millisecond
+	// oscPeriod is the square-wave period of the true thread count.
+	oscPeriod = 250 * time.Millisecond
+	// baseThreads and amplitude shape the square wave.
+	baseThreads, amplitude = 10, 40
+	// loadWorkers is the CPU load on the back-end (what delays the
+	// socket-based daemons).
+	loadWorkers = 8
+)
+
 // AccuracyConfig describes the Fig 8a experiment: a front-end samples the
 // thread count of one loaded back-end whose true value oscillates.
 type AccuracyConfig struct {
 	Scheme Scheme
-	// Interval is the monitoring period.
-	Interval time.Duration
 	// Duration is the observation window.
 	Duration time.Duration
-	// OscPeriod is the square-wave period of the true thread count.
-	OscPeriod time.Duration
-	// BaseThreads and Amplitude shape the square wave.
-	BaseThreads, Amplitude int
-	// LoadWorkers is the CPU load on the back-end (what delays the
-	// socket-based daemons).
-	LoadWorkers int
-	Seed        int64
+	Seed     int64
 	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
 
-// DefaultAccuracyConfig mirrors the paper's setup: a heavily loaded
-// back-end and millisecond-granularity monitoring.
+// DefaultAccuracyConfig returns a two-second Fig 8a run.
 func DefaultAccuracyConfig(scheme Scheme) AccuracyConfig {
 	return AccuracyConfig{
-		Scheme:      scheme,
-		Interval:    20 * time.Millisecond,
-		Duration:    2 * time.Second,
-		OscPeriod:   250 * time.Millisecond,
-		BaseThreads: 10,
-		Amplitude:   40,
-		LoadWorkers: 8,
-		Seed:        1,
+		Scheme:   scheme,
+		Duration: 2 * time.Second,
+		Seed:     1,
 	}
 }
 
@@ -95,32 +94,32 @@ func Accuracy(cfg AccuracyConfig) (AccuracyResult, error) {
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 2, 1<<30)
 	back := cluster.NewNode(env, 1, 2, 1<<30)
-	st := NewStation(cfg.Scheme, nw, front, []*cluster.Node{back}, cfg.Interval)
+	st := NewStation(cfg.Scheme, nw, front, []*cluster.Node{back}, accuracyInterval)
 	st.Start()
 
 	// CPU pressure on the back-end: this is what starves the socket-based
 	// monitoring daemons.
-	back.SpawnLoad(cfg.LoadWorkers, 5*time.Millisecond, time.Millisecond)
+	back.SpawnLoad(loadWorkers, 5*time.Millisecond, time.Millisecond)
 
 	// The true thread count follows a square wave on top of the load
 	// workers.
 	env.GoDaemon("oscillator", func(p *sim.Proc) {
 		high := false
 		for {
-			v := cfg.LoadWorkers + cfg.BaseThreads
+			v := loadWorkers + baseThreads
 			if high {
-				v += cfg.Amplitude
+				v += amplitude
 			}
 			back.SetThreads(v)
 			high = !high
-			p.Sleep(cfg.OscPeriod / 2)
+			p.Sleep(oscPeriod / 2)
 		}
 	})
 
 	res := AccuracyResult{Scheme: cfg.Scheme}
 	env.GoDaemon("sampler", func(p *sim.Proc) {
 		// Give async pumps one interval of lead time before judging them.
-		p.Sleep(cfg.Interval)
+		p.Sleep(accuracyInterval)
 		for {
 			snap := st.Sample(p, 0)
 			res.Samples = append(res.Samples, SamplePoint{
@@ -128,7 +127,7 @@ func Accuracy(cfg AccuracyConfig) (AccuracyResult, error) {
 				Reported: snap.Threads,
 				Actual:   back.Stats().Threads,
 			})
-			p.Sleep(cfg.Interval)
+			p.Sleep(accuracyInterval)
 		}
 	})
 	if err := env.RunUntil(sim.Time(cfg.Duration)); err != nil {

@@ -12,38 +12,41 @@ import (
 	"ngdc/internal/workload"
 )
 
+// The Fig 8b testbed mirrors the paper's two-service hosting setup.
+const (
+	lbServers = 4
+	lbClients = 24
+	// lbInterval is the monitoring period for the interval-based schemes.
+	lbInterval = 100 * time.Millisecond
+	// lbWarmup is the virtual warm-up before measuring.
+	lbWarmup = 500 * time.Millisecond
+)
+
 // LBConfig describes the Fig 8b experiment: a load balancer routes a web
 // workload across back-end servers using load readings obtained with one
 // monitoring scheme. Stale or delayed readings cause request herding onto
 // apparently idle servers and cost throughput.
 type LBConfig struct {
-	Scheme  Scheme
-	Servers int
-	Clients int
-	// Interval is the monitoring period for the interval-based schemes.
-	Interval time.Duration
+	Scheme Scheme
 	// Alpha is the Zipf exponent of the document trace; ignored when
 	// RUBiS is set.
 	Alpha float64
 	// RUBiS selects the auction mix instead of the Zipf document trace.
-	RUBiS           bool
-	Warmup, Measure time.Duration
-	Seed            int64
+	RUBiS bool
+	// Measure is the virtual measurement window.
+	Measure time.Duration
+	Seed    int64
 	// ServiceOptions opens the run: registry, fault plan, calibration.
 	runtime.ServiceOptions
 }
 
-// DefaultLBConfig mirrors the paper's two-service hosting setup.
+// DefaultLBConfig returns a Fig 8b run over a Zipf trace of exponent alpha.
 func DefaultLBConfig(scheme Scheme, alpha float64) LBConfig {
 	return LBConfig{
-		Scheme:   scheme,
-		Servers:  4,
-		Clients:  24,
-		Interval: 100 * time.Millisecond,
-		Alpha:    alpha,
-		Warmup:   500 * time.Millisecond,
-		Measure:  2 * time.Second,
-		Seed:     1,
+		Scheme:  scheme,
+		Alpha:   alpha,
+		Measure: 2 * time.Second,
+		Seed:    1,
 	}
 }
 
@@ -83,13 +86,13 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)
 	var servers []*cluster.Node
-	for i := 1; i <= cfg.Servers; i++ {
+	for i := 1; i <= lbServers; i++ {
 		servers = append(servers, cluster.NewNode(env, i, 2, 1<<30))
 	}
 	// The interval a scheme can afford differs: one-sided polling is
 	// cheap enough for millisecond granularity, socket-based polling is
 	// not (it costs GatherCPU of server time per reading).
-	interval := cfg.Interval
+	interval := lbInterval
 	if cfg.Scheme.UsesRDMA() && RecommendedInterval(cfg.Scheme) < interval {
 		interval = RecommendedInterval(cfg.Scheme)
 	}
@@ -98,7 +101,7 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 
 	// Front-side accounting of dispatched-but-unfinished requests: the
 	// extended information only e-RDMA-Sync exploits.
-	outstanding := make([]int, cfg.Servers)
+	outstanding := make([]int, lbServers)
 
 	measuring := false
 	stats := LBStats{Scheme: cfg.Scheme}
@@ -121,7 +124,7 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 		return best
 	}
 
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < lbClients; c++ {
 		var nextCost func() time.Duration
 		if cfg.RUBiS {
 			mix := workload.NewMix(rand.New(rand.NewSource(cfg.Seed+int64(c))), workload.RUBiSClasses())
@@ -147,8 +150,8 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 			}
 		})
 	}
-	env.At(sim.Time(cfg.Warmup), func() { measuring = true })
-	if err := env.RunUntil(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
+	env.At(sim.Time(lbWarmup), func() { measuring = true })
+	if err := env.RunUntil(sim.Time(lbWarmup + cfg.Measure)); err != nil {
 		return stats, err
 	}
 	stats.TPS = float64(stats.Requests) / cfg.Measure.Seconds()

@@ -84,7 +84,6 @@ func TestPublicExperimentEntryPoints(t *testing.T) {
 	}
 	lb := ngdc.DefaultLBConfig(ngdc.ERDMASync, 0.9)
 	lb.Measure = 300 * time.Millisecond
-	lb.Warmup = 100 * time.Millisecond
 	if _, err := ngdc.RunLoadBalancer(lb); err != nil {
 		t.Fatal(err)
 	}
