@@ -190,7 +190,7 @@ func (rc *reqChain) fetchEnd() {
 	case dc.cfg.Scheme == BCC:
 		// Duplicate locally for future requests.
 		rc.insertStep(rc.px)
-	case dc.cfg.Scheme == HYBCC && rc.size <= dc.cfg.HybridThreshold && rc.px.freq[rc.doc] >= hybridHotCount:
+	case dc.cfg.Scheme == HYBCC && rc.size <= hybridThreshold && rc.px.freq[rc.doc] >= hybridHotCount:
 		// Hybrid: this small document keeps getting requested here —
 		// replicate it into the bounded replica area (a private copy; the
 		// directory keeps pointing at the single authoritative copy).

@@ -69,28 +69,31 @@ func (s Scheme) String() string {
 // Schemes lists all configurations in Fig 6's order.
 var Schemes = []Scheme{AC, BCC, CCWR, MTACC, HYBCC}
 
+// The Fig 6 testbed: the proxies in front of two application servers,
+// each node caching in memory of its own.
+const (
+	appServers = 2
+	// proxyMem and appServerMem are per-node cache capacities in bytes.
+	proxyMem     = 8 << 20
+	appServerMem = 8 << 20
+	// zipfAlpha shapes document popularity.
+	zipfAlpha = 0.9
+	// clientsPerProxy is the closed-loop client concurrency.
+	clientsPerProxy = 8
+	// hybridThreshold is HYBCC's duplicate-below size bound.
+	hybridThreshold = 16 << 10
+)
+
 // Config describes one Fig 6 experiment.
 type Config struct {
-	Scheme     Scheme
-	Proxies    int
-	AppServers int
-	// ProxyMem and AppServerMem are per-node cache capacities in bytes.
-	ProxyMem     int64
-	AppServerMem int64
+	Scheme  Scheme
+	Proxies int
 	// FileSize is the uniform document size in bytes (Fig 6 sweeps
 	// 8k..64k). Ignored when DocSizes is set.
 	FileSize int64
 	// DocSizes, when non-nil, gives each document its own size (heavy-tail
-	// mixes); it overrides FileSize and WorkingSet.
+	// mixes); it overrides FileSize and the working set it implies.
 	DocSizes []int64
-	// WorkingSet is the number of distinct documents.
-	WorkingSet int
-	// ZipfAlpha shapes document popularity.
-	ZipfAlpha float64
-	// ClientsPerProxy is the closed-loop client concurrency.
-	ClientsPerProxy int
-	// HybridThreshold is HYBCC's duplicate-below size bound.
-	HybridThreshold int64
 	// Warmup and Measure are the virtual warm-up and measurement windows.
 	Warmup, Measure time.Duration
 	Seed            int64
@@ -101,21 +104,13 @@ type Config struct {
 // DefaultConfig returns a Fig 6-shaped experiment: a working set about
 // four times one proxy's cache.
 func DefaultConfig(scheme Scheme, proxies int, fileSize int64) Config {
-	proxyMem := int64(8 << 20)
 	return Config{
-		Scheme:          scheme,
-		Proxies:         proxies,
-		AppServers:      2,
-		ProxyMem:        proxyMem,
-		AppServerMem:    8 << 20,
-		FileSize:        fileSize,
-		WorkingSet:      int(6 * proxyMem / fileSize),
-		ZipfAlpha:       0.9,
-		ClientsPerProxy: 8,
-		HybridThreshold: 16 << 10,
-		Warmup:          500 * time.Millisecond,
-		Measure:         2 * time.Second,
-		Seed:            1,
+		Scheme:   scheme,
+		Proxies:  proxies,
+		FileSize: fileSize,
+		Warmup:   500 * time.Millisecond,
+		Measure:  2 * time.Second,
+		Seed:     1,
 	}
 }
 
@@ -201,12 +196,13 @@ func (cfg *Config) sizeOf(doc int) int64 {
 	return cfg.FileSize
 }
 
-// docCount returns the working-set size.
+// docCount returns the working-set size: six proxies' worth of
+// uniform documents.
 func (cfg *Config) docCount() int {
 	if cfg.DocSizes != nil {
 		return len(cfg.DocSizes)
 	}
-	return cfg.WorkingSet
+	return int(6 * proxyMem / cfg.FileSize)
 }
 
 // Build constructs the deployment on a fresh simulated environment
@@ -214,16 +210,16 @@ func (cfg *Config) docCount() int {
 func Build(cfg Config) *DataCenter {
 	env := cfg.NewEnv(cfg.Seed)
 	nw := verbs.NewNetwork(env, cfg.Fabric())
-	docs, n := cfg.docCount(), cfg.Proxies+cfg.AppServers
+	docs, n := cfg.docCount(), cfg.Proxies+appServers
 	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: make([]*sim.Future[int], docs),
 		dirWords: (n + 63) / 64, tr: trace.Of(env)}
 	dc.dir = make([]uint64, docs*dc.dirWords)
 	dc.backend = sim.NewResource(env, "backend", backendParallelism)
 	dc.nodes = make([]*cacheNode, 0, n)
 	for id := 0; id < n; id++ {
-		mem := cfg.ProxyMem
+		mem := int64(proxyMem)
 		if id >= cfg.Proxies {
-			mem = cfg.AppServerMem
+			mem = appServerMem
 		}
 		node := cluster.NewNode(env, id, 2, mem*4)
 		cn := &cacheNode{node: node, dev: nw.Attach(node)}

@@ -10,12 +10,11 @@ import (
 	"ngdc/internal/workload"
 )
 
-// quickCfg shrinks the experiment so unit tests stay fast.
+// quickCfg shortens the experiment so unit tests stay fast.
 func quickCfg(scheme Scheme, proxies int, fileSize int64) Config {
 	cfg := DefaultConfig(scheme, proxies, fileSize)
 	cfg.Warmup = 200 * time.Millisecond
 	cfg.Measure = 600 * time.Millisecond
-	cfg.ClientsPerProxy = 4
 	return cfg
 }
 
@@ -169,7 +168,7 @@ func TestRequestChainRecordsRecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := cfg.Proxies * cfg.ClientsPerProxy
+	clients := cfg.Proxies * clientsPerProxy
 	if st.Requests < int64(10*clients) {
 		t.Fatalf("run too short to exercise reuse: %d requests", st.Requests)
 	}

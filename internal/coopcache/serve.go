@@ -62,10 +62,10 @@ func (dc *DataCenter) RunLoad() (Stats, error) {
 	defer dc.env.Shutdown()
 	cfg := dc.cfg
 	for pi, px := range dc.proxies {
-		for c := 0; c < cfg.ClientsPerProxy; c++ {
+		for c := 0; c < clientsPerProxy; c++ {
 			px := px
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(pi*1000+c)))
-			zipf := workload.NewZipf(rng, cfg.ZipfAlpha, cfg.docCount())
+			zipf := workload.NewZipf(rng, zipfAlpha, cfg.docCount())
 			dc.env.GoDaemon(fmt.Sprintf("client-%d-%d", pi, c), func(p *sim.Proc) {
 				for {
 					doc := zipf.Next()
