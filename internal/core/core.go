@@ -17,6 +17,7 @@ import (
 	"ngdc/internal/cluster"
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
+	"ngdc/internal/fabric"
 	"ngdc/internal/monitor"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
@@ -25,34 +26,31 @@ import (
 	"ngdc/internal/verbs"
 )
 
+// Each machine of a framework: two cores and 64 MiB of memory.
+const (
+	coresPerNode = 2
+	memPerNode   = 64 << 20
+)
+
 // Config sizes a framework instance.
 type Config struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// CoresPerNode and MemPerNode describe each machine.
-	CoresPerNode int
-	MemPerNode   int64
 	// LockKind selects the distributed lock manager design.
 	LockKind dlm.Kind
-	// NumLocks sizes the lock namespace.
+	// NumLocks sizes the lock namespace (0 means dlm.DefaultLocks).
 	NumLocks int
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Service opens the framework's run: the trace registry (nil means
-	// a fresh one), an optional fault plan and the fabric calibration.
-	Service runtime.ServiceOptions
 }
 
 // DefaultConfig returns a small data-center: 8 dual-core nodes with the
 // paper's N-CoSED lock manager.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:        8,
-		CoresPerNode: 2,
-		MemPerNode:   64 << 20,
-		LockKind:     dlm.NCoSED,
-		NumLocks:     64,
-		Seed:         1,
+		Nodes:    8,
+		LockKind: dlm.NCoSED,
+		Seed:     1,
 	}
 }
 
@@ -71,31 +69,24 @@ type Framework struct {
 }
 
 // New builds a framework from the configuration on a fresh simulation
-// environment opened with cfg.Service and seeded with cfg.Seed.
-func New(cfg Config) *Framework { return NewOn(cfg.Service.NewEnv(cfg.Seed), cfg) }
+// environment seeded with cfg.Seed.
+func New(cfg Config) *Framework {
+	return NewOn(runtime.ServiceOptions{}.NewEnv(cfg.Seed), cfg)
+}
 
 // NewOn builds a framework on an existing environment — how a served
 // simulation shares one virtual clock between the framework and the
-// runtime's own tasks. The environment is already open, so cfg.Seed and
-// cfg.Service's Trace and Faults are unused; only its calibration is.
+// runtime's own tasks. The environment is already open, so cfg.Seed is
+// unused.
 func NewOn(env *sim.Env, cfg Config) *Framework {
 	if cfg.Nodes <= 0 {
 		panic("core: need at least one node")
 	}
-	if cfg.CoresPerNode <= 0 {
-		cfg.CoresPerNode = 2
-	}
-	if cfg.MemPerNode <= 0 {
-		cfg.MemPerNode = 64 << 20
-	}
-	if cfg.NumLocks <= 0 {
-		cfg.NumLocks = 64
-	}
 	// A framework always has a registry: a fresh one unless the
 	// environment was opened with one.
 	tr := trace.Attach(env)
-	cl := cluster.New(env, cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode)
-	nw := verbs.NewNetwork(env, cfg.Service.Fabric())
+	cl := cluster.New(env, cfg.Nodes, coresPerNode, memPerNode)
+	nw := verbs.NewNetwork(env, fabric.DefaultParams())
 	for _, n := range cl.Nodes {
 		nw.Attach(n)
 	}

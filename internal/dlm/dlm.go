@@ -127,12 +127,16 @@ type Client interface {
 	Unlock(p *sim.Proc, lock int, mode Mode) error
 }
 
+// DefaultLocks is the lock-namespace size a zero Options.NumLocks
+// selects.
+const DefaultLocks = 64
+
 // Options configures a lock manager.
 type Options struct {
 	// Kind selects the design: SRSL, DQNL or N-CoSED. The zero value
 	// is SRSL.
 	Kind Kind
-	// NumLocks bounds the lock namespace (default 64).
+	// NumLocks bounds the lock namespace (0 means DefaultLocks).
 	NumLocks int
 	// LeaseTTL enables lease-based exclusive locks on N-CoSED: holders
 	// announce themselves to the lock's home agent, and a holder that
@@ -148,7 +152,7 @@ type Options struct {
 // l is homed on nodes[l % len(nodes)].
 func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
 	if opts.NumLocks <= 0 {
-		opts.NumLocks = 64
+		opts.NumLocks = DefaultLocks
 	}
 	kind := opts.Kind
 	n := 0

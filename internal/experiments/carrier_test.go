@@ -6,7 +6,6 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/coopcache"
-	"ngdc/internal/core"
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
 	"ngdc/internal/dyncache"
@@ -116,16 +115,6 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			cfg.ServiceOptions = o
 			_, err := reconfig.Run(cfg)
 			return err
-		}, "rdma-atomic", false},
-		{"core.New", func(o runtime.ServiceOptions) error {
-			f := core.New(core.Config{Nodes: 2, LockKind: dlm.NCoSED, Service: o})
-			defer f.Shutdown()
-			f.Go("locker", func(p *sim.Proc) {
-				c := f.Locks.Client(1)
-				c.Lock(p, 0, dlm.Exclusive)
-				c.Unlock(p, 0, dlm.Exclusive)
-			})
-			return f.Run()
 		}, "rdma-atomic", false},
 	}
 	for _, c := range cases {

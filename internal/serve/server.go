@@ -6,12 +6,13 @@ import (
 	"sort"
 	"sync"
 
+	"ngdc/internal/dlm"
 	"ngdc/internal/runtime"
 )
 
 // Options sizes a server. The zero value is usable.
 type Options struct {
-	// Locks is the lock-namespace size (default 64).
+	// Locks is the lock-namespace size (default dlm.DefaultLocks).
 	Locks int
 	// Nodes is the simulated backend's cluster size (default 4);
 	// ignored by the live backend.
@@ -24,7 +25,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Locks <= 0 {
-		o.Locks = 64
+		o.Locks = dlm.DefaultLocks
 	}
 	if o.Nodes <= 0 {
 		o.Nodes = 4

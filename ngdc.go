@@ -280,7 +280,7 @@ type (
 	Task = runtime.Task
 	// ServiceOptions is what a simulated run is opened with — trace
 	// registry, fault plan and fabric calibration — embedded in every
-	// experiment config and named Service in Config.
+	// experiment config.
 	ServiceOptions = runtime.ServiceOptions
 	// SimRuntime adapts a simulation environment to the Runtime API.
 	SimRuntime = runtime.SimRuntime
