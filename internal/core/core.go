@@ -123,7 +123,7 @@ func (f *Framework) Dial(scheme sockets.Scheme, a, b int) (*sockets.Conn, *socke
 	if da == nil || db == nil {
 		panic(fmt.Sprintf("core: dial between unknown nodes %d,%d", a, b))
 	}
-	return sockets.Dial(scheme, da, db, sockets.DefaultOptions())
+	return sockets.Dial(scheme, da, db)
 }
 
 // Monitor wires a resource-monitoring station (layer 3) on node front

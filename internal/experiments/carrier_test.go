@@ -60,7 +60,7 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			return err
 		}, "send", false},
 		{"sockets.MeasureBandwidth", func(o runtime.ServiceOptions) error {
-			_, err := sockets.MeasureBandwidth(sockets.BSDP, 64, 100, sockets.DefaultOptions(), 1, o)
+			_, err := sockets.MeasureBandwidth(sockets.BSDP, 64, 100, 1, o)
 			return err
 		}, "BSDP", true},
 		{"monitor.Improvement", func(o runtime.ServiceOptions) error {

@@ -409,7 +409,7 @@ func FlowControl(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(bws), func(i int, o Options) error {
 		var err error
 		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
-			sockets.DefaultOptions(), o.seed(), o.healthy())
+			o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {
@@ -441,7 +441,7 @@ func SDP(o Options) (*metrics.Table, error) {
 	err := runCells(o, len(bws), func(i int, o Options) error {
 		var err error
 		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs,
-			sockets.DefaultOptions(), o.seed(), o.healthy())
+			o.seed(), o.healthy())
 		return err
 	})
 	if err != nil {

@@ -13,13 +13,13 @@ import (
 // MeasureBandwidth measures one-way streaming throughput in bytes per
 // second of virtual time: a sender streams msgs messages of msgSize to a
 // tight receiver over a fresh two-node network. The run is opened with o.
-func MeasureBandwidth(scheme Scheme, msgSize, msgs int, opt Options, seed int64, o runtime.ServiceOptions) (float64, error) {
+func MeasureBandwidth(scheme Scheme, msgSize, msgs int, seed int64, o runtime.ServiceOptions) (float64, error) {
 	env := o.NewEnv(seed)
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, o.Fabric())
 	a := nw.Attach(cluster.NewNode(env, 0, 4, 1<<30))
 	b := nw.Attach(cluster.NewNode(env, 1, 4, 1<<30))
-	ca, cb := Dial(scheme, a, b, opt)
+	ca, cb := Dial(scheme, a, b)
 	payload := make([]byte, msgSize)
 	var done sim.Time
 	env.Go("rx", func(p *sim.Proc) {
@@ -52,6 +52,6 @@ func MeasureBandwidth(scheme Scheme, msgSize, msgs int, opt Options, seed int64,
 // default calibration. It is the one zero-carrier wrapper kept: the
 // repository benchmark (benchmark/drives.go), which a PR may not edit,
 // compiles against this signature.
-func Bandwidth(scheme Scheme, msgSize, msgs int, opt Options, seed int64) (float64, error) {
-	return MeasureBandwidth(scheme, msgSize, msgs, opt, seed, runtime.ServiceOptions{})
+func Bandwidth(scheme Scheme, msgSize, msgs int, _ Options, seed int64) (float64, error) {
+	return MeasureBandwidth(scheme, msgSize, msgs, seed, runtime.ServiceOptions{})
 }

@@ -37,11 +37,11 @@ func TestFlowControlShapeHoldsOnIWARP(t *testing.T) {
 	// The packetized-flow-control win must survive a different RDMA
 	// interconnect calibration.
 	iwarp := runtime.ServiceOptions{Params: fabric.IWARPParams()}
-	bsdp, err := MeasureBandwidth(BSDP, 64, 2000, DefaultOptions(), 1, iwarp)
+	bsdp, err := MeasureBandwidth(BSDP, 64, 2000, 1, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdp, err := MeasureBandwidth(PSDP, 64, 2000, DefaultOptions(), 1, iwarp)
+	psdp, err := MeasureBandwidth(PSDP, 64, 2000, 1, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ func (h *half) sendTCP(p *sim.Proc, data []byte) error {
 func (h *half) sendBSDP(p *sim.Proc, data []byte) error {
 	params := h.src.Params()
 	env := h.src.Env()
-	for off := 0; ; off += h.opt.BufSize {
-		end := off + h.opt.BufSize
+	for off := 0; ; off += bufSize {
+		end := off + bufSize
 		last := false
 		if end >= len(data) {
 			end = len(data)
@@ -69,8 +69,8 @@ func (h *half) sendPSDP(p *sim.Proc, data []byte) error {
 		h.staged.Send(p, wireMsg{data: nil, last: true})
 		return nil
 	}
-	for off := 0; off < len(data); off += h.opt.BufSize {
-		end := off + h.opt.BufSize
+	for off := 0; off < len(data); off += bufSize {
+		end := off + bufSize
 		if end > len(data) {
 			end = len(data)
 		}
@@ -104,7 +104,7 @@ func (h *half) psdpPump(p *sim.Proc) {
 		}
 		h.frame = append(h.frame[:0], first)
 		bytes := len(first.data)
-		for bytes < h.opt.BufSize {
+		for bytes < bufSize {
 			next, ok := h.staged.TryRecv()
 			if !ok {
 				break
@@ -148,12 +148,12 @@ func (h *half) sendZSDP(p *sim.Proc, data []byte) error {
 
 // sendAZSDP memory-protects the buffer and returns; the transfer
 // (rendezvous + RDMA write) continues asynchronously, with up to
-// opt.Window transfers in flight. Delivery order is preserved via
+// window transfers in flight. Delivery order is preserved via
 // sequence numbers. The per-transfer goroutine is the one remaining
 // allocation of this scheme's send path — it models genuinely concurrent
 // hardware activity.
 func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
-	p.Sleep(h.opt.MProtect)
+	p.Sleep(mprotect)
 	if h.ts != nil {
 		start := h.src.Env().Now()
 		h.window.Acquire(p, 1)

@@ -69,29 +69,26 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options tunes a connection's flow control.
-type Options struct {
-	// BufSize is the size of one registered bounce buffer (BSDP/PSDP).
-	BufSize int
-	// Credits is the number of bounce buffers / frames in flight
+// Flow control, as common SDP deployments of the era configured it.
+const (
+	// bufSize is the size of one registered bounce buffer (BSDP/PSDP).
+	bufSize = 8 * 1024
+	// credits is the number of bounce buffers / frames in flight
 	// (BSDP/PSDP).
-	Credits int
-	// Window is the maximum number of asynchronous transfers in flight
-	// (AZSDP).
-	Window int
-	// MProtect is the cost of memory-protecting one buffer (AZSDP).
-	MProtect time.Duration
-}
+	credits = 16
+	// window is the maximum number of asynchronous transfers in flight
+	// (AZSDP). It sizes the reorder ring, so it is a power of two.
+	window = 16
+	// mprotect is the cost of memory-protecting one buffer (AZSDP).
+	mprotect = time.Microsecond
+)
 
-// DefaultOptions mirrors common SDP deployments of the era.
-func DefaultOptions() Options {
-	return Options{
-		BufSize:  8 * 1024,
-		Credits:  16,
-		Window:   16,
-		MProtect: time.Microsecond,
-	}
-}
+// Options configures a connection. It has no fields: flow control is
+// fixed. The struct keeps Bandwidth's signature.
+type Options struct{}
+
+// DefaultOptions returns the zero Options.
+func DefaultOptions() Options { return Options{} }
 
 // Conn is one endpoint of a bidirectional, message-oriented connection.
 type Conn struct {
@@ -111,7 +108,6 @@ type wireMsg struct {
 // half is one direction of a connection.
 type half struct {
 	scheme Scheme
-	opt    Options
 	src    *verbs.Device
 	dst    *verbs.Device
 	q      *sim.Chan[wireMsg]
@@ -152,9 +148,9 @@ type half struct {
 	postedRecvs int
 
 	// AZSDP in-flight window and in-order delivery state. The ring holds
-	// the reorder window (its size covers opt.Window, the maximum
-	// in-flight gap); reorder is the overflow map for sequence numbers
-	// beyond the ring, normally empty.
+	// the reorder window (window slots, the maximum in-flight gap);
+	// reorder is the overflow map for sequence numbers beyond the ring,
+	// normally empty.
 	window     *sim.Resource
 	sendSeq    int64
 	deliverSeq int64
@@ -189,23 +185,22 @@ type rendezvous struct {
 }
 
 // Dial creates a connected pair of endpoints between two verbs devices
-// using the given scheme and options. The returned connections belong to
-// the first and second device respectively.
-func Dial(scheme Scheme, a, b *verbs.Device, opt Options) (*Conn, *Conn) {
-	ab := newHalf(scheme, a, b, opt)
-	ba := newHalf(scheme, b, a, opt)
+// using the given scheme. The returned connections belong to the first
+// and second device respectively.
+func Dial(scheme Scheme, a, b *verbs.Device) (*Conn, *Conn) {
+	ab := newHalf(scheme, a, b)
+	ba := newHalf(scheme, b, a)
 	a.Node.ConnOpened()
 	b.Node.ConnOpened()
 	return &Conn{scheme: scheme, send: ab, recv: ba},
 		&Conn{scheme: scheme, send: ba, recv: ab}
 }
 
-func newHalf(scheme Scheme, src, dst *verbs.Device, opt Options) *half {
+func newHalf(scheme Scheme, src, dst *verbs.Device) *half {
 	env := src.Node.Env()
 	name := fmt.Sprintf("%s->%s/%s", src.Node.Name, dst.Node.Name, scheme)
 	h := &half{
 		scheme: scheme,
-		opt:    opt,
 		src:    src,
 		dst:    dst,
 		q:      sim.NewChan[wireMsg](env, name+"/rq", 1<<20),
@@ -225,20 +220,16 @@ func newHalf(scheme Scheme, src, dst *verbs.Device, opt Options) *half {
 	h.ctsFn = h.ctsArrive
 	switch scheme {
 	case BSDP:
-		h.credits = sim.NewResource(env, name+"/credits", opt.Credits)
+		h.credits = sim.NewResource(env, name+"/credits", credits)
 	case PSDP:
-		h.credits = sim.NewResource(env, name+"/credits", opt.Credits)
-		h.pool = sim.NewResource(env, name+"/pool", opt.Credits*opt.BufSize)
+		h.credits = sim.NewResource(env, name+"/credits", credits)
+		h.pool = sim.NewResource(env, name+"/pool", credits*bufSize)
 		h.staged = sim.NewChan[wireMsg](env, name+"/staged", 1<<20)
 		env.GoDaemon(name+"/pump", h.psdpPump)
 	case AZSDP:
-		h.window = sim.NewResource(env, name+"/window", opt.Window)
-		rs := 1
-		for rs < opt.Window {
-			rs <<= 1
-		}
-		h.ring = make([]wireMsg, rs)
-		h.ringSet = make([]bool, rs)
+		h.window = sim.NewResource(env, name+"/window", window)
+		h.ring = make([]wireMsg, window)
+		h.ringSet = make([]bool, window)
 	}
 	return h
 }

@@ -27,7 +27,7 @@ func TestRoundTripAllSchemes(t *testing.T) {
 	for _, sc := range allSchemes {
 		t.Run(sc.String(), func(t *testing.T) {
 			env, a, b := pair(1)
-			ca, cb := Dial(sc, a, b, DefaultOptions())
+			ca, cb := Dial(sc, a, b)
 			msgs := [][]byte{
 				[]byte("hello"),
 				bytes.Repeat([]byte{0xAB}, 100),
@@ -77,7 +77,7 @@ func TestMultiChunkReassembly(t *testing.T) {
 	for _, sc := range []Scheme{BSDP, PSDP} {
 		t.Run(sc.String(), func(t *testing.T) {
 			env, a, b := pair(1)
-			ca, cb := Dial(sc, a, b, DefaultOptions())
+			ca, cb := Dial(sc, a, b)
 			big := make([]byte, 100*1024)
 			for i := range big {
 				big[i] = byte(i * 7)
@@ -103,7 +103,7 @@ func TestMultiChunkReassembly(t *testing.T) {
 func TestSenderBufferReusableAfterSend(t *testing.T) {
 	for _, sc := range allSchemes {
 		env, a, b := pair(1)
-		ca, cb := Dial(sc, a, b, DefaultOptions())
+		ca, cb := Dial(sc, a, b)
 		buf := []byte("original")
 		var got []byte
 		env.Go("rx", func(p *sim.Proc) { got, _ = cb.Recv(p) })
@@ -128,7 +128,7 @@ func TestSenderBufferReusableAfterSend(t *testing.T) {
 func bandwidth(t *testing.T, sc Scheme, msgSize, msgCount int) float64 {
 	t.Helper()
 	env, a, b := pair(1)
-	ca, cb := Dial(sc, a, b, DefaultOptions())
+	ca, cb := Dial(sc, a, b)
 	payload := make([]byte, msgSize)
 	var done sim.Time
 	env.Go("rx", func(p *sim.Proc) {
@@ -208,7 +208,7 @@ func TestTCPThroughputDropsUnderReceiverLoad(t *testing.T) {
 		if loaded {
 			b.Node.SpawnLoad(8, 5*time.Millisecond, 0)
 		}
-		ca, cb := Dial(TCP, a, b, DefaultOptions())
+		ca, cb := Dial(TCP, a, b)
 		const n = 50
 		var done sim.Time
 		env.Go("rx", func(p *sim.Proc) {
@@ -242,7 +242,7 @@ func TestTCPThroughputDropsUnderReceiverLoad(t *testing.T) {
 
 func TestConnCounters(t *testing.T) {
 	env, a, b := pair(1)
-	ca, cb := Dial(ZSDP, a, b, DefaultOptions())
+	ca, cb := Dial(ZSDP, a, b)
 	env.Go("rx", func(p *sim.Proc) { cb.Recv(p) })
 	env.Go("tx", func(p *sim.Proc) { ca.Send(p, make([]byte, 500)) })
 	if err := env.Run(); err != nil {
@@ -275,7 +275,7 @@ func TestPropertyStreamIntegrity(t *testing.T) {
 		}
 		env, a, b := pair(3)
 		defer env.Shutdown()
-		ca, cb := Dial(sc, a, b, DefaultOptions())
+		ca, cb := Dial(sc, a, b)
 		var sent [][]byte
 		for i, sz := range sizes {
 			m := make([]byte, int(sz)%20000)
@@ -320,7 +320,7 @@ func TestPropertyPSDPPoolConservation(t *testing.T) {
 		}
 		env, a, b := pair(5)
 		defer env.Shutdown()
-		ca, cb := Dial(PSDP, a, b, DefaultOptions())
+		ca, cb := Dial(PSDP, a, b)
 		n := len(sizes)
 		env.Go("rx", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
@@ -348,7 +348,7 @@ func TestLatencySmallMessageOrdering(t *testing.T) {
 	oneWay := func(sc Scheme) time.Duration {
 		env, a, b := pair(1)
 		defer env.Shutdown()
-		ca, cb := Dial(sc, a, b, DefaultOptions())
+		ca, cb := Dial(sc, a, b)
 		var lat time.Duration
 		env.Go("rx", func(p *sim.Proc) {
 			cb.Recv(p)
@@ -379,7 +379,7 @@ func TestBandwidthHelperSane(t *testing.T) {
 func TestDialDistinctEndpoints(t *testing.T) {
 	env, a, b := pair(1)
 	_ = env
-	ca, cb := Dial(TCP, a, b, DefaultOptions())
+	ca, cb := Dial(TCP, a, b)
 	if ca == cb || ca.send != cb.recv || ca.recv != cb.send {
 		t.Fatal("endpoints mis-wired")
 	}
@@ -402,7 +402,7 @@ func TestSocketsSteadyStateAllocationFree(t *testing.T) {
 		t.Run(sc.String(), func(t *testing.T) {
 			env, a, b := pair(1)
 			_ = a
-			ca, cb := Dial(sc, a, b, DefaultOptions())
+			ca, cb := Dial(sc, a, b)
 			payload := make([]byte, 512)
 			env.GoDaemon("rx", func(p *sim.Proc) {
 				for {
@@ -443,21 +443,33 @@ func TestSocketsSteadyStateAllocationFree(t *testing.T) {
 // TestDeliverOrderedRingAndOverflow drives the AZ-SDP in-order delivery
 // machinery directly with sequence numbers arriving far out of order:
 // in-window completions park in the reorder ring, completions beyond the
-// window-sized ring spill to the overflow map, and after the drain both
-// structures are empty and delivery order is preserved.
+// window-sized ring spill to the overflow map, the second window's
+// completions wrap the ring, and after the drain both structures are
+// empty and delivery order is preserved.
 func TestDeliverOrderedRingAndOverflow(t *testing.T) {
 	env, a, b := pair(1)
 	defer env.Shutdown()
-	opt := DefaultOptions()
-	opt.Window = 4 // ring of 4 slots
-	ca, cb := Dial(AZSDP, a, b, opt)
+	ca, cb := Dial(AZSDP, a, b)
 	h := ca.send
-	if len(h.ring) != 4 {
-		t.Fatalf("ring sized %d for window 4", len(h.ring))
+	if len(h.ring) != window {
+		t.Fatalf("ring sized %d for window %d", len(h.ring), window)
 	}
+	// The two last seqs overflow; 1..window-1 park in the ring; 0 drains
+	// the first window; window+1..2*window-3 park in wrapped slots; window
+	// drains them and the overflow.
+	const n = 2 * window
+	order := []int64{n - 1, n - 2}
+	for seq := int64(window - 1); seq >= 1; seq-- {
+		order = append(order, seq)
+	}
+	order = append(order, 0)
+	for seq := int64(n - 3); seq > window; seq-- {
+		order = append(order, seq)
+	}
+	order = append(order, window)
 	var got []byte
 	env.Go("rx", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
+		for i := 0; i < n; i++ {
 			m, err := cb.RecvMsg(p)
 			if err != nil {
 				t.Error(err)
@@ -468,19 +480,26 @@ func TestDeliverOrderedRingAndOverflow(t *testing.T) {
 		}
 	})
 	env.Go("inject", func(p *sim.Proc) {
-		for _, seq := range []int64{7, 6, 2, 1, 3, 0, 5, 4} {
+		wrapped := false
+		for _, seq := range order {
 			buf := a.GetBuf(1)
 			buf[0] = byte(seq)
 			h.deliverOrdered(seq, wireMsg{data: buf, last: true})
-			if seq == 6 && len(h.reorder) != 2 {
-				t.Errorf("seqs 7,6 beyond the ring should overflow, map holds %d", len(h.reorder))
+			if seq == n-2 && len(h.reorder) != 2 {
+				t.Errorf("seqs %d,%d beyond the ring should overflow, map holds %d", n-1, n-2, len(h.reorder))
 			}
+			if seq > window && h.ringSet[seq%window] {
+				wrapped = true
+			}
+		}
+		if !wrapped {
+			t.Error("no completion of the second window parked in a wrapped ring slot")
 		}
 		if len(h.reorder) != 0 {
 			t.Errorf("overflow map retains %d entries after drain", len(h.reorder))
 		}
-		if h.deliverSeq != 8 {
-			t.Errorf("deliverSeq = %d after draining 8 messages", h.deliverSeq)
+		if h.deliverSeq != n {
+			t.Errorf("deliverSeq = %d after draining %d messages", h.deliverSeq, n)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -491,7 +510,7 @@ func TestDeliverOrderedRingAndOverflow(t *testing.T) {
 			t.Fatalf("delivery order broken: got %v", got)
 		}
 	}
-	if len(got) != 8 {
-		t.Fatalf("delivered %d of 8", len(got))
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d", len(got), n)
 	}
 }

@@ -168,7 +168,7 @@ func (c *Cluster) Load(p *sim.Proc, total int) error {
 		dn := dn
 		switch c.transport {
 		case OverTCP:
-			cc, sc := sockets.Dial(sockets.TCP, c.nw.Device(c.client.ID), c.nw.Device(dn.ID), sockets.DefaultOptions())
+			cc, sc := sockets.Dial(sockets.TCP, c.nw.Device(c.client.ID), c.nw.Device(dn.ID))
 			c.conns[dn.ID] = cc
 			c.env.GoDaemon(fmt.Sprintf("storm/%s", dn.Name), func(pp *sim.Proc) { c.serveTCP(pp, dn, sc) })
 		case OverDDSS:
