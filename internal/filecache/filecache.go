@@ -61,13 +61,17 @@ func (s Source) String() string {
 	}
 }
 
+// A cache's fixed shape.
+const (
+	// pageSize is the cache block size in bytes.
+	pageSize = 16 << 10
+	// localPages is the capacity of the node-local cache in pages.
+	localPages = 64
+)
+
 // Config sizes a cache.
 type Config struct {
 	Mode Mode
-	// PageSize is the cache block size in bytes.
-	PageSize int
-	// LocalPages is the capacity of the node-local cache in pages.
-	LocalPages int
 	// VictimPages bounds the remote victim cache in pages.
 	VictimPages int
 }
@@ -76,8 +80,6 @@ type Config struct {
 func DefaultConfig(mode Mode) Config {
 	return Config{
 		Mode:        mode,
-		PageSize:    16 << 10,
-		LocalPages:  64,
 		VictimPages: 256,
 	}
 }
@@ -142,7 +144,7 @@ func New(cfg Config, nw *verbs.Network, node *cluster.Node, agg *gma.Aggregator)
 	c := &Cache{
 		cfg:    cfg,
 		dev:    nw.Attach(node),
-		local:  lru.New[pageKey](int64(cfg.LocalPages)),
+		local:  lru.New[pageKey](localPages),
 		remote: map[pageKey]*victim{},
 	}
 	if cfg.Mode == RemoteMemory {
@@ -167,7 +169,7 @@ func (c *Cache) Read(p *sim.Proc, file, page int) (Source, error) {
 	pp := c.dev.Params()
 
 	if c.local.Get(key) {
-		p.Sleep(pp.CopyTime(c.cfg.PageSize))
+		p.Sleep(pp.CopyTime(pageSize))
 		c.Stats.LocalHits++
 		return FromLocal, nil
 	}
@@ -179,7 +181,7 @@ func (c *Cache) Read(p *sim.Proc, file, page int) (Source, error) {
 			// for the read, so a demotion racing it cannot free the
 			// buffer in flight.
 			c.order.Touch(v.slot)
-			buf := make([]byte, c.cfg.PageSize)
+			buf := make([]byte, pageSize)
 			v.busy++
 			err := c.gmaCli.Read(p, buf, v.buf, 0)
 			v.busy--
@@ -195,7 +197,7 @@ func (c *Cache) Read(p *sim.Proc, file, page int) (Source, error) {
 	}
 
 	// Disk.
-	p.Sleep(pp.BackendTime(c.cfg.PageSize))
+	p.Sleep(pp.BackendTime(pageSize))
 	if err := c.insertLocal(p, key); err != nil {
 		return FromDisk, err
 	}
@@ -272,11 +274,11 @@ func (c *Cache) park(p *sim.Proc, v, old *victim) error {
 			return err
 		}
 	}
-	buf, err := c.gmaCli.Alloc(p, int64(c.cfg.PageSize))
+	buf, err := c.gmaCli.Alloc(p, pageSize)
 	if err != nil {
 		return nil // aggregate memory exhausted: drop the page (disk still has it)
 	}
-	if err := c.gmaCli.Write(p, buf, 0, make([]byte, c.cfg.PageSize)); err != nil {
+	if err := c.gmaCli.Write(p, buf, 0, make([]byte, pageSize)); err != nil {
 		return err
 	}
 	v.buf = buf

@@ -58,7 +58,7 @@ func TestEvictionDemotesToRemote(t *testing.T) {
 	defer env.Shutdown()
 	env.Go("p", func(p *sim.Proc) {
 		// Fill past local capacity.
-		for i := 0; i <= c.cfg.LocalPages; i++ {
+		for i := 0; i <= localPages; i++ {
 			if _, err := c.Read(p, 0, i); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestWarmRestartSurvivesFlush(t *testing.T) {
 	env.Go("p", func(p *sim.Proc) {
 		// Touch a working set twice its local capacity so half is
 		// demoted.
-		n := 2 * c.cfg.LocalPages
+		n := 2 * localPages
 		for round := 0; round < 2; round++ {
 			for i := 0; i < n; i++ {
 				if _, err := c.Read(p, 0, i); err != nil {
@@ -152,7 +152,7 @@ func TestVictimCapacityBounded(t *testing.T) {
 	defer env.Shutdown()
 	env.Go("p", func(p *sim.Proc) {
 		// Stream far more pages than local+victim capacity.
-		for i := 0; i < 3*(c.cfg.LocalPages+c.cfg.VictimPages); i++ {
+		for i := 0; i < 3*(localPages+c.cfg.VictimPages); i++ {
 			if _, err := c.Read(p, 0, i); err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestRemoteMemoryBeatsDiskOnly(t *testing.T) {
 		env.Go("p", func(p *sim.Proc) {
 			// Working set of 2x local capacity, five passes: the reuse
 			// misses hit remote memory instead of disk.
-			n := 2 * c.cfg.LocalPages
+			n := 2 * localPages
 			for round := 0; round < 5; round++ {
 				for i := 0; i < n; i++ {
 					if _, err := c.Read(p, 0, i); err != nil {
@@ -220,7 +220,7 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Mode: RemoteMemory, PageSize: 4 << 10, LocalPages: 2, VictimPages: 3}
+	cfg := Config{Mode: RemoteMemory, VictimPages: 3}
 	c := New(cfg, nw, nodes[0], agg)
 	defer env.Shutdown()
 
@@ -231,30 +231,45 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 		}
 		return src
 	}
+	// All but two local slots hold fillers, re-read before every step so
+	// the LRU victims are always among the pages a..f: the scenario runs
+	// on two local slots.
+	const fillers = localPages - 2
+	step := func(p *sim.Proc, page int) Source {
+		for i := 0; i < fillers; i++ {
+			if src := read(p, 100+i); src != FromLocal {
+				t.Fatalf("filler %d read from %v, want local", i, src)
+			}
+		}
+		return read(p, page)
+	}
 	env.Go("p", func(p *sim.Proc) {
 		const a, b, cc, d, e, f = 0, 1, 2, 3, 4, 5
+		for i := 0; i < fillers; i++ {
+			read(p, 100+i)
+		}
 		read(p, a)  // local {a}
 		read(p, b)  // local {a,b}
-		read(p, cc) // a demoted: remote {a}
-		if src := read(p, a); src != FromRemote {
+		step(p, cc) // a demoted: remote {a}
+		if src := step(p, a); src != FromRemote {
 			t.Fatalf("promote read source = %v, want remote", src)
 		}
 		// promote evicted b: remote {a(copy), b}; local {c... ,a}
-		read(p, d) // evicts c -> remote {a,b,c}; victim tier now full
-		read(p, e) // evicts a -> re-victimize: refreshed position, not a new buffer
+		step(p, d) // evicts c -> remote {a,b,c}; victim tier now full
+		step(p, e) // evicts a -> re-victimize: refreshed position, not a new buffer
 		if c.RemotePages() > cfg.VictimPages {
 			t.Fatalf("victim tier over capacity: %d > %d", c.RemotePages(), cfg.VictimPages)
 		}
-		read(p, f) // evicts d -> demote d must evict the oldest LIVE page (b), never a
+		step(p, f) // evicts d -> demote d must evict the oldest LIVE page (b), never a
 		if c.RemotePages() > cfg.VictimPages {
 			t.Fatalf("victim tier over capacity: %d > %d", c.RemotePages(), cfg.VictimPages)
 		}
 		// a was re-parked most recently: it must still be served remotely.
-		if src := read(p, a); src != FromRemote {
+		if src := step(p, a); src != FromRemote {
 			t.Fatalf("re-victimized page was evicted at its stale fifo position (read source = %v)", src)
 		}
 		// b was the oldest live victim: it is the one that went to disk.
-		if src := read(p, b); src != FromDisk {
+		if src := step(p, b); src != FromDisk {
 			t.Fatalf("oldest live victim should have been evicted, got %v", src)
 		}
 	})
@@ -272,7 +287,7 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 func TestVictimOrderStaysBounded(t *testing.T) {
 	env, c := rig(t, RemoteMemory)
 	defer env.Shutdown()
-	const pages, passes = 100, 200 // > LocalPages, < LocalPages+VictimPages
+	const pages, passes = 100, 200 // > localPages, < localPages+VictimPages
 	env.Go("p", func(p *sim.Proc) {
 		for pass := 0; pass < passes; pass++ {
 			for i := 0; i < pages; i++ {
@@ -315,20 +330,20 @@ func TestOverlappingDemotionsShareATinyTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := agg.TotalFree()
-	cfg := Config{Mode: RemoteMemory, PageSize: 4 << 10, LocalPages: 2, VictimPages: 2}
+	cfg := Config{Mode: RemoteMemory, VictimPages: 2}
 	c := New(cfg, nw, nodes[0], agg)
 	defer env.Shutdown()
 
-	const procs, reads = 8, 200
+	const procs, reads, pages = 8, 200, localPages + 16
 	for w := 0; w < procs; w++ {
 		env.Go("reader", func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < reads; i++ {
-				// Every process draws from the same six shared pages —
-				// two more than both tiers hold — so one key is demoted,
-				// hit remotely and re-demoted by several processes at
-				// once.
-				file, page := 0, rng.Intn(6)
+				// Every process draws from the same shared pages —
+				// fourteen more than both tiers hold — so one key is
+				// demoted, hit remotely and re-demoted by several
+				// processes at once.
+				file, page := 0, rng.Intn(pages)
 				if _, err := c.Read(p, file, page); err != nil {
 					t.Errorf("proc %d read %d: %v", w, i, err)
 					return
@@ -349,7 +364,7 @@ func TestOverlappingDemotionsShareATinyTier(t *testing.T) {
 	if c.RemotePages() != c.order.Live() {
 		t.Fatalf("%d parked pages under %d live claims", c.RemotePages(), c.order.Live())
 	}
-	if held, want := pool-agg.TotalFree(), int64(c.RemotePages()*cfg.PageSize); held != want {
+	if held, want := pool-agg.TotalFree(), int64(c.RemotePages()*pageSize); held != want {
 		t.Fatalf("pool holds %d bytes for %d parked pages, want %d", held, c.RemotePages(), want)
 	}
 }
@@ -371,13 +386,13 @@ func TestRemoteReadHoldsItsPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Mode: RemoteMemory, PageSize: 64 << 10, LocalPages: 2, VictimPages: 1}
+	cfg := Config{Mode: RemoteMemory, VictimPages: 1}
 	c := New(cfg, nw, nodes[0], agg)
 	defer env.Shutdown()
 
 	const x, a, b, w = 0, 1, 2, 3
-	disk := fabric.DefaultParams().BackendTime(cfg.PageSize)
-	start := sim.Time(10 * disk)
+	disk := fabric.DefaultParams().BackendTime(pageSize)
+	start := sim.Time(2 * localPages * disk)
 	read := func(p *sim.Proc, page int, want Source) {
 		if src, err := c.Read(p, 0, page); err != nil || src != want {
 			t.Errorf("read page %d: %v %v, want %v", page, src, err, want)
@@ -386,7 +401,13 @@ func TestRemoteReadHoldsItsPage(t *testing.T) {
 	env.Go("setup", func(p *sim.Proc) {
 		read(p, x, FromDisk)
 		read(p, a, FromDisk)
-		read(p, b, FromDisk) // x demoted: local {a,b}, remote {x}
+		for i := 0; i < localPages-2; i++ {
+			read(p, 100+i, FromDisk) // fills the local tier behind x and a
+		}
+		read(p, b, FromDisk) // x demoted: local {a, fillers, b}, remote {x}
+		if p.Now() >= start {
+			t.Errorf("setup ends at %v, after the race starts at %v", p.Now(), start)
+		}
 	})
 	env.Go("demoter", func(p *sim.Proc) {
 		p.SleepUntil(start)
