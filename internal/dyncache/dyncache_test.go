@@ -39,9 +39,7 @@ func TestNoCacheNeverHits(t *testing.T) {
 func TestRDMACheckIsStronglyCoherent(t *testing.T) {
 	// The headline property: the RDMA validation scheme never serves a
 	// stale response, even with hundreds of updates per second.
-	cfg := quickCfg(RDMACheck)
-	cfg.UpdatesPerSec = 500
-	st, err := Run(cfg)
+	st, err := Run(quickCfg(RDMACheck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +57,7 @@ func TestRDMACheckIsStronglyCoherent(t *testing.T) {
 func TestTTLServesStaleUnderUpdates(t *testing.T) {
 	// The baseline's flaw: with a sufficiently hot update rate, TTL-based
 	// caching serves stale data.
-	cfg := quickCfg(TTLCache)
-	cfg.UpdatesPerSec = 500
-	st, err := Run(cfg)
+	st, err := Run(quickCfg(TTLCache))
 	if err != nil {
 		t.Fatal(err)
 	}
