@@ -69,17 +69,18 @@ func TestExportedAPIHasCallers(t *testing.T) {
 // enum and an internal one none of whose members is called (the internal
 // type named only by its constants), an unexported function nothing
 // calls, a field that is written and never read, a field only a test
-// reads, an unused constant whose type the package neither declares
-// nor aliases, and three option fields: one only its package's Default*
-// func sets, to a literal, one only a zero-fill if sets and one only a
-// test sets. It must not list a String reached through fmt, a method
-// called on a generic instance, a method reached through an interface its
-// type satisfies, the siblings of a called enum constant, the fields of a
-// struct used as a map key, an embedded field reached through promotion,
-// an option field Default* sets from its parameter, one another package
-// sets, one set by assigning its whole embedded struct, or a field of a
-// type named Params. The allowlist check must report the unlisted
-// identifier and both kinds of stale line.
+// reads, an unused constant whose type the package neither declares nor
+// aliases, and four option fields: one only its package's Default* func
+// sets, to a literal, one only a zero-fill if sets, one only a test sets
+// and the sibling of one set through promotion. It must not list a
+// String reached through fmt, a method called on a generic instance, a
+// method reached through an interface its type satisfies, the siblings
+// of a called enum constant, the fields of a struct used as a map key, an
+// embedded field reached through promotion, an option field Default*
+// sets from its parameter, one another package sets, one set by
+// assigning its whole embedded struct, or a field of a type named
+// Params. The allowlist check must report the unlisted identifier and
+// both kinds of stale line.
 func TestExportedAPIGateFixture(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -185,6 +186,10 @@ func NewRunConfig(b BaseOptions) (c RunConfig) {
 type Params struct{ Lat int }
 
 func DefaultParams() Params { return Params{Lat: 5} }
+
+type LeafOptions struct{ Set, Unset int }
+
+type TreeConfig struct{ LeafOptions }
 `,
 		"internal/p/p_test.go": `package p
 
@@ -236,6 +241,9 @@ func main() {
 	o := p.DefaultOptions(3)
 	o.Other = 4
 	fmt.Println(p.Run(o), p.NewRunConfig(p.BaseOptions{}).Seed, p.DefaultParams())
+	var tc p.TreeConfig
+	tc.Set = 1
+	fmt.Println(tc)
 }
 `,
 	}
@@ -254,15 +262,16 @@ func main() {
 	}
 	want := []string{
 		"fix.Large", "fix.Lonely", "fix.Size", "fix.Small",
-		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Fast", "p.Mode",
+		"p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.Fast", "p.LeafOptions.Unset", "p.Mode",
 		"p.Options.Lit", "p.Options.Tested", "p.Options.Zero", "p.Orphan", "p.Orphan.Self",
 		"p.Shape.Perimeter", "p.Slow", "p.Square.Perimeter", "p.TestOnly", "p.Tock", "p.Unused", "p.unusedHelper",
 	}
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Fatalf("unused = %v, want %v", unused, want)
 	}
-	if got := fmt.Sprint(options); got != "[{p.BaseOptions 1 0} {p.Options 5 3} {p.RunConfig 0 0}]" {
-		t.Fatalf("options = %s, want [{p.BaseOptions 1 0} {p.Options 5 3} {p.RunConfig 0 0}]", got)
+	const wantOptions = "[{p.BaseOptions 1 0} {p.LeafOptions 2 1} {p.Options 5 3} {p.RunConfig 0 0} {p.TreeConfig 0 0}]"
+	if got := fmt.Sprint(options); got != wantOptions {
+		t.Fatalf("options = %s, want %s", got, wantOptions)
 	}
 
 	allow := map[string]string{}
@@ -554,8 +563,7 @@ func (s *apiScan) recordSets(f *ast.File, info *types.Info, pkg *types.Package) 
 		fn, _ := d.(*ast.FuncDecl)
 		params := map[types.Object]bool{}
 		if fn != nil {
-			lists := []*ast.FieldList{fn.Recv, fn.Type.Params}
-			for _, l := range lists {
+			for _, l := range []*ast.FieldList{fn.Recv, fn.Type.Params} {
 				if l == nil {
 					continue
 				}
@@ -588,39 +596,31 @@ func (s *apiScan) recordSets(f *ast.File, info *types.Info, pkg *types.Package) 
 				s.setField(field, value)
 			}
 		}
-		// target marks the fields selector chain e goes through.
-		var target func(e ast.Expr, value ast.Expr)
-		target = func(e ast.Expr, value ast.Expr) {
-			for {
-				switch x := e.(type) {
-				case *ast.ParenExpr:
-					e = x.X
-					continue
-				case *ast.StarExpr:
-					e = x.X
-					continue
+		// target marks the field e selects, set to value, and the fields
+		// it is selected through, which a write into them sets too.
+		target := func(e ast.Expr, value ast.Expr) {
+			for first := true; ; first = false {
+				se, ok := ast.Unparen(e).(*ast.SelectorExpr)
+				if !ok || info.Selections[se] == nil || info.Selections[se].Kind() != types.FieldVal {
+					return
 				}
-				break
-			}
-			se, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			sel := info.Selections[se]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return
-			}
-			t := sel.Recv()
-			for _, i := range sel.Index()[:len(sel.Index())-1] {
-				st, ok := deref(t).Underlying().(*types.Struct)
-				if !ok {
-					break
+				sel := info.Selections[se]
+				t := sel.Recv()
+				for _, i := range sel.Index()[:len(sel.Index())-1] {
+					st, ok := deref(t).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					s.set[st.Field(i).Origin()] = true
+					t = st.Field(i).Type()
 				}
-				s.setField(st.Field(i).Origin(), nil)
-				t = st.Field(i).Type()
+				if field := sel.Obj().(*types.Var).Origin(); first {
+					mark(field, value)
+				} else {
+					s.set[field] = true
+				}
+				e = se.X
 			}
-			mark(sel.Obj().(*types.Var).Origin(), value)
-			target(se.X, nil)
 		}
 		ast.Inspect(d, func(n ast.Node) bool {
 			if n == nil {
