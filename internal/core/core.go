@@ -70,9 +70,7 @@ type Framework struct {
 
 // New builds a framework from the configuration on a fresh simulation
 // environment seeded with cfg.Seed.
-func New(cfg Config) *Framework {
-	return NewOn(runtime.ServiceOptions{}.NewEnv(cfg.Seed), cfg)
-}
+func New(cfg Config) *Framework { return NewOn(runtime.ServiceOptions{}.NewEnv(cfg.Seed), cfg) }
 
 // NewOn builds a framework on an existing environment — how a served
 // simulation shares one virtual clock between the framework and the
