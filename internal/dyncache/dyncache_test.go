@@ -1,8 +1,11 @@
 package dyncache
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"ngdc/internal/faults"
 )
 
 func quickCfg(s Scheme) Config {
@@ -135,5 +138,21 @@ func TestSchemeString(t *testing.T) {
 	}
 	if Scheme(9).String() != "Scheme(9)" {
 		t.Fatal("unknown scheme name")
+	}
+}
+
+// TestValidationReadFailureEndsRun crashes an application server while
+// proxies hold responses depending on it: the next validation read
+// fails, and Run must return that error instead of panicking.
+func TestValidationReadFailureEndsRun(t *testing.T) {
+	cfg := quickCfg(RDMACheck)
+	// Node 2 is the first application server (the proxies are 0 and 1).
+	cfg.Faults = &faults.Plan{Events: []faults.Event{{At: 100 * time.Millisecond, Kind: faults.Crash, Node: 2}}}
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("a validation read to a crashed application server returned no error")
+	}
+	if !strings.Contains(err.Error(), "peer unreachable") {
+		t.Fatalf("error %q does not name the failed read", err)
 	}
 }

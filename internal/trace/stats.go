@@ -164,7 +164,7 @@ func (s TraceStats) WriteJSONL(w io.Writer) error {
 		}
 	}
 	_, err := fmt.Fprintf(w,
-		"{\"record\":\"engine\",\"envs\":%d,\"events\":%d,\"procs\":%d,\"max_queue\":%d}\n",
-		s.Engine.Envs, s.Engine.EventsProcessed, s.Engine.ProcsSpawned, s.Engine.MaxEventQueue)
+		"{\"record\":\"engine\",\"envs\":%d,\"events\":%d,\"resumes\":%d,\"procs\":%d,\"max_queue\":%d}\n",
+		s.Engine.Envs, s.Engine.EventsProcessed, s.Engine.Resumes, s.Engine.ProcsSpawned, s.Engine.MaxEventQueue)
 	return err
 }

@@ -225,13 +225,17 @@ type EngineSnapshot struct {
 	// Envs counts environments the registry was bound to.
 	Envs            int
 	EventsProcessed uint64
-	ProcsSpawned    uint64
-	MaxEventQueue   int
+	// Resumes counts control transfers into processes (see
+	// sim.EngineStats.Resumes): the hand-offs events alone do not show.
+	Resumes       uint64
+	ProcsSpawned  uint64
+	MaxEventQueue int
 }
 
 func (e *EngineSnapshot) merge(o EngineSnapshot) {
 	e.Envs += o.Envs
 	e.EventsProcessed += o.EventsProcessed
+	e.Resumes += o.Resumes
 	e.ProcsSpawned += o.ProcsSpawned
 	if o.MaxEventQueue > e.MaxEventQueue {
 		e.MaxEventQueue = o.MaxEventQueue
@@ -241,6 +245,7 @@ func (e *EngineSnapshot) merge(o EngineSnapshot) {
 func (e *EngineSnapshot) fold(st sim.EngineStats) {
 	e.Envs++
 	e.EventsProcessed += st.EventsProcessed
+	e.Resumes += st.Resumes
 	e.ProcsSpawned += st.ProcsSpawned
 	if st.MaxEventQueue > e.MaxEventQueue {
 		e.MaxEventQueue = st.MaxEventQueue

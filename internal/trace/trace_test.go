@@ -96,7 +96,7 @@ func TestSnapshotCountsVerbs(t *testing.T) {
 			t.Errorf("fabric[%s].Wire = %v", c, s.Fabric[c].Wire)
 		}
 	}
-	if s.Engine.Envs != 1 || s.Engine.EventsProcessed == 0 {
+	if s.Engine.Envs != 1 || s.Engine.EventsProcessed == 0 || s.Engine.Resumes == 0 {
 		t.Errorf("engine: %+v", s.Engine)
 	}
 }
@@ -155,7 +155,8 @@ func TestMergeSumsCounters(t *testing.T) {
 		t.Errorf("merged VerbsBytes = %d", got)
 	}
 	if m.Engine.Envs != 2 ||
-		m.Engine.EventsProcessed != a.Engine.EventsProcessed+b.Engine.EventsProcessed {
+		m.Engine.EventsProcessed != a.Engine.EventsProcessed+b.Engine.EventsProcessed ||
+		m.Engine.Resumes != a.Engine.Resumes+b.Engine.Resumes {
 		t.Errorf("merged engine: %+v", m.Engine)
 	}
 	ma, aa, bb := m.Devices[0].Read.Lat, a.Devices[0].Read.Lat, b.Devices[0].Read.Lat
@@ -182,7 +183,7 @@ func TestReattachFoldsEngineStats(t *testing.T) {
 	if err := env1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ev1 := env1.Stats().EventsProcessed
+	ev1, res1 := env1.Stats().EventsProcessed, env1.Stats().Resumes
 
 	env2 := sim.NewEnv(2)
 	trace.AttachRegistry(env2, r)
@@ -200,6 +201,9 @@ func TestReattachFoldsEngineStats(t *testing.T) {
 	if s.Engine.EventsProcessed != ev1+env2.Stats().EventsProcessed {
 		t.Fatalf("events = %d, want %d", s.Engine.EventsProcessed,
 			ev1+env2.Stats().EventsProcessed)
+	}
+	if s.Engine.Resumes != res1+env2.Stats().Resumes {
+		t.Fatalf("resumes = %d, want %d", s.Engine.Resumes, res1+env2.Stats().Resumes)
 	}
 	// Re-attaching the same env is a no-op, not a double-fold.
 	trace.AttachRegistry(env2, r)
