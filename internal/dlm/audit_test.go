@@ -5,7 +5,7 @@ import "fmt"
 // auditIdle reports the first per-lock state of m that is not idle, as a
 // quiescent manager's must be: no grant armed, no successor announced or
 // awaited, no pending shared cohort or drain, no poller running, no
-// DQNL slot word set and, with leases on, no lease holder.
+// DQNL slot word set or polled and, with leases on, no lease holder.
 func auditIdle(m *Manager) error {
 	for id, cl := range m.clients {
 		var recs []lockRec
@@ -15,6 +15,11 @@ func auditIdle(m *Manager) error {
 		case *ncosedClientImpl:
 			recs = c.recs
 		case *dqnlClientImpl:
+			for lock, w := range c.recs {
+				if w.p != nil {
+					return fmt.Errorf("node %d lock %d: polling slot word %d", id, lock, w.off%dqnlSlotSize)
+				}
+			}
 			for off := 0; off < dqnlSlotSize*m.locks; off += 8 {
 				if c.slots.Uint64At(off) != 0 {
 					return fmt.Errorf("node %d lock %d: slot word %d set", id, off/dqnlSlotSize, off%dqnlSlotSize)

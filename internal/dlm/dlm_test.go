@@ -721,3 +721,47 @@ func TestNCoSEDSteadyStateAllocationFree(t *testing.T) {
 	}
 	env.Shutdown()
 }
+
+// TestDQNLSteadyStateAllocationFree asserts that a contended DQNL
+// hand-off — a waiter polling its grant word, a holder's Unlock polling
+// for its successor's announcement, then unlock and lock again —
+// allocates nothing once every (client, lock) record has bound its poll.
+func TestDQNLSteadyStateAllocationFree(t *testing.T) {
+	env, m, _ := testManager(1, DQNL, 3, 1)
+	ops := 0
+	for n := 1; n <= 2; n++ {
+		cl := m.Client(n)
+		env.GoDaemon(fmt.Sprintf("pingpong%d", n), func(p *sim.Proc) {
+			for {
+				if err := cl.Lock(p, 0, Exclusive); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(2 * time.Microsecond)
+				if err := cl.Unlock(p, 0, Exclusive); err != nil {
+					t.Error(err)
+					return
+				}
+				ops++
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	limit := sim.Time(0)
+	step := func() {
+		limit = limit.Add(time.Millisecond)
+		if err := env.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // bind both records' polls
+	ops0, polls0 := ops, env.Stats().Resumes
+	allocs := testing.AllocsPerRun(20, step)
+	if ops == ops0 || env.Stats().Resumes == polls0 {
+		t.Fatalf("no contended hand-off ran: %d lock/unlock pairs, %d resumes", ops-ops0, env.Stats().Resumes-polls0)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state DQNL lock/unlock allocates %.1f allocs per 1ms step (%d pairs), want 0", allocs, (ops-ops0)/21)
+	}
+	env.Shutdown()
+}
