@@ -30,6 +30,15 @@ func dirEnvWith(t *testing.T, docs, perShard, slack int) (*sim.Env, *Directory, 
 	return env, dir, nw.Attach(nodes[0]), nw.Attach(nodes[3])
 }
 
+// redirect runs a spill demotion's redirect CAS of doc's word, old →
+// new, with p parked once.
+func redirect(p *sim.Proc, d *Directory, dev *verbs.Device, doc int, old, new Entry) (won bool, prev Entry, err error) {
+	op := d.await(p, dirRedirect, dev, doc, old, new)
+	won, prev, err = op.won, op.prev, op.err
+	d.putOp(op)
+	return won, prev, err
+}
+
 func TestEntryPacking(t *testing.T) {
 	cases := []struct{ holder, slot int }{
 		{0, 0}, {1, 0}, {0, 1}, {4095, 130000}, {1 << 30, 1 << 30},
@@ -215,7 +224,7 @@ func TestDirectoryConcurrentClear(t *testing.T) {
 	}
 }
 
-// Redirect swings a word between two placements without passing through
+// A redirect swings a word between two placements without passing through
 // the empty state, loses cleanly against a stale observation, and
 // reports a concurrent refresher's identical install via prev.
 func TestDirectoryRedirect(t *testing.T) {
@@ -226,7 +235,7 @@ func TestDirectoryRedirect(t *testing.T) {
 		if won, err := dir.Publish(p, dev, 9, old); err != nil || !won {
 			t.Fatalf("seed publish: won=%v err=%v", won, err)
 		}
-		won, prev, err := dir.Redirect(p, dev, 9, old, spill)
+		won, prev, err := redirect(p, dir, dev, 9, old, spill)
 		if err != nil || !won || prev != old {
 			t.Fatalf("redirect: won=%v prev=%x err=%v, want win over %x", won, prev, err, old)
 		}
@@ -236,7 +245,7 @@ func TestDirectoryRedirect(t *testing.T) {
 		// A second demoter still carrying the pre-demotion word loses and
 		// sees the spill entry it was about to install: prev == new tells
 		// it a concurrent refresher already published the placement.
-		won, prev, err = dir.Redirect(p, dev, 9, old, spill)
+		won, prev, err = redirect(p, dir, dev, 9, old, spill)
 		if err != nil || won || prev != spill {
 			t.Errorf("stale redirect: won=%v prev=%x err=%v, want loss with prev=%x", won, prev, err, spill)
 		}
@@ -268,7 +277,7 @@ func TestDirectoryBucketedParity(t *testing.T) {
 				t.Fatalf("doc %d lookup = %x err=%v, want %x", doc, got, err, e)
 			}
 			ne := PackEntry(3, doc+64)
-			if won, _, err := dir.Redirect(p, dev, doc, e, ne); err != nil || !won {
+			if won, _, err := redirect(p, dir, dev, doc, e, ne); err != nil || !won {
 				t.Fatalf("doc %d redirect: won=%v err=%v", doc, won, err)
 			}
 			if cleared, err := dir.Clear(p, dev, doc, ne); err != nil || !cleared {

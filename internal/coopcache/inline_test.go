@@ -9,7 +9,7 @@ import (
 	"ngdc/internal/verbs"
 )
 
-// TestDirectoryInlineRefusal: a Publish, Clear or Redirect whose first
+// TestDirectoryInlineRefusal: a publish, clear or redirect whose first
 // CAS fails Device.Issue's validation — a document past the working set,
 // whose word lies beyond its shard's region — returns that CAS's error at
 // the call instant, as the blocking CAS did: no park, no event, and no
@@ -28,7 +28,7 @@ func TestDirectoryInlineRefusal(t *testing.T) {
 		}{
 			{"publish", func() (bool, Entry, error) { won, err := dir.Publish(p, dev, doc, e); return won, 0, err }},
 			{"clear", func() (bool, Entry, error) { cleared, err := dir.Clear(p, dev, doc, e); return cleared, 0, err }},
-			{"redirect", func() (bool, Entry, error) { return dir.Redirect(p, dev, doc, e, ne) }},
+			{"redirect", func() (bool, Entry, error) { return redirect(p, dir, dev, doc, e, ne) }},
 		}
 		for _, op := range ops {
 			before := env.Stats()
@@ -46,11 +46,11 @@ func TestDirectoryInlineRefusal(t *testing.T) {
 	}
 }
 
-// TestTierInstallInlineRefusal: an Install whose slab write fails
+// TestTierInstallInlineRefusal: an install whose slab write fails
 // Device.Issue's validation — the holder's slab reached through an rkey
-// its node never registered — returns the write's error at the call
-// instant, having claimed the slot at its decision instant as the
-// blocking Install did, without parking.
+// its node never registered — ends with the write's error at the call
+// instant, having claimed the slot at its decision instant, without
+// parking its caller.
 func TestTierInstallInlineRefusal(t *testing.T) {
 	c := newGetCell(t, TierOptions{}, nil)
 	tier := c.tier
@@ -58,10 +58,10 @@ func TestTierInstallInlineRefusal(t *testing.T) {
 	c.env.Go("w", func(p *sim.Proc) {
 		tier.slabs[0] = bogus
 		before := c.env.Stats()
-		err := tier.Install(p, c.fes[0], docHot, make([]byte, TierDocBytes))
+		err := newWaiter().install(p, tier, c.fes[0], docHot, make([]byte, TierDocBytes))
 		want := fmt.Sprintf("verbs: write on node %d key %d: invalid rkey", bogus.Node, bogus.Key)
 		if err == nil || err.Error() != want {
-			t.Errorf("Install returned %v, want %s", err, want)
+			t.Errorf("install returned %v, want %s", err, want)
 		}
 		if st := c.env.Stats(); st != before || p.Now() != 0 {
 			t.Errorf("an inline refusal cost %+v → %+v, at %v", before, st, p.Now())
