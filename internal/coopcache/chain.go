@@ -18,20 +18,21 @@ import (
 // process walking the stages (the Quick catalogue golden pins them),
 // with no process switch.
 //
-// Records recycle through the DataCenter's free list with their step
-// callbacks bound once, so the steady-state request loop allocates
-// nothing.
+// A closed-loop client has one request in flight, so each client owns
+// one record, bound once with its step callbacks and its dedup future:
+// the steady-state request loop allocates nothing.
 type reqChain struct {
 	dc    *DataCenter
-	cl    *client
 	px    *cacheNode
 	doc   int
 	size  int64
 	depth int
 	out   outcome
 
-	holder  *cacheNode
-	target  *cacheNode
+	holder *cacheNode
+	target *cacheNode
+	// fut is the record's dedup future: published in the inflight table
+	// while this request fetches its document from the origin.
 	fut     *sim.Future[int]
 	evicted []int // held across the directory batch wire stall
 
@@ -52,15 +53,10 @@ type reqChain struct {
 	egTxDoneFn    func()
 }
 
-// getReq returns a request chain record with its callbacks bound.
-func (dc *DataCenter) getReq() *reqChain {
-	if n := len(dc.reqFree); n > 0 {
-		rc := dc.reqFree[n-1]
-		dc.reqFree = dc.reqFree[:n-1]
-		return rc
-	}
-	dc.reqMade++
-	rc := &reqChain{dc: dc}
+// bind sets up rc for requests on px's pipeline, each ending in done.
+func (rc *reqChain) bind(dc *DataCenter, px *cacheNode, done func()) {
+	rc.dc, rc.px = dc, px
+	rc.fut = sim.NewFuture[int](dc.env, "fetch")
 	rc.cpuDoneFn = rc.cpuDone
 	rc.dirDoneFn = func() { rc.dirArrived(true) }
 	rc.fetchMidFn = rc.fetchMid
@@ -84,14 +80,7 @@ func (dc *DataCenter) getReq() *reqChain {
 	}
 	rc.copyDoneFn = rc.copyDone
 	rc.egCPUDoneFn = rc.egCPUDone
-	rc.egTxDoneFn = rc.done
-	return rc
-}
-
-// putReq recycles a finished request chain record.
-func (dc *DataCenter) putReq(rc *reqChain) {
-	rc.cl, rc.px, rc.holder, rc.target, rc.fut, rc.evicted = nil, nil, nil, nil, nil, nil
-	dc.reqFree = append(dc.reqFree, rc)
+	rc.egTxDoneFn = done
 }
 
 // start begins the admission CPU burst (HTTP processing) at the current
@@ -204,7 +193,8 @@ func (rc *reqChain) missStep() {
 		fut.WaitAsync(rc.retryFn)
 		return
 	}
-	rc.fut = dc.getFetchFuture()
+	rc.out = outMiss
+	rc.fut.Reset()
 	dc.inflight[rc.doc] = rc.fut
 	dc.backend.HoldAsync(1, dc.nw.Params().BackendTime(int(rc.size)), nil, rc.backendDoneFn)
 }
@@ -290,14 +280,9 @@ func (rc *reqChain) dirEntries(evicted []int) {
 // future (waking concurrent requesters of the same document), a BCC
 // duplicate goes straight to egress.
 func (rc *reqChain) insertDone() {
-	dc := rc.dc
-	if rc.fut != nil {
-		dc.inflight[rc.doc] = nil
-		f := rc.fut
-		rc.fut = nil
-		f.Resolve(0)
-		dc.putFetchFuture(f)
-		rc.out = outMiss
+	if rc.out == outMiss {
+		rc.dc.inflight[rc.doc] = nil
+		rc.fut.Resolve(0)
 	}
 	rc.egress()
 }

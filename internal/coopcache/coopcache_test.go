@@ -157,27 +157,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestRequestChainRecordsRecycle pins the request pipeline's pooling:
-// every served request reuses a recycled chain record, so the number of
-// records ever created is bounded by the peak client concurrency — not
-// by the request count.
-func TestRequestChainRecordsRecycle(t *testing.T) {
-	cfg := quickCfg(HYBCC, 2, 32<<10)
-	dc := Build(cfg)
-	st, err := dc.RunLoad()
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := cfg.Proxies * clientsPerProxy
-	if st.Requests < int64(10*clients) {
-		t.Fatalf("run too short to exercise reuse: %d requests", st.Requests)
-	}
-	if dc.reqMade == 0 || dc.reqMade > clients {
-		t.Fatalf("%d chain records allocated for %d requests, want 1..%d (one per concurrent client at most)",
-			dc.reqMade, st.Requests, clients)
-	}
-}
-
 // TestRemoteHitCountedOnHolderNIC: the response of a remote fetch is
 // serialized by the holder's NIC and shows in the holder's traced
 // statistics. An application server has no clients, so under MTACC it
