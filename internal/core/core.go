@@ -40,7 +40,8 @@ type Config struct {
 	LockKind dlm.Kind
 	// NumLocks sizes the lock namespace (0 means dlm.DefaultLocks).
 	NumLocks int
-	// Seed drives all randomness; equal seeds give identical runs.
+	// Seed is handed to sim.NewEnv, which reads none: no core service
+	// draws random numbers, so equal configurations give identical runs.
 	Seed int64
 }
 
@@ -69,7 +70,7 @@ type Framework struct {
 }
 
 // New builds a framework from the configuration on a fresh simulation
-// environment seeded with cfg.Seed.
+// environment.
 func New(cfg Config) *Framework { return NewOn(runtime.ServiceOptions{}.NewEnv(cfg.Seed), cfg) }
 
 // NewOn builds a framework on an existing environment — how a served
@@ -101,7 +102,7 @@ func NewOn(env *sim.Env, cfg Config) *Framework {
 // Trace snapshots the framework's observability counters: per-device
 // verbs ops, per-NIC occupancy, fabric wire-vs-CPU time per op class,
 // socket flow-control stalls and the engine counters. Snapshots are
-// deterministic for a given Config.Seed.
+// deterministic for a given Config.
 func (f *Framework) Trace() trace.TraceStats { return f.tr.Snapshot() }
 
 // TraceRegistry exposes the framework's registry, e.g. to share it with

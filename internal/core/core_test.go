@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -120,6 +121,7 @@ func TestMoneyConservation(t *testing.T) {
 	)
 	f := New(Config{Nodes: 8, NumLocks: accounts, Seed: 42})
 	defer f.Shutdown()
+	rng := rand.New(rand.NewSource(42))
 
 	f.Go("setup", func(p *sim.Proc) {
 		c := f.Sharing.Client(0)
@@ -140,7 +142,6 @@ func TestMoneyConservation(t *testing.T) {
 			w := w
 			node := f.Node(1 + w%(len(f.Cluster.Nodes)-1))
 			f.Env.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
-				rng := f.Env.Rand()
 				sh := f.Sharing.Client(node.ID)
 				lk := f.Locks.Client(node.ID)
 				for i := 0; i < 15; i++ {

@@ -3,6 +3,7 @@ package ddss
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -421,6 +422,7 @@ func TestPropertyNoTornReads(t *testing.T) {
 		n := int(rounds)%6 + 2
 		env, ss, _ := testSubstrate(11, 3)
 		defer env.Shutdown()
+		rng := rand.New(rand.NewSource(11))
 		ok := true
 		env.Go("setup", func(p *sim.Proc) {
 			c := ss.Client(0)
@@ -437,7 +439,7 @@ func TestPropertyNoTornReads(t *testing.T) {
 			env.Go("writer", func(p *sim.Proc) {
 				for i := 1; i <= n; i++ {
 					wh.Put(p, bytes.Repeat([]byte{byte(i)}, 256))
-					p.Sleep(time.Duration(env.Rand().Intn(20)) * time.Microsecond)
+					p.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
 				}
 			})
 			env.Go("reader", func(p *sim.Proc) {
@@ -454,7 +456,7 @@ func TestPropertyNoTornReads(t *testing.T) {
 							return
 						}
 					}
-					p.Sleep(time.Duration(env.Rand().Intn(15)) * time.Microsecond)
+					p.Sleep(time.Duration(rng.Intn(15)) * time.Microsecond)
 				}
 			})
 		})

@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,13 +75,14 @@ func TestMutualExclusionAllKinds(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			env, m, nodes := testManager(1, kind, 6, 1)
 			defer env.Shutdown()
+			rng := rand.New(rand.NewSource(1))
 			ck := &checker{t: t, kind: kind}
 			for i := 1; i < 6; i++ {
 				node := nodes[i]
 				env.Go(fmt.Sprintf("worker%d", i), func(p *sim.Proc) {
 					c := m.Client(node.ID)
 					for k := 0; k < 5; k++ {
-						p.Sleep(time.Duration(env.Rand().Intn(200)) * time.Microsecond)
+						p.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 						c.Lock(p, 0, Exclusive)
 						ck.acquired(Exclusive)
 						p.Sleep(50 * time.Microsecond)
@@ -133,13 +135,14 @@ func TestReadersExcludeWriter(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			env, m, nodes := testManager(1, kind, 6, 1)
 			defer env.Shutdown()
+			rng := rand.New(rand.NewSource(1))
 			ck := &checker{t: t, kind: kind}
 			for i := 1; i < 5; i++ {
 				node := nodes[i]
 				env.Go(fmt.Sprintf("reader%d", i), func(p *sim.Proc) {
 					c := m.Client(node.ID)
 					for k := 0; k < 3; k++ {
-						p.Sleep(time.Duration(env.Rand().Intn(300)) * time.Microsecond)
+						p.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 						c.Lock(p, 0, Shared)
 						ck.acquired(Shared)
 						p.Sleep(80 * time.Microsecond)
@@ -151,7 +154,7 @@ func TestReadersExcludeWriter(t *testing.T) {
 			env.Go("writer", func(p *sim.Proc) {
 				c := m.Client(nodes[5].ID)
 				for k := 0; k < 3; k++ {
-					p.Sleep(time.Duration(env.Rand().Intn(300)) * time.Microsecond)
+					p.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 					c.Lock(p, 0, Exclusive)
 					ck.acquired(Exclusive)
 					p.Sleep(100 * time.Microsecond)
@@ -446,6 +449,7 @@ func TestPropertyRandomWorkloads(t *testing.T) {
 		}
 		env, m, nodes := testManager(seed, kind, 5, 3)
 		defer env.Shutdown()
+		rng := rand.New(rand.NewSource(seed))
 		type hold struct{ excl, shared int }
 		holds := map[int]*hold{0: {}, 1: {}, 2: {}}
 		type opSpec struct {
@@ -488,7 +492,7 @@ func TestPropertyRandomWorkloads(t *testing.T) {
 						}
 						h.shared++
 					}
-					p.Sleep(time.Duration(env.Rand().Intn(100)) * time.Microsecond)
+					p.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 					if spec.mode == Exclusive {
 						h.excl--
 					} else {

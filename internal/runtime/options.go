@@ -35,7 +35,7 @@ type ServiceOptions struct {
 	Params fabric.Params
 }
 
-// NewEnv opens a run: a fresh environment seeded with seed, carrying
+// NewEnv opens a run: a fresh environment (sim.NewEnv(seed)) carrying
 // the registry and the fault plan. Defer its Shutdown next to the call.
 func (o ServiceOptions) NewEnv(seed int64) *sim.Env {
 	env := sim.NewEnv(seed)

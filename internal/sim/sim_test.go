@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -485,13 +486,14 @@ func TestDeterminism(t *testing.T) {
 	trace := func() []string {
 		e := NewEnv(42)
 		defer e.Shutdown()
+		rng := rand.New(rand.NewSource(42))
 		var tr []string
 		c := NewChan[int](e, "c", 1)
 		for i := 0; i < 4; i++ {
 			i := i
 			e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j := 0; j < 3; j++ {
-					p.Sleep(time.Duration(e.Rand().Intn(100)) * time.Microsecond)
+					p.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 					c.Send(p, i)
 				}
 			})
@@ -564,6 +566,7 @@ func TestPropertyChanConservation(t *testing.T) {
 	f := func(capacity uint8, counts []uint8) bool {
 		e := NewEnv(11)
 		defer e.Shutdown()
+		rng := rand.New(rand.NewSource(11))
 		c := NewChan[int](e, "c", int(capacity%8))
 		if len(counts) > 8 {
 			counts = counts[:8]
@@ -575,7 +578,7 @@ func TestPropertyChanConservation(t *testing.T) {
 			s := s
 			e.Go(fmt.Sprintf("s%d", s), func(p *Proc) {
 				for k := 0; k < n; k++ {
-					p.Sleep(time.Duration(e.Rand().Intn(50)))
+					p.Sleep(time.Duration(rng.Intn(50)))
 					c.Send(p, s*1000+k)
 				}
 			})

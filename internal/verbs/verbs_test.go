@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -153,6 +154,7 @@ func TestPropertyAtomicConservation(t *testing.T) {
 			counts = counts[:6]
 		}
 		env := sim.NewEnv(5)
+		rng := rand.New(rand.NewSource(5))
 		nw := NewNetwork(env, fabric.DefaultParams())
 		home := nw.Attach(cluster.NewNode(env, 0, 1, 1<<20))
 		mr := home.RegisterAtSetup(make([]byte, 8))
@@ -163,7 +165,7 @@ func TestPropertyAtomicConservation(t *testing.T) {
 			d := nw.Attach(cluster.NewNode(env, i+1, 1, 1<<20))
 			env.Go(d.Node.Name, func(p *sim.Proc) {
 				for k := 0; k < n; k++ {
-					p.Sleep(time.Duration(env.Rand().Intn(1000)))
+					p.Sleep(time.Duration(rng.Intn(1000)))
 					if _, err := d.FetchAdd(p, mr.Addr(), 0, 1); err != nil {
 						t.Error(err)
 					}
@@ -185,6 +187,7 @@ func TestPropertyCASMutualExclusion(t *testing.T) {
 	f := func(nNodes uint8) bool {
 		n := int(nNodes%8) + 2
 		env := sim.NewEnv(9)
+		rng := rand.New(rand.NewSource(9))
 		nw := NewNetwork(env, fabric.DefaultParams())
 		home := nw.Attach(cluster.NewNode(env, 0, 1, 1<<20))
 		mr := home.RegisterAtSetup(make([]byte, 8))
@@ -193,7 +196,7 @@ func TestPropertyCASMutualExclusion(t *testing.T) {
 			d := nw.Attach(cluster.NewNode(env, i, 1, 1<<20))
 			id := uint64(i)
 			env.Go(d.Node.Name, func(p *sim.Proc) {
-				p.Sleep(time.Duration(env.Rand().Intn(100)))
+				p.Sleep(time.Duration(rng.Intn(100)))
 				old, err := d.CompareSwap(p, mr.Addr(), 0, 0, id)
 				if err != nil {
 					t.Error(err)
