@@ -205,7 +205,7 @@ func (cfg *Config) docCount() int {
 // Build constructs the deployment on a fresh simulated environment;
 // cfg.Seed seeds the clients' document streams.
 func Build(cfg Config) *DataCenter {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	docs, n := cfg.docCount(), cfg.Proxies+appServers
 	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: make([]*sim.Future[int], docs),

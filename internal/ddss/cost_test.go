@@ -108,7 +108,7 @@ func measureScript(t *testing.T, pp fabric.Params, n int, coh Coherence, put, ho
 	var sink bytes.Buffer
 	reg.SetSink(&sink)
 	o := runtime.ServiceOptions{Trace: reg, Params: pp}
-	env := o.NewEnv(1)
+	env := o.NewEnv()
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, o.Fabric())
 	nodes := []*cluster.Node{cluster.NewNode(env, 0, 2, 1<<30), cluster.NewNode(env, 1, 2, 1<<30)}

@@ -83,7 +83,7 @@ type sweepRun struct {
 // A non-nil tracer sees every scheduler step.
 func runSweepScript(s sweepScript, plan *faults.Plan, tracer func(sim.TraceEvent)) sweepRun {
 	o := runtime.ServiceOptions{Faults: plan}
-	env := o.NewEnv(1)
+	env := o.NewEnv()
 	defer env.Shutdown()
 	env.SetTracer(tracer)
 	nw := verbs.NewNetwork(env, o.Fabric())

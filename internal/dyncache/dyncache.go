@@ -187,7 +187,7 @@ func Run(cfg Config) (Stats, error) {
 }
 
 func build(cfg Config) *deployment {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	d := &deployment{cfg: cfg, env: env, nw: nw}
 	id := 0

@@ -180,7 +180,7 @@ func runScaleCell(cfg ScaleConfig) (res ScaleResult, ts coopcache.TierStats, es 
 	// the pinned-cell tests build ScaleConfig literals); the carrier is
 	// assembled here.
 	open := runtime.ServiceOptions{Faults: cfg.Faults}
-	env := open.NewEnv(cfg.Seed)
+	env := open.NewEnv()
 	// A process still parked when Run returns (only after a failure: boot
 	// and the rebalance tick end with the drivers) would pin the whole
 	// cell forever.

@@ -112,7 +112,7 @@ func docKey(service, doc int) int { return service*1_000_000 + doc }
 
 // Run executes one integrated experiment.
 func Run(cfg Config) (Stats, error) {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	pp := nw.Params()

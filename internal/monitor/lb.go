@@ -81,7 +81,7 @@ func docCost(doc int) time.Duration {
 
 // RunLB runs the Fig 8b experiment for one scheme.
 func RunLB(cfg LBConfig) (LBStats, error) {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)

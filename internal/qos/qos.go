@@ -117,7 +117,7 @@ type Stats struct {
 
 // Run executes one experiment.
 func Run(cfg Config) (Stats, error) {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 4, 1<<30)

@@ -178,7 +178,7 @@ func LeastLoaded(nodes []*cluster.Node, assign []int, service int) int {
 
 // Run executes the experiment.
 func Run(cfg Config) (Result, error) {
-	env := cfg.NewEnv(cfg.Seed)
+	env := cfg.NewEnv()
 	defer env.Shutdown()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	front := cluster.NewNode(env, 0, 2, 1<<30)

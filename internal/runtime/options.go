@@ -35,10 +35,12 @@ type ServiceOptions struct {
 	Params fabric.Params
 }
 
-// NewEnv opens a run: a fresh environment (sim.NewEnv(seed)) carrying
-// the registry and the fault plan. Defer its Shutdown next to the call.
-func (o ServiceOptions) NewEnv(seed int64) *sim.Env {
-	env := sim.NewEnv(seed)
+// NewEnv opens a run: a fresh environment carrying the registry and the
+// fault plan. It takes no seed: the engine draws no random numbers, and
+// a model that needs a stream seeds its own. Defer its Shutdown next to
+// the call.
+func (o ServiceOptions) NewEnv() *sim.Env {
+	env := sim.NewEnv(0)
 	trace.AttachRegistry(env, o.Trace)
 	faults.Install(env, o.Faults)
 	return env
