@@ -332,7 +332,7 @@ func TestCascadeSharedShape(t *testing.T) {
 	// cohort in a burst: its cascade must stay far below DQNL's serial
 	// chain and below SRSL at 16 waiters.
 	get := func(kind Kind) time.Duration {
-		r, err := Cascade(kind, Shared, 16, 1, runtime.ServiceOptions{})
+		r, err := Cascade(kind, Shared, 16, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -351,7 +351,7 @@ func TestCascadeExclusiveShape(t *testing.T) {
 	// Fig 5b: exclusive chains serialize for everyone; N-CoSED's direct
 	// peer hand-off must be the cheapest, SRSL the most expensive.
 	get := func(kind Kind) time.Duration {
-		r, err := Cascade(kind, Exclusive, 16, 1, runtime.ServiceOptions{})
+		r, err := Cascade(kind, Exclusive, 16, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -365,11 +365,11 @@ func TestCascadeExclusiveShape(t *testing.T) {
 
 func TestCascadeGrowsWithWaiters(t *testing.T) {
 	for _, kind := range allKinds {
-		small, err := Cascade(kind, Exclusive, 2, 1, runtime.ServiceOptions{})
+		small, err := Cascade(kind, Exclusive, 2, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		large, err := Cascade(kind, Exclusive, 12, 1, runtime.ServiceOptions{})
+		large, err := Cascade(kind, Exclusive, 12, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +549,7 @@ func TestCascadeShapeHoldsOnIWARP(t *testing.T) {
 	// §6: the designs rely on common RDMA features; rerunning Fig 5a
 	// under the 10GigE/iWARP calibration must keep the ordering.
 	get := func(kind Kind) time.Duration {
-		r, err := Cascade(kind, Shared, 16, 1, runtime.ServiceOptions{Params: fabric.IWARPParams()})
+		r, err := Cascade(kind, Shared, 16, runtime.ServiceOptions{Params: fabric.IWARPParams()})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

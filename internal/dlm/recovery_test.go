@@ -19,7 +19,7 @@ import (
 // waiter must be re-granted the lock within one lease interval.
 func TestCrashRecoveryWithinLease(t *testing.T) {
 	for _, ttl := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond} {
-		res, err := MeasureRecovery(ttl, 1, runtime.ServiceOptions{})
+		res, err := MeasureRecovery(ttl, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("ttl %v: %v", ttl, err)
 		}

@@ -38,7 +38,7 @@ func TestRecoveryExperimentDeterministic(t *testing.T) {
 func TestRecoveryReleasesGoroutines(t *testing.T) {
 	leaked := goroutinesLeakedBy(func() {
 		for i := 0; i < 20; i++ {
-			if _, err := dlm.MeasureRecovery(100*time.Microsecond, 1, runtime.ServiceOptions{}); err != nil {
+			if _, err := dlm.MeasureRecovery(100*time.Microsecond, runtime.ServiceOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
