@@ -9,7 +9,7 @@ import (
 
 func TestMeasurePutLatencyAllModels(t *testing.T) {
 	for _, m := range append(append([]Coherence{}, Models...), Temporal) {
-		lat, err := MeasurePutLatency(m, 64, 1, runtime.ServiceOptions{})
+		lat, err := MeasurePutLatency(m, 64, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -20,11 +20,11 @@ func TestMeasurePutLatencyAllModels(t *testing.T) {
 }
 
 func TestMeasureLatencyScalesWithSize(t *testing.T) {
-	small, err := MeasurePutLatency(Null, 1, 1, runtime.ServiceOptions{})
+	small, err := MeasurePutLatency(Null, 1, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := MeasurePutLatency(Null, 256<<10, 1, runtime.ServiceOptions{})
+	big, err := MeasurePutLatency(Null, 256<<10, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func TestMeasureLatencyScalesWithSize(t *testing.T) {
 }
 
 func TestMeasureDeterministic(t *testing.T) {
-	a, _ := MeasurePutLatency(Strict, 1024, 3, runtime.ServiceOptions{})
-	b, _ := MeasurePutLatency(Strict, 1024, 3, runtime.ServiceOptions{})
+	a, _ := MeasurePutLatency(Strict, 1024, runtime.ServiceOptions{})
+	b, _ := MeasurePutLatency(Strict, 1024, runtime.ServiceOptions{})
 	if a != b {
-		t.Fatalf("same seed gave %v and %v", a, b)
+		t.Fatalf("two identical runs gave %v and %v", a, b)
 	}
 }
