@@ -62,11 +62,11 @@ func TestEveryMemberDeliversExactlyOnce(t *testing.T) {
 func TestBinomialBeatsSerialAtScale(t *testing.T) {
 	// With payloads large enough that wire serialization matters, the
 	// root's O(n) sends dominate serial dissemination.
-	serial, err := MeasureLatency(Serial, 32, 4<<10, 1, runtime.ServiceOptions{})
+	serial, err := MeasureLatency(Serial, 32, 4<<10, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binom, err := MeasureLatency(Binomial, 32, 4<<10, 1, runtime.ServiceOptions{})
+	binom, err := MeasureLatency(Binomial, 32, 4<<10, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestBinomialBeatsSerialAtScale(t *testing.T) {
 }
 
 func TestLatencyGrowsLogarithmically(t *testing.T) {
-	l8, err := MeasureLatency(Binomial, 8, 64, 1, runtime.ServiceOptions{})
+	l8, err := MeasureLatency(Binomial, 8, 64, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l64, err := MeasureLatency(Binomial, 64, 64, 1, runtime.ServiceOptions{})
+	l64, err := MeasureLatency(Binomial, 64, 64, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
