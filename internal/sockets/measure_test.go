@@ -8,22 +8,22 @@ import (
 )
 
 func TestBandwidthDeterministicPerSeed(t *testing.T) {
-	a, err := Bandwidth(BSDP, 4096, 100, DefaultOptions(), 7)
+	a, err := MeasureBandwidth(BSDP, 4096, 100, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Bandwidth(BSDP, 4096, 100, DefaultOptions(), 7)
+	b, err := MeasureBandwidth(BSDP, 4096, 100, runtime.ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("same seed gave %v and %v", a, b)
+		t.Fatalf("two identical runs gave %v and %v", a, b)
 	}
 }
 
 func TestBandwidthPositiveForAllSchemes(t *testing.T) {
 	for _, sc := range allSchemes {
-		bw, err := Bandwidth(sc, 1024, 50, DefaultOptions(), 1)
+		bw, err := MeasureBandwidth(sc, 1024, 50, runtime.ServiceOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
 		}
@@ -37,11 +37,11 @@ func TestFlowControlShapeHoldsOnIWARP(t *testing.T) {
 	// The packetized-flow-control win must survive a different RDMA
 	// interconnect calibration.
 	iwarp := runtime.ServiceOptions{Params: fabric.IWARPParams()}
-	bsdp, err := MeasureBandwidth(BSDP, 64, 2000, 1, iwarp)
+	bsdp, err := MeasureBandwidth(BSDP, 64, 2000, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdp, err := MeasureBandwidth(PSDP, 64, 2000, 1, iwarp)
+	psdp, err := MeasureBandwidth(PSDP, 64, 2000, iwarp)
 	if err != nil {
 		t.Fatal(err)
 	}
