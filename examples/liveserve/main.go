@@ -44,7 +44,7 @@ func script(label string, rt ngdc.Runtime, addr string) {
 
 func main() {
 	// Simulated: virtual clock, deterministic, framework-backed.
-	env := ngdc.NewEnv(1)
+	env := ngdc.NewEnv()
 	defer env.Shutdown()
 	simRT := ngdc.NewSimRuntime(env)
 	simSrv := ngdc.NewServer(simRT, ngdc.ServerOptions{Locks: 8, Nodes: 2})
