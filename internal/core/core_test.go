@@ -119,7 +119,7 @@ func TestMoneyConservation(t *testing.T) {
 		workers  = 6
 		transfer = 25
 	)
-	f := New(Config{Nodes: 8, NumLocks: accounts, Seed: 42})
+	f := New(Config{Nodes: 8, NumLocks: accounts})
 	defer f.Shutdown()
 	rng := rand.New(rand.NewSource(42))
 
