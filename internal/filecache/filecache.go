@@ -288,11 +288,10 @@ func (c *Cache) park(p *sim.Proc, v, old *victim) error {
 // FlushLocal drops the entire local cache — what a service restart or a
 // reconfiguration move does to a node's buffer cache. The remote victim
 // tier is unaffected: that is the §6 "avoid cache corruption" property.
-func (c *Cache) FlushLocal(p *sim.Proc) error {
+func (c *Cache) FlushLocal() {
 	// Demote nothing: the flush models lost state, and pages already
 	// demoted stay warm remotely.
 	c.local.Clear()
-	return nil
 }
 
 // LocalPages returns the number of locally resident pages.

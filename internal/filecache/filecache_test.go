@@ -116,9 +116,7 @@ func TestWarmRestartSurvivesFlush(t *testing.T) {
 				}
 			}
 		}
-		if err := c.FlushLocal(p); err != nil {
-			t.Fatal(err)
-		}
+		c.FlushLocal()
 		if c.LocalPages() != 0 {
 			t.Fatal("flush left local pages")
 		}
