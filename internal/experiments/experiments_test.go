@@ -20,6 +20,17 @@ func TestCatalogueComplete(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
+	if all[0].ID != "E1" || all[0].CommandName() != "ddss-latency" || all[2].ID != "E3" || all[2].CommandName() != "lock-cascade -mode shared" {
+		t.Fatalf("E1 runs as %q and E3 as %q; want ddss-latency and lock-cascade -mode shared", all[0].CommandName(), all[2].CommandName())
+	}
+}
+
+// TestLockCascadeRejectsUnknownMode: a mistyped -mode is an error, not
+// Fig 5a under another name.
+func TestLockCascadeRejectsUnknownMode(t *testing.T) {
+	if _, err := LockCascade(Options{Quick: true, Mode: "exlusive"}); err == nil || !strings.Contains(err.Error(), `"exlusive"`) {
+		t.Fatalf("mode \"exlusive\": err = %v, want one naming the mode", err)
+	}
 }
 
 // TestEveryExperimentRunsQuick executes the whole catalogue with Quick
