@@ -439,8 +439,12 @@ func TestDeadlockDetection(t *testing.T) {
 	if !errors.As(err, &d) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if _, ok := d.Parked["stuck"]; !ok {
-		t.Fatalf("deadlock report %v missing process", d.Parked)
+	reason, ok := d.Parked["stuck"]
+	if !ok || reason == "" {
+		t.Fatalf("deadlock report %v missing process or reason", d.Parked)
+	}
+	if want := "[stuck: " + reason + "]"; !contains(d.Error(), want) {
+		t.Fatalf("Error() = %q, want it to contain %q", d.Error(), want)
 	}
 	e.Shutdown()
 }
