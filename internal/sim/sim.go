@@ -132,8 +132,8 @@ func (e *Env) Faults() any { return e.faults }
 
 // NewEnv returns a fresh environment. seed is unread: the engine draws
 // no random numbers, and a model that needs a stream seeds its own. The
-// parameter stays because the repository benchmark opens its runs with
-// sim.NewEnv(seed).
+// parameter stays because the repository benchmark passes one (ROADMAP
+// item 2(a)).
 func NewEnv(seed int64) *Env {
 	return &Env{}
 }
