@@ -19,6 +19,10 @@
 // see internal/faults for the grammar. Replaying the same plan and seed
 // reproduces the run byte-for-byte).
 //
+// A variant flag (-mode, -proxies, -measure, -rubis, -faults) that no
+// experiment the subcommand runs reads exits 2 naming it; under all, the
+// pinned variants override -mode and -proxies, so those exit 2 too.
+//
 // Profiling: -cpuprofile <file> and -memprofile <file> write pprof
 // profiles covering the experiment run.
 //
@@ -53,6 +57,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"ngdc/internal/experiments"
 	"ngdc/internal/faults"
@@ -87,6 +92,22 @@ func main() {
 		return
 	}
 	fs.Parse(args)
+
+	var e experiments.Experiment
+	if cmd != "all" {
+		var ok bool
+		if e, ok = experiments.Find(cmd); !ok {
+			fmt.Fprintf(os.Stderr, "ngdc-bench: unknown experiment %q\n\n", cmd)
+			usage()
+			os.Exit(2)
+		}
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if unread := experiments.UnreadFlags(cmd, set); unread != nil {
+		fmt.Fprintf(os.Stderr, "ngdc-bench: %s reads no -%s\n", cmd, strings.Join(unread, ", -"))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -151,12 +172,6 @@ func main() {
 		}
 		writeTrace(traceOut, opt.Trace)
 		return
-	}
-	e, ok := experiments.Find(cmd)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ngdc-bench: unknown experiment %q\n\n", cmd)
-		usage()
-		os.Exit(2)
 	}
 	tb, err := e.Render(opt)
 	if err != nil {

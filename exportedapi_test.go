@@ -25,16 +25,18 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 const exportedAPIAllowlist = "testdata/exportedapi.allow"
 
 func TestExportedAPIHasCallers(t *testing.T) {
-	unused, options, err := scanExportedAPI([]apiModule{{"ngdc", "."}, {"ngdc/benchmark", "benchmark"}})
+	r, err := scanRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unused, options := r.unused, r.options
 	allow, err := readAPIAllowlist(exportedAPIAllowlist)
 	if err != nil {
 		t.Fatal(err)
@@ -298,10 +300,11 @@ func main() {
 			t.Fatal(err)
 		}
 	}
-	unused, options, err := scanExportedAPI([]apiModule{{"fix", dir}})
+	s, err := loadModules([]apiModule{{"fix", dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	unused, options := s.unused(), s.options
 	want := []string{
 		"fix.Large", "fix.Lonely", "fix.Size", "fix.Small",
 		"p.Blank(#2)", "p.Box.Get", "p.Counter.hits", "p.Counter.seen", "p.EnvConfig.Never", "p.EnvConfig.Seed",
@@ -337,41 +340,24 @@ func main() {
 // apiModule is a module's import path and its directory.
 type apiModule struct{ path, dir string }
 
-// scanExportedAPI type-checks every non-test package of mods and returns,
-// sorted, the identifiers declared in mods[0]'s root package or under its
-// internal/ that no non-test file references, each as pkg.Name,
-// pkg.Recv.Name or pkg.Type.field, with pkg the package's name for the
-// root and its path relative to internal/ otherwise, and the options
-// structs it checked.
-//
-// Listed are the exported package-level funcs, types, vars and consts,
-// the exported methods of every named type (interface methods included),
-// the unexported package-level funcs, and the unexported fields of every
-// package-level struct type that no non-test file reads. Exported fields
-// are not listed: fmt and encoding/json read them by reflection. A
-// reference inside the identifier's own declaration (a method's
-// receiver, a recursive call, an enum constant's type) does not count. A
-// method reached through an interface counts as used when that
-// interface's method is used, and fmt.Stringer's String and error's Error
-// always are. A method of a generic type counts as used when any
-// instance's is. A type a package declares or aliases and the package's
-// constants of that type are one enum unit, listed only when none of
-// them is used. A field is read by any selector that is not the whole
-// left side of an assignment or increment; an embedded field by every
-// selector promoted through it; and every field of a struct used as a map
-// key or compared with == by that use.
-//
-// An options struct is an exported struct type under internal/ whose name
-// is or ends in Options or Config. Its fields, embedded ones aside, are
-// listed when no non-test file sets them away from their default (see
-// recordSets), or when every non-test read of them, if any, is an
-// argument landing in an unread parameter. fabric.Params is a
-// calibration, swept field by field, and is no options struct.
-//
-// The unread parameters of the funcs and methods declared there are
-// listed too, each as pkg.[Recv.]Func(name), or Func(#n) for the blank or
-// unnamed n-th one (see unreadParams).
-func scanExportedAPI(mods []apiModule) ([]string, []optionType, error) {
+// repoScan is the scan of this module and benchmark/ with the gate's
+// result: one type-check per test binary, which the gate and the
+// structural rules (structure_test.go) share.
+type repoScan struct {
+	*apiScan
+	unused []string
+}
+
+var scanRepo = sync.OnceValues(func() (repoScan, error) {
+	s, err := loadModules([]apiModule{{"ngdc", "."}, {"ngdc/benchmark", "benchmark"}})
+	if err != nil {
+		return repoScan{}, err
+	}
+	return repoScan{s, s.unused()}, nil
+})
+
+// loadModules type-checks every non-test package of mods.
+func loadModules(mods []apiModule) (*apiScan, error) {
 	s := &apiScan{
 		fset: token.NewFileSet(),
 		mods: mods,
@@ -406,10 +392,10 @@ func scanExportedAPI(mods []apiModule) ([]string, []optionType, error) {
 			return err
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return s.unused(), s.options, nil
+	return s, nil
 }
 
 type apiScan struct {
@@ -426,6 +412,7 @@ type apiScan struct {
 	ifaceUses []ifaceUse
 	listed    []*types.Package // mods[0]'s root package and the packages under its internal/
 	options   []optionType
+	checked   []checkedPkg // every module package, in load order
 
 	params     map[*types.Var]*valueUse // every parameter of a module func declaration
 	fieldUses  map[*types.Var]*valueUse // how non-test code reads each field
@@ -470,6 +457,14 @@ func (u *valueUse) passedOnly(unread map[*types.Var]bool) bool {
 type optionType struct {
 	name          string
 	fields, unset int
+}
+
+// checkedPkg is a type-checked module package: its non-test files and
+// what the checker recorded of them.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
 }
 
 type ifaceUse struct {
@@ -531,6 +526,7 @@ func (s *apiScan) load(path, dir string) (*types.Package, error) {
 		return nil, err
 	}
 	s.pkgs[path] = pkg
+	s.checked = append(s.checked, checkedPkg{pkg, files, info})
 	if path == s.mods[0].path || strings.HasPrefix(path, s.mods[0].path+"/internal/") {
 		s.listed = append(s.listed, pkg)
 	}
@@ -925,6 +921,39 @@ func recvTypeName(fn types.Object) *types.TypeName {
 	return nil
 }
 
+// unused returns, sorted, the identifiers declared in mods[0]'s root
+// package or under its internal/ that no non-test file references, each
+// as pkg.Name, pkg.Recv.Name or pkg.Type.field, with pkg the package's
+// name for the root and its path relative to internal/ otherwise, and
+// fills s.options with the options structs it checked.
+//
+// Listed are the exported package-level funcs, types, vars and consts,
+// the exported methods of every named type (interface methods included),
+// the unexported package-level funcs, and the unexported fields of every
+// package-level struct type that no non-test file reads. Exported fields
+// are not listed: fmt and encoding/json read them by reflection. A
+// reference inside the identifier's own declaration (a method's
+// receiver, a recursive call, an enum constant's type) does not count. A
+// method reached through an interface counts as used when that
+// interface's method is used, and fmt.Stringer's String and error's Error
+// always are. A method of a generic type counts as used when any
+// instance's is. A type a package declares or aliases and the package's
+// constants of that type are one enum unit, listed only when none of
+// them is used. A field is read by any selector that is not the whole
+// left side of an assignment or increment; an embedded field by every
+// selector promoted through it; and every field of a struct used as a map
+// key or compared with == by that use.
+//
+// An options struct is an exported struct type under internal/ whose name
+// is or ends in Options or Config. Its fields, embedded ones aside, are
+// listed when no non-test file sets them away from their default (see
+// recordSets), or when every non-test read of them, if any, is an
+// argument landing in an unread parameter. fabric.Params is a
+// calibration, swept field by field, and is no options struct.
+//
+// The unread parameters of the funcs and methods declared there are
+// listed too, each as pkg.[Recv.]Func(name), or Func(#n) for the blank or
+// unnamed n-th one (see unreadParams).
 func (s *apiScan) unused() []string {
 	// fmt.Stringer and error are called by the standard library.
 	str := types.NewSignatureType(nil, nil, nil, nil,

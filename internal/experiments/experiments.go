@@ -8,6 +8,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"ngdc/internal/coopcache"
@@ -93,6 +95,10 @@ type Experiment struct {
 	// Pin fixes the options that select this catalogue entry's variant
 	// (e.g. Fig 5a pins Mode "shared"); nil means no pinned variant.
 	Pin func(Options) Options
+	// Reads names the ngdc-bench variant flags Run reads (e.g.
+	// "proxies"). A pinned entry does not read the flag its Flags names:
+	// Pin overrides it.
+	Reads []string
 	// Run produces the rendered table.
 	Run func(Options) (*metrics.Table, error)
 	// GoldenExcluded keeps the experiment out of the pinned Quick
@@ -126,18 +132,18 @@ func All() []Experiment {
 		{ID: "E1", Figure: "Fig 3a", Name: "ddss-latency", Run: DDSSLatency},
 		{ID: "E2", Figure: "Fig 3b", Name: "storm", Run: Storm},
 		{ID: "E3", Figure: "Fig 5a", Name: "lock-cascade", Flags: "-mode shared",
-			Pin: func(o Options) Options { o.Mode = "shared"; return o }, Run: LockCascade},
+			Pin: func(o Options) Options { o.Mode = "shared"; return o }, Reads: []string{"mode"}, Run: LockCascade},
 		{ID: "E4", Figure: "Fig 5b", Name: "lock-cascade", Flags: "-mode exclusive",
-			Pin: func(o Options) Options { o.Mode = "exclusive"; return o }, Run: LockCascade},
+			Pin: func(o Options) Options { o.Mode = "exclusive"; return o }, Reads: []string{"mode"}, Run: LockCascade},
 		{ID: "E5", Figure: "Fig 6a", Name: "coopcache", Flags: "-proxies 2",
-			Pin: func(o Options) Options { o.Proxies = 2; return o }, Run: CoopCache},
+			Pin: func(o Options) Options { o.Proxies = 2; return o }, Reads: []string{"proxies", "measure"}, Run: CoopCache},
 		{ID: "E6", Figure: "Fig 6b", Name: "coopcache", Flags: "-proxies 8",
-			Pin: func(o Options) Options { o.Proxies = 8; return o }, Run: CoopCache},
+			Pin: func(o Options) Options { o.Proxies = 8; return o }, Reads: []string{"proxies", "measure"}, Run: CoopCache},
 		{ID: "E7", Figure: "Fig 8a", Name: "monitor-accuracy", Run: MonitorAccuracy},
-		{ID: "E8", Figure: "Fig 8b", Name: "monitor-throughput", Run: MonitorThroughput},
+		{ID: "E8", Figure: "Fig 8b", Name: "monitor-throughput", Reads: []string{"rubis"}, Run: MonitorThroughput},
 		{ID: "E9", Figure: "§6 flow control", Name: "flowcontrol", Run: FlowControl},
 		{ID: "E10", Figure: "§3 AZ-SDP", Name: "sdp", Run: SDP},
-		{ID: "E11", Figure: "§6 reconfiguration", Name: "reconfig", Run: Reconfig},
+		{ID: "E11", Figure: "§6 reconfiguration", Name: "reconfig", Reads: []string{"faults"}, Run: Reconfig},
 		{ID: "E12", Figure: "§3 dynamic content", Name: "dyncache", Run: DynCache},
 		{ID: "E13", Figure: "§3 QoS", Name: "qos", Run: QoS},
 		{ID: "E14", Figure: "multicast", Name: "multicast", Run: Multicast},
@@ -158,6 +164,37 @@ func Find(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// UnreadFlags returns, in the order of set, the variant flags set names
+// (flags some catalogue entry Reads) that no experiment the subcommand
+// cmd runs reads: Find's entry, or for "all" every entry, pinned. A
+// flag no entry reads, like -seed or -trace, is not a variant flag.
+func UnreadFlags(cmd string, set []string) []string {
+	run := All()
+	if cmd != "all" {
+		e, _ := Find(cmd)
+		run = []Experiment{e}
+	}
+	var out []string
+	for _, name := range set {
+		variant, read := false, false
+		for _, e := range All() {
+			variant = variant || slices.Contains(e.Reads, name)
+		}
+		for _, e := range run {
+			read = read || e.reads(name)
+		}
+		if variant && !read {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// reads reports whether e, run as it is, reads the variant flag name.
+func (e Experiment) reads(name string) bool {
+	return slices.Contains(e.Reads, name) && (e.Pin == nil || !strings.HasPrefix(e.Flags, "-"+name+" "))
 }
 
 // DDSSLatency regenerates Fig 3a.

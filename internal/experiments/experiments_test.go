@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,35 @@ func TestCatalogueComplete(t *testing.T) {
 	}
 	if all[0].ID != "E1" || all[0].CommandName() != "ddss-latency" || all[2].ID != "E3" || all[2].CommandName() != "lock-cascade -mode shared" {
 		t.Fatalf("E1 runs as %q and E3 as %q; want ddss-latency and lock-cascade -mode shared", all[0].CommandName(), all[2].CommandName())
+	}
+}
+
+// TestUnreadFlags pins which variant flags each subcommand reads: a flag
+// the run never reads is rejected, not ignored, and under "all" the pins
+// override -mode and -proxies.
+func TestUnreadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  string
+		set  []string
+		want string
+	}{
+		{"multicast", []string{"faults", "mode", "proxies", "quick", "rubis"}, "[faults mode proxies rubis]"},
+		{"multicast", []string{"seed", "quick", "parallel", "trace", "cpuprofile"}, "[]"},
+		{"lock-cascade", []string{"mode"}, "[]"},
+		{"lock-cascade", []string{"measure", "mode"}, "[measure]"},
+		{"coopcache", []string{"measure", "proxies"}, "[]"},
+		{"coopcache", []string{"rubis"}, "[rubis]"},
+		{"monitor-throughput", []string{"rubis"}, "[]"},
+		{"monitor-accuracy", []string{"rubis"}, "[rubis]"},
+		{"reconfig", []string{"faults"}, "[]"},
+		{"dc-scale", []string{"faults"}, "[faults]"},
+		{"all", []string{"mode"}, "[mode]"},
+		{"all", []string{"proxies"}, "[proxies]"},
+		{"all", []string{"faults", "measure", "rubis", "seed"}, "[]"},
+	} {
+		if got := fmt.Sprint(UnreadFlags(tc.cmd, tc.set)); got != tc.want {
+			t.Errorf("UnreadFlags(%s, %v) = %s, want %s", tc.cmd, tc.set, got, tc.want)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
+	"ngdc/internal/trace"
 	"ngdc/internal/verbs"
 )
 
@@ -512,5 +514,58 @@ func TestDeliverOrderedRingAndOverflow(t *testing.T) {
 	}
 	if len(got) != n {
 		t.Fatalf("delivered %d of %d", len(got), n)
+	}
+}
+
+// TestTracedCreditStalls opens traced runs whose receiver sleeps before
+// its first Recv while the sender sends more messages than there are
+// credits: the sender's waits must reach the registry with a nonzero
+// count and wait. BSDP spends a credit per 8 KiB chunk. P-SDP spends one
+// per frame and bytes of its 16-chunk pool per chunk, so full chunks
+// stall it on the pool first and spaced 1 KiB messages, a frame each, on
+// credits.
+func TestTracedCreditStalls(t *testing.T) {
+	for _, tc := range []struct {
+		scheme Scheme
+		size   int
+		kind   trace.StallKind
+	}{
+		{BSDP, bufSize, trace.StallCredits},
+		{PSDP, bufSize / 8, trace.StallCredits},
+		{PSDP, bufSize, trace.StallPool},
+	} {
+		reg := trace.NewRegistry()
+		env := runtime.ServiceOptions{Trace: reg}.NewEnv()
+		nw := verbs.NewNetwork(env, fabric.DefaultParams())
+		a := nw.Attach(cluster.NewNode(env, 0, 4, 1<<30))
+		b := nw.Attach(cluster.NewNode(env, 1, 4, 1<<30))
+		ca, cb := Dial(tc.scheme, a, b)
+		const msgs = credits + 8
+		env.Go("tx", func(p *sim.Proc) {
+			for i := 0; i < msgs; i++ {
+				if err := ca.Send(p, make([]byte, tc.size)); err != nil {
+					t.Error(err)
+				}
+				p.Sleep(10 * time.Microsecond) // one message a frame: the pump packs none
+			}
+		})
+		env.Go("rx", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			for i := 0; i < msgs; i++ {
+				if _, err := cb.Recv(p); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		env.Shutdown()
+		s := reg.Snapshot()
+		st := s.Schemes[tc.scheme.String()].Stalls[tc.kind]
+		if s.Stalls() == 0 || st.Count == 0 || st.Wait == 0 {
+			t.Errorf("%s, %d B messages: Stalls() = %d, %s stalls %+v; want a nonzero count and wait",
+				tc.scheme, tc.size, s.Stalls(), tc.kind, st)
+		}
 	}
 }

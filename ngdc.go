@@ -52,7 +52,7 @@ type (
 
 // NewEnv creates a standalone simulation environment (most users want New
 // instead, which wires a whole data-center).
-func NewEnv() *Env { return sim.NewEnv(0) }
+func NewEnv() *Env { return runtime.ServiceOptions{}.NewEnv() }
 
 // Node is one simulated machine.
 type Node = cluster.Node
