@@ -26,9 +26,8 @@
 // Profiling: -cpuprofile <file> and -memprofile <file> write pprof
 // profiles covering the experiment run.
 //
-// Host performance is measured elsewhere: the repository benchmark in
-// benchmark/ (repeated, fingerprinted, digest-checked) and the
-// Benchmark* functions under go test -bench.
+// Host performance is measured elsewhere: by the repository benchmark in
+// benchmark/ (repeated, fingerprinted, digest-checked).
 //
 // Experiments:
 //
@@ -44,6 +43,7 @@
 //	dyncache            §3     — dynamic-content caching coherence
 //	qos                 §3     — soft QoS / admission control under overload
 //	multicast           framework — multicast dissemination latency
+//	filecache           §6     — remote-memory file cache, warm restart
 //	integrated          §6     — full-stack integrated evaluation
 //	recovery            fault model — lock recovery latency vs lease length
 //	dc-scale            datacenter at scale — cluster size × transport mode

@@ -134,14 +134,6 @@ type Stats struct {
 	DuplicateBytes int64
 }
 
-// HitRate returns the fraction of requests served from some cache.
-func (s Stats) HitRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.LocalHits+s.RemoteHits) / float64(s.Requests)
-}
-
 // DataCenter is a built cooperative-caching deployment.
 type DataCenter struct {
 	cfg Config

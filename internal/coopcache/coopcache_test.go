@@ -116,7 +116,10 @@ func TestHitRateOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rates[scheme] = st.HitRate()
+		if st.Requests == 0 {
+			t.Fatalf("%v served no request", scheme)
+		}
+		rates[scheme] = float64(st.LocalHits+st.RemoteHits) / float64(st.Requests)
 	}
 	if rates[BCC] < rates[AC] {
 		t.Fatalf("BCC hit rate %.2f below AC %.2f", rates[BCC], rates[AC])

@@ -10,6 +10,7 @@ import (
 	"ngdc/internal/dlm"
 	"ngdc/internal/dyncache"
 	"ngdc/internal/faults"
+	"ngdc/internal/filecache"
 	"ngdc/internal/integrated"
 	"ngdc/internal/monitor"
 	"ngdc/internal/multicast"
@@ -63,8 +64,8 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			_, err := sockets.MeasureBandwidth(sockets.BSDP, 64, 100, o)
 			return err
 		}, "BSDP", true},
-		{"monitor.Improvement", func(o runtime.ServiceOptions) error {
-			_, _, err := monitor.Improvement(0.9, false, 1, o)
+		{"filecache.MeasureRestart", func(o runtime.ServiceOptions) error {
+			_, _, err := filecache.MeasureRestart(filecache.RemoteMemory, o)
 			return err
 		}, "rdma-read", false},
 		{"coopcache.Run", func(o runtime.ServiceOptions) error {

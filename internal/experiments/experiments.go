@@ -16,6 +16,7 @@ import (
 	"ngdc/internal/ddss"
 	"ngdc/internal/dlm"
 	"ngdc/internal/dyncache"
+	"ngdc/internal/filecache"
 	"ngdc/internal/integrated"
 	"ngdc/internal/metrics"
 	"ngdc/internal/monitor"
@@ -31,8 +32,8 @@ import (
 type Options struct {
 	// Seed (0 means 1) seeds the workload streams of the experiments
 	// that draw random numbers: E5, E6, E8, E11, E12, E13, E16 and E18.
-	// E1–E4, E7, E9, E10, E14 and E17 draw none, and every seed gives
-	// them the same table.
+	// E1–E4, E7, E9, E10, E14, E15 and E17 draw none, and every seed
+	// gives them the same table.
 	Seed int64
 	// Quick shrinks sweeps and windows for fast smoke runs.
 	Quick bool
@@ -66,12 +67,6 @@ type Options struct {
 // cluster.
 func (o Options) healthy() runtime.ServiceOptions {
 	return runtime.ServiceOptions{Trace: o.Trace, Params: o.Params}
-}
-
-// untraced is the carrier of a cell that has never published counters —
-// E8's full sweep, E17 — so a trace file keeps its content.
-func (o Options) untraced() runtime.ServiceOptions {
-	return runtime.ServiceOptions{Params: o.Params}
 }
 
 func (o Options) seed() int64 {
@@ -147,6 +142,7 @@ func All() []Experiment {
 		{ID: "E12", Figure: "§3 dynamic content", Name: "dyncache", Run: DynCache},
 		{ID: "E13", Figure: "§3 QoS", Name: "qos", Run: QoS},
 		{ID: "E14", Figure: "multicast", Name: "multicast", Run: Multicast},
+		{ID: "E15", Figure: "§6 file cache", Name: "filecache", Run: FileCache, GoldenExcluded: true},
 		{ID: "E16", Figure: "§6 integrated", Name: "integrated", Run: Integrated},
 		{ID: "E17", Figure: "fault recovery", Name: "recovery", Run: Recovery, GoldenExcluded: true},
 		{ID: "E18", Figure: "datacenter at scale", Name: "dc-scale", Run: DCScale, GoldenExcluded: true},
@@ -384,44 +380,20 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 		title = "Fig 8b — throughput improvement over Socket-Async (%), RUBiS mix"
 		alphas = []float64{0}
 	}
-	imps := make([]map[monitor.Scheme]float64, len(alphas))
-	var err error
-	if o.Quick {
-		// Quick mode runs shrunken per-scheme LB simulations itself, so
-		// each (alpha, scheme) point is its own sweep cell; the baseline
-		// improvement is computed after the barrier.
-		schemes := monitor.Schemes
-		stats := make([]monitor.LBStats, len(alphas)*len(schemes))
-		err = runCells(o, len(stats), func(i int, o Options) error {
-			cfg := monitor.DefaultLBConfig(schemes[i%len(schemes)], alphas[i/len(schemes)])
-			cfg.RUBiS = o.RUBiS
-			cfg.Seed = o.seed()
-			cfg.ServiceOptions = o.healthy()
+	schemes := monitor.Schemes
+	stats := make([]monitor.LBStats, len(alphas)*len(schemes))
+	err := runCells(o, len(stats), func(i int, o Options) error {
+		cfg := monitor.DefaultLBConfig(schemes[i%len(schemes)], alphas[i/len(schemes)])
+		cfg.RUBiS = o.RUBiS
+		cfg.Seed = o.seed()
+		cfg.ServiceOptions = o.healthy()
+		if o.Quick {
 			cfg.Measure = 500 * time.Millisecond
-			var err error
-			stats[i], err = monitor.RunLB(cfg)
-			return err
-		})
-		for ai := range alphas {
-			var base float64
-			for si, sc := range schemes {
-				if sc == monitor.SocketAsync {
-					base = stats[ai*len(schemes)+si].TPS
-				}
-			}
-			imp := map[monitor.Scheme]float64{}
-			for si, sc := range schemes {
-				imp[sc] = metrics.PercentImprovement(base, stats[ai*len(schemes)+si].TPS)
-			}
-			imps[ai] = imp
 		}
-	} else {
-		err = runCells(o, len(alphas), func(i int, o Options) error {
-			var err error
-			imps[i], _, err = monitor.Improvement(alphas[i], o.RUBiS, o.seed(), o.untraced())
-			return err
-		})
-	}
+		var err error
+		stats[i], err = monitor.RunLB(cfg)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -431,9 +403,16 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 		if o.RUBiS {
 			label = "RUBiS"
 		}
+		cells := stats[i*len(schemes) : (i+1)*len(schemes)]
+		var base float64
+		for _, st := range cells {
+			if st.Scheme == monitor.SocketAsync {
+				base = st.TPS
+			}
+		}
 		row := []any{label}
-		for _, sc := range monitor.Schemes {
-			row = append(row, imps[i][sc])
+		for _, st := range cells {
+			row = append(row, metrics.PercentImprovement(base, st.TPS))
 		}
 		tb.AddRow(row...)
 	}
@@ -620,6 +599,29 @@ func Multicast(o Options) (*metrics.Table, error) {
 			float64(serial)/float64(time.Microsecond),
 			float64(binom)/float64(time.Microsecond),
 			metrics.Ratio(float64(serial), float64(binom)))
+	}
+	return tb, nil
+}
+
+// FileCache regenerates the §6 remote-memory file-cache comparison.
+func FileCache(o Options) (*metrics.Table, error) {
+	modes := []filecache.Mode{filecache.DiskOnly, filecache.RemoteMemory}
+	res := make([]struct {
+		mean float64
+		warm int
+	}, len(modes))
+	err := runCells(o, len(modes), func(i int, o Options) error {
+		var err error
+		res[i].mean, res[i].warm, err = filecache.MeasureRestart(modes[i], o.healthy())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	tb := metrics.NewTable("§6 — remote-memory file cache (128-page working set, 2x the local cache)",
+		"mode", "mean read µs", "remote after flush")
+	for i, m := range modes {
+		tb.AddRow(m.String(), res[i].mean, res[i].warm)
 	}
 	return tb, nil
 }

@@ -24,6 +24,10 @@ func TestCatalogueComplete(t *testing.T) {
 	if all[0].ID != "E1" || all[0].CommandName() != "ddss-latency" || all[2].ID != "E3" || all[2].CommandName() != "lock-cascade -mode shared" {
 		t.Fatalf("E1 runs as %q and E3 as %q; want ddss-latency and lock-cascade -mode shared", all[0].CommandName(), all[2].CommandName())
 	}
+	// E15 came after the golden was captured: it renders, but outside it.
+	if e := all[14]; e.ID != "E15" || e.Name != "filecache" || !e.GoldenExcluded {
+		t.Fatalf("entry 15 is %s (%s, golden-excluded %v); want E15, filecache, excluded", e.ID, e.Name, e.GoldenExcluded)
+	}
 }
 
 // TestUnreadFlags pins which variant flags each subcommand reads: a flag

@@ -10,7 +10,9 @@ import (
 // rendered table plus the merged trace snapshot — to a checked-in
 // golden captured before the verbs event-chain datapath rewrite. Any
 // change to virtual-time outcomes anywhere in the framework (engine,
-// fabric, verbs, consumers) shows up here as a byte diff. The engine
+// fabric, verbs, consumers) shows up here as a byte diff. The fault
+// layer is linked but no plan is installed: faults off must leave every
+// byte as it was. The engine
 // trace record is excluded: events-processed and procs-spawned are
 // exactly the quantities datapath optimizations are meant to reduce.
 func TestQuickCatalogueGolden(t *testing.T) {

@@ -29,7 +29,7 @@ func Recovery(o Options) (*metrics.Table, error) {
 	res := make([]dlm.RecoveryResult, len(ttls))
 	err := runCells(o, len(ttls), func(i int, o Options) error {
 		var err error
-		res[i], err = dlm.MeasureRecovery(ttls[i], o.untraced())
+		res[i], err = dlm.MeasureRecovery(ttls[i], o.healthy())
 		return err
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
 	"ngdc/internal/gma"
+	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -164,31 +165,24 @@ func TestVictimCapacityBounded(t *testing.T) {
 	}
 }
 
+// TestRemoteMemoryBeatsDiskOnly runs E15: over five passes of a working
+// set twice the local capacity, the reuse misses hit remote memory instead
+// of disk, and after FlushLocal every page comes back from remote memory.
 func TestRemoteMemoryBeatsDiskOnly(t *testing.T) {
-	run := func(mode Mode) float64 {
-		env, c := rig(t, mode)
-		defer env.Shutdown()
-		env.Go("p", func(p *sim.Proc) {
-			// Working set of 2x local capacity, five passes: the reuse
-			// misses hit remote memory instead of disk.
-			n := 2 * localPages
-			for round := 0; round < 5; round++ {
-				for i := 0; i < n; i++ {
-					if _, err := c.Read(p, 0, i); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Stats.MeanLatencyUs()
+	disk, diskWarm, err := MeasureRestart(DiskOnly, runtime.ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	disk := run(DiskOnly)
-	remote := run(RemoteMemory)
+	remote, warm, err := MeasureRestart(RemoteMemory, runtime.ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if remote >= disk/3 {
 		t.Fatalf("remote-memory mean %.1fµs vs disk-only %.1fµs: insufficient benefit", remote, disk)
+	}
+	if diskWarm != 0 || warm != 2*localPages {
+		t.Fatalf("after the flush %d (disk-only) and %d (remote-memory) pages came from remote memory; want 0 and %d",
+			diskWarm, warm, 2*localPages)
 	}
 }
 

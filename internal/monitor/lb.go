@@ -160,29 +160,3 @@ func RunLB(cfg LBConfig) (LBStats, error) {
 	}
 	return stats, nil
 }
-
-// Improvement runs the Fig 8b sweep: every scheme against the Socket-Async
-// baseline for one trace, returning percentage TPS improvements. Every
-// run is opened with o.
-func Improvement(alpha float64, rubis bool, seed int64, o runtime.ServiceOptions) (map[Scheme]float64, map[Scheme]LBStats, error) {
-	stats := map[Scheme]LBStats{}
-	for _, sc := range Schemes {
-		cfg := DefaultLBConfig(sc, alpha)
-		cfg.RUBiS = rubis
-		cfg.Seed = seed
-		cfg.ServiceOptions = o
-		s, err := RunLB(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats[sc] = s
-	}
-	base := stats[SocketAsync].TPS
-	imp := map[Scheme]float64{}
-	for sc, s := range stats {
-		if base > 0 {
-			imp[sc] = (s.TPS - base) / base * 100
-		}
-	}
-	return imp, stats, nil
-}

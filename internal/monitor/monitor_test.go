@@ -6,7 +6,6 @@ import (
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
-	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 	"ngdc/internal/verbs"
 )
@@ -176,19 +175,19 @@ func TestLBRUBiSMix(t *testing.T) {
 	}
 }
 
+// TestImprovementSweep: at α 0.75, load balancing on e-RDMA-Sync's
+// readings outserves the Socket-Async baseline Fig 8b measures against.
 func TestImprovementSweep(t *testing.T) {
-	imp, stats, err := Improvement(0.75, false, 1, runtime.ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
+	tps := map[Scheme]float64{}
+	for _, sc := range []Scheme{SocketAsync, ERDMASync} {
+		st, err := RunLB(DefaultLBConfig(sc, 0.75))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tps[sc] = st.TPS
 	}
-	if imp[SocketAsync] != 0 {
-		t.Fatalf("baseline improvement %.1f != 0", imp[SocketAsync])
-	}
-	if imp[ERDMASync] <= 0 {
-		t.Fatalf("e-RDMA-Sync improvement %.1f%% not positive", imp[ERDMASync])
-	}
-	if len(stats) != len(Schemes) {
-		t.Fatal("missing schemes in sweep")
+	if tps[ERDMASync] <= tps[SocketAsync] {
+		t.Fatalf("e-RDMA-Sync %.0f TPS, Socket-Async %.0f: no improvement", tps[ERDMASync], tps[SocketAsync])
 	}
 }
 

@@ -38,9 +38,6 @@ type RealRuntime struct {
 // NewReal creates a wall-clock runtime. Its clock starts now.
 func NewReal() *RealRuntime { return &RealRuntime{start: time.Now()} }
 
-// Mode reports RealMode.
-func (r *RealRuntime) Mode() Mode { return RealMode }
-
 // SimEnv returns nil: there is no simulation behind the live runtime.
 func (r *RealRuntime) SimEnv() *sim.Env { return nil }
 

@@ -5,8 +5,8 @@
 //
 //   - SimRuntime — the deterministic discrete-event simulator
 //     (internal/sim). Tasks are sim processes, the clock is virtual,
-//     and the transport is an in-simulation loopback. Every run with
-//     the same seed is byte-identical.
+//     and the transport is an in-simulation loopback. Every run of the
+//     same script is byte-identical.
 //
 //   - RealRuntime — real goroutines over the wall clock, with the
 //     transport mapped to loopback TCP or Unix-domain sockets with
@@ -28,53 +28,34 @@ import (
 	"ngdc/internal/sim"
 )
 
-// Mode tells the two runtimes apart.
-type Mode int
-
-// The runtime modes.
-const (
-	// SimMode is the deterministic discrete-event simulator.
-	SimMode Mode = iota
-	// RealMode is real goroutines over the wall clock and loopback
-	// sockets.
-	RealMode
-)
-
-func (m Mode) String() string {
-	if m == SimMode {
-		return "sim"
-	}
-	return "real"
-}
-
-// Task is one unit of concurrency: a sim process in SimMode, a plain
-// goroutine in RealMode. Blocking primitives take the Task so the sim
+// Task is one unit of concurrency: a sim process on SimRuntime, a plain
+// goroutine on RealRuntime. Blocking primitives take the Task so the sim
 // backend can park the right process.
 type Task interface {
 	// Now returns the elapsed time since the runtime started (virtual
-	// in SimMode, wall in RealMode).
+	// on SimRuntime, wall on RealRuntime).
 	Now() time.Duration
 	// Sleep suspends the task for d.
 	Sleep(d time.Duration)
-	// SimProc returns the underlying simulated process in SimMode and
-	// nil in RealMode. It is the devirtualization seam for code that
+	// SimProc returns the underlying simulated process on SimRuntime and
+	// nil on RealRuntime. It is the devirtualization seam for code that
 	// needs the concrete sim API.
 	SimProc() *sim.Proc
 }
 
 // Conn is one endpoint of a bidirectional, message-framed connection:
-// each Send delivers one whole frame to the peer's Recv, in order. In
-// RealMode frames travel length-prefixed over loopback TCP or a Unix
-// socket; in SimMode they travel over simulated channels at the current
+// each Send delivers one whole frame to the peer's Recv, in order. On
+// RealRuntime frames travel length-prefixed over loopback TCP or a Unix
+// socket; on SimRuntime they travel over simulated channels at the current
 // virtual instant. Send and Recv are each safe for one concurrent
 // caller, so one sender and one receiver may share a Conn.
 //
-// When a sent frame is on the wire. SimMode hands a frame to the peer
+// When a sent frame is on the wire. SimRuntime hands a frame to the peer
 // inside Send; to a listener that serves frames (see Listener) it does
 // more, and executes the request there: Send returns once the reply is
 // queued for Recv, so a request that blocks — a contended lock — blocks
 // its sender in Send, and a window of requests is answered one Send at
-// a time. RealMode batches: Send appends to the connection's buffer,
+// a time. RealRuntime batches: Send appends to the connection's buffer,
 // and the buffer is written out
 //
 //   - before a Recv on this Conn waits for input, header or body — so a
@@ -157,24 +138,22 @@ type Listener interface {
 // Runtime is the execution substrate: tasks + transport. Exactly two
 // implementations exist, SimRuntime and RealRuntime.
 type Runtime interface {
-	// Mode reports which substrate this is.
-	Mode() Mode
-	// SimEnv returns the underlying simulation environment in SimMode
-	// and nil in RealMode. Simulated services call it once at
+	// SimEnv returns the underlying simulation environment on
+	// SimRuntime and nil on RealRuntime. Simulated services call it once at
 	// construction and run on the concrete environment afterwards.
 	SimEnv() *sim.Env
 	// Go starts a task. Run waits for tasks started with Go. The name
-	// labels the simulated process; RealMode does not keep it.
+	// labels the simulated process; RealRuntime does not keep it.
 	Go(name string, fn func(t Task))
 	// GoDaemon starts a background task that Run does not wait for
 	// (accept loops, protocol pumps).
 	GoDaemon(name string, fn func(t Task))
-	// Run drives the runtime until all non-daemon tasks finish (in
-	// SimMode: until the event queue drains; a deadlock is an error).
+	// Run drives the runtime until all non-daemon tasks finish (on
+	// SimRuntime: until the event queue drains; a deadlock is an error).
 	Run() error
 	// Dial opens a connection to a listener. Addresses starting with
-	// "unix:" name a Unix-domain socket path in RealMode; anything else
-	// is a TCP host:port. SimMode treats the address as an opaque name
+	// "unix:" name a Unix-domain socket path on RealRuntime; anything
+	// else is a TCP host:port. SimRuntime treats the address as an opaque name
 	// in the runtime's loopback namespace.
 	Dial(addr string) (Conn, error)
 	// Listen binds an address for Accept.

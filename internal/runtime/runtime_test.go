@@ -22,8 +22,8 @@ const deadline = 30 * time.Second
 func TestRealRuntimeTasks(t *testing.T) {
 	rt := NewReal()
 	defer rt.Shutdown()
-	if rt.Mode() != RealMode || rt.SimEnv() != nil {
-		t.Fatalf("Mode=%v SimEnv=%v, want RealMode and nil", rt.Mode(), rt.SimEnv())
+	if rt.SimEnv() != nil {
+		t.Fatalf("SimEnv=%v, want nil", rt.SimEnv())
 	}
 	var ran atomic.Int64
 	daemonGate := make(chan struct{})
@@ -156,8 +156,8 @@ func TestSimRuntimeMirror(t *testing.T) {
 		env := sim.NewEnv(7)
 		defer env.Shutdown()
 		rt := NewSim(env)
-		if rt.Mode() != SimMode || rt.SimEnv() != env {
-			t.Fatalf("Mode=%v, SimEnv mismatch", rt.Mode())
+		if rt.SimEnv() != env {
+			t.Fatal("SimEnv mismatch")
 		}
 		for i := 0; i < 8; i++ {
 			rt.Go("worker", func(tk Task) {

@@ -24,9 +24,6 @@ type SimRuntime struct {
 // NewSim wraps an existing simulation environment as a Runtime.
 func NewSim(env *sim.Env) *SimRuntime { return &SimRuntime{env: env} }
 
-// Mode reports SimMode.
-func (r *SimRuntime) Mode() Mode { return SimMode }
-
 // SimEnv returns the wrapped environment — the devirtualization seam.
 func (r *SimRuntime) SimEnv() *sim.Env { return r.env }
 

@@ -18,8 +18,8 @@ type Options struct {
 	// ignored by the live backend.
 	Nodes int
 	// Seed is ignored: the simulated backend runs on the runtime's
-	// environment, which was seeded when it was created. The field stays
-	// because the repository benchmark sets it.
+	// environment, and the engine draws no random numbers. The field
+	// stays because the repository benchmark sets it.
 	Seed int64
 }
 
@@ -74,8 +74,8 @@ type Server struct {
 func New(rt runtime.Runtime, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{rt: rt}
-	if rt.Mode() == runtime.SimMode {
-		s.bk = newSimBackend(rt.SimEnv(), opts)
+	if env := rt.SimEnv(); env != nil {
+		s.bk = newSimBackend(env, opts)
 	} else {
 		s.bk = newLiveBackend(opts)
 	}

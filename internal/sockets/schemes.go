@@ -1,6 +1,8 @@
 package sockets
 
 import (
+	"fmt"
+
 	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 )
@@ -39,13 +41,9 @@ func (h *half) sendBSDP(p *sim.Proc, data []byte) error {
 			last = true
 		}
 		chunk := h.getChunk(data[off:end])
-		if h.ts != nil {
-			start := h.src.Env().Now()
-			h.credits.Acquire(p, 1)
-			h.recordStall(trace.StallCredits, start)
+		h.acquire(p, h.credits, 1, trace.StallCredits)
+		if h.tr != nil {
 			h.tr.RecordOp(trace.OpCopy, 0, params.SDPPerChunkCPU+params.CopyTime(len(chunk)))
-		} else {
-			h.credits.Acquire(p, 1)
 		}
 		p.Sleep(params.SDPPerChunkCPU + params.CopyTime(len(chunk))) // copy into the bounce buffer
 		h.src.NIC().AcquireTx(p, params.IBMsgTxTime(len(chunk)))
@@ -75,13 +73,9 @@ func (h *half) sendPSDP(p *sim.Proc, data []byte) error {
 			end = len(data)
 		}
 		chunk := h.getChunk(data[off:end])
-		if h.ts != nil {
-			start := h.src.Env().Now()
-			h.pool.Acquire(p, len(chunk))
-			h.recordStall(trace.StallPool, start)
+		h.acquire(p, h.pool, len(chunk), trace.StallPool)
+		if h.tr != nil {
 			h.tr.RecordOp(trace.OpCopy, 0, params.SDPPerChunkCPU+params.CopyTime(len(chunk)))
-		} else {
-			h.pool.Acquire(p, len(chunk))
 		}
 		p.Sleep(params.SDPPerChunkCPU + params.CopyTime(len(chunk))) // copy into the staging pool
 		h.staged.Send(p, wireMsg{data: chunk, last: end == len(data), pool: len(chunk)})
@@ -112,13 +106,7 @@ func (h *half) psdpPump(p *sim.Proc) {
 			h.frame = append(h.frame, next)
 			bytes += len(next.data)
 		}
-		if h.ts != nil {
-			start := h.src.Env().Now()
-			h.credits.Acquire(p, 1)
-			h.recordStall(trace.StallCredits, start)
-		} else {
-			h.credits.Acquire(p, 1)
-		}
+		h.acquire(p, h.credits, 1, trace.StallCredits)
 		h.src.NIC().AcquireTx(p, params.IBMsgTxTime(bytes))
 		if h.tr != nil {
 			h.tr.RecordOp(trace.OpSend, params.IBMsgTxTime(bytes)+params.IBSendLatency, 0)
@@ -148,19 +136,13 @@ func (h *half) sendZSDP(p *sim.Proc, data []byte) error {
 
 // sendAZSDP memory-protects the buffer and returns; the transfer
 // (rendezvous + RDMA write) continues asynchronously, with up to
-// window transfers in flight. Delivery order is preserved via
-// sequence numbers. The per-transfer goroutine is the one remaining
+// window transfers in flight, each delivered in send order (see
+// deliverInOrder). The per-transfer goroutine is the one remaining
 // allocation of this scheme's send path — it models genuinely concurrent
 // hardware activity.
 func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
 	p.Sleep(mprotect)
-	if h.ts != nil {
-		start := h.src.Env().Now()
-		h.window.Acquire(p, 1)
-		h.recordStall(trace.StallWindow, start)
-	} else {
-		h.window.Acquire(p, 1)
-	}
+	h.acquire(p, h.window, 1, trace.StallWindow)
 	seq := h.sendSeq
 	h.sendSeq++
 	buf := h.getChunk(data)
@@ -169,7 +151,7 @@ func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
 		rv.cts.Wait(tp)
 		h.putRendezvous(rv)
 		h.writePayload(tp, buf)
-		h.deliverOrdered(seq, wireMsg{data: buf, last: true})
+		h.deliverInOrder(seq, wireMsg{data: buf, last: true})
 		h.window.Release(1)
 	})
 	return nil
@@ -237,38 +219,14 @@ func (h *half) writePayload(p *sim.Proc, data []byte) {
 	}
 }
 
-// deliverOrdered releases messages to the receive queue in sequence
-// order. Early completions wait in the reorder ring — sized to cover the
-// transfer window, so it absorbs any in-flight gap — with the overflow
-// map kept only as a safety valve (it stays empty while the window bound
-// holds).
-func (h *half) deliverOrdered(seq int64, wm wireMsg) {
-	mask := int64(len(h.ring) - 1)
-	if d := seq - h.deliverSeq; d >= 0 && d <= mask {
-		i := seq & mask
-		h.ring[i] = wm
-		h.ringSet[i] = true
-	} else {
-		if h.reorder == nil {
-			h.reorder = map[int64]wireMsg{}
-		}
-		h.reorder[seq] = wm
+// deliverInOrder posts a completed AZ-SDP transfer to the receive queue.
+// Transfers complete in send order: each pays the same RTS, CTS and write
+// latencies around the NIC's FIFO Tx engine, and the path has no fault
+// hook, so a transfer that completes out of its turn is a model bug.
+func (h *half) deliverInOrder(seq int64, wm wireMsg) {
+	if seq != h.deliverSeq {
+		panic(fmt.Sprintf("sockets: AZ-SDP transfer %d completed before transfer %d", seq, h.deliverSeq))
 	}
-	for {
-		if i := h.deliverSeq & mask; h.ringSet[i] {
-			next := h.ring[i]
-			h.ring[i] = wireMsg{}
-			h.ringSet[i] = false
-			h.deliverSeq++
-			h.q.PostSend(next)
-			continue
-		}
-		next, ok := h.reorder[h.deliverSeq]
-		if !ok {
-			return
-		}
-		delete(h.reorder, h.deliverSeq)
-		h.deliverSeq++
-		h.q.PostSend(next)
-	}
+	h.deliverSeq++
+	h.q.PostSend(wm)
 }

@@ -77,7 +77,7 @@ const (
 	// (BSDP/PSDP).
 	credits = 16
 	// window is the maximum number of asynchronous transfers in flight
-	// (AZSDP). It sizes the reorder ring, so it is a power of two.
+	// (AZSDP).
 	window = 16
 	// mprotect is the cost of memory-protecting one buffer (AZSDP).
 	mprotect = time.Microsecond
@@ -147,28 +147,30 @@ type half struct {
 	ctsFn       func()
 	postedRecvs int
 
-	// AZSDP in-flight window and in-order delivery state. The ring holds
-	// the reorder window (window slots, the maximum in-flight gap);
-	// reorder is the overflow map for sequence numbers beyond the ring,
-	// normally empty.
+	// AZSDP in-flight window and the sequence numbers deliverInOrder
+	// checks.
 	window     *sim.Resource
 	sendSeq    int64
 	deliverSeq int64
-	ring       []wireMsg
-	ringSet    []bool
-	reorder    map[int64]wireMsg
 
 	// tr/ts publish into the env's trace registry; nil when untraced.
 	tr *trace.Registry
 	ts *trace.SchemeStats
 	// stallNames holds the per-kind trace labels, preformatted at Dial so
-	// recordStall does not concatenate per stall. Nil when untraced.
+	// acquire does not concatenate per stall. Nil when untraced.
 	stallNames []string
 }
 
-// recordStall accounts one flow-control wait (credit, pool or window)
-// that lasted from start until now.
-func (h *half) recordStall(kind trace.StallKind, start sim.Time) {
+// acquire takes n units of a flow-control resource (credits, pool bytes
+// or window slots) for p and, when traced, accounts the wait as one
+// stall of kind.
+func (h *half) acquire(p *sim.Proc, r *sim.Resource, n int, kind trace.StallKind) {
+	if h.ts == nil {
+		r.Acquire(p, n)
+		return
+	}
+	start := h.src.Env().Now()
+	r.Acquire(p, n)
 	wait := time.Duration(h.src.Env().Now() - start)
 	if wait <= 0 {
 		return
@@ -228,8 +230,6 @@ func newHalf(scheme Scheme, src, dst *verbs.Device) *half {
 		env.GoDaemon(name+"/pump", h.psdpPump)
 	case AZSDP:
 		h.window = sim.NewResource(env, name+"/window", window)
-		h.ring = make([]wireMsg, window)
-		h.ringSet = make([]bool, window)
 	}
 	return h
 }

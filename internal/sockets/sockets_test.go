@@ -3,6 +3,7 @@ package sockets
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -442,79 +443,59 @@ func TestSocketsSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDeliverOrderedRingAndOverflow drives the AZ-SDP in-order delivery
-// machinery directly with sequence numbers arriving far out of order:
-// in-window completions park in the reorder ring, completions beyond the
-// window-sized ring spill to the overflow map, the second window's
-// completions wrap the ring, and after the drain both structures are
-// empty and delivery order is preserved.
-func TestDeliverOrderedRingAndOverflow(t *testing.T) {
+// TestAZSDPDeliversInSendOrder streams messages of mixed sizes over two
+// AZ-SDP connections that share one NIC, each with up to window transfers
+// in flight: every message reaches its receiver in send order, so
+// deliverInOrder never finds a transfer out of its turn.
+func TestAZSDPDeliversInSendOrder(t *testing.T) {
 	env, a, b := pair(1)
 	defer env.Shutdown()
-	ca, cb := Dial(AZSDP, a, b)
-	h := ca.send
-	if len(h.ring) != window {
-		t.Fatalf("ring sized %d for window %d", len(h.ring), window)
-	}
-	// The two last seqs overflow; 1..window-1 park in the ring; 0 drains
-	// the first window; window+1..2*window-3 park in wrapped slots; window
-	// drains them and the overflow.
-	const n = 2 * window
-	order := []int64{n - 1, n - 2}
-	for seq := int64(window - 1); seq >= 1; seq-- {
-		order = append(order, seq)
-	}
-	order = append(order, 0)
-	for seq := int64(n - 3); seq > window; seq-- {
-		order = append(order, seq)
-	}
-	order = append(order, window)
-	var got []byte
-	env.Go("rx", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			m, err := cb.RecvMsg(p)
-			if err != nil {
-				t.Error(err)
-				return
+	sizes := []int{1, 64 << 10, 512, 256 << 10, 8 << 10, 3, 128 << 10, 1 << 10}
+	const n = 4 * window
+	for c := 0; c < 2; c++ {
+		ca, cb := Dial(AZSDP, a, b)
+		env.Go(fmt.Sprintf("tx%d", c), func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				msg := make([]byte, sizes[(i+c)%len(sizes)])
+				msg[0] = byte(i)
+				if err := ca.Send(p, msg); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			got = append(got, m.Data[0])
-			m.Release()
-		}
-	})
-	env.Go("inject", func(p *sim.Proc) {
-		wrapped := false
-		for _, seq := range order {
-			buf := a.GetBuf(1)
-			buf[0] = byte(seq)
-			h.deliverOrdered(seq, wireMsg{data: buf, last: true})
-			if seq == n-2 && len(h.reorder) != 2 {
-				t.Errorf("seqs %d,%d beyond the ring should overflow, map holds %d", n-1, n-2, len(h.reorder))
+		})
+		env.Go(fmt.Sprintf("rx%d", c), func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				got, err := cb.Recv(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != sizes[(i+c)%len(sizes)] || got[0] != byte(i) {
+					t.Errorf("connection %d: message %d arrived as %d bytes tagged %d", c, i, len(got), got[0])
+					return
+				}
 			}
-			if seq > window && h.ringSet[seq%window] {
-				wrapped = true
-			}
-		}
-		if !wrapped {
-			t.Error("no completion of the second window parked in a wrapped ring slot")
-		}
-		if len(h.reorder) != 0 {
-			t.Errorf("overflow map retains %d entries after drain", len(h.reorder))
-		}
-		if h.deliverSeq != n {
-			t.Errorf("deliverSeq = %d after draining %d messages", h.deliverSeq, n)
-		}
-	})
+		})
+	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if int(v) != i {
-			t.Fatalf("delivery order broken: got %v", got)
+}
+
+// TestAZSDPOutOfTurnCompletionPanics: a transfer completing before an
+// earlier one is a model bug, and deliverInOrder says so instead of
+// reordering.
+func TestAZSDPOutOfTurnCompletionPanics(t *testing.T) {
+	env, a, b := pair(1)
+	defer env.Shutdown()
+	ca, _ := Dial(AZSDP, a, b)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "transfer 1 completed before transfer 0") {
+			t.Fatalf("recovered %v; want the out-of-turn panic", r)
 		}
-	}
-	if len(got) != n {
-		t.Fatalf("delivered %d of %d", len(got), n)
-	}
+	}()
+	ca.send.deliverInOrder(1, wireMsg{last: true})
 }
 
 // TestTracedCreditStalls opens traced runs whose receiver sleeps before

@@ -26,7 +26,8 @@ import (
 //
 //   - No map: a one-sided datapath is words published by CAS, not a
 //     host map behind a cost charge, so the verbs devices, the lock
-//     manager and the two document caches index slices and bitsets.
+//     manager and the two document caches index slices and bitsets, and
+//     the sockets schemes deliver in send order with no reorder map.
 //   - One way to open a run: runtime.ServiceOptions.NewEnv attaches the
 //     registry and the fault plan to a fresh environment before any layer
 //     is built over it, and nothing else creates one.
@@ -37,7 +38,7 @@ import (
 //     loop and a process per Fig 6 or E12 client each fail
 //     TestCatalogueHandOffBudget (CHANGES.md records the restorations).
 var repoRules = structuralRules{
-	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache"},
+	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets"},
 	openRun: "ngdc/internal/sim.NewEnv",
 	opener:  "internal/runtime/options.go",
 	banned: []bannedName{
