@@ -88,7 +88,8 @@ const ServerCPU = 1500 * time.Nanosecond
 // one-sided designs when waiting for a peer's RDMA write to land. A DQNL
 // wait polls as a timer callback re-armed every PollInterval: the look
 // costs an event, not a process switch, and the waiting caller parks
-// once. N-CoSED's home poller is a process that sleeps it between looks.
+// once. N-CoSED's home poller is a timer chain that looks at its lock
+// word every PollInterval while a deferred grant waits.
 const PollInterval = time.Microsecond
 
 // Manager is a cluster-wide lock service of one design.
@@ -104,7 +105,8 @@ type Manager struct {
 
 	// SRSL and N-CoSED: every node's two receive queues, by node ID —
 	// the home side's (requests to SRSL's server or N-CoSED's agent)
-	// and the client side's (grants and successor announcements).
+	// and the client side's (grants and successor announcements). Each
+	// design's constructor binds them.
 	homeQ, grantQ []*verbs.RecvQueue
 }
 
@@ -163,7 +165,8 @@ func New(nw *verbs.Network, nodes []*cluster.Node, opts Options) *Manager {
 		n = max(n, node.ID+1)
 	}
 	m := &Manager{Kind: kind, nw: nw, nodes: nodes, locks: opts.NumLocks,
-		leaseTTL: opts.LeaseTTL, clients: make([]Client, n)}
+		leaseTTL: opts.LeaseTTL, clients: make([]Client, n),
+		homeQ: make([]*verbs.RecvQueue, n), grantQ: make([]*verbs.RecvQueue, n)}
 	switch kind {
 	case SRSL:
 		newSRSL(m)
@@ -195,16 +198,6 @@ func (m *Manager) home(lock int) int { return lock % len(m.nodes) }
 
 // homeQueue returns the home-side receive queue of a lock's home node.
 func (m *Manager) homeQueue(lock int) *verbs.RecvQueue { return m.homeQ[m.nodes[m.home(lock)].ID] }
-
-// bind binds every node's home-side and client-side receive queue.
-func (m *Manager) bind(homeSvc, grantSvc string) {
-	m.homeQ = make([]*verbs.RecvQueue, len(m.clients))
-	m.grantQ = make([]*verbs.RecvQueue, len(m.clients))
-	for _, node := range m.nodes {
-		dev := m.nw.Attach(node)
-		m.homeQ[node.ID], m.grantQ[node.ID] = dev.Bind(homeSvc), dev.Bind(grantSvc)
-	}
-}
 
 // checkLock panics on an out-of-range lock ID (a programming error).
 func (m *Manager) checkLock(lock int) {
@@ -288,9 +281,15 @@ type lockRec struct {
 	queue         Queue[int]   // SRSL: holders and waiters, by node ID
 	pendingShared []int        // N-CoSED: node IDs awaiting the chain's end
 	pendingDrain  int          // N-CoSED: node ID + 1 awaiting the shared drain, 0 if none
-	polling       bool         // N-CoSED: the home poller runs
-	pollName      string       // N-CoSED: the poller's process name
 	lease         *ncosedLease // N-CoSED with LeaseTTL > 0
+
+	// N-CoSED's home poller: polling is set while its chain runs, and
+	// granting holds the node IDs whose grants it has yet to send. look
+	// and sent are its bound steps (a look at the word, and the next
+	// grant after a send).
+	polling    bool
+	granting   []int
+	look, sent func()
 }
 
 // lockTable is a client's records, indexed by lock ID. Its name,

@@ -30,11 +30,6 @@ import (
 // cohort in one burst when the chain drains — the property that keeps the
 // shared-cascade latency of Fig 5a flat.
 
-const (
-	ncosedAgentSvc  = "ncosed-agent"
-	ncosedClientSvc = "ncosed-grant"
-)
-
 func ncWord(tail uint64, cnt uint64) uint64 { return tail<<32 | cnt&0xffffffff }
 func ncTail(w uint64) uint64                { return w >> 32 }
 func ncCnt(w uint64) uint64                 { return w & 0xffffffff }
@@ -62,7 +57,6 @@ type ncosedClientImpl struct {
 }
 
 func newNCoSED(m *Manager) {
-	m.bind(ncosedAgentSvc, ncosedClientSvc)
 	clients := make([]*ncosedClientImpl, len(m.nodes))
 	for i, node := range m.nodes {
 		dev := m.nw.Attach(node)
@@ -75,7 +69,7 @@ func newNCoSED(m *Manager) {
 		}
 		for l := i; l < m.locks; l += len(m.nodes) { // the locks homed here
 			r := &c.recs[l]
-			r.pollName = fmt.Sprintf("%s/ncosed-poll%d", node.Name, l)
+			r.look, r.sent = func() { c.look(l) }, func() { c.grantNext(l) }
 			if m.leaseTTL > 0 {
 				r.lease = &ncosedLease{holder: -1, succOf: make([]int, len(m.clients))}
 				for n := range r.lease.succOf {
@@ -88,8 +82,7 @@ func newNCoSED(m *Manager) {
 		}
 		clients[i] = c
 		m.clients[node.ID] = c
-		env.GoDaemon(fmt.Sprintf("%s/ncosed-client", node.Name), c.clientLoop)
-		env.GoDaemon(fmt.Sprintf("%s/ncosed-agent", node.Name), c.agentLoop)
+		m.homeQ[node.ID], m.grantQ[node.ID] = dev.BindHandler(c.onAgent), dev.BindHandler(c.onClient)
 	}
 	words := make([]verbs.RemoteAddr, m.locks)
 	for l := range words {
@@ -105,55 +98,50 @@ func (c *ncosedClientImpl) wordAddr(lock int) (verbs.RemoteAddr, int) {
 	return c.words[lock], 8 * lock
 }
 
-// clientLoop dispatches grants and successor announcements.
-func (c *ncosedClientImpl) clientLoop(p *sim.Proc) {
-	rq := c.m.grantQ[c.dev.Node.ID]
-	for {
-		msg := rq.Recv(p)
-		w := decodeWire(msg.Data)
-		msg.Release()
-		switch w.op {
-		case opGrant:
-			c.grant(w.lock, w.arg)
-		case opEnqueue:
-			if r := &c.recs[w.lock]; r.succWait {
-				r.succWait = false
-				r.wait.Resolve(w.from)
-			} else {
-				r.succ = w.from + 1
-			}
+// onClient handles a grant or a successor announcement at its delivery
+// instant.
+func (c *ncosedClientImpl) onClient(msg verbs.Message) {
+	w := decodeWire(msg.Data)
+	msg.Release()
+	switch w.op {
+	case opGrant:
+		c.grant(w.lock, w.arg)
+	case opEnqueue:
+		if r := &c.recs[w.lock]; r.succWait {
+			r.succWait = false
+			r.wait.Resolve(w.from)
+		} else {
+			r.succ = w.from + 1
 		}
 	}
 }
 
-// agentLoop is the home-node agent: it only participates in contended
-// hand-offs (shared cohort grants and shared-drain waits).
-func (c *ncosedClientImpl) agentLoop(p *sim.Proc) {
-	rq := c.m.homeQ[c.dev.Node.ID]
-	for {
-		msg := rq.Recv(p)
-		w := decodeWire(msg.Data)
-		msg.Release()
-		r := &c.recs[w.lock]
-		switch w.op {
-		case opSharedRegister:
-			r.pendingShared = append(r.pendingShared, w.from)
-			c.ensurePoller(w.lock, r)
-		case opWaitDrain:
-			if r.pendingDrain != 0 {
-				panic("dlm: ncosed: two drain waiters on one lock")
-			}
-			r.pendingDrain = w.from + 1
-			c.ensurePoller(w.lock, r)
-		case opHolderNotify:
-			c.leaseHolderNotify(w.lock, w.from)
-		case opHolderRelease:
-			if r.lease.holder == w.from {
-				r.lease.holder = -1
-			}
-		case opEnqueueCC:
-			r.lease.succOf[w.arg] = w.from
+// onAgent is the home-node agent, run at each request's delivery
+// instant: it only participates in contended hand-offs (shared cohort
+// grants and shared-drain waits) and, with leases on, in holder
+// tracking.
+func (c *ncosedClientImpl) onAgent(msg verbs.Message) {
+	w := decodeWire(msg.Data)
+	msg.Release()
+	r := &c.recs[w.lock]
+	switch w.op {
+	case opSharedRegister:
+		r.pendingShared = append(r.pendingShared, w.from)
+		c.startPoll(r)
+	case opWaitDrain:
+		if r.pendingDrain != 0 {
+			panic("dlm: ncosed: two drain waiters on one lock")
 		}
+		r.pendingDrain = w.from + 1
+		c.startPoll(r)
+	case opHolderNotify:
+		c.leaseHolderNotify(w.lock, w.from)
+	case opHolderRelease:
+		if r.lease.holder == w.from {
+			r.lease.holder = -1
+		}
+	case opEnqueueCC:
+		r.lease.succOf[w.arg] = w.from
 	}
 }
 
@@ -225,13 +213,13 @@ func (c *ncosedClientImpl) recoverLock(lock int, ls *ncosedLease) {
 		// grant the same way.
 		b := c.dev.GetBuf(msgSize)
 		wire{op: opGrant, lock: lock, from: c.dev.Node.ID}.encodeInto(b)
-		_ = c.dev.SendAsync(c.m.grantQ[next], b)
+		_ = c.dev.SendAsync(c.m.grantQ[next], b, nil)
 		return // the successor's holder notification re-arms the lease
 	}
 	// The dead holder was the tail: reset the tail half, preserving any
 	// shared-count transients. A shared cohort parked behind the gone
-	// chain is admitted by its poller, which runs for as long as the
-	// cohort waits.
+	// chain is admitted by its home poller, which looks for as long as
+	// the cohort waits.
 	c.tails.PutUint64At(off, ncWord(0, ncCnt(w)))
 }
 
@@ -256,45 +244,61 @@ func (c *ncosedClientImpl) releaseHolder(p *sim.Proc, lock int) error {
 	return sendWire(p, c.dev, c.m.homeQueue(lock), w)
 }
 
-// ensurePoller starts the per-lock home poller if it is not running. The
-// poller watches the (local) lock word and performs the deferred grants;
-// it exits when nothing is pending.
-func (c *ncosedClientImpl) ensurePoller(lock int, r *lockRec) {
+// startPoll starts the lock's home poller unless it runs. The poller is
+// a timer chain on the lock's record: it watches the (local) lock word,
+// sends the deferred grants and stops when nothing is pending. Its first
+// look is an event at the current instant, where a spawned poller
+// process would have started.
+func (c *ncosedClientImpl) startPoll(r *lockRec) {
 	if r.polling {
 		return
 	}
 	r.polling = true
-	c.dev.Env().Go(r.pollName, func(p *sim.Proc) {
-		defer func() { r.polling = false }()
-		off := 8 * lock
-		// A grant whose send fails is dropped, as recoverLock's is.
-		grant := wire{op: opGrant, lock: lock, from: c.dev.Node.ID}
-		for {
-			w := c.tails.Uint64At(off)
-			if r.pendingDrain != 0 && ncCnt(w) == 0 {
-				d := r.pendingDrain - 1
-				r.pendingDrain = 0
-				_ = sendWire(p, c.dev, c.m.grantQ[d], grant)
-				continue
-			}
-			if len(r.pendingShared) > 0 && ncTail(w) == 0 {
-				// The exclusive chain has drained: admit the whole cohort
-				// as holders in one local update, then grant them
-				// back-to-back.
-				cohort := r.pendingShared
-				r.pendingShared = nil
-				c.tails.PutUint64At(off, ncWord(0, ncCnt(w)+uint64(len(cohort))))
-				for _, nodeID := range cohort {
-					_ = sendWire(p, c.dev, c.m.grantQ[nodeID], grant)
-				}
-				continue
-			}
-			if r.pendingDrain == 0 && len(r.pendingShared) == 0 {
-				return
-			}
-			p.Sleep(PollInterval)
+	c.dev.Env().After(0, r.look)
+}
+
+// look is one poll of the lock word: grant a drain waiter once the
+// shared count is zero, or the whole shared cohort once the exclusive
+// chain has drained; stop when nothing is pending, else look again
+// PollInterval later.
+func (c *ncosedClientImpl) look(lock int) {
+	r := &c.recs[lock]
+	off := 8 * lock
+	w := c.tails.Uint64At(off)
+	switch {
+	case r.pendingDrain != 0 && ncCnt(w) == 0:
+		r.granting = append(r.granting, r.pendingDrain-1)
+		r.pendingDrain = 0
+		c.grantNext(lock)
+	case len(r.pendingShared) > 0 && ncTail(w) == 0:
+		// Admit the whole cohort as holders in one local update, then
+		// grant them back-to-back.
+		c.tails.PutUint64At(off, ncWord(0, ncCnt(w)+uint64(len(r.pendingShared))))
+		r.granting, r.pendingShared = r.pendingShared, nil
+		c.grantNext(lock)
+	case r.pendingDrain == 0 && len(r.pendingShared) == 0:
+		r.polling = false
+	default:
+		c.dev.Env().After(PollInterval, r.look)
+	}
+}
+
+// grantNext sends the poller's next deferred grant, continuing in the
+// send's completion as a blocking send would return, and looks at the
+// word again once none is left. A grant whose send fails is dropped, as
+// recoverLock's is.
+func (c *ncosedClientImpl) grantNext(lock int) {
+	r := &c.recs[lock]
+	for len(r.granting) > 0 {
+		to := r.granting[0]
+		r.granting = r.granting[1:]
+		b := c.dev.GetBuf(msgSize)
+		wire{op: opGrant, lock: lock, from: c.dev.Node.ID}.encodeInto(b)
+		if c.dev.SendAsync(c.m.grantQ[to], b, r.sent) == nil {
+			return
 		}
-	})
+	}
+	c.look(lock)
 }
 
 // Lock implements Client.

@@ -13,13 +13,8 @@ import (
 // hops plus server CPU, and grant cascades are serialized through the
 // server — the costs the one-sided designs remove.
 
-const (
-	srslService = "srsl"       // requests, served by the home server
-	srslClient  = "srsl-grant" // grants, served by the client agent
-
-	// srslDenied flags a refused TryLock in a grant message's arg.
-	srslDenied = 1 << 8
-)
+// srslDenied flags a refused TryLock in a grant message's arg.
+const srslDenied = 1 << 8
 
 // srslClientImpl is a node's client and, for the locks homed on the
 // node, their server: each such lock's queue lives in its record.
@@ -32,17 +27,18 @@ type srslClientImpl struct {
 }
 
 func newSRSL(m *Manager) {
-	m.bind(srslService, srslClient)
 	for _, node := range m.nodes {
 		env := node.Env()
-		c := &srslClientImpl{m: m, dev: m.nw.Attach(node), lockTable: newLockTable(env, node.Name+"/srsl", m.locks)}
+		dev := m.nw.Attach(node)
+		c := &srslClientImpl{m: m, dev: dev, lockTable: newLockTable(env, node.Name+"/srsl", m.locks)}
 		m.clients[node.ID] = c
+		m.homeQ[node.ID], m.grantQ[node.ID] = dev.Bind("srsl"), dev.BindHandler(c.onGrant)
 		env.GoDaemon(fmt.Sprintf("%s/srsl-server", node.Name), c.serveHome)
-		env.GoDaemon(fmt.Sprintf("%s/srsl-client", node.Name), c.serveGrants)
 	}
 }
 
-// serveHome is the home-node lock server loop.
+// serveHome is the home-node lock server loop: the one dlm process, since
+// its per-message CPU charge is the server cost SRSL exists to show.
 func (c *srslClientImpl) serveHome(p *sim.Proc) {
 	rq := c.m.homeQ[c.dev.Node.ID]
 	for {
@@ -89,16 +85,12 @@ func (c *srslClientImpl) sendGrant(p *sim.Proc, lock, to, arg int) {
 	_ = sendWire(p, c.dev, c.m.grantQ[to], wire{op: opGrant, lock: lock, from: c.dev.Node.ID, arg: arg})
 }
 
-// serveGrants is the client-side grant dispatcher.
-func (c *srslClientImpl) serveGrants(p *sim.Proc) {
-	rq := c.m.grantQ[c.dev.Node.ID]
-	for {
-		msg := rq.Recv(p)
-		w := decodeWire(msg.Data)
-		msg.Release()
-		if w.op == opGrant {
-			c.grant(w.lock, w.arg)
-		}
+// onGrant resolves a grant or a TryLock verdict at its delivery instant.
+func (c *srslClientImpl) onGrant(msg verbs.Message) {
+	w := decodeWire(msg.Data)
+	msg.Release()
+	if w.op == opGrant {
+		c.grant(w.lock, w.arg)
 	}
 }
 

@@ -395,13 +395,14 @@ type sendDelivery struct {
 }
 
 // sendReq is a callback send holding its Tx engine (Device.SendAsync):
-// a pooled record whose done step, bound once, recycles it and runs the
-// send's post-transmit half.
+// a pooled record whose done step, bound once, recycles it, runs the
+// send's post-transmit half and then the caller's continuation.
 type sendReq struct {
 	d      *Device
 	q      *RecvQueue
 	buf    []byte
 	start  sim.Time
+	then   func()
 	doneFn func()
 }
 
@@ -417,10 +418,13 @@ func (d *Device) getSendReq() *sendReq {
 }
 
 func (s *sendReq) done() {
-	d, q, buf, start := s.d, s.q, s.buf, s.start
-	s.q, s.buf = nil, nil
+	d, q, buf, start, then := s.d, s.q, s.buf, s.start, s.then
+	s.q, s.buf, s.then = nil, nil, nil
 	d.sendFree = append(d.sendFree, s)
 	d.sent(q, buf, start, false)
+	if then != nil {
+		then()
+	}
 }
 
 // lostInFlight reports whether a message from→to that was healthy at
@@ -444,5 +448,5 @@ func (d *Device) deliver(q *sim.Queue[sendDelivery]) {
 		dl.msg.Release()
 		return
 	}
-	dl.q.ch.PostSend(dl.msg)
+	dl.q.post(dl.msg)
 }

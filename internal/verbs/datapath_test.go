@@ -29,43 +29,59 @@ func tracedNet(t testing.TB, n int) (*sim.Env, *Network, []*Device, *trace.Regis
 }
 
 // TestSendAsyncMatchesSend pins that the two entries of a send are one
-// send: on an idle engine a message started from a process (SendBuf) and
-// one started from a callback (SendAsync) arrive at the same instant,
-// IBMsgTxTime+IBSendLatency after the call, for every size; on a busy
-// engine a callback send queues FIFO behind a process send on the same
-// NIC and arrives one message transmit after it.
+// send, and the two kinds of receive queue one receive: on an idle
+// engine a message started from a process (SendBuf) and one started from
+// a callback (SendAsync) arrive at the same instant,
+// IBMsgTxTime+IBSendLatency after the call, for every size, whether a
+// process receives it (Bind, Recv) or a handler does (BindHandler); and
+// SendAsync's done runs IBMsgTxTime after the call, the instant SendBuf
+// returns. On a busy engine a callback send queues FIFO behind a process
+// send on the same NIC and arrives one message transmit after it.
 func TestSendAsyncMatchesSend(t *testing.T) {
 	pp := fabric.DefaultParams()
 	for _, n := range []int{8, 512, 2048, 1 << 16} {
-		arrival := func(async bool) sim.Time {
-			env, _, devs := testNet(t, 2)
-			q := devs[1].Bind("svc")
-			var at sim.Time
-			env.Go("rx", func(p *sim.Proc) {
-				q.Recv(p)
-				at = p.Now()
-			})
-			if async {
-				env.At(0, func() {
-					if err := devs[0].SendAsync(q, devs[0].GetBuf(n)); err != nil {
-						t.Error(err)
-					}
-				})
-			} else {
-				env.Go("tx", func(p *sim.Proc) {
-					if err := devs[0].SendBuf(p, q, devs[0].GetBuf(n)); err != nil {
-						t.Error(err)
-					}
-				})
+		for _, async := range []bool{false, true} {
+			for _, handler := range []bool{false, true} {
+				env, _, devs := testNet(t, 2)
+				var at, returned sim.Time
+				var q *RecvQueue
+				if handler {
+					q = devs[1].BindHandler(func(m Message) {
+						at = env.Now()
+						m.Release()
+					})
+				} else {
+					q = devs[1].Bind("svc")
+					env.Go("rx", func(p *sim.Proc) {
+						msg := q.Recv(p)
+						at = p.Now()
+						msg.Release()
+					})
+				}
+				if async {
+					env.At(0, func() {
+						if err := devs[0].SendAsync(q, devs[0].GetBuf(n), func() { returned = env.Now() }); err != nil {
+							t.Error(err)
+						}
+					})
+				} else {
+					env.Go("tx", func(p *sim.Proc) {
+						if err := devs[0].SendBuf(p, q, devs[0].GetBuf(n)); err != nil {
+							t.Error(err)
+						}
+						returned = p.Now()
+					})
+				}
+				if err := env.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if want := sim.Time(0).Add(pp.IBMsgTxTime(n) + pp.IBSendLatency); at != want {
+					t.Errorf("%d B, async %v, handler %v: arrives at %v, want IBMsgTxTime+IBSendLatency = %v", n, async, handler, at, want)
+				}
+				if want := sim.Time(0).Add(pp.IBMsgTxTime(n)); returned != want {
+					t.Errorf("%d B, async %v: the send returns at %v, want IBMsgTxTime = %v", n, async, returned, want)
+				}
 			}
-			if err := env.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return at
-		}
-		sendAt, asyncAt := arrival(false), arrival(true)
-		if want := sim.Time(0).Add(pp.IBMsgTxTime(n) + pp.IBSendLatency); sendAt != want || asyncAt != want {
-			t.Errorf("%d B: SendBuf arrives at %v, SendAsync at %v, want IBMsgTxTime+IBSendLatency = %v", n, sendAt, asyncAt, want)
 		}
 	}
 
@@ -88,7 +104,7 @@ func TestSendAsyncMatchesSend(t *testing.T) {
 		env.At(0, func() {
 			a := devs[0].GetBuf(n)
 			a[0] = 'a'
-			if err := devs[0].SendAsync(q, a); err != nil {
+			if err := devs[0].SendAsync(q, a, nil); err != nil {
 				t.Error(err)
 			}
 		})
@@ -414,7 +430,7 @@ func TestVerbsSteadyStateAllocationFree(t *testing.T) {
 	})
 	var asyncSend func()
 	asyncSend = func() {
-		if err := devs[0].SendAsync(hot, devs[0].GetBuf(64)); err != nil {
+		if err := devs[0].SendAsync(hot, devs[0].GetBuf(64), nil); err != nil {
 			t.Error(err)
 			return
 		}

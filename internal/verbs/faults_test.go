@@ -180,31 +180,52 @@ func TestPartitionDropsMessagesUntilHealed(t *testing.T) {
 
 // TestCrashMidFlightDropsDelivery covers the delivery-time check: a
 // message already on the wire when the receiver dies is dropped at the
-// delivery instant instead of landing in a dead node's queue.
+// delivery instant instead of landing in a dead node's queue, or
+// reaching a handler queue's function. Both delivery paths are covered:
+// the constant-latency FIFO of a healthy link, and the captured closure
+// of a link with an injected delay.
 func TestCrashMidFlightDropsDelivery(t *testing.T) {
 	pp := fabric.DefaultParams()
 	if pp.IBSendLatency <= 2*time.Microsecond {
 		t.Skip("send latency too short to crash mid-flight")
 	}
-	env, _, devs, inj := faultNet(t, 2, &faults.Plan{Seed: 1, Events: []faults.Event{
-		{At: 12 * time.Microsecond, Kind: faults.Crash, Node: 1},
-	}})
-	q := devs[1].Bind("svc")
-	env.Go("tx", func(p *sim.Proc) {
-		p.SleepUntil(sim.Time(10 * time.Microsecond))
-		if err := devs[0].Send(p, q, []byte{7}); err != nil {
-			t.Errorf("send: %v", err)
+	for _, delayed := range []bool{false, true} {
+		for _, handler := range []bool{false, true} {
+			plan := &faults.Plan{Seed: 1, Events: []faults.Event{{At: 12 * time.Microsecond, Kind: faults.Crash, Node: 1}}}
+			if delayed {
+				plan.Events = append(plan.Events, faults.Event{At: 0, Kind: faults.Delay, A: 0, B: 1, Extra: time.Microsecond})
+			}
+			env, _, devs, inj := faultNet(t, 2, plan)
+			handled := 0
+			var q *RecvQueue
+			if handler {
+				q = devs[1].BindHandler(func(m Message) {
+					handled++
+					m.Release()
+				})
+			} else {
+				q = devs[1].Bind("svc")
+			}
+			env.Go("tx", func(p *sim.Proc) {
+				p.SleepUntil(sim.Time(10 * time.Microsecond))
+				if err := devs[0].Send(p, q, []byte{7}); err != nil {
+					t.Errorf("send: %v", err)
+				}
+				p.Sleep(3 * pp.IBSendLatency)
+				if !handler {
+					handled = q.ch.Len()
+				}
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if handled != 0 {
+				t.Errorf("delayed %v, handler %v: the dead node took %d messages, want 0", delayed, handler, handled)
+			}
+			if inj.Stats().Drops != 1 {
+				t.Errorf("delayed %v, handler %v: drops = %d, want 1", delayed, handler, inj.Stats().Drops)
+			}
 		}
-		p.Sleep(3 * pp.IBSendLatency)
-		if n := q.ch.Len(); n != 0 {
-			t.Errorf("dead node's queue holds %d messages, want 0", n)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if inj.Stats().Drops != 1 {
-		t.Fatalf("drops = %d, want 1", inj.Stats().Drops)
 	}
 }
 

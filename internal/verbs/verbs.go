@@ -319,11 +319,14 @@ func (d *Device) FetchAdd(p *sim.Proc, r RemoteAddr, off int, delta uint64) (uin
 }
 
 // RecvQueue is one service's receive queue on a device, bound once with
-// Device.Bind. Senders address the queue itself, so a send needs no
-// lookup; the service's own processes receive from it.
+// Device.Bind or Device.BindHandler. Senders address the queue itself,
+// so a send needs no lookup; the service's own processes receive from a
+// bound queue, and a handler queue's function takes each message.
 type RecvQueue struct {
 	dev *Device
 	ch  *sim.Chan[Message]
+	// fn, when set, receives messages instead of ch (BindHandler).
+	fn func(Message)
 }
 
 // Bind creates the device's receive queue for a service. A service binds
@@ -333,10 +336,26 @@ func (d *Device) Bind(service string) *RecvQueue {
 	return &RecvQueue{dev: d, ch: sim.NewChan[Message](d.nw.Env, d.Node.Name+"/rq/"+service, 1024)}
 }
 
+// BindHandler creates a receive queue on the device that queues
+// nothing: each message is passed to fn at its delivery instant, in
+// scheduler context — so fn must not block, and it may send (with
+// SendAsync) or start timers. A message dropped in flight never reaches
+// fn. Recv does not apply to such a queue.
+func (d *Device) BindHandler(fn func(Message)) *RecvQueue { return &RecvQueue{dev: d, fn: fn} }
+
 // Recv blocks until a message arrives on the queue.
 func (q *RecvQueue) Recv(p *sim.Proc) Message {
 	msg, _ := q.ch.Recv(p)
 	return msg
+}
+
+// post hands a delivered message to the queue's consumer.
+func (q *RecvQueue) post(m Message) {
+	if q.fn != nil {
+		q.fn(m)
+		return
+	}
+	q.ch.PostSend(m)
 }
 
 // Send transmits a two-sided message to a receive queue, normally on
@@ -370,14 +389,16 @@ func (d *Device) SendBuf(p *sim.Proc, q *RecvQueue, buf []byte) error {
 // SendAsync is SendBuf from callback context: the send holds this
 // device's Tx engine in FIFO order with every other transmit, then
 // delivers exactly as SendBuf does. It returns at once; the buffer
-// belongs to the send from the call on.
-func (d *Device) SendAsync(q *RecvQueue, buf []byte) error {
+// belongs to the send from the call on. done, which may be nil, runs
+// right after the message is handed to the fabric — the instant a
+// blocking SendBuf would return. A send that fails never runs it.
+func (d *Device) SendAsync(q *RecvQueue, buf []byte, done func()) error {
 	ser, err := d.beginSend(q, buf)
 	if err != nil {
 		return err
 	}
 	s := d.getSendReq()
-	s.q, s.buf, s.start = q, buf, d.nw.Env.Now()
+	s.q, s.buf, s.start, s.then = q, buf, d.nw.Env.Now(), done
 	d.nic.TransmitAsync(ser, nil, s.doneFn)
 	return nil
 }
@@ -450,7 +471,7 @@ func (d *Device) deliverFaulted(f *faults.Injector, q *RecvQueue, msg Message, b
 			m.Release()
 			return
 		}
-		q.ch.PostSend(m)
+		q.post(m)
 	})
 }
 
