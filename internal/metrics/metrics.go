@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -71,8 +70,13 @@ func (s *Sample) Add(v float64) {
 }
 
 // Grow reserves room for n more observations, so the next n Adds do
-// not reallocate.
-func (s *Sample) Grow(n int) { s.vals = slices.Grow(s.vals, n) }
+// not reallocate. It is not slices.Grow: under the race detector that
+// allocates a temporary slice of n zeros beside the new backing array.
+func (s *Sample) Grow(n int) {
+	if cap(s.vals)-len(s.vals) < n {
+		s.vals = append(make([]float64, 0, len(s.vals)+n), s.vals...)
+	}
+}
 
 // AddDuration records a duration in microseconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(float64(d) / float64(time.Microsecond)) }
