@@ -33,10 +33,11 @@ import (
 //     is built over it, and nothing else creates one.
 //   - Banned names: a removed twin of a mechanism that has one
 //     implementation now. Each entry names what replaced it and the
-//     commit that removed it. A mechanism whose return a tier-1 test
-//     catches by count is not listed: DQNL's Sleep(PollInterval) wait
-//     loop and a process per Fig 6 or E12 client each fail
-//     TestCatalogueHandOffBudget (CHANGES.md records the restorations).
+//     commit that removed it. A mechanism with no name of its own, whose
+//     return a tier-1 test catches by count, is not listed: DQNL's
+//     Sleep(PollInterval) wait loop and a process per Fig 6 or E12
+//     client each fail TestCatalogueHandOffBudget (CHANGES.md records
+//     the restorations).
 var repoRules = structuralRules{
 	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets"},
 	openRun: "ngdc/internal/sim.NewEnv",
@@ -84,6 +85,11 @@ var repoRules = structuralRules{
 		{"internal/ddss/", "PutOp", false, "every ddss operation is one Op stepping through its model's script (d0ea10b)"},
 		{"internal/ddss/", "GetOp", false, "every ddss operation is one Op stepping through its model's script (d0ea10b)"},
 		{"internal/ddss/", "chained", false, "every ddss model runs the one Op chain (d0ea10b)"},
+		{"internal/dlm/", "ensurePoller", false, "N-CoSED's home poller is a timer chain on the lock record, started by startPoll (7cfb537)"},
+		{"internal/dlm/", "pollName", false, "N-CoSED's home poller is a timer chain on the lock record, no process to name (7cfb537)"},
+		{"internal/dlm/", "clientLoop", false, "N-CoSED's grants and successor announcements are handled by onClient, a verbs.Device.BindHandler function (7cfb537)"},
+		{"internal/dlm/", "agentLoop", false, "N-CoSED's home agent is onAgent, a verbs.Device.BindHandler function (7cfb537)"},
+		{"internal/dlm/", "serveGrants", false, "SRSL's grants are handled by onGrant, a verbs.Device.BindHandler function (7cfb537)"},
 	},
 }
 
