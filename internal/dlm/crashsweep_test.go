@@ -21,13 +21,18 @@ import (
 // "crash@t node=n" until sweepHorizon, and classifies every operation
 // that started:
 //
-//	ok        returned without an error
-//	err<=nom  returned an error at or before the instant the same
-//	          operation returned in the fault-free run (an operation with
-//	          no fault-free counterpart has no nominal bound)
-//	err>nom   returned an error after that instant
-//	waiting   had not returned at the horizon
+//	ok                   returned without an error
+//	err<=nom             returned an error no later after its start than
+//	                     the same operation took in the fault-free run
+//	                     (an operation with no fault-free counterpart has
+//	                     no nominal bound)
+//	err>nom              returned an error later than that
+//	waiting/dead-caller  had not returned at the horizon, and its own
+//	                     node crashed: the call is moot, not a hang
+//	waiting/live         had not returned at the horizon on a live node
 //
+// An error is judged by its duration, not its end instant, so an
+// operation that an earlier one delayed is not charged with that delay.
 // A run also records a process panic or other run error, and counts the
 // mutual-exclusion violations among holders on live nodes. The table of
 // script × op × outcome → count is pinned in testdata/crashsweep.golden:
@@ -65,11 +70,11 @@ var sweepScripts = []sweepScript{
 
 // sweepOp is one started operation of a script run.
 type sweepOp struct {
-	client int
-	name   string // lock, unlock, trylock or tryunlock
-	done   bool
-	end    sim.Time
-	err    error
+	client     int
+	name       string // lock, unlock, trylock or tryunlock
+	done       bool
+	start, end sim.Time
+	err        error
 }
 
 type sweepRun struct {
@@ -106,7 +111,7 @@ func runSweepScript(s sweepScript, plan *faults.Plan, tracer func(sim.TraceEvent
 		held[lock][c] = int(mode) + 1
 	}
 	start := func(c int, name string) *sweepOp {
-		op := &sweepOp{client: c, name: name}
+		op := &sweepOp{client: c, name: name, start: env.Now()}
 		run.ops = append(run.ops, op)
 		return op
 	}
@@ -163,12 +168,12 @@ func crashSweep(t *testing.T, s sweepScript, table map[string]int) {
 		client int
 		name   string
 	}
-	nominal := map[opKey]sim.Time{}
+	nominal := map[opKey]time.Duration{}
 	for _, op := range base.ops {
 		if !op.done || op.err != nil {
 			t.Fatalf("%s: fault-free %s by client %d: done=%v err=%v", s.name, op.name, op.client, op.done, op.err)
 		}
-		nominal[opKey{op.client, op.name}] = op.end
+		nominal[opKey{op.client, op.name}] = time.Duration(op.end - op.start)
 	}
 	if base.err != nil || base.violations != 0 {
 		t.Fatalf("%s: fault-free run: err=%v violations=%d", s.name, base.err, base.violations)
@@ -195,10 +200,12 @@ func crashSweep(t *testing.T, s sweepScript, table map[string]int) {
 				class := "ok"
 				nom, ran := nominal[opKey{op.client, op.name}]
 				switch {
+				case !op.done && op.client == n:
+					class = "waiting/dead-caller"
 				case !op.done:
-					class = "waiting"
+					class = "waiting/live"
 				case op.err == nil:
-				case op.end <= nom || !ran:
+				case time.Duration(op.end-op.start) <= nom || !ran:
 					class = "err<=nom"
 				default:
 					class = "err>nom"
@@ -224,7 +231,7 @@ func TestCrashSweep(t *testing.T) {
 	rows := make([]string, 0, len(table))
 	for k, n := range table {
 		f := strings.Fields(k)
-		rows = append(rows, fmt.Sprintf("%-24s %-10s %-16s %d", f[0], f[1], f[2], n))
+		rows = append(rows, fmt.Sprintf("%-24s %-10s %-20s %d", f[0], f[1], f[2], n))
 	}
 	sort.Strings(rows)
 	got := strings.Join(rows, "\n") + "\n"
