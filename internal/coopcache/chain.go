@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"time"
 
-	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 )
 
@@ -19,8 +18,9 @@ import (
 // with no process switch.
 //
 // A closed-loop client has one request in flight, so each client owns
-// one record, bound once with its step callbacks and its dedup future:
-// the steady-state request loop allocates nothing.
+// one record, bound once with its step callbacks; its dedup waiter list
+// keeps its storage across requests, so the steady-state request loop
+// allocates nothing.
 type reqChain struct {
 	dc    *DataCenter
 	px    *cacheNode
@@ -31,9 +31,10 @@ type reqChain struct {
 
 	holder *cacheNode
 	target *cacheNode
-	// fut is the record's dedup future: published in the inflight table
-	// while this request fetches its document from the origin.
-	fut     *sim.Future[int]
+	// waiters are the requests for the same document parked behind
+	// this one while it fetches it from the origin (the record is then
+	// published in the inflight table), in the order they arrived.
+	waiters []*reqChain
 	evicted []int // held across the directory batch wire stall
 
 	// Step callbacks, bound once per record.
@@ -43,7 +44,7 @@ type reqChain struct {
 	fetchTxDoneFn func()
 	fetchEndFn    func()
 	replicaFn     func()
-	retryFn       func(int)
+	retryFn       func()
 	backendDoneFn func()
 	insTxDoneFn   func()
 	insPlacedFn   func()
@@ -56,7 +57,6 @@ type reqChain struct {
 // bind sets up rc for requests on px's pipeline, each ending in done.
 func (rc *reqChain) bind(dc *DataCenter, px *cacheNode, done func()) {
 	rc.dc, rc.px = dc, px
-	rc.fut = sim.NewFuture[int](dc.env, "fetch")
 	rc.cpuDoneFn = rc.cpuDone
 	rc.dirDoneFn = func() { rc.dirArrived(true) }
 	rc.fetchMidFn = rc.fetchMid
@@ -66,7 +66,7 @@ func (rc *reqChain) bind(dc *DataCenter, px *cacheNode, done func()) {
 		rc.px.replica.Put(rc.doc, rc.size)
 		rc.egress()
 	}
-	rc.retryFn = func(int) {
+	rc.retryFn = func() {
 		rc.depth = 1
 		rc.lookupStep()
 	}
@@ -189,13 +189,12 @@ func (rc *reqChain) fetchEnd() {
 // of the same document, or fetch from the origin.
 func (rc *reqChain) missStep() {
 	dc := rc.dc
-	if fut := dc.inflight[rc.doc]; fut != nil && rc.depth == 0 {
-		fut.WaitAsync(rc.retryFn)
+	if f := dc.inflight[rc.doc]; f != nil && rc.depth == 0 {
+		f.waiters = append(f.waiters, rc)
 		return
 	}
 	rc.out = outMiss
-	rc.fut.Reset()
-	dc.inflight[rc.doc] = rc.fut
+	dc.inflight[rc.doc] = rc
 	dc.backend.HoldAsync(1, dc.nw.Params().BackendTime(int(rc.size)), nil, rc.backendDoneFn)
 }
 
@@ -276,13 +275,17 @@ func (rc *reqChain) dirEntries(evicted []int) {
 	}
 }
 
-// insertDone finishes an insert: a miss-path insert resolves the dedup
-// future (waking concurrent requesters of the same document), a BCC
-// duplicate goes straight to egress.
+// insertDone finishes an insert: a miss-path insert retries each
+// concurrent requester of the same document, one event each at this
+// instant in the order they parked; a BCC duplicate goes straight to
+// egress.
 func (rc *reqChain) insertDone() {
 	if rc.out == outMiss {
 		rc.dc.inflight[rc.doc] = nil
-		rc.fut.Resolve(0)
+		for _, w := range rc.waiters {
+			rc.dc.env.After(0, w.retryFn)
+		}
+		rc.waiters = rc.waiters[:0]
 	}
 	rc.egress()
 }

@@ -143,7 +143,7 @@ type DataCenter struct {
 	nodes    []*cacheNode // by node ID: the proxies, then the app tier
 	proxies  []*cacheNode // nodes[:Proxies]
 	backend  *sim.Resource
-	inflight []*sim.Future[int] // by doc: the fetch in progress (dedup), nil if none
+	inflight []*reqChain // by doc: the request fetching it from the origin (dedup), nil if none
 
 	// dir is the distributed directory: dirWords words per document, a
 	// bitset of the node IDs holding it. A document's words live on its
@@ -200,7 +200,7 @@ func Build(cfg Config) *DataCenter {
 	env := cfg.NewEnv()
 	nw := verbs.NewNetwork(env, cfg.Fabric())
 	docs, n := cfg.docCount(), cfg.Proxies+appServers
-	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: make([]*sim.Future[int], docs),
+	dc := &DataCenter{cfg: cfg, env: env, nw: nw, inflight: make([]*reqChain, docs),
 		dirWords: (n + 63) / 64, tr: trace.Of(env)}
 	dc.dir = make([]uint64, docs*dc.dirWords)
 	dc.backend = sim.NewResource(env, "backend", backendParallelism)

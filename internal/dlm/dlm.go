@@ -33,7 +33,6 @@ package dlm
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"time"
 
 	"ngdc/internal/cluster"
@@ -264,13 +263,13 @@ func decodeWire(b []byte) wire {
 // server queue, or N-CoSED's pending agent work and lease. Records are
 // allocated with the manager, one per lock.
 type lockRec struct {
-	// wait is what the lock's one outstanding call parks on: a request
-	// for its grant or, in N-CoSED, an exclusive Unlock for its
-	// successor's announcement (the holder has no request outstanding).
-	// It is re-armed with Reset: the one-outstanding-request rule
-	// guarantees the previous waiter consumed it.
-	wait  *sim.Future[int]
-	armed bool // a request waits for a grant
+	// waiter is the lock's one outstanding call, parked until a
+	// callback resolves it with val: a request for its grant or, in
+	// N-CoSED, an exclusive Unlock for its successor's announcement (the
+	// holder has no request outstanding).
+	waiter *sim.Proc
+	val    int
+	armed  bool // a request waits for a grant
 
 	// N-CoSED: the successor that announced itself (node ID + 1, 0 if
 	// none), or succWait: an Unlock waits for one.
@@ -293,18 +292,14 @@ type lockRec struct {
 }
 
 // lockTable is a client's records, indexed by lock ID. Its name,
-// "<node>/<design>", prefixes its futures' names and its panics.
+// "<node>/<design>", prefixes its panics.
 type lockTable struct {
 	name string
 	recs []lockRec
 }
 
-func newLockTable(env *sim.Env, name string, locks int) lockTable {
-	t := lockTable{name: name, recs: make([]lockRec, locks)}
-	for l := range t.recs {
-		t.recs[l].wait = sim.NewFuture[int](env, name+"/lock"+strconv.Itoa(l))
-	}
-	return t
+func newLockTable(name string, locks int) lockTable {
+	return lockTable{name: name, recs: make([]lockRec, locks)}
 }
 
 // request arms the grant of w.lock, sends w to the queue q and
@@ -316,29 +311,38 @@ func (t *lockTable) request(p *sim.Proc, dev *verbs.Device, q *verbs.RecvQueue, 
 	if r.armed {
 		panic(fmt.Sprintf("dlm: %s: double outstanding request on lock %d", t.name, w.lock))
 	}
-	fut := r.rearm()
 	r.armed = true
 	if err := sendWire(p, dev, q, w); err != nil {
 		r.armed = false
 		return 0, err
 	}
-	return fut.Wait(p), nil
+	// The grant cannot have landed yet: it answers a message the send
+	// above only now handed to the fabric.
+	return r.wait(p), nil
 }
 
 // grant resolves the grant of a lock; one with no waiter panics.
-func (t *lockTable) grant(lock, arg int) {
+func (t *lockTable) grant(env *sim.Env, lock, arg int) {
 	r := &t.recs[lock]
 	if !r.armed {
 		panic(fmt.Sprintf("dlm: %s: grant for lock %d with no waiter", t.name, lock))
 	}
 	r.armed = false
-	r.wait.Resolve(arg)
+	r.resolve(env, arg)
 }
 
-// rearm returns the record's wait future, reset if it was resolved.
-func (r *lockRec) rearm() *sim.Future[int] {
-	if r.wait.Done() {
-		r.wait.Reset()
-	}
-	return r.wait
+// wait parks p as the record's outstanding call and returns the value
+// resolve hands it.
+func (r *lockRec) wait(p *sim.Proc) int {
+	r.waiter = p
+	p.Park("dlm: lock wait")
+	return r.val
+}
+
+// resolve wakes the parked call with v at this instant, behind the
+// events already queued for it.
+func (r *lockRec) resolve(env *sim.Env, v int) {
+	p := r.waiter
+	r.waiter, r.val = nil, v
+	env.WakeAfter(p, 0)
 }

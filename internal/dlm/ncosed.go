@@ -65,7 +65,7 @@ func newNCoSED(m *Manager) {
 			m:         m,
 			dev:       dev,
 			tails:     dev.RegisterAtSetup(make([]byte, 8*m.locks)),
-			lockTable: newLockTable(env, node.Name+"/ncosed", m.locks),
+			lockTable: newLockTable(node.Name+"/ncosed", m.locks),
 		}
 		for l := i; l < m.locks; l += len(m.nodes) { // the locks homed here
 			r := &c.recs[l]
@@ -105,11 +105,11 @@ func (c *ncosedClientImpl) onClient(msg verbs.Message) {
 	msg.Release()
 	switch w.op {
 	case opGrant:
-		c.grant(w.lock, w.arg)
+		c.grant(c.dev.Env(), w.lock, w.arg)
 	case opEnqueue:
 		if r := &c.recs[w.lock]; r.succWait {
 			r.succWait = false
-			r.wait.Resolve(w.from)
+			r.resolve(c.dev.Env(), w.from)
 		} else {
 			r.succ = w.from + 1
 		}
@@ -427,9 +427,8 @@ func (c *ncosedClientImpl) Unlock(p *sim.Proc, lock int, mode Mode) error {
 		if r.succ != 0 {
 			continue // announcement landed while we were CASing
 		}
-		fut := r.rearm()
 		r.succWait = true
-		return sendWire(p, c.dev, c.m.grantQ[fut.Wait(p)], grant)
+		return sendWire(p, c.dev, c.m.grantQ[r.wait(p)], grant)
 	}
 }
 

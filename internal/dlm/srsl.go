@@ -30,7 +30,7 @@ func newSRSL(m *Manager) {
 	for _, node := range m.nodes {
 		env := node.Env()
 		dev := m.nw.Attach(node)
-		c := &srslClientImpl{m: m, dev: dev, lockTable: newLockTable(env, node.Name+"/srsl", m.locks)}
+		c := &srslClientImpl{m: m, dev: dev, lockTable: newLockTable(node.Name+"/srsl", m.locks)}
 		m.clients[node.ID] = c
 		m.homeQ[node.ID], m.grantQ[node.ID] = dev.Bind("srsl"), dev.BindHandler(c.onGrant)
 		env.GoDaemon(fmt.Sprintf("%s/srsl-server", node.Name), c.serveHome)
@@ -90,7 +90,7 @@ func (c *srslClientImpl) onGrant(msg verbs.Message) {
 	w := decodeWire(msg.Data)
 	msg.Release()
 	if w.op == opGrant {
-		c.grant(w.lock, w.arg)
+		c.grant(c.dev.Env(), w.lock, w.arg)
 	}
 }
 

@@ -215,8 +215,6 @@ func MeasureLatency(strategy Strategy, n int, payload int, o runtime.ServiceOpti
 	}
 	g := NewGroup(nw, nodes, Options{Name: "bench", Strategy: strategy})
 	var last sim.Time
-	done := sim.NewWaitGroup(env, "deliveries")
-	done.Add(n)
 	for _, node := range nodes {
 		sub := g.Subscribe(node.ID)
 		env.GoDaemon(fmt.Sprintf("sink%d", node.ID), func(p *sim.Proc) {
@@ -227,13 +225,11 @@ func MeasureLatency(strategy Strategy, n int, payload int, o runtime.ServiceOpti
 				if p.Now() > last {
 					last = p.Now()
 				}
-				done.Done()
 			}
 		})
 	}
 	env.Go("root", func(p *sim.Proc) {
 		g.Send(p, make([]byte, payload))
-		done.Wait(p)
 	})
 	if err := env.Run(); err != nil {
 		return 0, err

@@ -14,12 +14,14 @@
 // and every run with the same inputs is exactly reproducible.
 //
 // Processes interact with virtual time through Proc.Sleep, and with each
-// other through Chan (a simulated message channel), Resource (a FIFO
-// counting semaphore, e.g. CPU cores or a network link), Future (a
-// completion) and WaitGroup. Timer callbacks (Env.At, Env.After) run
-// inline in the scheduler and may use the non-blocking primitives
-// (Chan.PostSend, Resource.HoldAsync, Future.WaitAsync) but must never
-// block.
+// other through Chan (a simulated message channel) and Resource (a FIFO
+// counting semaphore, e.g. CPU cores or a network link). Timer callbacks
+// (Env.At, Env.After) run inline in the scheduler and may use the
+// non-blocking primitives (Chan.PostSend, Resource.HoldAsync) but must
+// never block. A callback hands control back to a process parked with
+// Proc.Park in one of two ways: Env.WakeAfter queues its wake as an
+// event, and Env.Continue resumes it inside the running event, which is
+// how Await ends a chain that a process runs as a blocking call.
 //
 // The engine is built for throughput: the event queue is a 4-ary heap of
 // event values (no allocation, no interface dispatch per scheduling

@@ -272,164 +272,6 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	}
 }
 
-func TestFutureResolveBeforeAndAfterWait(t *testing.T) {
-	e := NewEnv(1)
-	f1 := NewFuture[int](e, "f1")
-	f2 := NewFuture[int](e, "f2")
-	f1.Resolve(10)
-	var a, b int
-	e.Go("p", func(p *Proc) {
-		a = f1.Wait(p) // already resolved: no block
-		b = f2.Wait(p) // resolved later by callback
-	})
-	e.After(time.Microsecond, func() { f2.Resolve(20) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a != 10 || b != 20 {
-		t.Fatalf("a=%d b=%d", a, b)
-	}
-}
-
-func TestFutureReset(t *testing.T) {
-	e := NewEnv(1)
-	f := NewFuture[int](e, "cycle")
-	var got [3]int
-	e.Go("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got[i] = f.Wait(p) // resolved later by callback, then recycled
-			f.Reset()
-		}
-	})
-	for i := 0; i < 3; i++ {
-		v := i + 1
-		e.After(time.Duration(v)*time.Microsecond, func() { f.Resolve(v * 10) })
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != [3]int{10, 20, 30} {
-		t.Fatalf("got %v, want [10 20 30]", got)
-	}
-	if f.Done() {
-		t.Fatal("future still resolved after Reset")
-	}
-}
-
-func TestFutureWaitAsync(t *testing.T) {
-	e := NewEnv(1)
-	f := NewFuture[int](e, "async")
-
-	// Already resolved: the callback runs synchronously.
-	done := NewFuture[int](e, "done")
-	done.Resolve(7)
-	ran := false
-	done.WaitAsync(func(v int) {
-		if v != 7 {
-			t.Errorf("sync WaitAsync got %d, want 7", v)
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("WaitAsync on a resolved future did not run synchronously")
-	}
-
-	// Unresolved: process and callback waiters wake in registration
-	// order at the resolve instant, interleaved.
-	var order []string
-	e.Go("w1", func(p *Proc) {
-		f.Wait(p)
-		order = append(order, "proc1")
-	})
-	e.Go("register", func(p *Proc) {
-		f.WaitAsync(func(v int) {
-			if v != 42 {
-				t.Errorf("WaitAsync got %d, want 42", v)
-			}
-			order = append(order, "async")
-		})
-	})
-	e.Go("w2", func(p *Proc) {
-		p.Sleep(time.Nanosecond) // register after the async waiter
-		f.Wait(p)
-		order = append(order, "proc2")
-	})
-	e.After(time.Microsecond, func() { f.Resolve(42) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"proc1", "async", "proc2"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("wake order %v, want %v", order, want)
-	}
-}
-
-func TestFutureWaitAsyncAllocationFree(t *testing.T) {
-	e := NewEnv(1)
-	f := NewFuture[int](e, "cycle")
-	got := 0
-	fn := func(v int) { got = v }
-	cycle := func() {
-		f.WaitAsync(fn)
-		f.Resolve(2)
-		if err := e.Run(); err != nil { // dispatches the callback
-			t.Fatal(err)
-		}
-		f.Reset()
-	}
-	cycle() // prime the waiter pool and the dispatch closure
-	if got != 2 {
-		t.Fatalf("callback saw %d, want 2", got)
-	}
-	allocs := testing.AllocsPerRun(100, cycle)
-	if allocs != 0 {
-		t.Fatalf("WaitAsync cycle allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestFutureResetWithWaitersPanics(t *testing.T) {
-	e := NewEnv(1)
-	f := NewFuture[int](e, "stranded")
-	e.Go("waiter", func(p *Proc) { f.Wait(p) })
-	e.Go("resetter", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		defer func() {
-			if recover() == nil {
-				t.Error("Reset with a parked waiter did not panic")
-			}
-			f.Resolve(1) // release the waiter so the run terminates
-		}()
-		f.Reset()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEnv(1)
-	wg := NewWaitGroup(e, "wg")
-	wg.Add(3)
-	var doneAt Time
-	for i := 0; i < 3; i++ {
-		d := time.Duration(i+1) * time.Microsecond
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != Time(3*time.Microsecond) {
-		t.Fatalf("waiter released at %v, want 3µs", doneAt)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEnv(1)
 	c := NewChan[int](e, "never", 0)
@@ -1144,7 +986,6 @@ func TestShutdownUnwindsEveryParkSite(t *testing.T) {
 	e := NewEnv(1)
 	c := NewChan[int](e, "never", 0)
 	r := NewResource(e, "held", 1)
-	f := NewFuture[int](e, "unresolved")
 	unwound := map[string]bool{}
 	parkIn := func(name string, block func(p *Proc)) {
 		e.Go(name, func(p *Proc) {
@@ -1156,7 +997,6 @@ func TestShutdownUnwindsEveryParkSite(t *testing.T) {
 	parkIn("holder", func(p *Proc) { r.Acquire(p, 1); p.Park("holding") })
 	parkIn("recv", func(p *Proc) { c.Recv(p) })
 	parkIn("acquire", func(p *Proc) { r.Acquire(p, 1) })
-	parkIn("wait", func(p *Proc) { f.Wait(p) })
 	parkIn("park", func(p *Proc) { p.Park("forever") })
 	parkIn("reblock", func(p *Proc) {
 		defer func() {
@@ -1168,12 +1008,12 @@ func TestShutdownUnwindsEveryParkSite(t *testing.T) {
 	// Run to the deadlock, which leaves the limit open: only Shutdown
 	// itself stops reblock's Sleep from consuming its own wakeup.
 	var d *DeadlockError
-	if err := e.Run(); !errors.As(err, &d) || len(d.Parked) != 6 {
-		t.Fatalf("err = %v, want all six parked", err)
+	if err := e.Run(); !errors.As(err, &d) || len(d.Parked) != 5 {
+		t.Fatalf("err = %v, want all five parked", err)
 	}
 	e.Shutdown()
-	if len(unwound) != 6 {
-		t.Fatalf("unwound %v, want all six", unwound)
+	if len(unwound) != 5 {
+		t.Fatalf("unwound %v, want all five", unwound)
 	}
 	e2 := NewEnv(1)
 	e2.Go("never-started", func(*Proc) { t.Error("never-started: body ran") })

@@ -1,9 +1,5 @@
 package sockets
 
-import (
-	"ngdc/internal/sim"
-)
-
 // Buffer pooling and delivery recycling: the sockets hot path borrows the
 // sending device's power-of-two buffer pool (verbs.Device.GetBuf/PutBuf)
 // for every payload chunk it used to allocate, and replaces the captured
@@ -84,20 +80,12 @@ func (h *half) deliverFrame() {
 	}
 }
 
-// getRendezvous returns a recycled rendezvous record with an unresolved
-// cts future.
+// getRendezvous returns a recycled rendezvous record.
 func (h *half) getRendezvous() *rendezvous {
 	if n := len(h.rvFree); n > 0 {
 		rv := h.rvFree[n-1]
 		h.rvFree = h.rvFree[:n-1]
 		return rv
 	}
-	return &rendezvous{cts: sim.NewFuture[struct{}](h.src.Env(), "cts")}
-}
-
-// putRendezvous recycles a rendezvous whose cts has been consumed (the
-// sender returned from Wait, so the future has no parked waiters).
-func (h *half) putRendezvous(rv *rendezvous) {
-	rv.cts.Reset()
-	h.rvFree = append(h.rvFree, rv)
+	return &rendezvous{}
 }

@@ -126,9 +126,7 @@ func (h *half) psdpPump(p *sim.Proc) {
 // receiver, wait for CTS (granted when a receive is posted), RDMA-write
 // the payload, deliver. No memory copies are charged.
 func (h *half) sendZSDP(p *sim.Proc, data []byte) error {
-	rv := h.startRendezvous(false)
-	rv.cts.Wait(p)
-	h.putRendezvous(rv)
+	h.rendezvous(p, false)
 	h.writePayload(p, data)
 	h.q.PostSend(wireMsg{data: h.getChunk(data), last: true})
 	return nil
@@ -147,9 +145,7 @@ func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
 	h.sendSeq++
 	buf := h.getChunk(data)
 	h.src.Env().Go("azsdp-xfer", func(tp *sim.Proc) {
-		rv := h.startRendezvous(true)
-		rv.cts.Wait(tp)
-		h.putRendezvous(rv)
+		h.rendezvous(tp, true)
 		h.writePayload(tp, buf)
 		h.deliverInOrder(seq, wireMsg{data: buf, last: true})
 		h.window.Release(1)
@@ -157,22 +153,23 @@ func (h *half) sendAZSDP(p *sim.Proc, data []byte) error {
 	return nil
 }
 
-// startRendezvous sends the RTS control message; the returned rendezvous
-// resolves its cts future when the CTS message has travelled back. For a
-// synchronous rendezvous (ZSDP) the receiver grants the CTS only once the
-// application has posted a matching receive; in asynchronous mode (AZ-SDP)
-// the receive side grants immediately — its buffers are managed
-// asynchronously under memory protection, with the sender's transfer
-// window bounding the number of grants outstanding. Control messages ride
-// the rtsFly/ctsFly FIFOs (both directions cost the constant
-// IBSendLatency, so pop order matches schedule order) and the records are
-// recycled by the sender once the CTS has been consumed.
-func (h *half) startRendezvous(async bool) *rendezvous {
+// rendezvous sends the RTS control message and parks p until the CTS
+// has travelled back. For a synchronous rendezvous (ZSDP) the receiver
+// grants the CTS only once the application has posted a matching
+// receive; in asynchronous mode (AZ-SDP) the receive side grants
+// immediately — its buffers are managed asynchronously under memory
+// protection, with the sender's transfer window bounding the number of
+// grants outstanding. Control messages ride the rtsFly/ctsFly FIFOs
+// (both directions cost the constant IBSendLatency, so pop order matches
+// schedule order), and ctsArrive recycles the record as it wakes p. The
+// CTS cannot land before p parks: it answers an RTS that is only now
+// put on the wire.
+func (h *half) rendezvous(p *sim.Proc, async bool) {
 	rv := h.getRendezvous()
-	rv.async = async
+	rv.sender, rv.async = p, async
 	h.rtsFly.Push(rv)
 	h.src.Env().After(h.src.Params().IBSendLatency, h.rtsFn)
-	return rv
+	p.Park("sdp: waiting for CTS")
 }
 
 // rtsArrive lands the oldest in-flight RTS at the receive side: grant the
@@ -196,8 +193,14 @@ func (h *half) grantCTS(rv *rendezvous) {
 	h.src.Env().After(h.src.Params().IBSendLatency, h.ctsFn)
 }
 
-// ctsArrive lands the oldest in-flight CTS, releasing the sender.
-func (h *half) ctsArrive() { h.ctsFly.Pop().cts.Resolve(struct{}{}) }
+// ctsArrive lands the oldest in-flight CTS: it wakes the sender and
+// recycles the record.
+func (h *half) ctsArrive() {
+	rv := h.ctsFly.Pop()
+	h.src.Env().WakeAfter(rv.sender, 0)
+	rv.sender = nil
+	h.rvFree = append(h.rvFree, rv)
+}
 
 // postRecv is called by Recv on rendezvous schemes: it grants the oldest
 // waiting RTS, or records a posted receive for the next RTS to consume.

@@ -138,7 +138,7 @@ type half struct {
 	// ZSDP/AZSDP rendezvous state (shared by the two endpoints): RTS and
 	// CTS control messages in flight (constant IBSendLatency each way),
 	// RTS messages parked waiting for a posted receive, and a free list
-	// of rendezvous records recycled once their cts has been consumed.
+	// of rendezvous records recycled once their CTS has landed.
 	rtsq        sim.Queue[*rendezvous]
 	rtsFly      sim.Queue[*rendezvous]
 	ctsFly      sim.Queue[*rendezvous]
@@ -181,9 +181,11 @@ func (h *half) acquire(p *sim.Proc, r *sim.Resource, n int, kind trace.StallKind
 	h.tr.Emit("sockets", h.stallNames[kind], h.src.Node.ID, 0, wait)
 }
 
+// rendezvous is one RTS/CTS handshake: the sender parked until its CTS
+// lands, and whether the receive side grants it at once (AZ-SDP).
 type rendezvous struct {
-	cts   *sim.Future[struct{}]
-	async bool
+	sender *sim.Proc
+	async  bool
 }
 
 // Dial creates a connected pair of endpoints between two verbs devices
