@@ -90,6 +90,12 @@ var repoRules = structuralRules{
 		{"internal/dlm/", "clientLoop", false, "N-CoSED's grants and successor announcements are handled by onClient, a verbs.Device.BindHandler function (7cfb537)"},
 		{"internal/dlm/", "agentLoop", false, "N-CoSED's home agent is onAgent, a verbs.Device.BindHandler function (7cfb537)"},
 		{"internal/dlm/", "serveGrants", false, "SRSL's grants are handled by onGrant, a verbs.Device.BindHandler function (7cfb537)"},
+		{"", "Future", false, "a parked process is woken with Env.WakeAfter(p, 0) or ends an Await (c832141)"},
+		{"", "NewFuture", false, "a parked process is woken with Env.WakeAfter(p, 0) or ends an Await (c832141)"},
+		{"", "WaitAsync", false, "a callback waiter is scheduled with Env.After(0, fn) by whoever it waits on (c832141)"},
+		// sync.WaitGroup stays usable outside the engine.
+		{"internal/sim/", "WaitGroup", false, "a cohort is a count and a list of parked processes, woken with Env.WakeAfter(p, 0) (c832141)"},
+		{"", "NewWaitGroup", false, "a cohort is a count and a list of parked processes, woken with Env.WakeAfter(p, 0) (c832141)"},
 	},
 }
 
