@@ -90,7 +90,7 @@ func NewGroup(nw *verbs.Network, members []*cluster.Node, opts Options) *Group {
 		g.devs = append(g.devs, dev)
 		g.rqs = append(g.rqs, dev.Bind("mcast:"+g.name))
 		g.rankOf[n.ID] = rank
-		g.subs = append(g.subs, sim.NewChan[[]byte](g.env, fmt.Sprintf("mcast/%s/%d", g.name, rank), 1024))
+		g.subs = append(g.subs, sim.NewChan[[]byte](g.env, fmt.Sprintf("mcast/%s/%d", g.name, rank)))
 	}
 	for rank := range g.devs {
 		rank := rank
@@ -183,7 +183,7 @@ func (g *Group) send(p *sim.Proc, from, to int, payload []byte) {
 func (g *Group) deliver(rank int, payload []byte) {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	g.subs[rank].PostSend(buf)
+	g.subs[rank].Send(buf)
 	g.Delivered++
 }
 

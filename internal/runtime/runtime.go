@@ -50,13 +50,15 @@ type Task interface {
 // virtual instant. Send and Recv are each safe for one concurrent
 // caller, so one sender and one receiver may share a Conn.
 //
-// When a sent frame is on the wire. SimRuntime hands a frame to the peer
-// inside Send; to a listener that serves frames (see Listener) it does
-// more, and executes the request there: Send returns once the reply is
-// queued for Recv, so a request that blocks — a contended lock — blocks
-// its sender in Send, and a window of requests is answered one Send at
-// a time. RealRuntime batches: Send appends to the connection's buffer,
-// and the buffer is written out
+// When a sent frame is on the wire. SimRuntime queues a frame for the
+// peer's Recv inside Send, without waiting for the peer, so a window of
+// frames can go out before the first reply is read, as on RealRuntime.
+// To a listener that serves frames (see Listener) it does more, and
+// executes the request there: Send returns once the reply is queued for
+// Recv, so a request that blocks — a contended lock — blocks its sender
+// in Send, and a window of requests is answered one Send at a time.
+// RealRuntime batches: Send appends to the connection's buffer, and the
+// buffer is written out
 //
 //   - before a Recv on this Conn waits for input, header or body — so a
 //     caller that sends, then receives, never waits on a peer that has

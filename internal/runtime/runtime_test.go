@@ -79,7 +79,8 @@ func transportRoundTrips(t *testing.T, rt Runtime, addr string) {
 		}
 		// Frames of several sizes, including empty, reusing one buffer to
 		// check Send copies (or finishes with) the caller's bytes.
-		for _, n := range []int{0, 1, 7, 1024, 64 << 10} {
+		sizes := []int{0, 1, 7, 1024, 64 << 10}
+		for _, n := range sizes {
 			frame := bytes.Repeat([]byte{byte(n)}, n)
 			if err := conn.Send(tk, frame); err != nil {
 				t.Errorf("Send(%d bytes): %v", n, err)
@@ -88,6 +89,25 @@ func transportRoundTrips(t *testing.T, rt Runtime, addr string) {
 			back, err := conn.Recv(tk)
 			if err != nil || !bytes.Equal(back, frame) {
 				t.Errorf("Recv(%d bytes): err=%v, match=%v", n, err, bytes.Equal(back, frame))
+				return
+			}
+		}
+		// A window: every frame is sent, from one reused buffer, before
+		// the first reply is read.
+		buf := make([]byte, 64<<10)
+		for _, n := range sizes {
+			for i := range buf[:n] {
+				buf[i] = byte(n)
+			}
+			if err := conn.Send(tk, buf[:n]); err != nil {
+				t.Errorf("window Send(%d bytes): %v", n, err)
+				return
+			}
+		}
+		for _, n := range sizes {
+			back, err := conn.Recv(tk)
+			if want := bytes.Repeat([]byte{byte(n)}, n); err != nil || !bytes.Equal(back, want) {
+				t.Errorf("window Recv(%d bytes): err=%v, match=%v", n, err, bytes.Equal(back, want))
 				return
 			}
 		}

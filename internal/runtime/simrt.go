@@ -76,7 +76,7 @@ func (r *SimRuntime) Listen(addr string) (Listener, error) {
 	l := &simListener{
 		rt:     r,
 		addr:   addr,
-		accept: sim.NewChan[*simConn](r.env, "accept "+addr, 0),
+		accept: sim.NewChan[*simConn](r.env, "accept "+addr),
 	}
 	r.listeners[addr] = l
 	return l, nil
@@ -93,17 +93,17 @@ func (r *SimRuntime) Dial(addr string) (Conn, error) {
 	}
 	l.dialed = true
 	if l.open != nil {
-		c := &servedConn{l: l, replies: sim.NewChan[[]byte](r.env, "conn<"+addr, 0)}
+		c := &servedConn{l: l, replies: sim.NewChan[[]byte](r.env, "conn<"+addr)}
 		c.serve, c.closed = l.open()
 		return c, nil
 	}
 	// Two directed frame channels; each endpoint sends on its own and
 	// receives on the peer's.
-	ab := sim.NewChan[[]byte](r.env, "conn>"+addr, 0)
-	ba := sim.NewChan[[]byte](r.env, "conn<"+addr, 0)
+	ab := sim.NewChan[[]byte](r.env, "conn>"+addr)
+	ba := sim.NewChan[[]byte](r.env, "conn<"+addr)
 	client := &simConn{send: ab, recv: ba}
 	server := &simConn{send: ba, recv: ab}
-	l.accept.PostSend(server)
+	l.accept.Send(server)
 	return client, nil
 }
 
@@ -145,9 +145,9 @@ func (l *simListener) Close() error {
 
 // simConn is one endpoint of a loopback pair, for listeners that accept
 // by hand. Frames are delivered at the current virtual instant; the sim
-// transport models framing and ordering, not wire cost. The channels
-// are unbuffered, so a Send waits for the peer's Recv: a window of more
-// than one frame needs a peer that keeps receiving.
+// transport models framing and ordering, not wire cost. Send queues the
+// frame, as RealRuntime buffers it, so a window of frames needs no peer
+// that is already receiving.
 type simConn struct {
 	send *sim.Chan[[]byte]
 	recv *sim.Chan[[]byte]
@@ -161,7 +161,7 @@ func (c *simConn) Send(t Task, frame []byte) error {
 	// socket write.
 	f := make([]byte, len(frame))
 	copy(f, frame)
-	c.send.Send(t.SimProc(), f)
+	c.send.Send(f)
 	return nil
 }
 
@@ -220,7 +220,7 @@ func (c *servedConn) Send(t Task, frame []byte) error {
 	resp, keep := c.serve(t, frame)
 	if !c.replies.Closed() {
 		// Copy: Recv's frame belongs to its caller, resp to the server.
-		c.replies.PostSend(append([]byte(nil), resp...))
+		c.replies.Send(append([]byte(nil), resp...))
 	}
 	p.Sleep(0) // the client's wake
 	c.sending = false

@@ -174,7 +174,7 @@ func TestSimServerHangUp(t *testing.T) {
 // get, lock and unlock allocate nothing once warm.
 func TestSimSteadyStateAllocations(t *testing.T) {
 	env, rt := startSim(t, 1, Options{})
-	round := sim.NewChan[struct{}](env, "round", 0)
+	round := sim.NewChan[struct{}](env, "round")
 	val := bytes.Repeat([]byte{9}, 64)
 	rt.GoDaemon("session", func(tk runtime.Task) {
 		cl, err := Dial(rt, "ngdc")
@@ -203,7 +203,7 @@ func TestSimSteadyStateAllocations(t *testing.T) {
 		}
 	})
 	step := func() {
-		round.PostSend(struct{}{})
+		round.Send(struct{}{})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -34,25 +34,26 @@ func BenchmarkTimerCallback(b *testing.B) {
 }
 
 // BenchmarkChanPingPong measures one request/response round trip between
-// two processes over unbuffered channels (four park/resume hand-offs per
-// iteration).
+// two processes over a pair of channels. An iteration is two resumes (the
+// echo's wake at the request, the driver's at the reply) and three
+// events, the third the driver's Sleep, which it takes in place.
 func BenchmarkChanPingPong(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv(1)
-	req := NewChan[int](env, "req", 0)
-	rsp := NewChan[int](env, "rsp", 0)
+	req := NewChan[int](env, "req")
+	rsp := NewChan[int](env, "rsp")
 	env.GoDaemon("echo", func(p *Proc) {
 		for {
 			v, ok := req.Recv(p)
 			if !ok {
 				return
 			}
-			rsp.Send(p, v)
+			rsp.Send(v)
 		}
 	})
 	env.Go("driver", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			req.Send(p, i)
+			req.Send(i)
 			rsp.Recv(p)
 			p.Sleep(time.Microsecond)
 		}
@@ -189,17 +190,17 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 
 	t.Run("chan-ping-pong", func(t *testing.T) {
 		env := NewEnv(1)
-		req := NewChan[int](env, "req", 0)
-		rsp := NewChan[int](env, "rsp", 0)
+		req := NewChan[int](env, "req")
+		rsp := NewChan[int](env, "rsp")
 		env.GoDaemon("echo", func(p *Proc) {
 			for {
 				v, _ := req.Recv(p)
-				rsp.Send(p, v)
+				rsp.Send(v)
 			}
 		})
 		env.GoDaemon("driver", func(p *Proc) {
 			for {
-				req.Send(p, 1)
+				req.Send(1)
 				rsp.Recv(p)
 				p.Sleep(time.Microsecond)
 			}

@@ -1,33 +1,23 @@
 package sim
 
-// Chan is a simulated message channel between processes. Like a Go
-// channel it may be buffered; unlike a Go channel, an unbuffered (cap 0)
-// Chan still decouples sender and receiver by one scheduling step, and
-// PostSend allows non-blocking delivery from timer callbacks regardless of
-// capacity (the buffer grows past cap in that case; cap only limits
-// blocking senders).
+// Chan is a simulated mailbox between processes. Send never blocks: it
+// hands the value to the longest-parked receiver, whose wake is an event
+// at the current instant, or queues it. So a process and a timer
+// callback send the same way, and a sender may post any number of values
+// before a receiver takes one. Recv blocks until a value is available.
 //
-// Blocking is allocation-free in the steady state: waiter records are
-// recycled through per-channel free lists and the waiter queues reuse
-// their backing storage (see Queue).
+// Blocking is allocation-free in the steady state: receiver records are
+// recycled through a per-channel free list and the queues reuse their
+// backing storage (see Queue).
 type Chan[T any] struct {
 	env       *Env
 	name      string
-	cap       int
 	buf       Queue[T]
-	senders   Queue[*sendWaiter[T]]
 	receivers Queue[*recvWaiter[T]]
 	closed    bool
 
-	freeSend []*sendWaiter[T]
 	freeRecv []*recvWaiter[T]
-	sendWhy  string
 	recvWhy  string
-}
-
-type sendWaiter[T any] struct {
-	p *Proc
-	v T
 }
 
 type recvWaiter[T any] struct {
@@ -36,39 +26,16 @@ type recvWaiter[T any] struct {
 	ok bool
 }
 
-// NewChan creates a channel with the given buffer capacity. Capacity 0
-// means blocking senders wait for a receiver.
-func NewChan[T any](e *Env, name string, capacity int) *Chan[T] {
-	return &Chan[T]{
-		env:     e,
-		name:    name,
-		cap:     capacity,
-		sendWhy: "send on " + name,
-		recvWhy: "recv on " + name,
-	}
+// NewChan creates an empty channel.
+func NewChan[T any](e *Env, name string) *Chan[T] {
+	return &Chan[T]{env: e, name: name, recvWhy: "recv on " + name}
 }
 
-// Len reports the number of buffered values.
+// Len reports the number of queued values.
 func (c *Chan[T]) Len() int { return c.buf.Len() }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
-
-func (c *Chan[T]) getSendWaiter(p *Proc, v T) *sendWaiter[T] {
-	if n := len(c.freeSend); n > 0 {
-		w := c.freeSend[n-1]
-		c.freeSend = c.freeSend[:n-1]
-		w.p, w.v = p, v
-		return w
-	}
-	return &sendWaiter[T]{p: p, v: v}
-}
-
-func (c *Chan[T]) putSendWaiter(w *sendWaiter[T]) {
-	var zero T
-	w.p, w.v = nil, zero
-	c.freeSend = append(c.freeSend, w)
-}
 
 func (c *Chan[T]) getRecvWaiter(p *Proc) *recvWaiter[T] {
 	if n := len(c.freeRecv); n > 0 {
@@ -86,8 +53,13 @@ func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 	c.freeRecv = append(c.freeRecv, w)
 }
 
-// deliver hands v to a parked receiver if one exists, else buffers it.
-func (c *Chan[T]) deliver(v T) {
+// Send delivers v without blocking: to a parked receiver if one exists,
+// else to the queue. It is safe from timer callbacks. Sending on a
+// closed channel panics.
+func (c *Chan[T]) Send(v T) {
+	if c.closed {
+		panic("sim: send on closed channel " + c.name)
+	}
 	if c.receivers.Len() > 0 {
 		w := c.receivers.Pop()
 		w.v, w.ok = v, true
@@ -97,45 +69,11 @@ func (c *Chan[T]) deliver(v T) {
 	c.buf.Push(v)
 }
 
-// PostSend delivers v without blocking. It is safe from timer callbacks
-// and never fails; the buffer grows beyond cap if necessary. Posting to a
-// closed channel panics.
-func (c *Chan[T]) PostSend(v T) {
-	if c.closed {
-		panic("sim: send on closed channel " + c.name)
-	}
-	c.deliver(v)
-}
-
-// Send delivers v, blocking while the buffer is at capacity and no
-// receiver is waiting. Sending on a closed channel panics.
-func (c *Chan[T]) Send(p *Proc, v T) {
-	if c.closed {
-		panic("sim: send on closed channel " + c.name)
-	}
-	if c.receivers.Len() > 0 || c.buf.Len() < c.cap {
-		c.deliver(v)
-		return
-	}
-	w := c.getSendWaiter(p, v)
-	c.senders.Push(w)
-	p.block(c.sendWhy)
-	c.putSendWaiter(w)
-}
-
 // Recv returns the next value. It blocks until a value is available. The
 // second result is false if the channel was closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 	if c.buf.Len() > 0 {
-		v := c.buf.Pop()
-		c.admitSender()
-		return v, true
-	}
-	if c.senders.Len() > 0 {
-		w := c.senders.Pop()
-		v := w.v
-		c.env.wake(w.p)
-		return v, true
+		return c.buf.Pop(), true
 	}
 	if c.closed {
 		var zero T
@@ -150,43 +88,25 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 }
 
 // TryRecv returns the next value without blocking; ok is false when no
-// value is immediately available.
+// value is queued.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if c.buf.Len() > 0 {
-		v = c.buf.Pop()
-		c.admitSender()
-		return v, true
-	}
-	if c.senders.Len() > 0 {
-		w := c.senders.Pop()
-		v = w.v
-		c.env.wake(w.p)
-		return v, true
+		return c.buf.Pop(), true
 	}
 	return v, false
 }
 
-// admitSender moves one blocked sender's value into freed buffer space.
-func (c *Chan[T]) admitSender() {
-	if c.senders.Len() > 0 && c.buf.Len() < c.cap {
-		w := c.senders.Pop()
-		c.buf.Push(w.v)
-		c.env.wake(w.p)
-	}
-}
-
-// Close marks the channel closed. Parked receivers are woken with ok ==
-// false once the buffer drains; buffered values remain receivable.
+// Close marks the channel closed and wakes every parked receiver with ok
+// == false. A receiver parks only on an empty queue, so none is parked
+// while values remain; those stay receivable.
 func (c *Chan[T]) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.buf.Len() == 0 && c.senders.Len() == 0 {
-		for c.receivers.Len() > 0 {
-			w := c.receivers.Pop()
-			w.ok = false
-			c.env.wake(w.p)
-		}
+	for c.receivers.Len() > 0 {
+		w := c.receivers.Pop()
+		w.ok = false
+		c.env.wake(w.p)
 	}
 }

@@ -103,7 +103,7 @@ func TestRunUntilStopsClock(t *testing.T) {
 
 func TestChanSendRecv(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
+	c := NewChan[int](e, "c")
 	var got []int
 	e.Go("recv", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -117,7 +117,7 @@ func TestChanSendRecv(t *testing.T) {
 	e.Go("send", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(time.Microsecond)
-			c.Send(p, i)
+			c.Send(i)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -128,51 +128,47 @@ func TestChanSendRecv(t *testing.T) {
 	}
 }
 
+// TestChanBufferedSenderDoesNotBlock checks that Send never blocks: a
+// sender with no receiver queues every value at its own instant, and a
+// late receiver takes them in order.
 func TestChanBufferedSenderDoesNotBlock(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "c", 2)
-	var sendDone Time
+	c := NewChan[int](e, "c")
+	const n = 100
+	sendDone := Time(-1)
 	e.Go("send", func(p *Proc) {
-		c.Send(p, 1)
-		c.Send(p, 2)
+		for i := 0; i < n; i++ {
+			c.Send(i)
+		}
 		sendDone = p.Now()
 	})
+	var got []int
 	e.Go("recv", func(p *Proc) {
 		p.Sleep(time.Second)
-		c.Recv(p)
-		c.Recv(p)
+		for i := 0; i < n; i++ {
+			v, _ := c.Recv(p)
+			got = append(got, v)
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sendDone != 0 {
-		t.Fatalf("buffered sends blocked until %v", sendDone)
+		t.Fatalf("sends finished at %v, want 0", sendDone)
 	}
-}
-
-func TestChanUnbufferedSenderBlocks(t *testing.T) {
-	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
-	var sendDone Time
-	e.Go("send", func(p *Proc) {
-		c.Send(p, 1)
-		sendDone = p.Now()
-	})
-	e.Go("recv", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		c.Recv(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("received %v, want 0..%d in order", got, n-1)
+		}
 	}
-	if sendDone != Time(time.Millisecond) {
-		t.Fatalf("unbuffered send completed at %v, want 1ms", sendDone)
+	if len(got) != n || c.Len() != 0 {
+		t.Fatalf("received %d values, %d left queued", len(got), c.Len())
 	}
 }
 
 func TestChanCloseWakesReceivers(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
+	c := NewChan[int](e, "c")
 	okSeen := true
 	e.Go("recv", func(p *Proc) {
 		_, ok := c.Recv(p)
@@ -190,12 +186,12 @@ func TestChanCloseWakesReceivers(t *testing.T) {
 	}
 }
 
-func TestChanPostSendFromCallback(t *testing.T) {
+func TestChanSendFromCallback(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[string](e, "c", 0)
+	c := NewChan[string](e, "c")
 	var got string
 	e.Go("recv", func(p *Proc) { got, _ = c.Recv(p) })
-	e.After(time.Microsecond, func() { c.PostSend("hello") })
+	e.After(time.Microsecond, func() { c.Send("hello") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +202,12 @@ func TestChanPostSendFromCallback(t *testing.T) {
 
 func TestChanTryRecv(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "c", 4)
+	c := NewChan[int](e, "c")
 	e.Go("p", func(p *Proc) {
 		if _, ok := c.TryRecv(); ok {
 			t.Error("TryRecv on empty chan succeeded")
 		}
-		c.Send(p, 7)
+		c.Send(7)
 		v, ok := c.TryRecv()
 		if !ok || v != 7 {
 			t.Errorf("TryRecv = %d, %v", v, ok)
@@ -274,7 +270,7 @@ func TestResourceFIFONoBarging(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "never", 0)
+	c := NewChan[int](e, "never")
 	e.Go("stuck", func(p *Proc) { c.Recv(p) })
 	err := e.Run()
 	var d *DeadlockError
@@ -315,7 +311,7 @@ func indexOf(s, sub string) int {
 
 func TestShutdownTerminatesProcesses(t *testing.T) {
 	e := NewEnv(1)
-	c := NewChan[int](e, "c", 0)
+	c := NewChan[int](e, "c")
 	for i := 0; i < 10; i++ {
 		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) { c.Recv(p) })
 	}
@@ -334,13 +330,13 @@ func TestDeterminism(t *testing.T) {
 		defer e.Shutdown()
 		rng := rand.New(rand.NewSource(42))
 		var tr []string
-		c := NewChan[int](e, "c", 1)
+		c := NewChan[int](e, "c")
 		for i := 0; i < 4; i++ {
 			i := i
 			e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j := 0; j < 3; j++ {
 					p.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
-					c.Send(p, i)
+					c.Send(i)
 				}
 			})
 		}
@@ -407,13 +403,13 @@ func TestPropertySleepOrdering(t *testing.T) {
 }
 
 // Property: a channel delivers every sent value exactly once, in FIFO
-// order per sender, regardless of buffer capacity.
+// order per sender.
 func TestPropertyChanConservation(t *testing.T) {
-	f := func(capacity uint8, counts []uint8) bool {
+	f := func(counts []uint8) bool {
 		e := NewEnv(11)
 		defer e.Shutdown()
 		rng := rand.New(rand.NewSource(11))
-		c := NewChan[int](e, "c", int(capacity%8))
+		c := NewChan[int](e, "c")
 		if len(counts) > 8 {
 			counts = counts[:8]
 		}
@@ -425,7 +421,7 @@ func TestPropertyChanConservation(t *testing.T) {
 			e.Go(fmt.Sprintf("s%d", s), func(p *Proc) {
 				for k := 0; k < n; k++ {
 					p.Sleep(time.Duration(rng.Intn(50)))
-					c.Send(p, s*1000+k)
+					c.Send(s*1000 + k)
 				}
 			})
 		}
@@ -984,7 +980,7 @@ func wantGoroutines(t *testing.T, baseline int) {
 func TestShutdownUnwindsEveryParkSite(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEnv(1)
-	c := NewChan[int](e, "never", 0)
+	c := NewChan[int](e, "never")
 	r := NewResource(e, "held", 1)
 	unwound := map[string]bool{}
 	parkIn := func(name string, block func(p *Proc)) {
@@ -1027,7 +1023,7 @@ func TestShutdownUnwindsEveryParkSite(t *testing.T) {
 func TestPanicLeavesEnvShutDownAble(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEnv(1)
-	c := NewChan[int](e, "never", 0)
+	c := NewChan[int](e, "never")
 	for i := 0; i < 3; i++ {
 		e.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) { c.Recv(p) })
 	}
@@ -1053,7 +1049,7 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
 		e := NewEnv(int64(round))
-		c := NewChan[int](e, "never", 0)
+		c := NewChan[int](e, "never")
 		for i := 0; i < 20; i++ {
 			e.GoDaemon(fmt.Sprintf("d%d", i), func(p *Proc) { c.Recv(p) })
 		}

@@ -69,14 +69,14 @@ func (h *half) appendChunk(asm, chunk []byte) []byte {
 
 // deliverNext releases the oldest pending wire chunk to the receive
 // queue; the single callback per half replaces one closure per chunk.
-func (h *half) deliverNext() { h.q.PostSend(h.delq.Pop()) }
+func (h *half) deliverNext() { h.q.Send(h.delq.Pop()) }
 
 // deliverFrame releases one P-SDP frame — a run of staged chunks that
 // went on the wire under one credit — in a single event, exactly as the
 // per-frame closure it replaces did.
 func (h *half) deliverFrame() {
 	for n := h.frameq.Pop(); n > 0; n-- {
-		h.q.PostSend(h.delq.Pop())
+		h.q.Send(h.delq.Pop())
 	}
 }
 

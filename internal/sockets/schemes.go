@@ -64,7 +64,7 @@ func (h *half) sendBSDP(p *sim.Proc, data []byte) error {
 func (h *half) sendPSDP(p *sim.Proc, data []byte) error {
 	params := h.src.Params()
 	if len(data) == 0 {
-		h.staged.Send(p, wireMsg{data: nil, last: true})
+		h.staged.Send(wireMsg{data: nil, last: true})
 		return nil
 	}
 	for off := 0; off < len(data); off += bufSize {
@@ -78,7 +78,7 @@ func (h *half) sendPSDP(p *sim.Proc, data []byte) error {
 			h.tr.RecordOp(trace.OpCopy, 0, params.SDPPerChunkCPU+params.CopyTime(len(chunk)))
 		}
 		p.Sleep(params.SDPPerChunkCPU + params.CopyTime(len(chunk))) // copy into the staging pool
-		h.staged.Send(p, wireMsg{data: chunk, last: end == len(data), pool: len(chunk)})
+		h.staged.Send(wireMsg{data: chunk, last: end == len(data), pool: len(chunk)})
 	}
 	return nil
 }
@@ -128,7 +128,7 @@ func (h *half) psdpPump(p *sim.Proc) {
 func (h *half) sendZSDP(p *sim.Proc, data []byte) error {
 	h.rendezvous(p, false)
 	h.writePayload(p, data)
-	h.q.PostSend(wireMsg{data: h.getChunk(data), last: true})
+	h.q.Send(wireMsg{data: h.getChunk(data), last: true})
 	return nil
 }
 
@@ -231,5 +231,5 @@ func (h *half) deliverInOrder(seq int64, wm wireMsg) {
 		panic(fmt.Sprintf("sockets: AZ-SDP transfer %d completed before transfer %d", seq, h.deliverSeq))
 	}
 	h.deliverSeq++
-	h.q.PostSend(wm)
+	h.q.Send(wm)
 }

@@ -207,7 +207,7 @@ func newHalf(scheme Scheme, src, dst *verbs.Device) *half {
 		scheme: scheme,
 		src:    src,
 		dst:    dst,
-		q:      sim.NewChan[wireMsg](env, name+"/rq", 1<<20),
+		q:      sim.NewChan[wireMsg](env, name+"/rq"),
 	}
 	if r := trace.Of(env); r != nil {
 		h.tr = r
@@ -228,7 +228,7 @@ func newHalf(scheme Scheme, src, dst *verbs.Device) *half {
 	case PSDP:
 		h.credits = sim.NewResource(env, name+"/credits", credits)
 		h.pool = sim.NewResource(env, name+"/pool", credits*bufSize)
-		h.staged = sim.NewChan[wireMsg](env, name+"/staged", 1<<20)
+		h.staged = sim.NewChan[wireMsg](env, name+"/staged")
 		env.GoDaemon(name+"/pump", h.psdpPump)
 	case AZSDP:
 		h.window = sim.NewResource(env, name+"/window", window)

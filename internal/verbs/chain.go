@@ -373,7 +373,7 @@ func (b *postBatch) flush() {
 		return
 	}
 	for b.next < len(b.comps) && b.done[b.next] {
-		b.cq.ch.PostSend(b.comps[b.next])
+		b.cq.ch.Send(b.comps[b.next])
 		b.next++
 	}
 	if b.next == len(b.comps) {

@@ -36,9 +36,11 @@ type CQ struct {
 	fn func(Completion)
 }
 
-// CreateCQ makes a completion queue of the given depth.
+// CreateCQ makes a completion queue. It holds every completion until
+// Poll takes it, so depth is unread; the repository benchmark still
+// passes one.
 func (d *Device) CreateCQ(name string, depth int) *CQ {
-	return &CQ{ch: sim.NewChan[Completion](d.nw.Env, fmt.Sprintf("%s/cq/%s", d.Node.Name, name), depth)}
+	return &CQ{ch: sim.NewChan[Completion](d.nw.Env, fmt.Sprintf("%s/cq/%s", d.Node.Name, name))}
 }
 
 // HandlerCQ makes a completion queue that queues nothing: each
@@ -54,7 +56,7 @@ func (cq *CQ) deliver(c Completion) {
 		cq.fn(c)
 		return
 	}
-	cq.ch.PostSend(c)
+	cq.ch.Send(c)
 }
 
 // Poll blocks until the next completion.

@@ -214,10 +214,10 @@ func TestZeroLengthOps(t *testing.T) {
 	}
 }
 
-// TestCQSoftDepth pins the completion-queue depth semantics: depth sizes
-// the buffered channel, but completions beyond it are queued rather than
-// dropped or deadlocked (the simulated HCA never loses a completion),
-// and a batch's completions stay in posting order throughout.
+// TestCQSoftDepth pins the completion-queue depth semantics: depth bounds
+// nothing, so completions beyond it are queued rather than dropped or
+// deadlocked (the simulated HCA never loses a completion), and a batch's
+// completions stay in posting order throughout.
 func TestCQSoftDepth(t *testing.T) {
 	const posts = 16
 	env, _, devs := testNet(t, 2)
@@ -508,7 +508,7 @@ func benchPostedOps(b *testing.B, goroutinePerWR bool) {
 					wr := wrs[i]
 					env.Go(fmt.Sprintf("%s/wr-write-%d", d0.Node.Name, wr.ID), func(wp *sim.Proc) {
 						legacyWrite(wp, d0, mr, wr.Off, wr.Src)
-						cq.ch.PostSend(Completion{ID: wr.ID, Op: OpWrite})
+						cq.ch.Send(Completion{ID: wr.ID, Op: OpWrite})
 					})
 				}
 			} else {

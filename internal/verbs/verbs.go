@@ -333,7 +333,7 @@ type RecvQueue struct {
 // each of its queues once, when it is built, and hands them to its
 // senders; binding a name again makes a second, separate queue.
 func (d *Device) Bind(service string) *RecvQueue {
-	return &RecvQueue{dev: d, ch: sim.NewChan[Message](d.nw.Env, d.Node.Name+"/rq/"+service, 1024)}
+	return &RecvQueue{dev: d, ch: sim.NewChan[Message](d.nw.Env, d.Node.Name+"/rq/"+service)}
 }
 
 // BindHandler creates a receive queue on the device that queues
@@ -355,7 +355,7 @@ func (q *RecvQueue) post(m Message) {
 		q.fn(m)
 		return
 	}
-	q.ch.PostSend(m)
+	q.ch.Send(m)
 }
 
 // Send transmits a two-sided message to a receive queue, normally on
