@@ -96,6 +96,7 @@ var repoRules = structuralRules{
 		// sync.WaitGroup stays usable outside the engine.
 		{"internal/sim/", "WaitGroup", false, "a cohort is a count and a list of parked processes, woken with Env.WakeAfter(p, 0) (c832141)"},
 		{"", "NewWaitGroup", false, "a cohort is a count and a list of parked processes, woken with Env.WakeAfter(p, 0) (c832141)"},
+		{"internal/sim/", "PostSend", false, "a channel has one send, Chan.Send, which never blocks (b2b93e8)"},
 	},
 }
 
