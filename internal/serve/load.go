@@ -3,11 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ngdc/internal/metrics"
 	"ngdc/internal/runtime"
 )
 
@@ -61,7 +62,7 @@ func RunLoad(rt *runtime.RealRuntime, addr string, clients, window int, dur time
 	start := time.Now()
 	var wg sync.WaitGroup
 	var latMu sync.Mutex
-	var allLats []time.Duration
+	var allLats metrics.Sample
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		idx := i
@@ -94,7 +95,9 @@ func RunLoad(rt *runtime.RealRuntime, addr string, clients, window int, dur time
 				ops.Add(int64(window))
 			}
 			latMu.Lock()
-			allLats = append(allLats, lats...)
+			for _, d := range lats {
+				allLats.AddDuration(d)
+			}
 			latMu.Unlock()
 		})
 	}
@@ -105,20 +108,16 @@ func RunLoad(rt *runtime.RealRuntime, addr string, clients, window int, dur time
 		Errors:  errs.Load(),
 		Elapsed: time.Since(start),
 	}
-	stats.P50, stats.P99 = latPercentile(allLats, 50), latPercentile(allLats, 99)
+	stats.P50, stats.P99 = latency(&allLats, 50), latency(&allLats, 99)
 	err, _ := firstErr.Load().(error)
 	return stats, err
 }
 
-// latPercentile returns the p-th percentile of the observed latencies
-// (nearest-rank on the sorted sample; 0 when empty).
-func latPercentile(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	k := int(p / 100 * float64(len(lats)-1))
-	return lats[k]
+// latency returns the sample's p-th percentile (nearest-rank; 0 when
+// empty). The sample holds microseconds; rounding back to nanoseconds
+// returns a recorded duration exactly.
+func latency(s *metrics.Sample, p float64) time.Duration {
+	return time.Duration(math.Round(s.Percentile(p) * float64(time.Microsecond)))
 }
 
 // loadClient is one connection's endless request sequence — rounds of

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ngdc/internal/metrics"
 	"ngdc/internal/runtime"
 	"ngdc/internal/sim"
 )
@@ -165,6 +166,25 @@ func TestLiveConcurrentClients(t *testing.T) {
 		t.Fatal("load run completed zero operations")
 	}
 	t.Logf("%d clients: %d ops in %s (%.0f req/s)", stats.Clients, stats.Ops, stats.Elapsed, stats.OpsPerSec())
+}
+
+// TestLoadLatencyNearestRank checks the percentiles RunLoad reports: of
+// four latencies the p99 is the largest, and each comes back to the
+// nanosecond it was recorded at.
+func TestLoadLatencyNearestRank(t *testing.T) {
+	var s metrics.Sample
+	for _, d := range []time.Duration{17283, 1000, 39075, 1001} {
+		s.AddDuration(d)
+	}
+	if got := latency(&s, 50); got != 1001 {
+		t.Errorf("p50 = %v, want 1.001µs", got)
+	}
+	if got := latency(&s, 99); got != 39075 {
+		t.Errorf("p99 = %v, want the largest, 39.075µs", got)
+	}
+	if got := latency(&s, 75); got != 17283 {
+		t.Errorf("p75 = %v, want 17.283µs", got)
+	}
 }
 
 // TestSimServerDeterminism hosts the server on the simulator twice with
