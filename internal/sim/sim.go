@@ -17,8 +17,8 @@
 // other through Chan (a simulated message channel) and Resource (a FIFO
 // counting semaphore, e.g. CPU cores or a network link). Timer callbacks
 // (Env.At, Env.After) run inline in the scheduler and may use the
-// non-blocking primitives (Chan.Send, which never blocks, and
-// Resource.HoldAsync) but must never block. A callback hands control back to a process parked with
+// non-blocking primitives (Chan.Send, Resource.HoldAsync) but must
+// never block. A callback hands control back to a process parked with
 // Proc.Park in one of two ways: Env.WakeAfter queues its wake as an
 // event, and Env.Continue resumes it inside the running event, which is
 // how Await ends a chain that a process runs as a blocking call.
