@@ -93,7 +93,7 @@ func ExampleFramework_Trace() {
 	}
 	ts := f.Trace()
 	fmt.Println("saw verbs traffic:", ts.VerbsOps() > 0)
-	fmt.Println("locking used atomics:", ts.Fabric["rdma-atomic"].Ops > 0)
+	fmt.Println("locking used atomics:", ts.Fabric[trace.OpRDMAAtomic].Ops > 0)
 	fmt.Println("environments observed:", ts.Engine.Envs)
 	// Output:
 	// saw verbs traffic: true
@@ -112,8 +112,8 @@ func Example_tracedExperiment() {
 		panic(err)
 	}
 	ts := cfg.Trace.Snapshot()
-	fmt.Println("remote hits rode rdma-read:", ts.Fabric["rdma-read"].Ops > 0)
-	fmt.Println("client egress rode tcp:", ts.Fabric["tcp"].Ops > 0)
+	fmt.Println("remote hits rode rdma-read:", ts.Fabric[trace.OpRDMARead].Ops > 0)
+	fmt.Println("client egress rode tcp:", ts.Fabric[trace.OpTCP].Ops > 0)
 	// Output:
 	// remote hits rode rdma-read: true
 	// client egress rode tcp: true

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -35,88 +36,88 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(o runtime.ServiceOptions) error
-		// own names the layer's own counters: a fabric op class, or a
-		// socket scheme when scheme is set.
-		own    string
-		scheme bool
+		// class is the fabric op class whose counters are the layer's
+		// own, unless scheme names a socket scheme instead.
+		class  trace.OpClass
+		scheme string
 	}{
 		{"dlm.Cascade", func(o runtime.ServiceOptions) error {
 			_, err := dlm.Cascade(dlm.NCoSED, dlm.Shared, 2, o)
 			return err
-		}, "rdma-atomic", false},
+		}, trace.OpRDMAAtomic, ""},
 		{"dlm.MeasureRecovery", func(o runtime.ServiceOptions) error {
 			_, err := dlm.MeasureRecovery(100*time.Microsecond, o)
 			return err
-		}, "rdma-atomic", false},
+		}, trace.OpRDMAAtomic, ""},
 		{"ddss.MeasurePutLatency", func(o runtime.ServiceOptions) error {
 			_, err := ddss.MeasurePutLatency(ddss.Version, 64, o)
 			return err
-		}, "rdma-write", false},
+		}, trace.OpRDMAWrite, ""},
 		{"storm.Compare", func(o runtime.ServiceOptions) error {
 			_, _, err := storm.Compare(1000, o)
 			return err
-		}, "rdma-write", false},
+		}, trace.OpRDMAWrite, ""},
 		{"multicast.MeasureLatency", func(o runtime.ServiceOptions) error {
 			_, err := multicast.MeasureLatency(multicast.Binomial, 4, 4096, o)
 			return err
-		}, "send", false},
+		}, trace.OpSend, ""},
 		{"sockets.MeasureBandwidth", func(o runtime.ServiceOptions) error {
 			_, err := sockets.MeasureBandwidth(sockets.BSDP, 64, 100, o)
 			return err
-		}, "BSDP", true},
+		}, 0, "BSDP"},
 		{"filecache.MeasureRestart", func(o runtime.ServiceOptions) error {
 			_, _, err := filecache.MeasureRestart(filecache.RemoteMemory, o)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"coopcache.Run", func(o runtime.ServiceOptions) error {
 			cfg := coopcache.DefaultConfig(coopcache.CCWR, 2, 32<<10)
 			cfg.Warmup, cfg.Measure = warmup, measure
 			cfg.ServiceOptions = o
 			_, err := coopcache.Run(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"dyncache.Run", func(o runtime.ServiceOptions) error {
 			cfg := dyncache.DefaultConfig(dyncache.RDMACheck)
 			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := dyncache.Run(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"monitor.Accuracy", func(o runtime.ServiceOptions) error {
 			cfg := monitor.DefaultAccuracyConfig(monitor.RDMASync)
 			cfg.Duration = 50 * time.Millisecond
 			cfg.ServiceOptions = o
 			_, err := monitor.Accuracy(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"monitor.RunLB", func(o runtime.ServiceOptions) error {
 			cfg := monitor.DefaultLBConfig(monitor.RDMASync, 0.9)
 			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := monitor.RunLB(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"qos.Run", func(o runtime.ServiceOptions) error {
 			cfg := qos.DefaultConfig(qos.PriorityAdmission)
 			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := qos.Run(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"integrated.Run", func(o runtime.ServiceOptions) error {
 			cfg := integrated.DefaultConfig(integrated.RDMAStack)
 			cfg.Measure = measure
 			cfg.ServiceOptions = o
 			_, err := integrated.Run(cfg)
 			return err
-		}, "rdma-read", false},
+		}, trace.OpRDMARead, ""},
 		{"reconfig.Run", func(o runtime.ServiceOptions) error {
 			cfg := reconfig.DefaultConfig(reconfig.Naive)
 			cfg.Measure = 300 * time.Millisecond // long enough for a node move
 			cfg.ServiceOptions = o
 			_, err := reconfig.Run(cfg)
 			return err
-		}, "rdma-atomic", false},
+		}, trace.OpRDMAAtomic, ""},
 	}
 	for _, c := range cases {
 		reg := trace.NewRegistry()
@@ -129,12 +130,13 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 			t.Errorf("%s: registry saw %d environments, %d devices, %d NICs; want all non-zero",
 				c.name, ts.Engine.Envs, len(ts.Devices), len(ts.NICs))
 		}
-		if c.scheme {
-			if ts.Schemes[c.own].Msgs == 0 {
-				t.Errorf("%s: no %s messages counted (schemes %v)", c.name, c.own, ts.Schemes)
+		if c.scheme != "" {
+			i := slices.IndexFunc(ts.Schemes, func(sc trace.SchemeStats) bool { return sc.Name == c.scheme })
+			if i < 0 || ts.Schemes[i].Msgs == 0 {
+				t.Errorf("%s: no %s messages counted (schemes %v)", c.name, c.scheme, ts.Schemes)
 			}
-		} else if ts.Fabric[c.own].Ops == 0 {
-			t.Errorf("%s: no %s ops counted (fabric %v)", c.name, c.own, ts.Fabric)
+		} else if ts.Fabric[c.class].Ops == 0 {
+			t.Errorf("%s: no %s ops counted (fabric %v)", c.name, c.class, ts.Fabric)
 		}
 	}
 }
@@ -142,8 +144,8 @@ func TestCarrierRegistryReachesEveryLayer(t *testing.T) {
 // TestCarrierPlanInstallsOneInjector opens a run with a plan in the
 // carrier and builds two services over it — what used to bind the plan
 // once per service, each bind scheduling every event again on an
-// injector the fabric never saw. There must be one injector: the one the
-// fabric and the network cached, firing each event once.
+// injector the network never saw. There must be one injector: the one
+// the network cached, firing each event once.
 func TestCarrierPlanInstallsOneInjector(t *testing.T) {
 	const crashAt, readAt, restartAt = 10 * time.Microsecond, 20 * time.Microsecond, 30 * time.Microsecond
 	o := runtime.ServiceOptions{Faults: &faults.Plan{Events: []faults.Event{
@@ -168,9 +170,6 @@ func TestCarrierPlanInstallsOneInjector(t *testing.T) {
 	dlm.New(nw, nodes, dlm.Options{Kind: dlm.NCoSED, NumLocks: 1})
 	if got := faults.Of(env); got != inj {
 		t.Fatalf("building services replaced the injector: %p, was %p", got, inj)
-	}
-	if got := nw.Fab.Faults(); got != inj {
-		t.Fatalf("the fabric cached injector %p, the environment holds %p", got, inj)
 	}
 
 	// The network's crash handler zeroes the dead node's registered

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ngdc/internal/cluster"
-	"ngdc/internal/faults"
 	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 )
@@ -170,11 +169,26 @@ func (p Params) BackendTime(n int) time.Duration {
 // outbound transfers, providing bandwidth contention. Every transmit is a
 // hold of that engine for the transfer's serialization time, and on a
 // traced run the engine itself records each hold's occupancy and queueing
-// delay in the node's NICStats (Attach installs the recorder), so no
+// delay in the node's NICStats (NewNIC installs the recorder), so no
 // caller accounts for its own transmits.
 type NIC struct {
 	Node *cluster.Node
 	tx   *sim.Resource
+}
+
+// NewNIC builds node's NIC: a transmit engine named "<node>/nic-tx" on
+// the node's environment, recording into the environment's trace
+// registry if one is bound. The caller keeps one NIC per node.
+func NewNIC(node *cluster.Node) *NIC {
+	env := node.Env()
+	nic := &NIC{
+		Node: node,
+		tx:   sim.NewResource(env, fmt.Sprintf("%s/nic-tx", node.Name), 1),
+	}
+	if r := trace.Of(env); r != nil {
+		nic.tx.OnHold(r.NIC(node.ID).RecordTx)
+	}
+	return nic
 }
 
 // AcquireTx occupies the transmit engine for the serialization time of a
@@ -187,48 +201,6 @@ func (n *NIC) AcquireTx(p *sim.Proc, ser time.Duration) { n.tx.Use(p, 1, ser) }
 // on the wire and the engine is free again (see sim.Resource.HoldAsync).
 func (n *NIC) TransmitAsync(ser time.Duration, granted, done func()) {
 	n.tx.HoldAsync(1, ser, granted, done)
-}
-
-// Fabric is the interconnect: cost parameters plus the NIC registry.
-type Fabric struct {
-	Env *sim.Env
-	P   Params
-
-	flt  *faults.Injector
-	nics map[int]*NIC
-}
-
-// New creates a fabric over env with the given parameters.
-func New(env *sim.Env, p Params) *Fabric {
-	return &Fabric{Env: env, P: p, flt: faults.Of(env), nics: map[int]*NIC{}}
-}
-
-// Faults returns the fault injector active on the fabric's environment,
-// or nil for a healthy run. The pointer is cached at New and refreshed
-// on Attach, so installing a plan any time before the first node
-// attaches is safe.
-func (f *Fabric) Faults() *faults.Injector {
-	if f.flt == nil {
-		f.flt = faults.Of(f.Env)
-	}
-	return f.flt
-}
-
-// Attach gives node a NIC on this fabric. Attaching a node twice returns
-// the existing NIC.
-func (f *Fabric) Attach(node *cluster.Node) *NIC {
-	if nic, ok := f.nics[node.ID]; ok {
-		return nic
-	}
-	nic := &NIC{
-		Node: node,
-		tx:   sim.NewResource(f.Env, fmt.Sprintf("%s/nic-tx", node.Name), 1),
-	}
-	if r := trace.Of(f.Env); r != nil {
-		nic.tx.OnHold(r.NIC(node.ID).RecordTx)
-	}
-	f.nics[node.ID] = nic
-	return nic
 }
 
 // IWARPParams returns an alternate calibration modelling a 10-Gigabit

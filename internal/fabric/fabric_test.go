@@ -55,21 +55,9 @@ func TestBackendTimeDominatedByLatencyForSmall(t *testing.T) {
 	}
 }
 
-func TestAttachIdempotent(t *testing.T) {
-	env := sim.NewEnv(1)
-	f := New(env, DefaultParams())
-	n := cluster.NewNode(env, 7, 1, 1<<20)
-	a := f.Attach(n)
-	b := f.Attach(n)
-	if a != b {
-		t.Fatal("double attach created two NICs")
-	}
-}
-
 func TestNICSerializesTransfers(t *testing.T) {
 	env := sim.NewEnv(1)
-	f := New(env, DefaultParams())
-	nic := f.Attach(cluster.NewNode(env, 0, 1, 1<<20))
+	nic := NewNIC(cluster.NewNode(env, 0, 1, 1<<20))
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
 		env.Go("tx", func(p *sim.Proc) {

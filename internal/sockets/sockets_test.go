@@ -3,6 +3,7 @@ package sockets
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -543,7 +544,10 @@ func TestTracedCreditStalls(t *testing.T) {
 		}
 		env.Shutdown()
 		s := reg.Snapshot()
-		st := s.Schemes[tc.scheme.String()].Stalls[tc.kind]
+		var st trace.StallStats
+		if i := slices.IndexFunc(s.Schemes, func(sc trace.SchemeStats) bool { return sc.Name == tc.scheme.String() }); i >= 0 {
+			st = s.Schemes[i].Stalls[tc.kind]
+		}
 		if s.Stalls() == 0 || st.Count == 0 || st.Wait == 0 {
 			t.Errorf("%s, %d B messages: Stalls() = %d, %s stalls %+v; want a nonzero count and wait",
 				tc.scheme, tc.size, s.Stalls(), tc.kind, st)

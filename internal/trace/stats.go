@@ -3,19 +3,20 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
 // TraceStats is a point-in-time copy of a registry's counters: a plain
 // value that is deterministic for a given seed, safe to retain after the
-// simulation is gone, and mergeable across runs.
+// simulation is gone, and mergeable across runs. Devices and NICs are
+// indexed by node ID (a zero record where no node recorded), Fabric by
+// OpClass, and Schemes are sorted by name.
 type TraceStats struct {
 	Engine  EngineSnapshot
-	Devices map[int]DeviceStats
-	NICs    map[int]NICStats
-	Fabric  map[string]OpTimes
-	Schemes map[string]SchemeStats
+	Devices []DeviceStats
+	NICs    []NICStats
+	Fabric  [numOpClasses]OpTimes
+	Schemes []SchemeStats
 }
 
 // Snapshot copies the registry's counters, including the engine stats of
@@ -23,29 +24,26 @@ type TraceStats struct {
 func (r *Registry) Snapshot() TraceStats {
 	s := TraceStats{
 		Engine:  r.engine,
-		Devices: make(map[int]DeviceStats, len(r.devs)),
-		NICs:    make(map[int]NICStats, len(r.nics)),
-		Fabric:  make(map[string]OpTimes, int(numOpClasses)),
-		Schemes: make(map[string]SchemeStats, len(r.schemes)),
+		Devices: values(r.devs),
+		NICs:    values(r.nics),
+		Fabric:  r.fabric,
+		Schemes: values(r.schemes),
 	}
 	if r.env != nil {
-		s.Engine.fold(r.env.Stats())
-	}
-	for id, d := range r.devs {
-		s.Devices[id] = *d
-	}
-	for id, n := range r.nics {
-		s.NICs[id] = *n
-	}
-	for c := OpClass(0); c < numOpClasses; c++ {
-		if r.fabric[c].Ops > 0 {
-			s.Fabric[c.String()] = r.fabric[c]
-		}
-	}
-	for name, sc := range r.schemes {
-		s.Schemes[name] = *sc
+		s.Engine.merge(engineOf(r.env.Stats()))
 	}
 	return s
+}
+
+// values copies the records behind recs, a zero value for each nil.
+func values[T any](recs []*T) []T {
+	out := make([]T, len(recs))
+	for i, rec := range recs {
+		if rec != nil {
+			out[i] = *rec
+		}
+	}
+	return out
 }
 
 // Merge returns the element-wise sum of two snapshots (latency summaries
@@ -92,16 +90,11 @@ func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond)
 
 // WriteJSONL renders the snapshot as one JSON counter record per line:
 // per-device verbs counters, per-NIC occupancy, per-op-class wire-vs-CPU
-// breakdown, per-scheme flow-control stats and the engine record. The
-// output order is deterministic.
+// breakdown, per-scheme flow-control stats and the engine record. Each
+// kind is written in slice order (node ID, op class, scheme name); a
+// verbs, NIC or fabric record with no operations is skipped.
 func (s TraceStats) WriteJSONL(w io.Writer) error {
-	devs := make([]int, 0, len(s.Devices))
-	for id := range s.Devices {
-		devs = append(devs, id)
-	}
-	sort.Ints(devs)
-	for _, id := range devs {
-		d := s.Devices[id]
+	for id, d := range s.Devices {
 		for _, v := range []struct {
 			op string
 			st VerbStats
@@ -116,13 +109,7 @@ func (s TraceStats) WriteJSONL(w io.Writer) error {
 			}
 		}
 	}
-	nics := make([]int, 0, len(s.NICs))
-	for id := range s.NICs {
-		nics = append(nics, id)
-	}
-	sort.Ints(nics)
-	for _, id := range nics {
-		n := s.NICs[id]
+	for id, n := range s.NICs {
 		if n.TxOps == 0 {
 			continue
 		}
@@ -132,31 +119,22 @@ func (s TraceStats) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	classes := make([]string, 0, len(s.Fabric))
-	for c := range s.Fabric {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		t := s.Fabric[c]
+	for c, t := range s.Fabric {
+		if t.Ops == 0 {
+			continue
+		}
 		if _, err := fmt.Fprintf(w,
 			"{\"record\":\"fabric\",\"class\":%q,\"ops\":%d,\"wire_us\":%.3f,\"cpu_us\":%.3f}\n",
-			c, t.Ops, us(t.Wire), us(t.HostCPU)); err != nil {
+			OpClass(c), t.Ops, us(t.Wire), us(t.HostCPU)); err != nil {
 			return err
 		}
 	}
-	schemes := make([]string, 0, len(s.Schemes))
-	for n := range s.Schemes {
-		schemes = append(schemes, n)
-	}
-	sort.Strings(schemes)
-	for _, n := range schemes {
-		sc := s.Schemes[n]
+	for _, sc := range s.Schemes {
 		if _, err := fmt.Fprintf(w,
 			"{\"record\":\"sockets\",\"scheme\":%q,\"msgs\":%d,\"zerocopy_bytes\":%d,\"bcopy_bytes\":%d,"+
 				"\"credit_stalls\":%d,\"credit_stall_us\":%.3f,\"pool_stalls\":%d,\"pool_stall_us\":%.3f,"+
 				"\"window_stalls\":%d,\"window_stall_us\":%.3f}\n",
-			n, sc.Msgs, sc.ZeroCopyBytes, sc.BCopyBytes,
+			sc.Name, sc.Msgs, sc.ZeroCopyBytes, sc.BCopyBytes,
 			sc.Stalls[StallCredits].Count, us(sc.Stalls[StallCredits].Wait),
 			sc.Stalls[StallPool].Count, us(sc.Stalls[StallPool].Wait),
 			sc.Stalls[StallWindow].Count, us(sc.Stalls[StallWindow].Wait)); err != nil {

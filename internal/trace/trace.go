@@ -19,8 +19,9 @@
 // environments (a sweep of runs); engine counters of earlier
 // environments are folded into the snapshot.
 //
-// Snapshots (TraceStats) are plain values: deterministic for a given
-// seed, mergeable across runs, and renderable as JSONL counter records.
+// Snapshots (TraceStats) are plain values, their per-node records slices
+// indexed by node ID: deterministic for a given seed, mergeable across
+// runs, and renderable as JSONL counter records in index order.
 // An optional sink additionally streams one JSONL event per verbs
 // operation and per flow-control stall as the simulation executes.
 package trace
@@ -28,7 +29,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"ngdc/internal/metrics"
@@ -39,22 +40,23 @@ import (
 // host-CPU-occupancy accounting.
 type OpClass int
 
-// The op classes.
+// The op classes, declared in the order of their JSONL names: the
+// fabric records are written in class order.
 const (
-	// OpRDMARead is a one-sided RDMA read (round trip, no remote CPU).
-	OpRDMARead OpClass = iota
-	// OpRDMAWrite is a one-sided RDMA write.
-	OpRDMAWrite
+	// OpCopy is host memory-copy work (bounce-buffer SDP paths).
+	OpCopy OpClass = iota
 	// OpRDMAAtomic is a remote atomic (CAS or fetch-and-add).
 	OpRDMAAtomic
+	// OpRDMARead is a one-sided RDMA read (round trip, no remote CPU).
+	OpRDMARead
+	// OpRDMAWrite is a one-sided RDMA write.
+	OpRDMAWrite
+	// OpRegister is memory-registration (pinning) work.
+	OpRegister
 	// OpSend is a two-sided IB send/recv message.
 	OpSend
 	// OpTCP is a host-based TCP message (wire plus protocol CPU).
 	OpTCP
-	// OpCopy is host memory-copy work (bounce-buffer SDP paths).
-	OpCopy
-	// OpRegister is memory-registration (pinning) work.
-	OpRegister
 
 	numOpClasses
 )
@@ -62,20 +64,20 @@ const (
 // String returns the class's JSONL name.
 func (c OpClass) String() string {
 	switch c {
+	case OpCopy:
+		return "copy"
+	case OpRDMAAtomic:
+		return "rdma-atomic"
 	case OpRDMARead:
 		return "rdma-read"
 	case OpRDMAWrite:
 		return "rdma-write"
-	case OpRDMAAtomic:
-		return "rdma-atomic"
+	case OpRegister:
+		return "register"
 	case OpSend:
 		return "send"
 	case OpTCP:
 		return "tcp"
-	case OpCopy:
-		return "copy"
-	case OpRegister:
-		return "register"
 	default:
 		return fmt.Sprintf("op(%d)", int(c))
 	}
@@ -120,7 +122,6 @@ func (v *VerbStats) merge(o VerbStats) {
 
 // DeviceStats holds one device's verbs counters.
 type DeviceStats struct {
-	Node int
 	// Read/Write/Atomic are one-sided; Send covers two-sided messages
 	// (the service queues).
 	Read, Write, Atomic, Send VerbStats
@@ -135,7 +136,6 @@ func (d *DeviceStats) merge(o DeviceStats) {
 
 // NICStats holds one NIC's transmit-engine accounting.
 type NICStats struct {
-	Node int
 	// TxOps counts transfers serialized through the transmit engine.
 	TxOps int64
 	// TxBusy is the cumulative serialization (wire occupancy) time.
@@ -200,6 +200,7 @@ type StallStats struct {
 
 // SchemeStats holds one socket scheme's counters.
 type SchemeStats struct {
+	Name string
 	Msgs int64
 	// ZeroCopyBytes moved by one-sided RDMA without host copies
 	// (ZSDP/AZ-SDP payloads); BCopyBytes passed through bounce buffers
@@ -242,39 +243,33 @@ func (e *EngineSnapshot) merge(o EngineSnapshot) {
 	}
 }
 
-func (e *EngineSnapshot) fold(st sim.EngineStats) {
-	e.Envs++
-	e.EventsProcessed += st.EventsProcessed
-	e.Resumes += st.Resumes
-	e.ProcsSpawned += st.ProcsSpawned
-	if st.MaxEventQueue > e.MaxEventQueue {
-		e.MaxEventQueue = st.MaxEventQueue
-	}
+// engineOf is the one-environment snapshot of st.
+func engineOf(st sim.EngineStats) EngineSnapshot {
+	return EngineSnapshot{Envs: 1, EventsProcessed: st.EventsProcessed, Resumes: st.Resumes,
+		ProcsSpawned: st.ProcsSpawned, MaxEventQueue: st.MaxEventQueue}
 }
 
 // Registry accumulates one run's observability counters. All methods
 // must be called under the simulation's lockstep discipline (from
 // processes, timer callbacks, or between runs); the registry itself
 // takes no locks, exactly like the model state it measures.
+//
+// Per-node counters live in slices indexed by node ID (nil where no
+// node recorded) and schemes in a slice sorted by name, so every walk
+// over the registry or a snapshot is already in output order.
 type Registry struct {
 	env     *sim.Env
 	engine  EngineSnapshot
-	devs    map[int]*DeviceStats
-	nics    map[int]*NICStats
+	devs    []*DeviceStats
+	nics    []*NICStats
 	fabric  [numOpClasses]OpTimes
-	schemes map[string]*SchemeStats
+	schemes []*SchemeStats
 	sink    io.Writer
 }
 
 // NewRegistry creates an unbound registry; bind it to environments with
 // AttachRegistry (or let core.New do it).
-func NewRegistry() *Registry {
-	return &Registry{
-		devs:    map[int]*DeviceStats{},
-		nics:    map[int]*NICStats{},
-		schemes: map[string]*SchemeStats{},
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Of returns the registry bound to env, or nil.
 func Of(env *sim.Env) *Registry {
@@ -302,52 +297,34 @@ func AttachRegistry(env *sim.Env, r *Registry) {
 		return
 	}
 	if r.env != nil {
-		r.engine.fold(r.env.Stats())
+		r.engine.merge(engineOf(r.env.Stats()))
 	}
 	r.env = env
 	env.SetMeter(r)
 }
 
-// Fold merges a snapshot's counters into the registry, in a fixed
-// (sorted) key order so that folding the same snapshots in the same
-// sequence always reproduces the same registry state bit-for-bit. It is
-// the merge half of the parallel sweep runner: each sweep cell runs
-// against its own registry and the runner folds the per-cell snapshots
-// back into the caller's registry in cell-index order at the barrier,
-// making the merged counters independent of worker scheduling.
+// Fold merges a snapshot's counters into the registry: each node's
+// records into that node's, each scheme's into the scheme of that name.
+// Merging one record touches no other, so folding the same snapshots in
+// the same sequence always reproduces the same registry state
+// bit-for-bit. It is the merge half of the parallel sweep runner: each
+// sweep cell runs against its own registry and the runner folds the
+// per-cell snapshots back into the caller's registry in cell-index order
+// at the barrier, making the merged counters independent of worker
+// scheduling.
 func (r *Registry) Fold(s TraceStats) {
 	r.engine.merge(s.Engine)
-	devs := make([]int, 0, len(s.Devices))
-	for id := range s.Devices {
-		devs = append(devs, id)
-	}
-	sort.Ints(devs)
-	for _, id := range devs {
-		d := s.Devices[id]
+	for id, d := range s.Devices {
 		r.Device(id).merge(d)
 	}
-	nics := make([]int, 0, len(s.NICs))
-	for id := range s.NICs {
-		nics = append(nics, id)
-	}
-	sort.Ints(nics)
-	for _, id := range nics {
-		n := s.NICs[id]
+	for id, n := range s.NICs {
 		r.NIC(id).merge(n)
 	}
-	for c := OpClass(0); c < numOpClasses; c++ {
-		if t, ok := s.Fabric[c.String()]; ok {
-			r.fabric[c].merge(t)
-		}
+	for c, t := range s.Fabric {
+		r.fabric[c].merge(t)
 	}
-	schemes := make([]string, 0, len(s.Schemes))
-	for n := range s.Schemes {
-		schemes = append(schemes, n)
-	}
-	sort.Strings(schemes)
-	for _, n := range schemes {
-		sc := s.Schemes[n]
-		r.Scheme(n).merge(sc)
+	for _, sc := range s.Schemes {
+		r.Scheme(sc.Name).merge(sc)
 	}
 }
 
@@ -357,34 +334,36 @@ func (r *Registry) Fold(s TraceStats) {
 func (r *Registry) SetSink(w io.Writer) { r.sink = w }
 
 // Device returns (creating if needed) node's device counters.
-func (r *Registry) Device(node int) *DeviceStats {
-	d, ok := r.devs[node]
-	if !ok {
-		d = &DeviceStats{Node: node}
-		r.devs[node] = d
-	}
-	return d
-}
+func (r *Registry) Device(node int) *DeviceStats { return at(&r.devs, node) }
 
 // NIC returns (creating if needed) node's transmit-engine counters.
-func (r *Registry) NIC(node int) *NICStats {
-	n, ok := r.nics[node]
-	if !ok {
-		n = &NICStats{Node: node}
-		r.nics[node] = n
+func (r *Registry) NIC(node int) *NICStats { return at(&r.nics, node) }
+
+// at returns the record at index i of *recs, growing the slice and
+// allocating the record if needed.
+func at[T any](recs *[]*T, i int) *T {
+	for len(*recs) <= i {
+		*recs = append(*recs, nil)
 	}
-	return n
+	if (*recs)[i] == nil {
+		(*recs)[i] = new(T)
+	}
+	return (*recs)[i]
 }
 
 // Scheme returns (creating if needed) the named socket scheme's
-// counters.
+// counters, keeping the schemes sorted by name.
 func (r *Registry) Scheme(name string) *SchemeStats {
-	s, ok := r.schemes[name]
-	if !ok {
-		s = &SchemeStats{}
-		r.schemes[name] = s
+	i := 0
+	for i < len(r.schemes) && r.schemes[i].Name < name {
+		i++
 	}
-	return s
+	if i < len(r.schemes) && r.schemes[i].Name == name {
+		return r.schemes[i]
+	}
+	sc := &SchemeStats{Name: name}
+	r.schemes = slices.Insert(r.schemes, i, sc)
+	return sc
 }
 
 // RecordOp accounts wire and host-CPU time against an op class.

@@ -15,17 +15,18 @@ import (
 	"ngdc/internal/verbs"
 )
 
-// tracedRun drives a small verbs exchange with a registry attached and
-// returns the resulting snapshot.
-func tracedRun(t *testing.T, seed int64) trace.TraceStats {
+// tracedRun drives a small verbs exchange from node client to node
+// server, attached in that order, with a registry attached and returns
+// the resulting snapshot.
+func tracedRun(t *testing.T, seed int64, client, server int) trace.TraceStats {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	defer env.Shutdown()
 	r := trace.NewRegistry()
 	trace.AttachRegistry(env, r)
 	nw := verbs.NewNetwork(env, fabric.DefaultParams())
-	a := nw.Attach(cluster.NewNode(env, 0, 2, 1<<20))
-	b := nw.Attach(cluster.NewNode(env, 1, 2, 1<<20))
+	a := nw.Attach(cluster.NewNode(env, client, 2, 1<<20))
+	b := nw.Attach(cluster.NewNode(env, server, 2, 1<<20))
 	mr := b.RegisterAtSetup(make([]byte, 4096))
 	addr := mr.Addr()
 	q := b.Bind("svc")
@@ -58,11 +59,11 @@ func tracedRun(t *testing.T, seed int64) trace.TraceStats {
 }
 
 func TestSnapshotCountsVerbs(t *testing.T) {
-	s := tracedRun(t, 1)
-	d, ok := s.Devices[0]
-	if !ok {
-		t.Fatal("no device counters for node 0")
+	s := tracedRun(t, 1, 0, 1)
+	if len(s.Devices) != 2 {
+		t.Fatalf("device counters for %d nodes, want 2", len(s.Devices))
 	}
+	d := s.Devices[0]
 	for _, v := range []struct {
 		op string
 		st trace.VerbStats
@@ -88,7 +89,7 @@ func TestSnapshotCountsVerbs(t *testing.T) {
 		t.Errorf("nic 0: %+v", n)
 	}
 	// Fabric accounting saw every op class the run used.
-	for _, c := range []string{"rdma-read", "rdma-write", "rdma-atomic", "send"} {
+	for _, c := range []trace.OpClass{trace.OpRDMARead, trace.OpRDMAWrite, trace.OpRDMAAtomic, trace.OpSend} {
 		if s.Fabric[c].Ops != 8 {
 			t.Errorf("fabric[%s].Ops = %d, want 8", c, s.Fabric[c].Ops)
 		}
@@ -104,7 +105,7 @@ func TestSnapshotCountsVerbs(t *testing.T) {
 // Equal seeds must yield byte-identical snapshots: the registry observes a
 // deterministic simulation and adds no nondeterminism of its own.
 func TestSnapshotDeterministic(t *testing.T) {
-	a, b := tracedRun(t, 7), tracedRun(t, 7)
+	a, b := tracedRun(t, 7, 0, 1), tracedRun(t, 7, 0, 1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different snapshots:\n%+v\n%+v", a, b)
 	}
@@ -120,33 +121,64 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestWriteJSONLWellFormed also runs on sparse node IDs attached out of
+// order (3, then 1; no 0 or 2): the records come out in node order, the
+// holes print nothing, and folding the snapshot into a fresh registry
+// reproduces the same JSONL.
 func TestWriteJSONLWellFormed(t *testing.T) {
-	s := tracedRun(t, 3)
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	records := map[string]int{}
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("invalid JSON line %q: %v", line, err)
+	for _, ids := range [][2]int{{0, 1}, {3, 1}} {
+		s := tracedRun(t, 3, ids[0], ids[1])
+		var buf bytes.Buffer
+		if err := s.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
 		}
-		rec, _ := m["record"].(string)
-		records[rec]++
-	}
-	for _, want := range []string{"verbs", "nic", "fabric", "engine"} {
-		if records[want] == 0 {
-			t.Errorf("no %q records in output:\n%s", want, buf.String())
+		records := map[string]int{}
+		nodes := map[string][]int{}
+		for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("invalid JSON line %q: %v", line, err)
+			}
+			rec, _ := m["record"].(string)
+			records[rec]++
+			if n, ok := m["node"].(float64); ok {
+				nodes[rec] = append(nodes[rec], int(n))
+			}
 		}
-	}
-	if records["engine"] != 1 {
-		t.Errorf("engine records = %d, want 1", records["engine"])
+		for _, want := range []string{"verbs", "nic", "fabric", "engine"} {
+			if records[want] == 0 {
+				t.Errorf("nodes %v: no %q records in output:\n%s", ids, want, buf.String())
+			}
+		}
+		if records["engine"] != 1 {
+			t.Errorf("nodes %v: engine records = %d, want 1", ids, records["engine"])
+		}
+		// The server's NIC serializes the read responses, the client's
+		// everything else; the client alone issues verbs.
+		lo, hi := min(ids[0], ids[1]), max(ids[0], ids[1])
+		if got := nodes["nic"]; !reflect.DeepEqual(got, []int{lo, hi}) {
+			t.Errorf("nodes %v: nic records for nodes %v, want [%d %d]", ids, got, lo, hi)
+		}
+		for _, n := range nodes["verbs"] {
+			if n != ids[0] {
+				t.Errorf("nodes %v: verbs record for node %d", ids, n)
+			}
+		}
+
+		r := trace.NewRegistry()
+		r.Fold(s)
+		var folded bytes.Buffer
+		if err := r.Snapshot().WriteJSONL(&folded); err != nil {
+			t.Fatal(err)
+		}
+		if folded.String() != buf.String() {
+			t.Errorf("nodes %v: folded snapshot prints\n%s\nwant\n%s", ids, folded.String(), buf.String())
+		}
 	}
 }
 
 func TestMergeSumsCounters(t *testing.T) {
-	a, b := tracedRun(t, 1), tracedRun(t, 2)
+	a, b := tracedRun(t, 1, 0, 1), tracedRun(t, 2, 0, 1)
 	m := a.Merge(b)
 	if got := m.VerbsOps(); got != a.VerbsOps()+b.VerbsOps() {
 		t.Errorf("merged VerbsOps = %d, want %d", got, a.VerbsOps()+b.VerbsOps())
@@ -163,7 +195,7 @@ func TestMergeSumsCounters(t *testing.T) {
 	if ma.N() != aa.N()+bb.N() {
 		t.Error("merged latency summary lost observations")
 	}
-	if m.Fabric["rdma-read"].Ops != a.Fabric["rdma-read"].Ops+b.Fabric["rdma-read"].Ops {
+	if m.Fabric[trace.OpRDMARead].Ops != a.Fabric[trace.OpRDMARead].Ops+b.Fabric[trace.OpRDMARead].Ops {
 		t.Error("merged fabric ops wrong")
 	}
 	// Merging with a zero snapshot is the identity on counters.

@@ -128,7 +128,7 @@ func (d *Device) putWorkReq(w *workReq) {
 // scheduled, when validation fails.
 func (w *workReq) begin() bool {
 	d := w.d
-	pp := d.nw.Fab.P
+	pp := d.nw.params
 	name := opName[w.op]
 	mr, lerr := d.nw.lookup(name, w.r)
 	if lerr != nil {
@@ -254,7 +254,7 @@ func (w *workReq) complete() {
 	if w.err != nil || d.ts == nil {
 		return
 	}
-	pp := d.nw.Fab.P
+	pp := d.nw.params
 	lat := time.Duration(d.nw.Env.Now() - w.start)
 	n := len(w.buf)
 	var (

@@ -133,7 +133,7 @@ func TestSendAsyncMatchesSend(t *testing.T) {
 // serialized them (the target's for reads, the issuer's for writes),
 // including the stall taken when the engine is busy. The two cannot
 // drift apart: neither accounts for itself. The NIC's transmit engine
-// records every hold it grants (fabric.Attach installs NICStats.RecordTx
+// records every hold it grants (fabric.NewNIC installs NICStats.RecordTx
 // on it), and a hold is the only way to occupy it.
 func TestReadWriteTxAccountingUnified(t *testing.T) {
 	const n = 4096
@@ -482,7 +482,7 @@ func TestVerbsSteadyStateAllocationFree(t *testing.T) {
 // (blocking AcquireTx, then the placement sleep) for benchmarking the
 // old goroutine-per-WR datapath against the event chains.
 func legacyWrite(p *sim.Proc, d *Device, mr *MR, off int, src []byte) {
-	pp := d.nw.Fab.P
+	pp := d.nw.params
 	d.nic.AcquireTx(p, pp.IBTxTime(len(src)))
 	p.Sleep(pp.IBWriteLatency)
 	copy(mr.buf[off:off+len(src)], src)

@@ -17,7 +17,7 @@ func (d *Device) SendTCP(p *sim.Proc, q *RecvQueue, data []byte) error {
 	if f := d.nw.flt; f != nil && f.Down(d.Node.ID) {
 		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: q.dev.Node.ID}, Reason: "local device down"}
 	}
-	pp := d.nw.Fab.P
+	pp := d.nw.params
 	// Sender-side protocol processing on this node's CPU.
 	d.Node.Exec(p, pp.TCPCPUTime(len(data)))
 	buf := d.pool.getBuf(len(data))
@@ -33,6 +33,6 @@ func (d *Device) SendTCP(p *sim.Proc, q *RecvQueue, data []byte) error {
 func (q *RecvQueue) RecvTCP(p *sim.Proc) Message {
 	msg, _ := q.ch.Recv(p)
 	d := q.dev
-	d.Node.Exec(p, d.nw.Fab.P.TCPCPUTime(len(msg.Data)))
+	d.Node.Exec(p, d.nw.params.TCPCPUTime(len(msg.Data)))
 	return msg
 }

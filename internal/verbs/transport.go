@@ -138,7 +138,7 @@ func (d *Device) connCost(peer int) time.Duration {
 	if peer == d.Node.ID {
 		return 0
 	}
-	pp := &d.nw.Fab.P
+	pp := &d.nw.params
 	if d.nw.tc.Mode == RCPerPair {
 		if !d.isLinked(peer) {
 			d.addConn(peer)
@@ -287,7 +287,7 @@ func (d *Device) link(peer int, mirror bool) {
 		d.mirrored[w] |= 1 << (uint(peer) & 63)
 	}
 	d.nconns++
-	d.connBytes += d.nw.Fab.P.RCConnBytes
+	d.connBytes += d.nw.params.RCConnBytes
 }
 
 // unlink clears peer's membership bits and frees the endpoint's memory.
@@ -295,7 +295,7 @@ func (d *Device) unlink(peer int) {
 	d.linked[peer>>6] &^= 1 << (uint(peer) & 63)
 	d.mirrored[peer>>6] &^= 1 << (uint(peer) & 63)
 	d.nconns--
-	d.connBytes -= d.nw.Fab.P.RCConnBytes
+	d.connBytes -= d.nw.params.RCConnBytes
 }
 
 // ConnStats summarizes one device's transport-layer state.

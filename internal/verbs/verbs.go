@@ -52,16 +52,16 @@ func (e *OpError) Error() string {
 	return fmt.Sprintf("verbs: %s on node %d key %d: %s", e.Op, e.Target.Node, e.Target.Key, e.Reason)
 }
 
-// Network is the verbs-capable interconnect: a fabric plus the device
-// registry that lets a requester's (simulated) HCA reach a target's
-// registered memory.
+// Network is the verbs-capable interconnect: the fabric cost model plus
+// the device registry that lets a requester's (simulated) HCA reach a
+// target's registered memory.
 type Network struct {
 	Env *sim.Env
-	Fab *fabric.Fabric
 
 	// devs is the device registry indexed by node ID, nil where no node
 	// attached: IDs are small but need not be contiguous. Every datapath
-	// resolves its target through dev.
+	// resolves its target through dev. Each device owns its node's NIC,
+	// so this is also the NIC registry.
 	devs []*Device
 
 	// tc is the connection-management policy (see transport.go);
@@ -69,15 +69,17 @@ type Network struct {
 	tc TransportConfig
 
 	// flt is the fault injector active on the environment, nil for a
-	// healthy run. It is cached here (and refreshed on Attach) so every
-	// datapath check is a single pointer load.
-	flt    *faults.Injector
-	hooked bool
+	// healthy run. It is read once at construction (a plan is installed
+	// before the network is built) so every datapath check is a single
+	// pointer load.
+	flt *faults.Injector
+
+	params fabric.Params
 }
 
-// NewNetwork creates a verbs network over a fresh fabric with params p.
-// If a fault plan was installed on env (faults.Install) before any node
-// attaches, the network propagates crashes and link faults with verbs
+// NewNetwork creates a verbs network with fabric cost model p. If a
+// fault plan was installed on env (faults.Install) before the network is
+// built, the network propagates crashes and link faults with verbs
 // semantics; see the Fault model section of DESIGN.md.
 func NewNetwork(env *sim.Env, p fabric.Params) *Network {
 	return NewNetworkWith(env, p, TransportConfig{})
@@ -88,22 +90,9 @@ func NewNetwork(env *sim.Env, p fabric.Params) *Network {
 // whose per-node connection state stays O(pool) in cluster size (see
 // transport.go).
 func NewNetworkWith(env *sim.Env, p fabric.Params, tc TransportConfig) *Network {
-	nw := &Network{Env: env, Fab: fabric.New(env, p), tc: tc.withDefaults()}
-	nw.hookFaults()
-	return nw
-}
-
-// hookFaults caches the environment's injector and subscribes the
-// network's crash handler, once.
-func (nw *Network) hookFaults() {
-	if nw.hooked {
-		return
-	}
-	if nw.flt = nw.Fab.Faults(); nw.flt == nil {
-		return
-	}
-	nw.hooked = true
+	nw := &Network{Env: env, params: p, tc: tc.withDefaults(), flt: faults.Of(env)}
 	nw.flt.OnCrash(nw.nodeCrashed)
+	return nw
 }
 
 // nodeCrashed runs in scheduler context the instant a node's crash event
@@ -132,18 +121,17 @@ func (nw *Network) nodeCrashed(node int) {
 }
 
 // Params returns the fabric cost model.
-func (nw *Network) Params() fabric.Params { return nw.Fab.P }
+func (nw *Network) Params() fabric.Params { return nw.params }
 
 // Attach creates (or returns) the verbs device of a node.
 func (nw *Network) Attach(node *cluster.Node) *Device {
 	if d := nw.dev(node.ID); d != nil {
 		return d
 	}
-	nw.hookFaults()
 	d := &Device{
 		nw:   nw,
 		Node: node,
-		nic:  nw.Fab.Attach(node),
+		nic:  fabric.NewNIC(node),
 		mrs:  []*MR{nil}, // rkey 0 is never issued
 	}
 	if r := trace.Of(nw.Env); r != nil {
@@ -210,7 +198,7 @@ type Device struct {
 func (d *Device) NIC() *fabric.NIC { return d.nic }
 
 // Params returns the fabric cost model the device operates under.
-func (d *Device) Params() fabric.Params { return d.nw.Fab.P }
+func (d *Device) Params() fabric.Params { return d.nw.params }
 
 // Env returns the simulation environment.
 func (d *Device) Env() *sim.Env { return d.nw.Env }
@@ -225,7 +213,7 @@ type MR struct {
 // Register registers buf with the HCA and returns its memory region. The
 // calling process pays the registration (pinning) cost.
 func (d *Device) Register(p *sim.Proc, buf []byte) *MR {
-	cost := d.nw.Fab.P.RegisterTime(len(buf))
+	cost := d.nw.params.RegisterTime(len(buf))
 	p.Sleep(cost)
 	if d.tr != nil {
 		d.tr.RecordOp(trace.OpRegister, 0, cost)
@@ -413,7 +401,7 @@ func (d *Device) beginSend(q *RecvQueue, buf []byte) (time.Duration, error) {
 		return 0, &OpError{Op: "send", Target: RemoteAddr{Node: to}, Reason: "local device down"}
 	}
 	d.Sends++
-	return d.nw.Fab.P.IBMsgTxTime(len(buf)) + d.connCost(to), nil
+	return d.nw.params.IBMsgTxTime(len(buf)) + d.connCost(to), nil
 }
 
 // sent is the post-transmit half of every two-sided send, whichever
@@ -421,7 +409,7 @@ func (d *Device) beginSend(q *RecvQueue, buf []byte) (time.Duration, error) {
 // message to the fabric — the delivery FIFO of its latency class on a
 // healthy link, the faulted-link slow path otherwise.
 func (d *Device) sent(q *RecvQueue, buf []byte, start sim.Time, tcp bool) {
-	pp := d.nw.Fab.P
+	pp := d.nw.params
 	lat, delq, deliverFn := pp.IBSendLatency, &d.sendDelq, d.deliverSendFn
 	if tcp {
 		// TCP deliveries get their own FIFO: the constant-delay pop-in-

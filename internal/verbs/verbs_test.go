@@ -25,6 +25,23 @@ func testNet(t testing.TB, n int) (*sim.Env, *Network, []*Device) {
 	return env, nw, devs
 }
 
+// TestAttachIdempotent: the device registry is also the NIC registry, so
+// attaching a node again (core, ddss and dlm each attach the nodes they
+// run on) must return the same device and the same NIC.
+func TestAttachIdempotent(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	nw := NewNetwork(env, fabric.DefaultParams())
+	n := cluster.NewNode(env, 7, 1, 1<<20)
+	a, b := nw.Attach(n), nw.Attach(n)
+	if a != b || a.NIC() != b.NIC() {
+		t.Fatalf("double attach: devices %p %p, NICs %p %p", a, b, a.NIC(), b.NIC())
+	}
+	if nw.Device(7) != a || a.NIC().Node != n {
+		t.Fatal("attached device or NIC not registered under the node's ID")
+	}
+}
+
 func TestRDMAWriteThenRead(t *testing.T) {
 	env, _, devs := testNet(t, 2)
 	buf := make([]byte, 64)
