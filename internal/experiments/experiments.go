@@ -419,6 +419,19 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 	return tb, nil
 }
 
+// bandwidthGrid runs sockets.MeasureBandwidth on every (size, scheme)
+// pair, one sweep cell each; size si's scheme ci is at
+// si*len(schemes)+ci.
+func bandwidthGrid(o Options, schemes []sockets.Scheme, sizes []int, msgs int) ([]float64, error) {
+	bws := make([]float64, len(sizes)*len(schemes))
+	err := runCells(o, len(bws), func(i int, o Options) error {
+		var err error
+		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs, o.healthy())
+		return err
+	})
+	return bws, err
+}
+
 // FlowControl regenerates the §6 packetized-flow-control comparison.
 func FlowControl(o Options) (*metrics.Table, error) {
 	sizes := []int{1, 16, 64, 256, 1 << 10, 8 << 10}
@@ -428,12 +441,7 @@ func FlowControl(o Options) (*metrics.Table, error) {
 		msgs = 500
 	}
 	schemes := []sockets.Scheme{sockets.BSDP, sockets.PSDP}
-	bws := make([]float64, len(sizes)*len(schemes))
-	err := runCells(o, len(bws), func(i int, o Options) error {
-		var err error
-		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs, o.healthy())
-		return err
-	})
+	bws, err := bandwidthGrid(o, schemes, sizes, msgs)
 	if err != nil {
 		return nil, err
 	}
@@ -459,12 +467,7 @@ func SDP(o Options) (*metrics.Table, error) {
 	for _, sc := range schemes {
 		cols = append(cols, sc.String())
 	}
-	bws := make([]float64, len(sizes)*len(schemes))
-	err := runCells(o, len(bws), func(i int, o Options) error {
-		var err error
-		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs, o.healthy())
-		return err
-	})
+	bws, err := bandwidthGrid(o, schemes, sizes, msgs)
 	if err != nil {
 		return nil, err
 	}
