@@ -26,8 +26,9 @@ import (
 //
 //   - No map: a one-sided datapath is words published by CAS, not a
 //     host map behind a cost charge, so the verbs devices, the lock
-//     manager and the two document caches index slices and bitsets, and
-//     the sockets schemes deliver in send order with no reorder map.
+//     manager and the two document caches index slices and bitsets, the
+//     sockets schemes deliver in send order with no reorder map, and the
+//     trace registry and the NICs are per node ID in slices.
 //   - One way to open a run: runtime.ServiceOptions.NewEnv attaches the
 //     registry and the fault plan to a fresh environment before any layer
 //     is built over it, and nothing else creates one.
@@ -39,7 +40,7 @@ import (
 //     client each fail TestCatalogueHandOffBudget (CHANGES.md records
 //     the restorations).
 var repoRules = structuralRules{
-	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets"},
+	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets", "internal/trace", "internal/fabric"},
 	openRun: "ngdc/internal/sim.NewEnv",
 	opener:  "internal/runtime/options.go",
 	banned: []bannedName{
