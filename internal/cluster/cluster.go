@@ -81,6 +81,7 @@ func NewNode(env *sim.Env, id, cores int, memCap int64) *Node {
 		cores:  cores,
 		memCap: memCap,
 	}
+	n.cpu.OnRelease(n.retire)
 	n.publish()
 	return n
 }
@@ -90,9 +91,6 @@ func (n *Node) Env() *sim.Env { return n.env }
 
 // Cores returns the number of CPU cores.
 func (n *Node) Cores() int { return n.cores }
-
-// CPU exposes the core resource to event chains (see ExecBegin).
-func (n *Node) CPU() *sim.Resource { return n.cpu }
 
 // Stats returns a copy of the current ground-truth kernel statistics.
 func (n *Node) Stats() KernelStats { return n.stats }
@@ -136,24 +134,29 @@ func DecodeStats(buf []byte) KernelStats {
 // busy. The node run-queue statistic covers both waiting and running
 // tasks.
 func (n *Node) Exec(p *sim.Proc, cpuTime time.Duration) {
-	n.ExecBegin()
+	n.enqueue()
 	n.cpu.Use(p, 1, cpuTime)
-	n.ExecDone()
 }
 
-// ExecBegin and ExecDone are the run-queue bookkeeping halves of Exec,
-// exported so an event chain can run a burst at the instants Exec would
-// have. The pairing is Exec's: ExecBegin, then CPU().HoldAsync(1,
-// cpuTime, nil, done), and ExecDone first thing in done — the task is
-// enqueued before the core is requested and retired at the instant the
-// core is released.
-func (n *Node) ExecBegin() {
+// ExecAsync is Exec for an event chain: the burst joins the same FIFO
+// core queue, and done runs at the instant its core is released, with
+// the task already retired from the run queue.
+func (n *Node) ExecAsync(cpuTime time.Duration, done func()) {
+	n.enqueue()
+	n.cpu.HoldAsync(1, cpuTime, nil, done)
+}
+
+// enqueue counts a burst into the run queue before its core is
+// requested.
+func (n *Node) enqueue() {
 	n.stats.RunQueue++
 	n.publish()
 }
 
-// ExecDone retires a task begun with ExecBegin; see ExecBegin.
-func (n *Node) ExecDone() {
+// retire takes a burst off the run queue at the instant its core is
+// released (the core resource's release observer), before whatever
+// follows the burst runs.
+func (n *Node) retire() {
 	n.stats.RunQueue--
 	n.stats.Completed++
 	n.publish()

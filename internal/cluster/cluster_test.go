@@ -126,6 +126,49 @@ func TestMemAccounting(t *testing.T) {
 	}
 }
 
+// TestExecAsyncRetiresAtRelease queues a chain's burst behind a
+// process's burst on one core and reads the run queue, the completed
+// count and the published snapshot at every request, grant and release
+// instant: each burst is counted when it asks for the core and retired
+// when the core is released, and a chain's done already sees it retired.
+func TestExecAsyncRetiresAtRelease(t *testing.T) {
+	const us = time.Microsecond
+	env := sim.NewEnv(1)
+	n := NewNode(env, 0, 1, 1<<20)
+	check := func(when string, runQueue int, completed int64, updated time.Duration) {
+		t.Helper()
+		want := KernelStats{RunQueue: runQueue, Completed: completed, UpdatedAt: sim.Time(updated)}
+		if got := n.Stats(); got != want {
+			t.Errorf("%s at %v: stats %+v, want %+v", when, env.Now(), got, want)
+		}
+		if got := DecodeStats(n.Snapshot()); got != want {
+			t.Errorf("%s at %v: snapshot %+v, want %+v", when, env.Now(), got, want)
+		}
+	}
+	doneAt := sim.Time(-1)
+	env.Go("exec", func(p *sim.Proc) {
+		n.Exec(p, 10*us)
+		// The process's core was released and handed to the chain's
+		// queued burst at this instant.
+		check("exec released, chain granted", 1, 1, 10*us)
+	})
+	env.At(sim.Time(2*us), func() {
+		check("before the chain asks", 1, 0, 0)
+		n.ExecAsync(5*us, func() {
+			doneAt = env.Now()
+			check("chain done", 0, 2, 15*us)
+		})
+		check("chain queued", 2, 0, 2*us)
+	})
+	env.At(sim.Time(12*us), func() { check("chain running", 1, 1, 10*us) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if doneAt != sim.Time(15*us) {
+		t.Fatalf("chain done at %v, want 15µs (5µs queued behind the 10µs burst)", doneAt)
+	}
+}
+
 func TestExecSlicedInterleaves(t *testing.T) {
 	// Two long sliced tasks on one core must finish at nearly the same
 	// time (round-robin), not one strictly after the other.

@@ -38,7 +38,7 @@ type reqChain struct {
 	evicted []int // held across the directory batch wire stall
 
 	// Step callbacks, bound once per record.
-	cpuDoneFn     func()
+	lookupFn      func()
 	dirDoneFn     func()
 	fetchMidFn    func()
 	fetchTxDoneFn func()
@@ -57,7 +57,7 @@ type reqChain struct {
 // bind sets up rc for requests on px's pipeline, each ending in done.
 func (rc *reqChain) bind(dc *DataCenter, px *cacheNode, done func()) {
 	rc.dc, rc.px = dc, px
-	rc.cpuDoneFn = rc.cpuDone
+	rc.lookupFn = rc.lookupStep
 	rc.dirDoneFn = func() { rc.dirArrived(true) }
 	rc.fetchMidFn = rc.fetchMid
 	rc.fetchTxDoneFn = rc.fetchTxDone
@@ -86,18 +86,12 @@ func (rc *reqChain) bind(dc *DataCenter, px *cacheNode, done func()) {
 // start begins the admission CPU burst (HTTP processing) at the current
 // instant; the chain ends in done at the egress-complete instant.
 func (rc *reqChain) start() {
-	rc.px.node.ExecBegin()
-	rc.px.node.CPU().HoldAsync(1, RequestCPU, nil, rc.cpuDoneFn)
-}
-
-// cpuDone runs at the admission-burst release instant.
-func (rc *reqChain) cpuDone() {
-	rc.px.node.ExecDone()
-	rc.lookupStep()
+	rc.px.node.ExecAsync(RequestCPU, rc.lookupFn)
 }
 
 // lookupStep resolves the document under the scheme at the current
-// instant, mirroring the lookup decision ladder stage for stage.
+// instant (the admission burst's release, or a deduplicated waiter's
+// retry), mirroring the lookup decision ladder stage for stage.
 func (rc *reqChain) lookupStep() {
 	dc, px := rc.dc, rc.px
 	if dc.cfg.Scheme == HYBCC {
@@ -303,14 +297,12 @@ func (rc *reqChain) copyDone() {
 // egress starts the response path to the client over the front-side
 // network: a proxy core for the TCP send processing, then the wire.
 func (rc *reqChain) egress() {
-	rc.px.node.ExecBegin()
-	rc.px.node.CPU().HoldAsync(1, rc.dc.nw.Params().TCPCPUTime(int(rc.size)), nil, rc.egCPUDoneFn)
+	rc.px.node.ExecAsync(rc.dc.nw.Params().TCPCPUTime(int(rc.size)), rc.egCPUDoneFn)
 }
 
 // egCPUDone runs at the TCP CPU release instant: occupy the proxy NIC
 // for the response serialization and end the request (done) in the
 // event that frees it, when the last byte is on the wire.
 func (rc *reqChain) egCPUDone() {
-	rc.px.node.ExecDone()
 	rc.px.dev.NIC().TransmitAsync(rc.dc.nw.Params().TCPTxTime(int(rc.size)), nil, rc.egTxDoneFn)
 }

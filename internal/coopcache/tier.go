@@ -318,8 +318,7 @@ func (t *Tier) GetAsync(dev *verbs.Device, cpu time.Duration, doc int, buf []byt
 		c.bind(t)
 	}
 	c.dev, c.doc, c.buf, c.attempt, c.done = dev, doc, buf, 0, done
-	dev.Node.ExecBegin()
-	dev.Node.CPU().HoldAsync(1, cpu, nil, c.cpuDoneFn)
+	dev.Node.ExecAsync(cpu, c.lookupFn)
 }
 
 // getChain runs a lookup — admission CPU, directory read, validation
@@ -342,24 +341,19 @@ type getChain struct {
 	done    func(served bool, err error)
 	dir     dirOp // the clear of a stale or dead word
 
-	cpuDoneFn, clearedFn func()
-	dirCQ, slabCQ        *verbs.CQ
+	lookupFn, clearedFn func()
+	dirCQ, slabCQ       *verbs.CQ
 }
 
 func (c *getChain) bind(t *Tier) {
 	c.t = t
-	c.cpuDoneFn, c.clearedFn = c.cpuDone, c.cleared
+	c.lookupFn, c.clearedFn = c.lookup, c.cleared
 	c.dirCQ = verbs.HandlerCQ(c.dirDone)
 	c.slabCQ = verbs.HandlerCQ(c.slabDone)
 }
 
-// cpuDone runs at the admission burst's release instant.
-func (c *getChain) cpuDone() {
-	c.dev.Node.ExecDone()
-	c.lookup()
-}
-
-// lookup issues the directory read.
+// lookup issues the directory read: at the admission burst's release
+// instant, and again on each retry.
 func (c *getChain) lookup() {
 	d := c.t.dir
 	c.epoch = d.epoch

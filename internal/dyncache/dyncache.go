@@ -239,9 +239,9 @@ func (d *deployment) currentVersions(doc int) []uint64 {
 // proxy request processing, then a cached response (validated first
 // under RDMACheck) or a full back-end render, then egress to the
 // client. It runs no process: every stage boundary is a callback at the
-// instant the blocking pipeline parked and resumed (Exec is ExecBegin
-// and a CPU hold with ExecDone first in its end, a sleep is a timer, a
-// transmit a NIC hold, a validation read an Issue to a handler CQ), and
+// instant the blocking pipeline parked and resumed (Exec is ExecAsync, a
+// sleep is a timer, a transmit a NIC hold, a validation read an Issue to
+// a handler CQ), and
 // the event that puts the response's last byte on the wire counts it
 // and issues the client's next request. Callbacks and the completion
 // queue are bound once per client, so a request allocates only the
@@ -276,27 +276,19 @@ func (d *deployment) newRequest(pi, c int, zipf *workload.Zipf) *request {
 	return r
 }
 
-// exec begins a CPU burst on n, as Node.Exec does; done must call
-// n.ExecDone first.
-func exec(n *cluster.Node, cpu time.Duration, done func()) {
-	n.ExecBegin()
-	n.CPU().HoldAsync(1, cpu, nil, done)
-}
-
 // next issues the client's next request, unless a request has failed.
 func (r *request) next() {
 	if r.d.err != nil {
 		return
 	}
 	r.doc, r.start = r.zipf.Next(), r.d.env.Now()
-	exec(r.px.Node, 25*time.Microsecond, r.admittedFn) // request processing
+	r.px.Node.ExecAsync(25*time.Microsecond, r.admittedFn) // request processing
 }
 
 // admitted runs when request processing ends: decide between the cached
 // response and a render.
 func (r *request) admitted() {
 	d := r.d
-	r.px.Node.ExecDone()
 	r.entry = d.caches[r.pi][r.doc]
 	switch {
 	case r.entry == nil || d.cfg.Scheme == NoCache:
@@ -383,7 +375,7 @@ func (r *request) serveCached() {
 // setup).
 func (r *request) render() {
 	r.entry = nil
-	exec(r.app().Node, r.d.nw.Params().TCPCPUTime(128), r.reqCPUFn)
+	r.app().Node.ExecAsync(r.d.nw.Params().TCPCPUTime(128), r.reqCPUFn)
 }
 
 // app returns the document's primary app server.
@@ -391,27 +383,22 @@ func (r *request) app() *verbs.Device { return r.d.apps[r.d.deps[r.doc][0].serve
 
 // reqCPU runs when the app server has processed the request.
 func (r *request) reqCPU() {
-	r.app().Node.ExecDone()
 	r.d.env.After(r.d.nw.Params().TCPLatency, r.reqWireFn)
 }
 
 // reqWire runs when the request has crossed the wire: render.
-func (r *request) reqWire() { exec(r.app().Node, renderCPU, r.renderedFn) }
+func (r *request) reqWire() { r.app().Node.ExecAsync(renderCPU, r.renderedFn) }
 
 // rendered runs when the render ends: the response carries the
 // dependency versions of this instant.
 func (r *request) rendered() {
-	app := r.app()
-	app.Node.ExecDone()
 	r.versions = r.d.currentVersions(r.doc)
-	exec(app.Node, r.d.nw.Params().TCPCPUTime(responseBytes), r.respCPUFn)
+	r.app().Node.ExecAsync(r.d.nw.Params().TCPCPUTime(responseBytes), r.respCPUFn)
 }
 
 // respCPU runs when the app server has processed the response: send it.
 func (r *request) respCPU() {
-	app := r.app()
-	app.Node.ExecDone()
-	app.NIC().TransmitAsync(r.d.nw.Params().TCPTxTime(responseBytes), nil, r.respTxFn)
+	r.app().NIC().TransmitAsync(r.d.nw.Params().TCPTxTime(responseBytes), nil, r.respTxFn)
 }
 
 // respTx runs when the response's last byte leaves the app server.
@@ -419,14 +406,13 @@ func (r *request) respTx() { r.d.env.After(r.d.nw.Params().TCPLatency, r.respWir
 
 // respWire runs when the response reaches the proxy.
 func (r *request) respWire() {
-	exec(r.px.Node, r.d.nw.Params().TCPCPUTime(responseBytes), r.recvFn)
+	r.px.Node.ExecAsync(r.d.nw.Params().TCPCPUTime(responseBytes), r.recvFn)
 }
 
 // received runs when the proxy has received the rendered response: it
 // caches it and starts egress.
 func (r *request) received() {
 	d := r.d
-	r.px.Node.ExecDone()
 	if d.cfg.Scheme != NoCache {
 		d.caches[r.pi][r.doc] = &cachedResponse{versions: r.versions, storedAt: d.env.Now()}
 	}

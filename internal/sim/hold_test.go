@@ -128,6 +128,44 @@ func TestHoldSeveralGrantedByOneRelease(t *testing.T) {
 	}
 }
 
+// TestHoldOnRelease: the release observer sees every Release — a
+// hold's end, a Use's and a hand Release after Acquire — at its instant,
+// with the units returned and no queued request granted yet, ahead of
+// the hold's done; and it costs no event.
+func TestHoldOnRelease(t *testing.T) {
+	run := func(observe bool) ([]string, uint64) {
+		e := NewEnv(1)
+		r := NewResource(e, "r", 1)
+		var log []string
+		note := func(what string) { log = append(log, fmt.Sprintf("%s@%v", what, e.Now())) }
+		if observe {
+			r.OnRelease(func() { note(fmt.Sprintf("release/%d", r.InUse())) })
+		}
+		e.At(0, func() { r.HoldAsync(1, 3*us, nil, func() { note("done") }) })
+		e.Go("use", func(p *Proc) {
+			r.Use(p, 1, 2*us)
+			note("used")
+		})
+		e.Go("acquire", func(p *Proc) {
+			r.Acquire(p, 1)
+			p.Sleep(us)
+			r.Release(1)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, e.Stats().EventsProcessed
+	}
+	log, events := run(true)
+	want := []string{"release/0@3µs", "done@3µs", "release/0@5µs", "used@5µs", "release/0@6µs"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log %v, want %v", log, want)
+	}
+	if _, unobserved := run(false); events != unobserved {
+		t.Fatalf("%d events with the observer, %d without", events, unobserved)
+	}
+}
+
 func TestHoldBadCountPanics(t *testing.T) {
 	r := NewResource(NewEnv(1), "r", 2)
 	for _, n := range []int{0, -1, 3} {

@@ -25,13 +25,14 @@ type Resource struct {
 	// What an uncontended hold touches comes first and stays together:
 	// with a thousand NICs every resource is cold in the host's cache when
 	// its turn comes, and a hold should cost one miss, not one per field.
-	env    *Env
-	cap    int
-	inUse  int
-	q      Queue[*resWaiter]
-	free   *resWaiter // recycled records, linked through next
-	onHold func(d, waited time.Duration)
-	first  resWaiter // the record a capacity-1 engine reuses for every hold
+	env       *Env
+	cap       int
+	inUse     int
+	q         Queue[*resWaiter]
+	free      *resWaiter // recycled records, linked through next
+	onHold    func(d, waited time.Duration)
+	onRelease func()
+	first     resWaiter // the record a capacity-1 engine reuses for every hold
 
 	name string
 	why  string
@@ -78,6 +79,12 @@ func NewResource(e *Env, name string, capacity int) *Resource {
 // hold's duration and the time it spent queued: occupancy accounting that
 // belongs to the engine, not to each caller (a NIC's transmit statistics).
 func (r *Resource) OnHold(fn func(d, waited time.Duration)) { r.onHold = fn }
+
+// OnRelease installs fn to observe every Release at its instant, after
+// the units are returned and before a queued request is granted: for a
+// hold that is ahead of its done, so accounting that retires a burst (a
+// node's run queue) is the resource's, not each caller's.
+func (r *Resource) OnRelease(fn func()) { r.onRelease = fn }
 
 // InUse returns the units currently held.
 func (r *Resource) InUse() int { return r.inUse }
@@ -191,6 +198,9 @@ func (r *Resource) Release(n int) {
 		panic("sim: bad release count on " + r.name)
 	}
 	r.inUse -= n
+	if r.onRelease != nil {
+		r.onRelease()
+	}
 	for r.q.Len() > 0 && r.inUse+r.q.peek().n <= r.cap {
 		w := r.q.Pop()
 		r.inUse += w.n
