@@ -48,8 +48,8 @@ type Options struct {
 	Measure time.Duration
 	// Parallel bounds the worker goroutines a sweep fans its cells
 	// across (0 = GOMAXPROCS). Results are identical for every value:
-	// cells are independent simulations and the runner merges their
-	// outputs in cell-index order (see runCells).
+	// cells are independent simulations and sweep returns their results
+	// and folds their trace counters in cell order (see sweep).
 	Parallel int
 	// ServiceOptions is what every cell's run is opened with. Trace,
 	// when non-nil, accumulates every run's observability counters into
@@ -203,21 +203,17 @@ func DDSSLatency(o Options) (*metrics.Table, error) {
 	for _, m := range ddss.Models {
 		cols = append(cols, m.String())
 	}
-	models := ddss.Models
-	lats := make([]time.Duration, len(sizes)*len(models))
-	err := runCells(o, len(lats), func(i int, o Options) error {
-		var err error
-		lats[i], err = ddss.MeasurePutLatency(models[i%len(models)], sizes[i/len(models)], o.healthy())
-		return err
+	lats, err := grid(o, sizes, ddss.Models, func(sz int, m ddss.Coherence, o Options) (time.Duration, error) {
+		return ddss.MeasurePutLatency(m, sz, o.healthy())
 	})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable("Fig 3a — DDSS put() latency (µs) per coherence model", cols...)
-	for si, sz := range sizes {
+	for r, sz := range sizes {
 		row := []any{sz}
-		for mi := range models {
-			row = append(row, float64(lats[si*len(models)+mi])/float64(time.Microsecond))
+		for _, lat := range lats[r] {
+			row = append(row, us(lat))
 		}
 		tb.AddRow(row...)
 	}
@@ -230,11 +226,10 @@ func Storm(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		records = []int{1000, 5000}
 	}
-	res := make([]struct{ tcp, dd storm.Result }, len(records))
-	err := runCells(o, len(records), func(i int, o Options) error {
-		var err error
-		res[i].tcp, res[i].dd, err = storm.Compare(records[i], o.healthy())
-		return err
+	type pair struct{ tcp, dd storm.Result }
+	res, err := sweep(o, records, func(rec int, o Options) (pair, error) {
+		tcp, dd, err := storm.Compare(rec, o.healthy())
+		return pair{tcp, dd}, err
 	})
 	if err != nil {
 		return nil, err
@@ -267,11 +262,9 @@ func LockCascade(o Options) (*metrics.Table, error) {
 		waiters = []int{2, 8}
 	}
 	kinds := []dlm.Kind{dlm.SRSL, dlm.DQNL, dlm.NCoSED}
-	lasts := make([]time.Duration, len(waiters)*len(kinds))
-	err := runCells(o, len(lasts), func(i int, o Options) error {
-		r, err := dlm.Cascade(kinds[i%len(kinds)], mode, waiters[i/len(kinds)], o.healthy())
-		lasts[i] = r.Last
-		return err
+	lasts, err := grid(o, waiters, kinds, func(n int, k dlm.Kind, o Options) (time.Duration, error) {
+		r, err := dlm.Cascade(k, mode, n, o.healthy())
+		return r.Last, err
 	})
 	if err != nil {
 		return nil, err
@@ -279,14 +272,10 @@ func LockCascade(o Options) (*metrics.Table, error) {
 	tb := metrics.NewTable(
 		fmt.Sprintf("Fig %s — %v-lock cascading latency (µs, release to last grant)", sub, mode),
 		"waiters", "SRSL", "DQNL", "N-CoSED", "N-CoSED gain vs DQNL%")
-	for wi, n := range waiters {
-		vals := lasts[wi*len(kinds) : (wi+1)*len(kinds)]
+	for r, n := range waiters {
+		vals := lasts[r]
 		gain := metrics.PercentImprovement(1/float64(vals[1]), 1/float64(vals[2]))
-		tb.AddRow(n,
-			float64(vals[0])/float64(time.Microsecond),
-			float64(vals[1])/float64(time.Microsecond),
-			float64(vals[2])/float64(time.Microsecond),
-			gain)
+		tb.AddRow(n, us(vals[0]), us(vals[1]), us(vals[2]), gain)
 	}
 	return tb, nil
 }
@@ -309,10 +298,8 @@ func CoopCache(o Options) (*metrics.Table, error) {
 	for _, s := range coopcache.Schemes {
 		cols = append(cols, s.String())
 	}
-	schemes := coopcache.Schemes
-	tps := make([]float64, len(sizes)*len(schemes))
-	err := runCells(o, len(tps), func(i int, o Options) error {
-		cfg := coopcache.DefaultConfig(schemes[i%len(schemes)], proxies, sizes[i/len(schemes)])
+	tps, err := grid(o, sizes, coopcache.Schemes, func(fsz int64, sc coopcache.Scheme, o Options) (float64, error) {
+		cfg := coopcache.DefaultConfig(sc, proxies, fsz)
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.healthy()
 		if o.Measure > 0 {
@@ -322,18 +309,17 @@ func CoopCache(o Options) (*metrics.Table, error) {
 			cfg.Warmup = 150 * time.Millisecond
 		}
 		st, err := coopcache.Run(cfg)
-		tps[i] = st.TPS
-		return err
+		return st.TPS, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("Fig %s — data-center throughput (TPS), %d proxy nodes", sub, proxies), cols...)
-	for si, fsz := range sizes {
+	for r, fsz := range sizes {
 		row := []any{fmt.Sprintf("%dk", fsz>>10)}
-		for ci := range schemes {
-			row = append(row, tps[si*len(schemes)+ci])
+		for _, tp := range tps[r] {
+			row = append(row, tp)
 		}
 		tb.AddRow(row...)
 	}
@@ -343,16 +329,13 @@ func CoopCache(o Options) (*metrics.Table, error) {
 // MonitorAccuracy regenerates Fig 8a.
 func MonitorAccuracy(o Options) (*metrics.Table, error) {
 	schemes := monitor.Schemes
-	res := make([]monitor.AccuracyResult, len(schemes))
-	err := runCells(o, len(schemes), func(i int, o Options) error {
-		cfg := monitor.DefaultAccuracyConfig(schemes[i])
+	res, err := sweep(o, schemes, func(sc monitor.Scheme, o Options) (monitor.AccuracyResult, error) {
+		cfg := monitor.DefaultAccuracyConfig(sc)
 		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Duration = 600 * time.Millisecond
 		}
-		var err error
-		res[i], err = monitor.Accuracy(cfg)
-		return err
+		return monitor.Accuracy(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -380,19 +363,15 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 		title = "Fig 8b — throughput improvement over Socket-Async (%), RUBiS mix"
 		alphas = []float64{0}
 	}
-	schemes := monitor.Schemes
-	stats := make([]monitor.LBStats, len(alphas)*len(schemes))
-	err := runCells(o, len(stats), func(i int, o Options) error {
-		cfg := monitor.DefaultLBConfig(schemes[i%len(schemes)], alphas[i/len(schemes)])
+	stats, err := grid(o, alphas, monitor.Schemes, func(a float64, sc monitor.Scheme, o Options) (monitor.LBStats, error) {
+		cfg := monitor.DefaultLBConfig(sc, a)
 		cfg.RUBiS = o.RUBiS
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = 500 * time.Millisecond
 		}
-		var err error
-		stats[i], err = monitor.RunLB(cfg)
-		return err
+		return monitor.RunLB(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -403,7 +382,7 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 		if o.RUBiS {
 			label = "RUBiS"
 		}
-		cells := stats[i*len(schemes) : (i+1)*len(schemes)]
+		cells := stats[i]
 		var base float64
 		for _, st := range cells {
 			if st.Scheme == monitor.SocketAsync {
@@ -420,16 +399,11 @@ func MonitorThroughput(o Options) (*metrics.Table, error) {
 }
 
 // bandwidthGrid runs sockets.MeasureBandwidth on every (size, scheme)
-// pair, one sweep cell each; size si's scheme ci is at
-// si*len(schemes)+ci.
-func bandwidthGrid(o Options, schemes []sockets.Scheme, sizes []int, msgs int) ([]float64, error) {
-	bws := make([]float64, len(sizes)*len(schemes))
-	err := runCells(o, len(bws), func(i int, o Options) error {
-		var err error
-		bws[i], err = sockets.MeasureBandwidth(schemes[i%len(schemes)], sizes[i/len(schemes)], msgs, o.healthy())
-		return err
+// pair, one sweep cell each; size r's scheme c is at bws[r][c].
+func bandwidthGrid(o Options, schemes []sockets.Scheme, sizes []int, msgs int) ([][]float64, error) {
+	return grid(o, sizes, schemes, func(sz int, sc sockets.Scheme, o Options) (float64, error) {
+		return sockets.MeasureBandwidth(sc, sz, msgs, o.healthy())
 	})
-	return bws, err
 }
 
 // FlowControl regenerates the §6 packetized-flow-control comparison.
@@ -447,8 +421,8 @@ func FlowControl(o Options) (*metrics.Table, error) {
 	}
 	tb := metrics.NewTable("§6 — credit-based vs packetized flow control (MB/s)",
 		"msg size", "BSDP (credit)", "P-SDP (packetized)", "speedup x")
-	for si, sz := range sizes {
-		bsdp, psdp := bws[si*len(schemes)], bws[si*len(schemes)+1]
+	for r, sz := range sizes {
+		bsdp, psdp := bws[r][0], bws[r][1]
 		tb.AddRow(sz, bsdp/1e6, psdp/1e6, metrics.Ratio(psdp, bsdp))
 	}
 	return tb, nil
@@ -472,10 +446,10 @@ func SDP(o Options) (*metrics.Table, error) {
 		return nil, err
 	}
 	tb := metrics.NewTable("§3 — streaming bandwidth (MB/s) of the SDP family", cols...)
-	for si, sz := range sizes {
+	for r, sz := range sizes {
 		row := []any{fmt.Sprintf("%dk", sz>>10)}
-		for ci := range schemes {
-			row = append(row, bws[si*len(schemes)+ci]/1e6)
+		for _, bw := range bws[r] {
+			row = append(row, bw/1e6)
 		}
 		tb.AddRow(row...)
 	}
@@ -485,17 +459,14 @@ func SDP(o Options) (*metrics.Table, error) {
 // Reconfig regenerates the §6 reconfiguration ablation.
 func Reconfig(o Options) (*metrics.Table, error) {
 	policies := []reconfig.Policy{reconfig.Naive, reconfig.HistoryAware}
-	res := make([]reconfig.Result, len(policies))
-	err := runCells(o, len(policies), func(i int, o Options) error {
-		cfg := reconfig.DefaultConfig(policies[i])
+	res, err := sweep(o, policies, func(p reconfig.Policy, o Options) (reconfig.Result, error) {
+		cfg := reconfig.DefaultConfig(p)
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.ServiceOptions
 		if o.Quick {
 			cfg.Measure = time.Second
 		}
-		var err error
-		res[i], err = reconfig.Run(cfg)
-		return err
+		return reconfig.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -522,17 +493,14 @@ func Reconfig(o Options) (*metrics.Table, error) {
 // DynCache regenerates the §3 dynamic-content coherence comparison.
 func DynCache(o Options) (*metrics.Table, error) {
 	schemes := dyncache.Schemes
-	sts := make([]dyncache.Stats, len(schemes))
-	err := runCells(o, len(schemes), func(i int, o Options) error {
-		cfg := dyncache.DefaultConfig(schemes[i])
+	sts, err := sweep(o, schemes, func(sc dyncache.Scheme, o Options) (dyncache.Stats, error) {
+		cfg := dyncache.DefaultConfig(sc)
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = 500 * time.Millisecond
 		}
-		var err error
-		sts[i], err = dyncache.Run(cfg)
-		return err
+		return dyncache.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -553,17 +521,14 @@ func DynCache(o Options) (*metrics.Table, error) {
 // QoS regenerates the §3 admission-control comparison.
 func QoS(o Options) (*metrics.Table, error) {
 	policies := []qos.Policy{qos.NoControl, qos.PriorityAdmission}
-	sts := make([]qos.Stats, len(policies))
-	err := runCells(o, len(policies), func(i int, o Options) error {
-		cfg := qos.DefaultConfig(policies[i])
+	sts, err := sweep(o, policies, func(p qos.Policy, o Options) (qos.Stats, error) {
+		cfg := qos.DefaultConfig(p)
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = 700 * time.Millisecond
 		}
-		var err error
-		sts[i], err = qos.Run(cfg)
-		return err
+		return qos.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -585,23 +550,17 @@ func Multicast(o Options) (*metrics.Table, error) {
 		sizes = []int{4, 16}
 	}
 	strategies := []multicast.Strategy{multicast.Serial, multicast.Binomial}
-	lats := make([]time.Duration, len(sizes)*len(strategies))
-	err := runCells(o, len(lats), func(i int, o Options) error {
-		var err error
-		lats[i], err = multicast.MeasureLatency(strategies[i%len(strategies)], sizes[i/len(strategies)], 4096, o.healthy())
-		return err
+	lats, err := grid(o, sizes, strategies, func(n int, st multicast.Strategy, o Options) (time.Duration, error) {
+		return multicast.MeasureLatency(st, n, 4096, o.healthy())
 	})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable("framework — multicast dissemination latency (µs, to last member)",
 		"group size", "serial", "binomial", "speedup x")
-	for si, n := range sizes {
-		serial, binom := lats[si*len(strategies)], lats[si*len(strategies)+1]
-		tb.AddRow(n,
-			float64(serial)/float64(time.Microsecond),
-			float64(binom)/float64(time.Microsecond),
-			metrics.Ratio(float64(serial), float64(binom)))
+	for r, n := range sizes {
+		serial, binom := lats[r][0], lats[r][1]
+		tb.AddRow(n, us(serial), us(binom), metrics.Ratio(float64(serial), float64(binom)))
 	}
 	return tb, nil
 }
@@ -609,14 +568,13 @@ func Multicast(o Options) (*metrics.Table, error) {
 // FileCache regenerates the §6 remote-memory file-cache comparison.
 func FileCache(o Options) (*metrics.Table, error) {
 	modes := []filecache.Mode{filecache.DiskOnly, filecache.RemoteMemory}
-	res := make([]struct {
+	type restart struct {
 		mean float64
 		warm int
-	}, len(modes))
-	err := runCells(o, len(modes), func(i int, o Options) error {
-		var err error
-		res[i].mean, res[i].warm, err = filecache.MeasureRestart(modes[i], o.healthy())
-		return err
+	}
+	res, err := sweep(o, modes, func(m filecache.Mode, o Options) (restart, error) {
+		mean, warm, err := filecache.MeasureRestart(m, o.healthy())
+		return restart{mean, warm}, err
 	})
 	if err != nil {
 		return nil, err
@@ -632,17 +590,14 @@ func FileCache(o Options) (*metrics.Table, error) {
 // Integrated regenerates the §6 full-stack comparison.
 func Integrated(o Options) (*metrics.Table, error) {
 	stacks := []integrated.Stack{integrated.Traditional, integrated.RDMAStack}
-	res := make([]integrated.Stats, len(stacks))
-	err := runCells(o, len(stacks), func(i int, o Options) error {
-		cfg := integrated.DefaultConfig(stacks[i])
+	res, err := sweep(o, stacks, func(st integrated.Stack, o Options) (integrated.Stats, error) {
+		cfg := integrated.DefaultConfig(st)
 		cfg.Seed = o.seed()
 		cfg.ServiceOptions = o.healthy()
 		if o.Quick {
 			cfg.Measure = time.Second
 		}
-		var err error
-		res[i], err = integrated.Run(cfg)
-		return err
+		return integrated.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -655,3 +610,6 @@ func Integrated(o Options) (*metrics.Table, error) {
 	}
 	return tb, nil
 }
+
+// us converts a virtual duration to the microseconds a table prints.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ngdc/internal/runtime"
@@ -60,25 +63,77 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunCellsErrorOrder checks the runner reports the first failing
-// cell by index, not by completion time, and that worker counts beyond
-// the cell count are tolerated.
-func TestRunCellsErrorOrder(t *testing.T) {
+// TestSweepContract checks what sweep and grid promise their callers:
+// results come back in input order (grid's res[r][c] is rows[r] ×
+// cols[c]) even when cells finish in reverse order on the wall clock,
+// an empty sweep returns an empty result, and the first failing cell by
+// index wins, not the first to fail. Worker counts beyond the cell
+// count are tolerated.
+func TestSweepContract(t *testing.T) {
+	rows, cols := []int{10, 20, 30}, []string{"a", "b"}
+	label := func(r int, c string) string { return fmt.Sprintf("%d%s", r, c) }
+	for _, parallel := range []int{1, 8} {
+		// Under 8 workers every cell starts at once and each waits for
+		// the one after it, so they finish last to first.
+		finished := make([]chan struct{}, len(rows)*len(cols)+1)
+		for i := range finished {
+			finished[i] = make(chan struct{})
+		}
+		close(finished[len(rows)*len(cols)])
+		var mu sync.Mutex
+		var order []string
+		res, err := grid(Options{Parallel: parallel}, rows, cols, func(r int, c string, _ Options) (string, error) {
+			k := slices.Index(rows, r)*len(cols) + slices.Index(cols, c)
+			if parallel > 1 {
+				<-finished[k+1]
+			}
+			mu.Lock()
+			order = append(order, label(r, c))
+			mu.Unlock()
+			close(finished[k])
+			return label(r, c), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(rows) {
+			t.Fatalf("parallel %d: %d rows, want %d", parallel, len(res), len(rows))
+		}
+		for r, row := range rows {
+			for c, col := range cols {
+				if got := res[r][c]; got != label(row, col) {
+					t.Errorf("parallel %d: res[%d][%d] = %q, want %q", parallel, r, c, got, label(row, col))
+				}
+			}
+		}
+		if want := []string{"30b", "30a", "20b", "20a", "10b", "10a"}; parallel > 1 && !slices.Equal(order, want) {
+			t.Errorf("parallel %d: cells finished %v, want %v", parallel, order, want)
+		}
+	}
+
+	empty, err := grid(Options{Parallel: 3}, []int{}, cols, func(int, string, Options) (int, error) {
+		t.Error("a cell ran in an empty grid")
+		return 0, nil
+	})
+	if err != nil || len(empty) != 0 {
+		t.Errorf("grid with zero rows = %v, %v; want an empty result", empty, err)
+	}
+
 	errThree := errors.New("cell three")
 	errFive := errors.New("cell five")
-	err := runCells(Options{Parallel: 8}, 6, func(i int, _ Options) error {
+	fiveFailed := make(chan struct{})
+	_, err = sweep(Options{Parallel: 8}, []int{0, 1, 2, 3, 4, 5}, func(i int, _ Options) (int, error) {
 		switch i {
 		case 3:
-			return errThree
+			<-fiveFailed
+			return 0, errThree
 		case 5:
-			return errFive
+			close(fiveFailed)
+			return 0, errFive
 		}
-		return nil
+		return i, nil
 	})
 	if err != errThree {
-		t.Errorf("runCells returned %v, want the lowest-index error %v", err, errThree)
-	}
-	if err := runCells(Options{Parallel: 3}, 0, nil); err != nil {
-		t.Errorf("runCells with zero cells: %v", err)
+		t.Errorf("sweep returned %v, want the lowest-index error %v", err, errThree)
 	}
 }

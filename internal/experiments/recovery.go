@@ -26,11 +26,8 @@ func Recovery(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		ttls = []time.Duration{100 * time.Microsecond, 500 * time.Microsecond}
 	}
-	res := make([]dlm.RecoveryResult, len(ttls))
-	err := runCells(o, len(ttls), func(i int, o Options) error {
-		var err error
-		res[i], err = dlm.MeasureRecovery(ttls[i], o.healthy())
-		return err
+	res, err := sweep(o, ttls, func(ttl time.Duration, o Options) (dlm.RecoveryResult, error) {
+		return dlm.MeasureRecovery(ttl, o.healthy())
 	})
 	if err != nil {
 		return nil, err
@@ -39,10 +36,7 @@ func Recovery(o Options) (*metrics.Table, error) {
 		"lease (µs)", "recovery latency (µs)", "latency/lease", "recoveries")
 	for i, ttl := range ttls {
 		r := res[i]
-		tb.AddRow(float64(ttl)/float64(time.Microsecond),
-			float64(r.Latency)/float64(time.Microsecond),
-			metrics.Ratio(float64(r.Latency), float64(ttl)),
-			r.Recoveries)
+		tb.AddRow(us(ttl), us(r.Latency), metrics.Ratio(float64(r.Latency), float64(ttl)), r.Recoveries)
 	}
 	return tb, nil
 }

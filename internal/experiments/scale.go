@@ -492,11 +492,9 @@ func DCScale(o Options) (*metrics.Table, error) {
 			}
 		}
 	}
-	res := make([]ScaleResult, len(cells))
-	err := runCells(o, len(cells), func(i int, o Options) (err error) {
-		cells[i].Seed = o.seed()
-		res[i], err = RunScaleCell(cells[i])
-		return err
+	res, err := sweep(o, cells, func(c ScaleConfig, o Options) (ScaleResult, error) {
+		c.Seed = o.seed()
+		return RunScaleCell(c)
 	})
 	if err != nil {
 		return nil, err
@@ -510,8 +508,7 @@ func DCScale(o Options) (*metrics.Table, error) {
 			r.CacheFrac, r.ZipfAlpha,
 			onoff(r.SpillEnabled), onoff(r.RebalanceOn),
 			r.ReqsPerSec,
-			float64(r.P50)/float64(time.Microsecond),
-			float64(r.P99)/float64(time.Microsecond),
+			us(r.P50), us(r.P99),
 			metrics.Ratio(float64(r.Hits)*100, float64(r.Requests)),
 			metrics.Ratio(float64(r.SpillHits)*100, float64(r.Requests)),
 			r.CacheEvictPerSec,

@@ -61,13 +61,11 @@ func TestScaleCellDeterministic(t *testing.T) {
 			{Nodes: 32, Clients: 4000, Requests: 1200, Docs: 512},
 			{Nodes: 32, Clients: 4000, Requests: 1200, Docs: 512, Transport: verbs.PooledTransport()},
 		}
-		res := make([]ScaleResult, len(cells))
-		err := runCells(Options{Parallel: parallel}, len(cells), func(i int, o Options) error {
-			cells[i].Seed = o.seed()
-			var err error
-			res[i], err = RunScaleCell(cells[i])
-			res[i].Wall = 0
-			return err
+		res, err := sweep(Options{Parallel: parallel}, cells, func(c ScaleConfig, o Options) (ScaleResult, error) {
+			c.Seed = o.seed()
+			r, err := RunScaleCell(c)
+			r.Wall = 0
+			return r, err
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -489,13 +487,11 @@ func TestScaleSpillRebalanceDeterministic(t *testing.T) {
 			{Nodes: 32, Clients: 50_000, Requests: 1600, Docs: 2048, CacheFrac: 0.05, Spill: true, Rebalance: true,
 				Transport: verbs.PooledTransport()},
 		}
-		res := make([]ScaleResult, len(cells))
-		err := runCells(Options{Parallel: parallel}, len(cells), func(i int, o Options) error {
-			cells[i].Seed = o.seed()
-			var err error
-			res[i], err = RunScaleCell(cells[i])
-			res[i].Wall = 0
-			return err
+		res, err := sweep(Options{Parallel: parallel}, cells, func(c ScaleConfig, o Options) (ScaleResult, error) {
+			c.Seed = o.seed()
+			r, err := RunScaleCell(c)
+			r.Wall = 0
+			return r, err
 		})
 		if err != nil {
 			t.Fatal(err)
