@@ -76,18 +76,20 @@ type Cluster struct {
 	client    *cluster.Node
 	dataNodes []*cluster.Node
 
-	partitions map[int][]byte // node ID -> packed records
+	// partitions holds each data node's packed records, in dataNodes
+	// order.
+	partitions [][]byte
 	totalRecs  int
 
-	// OverTCP: one connection per data node (client side).
-	conns map[int]*sockets.Conn
-	// OverDDSS: substrate + per-node result segments homed on the client,
-	// the data nodes' query queues (bound at Load, in dataNodes order)
-	// and the client's completion queue.
-	ss      *ddss.Substrate
-	results map[int]*ddss.Handle
-	queryQ  []*verbs.RecvQueue
-	doneQ   *verbs.RecvQueue
+	// OverTCP: one connection per data node (client side), in dataNodes
+	// order.
+	conns []*sockets.Conn
+	// OverDDSS: the substrate (each data node's result segment is homed
+	// on the client), the data nodes' query queues (bound at Load, in
+	// dataNodes order) and the client's completion queue.
+	ss     *ddss.Substrate
+	queryQ []*verbs.RecvQueue
+	doneQ  *verbs.RecvQueue
 }
 
 // Options configures a STORM deployment.
@@ -108,14 +110,11 @@ func New(nw *verbs.Network, dataNodes []*cluster.Node, opts Options) *Cluster {
 	}
 	t, client := opts.Transport, opts.Client
 	c := &Cluster{
-		transport:  t,
-		env:        client.Env(),
-		nw:         nw,
-		client:     client,
-		dataNodes:  dataNodes,
-		partitions: map[int][]byte{},
-		conns:      map[int]*sockets.Conn{},
-		results:    map[int]*ddss.Handle{},
+		transport: t,
+		env:       client.Env(),
+		nw:        nw,
+		client:    client,
+		dataNodes: dataNodes,
 	}
 	cdev := nw.Attach(client)
 	for _, dn := range dataNodes {
@@ -154,7 +153,7 @@ func (c *Cluster) Load(p *sim.Proc, total int) error {
 			}
 			id++
 		}
-		c.partitions[dn.ID] = part
+		c.partitions = append(c.partitions, part)
 		if !dn.Alloc(int64(len(part))) {
 			return fmt.Errorf("storm: node %d out of memory for partition", dn.ID)
 		}
@@ -164,34 +163,32 @@ func (c *Cluster) Load(p *sim.Proc, total int) error {
 	if maxPart == 0 {
 		maxPart = RecordSize
 	}
-	for _, dn := range c.dataNodes {
-		dn := dn
+	for i, dn := range c.dataNodes {
 		switch c.transport {
 		case OverTCP:
 			cc, sc := sockets.Dial(sockets.TCP, c.nw.Device(c.client.ID), c.nw.Device(dn.ID))
-			c.conns[dn.ID] = cc
-			c.env.GoDaemon(fmt.Sprintf("storm/%s", dn.Name), func(pp *sim.Proc) { c.serveTCP(pp, dn, sc) })
+			c.conns = append(c.conns, cc)
+			c.env.GoDaemon(fmt.Sprintf("storm/%s", dn.Name), func(pp *sim.Proc) { c.serveTCP(pp, i, sc) })
 		case OverDDSS:
 			cl := c.ss.Client(dn.ID)
 			h, err := cl.Allocate(p, fmt.Sprintf("storm-res-%d", dn.ID), 8+maxPart, ddss.Null, c.client.ID)
 			if err != nil {
 				return err
 			}
-			c.results[dn.ID] = h
 			q := c.nw.Device(dn.ID).Bind("storm-query")
 			c.queryQ = append(c.queryQ, q)
-			c.env.GoDaemon(fmt.Sprintf("storm/%s", dn.Name), func(pp *sim.Proc) { c.serveDDSS(pp, dn, q, h) })
+			c.env.GoDaemon(fmt.Sprintf("storm/%s", dn.Name), func(pp *sim.Proc) { c.serveDDSS(pp, i, q, h) })
 		}
 	}
 	return nil
 }
 
-// scan evaluates the predicate over a node's partition, charging CPU, and
-// returns the matching records packed together.
-func (c *Cluster) scan(p *sim.Proc, dn *cluster.Node, sel Selector) []byte {
-	part := c.partitions[dn.ID]
+// scan evaluates the predicate over data node i's partition, charging
+// CPU, and returns the matching records packed together.
+func (c *Cluster) scan(p *sim.Proc, i int, sel Selector) []byte {
+	part := c.partitions[i]
 	n := len(part) / RecordSize
-	dn.ExecSliced(p, time.Duration(n)*ScanCPUPerRecord, time.Millisecond)
+	c.dataNodes[i].ExecSliced(p, time.Duration(n)*ScanCPUPerRecord, time.Millisecond)
 	var out []byte
 	for r := 0; r < n; r++ {
 		rec := part[r*RecordSize : (r+1)*RecordSize]
@@ -216,30 +213,30 @@ func decodeSelector(b []byte) Selector {
 	}
 }
 
-// serveTCP is the data-node agent in the traditional configuration.
-func (c *Cluster) serveTCP(p *sim.Proc, dn *cluster.Node, conn *sockets.Conn) {
+// serveTCP is data node i's agent in the traditional configuration.
+func (c *Cluster) serveTCP(p *sim.Proc, i int, conn *sockets.Conn) {
 	for {
 		req, err := conn.Recv(p)
 		if err != nil {
 			return
 		}
-		out := c.scan(p, dn, decodeSelector(req))
+		out := c.scan(p, i, decodeSelector(req))
 		if err := conn.Send(p, out); err != nil {
 			return
 		}
 	}
 }
 
-// serveDDSS is the data-node agent in the paper's configuration: results
-// are pushed into the client-resident segment with a one-sided put and
-// announced with a small message.
-func (c *Cluster) serveDDSS(p *sim.Proc, dn *cluster.Node, queries *verbs.RecvQueue, h *ddss.Handle) {
-	dev := c.nw.Device(dn.ID)
+// serveDDSS is data node i's agent in the paper's configuration:
+// results are pushed into the client-resident segment with a one-sided
+// put and announced with a small message.
+func (c *Cluster) serveDDSS(p *sim.Proc, i int, queries *verbs.RecvQueue, h *ddss.Handle) {
+	dev := c.nw.Device(c.dataNodes[i].ID)
 	for {
 		msg := queries.Recv(p)
 		sel := decodeSelector(msg.Data)
 		msg.Release()
-		out := c.scan(p, dn, sel)
+		out := c.scan(p, i, sel)
 		buf := make([]byte, 8+len(out))
 		binary.LittleEndian.PutUint64(buf, uint64(len(out)))
 		copy(buf[8:], out)
@@ -275,13 +272,13 @@ func (c *Cluster) Query(p *sim.Proc, sel Selector) (Result, error) {
 	req := encodeSelector(sel)
 	switch c.transport {
 	case OverTCP:
-		for _, dn := range c.dataNodes {
-			if err := c.conns[dn.ID].Send(p, req); err != nil {
+		for _, cc := range c.conns {
+			if err := cc.Send(p, req); err != nil {
 				return res, err
 			}
 		}
-		for _, dn := range c.dataNodes {
-			out, err := c.conns[dn.ID].Recv(p)
+		for _, cc := range c.conns {
+			out, err := cc.Recv(p)
 			if err != nil {
 				return res, err
 			}

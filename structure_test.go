@@ -40,7 +40,7 @@ import (
 //     client each fail TestCatalogueHandOffBudget (CHANGES.md records
 //     the restorations).
 var repoRules = structuralRules{
-	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets", "internal/trace", "internal/fabric"},
+	noMap:   []string{"internal/verbs", "internal/dlm", "internal/coopcache", "internal/dyncache", "internal/sockets", "internal/trace", "internal/fabric", "internal/storm", "internal/gma"},
 	openRun: "ngdc/internal/sim.NewEnv",
 	opener:  "internal/runtime/options.go",
 	banned: []bannedName{
