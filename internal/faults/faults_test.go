@@ -190,6 +190,10 @@ func TestParseErrors(t *testing.T) {
 		"loss@5ms a=0 b=1 p=1.5",   // p out of range
 		"crash@5ms node=1 foo=bar", // unknown key
 		"seed=xyz",                 // bad seed
+		"crash@-5ms node=2",        // negative instant
+		"crash@5ms node=-1",        // negative node
+		"partition@5ms a=-1 b=2",   // negative a
+		"heal@5ms a=0 b=-2",        // negative b
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

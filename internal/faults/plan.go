@@ -68,6 +68,9 @@ func parseEvent(dir string) (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("faults: bad instant in %q: %v", dir, err)
 	}
+	if at < 0 {
+		return Event{}, fmt.Errorf("faults: negative instant in %q", dir)
+	}
 	ev.At = at
 
 	seen := map[string]bool{}
@@ -94,6 +97,9 @@ func parseEvent(dir string) (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("faults: bad value %q in %q: %v", kv, dir, err)
 		}
+	}
+	if ev.Node < 0 || ev.A < 0 || ev.B < 0 {
+		return Event{}, fmt.Errorf("faults: negative node in %q", dir)
 	}
 
 	switch ev.Kind {
